@@ -12,13 +12,11 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DimensionMismatch,
-    FAlgebraContext,
     NotInPositiveCone,
     abs_val,
     as_lattice_vector,
-    cone_violation,
+    cone_gap,
     f_mul,
-    f_sqrt,
     in_positive_cone,
     join,
     meet,
@@ -28,8 +26,10 @@ from .means import (
     AngleGrid,
     ThetaGrid,
     box_plus,
+    box_plus_gaps,
     box_plus_oracle,
     box_times,
+    box_times_gaps,
     box_times_oracle,
     theta_minimizer,
 )
@@ -39,35 +39,42 @@ from .sip import (
     NoNontrivialOrthogonal,
     PsdFamilySip,
     check_axioms,
-    make_psd_sip,
     orthogonal_sample,
+    random_psd,
     sip_eval,
     sip_from_dict,
     sip_to_dict,
 )
 from .cauchy_schwarz import (
     CsCheck,
-    DefectResult,
+    Gram,
     LambdaGrid,
-    cs_check,
-    cs_identity_residual,
+    cs_identity,
+    cs_verdict,
     defect_closed,
+    defect_gaps,
     defect_grid,
-    defect_with_oracle,
 )
 from .seminorms import (
     AdditivityCheck,
     PreconditionViolated,
     SeminormSpec,
     SharpTriangle,
+    Sides,
+    WeightedGram,
     additivity_check,
+    additivity_verdict,
+    orthogonality,
     parallelogram_residual,
+    parallelogram_sides,
     pythagoras_check,
+    pythagoras_sides,
     seminorm_eval,
+    seminorm_residuals,
     seminorm_sq,
+    sharp_verdict,
     sharpened_triangle,
-    triangle_residual,
-    vsn_axiom_check,
+    weighted_defect_gaps,
 )
 from .harness import (
     ConfigError,

@@ -14,6 +14,13 @@ and with it the exact identity |T(x,y)| = a [*] c - D/2, of which the
 Cauchy-Schwarz inequality |T(x,y)| <= T(x,x) [*] T(y,y) is the D >= 0
 corollary, with equality iff D = 0.
 
+Gram is the record of one pair: a, b, c, each evaluated once on first
+use, with sqrt(a*c) and the closed-form defect derived from them. The
+identity (cs_identity), the inequality with its biconditional
+(cs_verdict) and the oracle comparison (defect_gaps) are pure functions
+of a Gram; defect_closed builds one Gram per call, and the harness one
+per trial.
+
 defect_grid must stay independent of that derivation: it samples the
 defining family by evaluating T directly on lambda*x - y over a signed
 log-magnitude grid, using neither bilinear expansion nor calculus. The
@@ -32,9 +39,10 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     as_lattice_vector,
+    cone_gap,
 )
 from .means import box_times
-from .sip import Sip, sip_eval
+from .sip import Sip
 
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e6
@@ -75,29 +83,53 @@ class LambdaGrid:
         return np.concatenate([-self.magnitudes[::-1], self.magnitudes])
 
 
-@dataclass(frozen=True)
-class DefectResult:
-    closed: np.ndarray
-    grid: np.ndarray
-    gap: np.ndarray  # grid - closed, in F+ up to rounding
+class Gram:
+    """The T-evaluations of one pair (x, y), each made once, on first use.
 
+    a = T(x,x), b = T(x,y), c = T(y,y). Every Cauchy-Schwarz quantity is
+    algebra on these three vectors, so a check builds one Gram per trial
+    and reads everything off it; evaluating lazily keeps a suite from
+    computing (or raising on) a value it never reads.
+    """
 
-def _gram(T: Sip, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return sip_eval(T, x, x), sip_eval(T, x, y), sip_eval(T, y, y)
+    def __init__(self, T: Sip, x, y):
+        self.T = T
+        self.x = as_lattice_vector(x, T.domain_dim)
+        self.y = as_lattice_vector(y, T.domain_dim)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.T.eval(self.x, self.x)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self.T.eval(self.x, self.y)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.T.eval(self.y, self.y)
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        """sqrt(a*c), factors clamped at 0: T(x,x) [*] T(y,y) without the cone check."""
+        return np.sqrt(np.maximum(self.a, 0.0) * np.maximum(self.c, 0.0))
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        """Closed-form defect 2*(sqrt(a*c) - |b|).
+
+        The factors under the root are clamped at 0 (they can round
+        negative when a coordinate of a or c is a rounded zero), which
+        matches the clamping box_times applies. The result itself is not
+        clamped: its membership in F+ is a theorem under the axioms, and a
+        genuine negative value must surface as a violation.
+        """
+        return 2.0 * (self.bound - np.abs(self.b))
 
 
 def defect_closed(T: Sip, x, y) -> np.ndarray:
-    """Closed-form defect 2*(sqrt(T(x,x)*T(y,y)) - |T(x,y)|) componentwise.
-
-    The factors under the root are clamped at 0 (they can round negative
-    when a coordinate of T(x,x) or T(y,y) is a rounded zero), which keeps
-    the root's domain safe and matches the clamping box_times applies. The
-    result itself is not clamped: its membership in F+ is a theorem under
-    the axioms, and a genuine negative value must surface as a violation,
-    not be hidden.
-    """
-    a, b, c = _gram(T, x, y)
-    return 2.0 * (np.sqrt(np.maximum(a, 0.0) * np.maximum(c, 0.0)) - np.abs(b))
+    """Closed-form defect 2*(sqrt(T(x,x)*T(y,y)) - |T(x,y)|) componentwise."""
+    return Gram(T, x, y).defect
 
 
 def defect_grid(T: Sip, x, y, grid: LambdaGrid | None = None) -> np.ndarray:
@@ -116,23 +148,32 @@ def defect_grid(T: Sip, x, y, grid: LambdaGrid | None = None) -> np.ndarray:
     return vals.min(axis=0)
 
 
-def defect_with_oracle(T: Sip, x, y,
-                       grid: LambdaGrid | None = None) -> DefectResult:
-    closed = defect_closed(T, x, y)
-    sampled = defect_grid(T, x, y, grid)
-    return DefectResult(closed=closed, grid=sampled, gap=sampled - closed)
+def defect_gaps(g: Gram, grid: LambdaGrid,
+                floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+    """(sandwich, gap) of the lambda-grid oracle against the closed-form defect.
+
+    Normalized by the largest of |a|, |c| and both defect values: sandwich
+    is the violation of grid >= closed, gap the worst over-estimate.
+    """
+    sampled = defect_grid(g.T, g.x, g.y, grid)
+    gap = sampled - g.defect
+    scale = np.maximum(np.abs(g.a), np.maximum(np.abs(g.c), np.maximum(
+        np.abs(g.defect), np.abs(sampled)))) + floor
+    return cone_gap(gap, scale), float(max(np.max(gap / scale), 0.0))
 
 
-def cs_identity_residual(T: Sip, x, y,
-                         floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
-    """Raw residual of |T(x,y)| = T(x,x) [*] T(y,y) - D(x,y)/2, componentwise."""
-    a, b, c = _gram(T, x, y)
-    # T(x,x), T(y,y) are in F+ up to rounding of PSD arithmetic; give the
+def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
+    """Raw residual of |b| = a [*] c - D/2, componentwise.
+
+    Raises NotInPositiveCone when a or c leaves the positive cone beyond
+    the rounding floor of the geometric mean.
+    """
+    # a and c are in F+ up to rounding of PSD arithmetic; give the
     # geometric mean a scale-aware clamping floor rather than the bare
     # absolute one.
-    cone_floor = DEFAULT_REL_TOL * float(np.max(np.abs(a)) + np.max(np.abs(c))) + floor
-    bound = box_times(a, c, floor=cone_floor)
-    return np.abs(b) - (bound - 0.5 * defect_closed(T, x, y))
+    cone_floor = DEFAULT_REL_TOL * float(np.max(np.abs(g.a)) + np.max(np.abs(g.c))) + floor
+    bound = box_times(g.a, g.c, floor=cone_floor)
+    return np.abs(g.b) - (bound - 0.5 * g.defect)
 
 
 @dataclass(frozen=True)
@@ -141,29 +182,34 @@ class CsCheck:
     equality_holds: bool
     defect_zero: bool
     borderline: bool
+    identity: float    # worst normalized |cs_identity|
+    inequality: float  # worst normalized violation of |b| <= sqrt(a*c)
 
 
-def cs_check(T: Sip, x, y, band: float = CONE_BAND,
-             floor: float = DEFAULT_ABS_TOL) -> CsCheck:
-    """Inequality plus the equality <-> zero-defect biconditional.
+def cs_verdict(g: Gram, band: float = CONE_BAND,
+               floor: float = DEFAULT_ABS_TOL) -> CsCheck:
+    """Identity, inequality and the equality <-> zero-defect biconditional.
 
     All quantities are normalized by max(sqrt(a*c), |b|) per coordinate, so
     the verdicts are scale free. equality_holds tests sqrt(a*c) - |b| and
     defect_zero tests D/2 against the same band; the two are equal by the
     closed form, so on non-borderline trials the biconditional is exact.
     Trials whose normalized gap lands in (band/8, 8*band) are flagged
-    borderline instead of being forced to a verdict.
+    borderline instead of being forced to a verdict. Raises as cs_identity
+    does.
     """
-    a, b, c = _gram(T, x, y)
-    bound = np.sqrt(np.maximum(a, 0.0) * np.maximum(c, 0.0))
-    scale = np.maximum(bound, np.abs(b)) + floor
-    margin = (bound - np.abs(b)) / scale
+    slack = g.bound - np.abs(g.b)
+    scale = np.maximum(g.bound, np.abs(g.b)) + floor
+    margin = slack / scale
     eq_gap = float(max(np.max(margin), 0.0))
-    defect_n = float(max(np.max(0.5 * defect_closed(T, x, y) / scale), 0.0))
+    defect_n = float(max(np.max(0.5 * g.defect / scale), 0.0))
     worst = max(eq_gap, defect_n)
     return CsCheck(
         inequality_ok=bool(np.min(margin) >= -INEQ_FLOOR),
         equality_holds=eq_gap <= band,
         defect_zero=defect_n <= band,
         borderline=band / 8.0 < worst < 8.0 * band,
+        identity=float(np.max(np.abs(cs_identity(g, floor)) / scale)),
+        inequality=cone_gap(slack, scale),
     )
+

@@ -21,19 +21,36 @@ from pathlib import Path
 from .harness import (
     CHECKS,
     ConfigError,
+    Counterexample,
     Instance,
     THEOREMS,
     Tolerances,
     TrialConfig,
-    build_grids,
-    _run_check,
+    config_from_params,
     convergence_study,
     emit_report,
+    params_from_config,
     run_suite,
     shrink,
 )
 
 DEFAULTS = TrialConfig(trials=1)
+
+# (flag, field, type): each flag sets one field of Tolerances or of
+# TrialConfig and defaults to that field's default.
+CONFIG_FLAGS = (
+    ("--tol-rel", "rel", float),
+    ("--tol-abs", "abs", float),
+    ("--cone-band", "cone_band", float),
+    ("--theta-lo", "theta_lo", float),
+    ("--theta-hi", "theta_hi", float),
+    ("--theta-count", "theta_count", int),
+    ("--angle-count", "angle_count", int),
+    ("--lambda-lo", "lambda_lo", float),
+    ("--lambda-hi", "lambda_hi", float),
+    ("--lambda-count", "lambda_count", int),
+)
+TOLERANCE_FIELDS = frozenset(Tolerances.__dataclass_fields__)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
@@ -47,16 +64,9 @@ def _add_config_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
     p.add_argument("--n", type=int, default=None,
                    help="fix the codomain dimension (default: range "
                         f"[{DEFAULTS.n_lo}, {DEFAULTS.n_hi}])")
-    p.add_argument("--tol-rel", type=float, default=DEFAULTS.tolerances.rel)
-    p.add_argument("--tol-abs", type=float, default=DEFAULTS.tolerances.abs)
-    p.add_argument("--cone-band", type=float, default=DEFAULTS.tolerances.cone_band)
-    p.add_argument("--theta-lo", type=float, default=DEFAULTS.theta_lo)
-    p.add_argument("--theta-hi", type=float, default=DEFAULTS.theta_hi)
-    p.add_argument("--theta-count", type=int, default=DEFAULTS.theta_count)
-    p.add_argument("--angle-count", type=int, default=DEFAULTS.angle_count)
-    p.add_argument("--lambda-lo", type=float, default=DEFAULTS.lambda_lo)
-    p.add_argument("--lambda-hi", type=float, default=DEFAULTS.lambda_hi)
-    p.add_argument("--lambda-count", type=int, default=DEFAULTS.lambda_count)
+    for flag, name, kind in CONFIG_FLAGS:
+        owner = DEFAULTS.tolerances if name in TOLERANCE_FIELDS else DEFAULTS
+        p.add_argument(flag, type=kind, default=getattr(owner, name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,17 +111,11 @@ def _config_from_args(args: argparse.Namespace, theorems: tuple) -> TrialConfig:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"RIESZ_SIP_SEED must be an integer, got {env!r}")
-    cfg = TrialConfig(
-        seed=seed,
-        trials=args.trials,
-        tolerances=Tolerances(rel=args.tol_rel, abs=args.tol_abs,
-                              cone_band=args.cone_band),
-        theta_lo=args.theta_lo, theta_hi=args.theta_hi, theta_count=args.theta_count,
-        angle_count=args.angle_count,
-        lambda_lo=args.lambda_lo, lambda_hi=args.lambda_hi,
-        lambda_count=args.lambda_count,
-        theorems=theorems,
-    )
+    values = {name: getattr(args, flag[2:].replace("-", "_"))
+              for flag, name, _ in CONFIG_FLAGS}
+    tolerances = Tolerances(**{k: values.pop(k) for k in TOLERANCE_FIELDS})
+    cfg = TrialConfig(seed=seed, trials=args.trials, tolerances=tolerances,
+                      theorems=theorems, **values)
     if args.m is not None:
         cfg = replace(cfg, m_lo=args.m, m_hi=args.m)
     if args.n is not None:
@@ -188,25 +192,23 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         raise ConfigError("--check is required for bare instance files")
     if check not in CHECKS:
         raise ConfigError(f"unknown check {check!r}; choose from {sorted(CHECKS)}")
-    inst_dict = data.get("instance", data)
     try:
-        inst = Instance.from_dict(inst_dict)
+        inst = Instance.from_dict(data.get("instance", data))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid instance: {exc}")
-    config = _config_from_args(args, theorems=(check,))
-
-    original = _run_check(check, inst, config, build_grids(config))
-    if original.status != "fail":
-        raise ConfigError("instance does not fail the check; nothing to shrink")
+    if "instance" in data:
+        # A counterexample is shrunk under the tolerances and grids it was
+        # found with, as replay does; flags apply to bare instances only.
+        try:
+            config = config_from_params(data.get("params", {}))
+        except TypeError as exc:
+            raise ConfigError(f"invalid params: {exc}")
+    else:
+        config = _config_from_args(args, theorems=(check,))
     small, res = shrink(inst, check, config)
-    out = {
-        "schema": "riesz-sip/1",
-        "theorem": check,
-        "failed": list(res.failed),
-        "residuals": dict(res.residuals),
-        "instance": small.to_dict(),
-    }
-    text = json.dumps(out, sort_keys=True, indent=2) + "\n"
+    out = Counterexample(theorem=check, failed=res.failed, residuals=dict(res.residuals),
+                         instance=small.to_dict(), params=params_from_config(config))
+    text = json.dumps(out.to_dict(), sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

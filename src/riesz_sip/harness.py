@@ -7,7 +7,10 @@ Every trial draws its randomness from a substream keyed by
 (wall time aside) and any recorded counterexample can be replayed or
 shrunk offline from its serialized instance alone. Checks themselves are
 deterministic functions of (instance, config): anything sampled inside a
-check uses fixed seeds or fixed scalar sets, never fresh entropy.
+check uses fixed seeds or fixed scalar sets, never fresh entropy. A
+check builds one Gram or WeightedGram record per trial, so each T-value is
+evaluated once, passes it to the library's theorem functions, and only
+maps the residuals they return to tolerances.
 
 Suite names:
 
@@ -32,33 +35,29 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .lattice import DimensionMismatch, NotInPositiveCone, abs_val, f_mul, rel_residual
+from .lattice import DimensionMismatch, NotInPositiveCone, abs_val, rel_residual
 from .means import (
     AngleGrid,
     ThetaGrid,
     box_plus,
+    box_plus_gaps,
     box_plus_oracle,
     box_times,
-    box_times_oracle,
+    box_times_gaps,
     theta_minimizer,
 )
-from .cauchy_schwarz import (
-    INEQ_FLOOR,
-    LambdaGrid,
-    cs_check,
-    cs_identity_residual,
-    defect_closed,
-    defect_with_oracle,
-)
+from .cauchy_schwarz import INEQ_FLOOR, Gram, LambdaGrid, cs_verdict, defect_gaps
 from .seminorms import (
     CHAIN_FLOOR,
     SeminormSpec,
-    additivity_check,
-    parallelogram_residual,
-    pythagoras_check,
-    seminorm_eval,
-    seminorm_sq,
-    sharpened_triangle,
+    WeightedGram,
+    additivity_verdict,
+    orthogonality,
+    parallelogram_sides,
+    pythagoras_sides,
+    seminorm_residuals,
+    sharp_verdict,
+    weighted_defect_gaps,
 )
 from .sip import (
     MultiplicationSip,
@@ -66,7 +65,7 @@ from .sip import (
     PsdFamilySip,
     check_axioms,
     orthogonal_sample,
-    sip_eval,
+    random_psd,
     sip_from_dict,
     sip_to_dict,
 )
@@ -231,14 +230,6 @@ PURPOSES = {
 }
 
 
-def _random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:
-    B = rng.uniform(-1.0, 1.0, (n, m, m))
-    A = np.einsum("jka,jkb->jab", B, B)
-    A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-    # Gram construction is PSD by design; skip the admission checks.
-    return PsdFamilySip(A, validate=False)
-
-
 def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
     u = rng.uniform(0.0, u_hi, n)
     r = rng.random()
@@ -272,7 +263,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
             T = MultiplicationSip(n)
         else:
             m = int(rng.integers(config.m_lo, config.m_hi + 1))
-            T = _random_psd(rng, m, n)
+            T = random_psd(rng, m, n)
         u = _random_weight(rng, n, config.u_hi)
         x = rng.uniform(-config.entry_hi, config.entry_hi, m)
         style = rng.random()
@@ -302,7 +293,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
             if use_psd:
                 n = int(rng.integers(config.n_lo, min(config.n_hi, config.m_hi - 1) + 1))
                 m = int(rng.integers(max(config.m_lo, n + 1), config.m_hi + 1))
-                T = _random_psd(rng, m, n)
+                T = random_psd(rng, m, n)
                 x = rng.uniform(-config.entry_hi, config.entry_hi, m)
             else:
                 n = int(rng.integers(max(config.n_lo, 2), config.n_hi + 1))
@@ -338,8 +329,10 @@ class TrialResult:
         return max((v / self.tols[k] for k, v in self.residuals.items()), default=0.0)
 
 
-def _result(residuals: dict, tols: dict, borderline: bool = False,
-            tags: tuple = ()) -> TrialResult:
+def _result(checks: dict, borderline: bool = False, tags: tuple = ()) -> TrialResult:
+    """TrialResult of {check name: (residual, tolerance)}."""
+    residuals = {k: v for k, (v, _) in checks.items()}
+    tols = {k: tol for k, (_, tol) in checks.items()}
     # not (v <= tol) instead of v > tol so NaN residuals count as failures
     failed = tuple(sorted(k for k, v in residuals.items() if not v <= tols[k]))
     status = "fail" if failed else ("borderline" if borderline else "pass")
@@ -347,54 +340,35 @@ def _result(residuals: dict, tols: dict, borderline: bool = False,
                        failed=failed, tags=tags)
 
 
-def _cone_gap(vec: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.max(np.maximum(-vec, 0.0) / scale))
+def _mismatch(borderline: bool, agreed: bool) -> float:
+    """Indicator residual of a biconditional; borderline trials never count."""
+    return 0.0 if (borderline or agreed) else 1.0
+
+
+def _branch(holds: bool) -> tuple:
+    return ("equality",) if holds else ("strict",)
 
 
 def check_axioms_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
     rep = check_axioms(inst.sip, samples=AXIOM_SAMPLES, seed=0,
                        tol=config.tolerances.rel, floor=config.tolerances.abs)
-    tols = {k: config.tolerances.rel for k in rep.residuals}
-    return _result(dict(rep.residuals), tols, tags=(inst.kind,))
+    return _result({k: (v, config.tolerances.rel) for k, v in rep.residuals.items()},
+                   tags=(inst.kind,))
 
 
 def check_cs_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    T, x, y = inst.sip, inst.x, inst.y
     tol = config.tolerances
-    a = sip_eval(T, x, x)
-    b = sip_eval(T, x, y)
-    c = sip_eval(T, y, y)
-    bound = np.sqrt(np.maximum(a, 0.0) * np.maximum(c, 0.0))
-    scale = np.maximum(bound, np.abs(b)) + tol.abs
-
-    ident = float(np.max(np.abs(cs_identity_residual(T, x, y, floor=tol.abs)) / scale))
-    ineq = _cone_gap(bound - np.abs(b), scale)
-
-    res = defect_with_oracle(T, x, y, grids.lam)
-    dscale = np.maximum(np.abs(a), np.maximum(np.abs(c), np.maximum(
-        np.abs(res.closed), np.abs(res.grid)))) + tol.abs
-    sandwich = _cone_gap(res.gap, dscale)
-    gap = float(max(np.max(res.gap / dscale), 0.0))
-
-    chk = cs_check(T, x, y, band=tol.cone_band, floor=tol.abs)
-    mismatch = 0.0 if (chk.borderline or chk.equality_holds == chk.defect_zero) else 1.0
-
-    residuals = {
-        "identity": ident,
-        "inequality": ineq,
-        "defect_sandwich": sandwich,
-        "defect_gap": gap,
-        "equality_iff_defect_zero": mismatch,
-    }
-    tols = {
-        "identity": tol.rel,
-        "inequality": INEQ_FLOOR,
-        "defect_sandwich": SANDWICH_FLOOR,
-        "defect_gap": DEFECT_GAP_REL_TOL,
-        "equality_iff_defect_zero": BICOND_TOL,
-    }
-    tags = ("equality",) if chk.equality_holds else ("strict",)
-    return _result(residuals, tols, borderline=chk.borderline, tags=tags)
+    g = Gram(inst.sip, inst.x, inst.y)
+    chk = cs_verdict(g, band=tol.cone_band, floor=tol.abs)
+    sandwich, gap = defect_gaps(g, grids.lam, tol.abs)
+    return _result({
+        "identity": (chk.identity, tol.rel),
+        "inequality": (chk.inequality, INEQ_FLOOR),
+        "defect_sandwich": (sandwich, SANDWICH_FLOOR),
+        "defect_gap": (gap, DEFECT_GAP_REL_TOL),
+        "equality_iff_defect_zero": (
+            _mismatch(chk.borderline, chk.equality_holds == chk.defect_zero), BICOND_TOL),
+    }, borderline=chk.borderline, tags=_branch(chk.equality_holds))
 
 
 # Scalars for homogeneity-style identities; |x_0| adds a data-dependent
@@ -415,170 +389,80 @@ def check_means_trial(inst: Instance, config: TrialConfig, grids: Grids) -> Tria
         ref = np.sqrt(lam) * ab
         hom = max(hom, rel_residual(box_times(lam * a, b, floor=floor), ref, floor=floor))
         hom = max(hom, rel_residual(box_times(a, lam * b, floor=floor), ref, floor=floor))
-    residuals = {"biadditivity": biadd, "homogeneity": hom}
-    tols = {"biadditivity": MEANS_REL_TOL, "homogeneity": MEANS_REL_TOL}
-    return _result(residuals, tols)
+    return _result({"biadditivity": (biadd, MEANS_REL_TOL), "homogeneity": (hom, MEANS_REL_TOL)})
 
 
 def check_vsn_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    spec = SeminormSpec(inst.sip, inst.u)
     tol = config.tolerances
-    x, y = inst.x, inst.y
-    sx = seminorm_eval(spec, x)
-    sy = seminorm_eval(spec, y)
-    sxy = seminorm_eval(spec, x + y)
-
-    pos = max(_cone_gap(sx, np.abs(sx) + tol.abs), _cone_gap(sy, np.abs(sy) + tol.abs))
-    hom = 0.0
-    for alpha in (-2.5, -1.0, 0.0, 0.5) + (float(x[0]),):
-        hom = max(hom, rel_residual(seminorm_eval(spec, alpha * x),
-                                    np.abs(alpha) * sx, floor=tol.abs))
-    tri = _cone_gap(sx + sy - sxy, np.maximum(sxy, sx + sy) + tol.abs)
-    square = rel_residual(f_mul(sx, sx), seminorm_sq(spec, x), floor=tol.abs)
-
-    residuals = {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
-    tols = {"positivity": tol.rel, "homogeneity": tol.rel,
-            "triangle": tol.rel, "square": SQUARE_REL_TOL}
-    return _result(residuals, tols)
+    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+    tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
+            "square": SQUARE_REL_TOL}
+    return _result({k: (v, tols[k]) for k, v in seminorm_residuals(g, floor=tol.abs).items()})
 
 
 def check_sharp_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    spec = SeminormSpec(inst.sip, inst.u)
     tol = config.tolerances
-    x, y = inst.x, inst.y
-    st = sharpened_triangle(spec, x, y, band=tol.cone_band, floor=tol.abs)
-
-    scale = np.maximum(np.abs(st.lhs_sq),
-                       np.maximum(np.abs(st.middle), np.abs(st.rhs_sq))) + tol.abs
-    chain = max(_cone_gap(st.middle - st.lhs_sq, scale),
-                _cone_gap(st.rhs_sq - st.middle, scale))
-    sxy = seminorm_eval(spec, x + y)
-    ssum = seminorm_eval(spec, x) + seminorm_eval(spec, y)
-    mid_sqrt = np.sqrt(np.maximum(st.middle, 0.0))
-    lin_scale = np.maximum(sxy, np.maximum(mid_sqrt, ssum)) + tol.abs
-    chain = max(chain,
-                _cone_gap(mid_sqrt - sxy, lin_scale),
-                _cone_gap(ssum - mid_sqrt, lin_scale))
-
-    # Independent oracle for the weighted defect: sample the defining
-    # family of D(x,y)*u through seminorm_sq on lambda*x - y directly.
-    lam = grids.lam.signed
-    Z = lam[:, None] * np.asarray(x)[None, :] - np.asarray(y)[None, :]
-    fam = (inst.sip.eval_batch(Z, Z) * spec.u[None, :]) / np.abs(lam)[:, None]
-    wgrid = fam.min(axis=0)
-    wclosed = f_mul(defect_closed(inst.sip, x, y), spec.u)
-    a = sip_eval(inst.sip, x, x)
-    c = sip_eval(inst.sip, y, y)
-    wscale = np.maximum(
-        np.maximum(np.abs(a), np.abs(c)) * spec.u,
-        np.maximum(np.abs(wclosed), np.abs(wgrid))) + tol.abs
-    wsandwich = _cone_gap(wgrid - wclosed, wscale)
-    wgap = float(max(np.max((wgrid - wclosed) / wscale), 0.0))
-
-    mismatch = 0.0 if (st.borderline or st.equality_holds == st.condition_holds) else 1.0
-    residuals = {
-        "chain": chain,
-        "equality_iff_positive": mismatch,
-        "weighted_sandwich": wsandwich,
-        "weighted_gap": wgap,
-    }
-    tols = {
-        "chain": CHAIN_FLOOR,
-        "equality_iff_positive": BICOND_TOL,
-        "weighted_sandwich": SANDWICH_FLOOR,
-        "weighted_gap": DEFECT_GAP_REL_TOL,
-    }
-    tags = ("equality",) if st.equality_holds else ("strict",)
-    return _result(residuals, tols, borderline=st.borderline, tags=tags)
+    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+    st = sharp_verdict(g, band=tol.cone_band, floor=tol.abs)
+    sandwich, gap = weighted_defect_gaps(g, grids.lam, tol.abs)
+    return _result({
+        "chain": (st.chain, CHAIN_FLOOR),
+        "equality_iff_positive": (
+            _mismatch(st.borderline, st.equality_holds == st.condition_holds), BICOND_TOL),
+        "weighted_sandwich": (sandwich, SANDWICH_FLOOR),
+        "weighted_gap": (gap, DEFECT_GAP_REL_TOL),
+    }, borderline=st.borderline, tags=_branch(st.equality_holds))
 
 
 def check_additivity_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    spec = SeminormSpec(inst.sip, inst.u)
     tol = config.tolerances
-    ac = additivity_check(spec, inst.x, inst.y, band=tol.cone_band, floor=tol.abs)
+    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+    ac = additivity_verdict(g, band=tol.cone_band, floor=tol.abs)
     agreed = ac.additive == (ac.condition_pos and ac.condition_defect_zero)
-    mismatch = 0.0 if (ac.borderline or agreed) else 1.0
-    residuals = {"characterization": mismatch}
-    tols = {"characterization": BICOND_TOL}
     tags = (
         "additive" if ac.additive else "nonadditive",
         "cond_pos_true" if ac.condition_pos else "cond_pos_false",
         "cond_defect_true" if ac.condition_defect_zero else "cond_defect_false",
     )
-    return _result(residuals, tols, borderline=ac.borderline, tags=tags)
+    return _result({"characterization": (_mismatch(ac.borderline, agreed), BICOND_TOL)},
+                   borderline=ac.borderline, tags=tags)
 
 
 def check_pythagoras_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    spec = SeminormSpec(inst.sip, inst.u)
     tol = config.tolerances
-    x, y = inst.x, inst.y
-    a = sip_eval(inst.sip, x, x)
-    b = sip_eval(inst.sip, x, y)
-    c = sip_eval(inst.sip, y, y)
-    pre = float(np.max(np.abs(b) / (np.sqrt(np.maximum(a * c, 0.0)) + tol.abs)))
-    if pre > PRECOND_TOL:
-        return _result({"orthogonality": pre, "identity": 0.0},
-                       {"orthogonality": PRECOND_TOL, "identity": tol.rel},
-                       tags=(inst.kind,))
-    raw = pythagoras_check(spec, x, y, precond_tol=PRECOND_TOL, floor=tol.abs)
-    lhs = seminorm_eval(spec, x + y)
-    rhs = box_plus(seminorm_eval(spec, x), seminorm_eval(spec, y))
-    ident = float(np.max(np.abs(raw) / (np.maximum(lhs, rhs) + tol.abs)))
-    return _result({"orthogonality": pre, "identity": ident},
-                   {"orthogonality": PRECOND_TOL, "identity": tol.rel},
+    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+    pre = orthogonality(g, floor=tol.abs)
+    # The identity is only asserted, and its seminorms only evaluated,
+    # when the orthogonality hypothesis holds.
+    ident = 0.0 if pre > PRECOND_TOL else pythagoras_sides(g).residual(tol.abs)
+    return _result({"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
                    tags=(inst.kind,))
 
 
 def check_parallelogram_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    spec = SeminormSpec(inst.sip, inst.u)
     tol = config.tolerances
-    raw = parallelogram_residual(spec, inst.x, inst.y)
-    lhs = box_plus(seminorm_eval(spec, inst.x + inst.y),
-                   seminorm_eval(spec, inst.x - inst.y))
-    rhs = np.sqrt(2.0) * box_plus(seminorm_eval(spec, inst.x),
-                                  seminorm_eval(spec, inst.y))
-    ident = float(np.max(np.abs(raw) / (np.maximum(lhs, rhs) + tol.abs)))
-    return _result({"identity": ident}, {"identity": tol.rel}, tags=(inst.kind,))
+    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+    return _result({"identity": (parallelogram_sides(g).residual(tol.abs), tol.rel)},
+                   tags=(inst.kind,))
 
 
 def check_oracle_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
     tol = config.tolerances
     u, v = abs_val(inst.x), abs_val(inst.y)
-
-    bt = box_times(u, v, floor=tol.abs)
-    bt_o = box_times_oracle(u, v, grids.theta, floor=tol.abs)
-    bt_scale = np.maximum(bt, bt_o) + tol.abs
-    bt_sandwich = _cone_gap(bt_o - bt, bt_scale)
+    bt_sandwich, bt_gap = box_times_gaps(u, v, grids.theta, tol.abs)
+    # Outside the grid's range the theta oracle's over-estimate is not
+    # tight, so its gap is not asserted there.
     covered = grids.theta.covers(theta_minimizer(u, v))
-    bt_gap = float(max(np.max((bt_o - bt) / bt_scale), 0.0)) if covered else 0.0
-
-    a, b = inst.x, inst.y
-    bp = box_plus(a, b)
-    bp_o = box_plus_oracle(a, b, grids.angle)
-    bp_scale = np.maximum(bp, np.abs(bp_o)) + tol.abs
-    bp_sandwich = _cone_gap(bp - bp_o, bp_scale)
-    bp_gap = float(np.max(np.abs(bp - bp_o) / bp_scale))
-
-    q_full = box_plus_oracle(u, v, grids.angle)
-    q_quarter = box_plus_oracle(u, v, grids.angle, quarter=True)
-    quarter = rel_residual(q_full, q_quarter, floor=tol.abs)
-
-    residuals = {
-        "box_times_sandwich": bt_sandwich,
-        "box_times_gap": bt_gap,
-        "box_plus_sandwich": bp_sandwich,
-        "box_plus_gap": bp_gap,
-        "quarter_circle": quarter,
-    }
-    tols = {
-        "box_times_sandwich": SANDWICH_FLOOR,
-        "box_times_gap": BT_GAP_REL_TOL,
-        "box_plus_sandwich": SANDWICH_FLOOR,
-        "box_plus_gap": BP_GAP_REL_TOL,
-        "quarter_circle": QUARTER_REL_TOL,
-    }
-    tags = () if covered else ("minimizer_not_covered",)
-    return _result(residuals, tols, tags=tags)
+    bp_sandwich, bp_gap = box_plus_gaps(inst.x, inst.y, grids.angle, tol.abs)
+    quarter = rel_residual(box_plus_oracle(u, v, grids.angle),
+                           box_plus_oracle(u, v, grids.angle, quarter=True), floor=tol.abs)
+    return _result({
+        "box_times_sandwich": (bt_sandwich, SANDWICH_FLOOR),
+        "box_times_gap": (bt_gap if covered else 0.0, BT_GAP_REL_TOL),
+        "box_plus_sandwich": (bp_sandwich, SANDWICH_FLOOR),
+        "box_plus_gap": (bp_gap, BP_GAP_REL_TOL),
+        "quarter_circle": (quarter, QUARTER_REL_TOL),
+    }, tags=() if covered else ("minimizer_not_covered",))
 
 
 CHECKS = {
@@ -601,17 +485,15 @@ def _run_check(theorem: str, inst: Instance, config: TrialConfig,
     except (DimensionMismatch, NotInPositiveCone, ValueError):
         # Structurally broken instance (fault injection): counted as a
         # failure, never silently skipped.
-        return _result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
+        return _result({"invalid_instance": (1.0, BICOND_TOL)})
 
 
-def _grid_params(config: TrialConfig) -> dict:
-    return {
-        "theta_lo": config.theta_lo, "theta_hi": config.theta_hi,
-        "theta_count": config.theta_count,
-        "angle_count": config.angle_count,
-        "lambda_lo": config.lambda_lo, "lambda_hi": config.lambda_hi,
-        "lambda_count": config.lambda_count,
-    }
+def params_from_config(config: TrialConfig) -> dict:
+    """The tolerances and grids a check depends on, as stored in a counterexample."""
+    grids = ("theta_lo", "theta_hi", "theta_count", "angle_count",
+             "lambda_lo", "lambda_hi", "lambda_count")
+    return {"tolerances": asdict(config.tolerances),
+            "grids": {k: getattr(config, k) for k in grids}}
 
 
 @dataclass(frozen=True)
@@ -634,7 +516,10 @@ class Counterexample:
 
 
 def config_from_params(params: dict) -> TrialConfig:
-    """Minimal config honoring a counterexample's stored tolerances and grids."""
+    """Minimal config honoring a counterexample's stored tolerances and grids.
+
+    The inverse of params_from_config.
+    """
     base = TrialConfig(trials=1)
     tolerances = Tolerances(**params.get("tolerances", {}))
     return replace(base, tolerances=tolerances, **params.get("grids", {}))
@@ -685,7 +570,7 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
         counts: dict = {}
         worst = None  # (ratio, summary dict)
         counterexamples = []
-        params = {"tolerances": asdict(config.tolerances), "grids": _grid_params(config)}
+        params = params_from_config(config)
 
         def record(inst: Instance | None, res: TrialResult):
             nonlocal passes, failures, borderline, worst
@@ -717,7 +602,7 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
             try:
                 inst = generate_instance(config, i, purpose)
             except GenerationExhausted:
-                record(None, _result({"generation": 1.0}, {"generation": BICOND_TOL}))
+                record(None, _result({"generation": (1.0, BICOND_TOL)}))
                 continue
             record(inst, _run_check(name, inst, config, grids))
         for inst in injected:
@@ -742,6 +627,52 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     )
 
 
+def _drop(v: np.ndarray, i: int) -> np.ndarray:
+    # Slicing, unlike np.delete, tolerates an index past the end of a
+    # malformed (too short) vector.
+    return np.concatenate((v[:i], v[i + 1:]))
+
+
+def _zeroed(v: np.ndarray, index) -> np.ndarray:
+    v = v.copy()
+    v[index] = 0.0
+    return v
+
+
+def _shrink_candidates(cur: Instance):
+    """Every one-step simplification of cur, in the order shrink tries them."""
+    T = cur.sip
+    mult = isinstance(T, MultiplicationSip)
+    # Dimensions come from the sip, never from u, x or y: a malformed
+    # instance's vectors may carry a coordinate too many or too few.
+    n = T.codomain_dim
+    if n > 1:
+        for j in range(n):
+            if mult:
+                yield Instance(MultiplicationSip(n - 1), _drop(cur.u, j),
+                               _drop(cur.x, j), _drop(cur.y, j))
+            else:
+                yield replace(cur, sip=PsdFamilySip(np.delete(T.matrices, j, axis=0),
+                                                    validate=False), u=_drop(cur.u, j))
+    if not mult and T.domain_dim > 1:
+        for k in range(T.domain_dim):
+            A = np.delete(np.delete(T.matrices, k, axis=1), k, axis=2)
+            yield Instance(PsdFamilySip(A, validate=False), cur.u,
+                           _drop(cur.x, k), _drop(cur.y, k))
+    for key in ("x", "y", "u"):
+        v = getattr(cur, key)
+        for i in np.flatnonzero(v):
+            yield replace(cur, **{key: _zeroed(v, i)})
+    if not mult:
+        m = T.domain_dim
+        for j in range(n):
+            for r in range(m):
+                for c in range(r, m):
+                    if T.matrices[j, r, c] != 0.0:
+                        A = _zeroed(T.matrices, (j, [r, c], [c, r]))
+                        yield replace(cur, sip=PsdFamilySip(A, validate=False))
+
+
 def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     """Greedy minimization of a failing instance.
 
@@ -753,66 +684,15 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     raises ConfigError when the input does not fail to begin with.
     """
     grids = build_grids(config)
-
-    def run(cand: Instance) -> TrialResult:
-        return _run_check(theorem, cand, config, grids)
-
-    res = run(inst)
+    res = _run_check(theorem, inst, config, grids)
     if res.status != "fail":
         raise ConfigError("shrink requires an instance that fails the check")
-
-    def candidates(cur: Instance):
-        d = cur.to_dict()
-        n = len(d["u"])
-        mult = d["kind"] == "multiplication"
-        if n > 1:
-            for j in range(n):
-                nd = json.loads(json.dumps(d))
-                nd["u"] = d["u"][:j] + d["u"][j + 1:]
-                nd["n"] = n - 1
-                if mult:
-                    nd["x"] = d["x"][:j] + d["x"][j + 1:]
-                    nd["y"] = d["y"][:j] + d["y"][j + 1:]
-                    nd["m"] = n - 1
-                else:
-                    nd["matrices"] = d["matrices"][:j] + d["matrices"][j + 1:]
-                yield nd
-        if not mult and d["m"] > 1:
-            m = d["m"]
-            for k in range(m):
-                nd = json.loads(json.dumps(d))
-                nd["x"] = d["x"][:k] + d["x"][k + 1:]
-                nd["y"] = d["y"][:k] + d["y"][k + 1:]
-                nd["m"] = m - 1
-                nd["matrices"] = [
-                    [[A[r][c] for c in range(m) if c != k]
-                     for r in range(m) if r != k]
-                    for A in d["matrices"]]
-                yield nd
-        for key in ("x", "y", "u"):
-            for i, val in enumerate(d[key]):
-                if val != 0.0:
-                    nd = json.loads(json.dumps(d))
-                    nd[key][i] = 0.0
-                    yield nd
-        if not mult:
-            m = d["m"]
-            for j in range(len(d["matrices"])):
-                for r in range(m):
-                    for c in range(r, m):
-                        if d["matrices"][j][r][c] != 0.0:
-                            nd = json.loads(json.dumps(d))
-                            nd["matrices"][j][r][c] = 0.0
-                            nd["matrices"][j][c][r] = 0.0
-                            yield nd
-
     current = inst
     progress = True
     while progress:
         progress = False
-        for cand_dict in candidates(current):
-            cand = Instance.from_dict(cand_dict)
-            cand_res = run(cand)
+        for cand in _shrink_candidates(current):
+            cand_res = _run_check(theorem, cand, config, grids)
             if cand_res.status == "fail":
                 current, res = cand, cand_res
                 progress = True
@@ -853,54 +733,36 @@ def convergence_study(config: TrialConfig,
 
     For each size G the three grid oracles run with G points against the
     closed forms over config.trials instances (positive log-uniform pairs
-    for the means, generic mixed instances for the defect). Gaps must stay
-    one-sided (sandwich_ok) and their maxima must not increase under
-    refinement (monotone_ok).
+    for the means, generic mixed instances for the defect), generated once
+    for all sizes. Gaps must stay one-sided (sandwich_ok) and their maxima
+    must not increase under refinement (monotone_ok).
     """
     sizes = sorted(set(int(g) for g in grid_sizes))
     if len(sizes) < 2 or sizes[0] < 4:
         raise ConfigError("need at least two grid sizes, all >= 4")
     start = time.perf_counter()
     floor = config.tolerances.abs
+    pairs = []
+    for i in range(config.trials):
+        gen = generate_instance(config, i, "generic")
+        pairs.append((generate_instance(config, i, "positive_log"),
+                      Gram(gen.sip, gen.x, gen.y)))
     rows = []
     sandwich_ok = True
     for G in sizes:
         theta = ThetaGrid.log_spaced(config.theta_lo, config.theta_hi, G)
         angle = AngleGrid.uniform(G)
         lam = LambdaGrid.log_spaced(config.lambda_lo, config.lambda_hi, G)
-        bt_gap = bp_gap = df_gap = 0.0
-        for i in range(config.trials):
-            pos = generate_instance(config, i, "positive_log")
-            u, v = abs_val(pos.x), abs_val(pos.y)
-            bt = box_times(u, v, floor=floor)
-            bt_o = box_times_oracle(u, v, theta, floor=floor)
-            s = np.maximum(bt, bt_o) + floor
-            if _cone_gap(bt_o - bt, s) > SANDWICH_FLOOR:
-                sandwich_ok = False
-            bt_gap = max(bt_gap, float(np.max((bt_o - bt) / s)))
-
-            bp = box_plus(pos.x, pos.y)
-            bp_o = box_plus_oracle(pos.x, pos.y, angle)
-            s = np.maximum(bp, np.abs(bp_o)) + floor
-            if _cone_gap(bp - bp_o, s) > SANDWICH_FLOOR:
-                sandwich_ok = False
-            bp_gap = max(bp_gap, float(np.max(np.abs(bp - bp_o) / s)))
-
-            gen = generate_instance(config, i, "generic")
-            res = defect_with_oracle(gen.sip, gen.x, gen.y, lam)
-            a = sip_eval(gen.sip, gen.x, gen.x)
-            c = sip_eval(gen.sip, gen.y, gen.y)
-            s = np.maximum(np.abs(a), np.maximum(np.abs(c), np.maximum(
-                np.abs(res.closed), np.abs(res.grid)))) + floor
-            if _cone_gap(res.gap, s) > SANDWICH_FLOOR:
-                sandwich_ok = False
-            df_gap = max(df_gap, float(np.max(res.gap / s)))
-        rows.append({
-            "grid_size": G,
-            "box_times_gap": bt_gap,
-            "box_plus_gap": bp_gap,
-            "defect_gap": df_gap,
-        })
+        row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
+        for pos, g in pairs:
+            for key, (sandwich, gap) in (
+                    ("box_times_gap", box_times_gaps(abs_val(pos.x), abs_val(pos.y), theta, floor)),
+                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
+                    ("defect_gap", defect_gaps(g, lam, floor))):
+                if sandwich > SANDWICH_FLOOR:
+                    sandwich_ok = False
+                row[key] = max(row[key], gap)
+        rows.append(row)
 
     monotone_ok = True
     for key in ("box_times_gap", "box_plus_gap", "defect_gap"):

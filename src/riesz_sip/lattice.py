@@ -10,8 +10,6 @@ one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Global tolerance policy: relative tolerance with an absolute floor,
@@ -75,46 +73,6 @@ def f_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def f_sqrt(a: np.ndarray, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
-    """Square root within the positive cone.
-
-    Entries in [-floor, 0) are treated as rounding noise and clamped to 0;
-    anything below -floor is a genuine cone violation and is rejected.
-    """
-    if not in_positive_cone(a, tol=floor):
-        raise NotInPositiveCone(f"entry {np.min(a)} is below the -{floor} floor")
-    return np.sqrt(np.maximum(a, 0.0))
-
-
-@dataclass(frozen=True)
-class FAlgebraContext:
-    """The ambient f-algebra R^dimension with componentwise multiplication.
-
-    Multiplication is fixed; the context only pins the dimension so that
-    callers constructing units and zeros cannot mix lattices by accident.
-    """
-
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dimension)
-
-    def one(self) -> np.ndarray:
-        """The multiplicative unit, which is also a weak order unit."""
-        return np.ones(self.dimension)
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return f_mul(as_lattice_vector(a, self.dimension),
-                     as_lattice_vector(b, self.dimension))
-
-    def sqrt(self, a: np.ndarray) -> np.ndarray:
-        return f_sqrt(as_lattice_vector(a, self.dimension))
-
-
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
                  floor: float = DEFAULT_ABS_TOL) -> float:
     """Worst componentwise |lhs - rhs| / (max(|lhs|, |rhs|) + floor).
@@ -127,14 +85,10 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def cone_violation(a: np.ndarray, scale: np.ndarray | None = None,
-                   floor: float = DEFAULT_ABS_TOL) -> float:
-    """Worst normalized negative part of a, zero iff a is in F+ up to scale.
+def cone_gap(a: np.ndarray, scale: np.ndarray) -> float:
+    """Worst negative part of a over scale, zero iff a is in F+.
 
-    scale defaults to |a| itself; passing the scale of the identity the
-    vector came from keeps cone tests commensurate with residual tests.
+    The one-sided residual of every cone statement (inequalities, oracle
+    sandwiches); scale carries the identity's own magnitude and floor.
     """
-    if scale is None:
-        scale = np.abs(a)
-    neg = np.maximum(-a, 0.0)
-    return float(np.max(neg / (np.asarray(scale) + floor)))
+    return float(np.max(np.maximum(-a, 0.0) / scale))

@@ -26,6 +26,7 @@ from .lattice import (
     NotInPositiveCone,
     as_lattice_vector,
     check_same_dim,
+    cone_gap,
     in_positive_cone,
 )
 
@@ -199,3 +200,29 @@ def box_plus_oracle(a, b, grid: AngleGrid | None = None,
         cos_t, sin_t = cos_t[keep], sin_t[keep]
     vals = cos_t[:, None] * a[None, :] + sin_t[:, None] * b[None, :]
     return vals.max(axis=0)
+
+
+def box_times_gaps(u, v, grid: ThetaGrid,
+                   floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+    """(sandwich, gap) of the theta-grid oracle against box_times(u, v).
+
+    Both are normalized by the larger of the two values: sandwich is the
+    violation of oracle >= closed form, gap the worst over-estimate.
+    """
+    bt = box_times(u, v, floor=floor)
+    bt_o = box_times_oracle(u, v, grid, floor=floor)
+    scale = np.maximum(bt, bt_o) + floor
+    return cone_gap(bt_o - bt, scale), float(max(np.max((bt_o - bt) / scale), 0.0))
+
+
+def box_plus_gaps(a, b, grid: AngleGrid,
+                  floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+    """(sandwich, gap) of the angle-grid oracle against box_plus(a, b).
+
+    sandwich is the violation of oracle <= closed form, gap the worst
+    absolute difference, both normalized by the larger magnitude.
+    """
+    bp = box_plus(a, b)
+    bp_o = box_plus_oracle(a, b, grid)
+    scale = np.maximum(bp, np.abs(bp_o)) + floor
+    return cone_gap(bp - bp_o, scale), float(np.max(np.abs(bp - bp_o) / scale))

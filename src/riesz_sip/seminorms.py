@@ -17,7 +17,18 @@ what makes the equality case decidable: equality in the triangle
 inequality holds iff T(x,y)*u is in F+, and both sides of the iff are
 computed from quantities that agree to rounding error.
 
-Checks here return raw residual vectors or record dataclasses; scale
+Every statement here reads a WeightedGram: the Gram record of a pair
+(a, b, c and the defect, see cauchy_schwarz.Gram) extended by
+T(x+y,x+y), T(x-y,x-y), the weight u and the seminorms built from them,
+each evaluated once, on first use. A theorem is one pure function from
+that record to its verdict and normalized residuals (sharp_verdict,
+additivity_verdict, orthogonality with pythagoras_sides,
+parallelogram_sides, seminorm_residuals, weighted_defect_gaps). The
+public per-pair functions build one record and call the same theorem
+function, and the harness builds one record per trial. The record's
+values are reused, never re-expressed by the algebra above: lhs_sq stays
+T(x+y,x+y)*u rather than (a + 2b + c)*u, which would make the chain check
+tautological. Scale
 normalization follows the package-wide policy (componentwise scale of the
 largest participating quantity plus an absolute floor).
 """
@@ -25,6 +36,7 @@ largest participating quantity plus an absolute floor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +45,14 @@ from .lattice import (
     DEFAULT_REL_TOL,
     NotInPositiveCone,
     as_lattice_vector,
+    cone_gap,
     f_mul,
     in_positive_cone,
+    rel_residual,
 )
 from .means import box_plus, box_times
-from .cauchy_schwarz import CONE_BAND, defect_closed
-from .sip import AxiomReport, Sip, sip_eval
+from .cauchy_schwarz import CONE_BAND, Gram, LambdaGrid
+from .sip import Sip, sip_eval
 
 
 class PreconditionViolated(ValueError):
@@ -59,16 +73,16 @@ class SeminormSpec:
         object.__setattr__(self, "u", np.maximum(u, 0.0))
 
 
-def _cone_floor(*vecs: np.ndarray) -> float:
-    # Scale-aware clamp for geometric means of computed (hence rounded)
-    # positive-cone values.
-    return DEFAULT_REL_TOL * float(sum(np.max(np.abs(v)) for v in vecs)) + DEFAULT_ABS_TOL
+def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
+    # scale-aware floor rather than the bare absolute one.
+    floor = DEFAULT_REL_TOL * float(np.max(np.abs(t)) + np.max(np.abs(u))) + DEFAULT_ABS_TOL
+    return box_times(t, u, floor=floor)
 
 
 def seminorm_eval(spec: SeminormSpec, x) -> np.ndarray:
     """norm_u(x) = T(x,x) [*] u."""
-    a = sip_eval(spec.sip, x, x)
-    return box_times(a, spec.u, floor=_cone_floor(a, spec.u))
+    return _seminorm(sip_eval(spec.sip, x, x), spec.u)
 
 
 def seminorm_sq(spec: SeminormSpec, x) -> np.ndarray:
@@ -76,48 +90,83 @@ def seminorm_sq(spec: SeminormSpec, x) -> np.ndarray:
     return f_mul(sip_eval(spec.sip, x, x), spec.u)
 
 
-def vsn_axiom_check(spec: SeminormSpec, samples: int = 1000, seed: int = 0,
-                    tol: float = 1e-9,
-                    floor: float = DEFAULT_ABS_TOL) -> AxiomReport:
-    """Seminorm axioms on random samples: positivity, homogeneity, triangle.
+class WeightedGram(Gram):
+    """Gram record of a pair (x, y) under the weight u of a SeminormSpec.
 
-    Homogeneity residuals compare norm(alpha*x) with |alpha|*norm(x);
-    triangle residuals are normalized one-sided violations of
-    norm(x+y) <= norm(x) + norm(y).
+    Beyond a, b, c: s = T(x+y,x+y), d = T(x-y,x-y), the seminorms of x,
+    y, x+y and x-y, and the squared sides of the triangle inequality, each
+    computed once, on first use.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = spec.sip.domain_dim
-    pos = 0.0
+
+    def __init__(self, spec: SeminormSpec, x, y):
+        super().__init__(spec.sip, x, y)
+        self.spec = spec
+        self.u = spec.u
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return sip_eval(self.T, self.x + self.y, self.x + self.y)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return sip_eval(self.T, self.x - self.y, self.x - self.y)
+
+    @cached_property
+    def norm_x(self) -> np.ndarray:
+        return _seminorm(self.a, self.u)
+
+    @cached_property
+    def norm_y(self) -> np.ndarray:
+        return _seminorm(self.c, self.u)
+
+    @cached_property
+    def norm_sum(self) -> np.ndarray:
+        """norm(x+y)."""
+        return _seminorm(self.s, self.u)
+
+    @cached_property
+    def norm_diff(self) -> np.ndarray:
+        """norm(x-y)."""
+        return _seminorm(self.d, self.u)
+
+    @cached_property
+    def norm_bound(self) -> np.ndarray:
+        """norm(x) + norm(y), the triangle bound."""
+        return self.norm_x + self.norm_y
+
+    @cached_property
+    def lhs_sq(self) -> np.ndarray:
+        """norm(x+y)^2 = T(x+y,x+y)*u."""
+        return f_mul(self.s, self.u)
+
+    @cached_property
+    def rhs_sq(self) -> np.ndarray:
+        """(norm(x) + norm(y))^2."""
+        return f_mul(self.norm_bound, self.norm_bound)
+
+    @cached_property
+    def weighted_defect(self) -> np.ndarray:
+        """D(x,y)*u."""
+        return f_mul(self.defect, self.u)
+
+
+def seminorm_residuals(g: WeightedGram, floor: float = DEFAULT_ABS_TOL) -> dict:
+    """Seminorm axioms and the square identity at one pair.
+
+    positivity of norm(x), norm(y); homogeneity norm(alpha*x) =
+    |alpha|*norm(x) over a fixed scalar set plus x_0 (a data-dependent value
+    that keeps the check a pure function of the pair); the triangle
+    inequality; and norm(x)^2 = T(x,x)*u.
+    """
+    sx, sy, sxy = g.norm_x, g.norm_y, g.norm_sum
+    pos = max(cone_gap(sx, np.abs(sx) + floor), cone_gap(sy, np.abs(sy) + floor))
     hom = 0.0
-    tri = 0.0
-    for k in range(samples):
-        x = rng.uniform(-10.0, 10.0, m)
-        y = rng.uniform(-10.0, 10.0, m)
-        alpha = rng.uniform(-4.0, 4.0)
-        sx = seminorm_eval(spec, x)
-        sy = seminorm_eval(spec, y)
-        sxy = seminorm_eval(spec, x + y)
-        sax = seminorm_eval(spec, alpha * x)
-        pos = max(pos, float(np.max(np.maximum(-sx, 0.0) / (np.abs(sx) + floor))))
-        ref = np.abs(alpha) * sx
-        hom = max(hom, float(np.max(np.abs(sax - ref) / (np.maximum(np.abs(sax), ref) + floor))))
-        bound = sx + sy
-        tri = max(tri, float(np.max((sxy - bound) / (np.maximum(sxy, bound) + floor))))
-    res = {"positivity": pos, "homogeneity": hom, "triangle": max(tri, 0.0)}
-    return AxiomReport(residuals=res, samples=samples, tol=tol)
-
-
-def _domain_pair(spec: SeminormSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
-    return (as_lattice_vector(x, spec.sip.domain_dim),
-            as_lattice_vector(y, spec.sip.domain_dim))
-
-
-def triangle_residual(spec: SeminormSpec, x, y) -> np.ndarray:
-    """Raw slack norm(x) + norm(y) - norm(x+y), in F+ when the axioms hold."""
-    x, y = _domain_pair(spec, x, y)
-    return seminorm_eval(spec, x) + seminorm_eval(spec, y) - seminorm_eval(spec, x + y)
+    for alpha in (-2.5, -1.0, 0.0, 0.5, float(g.x[0])):
+        hom = max(hom, rel_residual(seminorm_eval(g.spec, alpha * g.x),
+                                    np.abs(alpha) * sx, floor=floor))
+    tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
+    square = rel_residual(f_mul(sx, sx), f_mul(g.a, g.u), floor=floor)
+    return {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
 
 
 @dataclass(frozen=True)
@@ -126,7 +175,8 @@ class SharpTriangle:
 
     The squared chain is lhs_sq <= middle <= rhs_sq with
     middle = rhs_sq - D(x,y)*u; the sqrt form compares norm(x+y),
-    sqrt(middle) and norm(x) + norm(y). chain_ok covers both forms.
+    sqrt(middle) and norm(x) + norm(y). chain_ok covers both forms, and
+    chain is the worst normalized violation among the four links.
     equality_holds means the sharpened bound is attained, lhs_sq = middle,
     and condition_holds means T(x,y)*u in F+; the two must agree on every
     non-borderline input. (Equality of lhs_sq with rhs_sq itself is the
@@ -140,48 +190,62 @@ class SharpTriangle:
     equality_holds: bool
     condition_holds: bool
     borderline: bool
+    chain: float
 
 
 CHAIN_FLOOR = 1e-10
 
 
-def sharpened_triangle(spec: SeminormSpec, x, y, band: float = CONE_BAND,
-                       floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
-    x, y = _domain_pair(spec, x, y)
-    sx = seminorm_eval(spec, x)
-    sy = seminorm_eval(spec, y)
-    ssum = sx + sy
-    lhs_sq = seminorm_sq(spec, x + y)
-    rhs_sq = f_mul(ssum, ssum)
-    defect = defect_closed(spec.sip, x, y)
-    middle = rhs_sq - f_mul(defect, spec.u)
-
+def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
+                  floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
+    lhs_sq, rhs_sq = g.lhs_sq, g.rhs_sq
+    middle = rhs_sq - g.weighted_defect
     scale = np.maximum(np.abs(lhs_sq), np.maximum(np.abs(middle), np.abs(rhs_sq))) + floor
-    chain_sq = (np.min((middle - lhs_sq) / scale) >= -CHAIN_FLOOR
-                and np.min((rhs_sq - middle) / scale) >= -CHAIN_FLOOR)
-
-    sxy = seminorm_eval(spec, x + y)
+    sxy, ssum = g.norm_sum, g.norm_bound
     mid_sqrt = np.sqrt(np.maximum(middle, 0.0))
     lin_scale = np.maximum(sxy, np.maximum(mid_sqrt, ssum)) + floor
-    chain_lin = (np.min((mid_sqrt - sxy) / lin_scale) >= -CHAIN_FLOOR
-                 and np.min((ssum - mid_sqrt) / lin_scale) >= -CHAIN_FLOOR)
+    links = ((middle - lhs_sq, scale), (rhs_sq - middle, scale),
+             (mid_sqrt - sxy, lin_scale), (ssum - mid_sqrt, lin_scale))
 
     # middle - lhs_sq = 4*(T(x,y)*u)^- exactly; testing the gap at
     # band*4*scale and the cone violation at band*scale gives matched
     # thresholds, so the biconditional cannot disagree outside the
     # borderline window.
-    bu = f_mul(sip_eval(spec.sip, x, y), spec.u)
-    neg = float(np.max(np.maximum(-bu, 0.0) / scale))
+    neg = cone_gap(f_mul(g.b, g.u), scale)
     eq_gap = float(max(np.max((middle - lhs_sq) / (4.0 * scale)), 0.0))
     return SharpTriangle(
         lhs_sq=lhs_sq,
         middle=middle,
         rhs_sq=rhs_sq,
-        chain_ok=bool(chain_sq and chain_lin),
+        chain_ok=all(np.min(v / s) >= -CHAIN_FLOOR for v, s in links),
         equality_holds=eq_gap <= band,
         condition_holds=neg <= band,
         borderline=band / 8.0 < max(neg, eq_gap) < 8.0 * band,
+        chain=max(cone_gap(v, s) for v, s in links),
     )
+
+
+def sharpened_triangle(spec: SeminormSpec, x, y, band: float = CONE_BAND,
+                       floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
+    return sharp_verdict(WeightedGram(spec, x, y), band, floor)
+
+
+def weighted_defect_gaps(g: WeightedGram, grid: LambdaGrid,
+                         floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+    """(sandwich, gap) of a grid oracle for D(x,y)*u against the closed form.
+
+    The oracle samples the defining family of D(x,y)*u through
+    T(lambda*x - y, lambda*x - y)*u directly, independent of the closed
+    form. Normalized by the largest of max(|a|, |c|)*u and both values.
+    """
+    lam = grid.signed
+    Z = lam[:, None] * g.x[None, :] - g.y[None, :]
+    sampled = ((g.T.eval_batch(Z, Z) * g.u[None, :]) / np.abs(lam)[:, None]).min(axis=0)
+    scale = np.maximum(
+        np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
+        np.maximum(np.abs(g.weighted_defect), np.abs(sampled))) + floor
+    gap = sampled - g.weighted_defect
+    return cone_gap(gap, scale), float(max(np.max(gap / scale), 0.0))
 
 
 @dataclass(frozen=True)
@@ -194,8 +258,8 @@ class AdditivityCheck:
     borderline: bool
 
 
-def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
-                     floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
+def additivity_verdict(g: WeightedGram, band: float = CONE_BAND,
+                       floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
     """Characterize equality in the triangle inequality.
 
     Decided in the squared domain, where the gap decomposes exactly:
@@ -204,19 +268,11 @@ def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
     coherent: additive uses threshold 2*band, each condition uses band,
     and inputs within (band/8, 8*band) of a threshold are borderline.
     """
-    x, y = _domain_pair(spec, x, y)
-    sx = seminorm_eval(spec, x)
-    sy = seminorm_eval(spec, y)
-    ssum = sx + sy
-    lhs_sq = seminorm_sq(spec, x + y)
-    rhs_sq = f_mul(ssum, ssum)
+    lhs_sq, rhs_sq = g.lhs_sq, g.rhs_sq
     scale = np.maximum(np.abs(lhs_sq), np.abs(rhs_sq)) + floor
-
     gap = float(max(np.max((rhs_sq - lhs_sq) / scale), 0.0))
-    du = f_mul(defect_closed(spec.sip, x, y), spec.u)
-    d_n = float(max(np.max(du / scale), 0.0))
-    bu = f_mul(sip_eval(spec.sip, x, y), spec.u)
-    p_n = float(np.max(4.0 * np.maximum(-bu, 0.0) / scale))
+    d_n = float(max(np.max(g.weighted_defect / scale), 0.0))
+    p_n = float(np.max(4.0 * np.maximum(-f_mul(g.b, g.u), 0.0) / scale))
 
     def near(v: float) -> bool:
         return band / 8.0 < v < 8.0 * band
@@ -229,6 +285,37 @@ def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
     )
 
 
+def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
+                     floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
+    return additivity_verdict(WeightedGram(spec, x, y), band, floor)
+
+
+@dataclass(frozen=True)
+class Sides:
+    """Both sides of an identity lhs = rhs between positive-cone vectors."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self.lhs - self.rhs
+
+    def residual(self, floor: float = DEFAULT_ABS_TOL) -> float:
+        """Worst |lhs - rhs| / (max(lhs, rhs) + floor)."""
+        return float(np.max(np.abs(self.raw) / (np.maximum(self.lhs, self.rhs) + floor)))
+
+
+def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
+    """Worst |T(x,y)| relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y))."""
+    return float(np.max(np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)))
+
+
+def pythagoras_sides(g: WeightedGram) -> Sides:
+    """norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
+    return Sides(g.norm_sum, box_plus(g.norm_x, g.norm_y))
+
+
 def pythagoras_check(spec: SeminormSpec, x, y,
                      precond_tol: float = 1e-10,
                      floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
@@ -237,17 +324,18 @@ def pythagoras_check(spec: SeminormSpec, x, y,
     Raises PreconditionViolated unless T(x,y) = 0 up to precond_tol
     relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y)).
     """
-    x, y = _domain_pair(spec, x, y)
-    a = sip_eval(spec.sip, x, x)
-    b = sip_eval(spec.sip, x, y)
-    c = sip_eval(spec.sip, y, y)
-    scale = np.sqrt(np.maximum(a * c, 0.0)) + floor
-    worst = float(np.max(np.abs(b) / scale))
+    g = WeightedGram(spec, x, y)
+    worst = orthogonality(g, floor)
     if worst > precond_tol:
         raise PreconditionViolated(
             f"T(x,y) is not zero: normalized residual {worst}")
-    return seminorm_eval(spec, x + y) - box_plus(seminorm_eval(spec, x),
-                                                 seminorm_eval(spec, y))
+    return pythagoras_sides(g).raw
+
+
+def parallelogram_sides(g: WeightedGram) -> Sides:
+    """norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
+    return Sides(box_plus(g.norm_sum, g.norm_diff),
+                 np.sqrt(2.0) * box_plus(g.norm_x, g.norm_y))
 
 
 def parallelogram_residual(spec: SeminormSpec, x, y) -> np.ndarray:
@@ -255,7 +343,4 @@ def parallelogram_residual(spec: SeminormSpec, x, y) -> np.ndarray:
 
     Holds for all x, y, orthogonal or not.
     """
-    x, y = _domain_pair(spec, x, y)
-    lhs = box_plus(seminorm_eval(spec, x + y), seminorm_eval(spec, x - y))
-    rhs = np.sqrt(2.0) * box_plus(seminorm_eval(spec, x), seminorm_eval(spec, y))
-    return lhs - rhs
+    return parallelogram_sides(WeightedGram(spec, x, y)).raw

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import (
+    Gram,
     LambdaGrid,
-    cs_check,
-    cs_identity_residual,
+    cs_identity,
+    cs_verdict,
     defect_closed,
     defect_grid,
-    defect_with_oracle,
 )
 from riesz_sip.lattice import rel_residual
 from riesz_sip.means import box_times
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, make_psd_sip, sip_eval
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
 
 GRID_GAP_REL_TOL = 1e-4  # frozen for the default 2001-point grid on [1e-6, 1e6]
 
@@ -76,22 +76,22 @@ def test_defect_sandwich_and_gap():
         if trial % 2 == 0:
             m = int(rng.integers(1, 7))
             n = int(rng.integers(1, 5))
-            T = make_psd_sip(m, n, seed=trial)
+            T = random_psd(np.random.default_rng(trial), m, n)
         else:
             m = int(rng.integers(1, 7))
             T = MultiplicationSip(m)
         x = rng.uniform(-10, 10, T.domain_dim)
         y = rng.uniform(-10, 10, T.domain_dim)
-        res = defect_with_oracle(T, x, y)
-        scale = max(np.max(res.closed), np.max(res.grid), _scale(T, x, y))
-        assert np.min(res.gap) >= -1e-10 * scale  # grid >= closed
-        assert np.max(res.gap) <= GRID_GAP_REL_TOL * scale
-        assert np.array_equal(res.gap, res.grid - res.closed)
+        closed = defect_closed(T, x, y)
+        grid = defect_grid(T, x, y)
+        scale = max(np.max(closed), np.max(grid), _scale(T, x, y))
+        assert np.min(grid - closed) >= -1e-10 * scale  # grid >= closed
+        assert np.max(grid - closed) <= GRID_GAP_REL_TOL * scale
 
 
 def test_defect_symmetry_and_scaling():
     rng = np.random.default_rng(33)
-    T = make_psd_sip(4, 3, seed=2)
+    T = random_psd(np.random.default_rng(2), 4, 3)
     for _ in range(100):
         x = rng.uniform(-10, 10, 4)
         y = rng.uniform(-10, 10, 4)
@@ -105,7 +105,7 @@ def test_defect_symmetry_and_scaling():
 def test_defect_in_positive_cone():
     rng = np.random.default_rng(34)
     for trial in range(100):
-        T = make_psd_sip(3, 2, seed=trial)
+        T = random_psd(np.random.default_rng(trial), 3, 2)
         x = rng.uniform(-10, 10, 3)
         y = rng.uniform(-10, 10, 3)
         d = defect_closed(T, x, y)
@@ -115,25 +115,25 @@ def test_defect_in_positive_cone():
 def test_identity_residual_examples():
     # multiplication sip: |xy| = sqrt(x^2 y^2) exactly for integer entries
     T = MultiplicationSip(2)
-    assert np.array_equal(cs_identity_residual(T, [1.0, 2.0], [3.0, 1.0]), [0.0, 0.0])
+    assert np.array_equal(cs_identity(Gram(T, [1.0, 2.0], [3.0, 1.0])), [0.0, 0.0])
     # zero second argument: both sides vanish
-    assert np.array_equal(cs_identity_residual(T, [1.0, 2.0], [0.0, 0.0]), [0.0, 0.0])
+    assert np.array_equal(cs_identity(Gram(T, [1.0, 2.0], [0.0, 0.0])), [0.0, 0.0])
     # orthonormal dot pair: |b| = 0 and bound = 1 = D/2
     D = PsdFamilySip([np.eye(2)])
-    assert np.max(np.abs(cs_identity_residual(D, [1.0, 0.0], [0.0, 1.0]))) <= 1e-15
+    assert np.max(np.abs(cs_identity(Gram(D, [1.0, 0.0], [0.0, 1.0])))) <= 1e-15
 
 
 def test_identity_residual_random():
     rng = np.random.default_rng(35)
     for trial in range(200):
         if trial % 2 == 0:
-            T = make_psd_sip(int(rng.integers(1, 7)), int(rng.integers(1, 5)),
-                             seed=trial)
+            T = random_psd(np.random.default_rng(trial), int(rng.integers(1, 7)),
+                           int(rng.integers(1, 5)))
         else:
             T = MultiplicationSip(int(rng.integers(1, 7)))
         x = rng.uniform(-10, 10, T.domain_dim)
         y = rng.uniform(-10, 10, T.domain_dim)
-        resid = cs_identity_residual(T, x, y)
+        resid = cs_identity(Gram(T, x, y))
         b = sip_eval(T, x, y)
         scale = max(_scale(T, x, y), float(np.max(np.abs(b))))
         assert np.max(np.abs(resid)) <= 1e-9 * scale
@@ -142,7 +142,7 @@ def test_identity_residual_random():
 def test_inequality_random():
     rng = np.random.default_rng(36)
     for trial in range(200):
-        T = make_psd_sip(4, 3, seed=trial)
+        T = random_psd(np.random.default_rng(trial), 4, 3)
         x = rng.uniform(-10, 10, 4)
         y = rng.uniform(-10, 10, 4)
         b = sip_eval(T, x, y)
@@ -154,7 +154,7 @@ def test_inequality_random():
 
 def test_cs_check_multiplication_equality():
     # defect vanishes identically, so equality holds and is not borderline
-    got = cs_check(MultiplicationSip(2), [1.0, 2.0], [3.0, 1.0])
+    got = cs_verdict(Gram(MultiplicationSip(2), [1.0, 2.0], [3.0, 1.0]))
     assert got.inequality_ok
     assert got.equality_holds
     assert got.defect_zero
@@ -162,7 +162,7 @@ def test_cs_check_multiplication_equality():
 
 
 def test_cs_check_strict_inequality():
-    got = cs_check(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0])
+    got = cs_verdict(Gram(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0]))
     assert got.inequality_ok
     assert not got.equality_holds
     assert not got.defect_zero
@@ -170,9 +170,9 @@ def test_cs_check_strict_inequality():
 
 
 def test_cs_check_colinear_equality():
-    T = make_psd_sip(3, 2, seed=8)
+    T = random_psd(np.random.default_rng(8), 3, 2)
     x = np.array([1.0, -2.0, 0.5])
-    got = cs_check(T, x, 3.0 * x)
+    got = cs_verdict(Gram(T, x, 3.0 * x))
     assert got.inequality_ok
     assert got.equality_holds
     assert got.defect_zero
@@ -183,13 +183,13 @@ def test_cs_check_biconditional_agrees():
     rng = np.random.default_rng(37)
     for trial in range(300):
         if trial % 2 == 0:
-            T = make_psd_sip(int(rng.integers(1, 7)), int(rng.integers(1, 5)),
-                             seed=trial)
+            T = random_psd(np.random.default_rng(trial), int(rng.integers(1, 7)),
+                           int(rng.integers(1, 5)))
         else:
             T = MultiplicationSip(int(rng.integers(1, 7)))
         x = rng.uniform(-10, 10, T.domain_dim)
         y = x * rng.uniform(-3, 3) if trial % 4 == 0 else rng.uniform(-10, 10, T.domain_dim)
-        got = cs_check(T, x, y)
+        got = cs_verdict(Gram(T, x, y))
         assert got.inequality_ok
         if not got.borderline:
             assert got.equality_holds == got.defect_zero

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riesz_sip.cli import main
-from riesz_sip.harness import Instance
+from riesz_sip.harness import Instance, replay_counterexample
 from riesz_sip.sip import PsdFamilySip
 
 
@@ -159,6 +159,23 @@ def test_shrink_cli_counterexample_wrapper(capsys, tmp_path):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["instance"]["n"] == 1
+
+
+def test_shrink_keeps_counterexample_params(capsys, tmp_path):
+    # fails only at the stored tolerance, so shrink must run under it and
+    # write it back for the replay
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--trials", "10", "--theorems", "parallelogram",
+                 "--tol-rel", "1e-17", "--report", str(report_path)]) == 1
+    ce = json.loads(report_path.read_text())["theorems"]["parallelogram"]["counterexamples"][0]
+    ce_path = tmp_path / "ce.json"
+    ce_path.write_text(json.dumps(ce))
+    out_path = tmp_path / "small.json"
+    assert main(["shrink", "--instance", str(ce_path), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    small = json.loads(out_path.read_text())
+    assert small["params"] == ce["params"]
+    assert replay_counterexample(small).status == "fail"
 
 
 def test_shrink_cli_errors(capsys, tmp_path):

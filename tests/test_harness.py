@@ -1,14 +1,18 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from riesz_sip.harness import (
+    CHECKS,
+    PURPOSES,
     THEOREMS,
     ConfigError,
     Instance,
     Tolerances,
     TrialConfig,
+    build_grids,
     config_from_params,
     convergence_study,
     emit_report,
@@ -18,9 +22,14 @@ from riesz_sip.harness import (
     run_suite,
     shrink,
 )
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, make_psd_sip, sip_eval
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
 
 SMALL = TrialConfig(seed=42, trials=40)
+
+# sha256 of the report of test_report_bytes_are_pinned, less wall_time_s.
+# Refactors must leave it unchanged; a change that alters reports on
+# purpose updates it and says so.
+PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd58ef1fd2"
 
 
 def _asymmetric_instance(m=8):
@@ -224,8 +233,18 @@ def test_shrink_fixed_point():
     assert res.status == "fail"
 
 
+def test_shrink_takes_dimensions_from_the_sip():
+    # u carries one coordinate more than the family has matrices: every
+    # candidate must still be a well-formed sip that fails as invalid.
+    T = random_psd(np.random.default_rng(1), 3, 2)
+    inst = Instance(sip=T, u=np.ones(3), x=np.ones(3), y=np.ones(3))
+    small, res = shrink(inst, "sharp", TrialConfig(trials=1))
+    assert res.status == "fail" and res.failed == ("invalid_instance",)
+    assert small.sip.codomain_dim == 1 and small.u.shape == (2,)
+
+
 def test_shrink_rejects_passing_instance():
-    good = Instance(sip=make_psd_sip(2, 1, seed=0), u=np.ones(1),
+    good = Instance(sip=random_psd(np.random.default_rng(0), 2, 1), u=np.ones(1),
                     x=np.ones(2), y=np.ones(2))
     with pytest.raises(ConfigError):
         shrink(good, "axioms", TrialConfig(trials=1))
@@ -273,3 +292,32 @@ def test_emit_report(tmp_path):
     out = tmp_path / "report.json"
     emit_report(report, out)
     assert json.loads(out.read_text()) == json.loads(report_to_json(report))
+
+
+def test_report_bytes_are_pinned():
+    report = run_suite(TrialConfig(trials=200, seed=2024),
+                       injected=(_asymmetric_instance(m=2), _negative_instance()))
+    body = report.to_dict()
+    body.pop("wall_time_s")
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_REPORT_SHA256
+
+
+def test_each_gram_value_is_evaluated_once(monkeypatch):
+    calls = []
+    for cls in (PsdFamilySip, MultiplicationSip):
+        def counted(self, x, y, _eval=cls.eval):
+            calls.append(1)
+            return _eval(self, x, y)
+        monkeypatch.setattr(cls, "eval", counted)
+    # distinct T-values per trial: a, b, c, T(x+y,x+y), T(x-y,x-y), and
+    # the five scaled pairs of the seminorm homogeneity check
+    distinct = {"cs": 3, "sharp": 4, "additivity": 4, "pythagoras": 4,
+                "parallelogram": 4, "vsn": 8}
+    grids = build_grids(SMALL)
+    for suite, expected in distinct.items():
+        for i in range(20):
+            inst = generate_instance(SMALL, i, PURPOSES[suite])
+            del calls[:]
+            assert CHECKS[suite](inst, SMALL, grids).status != "fail"
+            assert len(calls) == expected, suite

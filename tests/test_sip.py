@@ -7,7 +7,7 @@ from riesz_sip.sip import (
     NoNontrivialOrthogonal,
     PsdFamilySip,
     check_axioms,
-    make_psd_sip,
+    random_psd,
     orthogonal_sample,
     sip_eval,
     sip_from_dict,
@@ -45,7 +45,7 @@ def test_psd_family_allows_degenerate_members():
 
 def test_eval_batch_matches_eval():
     rng = np.random.default_rng(20)
-    T = make_psd_sip(4, 3, seed=1)
+    T = random_psd(np.random.default_rng(1), 4, 3)
     X = rng.uniform(-10, 10, (32, 4))
     Y = rng.uniform(-10, 10, (32, 4))
     batch = T.eval_batch(X, Y)
@@ -95,7 +95,7 @@ def test_check_axioms_passes_for_random_psd_families():
     for _ in range(20):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 5))
-        T = make_psd_sip(m, n, seed=int(rng.integers(2**32)))
+        T = random_psd(np.random.default_rng(int(rng.integers(2**32))), m, n)
         report = check_axioms(T, samples=200, seed=3)
         assert report.passed, report.residuals
         assert max(report.residuals.values()) <= AXIOM_TOL
@@ -119,7 +119,7 @@ def test_check_axioms_catches_negativity():
 
 
 def test_check_axioms_is_deterministic():
-    T = make_psd_sip(3, 2, seed=5)
+    T = random_psd(np.random.default_rng(5), 3, 2)
     r1 = check_axioms(T, samples=100, seed=9).residuals
     r2 = check_axioms(T, samples=100, seed=9).residuals
     assert r1 == r2
@@ -127,11 +127,11 @@ def test_check_axioms_is_deterministic():
         check_axioms(T, samples=0)
 
 
-def test_make_psd_sip_is_deterministic_and_psd():
-    T1 = make_psd_sip(4, 3, seed=11)
-    T2 = make_psd_sip(4, 3, seed=11)
+def test_random_psd_is_deterministic_and_psd():
+    T1 = random_psd(np.random.default_rng(11), 4, 3)
+    T2 = random_psd(np.random.default_rng(11), 4, 3)
     assert np.array_equal(T1.matrices, T2.matrices)
-    assert not np.array_equal(T1.matrices, make_psd_sip(4, 3, seed=12).matrices)
+    assert not np.array_equal(T1.matrices, random_psd(np.random.default_rng(12), 4, 3).matrices)
     for Aj in T1.matrices:
         assert np.array_equal(Aj, Aj.T)
         assert np.min(np.linalg.eigvalsh(Aj)) >= -1e-12
@@ -159,7 +159,7 @@ def test_orthogonal_sample_psd():
     for trial in range(50):
         m = int(rng.integers(2, 7))
         n = int(rng.integers(1, m))  # m > n so the kernel is nontrivial
-        T = make_psd_sip(m, n, seed=trial)
+        T = random_psd(np.random.default_rng(trial), m, n)
         x = rng.uniform(-10, 10, m)
         y = orthogonal_sample(T, x, seed=trial)
         assert np.max(np.abs(y)) == pytest.approx(1.0, abs=1e-12)
@@ -168,13 +168,13 @@ def test_orthogonal_sample_psd():
 
 def test_orthogonal_sample_trivial_kernel():
     # generically m <= n has only the zero solution
-    T = make_psd_sip(2, 3, seed=4)
+    T = random_psd(np.random.default_rng(4), 2, 3)
     with pytest.raises(NoNontrivialOrthogonal):
         orthogonal_sample(T, [1.0, 2.0], seed=0)
 
 
 def test_serialization_round_trip():
-    T = make_psd_sip(3, 2, seed=6)
+    T = random_psd(np.random.default_rng(6), 3, 2)
     d = sip_to_dict(T)
     assert d["kind"] == "psd_family"
     assert d["m"] == 3 and d["n"] == 2
