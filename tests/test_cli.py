@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -176,6 +177,26 @@ def test_shrink_keeps_counterexample_params(capsys, tmp_path):
     small = json.loads(out_path.read_text())
     assert small["params"] == ce["params"]
     assert replay_counterexample(small).status == "fail"
+
+
+# sha256 of the shrink output for each check that the asymmetric witness
+# of test_report_bytes_are_pinned fails; refactors must leave them unchanged.
+PINNED_SHRINK_SHA256 = {
+    "axioms": "5d3859d2fb8c1d8f96ead663e4c37879d066a813e66d5a97e25b623f471e7e49",
+    "means": "4acc82e47e5501385ef4799944eb21f18b5f2eef53a481c2a63b4e78e41a9509",
+    "pythagoras": "94fcd565c292c8e1f455eb3cac865892af5dfeef2ece6ef28fd8c9aa1ef0773d",
+}
+
+
+@pytest.mark.parametrize("check", sorted(PINNED_SHRINK_SHA256))
+def test_shrink_output_bytes_are_pinned(capsys, tmp_path, check):
+    inst_path = tmp_path / "bad.json"
+    _write_asymmetric_instance(inst_path)
+    out_path = tmp_path / "small.json"
+    assert main(["shrink", "--instance", str(inst_path), "--check", check,
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SHRINK_SHA256[check]
 
 
 def test_shrink_cli_errors(capsys, tmp_path):

@@ -30,6 +30,8 @@ SMALL = TrialConfig(seed=42, trials=40)
 # Refactors must leave it unchanged; a change that alters reports on
 # purpose updates it and says so.
 PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd58ef1fd2"
+# The same for the study of test_study_bytes_are_pinned.
+PINNED_STUDY_SHA256 = "c03b03308d74d19ddc48e7248e9bc164505e4701546d6e6ac7bccf142c7f3e3e"
 
 
 def _asymmetric_instance(m=8):
@@ -294,13 +296,23 @@ def test_emit_report(tmp_path):
     assert json.loads(out.read_text()) == json.loads(report_to_json(report))
 
 
-def test_report_bytes_are_pinned():
-    report = run_suite(TrialConfig(trials=200, seed=2024),
-                       injected=(_asymmetric_instance(m=2), _negative_instance()))
+def _sha256_less_wall_time(report) -> str:
     body = report.to_dict()
     body.pop("wall_time_s")
     text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_REPORT_SHA256
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_report_bytes_are_pinned():
+    report = run_suite(TrialConfig(trials=200, seed=2024),
+                       injected=(_asymmetric_instance(m=2), _negative_instance()))
+    assert _sha256_less_wall_time(report) == PINNED_REPORT_SHA256
+
+
+def test_study_bytes_are_pinned():
+    # both log-spaced grids and the lambda-grid sampler, at three sizes
+    study = convergence_study(TrialConfig(trials=50, seed=2024), grid_sizes=(64, 256, 1024))
+    assert _sha256_less_wall_time(study) == PINNED_STUDY_SHA256
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
