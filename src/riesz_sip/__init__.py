@@ -24,7 +24,7 @@ from .lattice import (
 )
 from .means import (
     AngleGrid,
-    ThetaGrid,
+    LogGrid,
     box_plus,
     box_plus_gaps,
     box_plus_oracle,
@@ -48,7 +48,6 @@ from .sip import (
 from .cauchy_schwarz import (
     CsCheck,
     Gram,
-    LambdaGrid,
     cs_identity,
     cs_verdict,
     defect_closed,
@@ -60,7 +59,6 @@ from .seminorms import (
     PreconditionViolated,
     SeminormSpec,
     SharpTriangle,
-    Sides,
     WeightedGram,
     additivity_check,
     additivity_verdict,
@@ -89,6 +87,7 @@ from .harness import (
     convergence_study,
     emit_report,
     generate_instance,
+    read_case,
     replay_counterexample,
     run_suite,
     shrink,

@@ -22,10 +22,13 @@ of a Gram; defect_closed builds one Gram per call, and the harness one
 per trial.
 
 defect_grid must stay independent of that derivation: it samples the
-defining family by evaluating T directly on lambda*x - y over a signed
-log-magnitude grid, using neither bilinear expansion nor calculus. The
-grid minimum over-estimates the infimum, so grid >= closed always, and
-the gap shrinks with grid resolution.
+defining family by evaluating T directly on lambda*x - y over the +-
+closure of a log-spaced magnitude grid (means.LogGrid, the grid type of
+the [*] infimum), using neither bilinear expansion nor calculus. The grid
+minimum over-estimates the infimum, so grid >= closed always, and the gap
+shrinks with grid resolution. It is the one lambda-grid sampler: the
+weighted oracle of the sharpened triangle inequality calls it with the
+weight u.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .lattice import (
     as_lattice_vector,
     cone_gap,
 )
-from .means import box_times
+from .means import LogGrid, box_times
 from .sip import Sip
 
 LAMBDA_LO = 1e-6
@@ -51,36 +54,6 @@ LAMBDA_COUNT = 2001
 # Normalized thresholds for the equality <-> zero-defect biconditional.
 CONE_BAND = 1e-8
 INEQ_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Strictly positive magnitudes; the effective grid is their +- closure."""
-
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        mags = as_lattice_vector(self.magnitudes)
-        if np.min(mags) <= 0.0:
-            raise ValueError("lambda magnitudes must be strictly positive")
-        if not np.all(np.diff(mags) > 0.0):
-            raise ValueError("lambda magnitudes must be strictly increasing")
-        object.__setattr__(self, "magnitudes", mags)
-
-    @classmethod
-    def log_spaced(cls, lo: float = LAMBDA_LO, hi: float = LAMBDA_HI,
-                   count: int = LAMBDA_COUNT) -> "LambdaGrid":
-        if not (0.0 < lo < hi) or count < 2:
-            raise ValueError("need 0 < lo < hi and count >= 2")
-        return cls(np.logspace(np.log10(lo), np.log10(hi), count))
-
-    @property
-    def count(self) -> int:
-        return int(self.magnitudes.size)
-
-    @cached_property
-    def signed(self) -> np.ndarray:
-        return np.concatenate([-self.magnitudes[::-1], self.magnitudes])
 
 
 class Gram:
@@ -132,23 +105,26 @@ def defect_closed(T: Sip, x, y) -> np.ndarray:
     return Gram(T, x, y).defect
 
 
-def defect_grid(T: Sip, x, y, grid: LambdaGrid | None = None) -> np.ndarray:
+def defect_grid(T: Sip, x, y, grid: LogGrid | None = None, u=None) -> np.ndarray:
     """Componentwise min of |lambda|^-1 T(lambda*x - y, lambda*x - y) over the grid.
 
-    Evaluates T on the difference vectors directly, with no bilinear
-    expansion, so this oracle shares nothing with the closed form beyond T
-    itself. Over-estimates the true infimum by construction.
+    lambda runs over grid.signed. Evaluates T on the difference vectors
+    directly, with no bilinear expansion, so this oracle shares nothing
+    with the closed form beyond T itself. Over-estimates the true infimum
+    by construction. With a weight u, samples D(x,y)*u instead: each
+    T-value is multiplied by u before the division by |lambda|.
     """
     x = as_lattice_vector(x, T.domain_dim)
     y = as_lattice_vector(y, T.domain_dim)
-    grid = grid or LambdaGrid.log_spaced()
-    lam = grid.signed
+    lam = (grid or LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)).signed
     Z = lam[:, None] * x[None, :] - y[None, :]
-    vals = T.eval_batch(Z, Z) / np.abs(lam)[:, None]
-    return vals.min(axis=0)
+    vals = T.eval_batch(Z, Z)
+    if u is not None:
+        vals = vals * as_lattice_vector(u, T.codomain_dim)
+    return (vals / np.abs(lam)[:, None]).min(axis=0)
 
 
-def defect_gaps(g: Gram, grid: LambdaGrid,
+def defect_gaps(g: Gram, grid: LogGrid,
                 floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of the lambda-grid oracle against the closed-form defect.
 

@@ -1,12 +1,15 @@
 """Command line interface.
 
-    riesz-sip verify      run theorem suites, write a JSON report
+    riesz-sip verify        run theorem suites, write a JSON report
     riesz-sip oracle-study  oracle gap vs grid resolution study
-    riesz-sip shrink      minimize a failing instance or counterexample
+    riesz-sip shrink        minimize a failing instance or counterexample
 
-Exit codes: 0 all checks passed, 1 at least one violation, 2 invalid
-configuration or input. The environment variable RIESZ_SIP_SEED, when set,
-overrides --seed.
+Each command takes only the settings it reads: oracle-study sizes its own
+grids and bounds its gaps, so of the tolerance and grid flags it takes
+--tol-abs and the grid ranges; shrink draws nothing, so it takes no
+--trials, --seed, --m or --n. Exit codes: 0 all checks passed, 1 at least
+one violation, 2 invalid configuration or input. The environment variable
+RIESZ_SIP_SEED, when set, overrides --seed of verify and oracle-study.
 """
 
 from __future__ import annotations
@@ -22,14 +25,13 @@ from .harness import (
     CHECKS,
     ConfigError,
     Counterexample,
-    Instance,
     THEOREMS,
     Tolerances,
     TrialConfig,
-    config_from_params,
     convergence_study,
     emit_report,
     params_from_config,
+    read_case,
     run_suite,
     shrink,
 )
@@ -37,7 +39,7 @@ from .harness import (
 DEFAULTS = TrialConfig(trials=1)
 
 # (flag, field, type): each flag sets one field of Tolerances or of
-# TrialConfig and defaults to that field's default.
+# TrialConfig, is stored under the field's name and defaults to its default.
 CONFIG_FLAGS = (
     ("--tol-rel", "rel", float),
     ("--tol-abs", "abs", float),
@@ -50,10 +52,12 @@ CONFIG_FLAGS = (
     ("--lambda-hi", "lambda_hi", float),
     ("--lambda-count", "lambda_count", int),
 )
+# The ones oracle-study reads: it sizes its own grids and bounds its gaps.
+STUDY_CONFIG_FLAGS = ("--tol-abs", "--theta-lo", "--theta-hi", "--lambda-lo", "--lambda-hi")
 TOLERANCE_FIELDS = frozenset(Tolerances.__dataclass_fields__)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
+def _add_sampling_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
     p.add_argument("--trials", type=int, default=trials_default,
                    help=f"trials per suite (default {trials_default})")
     p.add_argument("--seed", type=int, default=0,
@@ -64,9 +68,13 @@ def _add_config_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
     p.add_argument("--n", type=int, default=None,
                    help="fix the codomain dimension (default: range "
                         f"[{DEFAULTS.n_lo}, {DEFAULTS.n_hi}])")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, only: tuple | None = None) -> None:
     for flag, name, kind in CONFIG_FLAGS:
-        owner = DEFAULTS.tolerances if name in TOLERANCE_FIELDS else DEFAULTS
-        p.add_argument(flag, type=kind, default=getattr(owner, name))
+        if only is None or flag in only:
+            owner = DEFAULTS.tolerances if name in TOLERANCE_FIELDS else DEFAULTS
+            p.add_argument(flag, dest=name, type=kind, default=getattr(owner, name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--theorems", default="all",
                     help="comma-separated subset of "
                          f"{{{','.join(THEOREMS)}}} or 'all'")
-    _add_config_flags(pv, trials_default=10_000)
+    _add_sampling_flags(pv, trials_default=10_000)
+    _add_config_flags(pv)
     pv.add_argument("--report", default=None, help="write the JSON report here")
     pv.add_argument("--instances", default=None,
                     help="directory of instance JSON files injected into every "
@@ -88,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle-study", help="oracle gap vs grid resolution")
     po.add_argument("--grids", default="100,1000,10000",
                     help="comma-separated grid sizes")
-    _add_config_flags(po, trials_default=1000)
+    _add_sampling_flags(po, trials_default=1000)
+    _add_config_flags(po, STUDY_CONFIG_FLAGS)
     po.add_argument("--report", default=None, help="write the JSON report here")
 
     ps = sub.add_parser("shrink", help="minimize a failing instance")
@@ -99,11 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          "optional override for counterexample files")
     ps.add_argument("--out", default=None,
                     help="write the shrunk counterexample here (default stdout)")
-    _add_config_flags(ps, trials_default=1)
+    _add_config_flags(ps)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, theorems: tuple) -> TrialConfig:
+def _sampling_from_args(args: argparse.Namespace) -> dict:
+    """The TrialConfig fields set by the sampling flags and RIESZ_SIP_SEED."""
     seed = args.seed
     env = os.environ.get("RIESZ_SIP_SEED")
     if env is not None:
@@ -111,16 +122,22 @@ def _config_from_args(args: argparse.Namespace, theorems: tuple) -> TrialConfig:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"RIESZ_SIP_SEED must be an integer, got {env!r}")
-    values = {name: getattr(args, flag[2:].replace("-", "_"))
-              for flag, name, _ in CONFIG_FLAGS}
-    tolerances = Tolerances(**{k: values.pop(k) for k in TOLERANCE_FIELDS})
-    cfg = TrialConfig(seed=seed, trials=args.trials, tolerances=tolerances,
-                      theorems=theorems, **values)
+    fields = {"seed": seed, "trials": args.trials}
     if args.m is not None:
-        cfg = replace(cfg, m_lo=args.m, m_hi=args.m)
+        fields.update(m_lo=args.m, m_hi=args.m)
     if args.n is not None:
-        cfg = replace(cfg, n_lo=args.n, n_hi=args.n)
-    return cfg
+        fields.update(n_lo=args.n, n_hi=args.n)
+    return fields
+
+
+def _config_from_args(args: argparse.Namespace, theorems: tuple) -> TrialConfig:
+    """Config of the flags the command takes; every other field keeps its default."""
+    given = vars(args)
+    values = {name: given[name] for _, name, _ in CONFIG_FLAGS if name in given}
+    tolerances = Tolerances(**{k: values.pop(k) for k in TOLERANCE_FIELDS & values.keys()})
+    if "seed" in given:
+        values.update(_sampling_from_args(args))
+    return replace(DEFAULTS, tolerances=tolerances, theorems=theorems, **values)
 
 
 def _parse_theorems(raw: str) -> tuple:
@@ -133,21 +150,20 @@ def _parse_theorems(raw: str) -> tuple:
     return names
 
 
+def _read_case(path) -> tuple:
+    """read_case of a JSON file, every failure a ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read_case(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}")
+
+
 def _load_instances(directory: str) -> tuple:
     root = Path(directory)
     if not root.is_dir():
         raise ConfigError(f"--instances path is not a directory: {directory}")
-    loaded = []
-    for path in sorted(root.glob("*.json")):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                d = json.load(fh)
-            if "instance" in d:  # counterexample wrapper
-                d = d["instance"]
-            loaded.append(Instance.from_dict(d))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load instance {path}: {exc}")
-    return tuple(loaded)
+    return tuple(_read_case(path)[0] for path in sorted(root.glob("*.json")))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -182,29 +198,15 @@ def _cmd_oracle_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    try:
-        with open(args.instance, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {args.instance}: {exc}")
-    check = args.check or data.get("theorem")
+    inst, theorem, stored = _read_case(args.instance)
+    check = args.check or theorem
     if check is None:
         raise ConfigError("--check is required for bare instance files")
     if check not in CHECKS:
         raise ConfigError(f"unknown check {check!r}; choose from {sorted(CHECKS)}")
-    try:
-        inst = Instance.from_dict(data.get("instance", data))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid instance: {exc}")
-    if "instance" in data:
-        # A counterexample is shrunk under the tolerances and grids it was
-        # found with, as replay does; flags apply to bare instances only.
-        try:
-            config = config_from_params(data.get("params", {}))
-        except TypeError as exc:
-            raise ConfigError(f"invalid params: {exc}")
-    else:
-        config = _config_from_args(args, theorems=(check,))
+    # A counterexample is shrunk under the tolerances and grids it was
+    # found with, as replay does; flags apply to bare instances only.
+    config = stored if stored is not None else _config_from_args(args, theorems=(check,))
     small, res = shrink(inst, check, config)
     out = Counterexample(theorem=check, failed=res.failed, residuals=dict(res.residuals),
                          instance=small.to_dict(), params=params_from_config(config))

@@ -35,10 +35,21 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .lattice import DimensionMismatch, NotInPositiveCone, abs_val, rel_residual
+from .lattice import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DimensionMismatch,
+    NotInPositiveCone,
+    abs_val,
+    rel_residual,
+)
 from .means import (
+    ANGLE_COUNT,
+    THETA_COUNT,
+    THETA_HI,
+    THETA_LO,
     AngleGrid,
-    ThetaGrid,
+    LogGrid,
     box_plus,
     box_plus_gaps,
     box_plus_oracle,
@@ -46,7 +57,16 @@ from .means import (
     box_times_gaps,
     theta_minimizer,
 )
-from .cauchy_schwarz import INEQ_FLOOR, Gram, LambdaGrid, cs_verdict, defect_gaps
+from .cauchy_schwarz import (
+    CONE_BAND,
+    INEQ_FLOOR,
+    LAMBDA_COUNT,
+    LAMBDA_HI,
+    LAMBDA_LO,
+    Gram,
+    cs_verdict,
+    defect_gaps,
+)
 from .seminorms import (
     CHAIN_FLOOR,
     SeminormSpec,
@@ -99,9 +119,9 @@ class GenerationExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    rel: float = 1e-9
-    abs: float = 1e-12
-    cone_band: float = 1e-8
+    rel: float = DEFAULT_REL_TOL
+    abs: float = DEFAULT_ABS_TOL
+    cone_band: float = CONE_BAND
 
     def validate(self) -> None:
         if not (0.0 < self.rel < 1.0 and 0.0 < self.abs < 1.0
@@ -124,13 +144,13 @@ class TrialConfig:
     log_entry_lo: float = 1e-3
     log_entry_hi: float = 1e3
     tolerances: Tolerances = field(default_factory=Tolerances)
-    theta_lo: float = 1e-8
-    theta_hi: float = 1e8
-    theta_count: int = 10_000
-    angle_count: int = 4096
-    lambda_lo: float = 1e-6
-    lambda_hi: float = 1e6
-    lambda_count: int = 2001
+    theta_lo: float = THETA_LO
+    theta_hi: float = THETA_HI
+    theta_count: int = THETA_COUNT
+    angle_count: int = ANGLE_COUNT
+    lambda_lo: float = LAMBDA_LO
+    lambda_hi: float = LAMBDA_HI
+    lambda_count: int = LAMBDA_COUNT
     theorems: tuple = THEOREMS
 
     def __post_init__(self):
@@ -166,19 +186,25 @@ class TrialConfig:
                     "pythagoras trials need m > n possible or codomain dim >= 2")
 
 
+# The TrialConfig fields the grids are built from, hence the grid part of
+# a counterexample's params.
+GRID_FIELDS = ("theta_lo", "theta_hi", "theta_count", "angle_count",
+               "lambda_lo", "lambda_hi", "lambda_count")
+
+
 @dataclass(frozen=True)
 class Grids:
-    theta: ThetaGrid
+    theta: LogGrid
     angle: AngleGrid
-    lam: LambdaGrid
+    lam: LogGrid
 
 
 def build_grids(config: TrialConfig) -> Grids:
-    return Grids(
-        theta=ThetaGrid.log_spaced(config.theta_lo, config.theta_hi, config.theta_count),
-        angle=AngleGrid.uniform(config.angle_count),
-        lam=LambdaGrid.log_spaced(config.lambda_lo, config.lambda_hi, config.lambda_count),
-    )
+    theta_lo, theta_hi, theta_count, angle_count, lambda_lo, lambda_hi, lambda_count = (
+        getattr(config, k) for k in GRID_FIELDS)
+    return Grids(theta=LogGrid.log_spaced(theta_lo, theta_hi, theta_count),
+                 angle=AngleGrid.uniform(angle_count),
+                 lam=LogGrid.log_spaced(lambda_lo, lambda_hi, lambda_count))
 
 
 @dataclass(frozen=True)
@@ -325,8 +351,14 @@ class TrialResult:
 
     @property
     def ratio(self) -> float:
-        """Largest residual in units of its own tolerance."""
-        return max((v / self.tols[k] for k, v in self.residuals.items()), default=0.0)
+        """Largest residual in units of its own tolerance, NaN above all."""
+        return max((v / self.tols[k] for k, v in self.residuals.items()),
+                   default=0.0, key=_rank)
+
+
+def _rank(v: float) -> tuple:
+    """Sort key that ranks NaN above every number, so no maximum drops it."""
+    return (v != v, v)
 
 
 def _result(checks: dict, borderline: bool = False, tags: tuple = ()) -> TrialResult:
@@ -434,7 +466,7 @@ def check_pythagoras_trial(inst: Instance, config: TrialConfig, grids: Grids) ->
     pre = orthogonality(g, floor=tol.abs)
     # The identity is only asserted, and its seminorms only evaluated,
     # when the orthogonality hypothesis holds.
-    ident = 0.0 if pre > PRECOND_TOL else pythagoras_sides(g).residual(tol.abs)
+    ident = 0.0 if pre > PRECOND_TOL else rel_residual(*pythagoras_sides(g), floor=tol.abs)
     return _result({"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
                    tags=(inst.kind,))
 
@@ -442,7 +474,7 @@ def check_pythagoras_trial(inst: Instance, config: TrialConfig, grids: Grids) ->
 def check_parallelogram_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
-    return _result({"identity": (parallelogram_sides(g).residual(tol.abs), tol.rel)},
+    return _result({"identity": (rel_residual(*parallelogram_sides(g), floor=tol.abs), tol.rel)},
                    tags=(inst.kind,))
 
 
@@ -490,10 +522,8 @@ def _run_check(theorem: str, inst: Instance, config: TrialConfig,
 
 def params_from_config(config: TrialConfig) -> dict:
     """The tolerances and grids a check depends on, as stored in a counterexample."""
-    grids = ("theta_lo", "theta_hi", "theta_count", "angle_count",
-             "lambda_lo", "lambda_hi", "lambda_count")
     return {"tolerances": asdict(config.tolerances),
-            "grids": {k: getattr(config, k) for k in grids}}
+            "grids": {k: getattr(config, k) for k in GRID_FIELDS}}
 
 
 @dataclass(frozen=True)
@@ -505,14 +535,7 @@ class Counterexample:
     params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "theorem": self.theorem,
-            "failed": list(self.failed),
-            "residuals": dict(self.residuals),
-            "instance": self.instance,
-            "params": self.params,
-        }
+        return {**vars(self), "schema": REPORT_SCHEMA, "failed": list(self.failed)}
 
 
 def config_from_params(params: dict) -> TrialConfig:
@@ -525,11 +548,32 @@ def config_from_params(params: dict) -> TrialConfig:
     return replace(base, tolerances=tolerances, **params.get("grids", {}))
 
 
+def read_case(data) -> tuple:
+    """(instance, theorem, config) of a parsed instance or counterexample file.
+
+    A counterexample wraps its instance with the theorem it fails and the
+    params it was found under, given back as a config; a bare instance has
+    no params, and its config is None. The one reader of both formats:
+    verify --instances, shrink and replay go through it. Raises ConfigError
+    on anything else.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"expected a JSON object, got {type(data).__name__}")
+    wrapped = "instance" in data
+    try:
+        inst = Instance.from_dict(data["instance"] if wrapped else data)
+        config = config_from_params(data.get("params", {})) if wrapped else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid instance or counterexample: {exc!r}")
+    return inst, data.get("theorem"), config
+
+
 def replay_counterexample(ce: dict) -> TrialResult:
     """Re-run the named check on the embedded instance with stored params."""
-    config = config_from_params(ce.get("params", {}))
-    inst = Instance.from_dict(ce["instance"])
-    return _run_check(ce["theorem"], inst, config, build_grids(config))
+    inst, theorem, config = read_case(ce)
+    if config is None or theorem not in CHECKS:
+        raise ConfigError("a counterexample needs an 'instance' and a known 'theorem'")
+    return _run_check(theorem, inst, config, build_grids(config))
 
 
 @dataclass
@@ -544,13 +588,7 @@ class VerificationReport:
         return all(t["failures"] == 0 for t in self.theorems.values())
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "ok": self.ok,
-            "config": self.config,
-            "theorems": self.theorems,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**vars(self), "ok": self.ok}
 
 
 def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
@@ -575,11 +613,11 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
         def record(inst: Instance | None, res: TrialResult):
             nonlocal passes, failures, borderline, worst
             for k, v in res.residuals.items():
-                residual_max[k] = max(residual_max.get(k, 0.0), v)
+                residual_max[k] = max(residual_max.get(k, 0.0), v, key=_rank)
             for t in res.tags:
                 counts[t] = counts.get(t, 0) + 1
             ratio = res.ratio
-            if worst is None or ratio > worst[0]:
+            if worst is None or _rank(ratio) > _rank(worst[0]):
                 worst = (ratio, {
                     "ratio": ratio,
                     "residuals": dict(res.residuals),
@@ -613,7 +651,7 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
             "passes": passes,
             "failures": failures,
             "borderline": borderline,
-            "max_residual": max(residual_max.values(), default=0.0),
+            "max_residual": max(residual_max.values(), default=0.0, key=_rank),
             "residuals": residual_max,
             "counts": counts,
             "worst_instance": worst[1] if worst else None,
@@ -715,16 +753,7 @@ class StudyReport:
         return self.monotone_ok and self.sandwich_ok
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "ok": self.ok,
-            "config": self.config,
-            "grid_sizes": self.grid_sizes,
-            "rows": self.rows,
-            "monotone_ok": self.monotone_ok,
-            "sandwich_ok": self.sandwich_ok,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**vars(self), "ok": self.ok}
 
 
 def convergence_study(config: TrialConfig,
@@ -750,9 +779,9 @@ def convergence_study(config: TrialConfig,
     rows = []
     sandwich_ok = True
     for G in sizes:
-        theta = ThetaGrid.log_spaced(config.theta_lo, config.theta_hi, G)
+        theta = LogGrid.log_spaced(config.theta_lo, config.theta_hi, G)
         angle = AngleGrid.uniform(G)
-        lam = LambdaGrid.log_spaced(config.lambda_lo, config.lambda_hi, G)
+        lam = LogGrid.log_spaced(config.lambda_lo, config.lambda_hi, G)
         row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
         for pos, g in pairs:
             for key, (sandwich, gap) in (

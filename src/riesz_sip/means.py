@@ -12,11 +12,16 @@ defining inf/sup directly and are used to cross-check them. By construction
 the theta oracle over-estimates the infimum and the angle oracle
 under-estimates the supremum, so closed form and oracle always sandwich the
 true value from opposite sides.
+
+LogGrid is the one log-spaced multiplier grid: the theta grid here, and
+the lambda magnitudes of the Cauchy-Schwarz defect oracle
+(cauchy_schwarz.defect_grid), also a minimum over multipliers. AngleGrid
+stays separate, since it must contain both endpoints and the axis angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,22 +45,21 @@ ANGLE_COUNT = 4096
 
 
 @dataclass(frozen=True)
-class ThetaGrid:
-    """Strictly positive, strictly increasing multiplier grid for the [*] infimum."""
+class LogGrid:
+    """Strictly positive, strictly increasing multipliers (theta, or lambda magnitudes)."""
 
     points: np.ndarray
 
     def __post_init__(self):
         pts = as_lattice_vector(self.points)
         if np.min(pts) <= 0.0:
-            raise ValueError("theta grid points must be strictly positive")
+            raise ValueError("grid points must be strictly positive")
         if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("theta grid points must be strictly increasing")
+            raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def log_spaced(cls, lo: float = THETA_LO, hi: float = THETA_HI,
-                   count: int = THETA_COUNT) -> "ThetaGrid":
+    def log_spaced(cls, lo: float, hi: float, count: int) -> "LogGrid":
         if not (0.0 < lo < hi) or count < 2:
             raise ValueError("need 0 < lo < hi and count >= 2")
         return cls(np.logspace(np.log10(lo), np.log10(hi), count))
@@ -71,6 +75,11 @@ class ThetaGrid:
     @property
     def count(self) -> int:
         return int(self.points.size)
+
+    @cached_property
+    def signed(self) -> np.ndarray:
+        """-points reversed, then points: the grid's +- closure, increasing."""
+        return np.concatenate([-self.points[::-1], self.points])
 
     def covers(self, values: np.ndarray) -> bool:
         """True iff every finite positive value lies inside [lo, hi].
@@ -122,11 +131,16 @@ class AngleGrid:
         return np.cos(self.points), np.sin(self.points)
 
 
-def _require_cone(name: str, a: np.ndarray, floor: float) -> np.ndarray:
-    if not in_positive_cone(a, tol=floor):
-        raise NotInPositiveCone(
-            f"{name} requires arguments in F+: entry {np.min(a)} is below -{floor}")
-    return np.maximum(a, 0.0)
+def _cone_pair(name: str, u, v, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as same-dimension vectors in F+, entries within the floor clamped to 0."""
+    u = as_lattice_vector(u)
+    v = as_lattice_vector(v)
+    check_same_dim(u, v)
+    for a in (u, v):
+        if not in_positive_cone(a, tol=floor):
+            raise NotInPositiveCone(
+                f"{name} requires arguments in F+: entry {np.min(a)} is below -{floor}")
+    return np.maximum(u, 0.0), np.maximum(v, 0.0)
 
 
 def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
@@ -136,29 +150,21 @@ def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     floor are clamped to 0 first, so the product under the root is >= 0 and
     either argument being 0 in a slot gives 0 there.
     """
-    u = as_lattice_vector(u)
-    v = as_lattice_vector(v)
-    check_same_dim(u, v)
-    u = _require_cone("box_times", u, floor)
-    v = _require_cone("box_times", v, floor)
+    u, v = _cone_pair("box_times", u, v, floor)
     return np.sqrt(u * v)
 
 
-def box_times_oracle(u, v, grid: ThetaGrid | None = None,
+def box_times_oracle(u, v, grid: LogGrid | None = None,
                      floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     """Grid realization of (1/2) inf_theta (theta*u + v/theta).
 
     Always an over-estimate of the true infimum: the min is taken over a
     finite sample of multipliers. No special casing of zero entries; when a
     componentwise minimizer sqrt(v_j/u_j) falls outside the grid range the
-    over-estimate is not tight (ThetaGrid.covers flags that situation).
+    over-estimate is not tight (LogGrid.covers flags that situation).
     """
-    u = as_lattice_vector(u)
-    v = as_lattice_vector(v)
-    check_same_dim(u, v)
-    u = _require_cone("box_times_oracle", u, floor)
-    v = _require_cone("box_times_oracle", v, floor)
-    grid = grid or ThetaGrid.log_spaced()
+    u, v = _cone_pair("box_times_oracle", u, v, floor)
+    grid = grid or LogGrid.log_spaced(THETA_LO, THETA_HI, THETA_COUNT)
     th = grid.points
     vals = 0.5 * (th[:, None] * u[None, :] + (1.0 / th)[:, None] * v[None, :])
     return vals.min(axis=0)
@@ -168,7 +174,7 @@ def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Componentwise argmin sqrt(v/u) of theta -> (theta*u + v/theta)/2.
 
     Entries with u = 0 have no finite minimizer (inf), entries with v = 0
-    minimize at 0; both are returned as-is for ThetaGrid.covers to ignore.
+    minimize at 0; both are returned as-is for LogGrid.covers to ignore.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.sqrt(np.divide(v, u))
@@ -202,7 +208,7 @@ def box_plus_oracle(a, b, grid: AngleGrid | None = None,
     return vals.max(axis=0)
 
 
-def box_times_gaps(u, v, grid: ThetaGrid,
+def box_times_gaps(u, v, grid: LogGrid,
                    floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of the theta-grid oracle against box_times(u, v).
 

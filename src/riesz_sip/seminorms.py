@@ -23,7 +23,8 @@ T(x+y,x+y), T(x-y,x-y), the weight u and the seminorms built from them,
 each evaluated once, on first use. A theorem is one pure function from
 that record to its verdict and normalized residuals (sharp_verdict,
 additivity_verdict, orthogonality with pythagoras_sides,
-parallelogram_sides, seminorm_residuals, weighted_defect_gaps). The
+parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
+identities come as (lhs, rhs) pairs for lattice.rel_residual. The
 public per-pair functions build one record and call the same theorem
 function, and the harness builds one record per trial. The record's
 values are reused, never re-expressed by the algebra above: lhs_sq stays
@@ -50,8 +51,8 @@ from .lattice import (
     in_positive_cone,
     rel_residual,
 )
-from .means import box_plus, box_times
-from .cauchy_schwarz import CONE_BAND, Gram, LambdaGrid
+from .means import LogGrid, box_plus, box_times
+from .cauchy_schwarz import CONE_BAND, Gram, defect_grid
 from .sip import Sip, sip_eval
 
 
@@ -230,17 +231,16 @@ def sharpened_triangle(spec: SeminormSpec, x, y, band: float = CONE_BAND,
     return sharp_verdict(WeightedGram(spec, x, y), band, floor)
 
 
-def weighted_defect_gaps(g: WeightedGram, grid: LambdaGrid,
+def weighted_defect_gaps(g: WeightedGram, grid: LogGrid,
                          floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of a grid oracle for D(x,y)*u against the closed form.
 
     The oracle samples the defining family of D(x,y)*u through
-    T(lambda*x - y, lambda*x - y)*u directly, independent of the closed
-    form. Normalized by the largest of max(|a|, |c|)*u and both values.
+    T(lambda*x - y, lambda*x - y)*u directly (defect_grid with the weight),
+    independent of the closed form. Normalized by the largest of
+    max(|a|, |c|)*u and both values.
     """
-    lam = grid.signed
-    Z = lam[:, None] * g.x[None, :] - g.y[None, :]
-    sampled = ((g.T.eval_batch(Z, Z) * g.u[None, :]) / np.abs(lam)[:, None]).min(axis=0)
+    sampled = defect_grid(g.T, g.x, g.y, grid, u=g.u)
     scale = np.maximum(
         np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
         np.maximum(np.abs(g.weighted_defect), np.abs(sampled))) + floor
@@ -290,30 +290,14 @@ def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
     return additivity_verdict(WeightedGram(spec, x, y), band, floor)
 
 
-@dataclass(frozen=True)
-class Sides:
-    """Both sides of an identity lhs = rhs between positive-cone vectors."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def raw(self) -> np.ndarray:
-        return self.lhs - self.rhs
-
-    def residual(self, floor: float = DEFAULT_ABS_TOL) -> float:
-        """Worst |lhs - rhs| / (max(lhs, rhs) + floor)."""
-        return float(np.max(np.abs(self.raw) / (np.maximum(self.lhs, self.rhs) + floor)))
-
-
 def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
     """Worst |T(x,y)| relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y))."""
     return float(np.max(np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)))
 
 
-def pythagoras_sides(g: WeightedGram) -> Sides:
-    """norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
-    return Sides(g.norm_sum, box_plus(g.norm_x, g.norm_y))
+def pythagoras_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
+    return g.norm_sum, box_plus(g.norm_x, g.norm_y)
 
 
 def pythagoras_check(spec: SeminormSpec, x, y,
@@ -329,13 +313,14 @@ def pythagoras_check(spec: SeminormSpec, x, y,
     if worst > precond_tol:
         raise PreconditionViolated(
             f"T(x,y) is not zero: normalized residual {worst}")
-    return pythagoras_sides(g).raw
+    lhs, rhs = pythagoras_sides(g)
+    return lhs - rhs
 
 
-def parallelogram_sides(g: WeightedGram) -> Sides:
-    """norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
-    return Sides(box_plus(g.norm_sum, g.norm_diff),
-                 np.sqrt(2.0) * box_plus(g.norm_x, g.norm_y))
+def parallelogram_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
+    return (box_plus(g.norm_sum, g.norm_diff),
+            np.sqrt(2.0) * box_plus(g.norm_x, g.norm_y))
 
 
 def parallelogram_residual(spec: SeminormSpec, x, y) -> np.ndarray:
@@ -343,4 +328,5 @@ def parallelogram_residual(spec: SeminormSpec, x, y) -> np.ndarray:
 
     Holds for all x, y, orthogonal or not.
     """
-    return parallelogram_sides(WeightedGram(spec, x, y)).raw
+    lhs, rhs = parallelogram_sides(WeightedGram(spec, x, y))
+    return lhs - rhs

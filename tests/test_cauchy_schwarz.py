@@ -3,14 +3,13 @@ import pytest
 
 from riesz_sip.cauchy_schwarz import (
     Gram,
-    LambdaGrid,
     cs_identity,
     cs_verdict,
     defect_closed,
     defect_grid,
 )
 from riesz_sip.lattice import rel_residual
-from riesz_sip.means import box_times
+from riesz_sip.means import LogGrid, box_times
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
 
 GRID_GAP_REL_TOL = 1e-4  # frozen for the default 2001-point grid on [1e-6, 1e6]
@@ -53,7 +52,7 @@ def test_defect_grid_colinear_pair():
     # the grid exactly
     T = PsdFamilySip([np.eye(2), np.diag([1.0, 0.0])])
     x = np.array([1.0, 2.0])
-    grid = LambdaGrid(np.array([0.5, 1.0, 2.0, 4.0]))
+    grid = LogGrid(np.array([0.5, 1.0, 2.0, 4.0]))
     got = defect_grid(T, x, 2.0 * x, grid=grid)
     assert np.max(np.abs(got)) <= 1e-8
     assert np.max(np.abs(defect_closed(T, x, 2.0 * x))) <= 1e-8
@@ -195,15 +194,11 @@ def test_cs_check_biconditional_agrees():
             assert got.equality_holds == got.defect_zero
 
 
-def test_lambda_grid_validation():
-    with pytest.raises(ValueError):
-        LambdaGrid(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        LambdaGrid(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        LambdaGrid.log_spaced(1e-3, 1e3, 1)
-    grid = LambdaGrid.log_spaced(1e-3, 1e3, 7)
-    assert grid.count == 7
-    assert grid.signed.size == 14
-    assert np.array_equal(grid.signed[:7], -grid.magnitudes[::-1])
-    assert 1.0 in grid.magnitudes
+def test_defect_grid_weight():
+    # D(x,y)*u: each sampled T-value is weighted before the division by |lambda|
+    T = random_psd(np.random.default_rng(3), 3, 2)
+    x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -1.0])
+    grid = LogGrid.log_spaced(1e-3, 1e3, 51)
+    plain = defect_grid(T, x, y, grid)
+    assert np.array_equal(defect_grid(T, x, y, grid, u=np.ones(2)), plain)
+    assert np.array_equal(defect_grid(T, x, y, grid, u=[0.0, 2.0]), [0.0, 2.0 * plain[1]])

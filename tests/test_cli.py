@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -197,6 +198,55 @@ def test_shrink_output_bytes_are_pinned(capsys, tmp_path, check):
                  "--out", str(out_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SHRINK_SHA256[check]
+
+
+SAMPLING = {"--trials", "--seed", "--m", "--n"}
+GRIDS = {"--theta-lo", "--theta-hi", "--lambda-lo", "--lambda-hi"}
+NOT_IN_STUDY = {"--tol-rel", "--cone-band", "--theta-count", "--angle-count", "--lambda-count"}
+# (command, the flags it reads, the flags it does not take)
+COMMAND_FLAGS = (
+    ("verify", {"--theorems", "--report", "--instances", "--tol-abs"} | SAMPLING | GRIDS | NOT_IN_STUDY,
+     set()),
+    ("oracle-study", {"--grids", "--report", "--tol-abs"} | SAMPLING | GRIDS, NOT_IN_STUDY),
+    ("shrink", {"--instance", "--check", "--out", "--tol-abs"} | GRIDS | NOT_IN_STUDY, SAMPLING),
+)
+
+
+@pytest.mark.parametrize("command, reads, removed", COMMAND_FLAGS,
+                         ids=[c for c, _, _ in COMMAND_FLAGS])
+def test_each_command_takes_only_the_flags_it_reads(capsys, command, reads, removed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == reads
+    required = ["--instance", "unused.json"] if command == "shrink" else []
+    for flag in sorted(removed):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_shrink_ignores_seed_env(capsys, tmp_path, monkeypatch):
+    inst_path = tmp_path / "bad.json"
+    _write_asymmetric_instance(inst_path)
+    monkeypatch.setenv("RIESZ_SIP_SEED", "x")
+    assert main(["shrink", "--instance", str(inst_path), "--check", "axioms"]) == 0
+    assert json.loads(capsys.readouterr().out)["theorem"] == "axioms"
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"text"', "null",
+                                     '{"instance": [1, 2]}', '{"instance": {}}'])
+def test_malformed_case_file_exits_2(capsys, tmp_path, content):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "f.json").write_text(content)
+    assert main(["verify", "--trials", "2", "--theorems", "axioms",
+                 "--instances", str(inst_dir)]) == 2
+    assert main(["shrink", "--instance", str(inst_dir / "f.json"), "--check", "axioms"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot load") == 2 and "Traceback" not in err
 
 
 def test_shrink_cli_errors(capsys, tmp_path):

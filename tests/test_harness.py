@@ -205,6 +205,26 @@ def test_counterexample_replay_is_exact():
     assert set(res.residuals) == set(ce["residuals"])
     for k, v in res.residuals.items():
         assert abs(v - ce["residuals"][k]) <= 1e-12
+    for bad in (ce["instance"], {**ce, "theorem": "bogus"}, [ce]):
+        with pytest.raises(ConfigError):
+            replay_counterexample(bad)
+
+
+def test_nan_residuals_are_never_hidden():
+    # T(x,x) overflows, so the oracle residuals are NaN: the maxima and the
+    # worst instance must show the failing trial, not the worst finite one
+    overflow = Instance(sip=MultiplicationSip(2), u=np.ones(2),
+                        x=np.array([1e200, 1.0]), y=np.array([1e200, 1.0]))
+    with np.errstate(all="ignore"):
+        report = run_suite(TrialConfig(trials=3, theorems=("oracle", "cs")),
+                           injected=(overflow,))
+    entry = report.theorems["oracle"]
+    assert entry["failures"] == 1
+    assert np.isnan(entry["max_residual"])
+    assert any(np.isnan(v) for v in entry["residuals"].values())
+    worst = entry["worst_instance"]
+    assert worst["failed"] and np.isnan(worst["ratio"])
+    assert worst["instance"] == overflow.to_dict()
 
 
 def test_mismatched_instance_fails_as_invalid():

@@ -4,7 +4,7 @@ import pytest
 from riesz_sip.lattice import NotInPositiveCone, abs_val, f_mul, rel_residual
 from riesz_sip.means import (
     AngleGrid,
-    ThetaGrid,
+    LogGrid,
     box_plus,
     box_plus_oracle,
     box_times,
@@ -39,7 +39,7 @@ def test_box_times_rejects_negative_input():
 def test_box_times_oracle_matches_closed_form():
     u = np.array([1.0, 4.0])
     v = np.array([4.0, 1.0])
-    grid = ThetaGrid.log_spaced(1e-4, 1e4, 4001)
+    grid = LogGrid.log_spaced(1e-4, 1e4, 4001)
     approx = box_times_oracle(u, v, grid=grid)
     closed = box_times(u, v)
     gap = approx - closed
@@ -57,7 +57,7 @@ def test_box_times_oracle_default_grid():
 def test_box_times_oracle_zero_argument():
     # with v = 0 the envelope is minimized at the left endpoint: inf theta*u / 2
     u = np.array([2.0, 6.0])
-    grid = ThetaGrid.log_spaced(1e-8, 1e8, 100)
+    grid = LogGrid.log_spaced(1e-8, 1e8, 100)
     approx = box_times_oracle(u, np.zeros(2), grid=grid)
     assert np.array_equal(approx, 0.5 * 1e-8 * u)
 
@@ -67,7 +67,7 @@ def test_box_times_oracle_minimizer_outside_grid():
     # over-estimates badly and covers() flags it
     u = np.array([1.0])
     v = np.array([1e10])
-    grid = ThetaGrid.log_spaced(1e-4, 1e4, 2001)
+    grid = LogGrid.log_spaced(1e-4, 1e4, 2001)
     approx = box_times_oracle(u, v, grid=grid)
     closed = box_times(u, v)
     assert np.all(approx >= closed)
@@ -77,7 +77,7 @@ def test_box_times_oracle_minimizer_outside_grid():
 
 def test_box_times_sandwich_random():
     rng = np.random.default_rng(10)
-    grid = ThetaGrid.log_spaced(1e-8, 1e8, 2000)
+    grid = LogGrid.log_spaced(1e-8, 1e8, 2000)
     for _ in range(200):
         m = int(rng.integers(1, 6))
         u = rng.uniform(0, 10, m)
@@ -93,7 +93,7 @@ def test_box_times_oracle_convergence():
     closed = box_times(u, v)
     prev = None
     for count in (125, 249, 497, 993):
-        grid = ThetaGrid.log_spaced(1e-4, 1e4, count)
+        grid = LogGrid.log_spaced(1e-4, 1e4, count)
         gap = np.max(box_times_oracle(u, v, grid=grid) - closed)
         if prev is not None:
             assert gap <= prev + 1e-12
@@ -197,21 +197,28 @@ def test_homogeneity_identity():
         assert rel_residual(lhs, t * box_times(u, v)) <= IDENTITY_REL_TOL
 
 
-def test_theta_grid_validation():
-    with pytest.raises(ValueError):
-        ThetaGrid(np.array([]))
-    with pytest.raises(ValueError):
-        ThetaGrid(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        ThetaGrid(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        ThetaGrid.log_spaced(1e-2, 1e2, 1)
-    grid = ThetaGrid.log_spaced(1e-2, 1e2, 11)
+def test_log_grid_validation():
+    # one grid type for the theta infimum and the lambda magnitudes
+    for bad in ([], [0.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError):
+            LogGrid(np.array(bad))
+    for lo, hi, count in ((1e-2, 1e2, 1), (0.0, 1.0, 5), (1.0, 1.0, 5)):
+        with pytest.raises(ValueError):
+            LogGrid.log_spaced(lo, hi, count)
+    grid = LogGrid.log_spaced(1e-2, 1e2, 11)
     assert grid.lo == pytest.approx(1e-2)
     assert grid.hi == pytest.approx(1e2)
     assert grid.count == 11
-    assert grid.covers(np.array([1.0]))
+    assert 1.0 in grid.points
+    # covers ignores zero, negative and non-finite values
+    assert grid.covers(np.array([1.0, 0.0, -5.0, np.inf]))
     assert not grid.covers(np.array([1e3]))
+    assert not grid.covers(np.array([1e-3, 1.0]))
+    # signed is the +- closure: increasing, symmetric, twice as long
+    assert grid.signed.size == 22
+    assert np.array_equal(grid.signed[:11], -grid.points[::-1])
+    assert np.array_equal(grid.signed[11:], grid.points)
+    assert np.all(np.diff(grid.signed) > 0.0)
 
 
 def test_angle_grid_contains_axis_angles():
