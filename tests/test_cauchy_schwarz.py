@@ -194,6 +194,24 @@ def test_cs_check_biconditional_agrees():
             assert got.equality_holds == got.defect_zero
 
 
+def test_lambda_grid_validation():
+    # the lambda magnitudes' grid: the same LogGrid that holds the theta infimum
+    with pytest.raises(ValueError):
+        LogGrid(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        LogGrid(np.array([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        LogGrid.log_spaced(1e-3, 1e3, 1)
+    grid = LogGrid.log_spaced(1e-3, 1e3, 7)
+    assert grid.count == 7
+    assert 1.0 in grid.points
+    # signed is the +- closure: increasing, symmetric, twice as long
+    assert grid.signed.size == 14
+    assert np.array_equal(grid.signed[:7], -grid.points[::-1])
+    assert np.array_equal(grid.signed[7:], grid.points)
+    assert np.all(np.diff(grid.signed) > 0.0)
+
+
 def test_defect_grid_weight():
     # D(x,y)*u: each sampled T-value is weighted before the division by |lambda|
     T = random_psd(np.random.default_rng(3), 3, 2)
