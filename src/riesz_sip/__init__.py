@@ -34,7 +34,6 @@ from .means import (
     theta_minimizer,
 )
 from .sip import (
-    AxiomReport,
     MultiplicationSip,
     NoNontrivialOrthogonal,
     PsdFamilySip,
@@ -50,33 +49,25 @@ from .cauchy_schwarz import (
     Gram,
     cs_identity,
     cs_verdict,
-    defect_closed,
     defect_gaps,
     defect_grid,
 )
 from .seminorms import (
     AdditivityCheck,
-    PreconditionViolated,
     SeminormSpec,
     SharpTriangle,
     WeightedGram,
-    additivity_check,
     additivity_verdict,
     orthogonality,
-    parallelogram_residual,
     parallelogram_sides,
-    pythagoras_check,
     pythagoras_sides,
     seminorm_eval,
     seminorm_residuals,
-    seminorm_sq,
     sharp_verdict,
-    sharpened_triangle,
     weighted_defect_gaps,
 )
 from .harness import (
     ConfigError,
-    Counterexample,
     GenerationExhausted,
     Instance,
     StudyReport,
@@ -85,6 +76,7 @@ from .harness import (
     TrialConfig,
     VerificationReport,
     convergence_study,
+    counterexample,
     emit_report,
     generate_instance,
     read_case,

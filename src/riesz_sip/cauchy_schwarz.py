@@ -18,8 +18,7 @@ Gram is the record of one pair: a, b, c, each evaluated once on first
 use, with sqrt(a*c) and the closed-form defect derived from them. The
 identity (cs_identity), the inequality with its biconditional
 (cs_verdict) and the oracle comparison (defect_gaps) are pure functions
-of a Gram; defect_closed builds one Gram per call, and the harness one
-per trial.
+of a Gram, and the harness builds one per trial.
 
 defect_grid must stay independent of that derivation: it samples the
 defining family by evaluating T directly on lambda*x - y over the +-
@@ -47,11 +46,13 @@ from .lattice import (
 from .means import LogGrid, box_times
 from .sip import Sip
 
+# Default lambda grid of a verification run (TrialConfig).
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e6
 LAMBDA_COUNT = 2001
 
-# Normalized thresholds for the equality <-> zero-defect biconditional.
+# Normalized band of the equality <-> zero-defect biconditional, and the
+# tolerance of the inequality's normalized violation.
 CONE_BAND = 1e-8
 INEQ_FLOOR = 1e-10
 
@@ -100,12 +101,7 @@ class Gram:
         return 2.0 * (self.bound - np.abs(self.b))
 
 
-def defect_closed(T: Sip, x, y) -> np.ndarray:
-    """Closed-form defect 2*(sqrt(T(x,x)*T(y,y)) - |T(x,y)|) componentwise."""
-    return Gram(T, x, y).defect
-
-
-def defect_grid(T: Sip, x, y, grid: LogGrid | None = None, u=None) -> np.ndarray:
+def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     """Componentwise min of |lambda|^-1 T(lambda*x - y, lambda*x - y) over the grid.
 
     lambda runs over grid.signed. Evaluates T on the difference vectors
@@ -116,7 +112,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid | None = None, u=None) -> np.ndarray
     """
     x = as_lattice_vector(x, T.domain_dim)
     y = as_lattice_vector(y, T.domain_dim)
-    lam = (grid or LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)).signed
+    lam = grid.signed
     Z = lam[:, None] * x[None, :] - y[None, :]
     vals = T.eval_batch(Z, Z)
     if u is not None:
@@ -154,7 +150,6 @@ def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CsCheck:
-    inequality_ok: bool
     equality_holds: bool
     defect_zero: bool
     borderline: bool
@@ -176,12 +171,10 @@ def cs_verdict(g: Gram, band: float = CONE_BAND,
     """
     slack = g.bound - np.abs(g.b)
     scale = np.maximum(g.bound, np.abs(g.b)) + floor
-    margin = slack / scale
-    eq_gap = float(max(np.max(margin), 0.0))
+    eq_gap = float(max(np.max(slack / scale), 0.0))
     defect_n = float(max(np.max(0.5 * g.defect / scale), 0.0))
     worst = max(eq_gap, defect_n)
     return CsCheck(
-        inequality_ok=bool(np.min(margin) >= -INEQ_FLOOR),
         equality_holds=eq_gap <= band,
         defect_zero=defect_n <= band,
         borderline=band / 8.0 < worst < 8.0 * band,

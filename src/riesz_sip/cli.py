@@ -24,14 +24,15 @@ from pathlib import Path
 from .harness import (
     CHECKS,
     ConfigError,
-    Counterexample,
     THEOREMS,
     Tolerances,
     TrialConfig,
     convergence_study,
+    counterexample,
     emit_report,
     params_from_config,
     read_case,
+    report_to_json,
     run_suite,
     shrink,
 )
@@ -208,9 +209,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     # found with, as replay does; flags apply to bare instances only.
     config = stored if stored is not None else _config_from_args(args, theorems=(check,))
     small, res = shrink(inst, check, config)
-    out = Counterexample(theorem=check, failed=res.failed, residuals=dict(res.residuals),
-                         instance=small.to_dict(), params=params_from_config(config))
-    text = json.dumps(out.to_dict(), sort_keys=True, indent=2) + "\n"
+    text = report_to_json(counterexample(check, res, small, params_from_config(config)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -101,7 +101,7 @@ BT_GAP_REL_TOL = 1e-3       # theta-grid over-estimate of the [*] infimum
 BP_GAP_REL_TOL = 1e-5       # angle-grid under-estimate of the [+] supremum
 QUARTER_REL_TOL = 1e-12     # quarter- vs full-circle [+] oracle on F+
 MEANS_REL_TOL = 1e-10       # mean biadditivity/homogeneity identities
-SQUARE_REL_TOL = 1e-10      # seminorm_sq vs f_mul(s, s)
+SQUARE_REL_TOL = 1e-10      # norm(x)^2 vs T(x,x)*u
 SANDWICH_FLOOR = 1e-10      # one-sided oracle bounds
 PRECOND_TOL = 1e-10         # orthogonality precondition
 BICOND_TOL = 0.5            # indicator residuals are 0 or 1
@@ -180,10 +180,18 @@ class TrialConfig:
         unknown = set(self.theorems) - set(THEOREMS)
         if unknown:
             raise ConfigError(f"unknown theorems: {sorted(unknown)}")
-        if "pythagoras" in self.theorems:
-            if not (self.m_hi > self.n_lo or self.n_hi >= 2):
-                raise ConfigError(
-                    "pythagoras trials need m > n possible or codomain dim >= 2")
+        if "pythagoras" in self.theorems and not any(self.orthogonal_recipes):
+            raise ConfigError("pythagoras trials need m > n possible or codomain dim >= 2")
+
+    @property
+    def orthogonal_recipes(self) -> tuple:
+        """(psd, multiplication): which orthogonal-pair recipes the dimension ranges allow.
+
+        A PSD family has a nontrivial orthogonal pair when m > n; the
+        multiplication sip when x can vanish on a proper part of n >= 2
+        coordinates.
+        """
+        return self.m_hi > self.n_lo, self.n_hi >= 2
 
 
 # The TrialConfig fields the grids are built from, hence the grid part of
@@ -312,8 +320,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
         return Instance(sip=T, u=u, x=x, y=y)
 
     if purpose == "orthogonal":
-        psd_possible = config.m_hi > config.n_lo
-        mult_possible = config.n_hi >= 2
+        psd_possible, mult_possible = config.orthogonal_recipes
         use_psd = psd_possible and (not mult_possible or rng.random() < 0.7)
         for attempt in range(100):
             if use_psd:
@@ -382,10 +389,8 @@ def _branch(holds: bool) -> tuple:
 
 
 def check_axioms_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    rep = check_axioms(inst.sip, samples=AXIOM_SAMPLES, seed=0,
-                       tol=config.tolerances.rel, floor=config.tolerances.abs)
-    return _result({k: (v, config.tolerances.rel) for k, v in rep.residuals.items()},
-                   tags=(inst.kind,))
+    res = check_axioms(inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=config.tolerances.abs)
+    return _result({k: (v, config.tolerances.rel) for k, v in res.items()}, tags=(inst.kind,))
 
 
 def check_cs_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
@@ -526,16 +531,10 @@ def params_from_config(config: TrialConfig) -> dict:
             "grids": {k: getattr(config, k) for k in GRID_FIELDS}}
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    theorem: str
-    failed: tuple
-    residuals: dict
-    instance: dict
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "schema": REPORT_SCHEMA, "failed": list(self.failed)}
+def counterexample(theorem: str, res: TrialResult, inst: Instance, params: dict) -> dict:
+    """The replayable record of inst failing theorem's check with result res."""
+    return {"schema": REPORT_SCHEMA, "theorem": theorem, "failed": list(res.failed),
+            "residuals": dict(res.residuals), "instance": inst.to_dict(), "params": params}
 
 
 def config_from_params(params: dict) -> TrialConfig:
@@ -565,7 +564,10 @@ def read_case(data) -> tuple:
         config = config_from_params(data.get("params", {})) if wrapped else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid instance or counterexample: {exc!r}")
-    return inst, data.get("theorem"), config
+    theorem = data.get("theorem")
+    if theorem is not None and not isinstance(theorem, str):
+        raise ConfigError(f"a counterexample's theorem must be a string, got {theorem!r}")
+    return inst, theorem, config
 
 
 def replay_counterexample(ce: dict) -> TrialResult:
@@ -627,10 +629,7 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
             if res.status == "fail":
                 failures += 1
                 if inst is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
-                    counterexamples.append(Counterexample(
-                        theorem=name, failed=res.failed,
-                        residuals=dict(res.residuals),
-                        instance=inst.to_dict(), params=params).to_dict())
+                    counterexamples.append(counterexample(name, res, inst, params))
             elif res.status == "borderline":
                 borderline += 1
             else:
@@ -756,8 +755,7 @@ class StudyReport:
         return {**vars(self), "ok": self.ok}
 
 
-def convergence_study(config: TrialConfig,
-                      grid_sizes: tuple = (100, 1000, 10000)) -> StudyReport:
+def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     """Worst oracle gaps as a function of grid resolution.
 
     For each size G the three grid oracles run with G points against the
@@ -809,11 +807,14 @@ def convergence_study(config: TrialConfig,
     )
 
 
-def report_to_json(report) -> str:
-    """Stable serialization: sorted keys, fixed indentation, newline at EOF."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def report_to_json(data: dict) -> str:
+    """Stable serialization: sorted keys, fixed indentation, newline at EOF.
+
+    The one writer of reports (through emit_report) and of shrink's output.
+    """
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(report, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+        fh.write(report_to_json(report.to_dict()))

@@ -35,9 +35,9 @@ from .lattice import (
     in_positive_cone,
 )
 
-# Default grid resolutions. The theta range must be wide because the
-# componentwise minimizer is sqrt(v_j/u_j), which spans the squared dynamic
-# range of the inputs.
+# Default grids of a verification run (TrialConfig). The theta range must
+# be wide because the componentwise minimizer is sqrt(v_j/u_j), which spans
+# the squared dynamic range of the inputs.
 THETA_LO = 1e-8
 THETA_HI = 1e8
 THETA_COUNT = 10_000
@@ -115,7 +115,7 @@ class AngleGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def uniform(cls, count: int = ANGLE_COUNT) -> "AngleGrid":
+    def uniform(cls, count: int) -> "AngleGrid":
         if count < 4:
             raise ValueError("need at least 4 angles")
         base = np.arange(count) * (2.0 * np.pi / count)
@@ -154,7 +154,7 @@ def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     return np.sqrt(u * v)
 
 
-def box_times_oracle(u, v, grid: LogGrid | None = None,
+def box_times_oracle(u, v, grid: LogGrid,
                      floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     """Grid realization of (1/2) inf_theta (theta*u + v/theta).
 
@@ -164,7 +164,6 @@ def box_times_oracle(u, v, grid: LogGrid | None = None,
     over-estimate is not tight (LogGrid.covers flags that situation).
     """
     u, v = _cone_pair("box_times_oracle", u, v, floor)
-    grid = grid or LogGrid.log_spaced(THETA_LO, THETA_HI, THETA_COUNT)
     th = grid.points
     vals = 0.5 * (th[:, None] * u[None, :] + (1.0 / th)[:, None] * v[None, :])
     return vals.min(axis=0)
@@ -188,7 +187,7 @@ def box_plus(a, b) -> np.ndarray:
     return np.hypot(a, b)
 
 
-def box_plus_oracle(a, b, grid: AngleGrid | None = None,
+def box_plus_oracle(a, b, grid: AngleGrid,
                     quarter: bool = False) -> np.ndarray:
     """Grid realization of sup_t (cos(t)*a + sin(t)*b).
 
@@ -199,7 +198,6 @@ def box_plus_oracle(a, b, grid: AngleGrid | None = None,
     a = as_lattice_vector(a)
     b = as_lattice_vector(b)
     check_same_dim(a, b)
-    grid = grid or AngleGrid.uniform()
     cos_t, sin_t = grid._trig
     if quarter:
         keep = grid.points <= 0.5 * np.pi

@@ -7,7 +7,7 @@ because the codomain is square root closed, which turns every triangle-type
 statement into algebra on the Gram values a = T(x,x), b = T(x,y),
 c = T(y,y):
 
-    seminorm_sq(x + y)      = (a + 2b + c)*u
+    norm(x + y)^2           = (a + 2b + c)*u
     (norm(x) + norm(y))^2   = a*u + c*u + 2*(a*c [*] u^2)     (squared rhs)
     middle                  = rhs_sq - D(x,y)*u
 
@@ -25,13 +25,12 @@ that record to its verdict and normalized residuals (sharp_verdict,
 additivity_verdict, orthogonality with pythagoras_sides,
 parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
 identities come as (lhs, rhs) pairs for lattice.rel_residual. The
-public per-pair functions build one record and call the same theorem
-function, and the harness builds one record per trial. The record's
-values are reused, never re-expressed by the algebra above: lhs_sq stays
-T(x+y,x+y)*u rather than (a + 2b + c)*u, which would make the chain check
-tautological. Scale
-normalization follows the package-wide policy (componentwise scale of the
-largest participating quantity plus an absolute floor).
+harness builds one record per trial. The record's values are reused,
+never re-expressed by the algebra above: lhs_sq stays T(x+y,x+y)*u
+rather than (a + 2b + c)*u, which would make the chain check
+tautological. Scale normalization follows the package-wide policy
+(componentwise scale of the largest participating quantity plus an
+absolute floor).
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ from .lattice import (
 from .means import LogGrid, box_plus, box_times
 from .cauchy_schwarz import CONE_BAND, Gram, defect_grid
 from .sip import Sip, sip_eval
-
-
-class PreconditionViolated(ValueError):
-    """A theorem's hypothesis does not hold for the given inputs."""
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,6 @@ def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 def seminorm_eval(spec: SeminormSpec, x) -> np.ndarray:
     """norm_u(x) = T(x,x) [*] u."""
     return _seminorm(sip_eval(spec.sip, x, x), spec.u)
-
-
-def seminorm_sq(spec: SeminormSpec, x) -> np.ndarray:
-    """T(x,x)*u, the f-algebra square of seminorm_eval(spec, x)."""
-    return f_mul(sip_eval(spec.sip, x, x), spec.u)
 
 
 class WeightedGram(Gram):
@@ -176,18 +166,18 @@ class SharpTriangle:
 
     The squared chain is lhs_sq <= middle <= rhs_sq with
     middle = rhs_sq - D(x,y)*u; the sqrt form compares norm(x+y),
-    sqrt(middle) and norm(x) + norm(y). chain_ok covers both forms, and
-    chain is the worst normalized violation among the four links.
+    sqrt(middle) and norm(x) + norm(y). chain is the worst normalized
+    violation among the four links of both forms; the chain holds iff it
+    is at most CHAIN_FLOOR.
     equality_holds means the sharpened bound is attained, lhs_sq = middle,
     and condition_holds means T(x,y)*u in F+; the two must agree on every
     non-borderline input. (Equality of lhs_sq with rhs_sq itself is the
-    additivity characterization, handled by additivity_check.)
+    additivity characterization, handled by additivity_verdict.)
     """
 
     lhs_sq: np.ndarray
     middle: np.ndarray
     rhs_sq: np.ndarray
-    chain_ok: bool
     equality_holds: bool
     condition_holds: bool
     borderline: bool
@@ -218,17 +208,11 @@ def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
         lhs_sq=lhs_sq,
         middle=middle,
         rhs_sq=rhs_sq,
-        chain_ok=all(np.min(v / s) >= -CHAIN_FLOOR for v, s in links),
         equality_holds=eq_gap <= band,
         condition_holds=neg <= band,
         borderline=band / 8.0 < max(neg, eq_gap) < 8.0 * band,
         chain=max(cone_gap(v, s) for v, s in links),
     )
-
-
-def sharpened_triangle(spec: SeminormSpec, x, y, band: float = CONE_BAND,
-                       floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
-    return sharp_verdict(WeightedGram(spec, x, y), band, floor)
 
 
 def weighted_defect_gaps(g: WeightedGram, grid: LogGrid,
@@ -285,11 +269,6 @@ def additivity_verdict(g: WeightedGram, band: float = CONE_BAND,
     )
 
 
-def additivity_check(spec: SeminormSpec, x, y, band: float = CONE_BAND,
-                     floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
-    return additivity_verdict(WeightedGram(spec, x, y), band, floor)
-
-
 def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
     """Worst |T(x,y)| relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y))."""
     return float(np.max(np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)))
@@ -300,33 +279,7 @@ def pythagoras_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
     return g.norm_sum, box_plus(g.norm_x, g.norm_y)
 
 
-def pythagoras_check(spec: SeminormSpec, x, y,
-                     precond_tol: float = 1e-10,
-                     floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
-    """Raw residual of norm(x+y) = norm(x) [+] norm(y) for orthogonal x, y.
-
-    Raises PreconditionViolated unless T(x,y) = 0 up to precond_tol
-    relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y)).
-    """
-    g = WeightedGram(spec, x, y)
-    worst = orthogonality(g, floor)
-    if worst > precond_tol:
-        raise PreconditionViolated(
-            f"T(x,y) is not zero: normalized residual {worst}")
-    lhs, rhs = pythagoras_sides(g)
-    return lhs - rhs
-
-
 def parallelogram_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
     return (box_plus(g.norm_sum, g.norm_diff),
             np.sqrt(2.0) * box_plus(g.norm_x, g.norm_y))
-
-
-def parallelogram_residual(spec: SeminormSpec, x, y) -> np.ndarray:
-    """Raw residual of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)).
-
-    Holds for all x, y, orthogonal or not.
-    """
-    lhs, rhs = parallelogram_sides(WeightedGram(spec, x, y))
-    return lhs - rhs

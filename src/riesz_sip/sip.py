@@ -11,7 +11,7 @@ in the positive cone for every x. Two concrete families:
                     Cauchy-Schwarz defect vanishes identically, which makes
                     it the standard witness for every equality case.
 
-check_axioms verifies the five axioms on random samples with normalized
+check_axioms measures the five axioms on random samples as normalized
 residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
 well formed beyond shape.
@@ -117,27 +117,16 @@ def sip_eval(T: Sip, x, y) -> np.ndarray:
     return T.eval(x, y)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    residuals: dict  # per-axiom worst normalized residual
-    samples: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= self.tol for r in self.residuals.values())
-
-
 def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
     return float(np.max(np.abs(diff) / (scale + floor)))
 
 
 def check_axioms(T: Sip, samples: int = 1000, seed: int = 0,
-                 tol: float = 1e-9, floor: float = DEFAULT_ABS_TOL) -> AxiomReport:
-    """Check the five semi-inner-product axioms on random samples.
+                 floor: float = DEFAULT_ABS_TOL) -> dict:
+    """Worst normalized residual of each semi-inner-product axiom on random samples.
 
     Residuals are normalized by the magnitudes of the values entering each
-    identity, so the report is scale free: additivity in each slot, scalar
+    identity, so they are scale free: additivity in each slot, scalar
     homogeneity in each slot, symmetry, and positivity of T(x, x).
     """
     if samples < 1:
@@ -156,7 +145,7 @@ def check_axioms(T: Sip, samples: int = 1000, seed: int = 0,
     Txx = T.eval_batch(X, X)
     scale_pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
 
-    res = {
+    return {
         "additivity_left": _worst(
             T.eval_batch(X + Y, Z) - (Txz + Tyz), scale_pair, floor),
         "additivity_right": _worst(
@@ -169,7 +158,6 @@ def check_axioms(T: Sip, samples: int = 1000, seed: int = 0,
         "symmetry": _worst(Txy - Tyx, np.abs(Txy), floor),
         "positivity": _worst(np.maximum(-Txx, 0.0), np.abs(Txx), floor),
     }
-    return AxiomReport(residuals=res, samples=samples, tol=tol)
 
 
 def random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:

@@ -9,14 +9,15 @@ trials per suite, every theorem).
 import numpy as np
 import pytest
 
-from riesz_sip.cauchy_schwarz import defect_closed, defect_grid
+from riesz_sip.cauchy_schwarz import Gram, defect_grid
 from riesz_sip.harness import (
     Instance,
     TrialConfig,
+    build_grids,
     replay_counterexample,
     run_suite,
 )
-from riesz_sip.seminorms import SeminormSpec, sharpened_triangle
+from riesz_sip.seminorms import SeminormSpec, WeightedGram, sharp_verdict
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip
 
 WORKED_TOL = 1e-10
@@ -88,8 +89,8 @@ def test_criterion_03_defect_oracle(full_report, criterion):
     entry = full_report.theorems["cs"]
     r = entry["residuals"]
     dot = PsdFamilySip([np.eye(2)])
-    closed = defect_closed(dot, [1.0, 0.0], [0.0, 1.0])
-    grid = defect_grid(dot, [1.0, 0.0], [0.0, 1.0])
+    closed = Gram(dot, [1.0, 0.0], [0.0, 1.0]).defect
+    grid = defect_grid(dot, [1.0, 0.0], [0.0, 1.0], build_grids(TrialConfig()).lam)
     criterion(3, "defect closed form vs lambda-grid oracle", {
         "sandwich": r["defect_sandwich"] <= 1e-10,
         "gap": r["defect_gap"] <= 1e-4,
@@ -130,12 +131,12 @@ def test_criterion_06_sharpened_triangle(full_report, criterion):
     entry = full_report.theorems["sharp"]
     r = entry["residuals"]
 
-    eq = sharpened_triangle(
-        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 2.0], [2.0, 1.0])
-    strict = sharpened_triangle(
-        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 1.0], [-1.0, 1.0])
-    orth = sharpened_triangle(
-        SeminormSpec(PsdFamilySip([np.eye(2)]), np.ones(1)), [1.0, 0.0], [0.0, 1.0])
+    eq = sharp_verdict(WeightedGram(
+        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 2.0], [2.0, 1.0]))
+    strict = sharp_verdict(WeightedGram(
+        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 1.0], [-1.0, 1.0]))
+    orth = sharp_verdict(WeightedGram(
+        SeminormSpec(PsdFamilySip([np.eye(2)]), np.ones(1)), [1.0, 0.0], [0.0, 1.0]))
 
     criterion(6, "sharpened triangle chain, biconditional, worked examples", {
         "no_failures": entry["failures"] == 0,

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import (
+    INEQ_FLOOR,
+    LAMBDA_COUNT,
+    LAMBDA_HI,
+    LAMBDA_LO,
     Gram,
     cs_identity,
     cs_verdict,
-    defect_closed,
     defect_grid,
 )
 from riesz_sip.lattice import rel_residual
@@ -13,6 +16,7 @@ from riesz_sip.means import LogGrid, box_times
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
 
 GRID_GAP_REL_TOL = 1e-4  # frozen for the default 2001-point grid on [1e-6, 1e6]
+LAMBDA = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)
 
 
 def _scale(T, x, y):
@@ -23,26 +27,26 @@ def _scale(T, x, y):
 
 def test_defect_closed_vanishes_for_multiplication():
     T = MultiplicationSip(2)
-    assert np.array_equal(defect_closed(T, [1.0, 2.0], [3.0, 1.0]), [0.0, 0.0])
+    assert np.array_equal(Gram(T, [1.0, 2.0], [3.0, 1.0]).defect, [0.0, 0.0])
     rng = np.random.default_rng(30)
     for _ in range(100):
         x = rng.uniform(-10, 10, 2)
         y = rng.uniform(-10, 10, 2)
-        d = defect_closed(T, x, y)
+        d = Gram(T, x, y).defect
         assert np.max(np.abs(d)) <= 1e-14 * _scale(T, x, y)
 
 
 def test_defect_closed_orthonormal_dot_pair():
     # dot product, orthonormal pair: a = c = 1, b = 0, defect exactly 2
     T = PsdFamilySip([np.eye(2)])
-    assert np.array_equal(defect_closed(T, [1.0, 0.0], [0.0, 1.0]), [2.0])
+    assert np.array_equal(Gram(T, [1.0, 0.0], [0.0, 1.0]).defect, [2.0])
 
 
 def test_defect_grid_orthonormal_dot_pair():
     # the default grid contains lambda = 1 exactly, where
     # T(x - y, x - y) = 2 is the true minimum
     T = PsdFamilySip([np.eye(2)])
-    got = defect_grid(T, [1.0, 0.0], [0.0, 1.0])
+    got = defect_grid(T, [1.0, 0.0], [0.0, 1.0], LAMBDA)
     assert abs(got[0] - 2.0) <= 1e-6
     assert got[0] >= 2.0
 
@@ -55,7 +59,7 @@ def test_defect_grid_colinear_pair():
     grid = LogGrid(np.array([0.5, 1.0, 2.0, 4.0]))
     got = defect_grid(T, x, 2.0 * x, grid=grid)
     assert np.max(np.abs(got)) <= 1e-8
-    assert np.max(np.abs(defect_closed(T, x, 2.0 * x))) <= 1e-8
+    assert np.max(np.abs(Gram(T, x, 2.0 * x).defect)) <= 1e-8
 
 
 def test_defect_grid_multiplication_near_zero():
@@ -65,7 +69,7 @@ def test_defect_grid_multiplication_near_zero():
     for _ in range(100):
         x = rng.uniform(-10, 10, 3)
         y = rng.uniform(-10, 10, 3)
-        got = defect_grid(T, x, y)
+        got = defect_grid(T, x, y, LAMBDA)
         assert np.max(np.abs(got)) <= 1e-4 * _scale(T, x, y)
 
 
@@ -81,8 +85,8 @@ def test_defect_sandwich_and_gap():
             T = MultiplicationSip(m)
         x = rng.uniform(-10, 10, T.domain_dim)
         y = rng.uniform(-10, 10, T.domain_dim)
-        closed = defect_closed(T, x, y)
-        grid = defect_grid(T, x, y)
+        closed = Gram(T, x, y).defect
+        grid = defect_grid(T, x, y, LAMBDA)
         scale = max(np.max(closed), np.max(grid), _scale(T, x, y))
         assert np.min(grid - closed) >= -1e-10 * scale  # grid >= closed
         assert np.max(grid - closed) <= GRID_GAP_REL_TOL * scale
@@ -95,9 +99,9 @@ def test_defect_symmetry_and_scaling():
         x = rng.uniform(-10, 10, 4)
         y = rng.uniform(-10, 10, 4)
         alpha = rng.uniform(0.1, 4.0) * rng.choice([-1.0, 1.0])
-        d = defect_closed(T, x, y)
-        assert rel_residual(d, defect_closed(T, y, x)) <= 1e-10
-        assert rel_residual(defect_closed(T, alpha * x, y),
+        d = Gram(T, x, y).defect
+        assert rel_residual(d, Gram(T, y, x).defect) <= 1e-10
+        assert rel_residual(Gram(T, alpha * x, y).defect,
                             np.abs(alpha) * d) <= 1e-10
 
 
@@ -107,7 +111,7 @@ def test_defect_in_positive_cone():
         T = random_psd(np.random.default_rng(trial), 3, 2)
         x = rng.uniform(-10, 10, 3)
         y = rng.uniform(-10, 10, 3)
-        d = defect_closed(T, x, y)
+        d = Gram(T, x, y).defect
         assert np.min(d) >= -1e-10 * _scale(T, x, y)
 
 
@@ -154,7 +158,7 @@ def test_inequality_random():
 def test_cs_check_multiplication_equality():
     # defect vanishes identically, so equality holds and is not borderline
     got = cs_verdict(Gram(MultiplicationSip(2), [1.0, 2.0], [3.0, 1.0]))
-    assert got.inequality_ok
+    assert got.inequality <= INEQ_FLOOR
     assert got.equality_holds
     assert got.defect_zero
     assert not got.borderline
@@ -162,7 +166,7 @@ def test_cs_check_multiplication_equality():
 
 def test_cs_check_strict_inequality():
     got = cs_verdict(Gram(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0]))
-    assert got.inequality_ok
+    assert got.inequality <= INEQ_FLOOR
     assert not got.equality_holds
     assert not got.defect_zero
     assert not got.borderline
@@ -172,7 +176,7 @@ def test_cs_check_colinear_equality():
     T = random_psd(np.random.default_rng(8), 3, 2)
     x = np.array([1.0, -2.0, 0.5])
     got = cs_verdict(Gram(T, x, 3.0 * x))
-    assert got.inequality_ok
+    assert got.inequality <= INEQ_FLOOR
     assert got.equality_holds
     assert got.defect_zero
     assert not got.borderline
@@ -189,7 +193,7 @@ def test_cs_check_biconditional_agrees():
         x = rng.uniform(-10, 10, T.domain_dim)
         y = x * rng.uniform(-3, 3) if trial % 4 == 0 else rng.uniform(-10, 10, T.domain_dim)
         got = cs_verdict(Gram(T, x, y))
-        assert got.inequality_ok
+        assert got.inequality <= INEQ_FLOOR
         if not got.borderline:
             assert got.equality_holds == got.defect_zero
 

@@ -236,8 +236,12 @@ def test_shrink_ignores_seed_env(capsys, tmp_path, monkeypatch):
     assert json.loads(capsys.readouterr().out)["theorem"] == "axioms"
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", "3", '"text"', "null",
-                                     '{"instance": [1, 2]}', '{"instance": {}}'])
+VALID_INSTANCE = '{"kind": "multiplication", "m": 1, "n": 1, "u": [1.0], "x": [1.0], "y": [1.0]}'
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", "3", '"text"', "null", '{"instance": [1, 2]}', '{"instance": {}}',
+    '{"instance": %s, "theorem": ["axioms"], "params": {}}' % VALID_INSTANCE])
 def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

@@ -205,7 +205,7 @@ def test_counterexample_replay_is_exact():
     assert set(res.residuals) == set(ce["residuals"])
     for k, v in res.residuals.items():
         assert abs(v - ce["residuals"][k]) <= 1e-12
-    for bad in (ce["instance"], {**ce, "theorem": "bogus"}, [ce]):
+    for bad in (ce["instance"], {**ce, "theorem": "bogus"}, {**ce, "theorem": ["axioms"]}, [ce]):
         with pytest.raises(ConfigError):
             replay_counterexample(bad)
 
@@ -299,21 +299,21 @@ def test_convergence_study_gaps_shrink():
 
 def test_report_serialization():
     report = run_suite(TrialConfig(seed=5, trials=10, theorems=("means",)))
-    text = report_to_json(report)
+    text = report_to_json(report.to_dict())
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed == json.loads(json.dumps(report.to_dict()))
     assert parsed["schema"] == "riesz-sip/1"
     assert parsed["ok"] is True
     # stable: serializing twice gives identical bytes
-    assert text == report_to_json(report)
+    assert text == report_to_json(report.to_dict())
 
 
 def test_emit_report(tmp_path):
     report = run_suite(TrialConfig(seed=5, trials=5, theorems=("means",)))
     out = tmp_path / "report.json"
     emit_report(report, out)
-    assert json.loads(out.read_text()) == json.loads(report_to_json(report))
+    assert json.loads(out.read_text()) == json.loads(report_to_json(report.to_dict()))
 
 
 def _sha256_less_wall_time(report) -> str:

@@ -3,6 +3,10 @@ import pytest
 
 from riesz_sip.lattice import NotInPositiveCone, abs_val, f_mul, rel_residual
 from riesz_sip.means import (
+    ANGLE_COUNT,
+    THETA_COUNT,
+    THETA_HI,
+    THETA_LO,
     AngleGrid,
     LogGrid,
     box_plus,
@@ -20,6 +24,10 @@ BP_ORACLE_REL_TOL = 1e-6
 BP_DEFAULT_REL_TOL = 1e-5
 IDENTITY_REL_TOL = 1e-10
 EXACT_REL_TOL = 1e-12
+
+# the grids of a verification run at its defaults
+THETA = LogGrid.log_spaced(THETA_LO, THETA_HI, THETA_COUNT)
+ANGLE = AngleGrid.uniform(ANGLE_COUNT)
 
 
 def test_box_times_examples():
@@ -50,7 +58,7 @@ def test_box_times_oracle_matches_closed_form():
 def test_box_times_oracle_default_grid():
     u = np.array([2.0, 3.0])
     v = np.array([5.0, 7.0])
-    approx = box_times_oracle(u, v)
+    approx = box_times_oracle(u, v, THETA)
     assert rel_residual(approx, box_times(u, v)) <= BT_ORACLE_REL_TOL
 
 
@@ -114,11 +122,11 @@ def test_box_plus_oracle_matches_closed_form():
     assert rel_residual(approx, box_plus(a, b)) <= BP_DEFAULT_REL_TOL
     a2 = np.array([1.0, 2.0])
     b2 = np.array([2.0, 2.0])
-    assert rel_residual(box_plus_oracle(a2, b2), box_plus(a2, b2)) <= BP_ORACLE_REL_TOL
+    assert rel_residual(box_plus_oracle(a2, b2, ANGLE), box_plus(a2, b2)) <= BP_ORACLE_REL_TOL
 
 
 def test_box_plus_oracle_zero():
-    assert np.array_equal(box_plus_oracle(np.zeros(3), np.zeros(3)), np.zeros(3))
+    assert np.array_equal(box_plus_oracle(np.zeros(3), np.zeros(3), ANGLE), np.zeros(3))
 
 
 def test_box_plus_zero_argument_is_exact():
@@ -127,7 +135,7 @@ def test_box_plus_zero_argument_is_exact():
     for _ in range(50):
         a = rng.uniform(-10, 10, 4)
         assert np.array_equal(box_plus(a, np.zeros(4)), abs_val(a))
-        assert np.array_equal(box_plus_oracle(a, np.zeros(4)), abs_val(a))
+        assert np.array_equal(box_plus_oracle(a, np.zeros(4), ANGLE), abs_val(a))
 
 
 def test_box_plus_sandwich_random():
@@ -136,7 +144,7 @@ def test_box_plus_sandwich_random():
         m = int(rng.integers(1, 6))
         a = rng.uniform(-10, 10, m)
         b = rng.uniform(-10, 10, m)
-        under = box_plus_oracle(a, b)
+        under = box_plus_oracle(a, b, ANGLE)
         exact = box_plus(a, b)
         assert np.all(exact - under >= -1e-12)
         assert rel_residual(under, exact) <= BP_DEFAULT_REL_TOL
@@ -147,8 +155,8 @@ def test_quarter_circle_agrees_for_positive_inputs():
     for _ in range(100):
         a = rng.uniform(0, 10, 3)
         b = rng.uniform(0, 10, 3)
-        full = box_plus_oracle(a, b)
-        quarter = box_plus_oracle(a, b, quarter=True)
+        full = box_plus_oracle(a, b, ANGLE)
+        quarter = box_plus_oracle(a, b, ANGLE, quarter=True)
         assert rel_residual(full, quarter) <= 1e-12
 
 

@@ -7,17 +7,18 @@ from riesz_sip.lattice import (
     f_mul,
     rel_residual,
 )
+from riesz_sip.harness import PRECOND_TOL
 from riesz_sip.seminorms import (
-    PreconditionViolated,
+    CHAIN_FLOOR,
     SeminormSpec,
     WeightedGram,
-    additivity_check,
-    parallelogram_residual,
-    pythagoras_check,
+    additivity_verdict,
+    orthogonality,
+    parallelogram_sides,
+    pythagoras_sides,
     seminorm_eval,
     seminorm_residuals,
-    seminorm_sq,
-    sharpened_triangle,
+    sharp_verdict,
 )
 from riesz_sip.sip import (
     MultiplicationSip,
@@ -43,6 +44,23 @@ def triangle_residual(spec, x, y):
     """Slack norm(x) + norm(y) - norm(x+y), in F+ when the axioms hold."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return seminorm_eval(spec, x) + seminorm_eval(spec, y) - seminorm_eval(spec, x + y)
+
+
+def seminorm_sq(spec, x):
+    """T(x,x)*u, the f-algebra square of seminorm_eval(spec, x)."""
+    return f_mul(sip_eval(spec.sip, x, x), spec.u)
+
+
+def pythagoras_residual(spec, x, y):
+    """lhs - rhs of the Pythagorean identity at an orthogonal pair."""
+    g = WeightedGram(spec, x, y)
+    assert orthogonality(g) <= PRECOND_TOL
+    return np.subtract(*pythagoras_sides(g))
+
+
+def parallelogram_residual(spec, x, y):
+    """lhs - rhs of the parallelogram law."""
+    return np.subtract(*parallelogram_sides(WeightedGram(spec, x, y)))
 
 
 def test_spec_validation():
@@ -126,22 +144,22 @@ def test_triangle_residual_in_cone():
 
 
 def test_sharpened_triangle_equality_example():
-    got = sharpened_triangle(_mult_spec(2), [1.0, 2.0], [2.0, 1.0])
+    got = sharp_verdict(WeightedGram(_mult_spec(2), [1.0, 2.0], [2.0, 1.0]))
     assert np.max(np.abs(got.lhs_sq - [9.0, 9.0])) <= WORKED_TOL
     assert np.max(np.abs(got.middle - [9.0, 9.0])) <= WORKED_TOL
     assert np.max(np.abs(got.rhs_sq - [9.0, 9.0])) <= WORKED_TOL
-    assert got.chain_ok
+    assert got.chain <= CHAIN_FLOOR
     assert got.equality_holds
     assert got.condition_holds
     assert not got.borderline
 
 
 def test_sharpened_triangle_strict_example():
-    got = sharpened_triangle(_mult_spec(2), [1.0, 1.0], [-1.0, 1.0])
+    got = sharp_verdict(WeightedGram(_mult_spec(2), [1.0, 1.0], [-1.0, 1.0]))
     assert np.max(np.abs(got.lhs_sq - [0.0, 4.0])) <= WORKED_TOL
     assert np.max(np.abs(got.middle - [4.0, 4.0])) <= WORKED_TOL
     assert np.max(np.abs(got.rhs_sq - [4.0, 4.0])) <= WORKED_TOL
-    assert got.chain_ok
+    assert got.chain <= CHAIN_FLOOR
     assert not got.equality_holds
     assert not got.condition_holds
     assert not got.borderline
@@ -152,11 +170,11 @@ def test_sharpened_triangle_strict_example():
 
 
 def test_sharpened_triangle_orthogonal_example():
-    got = sharpened_triangle(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0])
+    got = sharp_verdict(WeightedGram(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0]))
     assert np.max(np.abs(got.lhs_sq - [2.0])) <= WORKED_TOL
     assert np.max(np.abs(got.middle - [2.0])) <= WORKED_TOL
     assert np.max(np.abs(got.rhs_sq - [4.0])) <= WORKED_TOL
-    assert got.chain_ok
+    assert got.chain <= CHAIN_FLOOR
     assert got.equality_holds
     assert got.condition_holds
     assert not got.borderline
@@ -173,8 +191,8 @@ def test_sharpened_triangle_random_chain():
         spec = SeminormSpec(sip, rng.uniform(0, 10, sip.codomain_dim))
         x = rng.uniform(-10, 10, sip.domain_dim)
         y = rng.uniform(-10, 10, sip.domain_dim)
-        got = sharpened_triangle(spec, x, y)
-        assert got.chain_ok
+        got = sharp_verdict(WeightedGram(spec, x, y))
+        assert got.chain <= CHAIN_FLOOR
         if not got.borderline:
             assert got.equality_holds == got.condition_holds
 
@@ -182,21 +200,21 @@ def test_sharpened_triangle_random_chain():
 def test_sharpened_triangle_borderline_flag():
     # engineered tiny cone violation: T(x,y)*u = (-5e-9, 1) against scale 4
     spec = _mult_spec(2)
-    got = sharpened_triangle(spec, [1.0, 1.0], [-5e-9, 1.0])
+    got = sharp_verdict(WeightedGram(spec, [1.0, 1.0], [-5e-9, 1.0]))
     assert got.borderline
 
 
 def test_additivity_examples():
     x = np.array([0.5, 2.0])
-    got = additivity_check(_mult_spec(2), x, 2.0 * x)
+    got = additivity_verdict(WeightedGram(_mult_spec(2), x, 2.0 * x))
     assert (got.additive, got.condition_pos, got.condition_defect_zero) == (True, True, True)
     assert not got.borderline
 
-    got = additivity_check(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0])
+    got = additivity_verdict(WeightedGram(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0]))
     assert (got.additive, got.condition_pos, got.condition_defect_zero) == (False, True, False)
     assert not got.borderline
 
-    got = additivity_check(_mult_spec(2), [1.0, 0.0], [-1.0, 0.0])
+    got = additivity_verdict(WeightedGram(_mult_spec(2), [1.0, 0.0], [-1.0, 0.0]))
     assert (got.additive, got.condition_pos, got.condition_defect_zero) == (False, False, True)
     assert not got.borderline
 
@@ -212,23 +230,23 @@ def test_additivity_biconditional_random():
         spec = SeminormSpec(sip, rng.uniform(0, 10, sip.codomain_dim))
         x = rng.uniform(-10, 10, sip.domain_dim)
         y = x * rng.uniform(0, 3) if trial % 4 == 0 else rng.uniform(-10, 10, sip.domain_dim)
-        got = additivity_check(spec, x, y)
+        got = additivity_verdict(WeightedGram(spec, x, y))
         if not got.borderline:
             assert got.additive == (got.condition_pos and got.condition_defect_zero)
 
 
 def test_pythagoras_examples():
-    got = pythagoras_check(_mult_spec(2), [1.0, 0.0], [0.0, 2.0])
+    got = pythagoras_residual(_mult_spec(2), [1.0, 0.0], [0.0, 2.0])
     assert np.array_equal(got, [0.0, 0.0])
-    got = pythagoras_check(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0])
+    got = pythagoras_residual(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0])
     assert np.max(np.abs(got)) <= 1e-12
-    got = pythagoras_check(_dot_spec([1.0]), [3.0, 4.0], [0.0, 0.0])
+    got = pythagoras_residual(_dot_spec([1.0]), [3.0, 4.0], [0.0, 0.0])
     assert np.array_equal(got, [0.0])
 
 
 def test_pythagoras_rejects_non_orthogonal():
-    with pytest.raises(PreconditionViolated):
-        pythagoras_check(_dot_spec([1.0]), [1.0, 0.0], [1.0, 1.0])
+    g = WeightedGram(_dot_spec([1.0]), [1.0, 0.0], [1.0, 1.0])
+    assert orthogonality(g) > PRECOND_TOL
 
 
 def test_pythagoras_random_orthogonal_pairs():
@@ -240,7 +258,7 @@ def test_pythagoras_random_orthogonal_pairs():
         spec = SeminormSpec(sip, rng.uniform(0, 10, n))
         x = rng.uniform(-10, 10, m)
         y = orthogonal_sample(sip, x, seed=trial) * rng.uniform(0.1, 10)
-        r = pythagoras_check(spec, x, y)
+        r = pythagoras_residual(spec, x, y)
         scale = float(np.max(seminorm_eval(spec, x) + seminorm_eval(spec, y))) + 1e-10
         assert np.max(np.abs(r)) <= 1e-9 * scale
 
@@ -278,9 +296,9 @@ def test_zero_weight_degenerates_everything():
     y = rng.uniform(-10, 10, 3)
     assert np.array_equal(seminorm_eval(spec, x), [0.0, 0.0])
     assert np.array_equal(triangle_residual(spec, x, y), [0.0, 0.0])
-    got = sharpened_triangle(spec, x, y)
-    assert got.chain_ok and got.equality_holds and got.condition_holds
-    add = additivity_check(spec, x, y)
+    got = sharp_verdict(WeightedGram(spec, x, y))
+    assert got.chain <= CHAIN_FLOOR and got.equality_holds and got.condition_holds
+    add = additivity_verdict(WeightedGram(spec, x, y))
     assert add.additive and add.condition_pos and add.condition_defect_zero
     assert np.array_equal(parallelogram_residual(spec, x, y), [0.0, 0.0])
 
@@ -289,4 +307,4 @@ def test_list_inputs_are_coerced():
     # plain Python lists must behave like arrays, not concatenate
     got = parallelogram_residual(_dot_spec([1.0]), [1.0, 0.0], [0.0, 1.0])
     assert got.shape == (1,)
-    assert sharpened_triangle(_mult_spec(2), [1.0, 2.0], [2.0, 1.0]).chain_ok
+    assert sharp_verdict(WeightedGram(_mult_spec(2), [1.0, 2.0], [2.0, 1.0])).chain <= CHAIN_FLOOR
