@@ -28,6 +28,14 @@ minimum over-estimates the infimum, so grid >= closed always, and the gap
 shrinks with grid resolution. It is the one lambda-grid sampler: the
 weighted oracle of the sharpened triangle inequality calls it with the
 weight u.
+
+defect_grid follows the layout rule of the mean oracles (see means):
+T is evaluated on the (S, m) array of difference vectors, one row per
+lambda, exactly as before, and its (S, n) values are then weighted and
+divided by |lambda| into an (n, S) array, so that the minimum runs along
+contiguous rows. Each element is the same product and quotient as in
+the grid-major layout and the minimum is exact, so each result keeps
+its bits (a NaN may lose its sign, which no residual reads).
 """
 
 from __future__ import annotations
@@ -114,10 +122,10 @@ def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     y = as_lattice_vector(y, T.domain_dim)
     lam = grid.signed
     Z = lam[:, None] * x[None, :] - y[None, :]
-    vals = T.eval_batch(Z, Z)
+    vals = T.eval_batch(Z, Z).T
     if u is not None:
-        vals = vals * as_lattice_vector(u, T.codomain_dim)
-    return (vals / np.abs(lam)[:, None]).min(axis=0)
+        vals = np.multiply(vals, as_lattice_vector(u, T.codomain_dim)[:, None], order="C")
+    return np.divide(vals, grid.signed_abs, order="C").min(axis=1)
 
 
 def defect_gaps(g: Gram, grid: LogGrid,

@@ -30,7 +30,9 @@ Suite names:
 from __future__ import annotations
 
 import json
+import numbers
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -171,6 +173,10 @@ class TrialConfig:
         if not (0.0 < self.log_entry_lo < self.log_entry_hi):
             raise ConfigError("log-uniform entry range must satisfy 0 < lo < hi")
         self.tolerances.validate()
+        # A count read from a counterexample's params may be any JSON number.
+        if not all(isinstance(getattr(self, k), numbers.Integral)
+                   for k in ("theta_count", "angle_count", "lambda_count")):
+            raise ConfigError("grid counts must be integers")
         if not (0.0 < self.theta_lo < self.theta_hi and self.theta_count >= 2):
             raise ConfigError("invalid theta grid")
         if self.angle_count < 4:
@@ -593,18 +599,35 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
+def _generate_or_none(config: TrialConfig, trial_index: int, purpose: str):
+    try:
+        return generate_instance(config, trial_index, purpose)
+    except GenerationExhausted:
+        return None
+
+
 def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
     injected instances (the fault-injection surface) are appended to every
     selected suite after the generated trials, so the reported trial count
-    is config.trials + len(injected) per theorem.
+    is config.trials + len(injected) per theorem. Each purpose's trials are
+    generated once per run and shared by the suites that read them (None
+    where generation gave up); checks never modify an instance.
     """
     start = time.perf_counter()
     grids = build_grids(config)
     theorems = {}
+    uses = Counter(PURPOSES[name] for name in config.theorems)
+    generated: dict = {}
     for name in config.theorems:
         purpose = PURPOSES[name]
+        if purpose not in generated:
+            generated[purpose] = [_generate_or_none(config, i, purpose)
+                                  for i in range(config.trials)]
+        uses[purpose] -= 1
+        # the last suite of a purpose releases its instances
+        trials = generated[purpose] if uses[purpose] else generated.pop(purpose)
         passes = failures = borderline = 0
         residual_max: dict = {}
         counts: dict = {}
@@ -635,13 +658,11 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
             else:
                 passes += 1
 
-        for i in range(config.trials):
-            try:
-                inst = generate_instance(config, i, purpose)
-            except GenerationExhausted:
+        for inst in trials:
+            if inst is None:
                 record(None, _result({"generation": (1.0, BICOND_TOL)}))
-                continue
-            record(inst, _run_check(name, inst, config, grids))
+            else:
+                record(inst, _run_check(name, inst, config, grids))
         for inst in injected:
             record(inst, _run_check(name, inst, config, grids))
 

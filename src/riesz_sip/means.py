@@ -17,6 +17,19 @@ LogGrid is the one log-spaced multiplier grid: the theta grid here, and
 the lambda magnitudes of the Cauchy-Schwarz defect oracle
 (cauchy_schwarz.defect_grid), also a minimum over multipliers. AngleGrid
 stays separate, since it must contain both endpoints and the axis angles.
+
+Layout of the grid oracles: coordinate-major. Each oracle builds an
+(n, G) array, one row per coordinate, and reduces along the contiguous
+row instead of stepping through a (G, n) array n values at a time; the
+grid-side factors (1/theta, cos t and sin t, the quarter-circle angles)
+are computed once and cached on the grid. Each element is the same
+product and sum of the same floats as in the grid-major layout, and min
+and max are exact, so each result keeps its bits. The theta oracle
+halves after its minimum rather than before; halving is monotone, so the
+two agree. Only among elements that differ in bits yet are not ordered,
+zeros of both signs (a full-circle supremum with a_j = b_j = 0, whose
+sign already differed between n = 1 and n > 1 at some grid sizes) or
+NaNs, may a layout pick another one; no residual reads that sign.
 """
 
 from __future__ import annotations
@@ -77,9 +90,19 @@ class LogGrid:
         return int(self.points.size)
 
     @cached_property
+    def inverse(self) -> np.ndarray:
+        """1/points, the v/theta factors of the [*] oracle."""
+        return 1.0 / self.points
+
+    @cached_property
     def signed(self) -> np.ndarray:
         """-points reversed, then points: the grid's +- closure, increasing."""
         return np.concatenate([-self.points[::-1], self.points])
+
+    @cached_property
+    def signed_abs(self) -> np.ndarray:
+        """|signed|, the divisors of the lambda-grid defect oracle."""
+        return np.abs(self.signed)
 
     def covers(self, values: np.ndarray) -> bool:
         """True iff every finite positive value lies inside [lo, hi].
@@ -130,6 +153,13 @@ class AngleGrid:
     def _trig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(self.points), np.sin(self.points)
 
+    @cached_property
+    def _quarter_trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of the angles in [0, pi/2]."""
+        keep = self.points <= 0.5 * np.pi
+        cos_t, sin_t = self._trig
+        return cos_t[keep], sin_t[keep]
+
 
 def _cone_pair(name: str, u, v, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """u and v as same-dimension vectors in F+, entries within the floor clamped to 0."""
@@ -164,9 +194,7 @@ def box_times_oracle(u, v, grid: LogGrid,
     over-estimate is not tight (LogGrid.covers flags that situation).
     """
     u, v = _cone_pair("box_times_oracle", u, v, floor)
-    th = grid.points
-    vals = 0.5 * (th[:, None] * u[None, :] + (1.0 / th)[:, None] * v[None, :])
-    return vals.min(axis=0)
+    return 0.5 * (u[:, None] * grid.points + v[:, None] * grid.inverse).min(axis=1)
 
 
 def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -198,12 +226,8 @@ def box_plus_oracle(a, b, grid: AngleGrid,
     a = as_lattice_vector(a)
     b = as_lattice_vector(b)
     check_same_dim(a, b)
-    cos_t, sin_t = grid._trig
-    if quarter:
-        keep = grid.points <= 0.5 * np.pi
-        cos_t, sin_t = cos_t[keep], sin_t[keep]
-    vals = cos_t[:, None] * a[None, :] + sin_t[:, None] * b[None, :]
-    return vals.max(axis=0)
+    cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
+    return (a[:, None] * cos_t + b[:, None] * sin_t).max(axis=1)
 
 
 def box_times_gaps(u, v, grid: LogGrid,

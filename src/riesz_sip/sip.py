@@ -20,6 +20,7 @@ well formed beyond shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -63,6 +64,21 @@ class MultiplicationSip:
         return x * y
 
 
+_PSD_SUBSCRIPTS = "jab,sa,sb->sj"
+
+
+@lru_cache(maxsize=256)
+def _psd_path(*shapes: tuple) -> tuple:
+    """The contraction path np.einsum(..., optimize=True) picks for these operand shapes.
+
+    The greedy search depends on the shapes alone, so its result is kept
+    per (matrix shape, batch shapes); einsum given the same path computes
+    the same bits without searching again.
+    """
+    operands = (np.broadcast_to(0.0, shape) for shape in shapes)
+    return tuple(np.einsum_path(_PSD_SUBSCRIPTS, *operands, optimize=True)[0])
+
+
 class PsdFamilySip:
     """T(x, y)_j = x' A_j y for a family of symmetric PSD m x m matrices.
 
@@ -101,7 +117,8 @@ class PsdFamilySip:
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # (s, m) x (n, m, m) x (s, m) -> (s, n)
-        return np.einsum("jab,sa,sb->sj", self.matrices, X, Y, optimize=True)
+        path = _psd_path(self.matrices.shape, X.shape, Y.shape)
+        return np.einsum(_PSD_SUBSCRIPTS, self.matrices, X, Y, optimize=path)
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.matrices @ y @ x

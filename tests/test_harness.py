@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,9 @@ def test_config_validation():
         TrialConfig(lambda_lo=1.0, lambda_hi=0.5)
     with pytest.raises(ConfigError):
         TrialConfig(theta_count=1)
+    for count in ("angle_count", "lambda_count", "theta_count"):
+        with pytest.raises(ConfigError):
+            TrialConfig(**{count: 4096.0})
     with pytest.raises(ConfigError):
         TrialConfig(log_entry_lo=10.0, log_entry_hi=1.0)
     # pythagoras trials need an orthogonal pair to exist
@@ -205,7 +209,8 @@ def test_counterexample_replay_is_exact():
     assert set(res.residuals) == set(ce["residuals"])
     for k, v in res.residuals.items():
         assert abs(v - ce["residuals"][k]) <= 1e-12
-    for bad in (ce["instance"], {**ce, "theorem": "bogus"}, {**ce, "theorem": ["axioms"]}, [ce]):
+    for bad in (ce["instance"], {**ce, "theorem": "bogus"}, {**ce, "theorem": ["axioms"]}, [ce],
+                {**ce, "params": {"grids": {"theta_count": 100.5}}}):
         with pytest.raises(ConfigError):
             replay_counterexample(bad)
 
@@ -327,6 +332,17 @@ def test_report_bytes_are_pinned():
     report = run_suite(TrialConfig(trials=200, seed=2024),
                        injected=(_asymmetric_instance(m=2), _negative_instance()))
     assert _sha256_less_wall_time(report) == PINNED_REPORT_SHA256
+
+
+def test_suites_share_instances_without_changing_them():
+    # each purpose's instances are generated once and read by several
+    # suites: a suite's entry must not depend on the suites run before it
+    config = TrialConfig(trials=200, seed=2024)
+    injected = (_asymmetric_instance(m=2), _negative_instance())
+    together = run_suite(config, injected=injected).theorems
+    for name in THEOREMS:
+        alone = run_suite(replace(config, theorems=(name,)), injected=injected).theorems
+        assert report_to_json(alone[name]) == report_to_json(together[name]), name
 
 
 def test_study_bytes_are_pinned():
