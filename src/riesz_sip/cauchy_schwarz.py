@@ -125,7 +125,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     vals = T.eval_batch(Z, Z).T
     if u is not None:
         vals = np.multiply(vals, as_lattice_vector(u, T.codomain_dim)[:, None], order="C")
-    return np.divide(vals, grid.signed_abs, order="C").min(axis=1)
+    return np.divide(vals, np.abs(lam), order="C").min(axis=1)
 
 
 def defect_gaps(g: Gram, grid: LogGrid,

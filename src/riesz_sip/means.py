@@ -99,11 +99,6 @@ class LogGrid:
         """-points reversed, then points: the grid's +- closure, increasing."""
         return np.concatenate([-self.points[::-1], self.points])
 
-    @cached_property
-    def signed_abs(self) -> np.ndarray:
-        """|signed|, the divisors of the lambda-grid defect oracle."""
-        return np.abs(self.signed)
-
     def covers(self, values: np.ndarray) -> bool:
         """True iff every finite positive value lies inside [lo, hi].
 

@@ -51,9 +51,10 @@ def vectors(elements, n):
         lambda v: np.array(v, dtype=np.float64))
 
 
-def pairs(elements, lo=1, hi=8):
-    return st.integers(lo, hi).flatmap(lambda n: st.tuples(vectors(elements, n),
-                                                           vectors(elements, n)))
+def pairs(elements):
+    """Two vectors of one dimension n = 1..8."""
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(vectors(elements, n),
+                                                         vectors(elements, n)))
 
 
 def ref_box_times_oracle(u, v, grid):
