@@ -124,7 +124,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     Z = lam[:, None] * x[None, :] - y[None, :]
     vals = T.eval_batch(Z, Z).T
     if u is not None:
-        vals = np.multiply(vals, as_lattice_vector(u, T.codomain_dim)[:, None], order="C")
+        vals = vals * as_lattice_vector(u, T.codomain_dim)[:, None]
     return np.divide(vals, np.abs(lam), order="C").min(axis=1)
 
 
