@@ -242,7 +242,7 @@ VALID_INSTANCE = '{"kind": "multiplication", "m": 1, "n": 1, "u": [1.0], "x": [1
 @pytest.mark.parametrize("content", [
     "[1, 2]", "3", '"text"', "null", '{"instance": [1, 2]}', '{"instance": {}}',
     '{"instance": %s, "theorem": ["axioms"], "params": {}}' % VALID_INSTANCE,
-    '{"instance": %s, "theorem": "oracle", "params": {"grids": {"theta_count": 100.5}}}'
+    '{"params": {"grids": {"theta_count": 100.5}}, "theorem": "oracle", "instance": %s}'
     % VALID_INSTANCE])
 def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     inst_dir = tmp_path / "instances"
