@@ -18,6 +18,7 @@ from riesz_sip.harness import (
     convergence_study,
     emit_report,
     generate_instance,
+    params_from_config,
     replay_counterexample,
     report_to_json,
     run_suite,
@@ -33,6 +34,8 @@ SMALL = TrialConfig(seed=42, trials=40)
 PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd58ef1fd2"
 # The same for the study of test_study_bytes_are_pinned.
 PINNED_STUDY_SHA256 = "c03b03308d74d19ddc48e7248e9bc164505e4701546d6e6ac7bccf142c7f3e3e"
+# The same for the report of test_injected_overflow_and_shape_report_is_pinned.
+PINNED_INJECTED_SHA256 = "eaa7c99532bf6f0e4c594830cfa5a9452d56449447521df7f392f28b7d9fe13d"
 
 
 def _asymmetric_instance(m=8):
@@ -332,6 +335,56 @@ def test_report_bytes_are_pinned():
     report = run_suite(TrialConfig(trials=200, seed=2024),
                        injected=(_asymmetric_instance(m=2), _negative_instance()))
     assert _sha256_less_wall_time(report) == PINNED_REPORT_SHA256
+
+
+def _mult(x, y, u=None):
+    u = np.ones(len(x)) if u is None else u
+    return Instance(sip=MultiplicationSip(len(x)), u=np.array(u, dtype=float),
+                    x=np.array(x, dtype=float), y=np.array(y, dtype=float))
+
+
+def _psd(matrices, x, y, u=(1.0,)):
+    return Instance(sip=PsdFamilySip(matrices, validate=False), u=np.array(u, dtype=float),
+                    x=np.array(x, dtype=float), y=np.array(y, dtype=float))
+
+
+_SUBNORMAL = 1e-320 * np.eye(2)[None]       # T(x,x) stays finite for x near 1e308
+_SINGULAR = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+_VALID = random_psd(np.random.default_rng(7), 4, 2)
+_U_TOO_LONG = Instance(sip=_VALID, u=np.ones(3), x=np.ones(4), y=np.ones(4))
+
+# Broken instances that reach each finiteness, cone and shape check a suite
+# relies on: overflow of a T-value, of T(x,x)*u, of x+y, x-y and alpha*x,
+# families that are singular, huge or negative definite, and vectors of
+# the wrong dimension.
+INJECTED_OVERFLOW_AND_SHAPE = (
+    _mult([1e200, 1.0], [1e200, 1.0]),
+    _mult([1e154], [1.0], u=[10.0]),
+    _mult([1e308, 1.0], [1e308, 1.0]),
+    _mult([1.7e308, 1.0], [-1.7e308, 1.0]),
+    _psd(_SUBNORMAL, [1.7e308, 1.0], [-1.7e308, 1.0]),
+    _psd(_SUBNORMAL, [2e300, 1.0], [1.0, 1.0]),
+    _psd(_SUBNORMAL, [1e308, 1e308], [1e308, 1e308]),
+    _psd(_SINGULAR, [1.0, 2.0], [3.0, -1.0]),
+    _psd(1e300 * _SINGULAR, [1.0, 2.0], [3.0, -1.0]),
+    _psd([-np.eye(2)], [1.0, 2.0], [3.0, -1.0]),
+    _U_TOO_LONG,
+    Instance(sip=_VALID, u=np.ones(2), x=np.ones(5), y=np.ones(4)),
+    Instance(sip=_VALID, u=np.ones(2), x=np.ones(4), y=np.ones(5)),
+    _mult([1.0], [1.0, 2.0]),
+)
+
+
+def test_injected_overflow_and_shape_report_is_pinned():
+    config = TrialConfig(trials=3, seed=5)
+    with np.errstate(all="ignore"):
+        report = run_suite(config, injected=INJECTED_OVERFLOW_AND_SHAPE)
+        invalid = {name for name in THEOREMS if replay_counterexample({
+            "instance": _U_TOO_LONG.to_dict(), "theorem": name,
+            "params": params_from_config(config)}).failed == ("invalid_instance",)}
+    assert _sha256_less_wall_time(report) == PINNED_INJECTED_SHA256
+    # only the suites that read u reject it
+    assert invalid == {"vsn", "sharp", "additivity", "pythagoras", "parallelogram", "means"}
 
 
 def test_suites_share_instances_without_changing_them():
