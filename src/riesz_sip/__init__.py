@@ -12,14 +12,11 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DimensionMismatch,
+    NonFinite,
     NotInPositiveCone,
-    abs_val,
     as_lattice_vector,
     cone_gap,
-    f_mul,
     in_positive_cone,
-    join,
-    meet,
     rel_residual,
 )
 from .means import (

@@ -29,13 +29,10 @@ shrinks with grid resolution. It is the one lambda-grid sampler: the
 weighted oracle of the sharpened triangle inequality calls it with the
 weight u.
 
-defect_grid follows the layout rule of the mean oracles (see means):
-T is evaluated on the (S, m) array of difference vectors, one row per
-lambda, exactly as before, and its (S, n) values are then weighted and
-divided by |lambda| into an (n, S) array, so that the minimum runs along
-contiguous rows. Each element is the same product and quotient as in
-the grid-major layout and the minimum is exact, so each result keeps
-its bits (a NaN may lose its sign, which no residual reads).
+defect_grid follows the layout rule of the mean oracles (see means): T
+runs on the (S, m) difference vectors, one row per lambda, and its (S, n)
+values, weighted and divided by |lambda|, form an (n, S) array whose
+minimum runs along contiguous rows, keeping every bit.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .lattice import (
     as_lattice_vector,
     cone_gap,
 )
-from .means import LogGrid, box_times
+from .means import LogGrid, _box_times
 from .sip import Sip
 
 # Default lambda grid of a verification run (TrialConfig).
@@ -152,7 +149,7 @@ def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     # geometric mean a scale-aware clamping floor rather than the bare
     # absolute one.
     cone_floor = DEFAULT_REL_TOL * float(np.max(np.abs(g.a)) + np.max(np.abs(g.c))) + floor
-    bound = box_times(g.a, g.c, floor=cone_floor)
+    bound = _box_times(g.a, g.c, cone_floor)
     return np.abs(g.b) - (bound - 0.5 * g.defect)
 
 

@@ -41,8 +41,10 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DimensionMismatch,
+    NonFinite,
     NotInPositiveCone,
-    abs_val,
+    _finite,
+    as_lattice_vector,
     rel_residual,
 )
 from .means import (
@@ -109,6 +111,7 @@ PRECOND_TOL = 1e-10         # orthogonality precondition
 BICOND_TOL = 0.5            # indicator residuals are 0 or 1
 AXIOM_SAMPLES = 64
 MAX_COUNTEREXAMPLES = 10
+MAX_GRID_COUNT = 10**6      # points per grid, so that no grid exhausts memory
 
 
 class ConfigError(ValueError):
@@ -174,9 +177,9 @@ class TrialConfig:
             raise ConfigError("log-uniform entry range must satisfy 0 < lo < hi")
         self.tolerances.validate()
         # A count read from a counterexample's params may be any JSON number.
-        if not all(isinstance(getattr(self, k), numbers.Integral)
-                   for k in ("theta_count", "angle_count", "lambda_count")):
-            raise ConfigError("grid counts must be integers")
+        if not all(isinstance(c, numbers.Integral) and c <= MAX_GRID_COUNT
+                   for c in (self.theta_count, self.angle_count, self.lambda_count)):
+            raise ConfigError(f"grid counts must be integers of at most {MAX_GRID_COUNT}")
         if not (0.0 < self.theta_lo < self.theta_hi and self.theta_count >= 2):
             raise ConfigError("invalid theta grid")
         if self.angle_count < 4:
@@ -213,12 +216,10 @@ class Grids:
     lam: LogGrid
 
 
-def build_grids(config: TrialConfig) -> Grids:
-    theta_lo, theta_hi, theta_count, angle_count, lambda_lo, lambda_hi, lambda_count = (
-        getattr(config, k) for k in GRID_FIELDS)
-    return Grids(theta=LogGrid.log_spaced(theta_lo, theta_hi, theta_count),
-                 angle=AngleGrid.uniform(angle_count),
-                 lam=LogGrid.log_spaced(lambda_lo, lambda_hi, lambda_count))
+def build_grids(c: TrialConfig) -> Grids:
+    return Grids(theta=LogGrid.log_spaced(c.theta_lo, c.theta_hi, c.theta_count),
+                 angle=AngleGrid.uniform(c.angle_count),
+                 lam=LogGrid.log_spaced(c.lambda_lo, c.lambda_hi, c.lambda_count))
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,8 @@ class Instance:
 
     def to_dict(self) -> dict:
         d = sip_to_dict(self.sip)
-        d["u"] = np.asarray(self.u, dtype=np.float64).tolist()
-        d["x"] = np.asarray(self.x, dtype=np.float64).tolist()
-        d["y"] = np.asarray(self.y, dtype=np.float64).tolist()
+        for key in ("u", "x", "y"):
+            d[key] = np.asarray(getattr(self, key), dtype=np.float64).tolist()
         return d
 
     @classmethod
@@ -248,9 +248,9 @@ class Instance:
         vecs = {}
         for key in ("u", "x", "y"):
             v = np.asarray(d[key], dtype=np.float64)
-            if v.ndim != 1 or not np.all(np.isfinite(v)):
-                raise ValueError(f"instance field {key!r} must be a finite vector")
-            vecs[key] = v
+            if v.ndim != 1:
+                raise DimensionMismatch(f"instance field {key!r} must be a vector")
+            vecs[key] = _finite(v)
         return cls(sip=sip_from_dict(d), **vecs)
 
 
@@ -414,21 +414,21 @@ def check_cs_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialRe
     }, borderline=chk.borderline, tags=_branch(chk.equality_holds))
 
 
-# Scalars for homogeneity-style identities; |x_0| adds a data-dependent
-# value while keeping every check a pure function of the instance.
-def _scalar_set(x: np.ndarray) -> tuple:
-    return (0.0, 0.5, 1.0, 4.0, float(np.abs(x[0])))
-
-
 def check_means_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
-    a, b, c = abs_val(inst.x), abs_val(inst.y), inst.u
+    # Validated before a + b; the suite states identities of the public
+    # means, whose checks catch a + b or lam*a overflowing.
+    x = as_lattice_vector(inst.x)
+    a, b = np.abs(x), np.abs(as_lattice_vector(inst.y, x.size))
+    c = as_lattice_vector(inst.u, x.size)
     floor = config.tolerances.abs
     biadd = rel_residual(box_times(a + b, c, floor=floor),
                          box_plus(box_times(a, c, floor=floor),
                                   box_times(b, c, floor=floor)), floor=floor)
     hom = 0.0
     ab = box_times(a, b, floor=floor)
-    for lam in _scalar_set(inst.x):
+    # |x_0| adds a scalar that depends on the data, yet keeps the check a
+    # pure function of the instance.
+    for lam in (0.0, 0.5, 1.0, 4.0, float(a[0])):
         ref = np.sqrt(lam) * ab
         hom = max(hom, rel_residual(box_times(lam * a, b, floor=floor), ref, floor=floor))
         hom = max(hom, rel_residual(box_times(a, lam * b, floor=floor), ref, floor=floor))
@@ -491,12 +491,14 @@ def check_parallelogram_trial(inst: Instance, config: TrialConfig, grids: Grids)
 
 def check_oracle_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
     tol = config.tolerances
-    u, v = abs_val(inst.x), abs_val(inst.y)
+    x = as_lattice_vector(inst.x)
+    y = as_lattice_vector(inst.y, x.size)
+    u, v = np.abs(x), np.abs(y)
     bt_sandwich, bt_gap = box_times_gaps(u, v, grids.theta, tol.abs)
     # Outside the grid's range the theta oracle's over-estimate is not
     # tight, so its gap is not asserted there.
     covered = grids.theta.covers(theta_minimizer(u, v))
-    bp_sandwich, bp_gap = box_plus_gaps(inst.x, inst.y, grids.angle, tol.abs)
+    bp_sandwich, bp_gap = box_plus_gaps(x, y, grids.angle, tol.abs)
     quarter = rel_residual(box_plus_oracle(u, v, grids.angle),
                            box_plus_oracle(u, v, grids.angle, quarter=True), floor=tol.abs)
     return _result({
@@ -525,9 +527,9 @@ def _run_check(theorem: str, inst: Instance, config: TrialConfig,
                grids: Grids) -> TrialResult:
     try:
         return CHECKS[theorem](inst, config, grids)
-    except (DimensionMismatch, NotInPositiveCone, ValueError):
-        # Structurally broken instance (fault injection): counted as a
-        # failure, never silently skipped.
+    except (DimensionMismatch, NotInPositiveCone, NonFinite):
+        # Broken instance (fault injection): counted as a failure, never
+        # silently skipped. Any other exception is a fault and propagates.
         return _result({"invalid_instance": (1.0, BICOND_TOL)})
 
 
@@ -786,8 +788,8 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     must not increase under refinement (monotone_ok).
     """
     sizes = sorted(set(int(g) for g in grid_sizes))
-    if len(sizes) < 2 or sizes[0] < 4:
-        raise ConfigError("need at least two grid sizes, all >= 4")
+    if len(sizes) < 2 or sizes[0] < 4 or sizes[-1] > MAX_GRID_COUNT:
+        raise ConfigError(f"need at least two grid sizes, all in [4, {MAX_GRID_COUNT}]")
     start = time.perf_counter()
     floor = config.tolerances.abs
     pairs = []
@@ -798,15 +800,13 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     rows = []
     sandwich_ok = True
     for G in sizes:
-        theta = LogGrid.log_spaced(config.theta_lo, config.theta_hi, G)
-        angle = AngleGrid.uniform(G)
-        lam = LogGrid.log_spaced(config.lambda_lo, config.lambda_hi, G)
+        grids = build_grids(replace(config, theta_count=G, angle_count=G, lambda_count=G))
         row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
         for pos, g in pairs:
             for key, (sandwich, gap) in (
-                    ("box_times_gap", box_times_gaps(abs_val(pos.x), abs_val(pos.y), theta, floor)),
-                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
-                    ("defect_gap", defect_gaps(g, lam, floor))):
+                    ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), grids.theta, floor)),
+                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, grids.angle, floor)),
+                    ("defect_gap", defect_gaps(g, grids.lam, floor))):
                 if sandwich > SANDWICH_FLOOR:
                     sandwich_ok = False
                 row[key] = max(row[key], gap)

@@ -3,9 +3,18 @@
 The codomain of every semi-inner product in this package is R^n with the
 componentwise order, which is an Archimedean f-algebra under componentwise
 multiplication: it is semiprime (a*a = 0 forces a = 0) and square root
-closed on the positive cone. Vectors are plain 1-d float64 numpy arrays;
-these helpers validate shapes and keep the order-theoretic operations in
-one place.
+closed on the positive cone. Vectors are plain 1-d float64 numpy arrays,
+and the lattice operations are numpy's own: np.minimum and np.maximum for
+meet and join, np.abs for |a|, * for the f-algebra product.
+
+Validation rule: as_lattice_vector checks a vector's shape, dimension and
+finiteness once, where it enters: in the records (Gram, SeminormSpec),
+at the entry of the harness's means and oracle suites, and in each public
+function that takes raw values. Below that the library computes on
+trusted arrays, checking only computed values an input can spoil: finite
+(T-values, x+y, alpha*x overflow) and, for [*], in the positive cone up
+to a floor. A broken input raises DimensionMismatch, NotInPositiveCone or
+NonFinite, and the harness records exactly these as an invalid instance.
 """
 
 from __future__ import annotations
@@ -26,6 +35,17 @@ class NotInPositiveCone(ValueError):
     """An operation required a vector in F+ but got a genuinely negative entry."""
 
 
+class NonFinite(ValueError):
+    """A vector, given or computed, has an infinite or NaN entry."""
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a itself, once every entry is checked to be finite."""
+    if not np.all(np.isfinite(a)):
+        raise NonFinite("lattice vector entries must be finite")
+    return a
+
+
 def as_lattice_vector(values, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-d float64 array, optionally checking its dimension."""
     a = np.asarray(values, dtype=np.float64)
@@ -33,44 +53,15 @@ def as_lattice_vector(values, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {a.shape}")
     if a.size == 0:
         raise DimensionMismatch("lattice vectors must have dimension >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("lattice vector entries must be finite")
+    _finite(a)
     if dim is not None and a.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {a.size}")
     return a
 
 
-def check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lattice infimum a ^ b, componentwise minimum."""
-    check_same_dim(a, b)
-    return np.minimum(a, b)
-
-
-def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lattice supremum a v b, componentwise maximum."""
-    check_same_dim(a, b)
-    return np.maximum(a, b)
-
-
-def abs_val(a: np.ndarray) -> np.ndarray:
-    """|a| = a v (-a)."""
-    return np.abs(a)
-
-
 def in_positive_cone(a: np.ndarray, tol: float = 0.0) -> bool:
     """True iff every entry of a is >= -tol."""
     return bool(np.min(a) >= -tol)
-
-
-def f_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """f-algebra multiplication, componentwise product."""
-    check_same_dim(a, b)
-    return a * b
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
@@ -80,7 +71,8 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
     Scale-aware residual used by every identity check: relative where the
     operands are large, absolute (against the floor) near zero.
     """
-    check_same_dim(lhs, rhs)
+    if lhs.shape != rhs.shape:
+        raise DimensionMismatch(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
     scale = np.maximum(np.abs(lhs), np.abs(rhs)) + floor
     return float(np.max(np.abs(lhs - rhs) / scale))
 

@@ -19,17 +19,17 @@ the lambda magnitudes of the Cauchy-Schwarz defect oracle
 stays separate, since it must contain both endpoints and the axis angles.
 
 Layout of the grid oracles: coordinate-major. Each oracle builds an
-(n, G) array, one row per coordinate, and reduces along the contiguous
-row instead of stepping through a (G, n) array n values at a time; the
-grid-side factors (1/theta, cos t and sin t, the quarter-circle angles)
-are computed once and cached on the grid. Each element is the same
-product and sum of the same floats as in the grid-major layout, and min
-and max are exact, so each result keeps its bits. The theta oracle
-halves after its minimum rather than before; halving is monotone, so the
-two agree. Only among elements that differ in bits yet are not ordered,
-zeros of both signs (a full-circle supremum with a_j = b_j = 0, whose
-sign already differed between n = 1 and n > 1 at some grid sizes) or
-NaNs, may a layout pick another one; no residual reads that sign.
+(n, G) array and reduces along its contiguous rows; the grid-side factors
+(1/theta, cos t and sin t, the quarter-circle angles) are cached on the
+grid. The elements are the products and sums of the grid-major layout,
+min and max are exact, and halving after the minimum is monotone, so each
+result keeps its bits; only the sign of a zero or of a NaN, which no
+residual reads, may differ.
+
+Validation (see lattice): box_times, box_plus and both oracles check raw
+values. The kernels _box_times and _box_plus hold each mean's one formula,
+run on validated arrays, and check only finiteness and, for [*], the cone
+floor. The *_gaps functions take validated arrays.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 from .lattice import (
     DEFAULT_ABS_TOL,
     NotInPositiveCone,
+    _finite,
     as_lattice_vector,
-    check_same_dim,
     cone_gap,
     in_positive_cone,
 )
@@ -156,16 +156,26 @@ class AngleGrid:
         return cos_t[keep], sin_t[keep]
 
 
-def _cone_pair(name: str, u, v, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as same-dimension vectors in F+, entries within the floor clamped to 0."""
+def _vectors(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The arguments of a mean as finite 1-d vectors of one dimension."""
     u = as_lattice_vector(u)
-    v = as_lattice_vector(v)
-    check_same_dim(u, v)
+    return u, as_lattice_vector(v, u.size)
+
+
+def _cone_pair(name: str, u: np.ndarray, v: np.ndarray,
+               floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite u and v in F+, entries within the floor clamped to 0."""
     for a in (u, v):
-        if not in_positive_cone(a, tol=floor):
+        if not in_positive_cone(_finite(a), tol=floor):
             raise NotInPositiveCone(
                 f"{name} requires arguments in F+: entry {np.min(a)} is below -{floor}")
     return np.maximum(u, 0.0), np.maximum(v, 0.0)
+
+
+def _box_times(u: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
+    """box_times on validated vectors of one dimension."""
+    u, v = _cone_pair("box_times", u, v, floor)
+    return np.sqrt(u * v)
 
 
 def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
@@ -175,8 +185,7 @@ def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     floor are clamped to 0 first, so the product under the root is >= 0 and
     either argument being 0 in a slot gives 0 there.
     """
-    u, v = _cone_pair("box_times", u, v, floor)
-    return np.sqrt(u * v)
+    return _box_times(*_vectors(u, v), floor)
 
 
 def box_times_oracle(u, v, grid: LogGrid,
@@ -188,7 +197,7 @@ def box_times_oracle(u, v, grid: LogGrid,
     componentwise minimizer sqrt(v_j/u_j) falls outside the grid range the
     over-estimate is not tight (LogGrid.covers flags that situation).
     """
-    u, v = _cone_pair("box_times_oracle", u, v, floor)
+    u, v = _cone_pair("box_times_oracle", *_vectors(u, v), floor)
     return 0.5 * (u[:, None] * grid.points + v[:, None] * grid.inverse).min(axis=1)
 
 
@@ -202,12 +211,14 @@ def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.divide(v, u))
 
 
+def _box_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """box_plus on validated vectors of one dimension."""
+    return np.hypot(_finite(a), _finite(b))
+
+
 def box_plus(a, b) -> np.ndarray:
     """Square mean a [+] b = sqrt(a^2 + b^2) componentwise, any signs."""
-    a = as_lattice_vector(a)
-    b = as_lattice_vector(b)
-    check_same_dim(a, b)
-    return np.hypot(a, b)
+    return _box_plus(*_vectors(a, b))
 
 
 def box_plus_oracle(a, b, grid: AngleGrid,
@@ -218,9 +229,7 @@ def box_plus_oracle(a, b, grid: AngleGrid,
     angles in [0, pi/2] are used, which is sufficient (and equal, up to the
     shared grid points) when both arguments lie in the positive cone.
     """
-    a = as_lattice_vector(a)
-    b = as_lattice_vector(b)
-    check_same_dim(a, b)
+    a, b = _vectors(a, b)
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
     return (a[:, None] * cos_t + b[:, None] * sin_t).max(axis=1)
 
@@ -232,7 +241,7 @@ def box_times_gaps(u, v, grid: LogGrid,
     Both are normalized by the larger of the two values: sandwich is the
     violation of oracle >= closed form, gap the worst over-estimate.
     """
-    bt = box_times(u, v, floor=floor)
+    bt = _box_times(u, v, floor)
     bt_o = box_times_oracle(u, v, grid, floor=floor)
     scale = np.maximum(bt, bt_o) + floor
     return cone_gap(bt_o - bt, scale), float(max(np.max((bt_o - bt) / scale), 0.0))
@@ -245,7 +254,7 @@ def box_plus_gaps(a, b, grid: AngleGrid,
     sandwich is the violation of oracle <= closed form, gap the worst
     absolute difference, both normalized by the larger magnitude.
     """
-    bp = box_plus(a, b)
+    bp = _box_plus(a, b)
     bp_o = box_plus_oracle(a, b, grid)
     scale = np.maximum(bp, np.abs(bp_o)) + floor
     return cone_gap(bp - bp_o, scale), float(np.max(np.abs(bp - bp_o) / scale))

@@ -44,15 +44,15 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     NotInPositiveCone,
+    _finite,
     as_lattice_vector,
     cone_gap,
-    f_mul,
     in_positive_cone,
     rel_residual,
 )
-from .means import LogGrid, box_plus, box_times
+from .means import LogGrid, _box_plus, _box_times
 from .cauchy_schwarz import CONE_BAND, Gram, defect_grid
-from .sip import Sip, sip_eval
+from .sip import Sip
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,13 @@ def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
     # scale-aware floor rather than the bare absolute one.
     floor = DEFAULT_REL_TOL * float(np.max(np.abs(t)) + np.max(np.abs(u))) + DEFAULT_ABS_TOL
-    return box_times(t, u, floor=floor)
+    return _box_times(t, u, floor)
 
 
 def seminorm_eval(spec: SeminormSpec, x) -> np.ndarray:
     """norm_u(x) = T(x,x) [*] u."""
-    return _seminorm(sip_eval(spec.sip, x, x), spec.u)
+    x = as_lattice_vector(x, spec.sip.domain_dim)
+    return _seminorm(spec.sip.eval(x, x), spec.u)
 
 
 class WeightedGram(Gram):
@@ -96,11 +97,13 @@ class WeightedGram(Gram):
 
     @cached_property
     def s(self) -> np.ndarray:
-        return sip_eval(self.T, self.x + self.y, self.x + self.y)
+        z = _finite(self.x + self.y)
+        return self.T.eval(z, z)
 
     @cached_property
     def d(self) -> np.ndarray:
-        return sip_eval(self.T, self.x - self.y, self.x - self.y)
+        z = _finite(self.x - self.y)
+        return self.T.eval(z, z)
 
     @cached_property
     def norm_x(self) -> np.ndarray:
@@ -128,17 +131,17 @@ class WeightedGram(Gram):
     @cached_property
     def lhs_sq(self) -> np.ndarray:
         """norm(x+y)^2 = T(x+y,x+y)*u."""
-        return f_mul(self.s, self.u)
+        return self.s * self.u
 
     @cached_property
     def rhs_sq(self) -> np.ndarray:
         """(norm(x) + norm(y))^2."""
-        return f_mul(self.norm_bound, self.norm_bound)
+        return self.norm_bound * self.norm_bound
 
     @cached_property
     def weighted_defect(self) -> np.ndarray:
         """D(x,y)*u."""
-        return f_mul(self.defect, self.u)
+        return self.defect * self.u
 
 
 def seminorm_residuals(g: WeightedGram, floor: float = DEFAULT_ABS_TOL) -> dict:
@@ -156,7 +159,7 @@ def seminorm_residuals(g: WeightedGram, floor: float = DEFAULT_ABS_TOL) -> dict:
         hom = max(hom, rel_residual(seminorm_eval(g.spec, alpha * g.x),
                                     np.abs(alpha) * sx, floor=floor))
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
-    square = rel_residual(f_mul(sx, sx), f_mul(g.a, g.u), floor=floor)
+    square = rel_residual(sx * sx, g.a * g.u, floor=floor)
     return {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
 
 
@@ -202,7 +205,7 @@ def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
     # band*4*scale and the cone violation at band*scale gives matched
     # thresholds, so the biconditional cannot disagree outside the
     # borderline window.
-    neg = cone_gap(f_mul(g.b, g.u), scale)
+    neg = cone_gap(g.b * g.u, scale)
     eq_gap = float(max(np.max((middle - lhs_sq) / (4.0 * scale)), 0.0))
     return SharpTriangle(
         lhs_sq=lhs_sq,
@@ -256,7 +259,7 @@ def additivity_verdict(g: WeightedGram, band: float = CONE_BAND,
     scale = np.maximum(np.abs(lhs_sq), np.abs(rhs_sq)) + floor
     gap = float(max(np.max((rhs_sq - lhs_sq) / scale), 0.0))
     d_n = float(max(np.max(g.weighted_defect / scale), 0.0))
-    p_n = float(np.max(4.0 * np.maximum(-f_mul(g.b, g.u), 0.0) / scale))
+    p_n = float(np.max(4.0 * np.maximum(-(g.b * g.u), 0.0) / scale))
 
     def near(v: float) -> bool:
         return band / 8.0 < v < 8.0 * band
@@ -276,10 +279,10 @@ def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
 
 def pythagoras_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
-    return g.norm_sum, box_plus(g.norm_x, g.norm_y)
+    return g.norm_sum, _box_plus(g.norm_x, g.norm_y)
 
 
 def parallelogram_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
-    return (box_plus(g.norm_sum, g.norm_diff),
-            np.sqrt(2.0) * box_plus(g.norm_x, g.norm_y))
+    return (_box_plus(g.norm_sum, g.norm_diff),
+            np.sqrt(2.0) * _box_plus(g.norm_x, g.norm_y))

@@ -28,6 +28,7 @@ import scipy.linalg
 from .lattice import (
     DEFAULT_ABS_TOL,
     DimensionMismatch,
+    NonFinite,
     as_lattice_vector,
 )
 
@@ -95,7 +96,7 @@ class PsdFamilySip:
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionMismatch("need n >= 1 matrices of size m >= 1")
         if not np.all(np.isfinite(A)):
-            raise ValueError("matrix entries must be finite")
+            raise NonFinite("matrix entries must be finite")
         if validate:
             asym = np.max(np.abs(A - np.transpose(A, (0, 2, 1))))
             if asym > SYMMETRY_ABS_TOL:

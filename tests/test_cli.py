@@ -82,6 +82,8 @@ def test_verify_config_errors(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert main(["verify", "--trials", "5", "--theorems", "bogus"]) == 2
     assert main(["verify", "--trials", "5", "--instances", "/nonexistent"]) == 2
+    # a grid that would exhaust memory is refused before it is built
+    assert main(["verify", "--trials", "5", "--theta-count", "1000000000000"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -132,6 +134,7 @@ def test_oracle_study_cli(capsys, tmp_path):
     assert study["ok"] is True
     assert study["grid_sizes"] == [64, 256]
     assert main(["oracle-study", "--trials", "5", "--grids", "64,notanum"]) == 2
+    assert main(["oracle-study", "--trials", "5", "--grids", "4,1000000000000"]) == 2
 
 
 def test_shrink_cli_bare_instance(capsys, tmp_path):
@@ -243,7 +246,9 @@ VALID_INSTANCE = '{"kind": "multiplication", "m": 1, "n": 1, "u": [1.0], "x": [1
     "[1, 2]", "3", '"text"', "null", '{"instance": [1, 2]}', '{"instance": {}}',
     '{"instance": %s, "theorem": ["axioms"], "params": {}}' % VALID_INSTANCE,
     '{"params": {"grids": {"theta_count": 100.5}}, "theorem": "oracle", "instance": %s}'
-    % VALID_INSTANCE])
+    % VALID_INSTANCE,
+    '{"params": {"grids": {"theta_count": 1000000000000000}}, "theorem": "oracle", '
+    '"instance": %s}' % VALID_INSTANCE])
 def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

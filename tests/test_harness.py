@@ -7,6 +7,7 @@ import pytest
 
 from riesz_sip.harness import (
     CHECKS,
+    MAX_GRID_COUNT,
     PURPOSES,
     THEOREMS,
     ConfigError,
@@ -24,6 +25,7 @@ from riesz_sip.harness import (
     run_suite,
     shrink,
 )
+from riesz_sip.lattice import DimensionMismatch
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
 
 SMALL = TrialConfig(seed=42, trials=40)
@@ -74,6 +76,9 @@ def test_config_validation():
     for count in ("angle_count", "lambda_count", "theta_count"):
         with pytest.raises(ConfigError):
             TrialConfig(**{count: 4096.0})
+        with pytest.raises(ConfigError):
+            TrialConfig(**{count: MAX_GRID_COUNT + 1})
+        TrialConfig(**{count: MAX_GRID_COUNT})
     with pytest.raises(ConfigError):
         TrialConfig(log_entry_lo=10.0, log_entry_hi=1.0)
     # pythagoras trials need an orthogonal pair to exist
@@ -213,7 +218,8 @@ def test_counterexample_replay_is_exact():
     for k, v in res.residuals.items():
         assert abs(v - ce["residuals"][k]) <= 1e-12
     for bad in (ce["instance"], {**ce, "theorem": "bogus"}, {**ce, "theorem": ["axioms"]}, [ce],
-                {**ce, "params": {"grids": {"theta_count": 100.5}}}):
+                {**ce, "params": {"grids": {"theta_count": 100.5}}},
+                {**ce, "params": {"grids": {"theta_count": 10**15}}}):
         with pytest.raises(ConfigError):
             replay_counterexample(bad)
 
@@ -243,6 +249,20 @@ def test_mismatched_instance_fails_as_invalid():
     entry = report.theorems["cs"]
     assert entry["failures"] == 1
     assert entry["counterexamples"][0]["failed"] == ["invalid_instance"]
+
+
+def test_only_broken_input_counts_as_invalid(monkeypatch):
+    # a check failing with any error but the three of broken input is a
+    # fault of the program: it propagates instead of being recorded
+    def faulty(inst, config, grids):
+        raise ValueError("a fault of the program")
+    monkeypatch.setitem(CHECKS, "cs", faulty)
+    with pytest.raises(ValueError, match="a fault of the program"):
+        run_suite(TrialConfig(trials=1, theorems=("cs",)))
+    # x and y that numpy cannot add are refused at the suite's entry
+    bad = Instance(sip=MultiplicationSip(3), u=np.ones(3), x=np.ones(3), y=np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        CHECKS["means"](bad, SMALL, build_grids(SMALL))
 
 
 def test_shrink_minimizes_asymmetric_witness():
@@ -303,6 +323,8 @@ def test_convergence_study_gaps_shrink():
         convergence_study(config, grid_sizes=(100,))
     with pytest.raises(ConfigError):
         convergence_study(config, grid_sizes=(2, 100))
+    with pytest.raises(ConfigError):
+        convergence_study(config, grid_sizes=(4, MAX_GRID_COUNT + 1))
 
 
 def test_report_serialization():

@@ -4,7 +4,6 @@ import pytest
 from riesz_sip.lattice import (
     DimensionMismatch,
     NotInPositiveCone,
-    f_mul,
     rel_residual,
 )
 from riesz_sip.harness import PRECOND_TOL
@@ -48,7 +47,7 @@ def triangle_residual(spec, x, y):
 
 def seminorm_sq(spec, x):
     """T(x,x)*u, the f-algebra square of seminorm_eval(spec, x)."""
-    return f_mul(sip_eval(spec.sip, x, x), spec.u)
+    return sip_eval(spec.sip, x, x) * spec.u
 
 
 def pythagoras_residual(spec, x, y):
@@ -92,7 +91,7 @@ def test_square_contract():
     for _ in range(100):
         x = rng.uniform(-10, 10, 4)
         s = seminorm_eval(spec, x)
-        assert rel_residual(f_mul(s, s), seminorm_sq(spec, x)) <= 1e-10
+        assert rel_residual(s * s, seminorm_sq(spec, x)) <= 1e-10
 
 
 def test_vsn_axioms_pass():
@@ -165,7 +164,7 @@ def test_sharpened_triangle_strict_example():
     assert not got.borderline
     # the cone condition fails because T(x,y)*u = (-1, 1) has a negative entry
     assert np.array_equal(
-        f_mul(sip_eval(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0]), np.ones(2)),
+        sip_eval(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0]) * np.ones(2),
         [-1.0, 1.0])
 
 
