@@ -41,7 +41,7 @@ class NonFinite(ValueError):
 
 def _finite(a: np.ndarray) -> np.ndarray:
     """a itself, once every entry is checked to be finite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite("lattice vector entries must be finite")
     return a
 
@@ -61,7 +61,7 @@ def as_lattice_vector(values, dim: int | None = None) -> np.ndarray:
 
 def in_positive_cone(a: np.ndarray, tol: float = 0.0) -> bool:
     """True iff every entry of a is >= -tol."""
-    return bool(np.min(a) >= -tol)
+    return bool(a.min() >= -tol)
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
