@@ -37,9 +37,6 @@ from .sip import (
     check_axioms,
     orthogonal_sample,
     random_psd,
-    sip_eval,
-    sip_from_dict,
-    sip_to_dict,
 )
 from .cauchy_schwarz import (
     CsCheck,

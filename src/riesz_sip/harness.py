@@ -5,10 +5,10 @@ instances and aggregates the results into a deterministic JSON report.
 Every trial draws its randomness from a substream keyed by
 (config.seed, trial_index), so reports are reproducible bit for bit
 (wall time aside) and any recorded counterexample can be replayed or
-shrunk offline from its serialized instance alone. Checks themselves are
-deterministic functions of (instance, config): anything sampled inside a
-check uses fixed seeds or fixed scalar sets, never fresh entropy. A
-check builds one Gram or WeightedGram record per trial, so each T-value is
+shrunk offline from its serialized instance alone. A check is a function
+of (instance, config) and nothing else: the oracle grids it samples are
+derived on the config, anything else sampled inside a check uses fixed
+seeds or fixed scalar sets, never fresh entropy. A check builds one Gram or WeightedGram record per trial, so each T-value is
 evaluated once, passes it to the library's theorem functions, and only
 maps the residuals they return to tolerances.
 
@@ -30,10 +30,12 @@ Suite names:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +92,6 @@ from .sip import (
     check_axioms,
     orthogonal_sample,
     random_psd,
-    sip_from_dict,
-    sip_to_dict,
 )
 
 REPORT_SCHEMA = "riesz-sip/1"
@@ -180,11 +180,11 @@ class TrialConfig:
         if not all(isinstance(c, numbers.Integral) and c <= MAX_GRID_COUNT
                    for c in (self.theta_count, self.angle_count, self.lambda_count)):
             raise ConfigError(f"grid counts must be integers of at most {MAX_GRID_COUNT}")
-        if not (0.0 < self.theta_lo < self.theta_hi and self.theta_count >= 2):
+        if not (0.0 < self.theta_lo < self.theta_hi < math.inf and self.theta_count >= 2):
             raise ConfigError("invalid theta grid")
         if self.angle_count < 4:
             raise ConfigError("invalid angle grid")
-        if not (0.0 < self.lambda_lo < self.lambda_hi and self.lambda_count >= 2):
+        if not (0.0 < self.lambda_lo < self.lambda_hi < math.inf and self.lambda_count >= 2):
             raise ConfigError("invalid lambda grid")
         unknown = set(self.theorems) - set(THEOREMS)
         if unknown:
@@ -202,24 +202,42 @@ class TrialConfig:
         """
         return self.m_hi > self.n_lo, self.n_hi >= 2
 
+    # The grids are built on first read and kept; they are not fields, so
+    # asdict, ==, hash and replace ignore them.
+
+    @cached_property
+    def theta_grid(self) -> LogGrid:
+        """Multipliers of the [*] infimum's oracle."""
+        return _grid(LogGrid.log_spaced, self.theta_lo, self.theta_hi, self.theta_count)
+
+    @cached_property
+    def angle_grid(self) -> AngleGrid:
+        """Angles of the [+] supremum's oracle."""
+        return _grid(AngleGrid.uniform, self.angle_count)
+
+    @cached_property
+    def lambda_grid(self) -> LogGrid:
+        """lambda magnitudes of the defect's oracle."""
+        return _grid(LogGrid.log_spaced, self.lambda_lo, self.lambda_hi, self.lambda_count)
+
+
+def _grid(build, *args):
+    """build(*args), a ConfigError when the grid cannot be built.
+
+    Ranges that pass validate can still be too narrow for their count in
+    floating point, and a ValueError raised inside a check would otherwise
+    read as a broken instance.
+    """
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build grid: {exc}") from None
+
 
 # The TrialConfig fields the grids are built from, hence the grid part of
 # a counterexample's params.
 GRID_FIELDS = ("theta_lo", "theta_hi", "theta_count", "angle_count",
                "lambda_lo", "lambda_hi", "lambda_count")
-
-
-@dataclass(frozen=True)
-class Grids:
-    theta: LogGrid
-    angle: AngleGrid
-    lam: LogGrid
-
-
-def build_grids(c: TrialConfig) -> Grids:
-    return Grids(theta=LogGrid.log_spaced(c.theta_lo, c.theta_hi, c.theta_count),
-                 angle=AngleGrid.uniform(c.angle_count),
-                 lam=LogGrid.log_spaced(c.lambda_lo, c.lambda_hi, c.lambda_count))
 
 
 @dataclass(frozen=True)
@@ -234,24 +252,45 @@ class Instance:
         return "multiplication" if isinstance(self.sip, MultiplicationSip) else "psd_family"
 
     def to_dict(self) -> dict:
-        d = sip_to_dict(self.sip)
+        """The instance format: the sip's kind, m, n (and matrices), then u, x, y."""
+        T = self.sip
+        d = {"kind": self.kind, "m": T.domain_dim, "n": T.codomain_dim}
+        if isinstance(T, PsdFamilySip):
+            d["matrices"] = T.matrices.tolist()
         for key in ("u", "x", "y"):
             d[key] = np.asarray(getattr(self, key), dtype=np.float64).tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Instance":
-        # Dimensions of u/x/y are deliberately not cross-checked here:
-        # malformed instances are fault-injection inputs and must fail in
-        # the checks, not at load time. Non-finite entries are rejected,
-        # NaN cannot participate in tolerance comparisons meaningfully.
+        """Inverse of to_dict.
+
+        Neither PSD-ness nor symmetry of a family is validated, and the
+        dimensions of u/x/y are not cross-checked: deserialized instances
+        are the fault-injection surface, so broken ones must load and fail
+        in the checks. Non-finite entries are rejected, NaN cannot
+        participate in tolerance comparisons meaningfully.
+        """
         vecs = {}
         for key in ("u", "x", "y"):
             v = np.asarray(d[key], dtype=np.float64)
             if v.ndim != 1:
                 raise DimensionMismatch(f"instance field {key!r} must be a vector")
             vecs[key] = _finite(v)
-        return cls(sip=sip_from_dict(d), **vecs)
+        kind = d.get("kind")
+        if kind == "multiplication":
+            if d["m"] != d["n"]:
+                raise DimensionMismatch("multiplication sip requires m == n")
+            T = MultiplicationSip(int(d["n"]))
+        elif kind == "psd_family":
+            A = np.asarray(d["matrices"], dtype=np.float64)
+            if A.shape != (int(d["n"]), int(d["m"]), int(d["m"])):
+                raise DimensionMismatch(
+                    f"matrices shape {A.shape} does not match m={d['m']}, n={d['n']}")
+            T = PsdFamilySip(A, validate=False)
+        else:
+            raise ValueError(f"unknown sip kind: {kind!r}")
+        return cls(sip=T, **vecs)
 
 
 # Instance recipe per suite: generic signed draws, positive log-uniform
@@ -394,16 +433,16 @@ def _branch(holds: bool) -> tuple:
     return ("equality",) if holds else ("strict",)
 
 
-def check_axioms_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_axioms_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     res = check_axioms(inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=config.tolerances.abs)
     return _result({k: (v, config.tolerances.rel) for k, v in res.items()}, tags=(inst.kind,))
 
 
-def check_cs_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_cs_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = Gram(inst.sip, inst.x, inst.y)
     chk = cs_verdict(g, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = defect_gaps(g, grids.lam, tol.abs)
+    sandwich, gap = defect_gaps(g, config.lambda_grid, tol.abs)
     return _result({
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
@@ -414,7 +453,7 @@ def check_cs_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialRe
     }, borderline=chk.borderline, tags=_branch(chk.equality_holds))
 
 
-def check_means_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_means_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     # Validated before a + b; the suite states identities of the public
     # means, whose checks catch a + b or lam*a overflowing.
     x = as_lattice_vector(inst.x)
@@ -435,7 +474,7 @@ def check_means_trial(inst: Instance, config: TrialConfig, grids: Grids) -> Tria
     return _result({"biadditivity": (biadd, MEANS_REL_TOL), "homogeneity": (hom, MEANS_REL_TOL)})
 
 
-def check_vsn_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_vsn_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
@@ -443,11 +482,11 @@ def check_vsn_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialR
     return _result({k: (v, tols[k]) for k, v in seminorm_residuals(g, floor=tol.abs).items()})
 
 
-def check_sharp_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_sharp_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
     st = sharp_verdict(g, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = weighted_defect_gaps(g, grids.lam, tol.abs)
+    sandwich, gap = weighted_defect_gaps(g, config.lambda_grid, tol.abs)
     return _result({
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
@@ -457,7 +496,7 @@ def check_sharp_trial(inst: Instance, config: TrialConfig, grids: Grids) -> Tria
     }, borderline=st.borderline, tags=_branch(st.equality_holds))
 
 
-def check_additivity_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_additivity_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
     ac = additivity_verdict(g, band=tol.cone_band, floor=tol.abs)
@@ -471,7 +510,7 @@ def check_additivity_trial(inst: Instance, config: TrialConfig, grids: Grids) ->
                    borderline=ac.borderline, tags=tags)
 
 
-def check_pythagoras_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_pythagoras_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
     pre = orthogonality(g, floor=tol.abs)
@@ -482,25 +521,26 @@ def check_pythagoras_trial(inst: Instance, config: TrialConfig, grids: Grids) ->
                    tags=(inst.kind,))
 
 
-def check_parallelogram_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_parallelogram_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
     return _result({"identity": (rel_residual(*parallelogram_sides(g), floor=tol.abs), tol.rel)},
                    tags=(inst.kind,))
 
 
-def check_oracle_trial(inst: Instance, config: TrialConfig, grids: Grids) -> TrialResult:
+def check_oracle_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     tol = config.tolerances
     x = as_lattice_vector(inst.x)
     y = as_lattice_vector(inst.y, x.size)
     u, v = np.abs(x), np.abs(y)
-    bt_sandwich, bt_gap = box_times_gaps(u, v, grids.theta, tol.abs)
+    theta, angle = config.theta_grid, config.angle_grid
+    bt_sandwich, bt_gap = box_times_gaps(u, v, theta, tol.abs)
     # Outside the grid's range the theta oracle's over-estimate is not
     # tight, so its gap is not asserted there.
-    covered = grids.theta.covers(theta_minimizer(u, v))
-    bp_sandwich, bp_gap = box_plus_gaps(x, y, grids.angle, tol.abs)
-    quarter = rel_residual(box_plus_oracle(u, v, grids.angle),
-                           box_plus_oracle(u, v, grids.angle, quarter=True), floor=tol.abs)
+    covered = theta.covers(theta_minimizer(u, v))
+    bp_sandwich, bp_gap = box_plus_gaps(x, y, angle, tol.abs)
+    quarter = rel_residual(box_plus_oracle(u, v, angle),
+                           box_plus_oracle(u, v, angle, quarter=True), floor=tol.abs)
     return _result({
         "box_times_sandwich": (bt_sandwich, SANDWICH_FLOOR),
         "box_times_gap": (bt_gap if covered else 0.0, BT_GAP_REL_TOL),
@@ -523,10 +563,13 @@ CHECKS = {
 }
 
 
-def _run_check(theorem: str, inst: Instance, config: TrialConfig,
-               grids: Grids) -> TrialResult:
+def _run_check(theorem: str, inst: Instance, config: TrialConfig) -> TrialResult:
+    """theorem's check of inst; the one place that rejects an unknown check name."""
+    check = CHECKS.get(theorem)
+    if check is None:
+        raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
     try:
-        return CHECKS[theorem](inst, config, grids)
+        return check(inst, config)
     except (DimensionMismatch, NotInPositiveCone, NonFinite):
         # Broken instance (fault injection): counted as a failure, never
         # silently skipped. Any other exception is a fault and propagates.
@@ -581,9 +624,9 @@ def read_case(data) -> tuple:
 def replay_counterexample(ce: dict) -> TrialResult:
     """Re-run the named check on the embedded instance with stored params."""
     inst, theorem, config = read_case(ce)
-    if config is None or theorem not in CHECKS:
-        raise ConfigError("a counterexample needs an 'instance' and a known 'theorem'")
-    return _run_check(theorem, inst, config, build_grids(config))
+    if config is None:
+        raise ConfigError("a counterexample needs an 'instance' and a 'theorem'")
+    return _run_check(theorem, inst, config)
 
 
 @dataclass
@@ -618,7 +661,6 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     where generation gave up); checks never modify an instance.
     """
     start = time.perf_counter()
-    grids = build_grids(config)
     theorems = {}
     uses = Counter(PURPOSES[name] for name in config.theorems)
     generated: dict = {}
@@ -664,9 +706,9 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
             if inst is None:
                 record(None, _result({"generation": (1.0, BICOND_TOL)}))
             else:
-                record(inst, _run_check(name, inst, config, grids))
+                record(inst, _run_check(name, inst, config))
         for inst in injected:
-            record(inst, _run_check(name, inst, config, grids))
+            record(inst, _run_check(name, inst, config))
 
         theorems[name] = {
             "trials": config.trials + len(injected),
@@ -743,8 +785,7 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     nonzero count, so the loop terminates. Returns (instance, result);
     raises ConfigError when the input does not fail to begin with.
     """
-    grids = build_grids(config)
-    res = _run_check(theorem, inst, config, grids)
+    res = _run_check(theorem, inst, config)
     if res.status != "fail":
         raise ConfigError("shrink requires an instance that fails the check")
     current = inst
@@ -752,7 +793,7 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     while progress:
         progress = False
         for cand in _shrink_candidates(current):
-            cand_res = _run_check(theorem, cand, config, grids)
+            cand_res = _run_check(theorem, cand, config)
             if cand_res.status == "fail":
                 current, res = cand, cand_res
                 progress = True
@@ -800,13 +841,14 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     rows = []
     sandwich_ok = True
     for G in sizes:
-        grids = build_grids(replace(config, theta_count=G, angle_count=G, lambda_count=G))
+        sized = replace(config, theta_count=G, angle_count=G, lambda_count=G)
+        theta, angle, lam = sized.theta_grid, sized.angle_grid, sized.lambda_grid
         row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
         for pos, g in pairs:
             for key, (sandwich, gap) in (
-                    ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), grids.theta, floor)),
-                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, grids.angle, floor)),
-                    ("defect_gap", defect_gaps(g, grids.lam, floor))):
+                    ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
+                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
+                    ("defect_gap", defect_gaps(g, lam, floor))):
                 if sandwich > SANDWICH_FLOOR:
                     sandwich_ok = False
                 row[key] = max(row[key], gap)

@@ -128,13 +128,6 @@ class PsdFamilySip:
 Sip = MultiplicationSip | PsdFamilySip
 
 
-def sip_eval(T: Sip, x, y) -> np.ndarray:
-    """Evaluate T(x, y) with dimension checking."""
-    x = as_lattice_vector(x, T.domain_dim)
-    y = as_lattice_vector(y, T.domain_dim)
-    return T.eval(x, y)
-
-
 def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
     return float(np.max(np.abs(diff) / (scale + floor)))
 
@@ -222,35 +215,3 @@ def orthogonal_sample(T: Sip, x, seed: int = 0,
                 return y
     raise NoNontrivialOrthogonal("could not draw a numerically orthogonal sample")
 
-
-def sip_to_dict(T: Sip) -> dict:
-    """Serializable description, the sip part of the instance format."""
-    if isinstance(T, MultiplicationSip):
-        return {"kind": "multiplication", "m": T.dim, "n": T.dim}
-    return {
-        "kind": "psd_family",
-        "m": T.domain_dim,
-        "n": T.codomain_dim,
-        "matrices": T.matrices.tolist(),
-    }
-
-
-def sip_from_dict(d: dict) -> Sip:
-    """Inverse of sip_to_dict.
-
-    Never validates PSD-ness or symmetry: deserialized instances are the
-    fault-injection surface and broken families must load so the axiom
-    checker can flag them.
-    """
-    kind = d.get("kind")
-    if kind == "multiplication":
-        if d["m"] != d["n"]:
-            raise DimensionMismatch("multiplication sip requires m == n")
-        return MultiplicationSip(int(d["n"]))
-    if kind == "psd_family":
-        A = np.asarray(d["matrices"], dtype=np.float64)
-        if A.shape != (int(d["n"]), int(d["m"]), int(d["m"])):
-            raise DimensionMismatch(
-                f"matrices shape {A.shape} does not match m={d['m']}, n={d['n']}")
-        return PsdFamilySip(A, validate=False)
-    raise ValueError(f"unknown sip kind: {kind!r}")

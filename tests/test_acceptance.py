@@ -13,7 +13,6 @@ from riesz_sip.cauchy_schwarz import Gram, defect_grid
 from riesz_sip.harness import (
     Instance,
     TrialConfig,
-    build_grids,
     replay_counterexample,
     run_suite,
 )
@@ -90,7 +89,7 @@ def test_criterion_03_defect_oracle(full_report, criterion):
     r = entry["residuals"]
     dot = PsdFamilySip([np.eye(2)])
     closed = Gram(dot, [1.0, 0.0], [0.0, 1.0]).defect
-    grid = defect_grid(dot, [1.0, 0.0], [0.0, 1.0], build_grids(TrialConfig()).lam)
+    grid = defect_grid(dot, [1.0, 0.0], [0.0, 1.0], TrialConfig().lambda_grid)
     criterion(3, "defect closed form vs lambda-grid oracle", {
         "sandwich": r["defect_sandwich"] <= 1e-10,
         "gap": r["defect_gap"] <= 1e-4,

@@ -11,18 +11,26 @@ from riesz_sip.cauchy_schwarz import (
     cs_verdict,
     defect_grid,
 )
-from riesz_sip.lattice import rel_residual
+from riesz_sip.lattice import DimensionMismatch, rel_residual
 from riesz_sip.means import LogGrid, box_times
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
 GRID_GAP_REL_TOL = 1e-4  # frozen for the default 2001-point grid on [1e-6, 1e6]
 LAMBDA = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)
 
 
 def _scale(T, x, y):
-    a = sip_eval(T, x, x)
-    c = sip_eval(T, y, y)
+    g = Gram(T, x, y)
+    a, c = g.a, g.c
     return float(max(np.max(np.abs(a)), np.max(np.abs(c)), 1e-10))
+
+
+def test_gram_checks_dimensions():
+    T = MultiplicationSip(2)
+    with pytest.raises(DimensionMismatch):
+        Gram(T, [1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        Gram(T, [1.0, np.nan], [1.0, 2.0])
 
 
 def test_defect_closed_vanishes_for_multiplication():
@@ -136,8 +144,9 @@ def test_identity_residual_random():
             T = MultiplicationSip(int(rng.integers(1, 7)))
         x = rng.uniform(-10, 10, T.domain_dim)
         y = rng.uniform(-10, 10, T.domain_dim)
-        resid = cs_identity(Gram(T, x, y))
-        b = sip_eval(T, x, y)
+        g = Gram(T, x, y)
+        resid = cs_identity(g)
+        b = g.b
         scale = max(_scale(T, x, y), float(np.max(np.abs(b))))
         assert np.max(np.abs(resid)) <= 1e-9 * scale
 
@@ -148,10 +157,9 @@ def test_inequality_random():
         T = random_psd(np.random.default_rng(trial), 4, 3)
         x = rng.uniform(-10, 10, 4)
         y = rng.uniform(-10, 10, 4)
-        b = sip_eval(T, x, y)
-        bound = box_times(sip_eval(T, x, x), sip_eval(T, y, y),
-                          floor=1e-9 * _scale(T, x, y))
-        slack = bound - np.abs(b)
+        g = Gram(T, x, y)
+        bound = box_times(g.a, g.c, floor=1e-9 * _scale(T, x, y))
+        slack = bound - np.abs(g.b)
         assert np.min(slack) >= -1e-10 * _scale(T, x, y)
 
 

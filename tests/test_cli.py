@@ -1,14 +1,16 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riesz_sip.cli import main
-from riesz_sip.harness import Instance, replay_counterexample
+from riesz_sip.harness import ConfigError, Instance, replay_counterexample
 from riesz_sip.sip import PsdFamilySip
 
 
@@ -81,6 +83,7 @@ def test_verify_accepts_counterexample_wrapper(tmp_path, capsys):
 def test_verify_config_errors(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert main(["verify", "--trials", "5", "--theorems", "bogus"]) == 2
+    assert "error: unknown theorems: ['bogus']" in capsys.readouterr().err
     assert main(["verify", "--trials", "5", "--instances", "/nonexistent"]) == 2
     # a grid that would exhaust memory is refused before it is built
     assert main(["verify", "--trials", "5", "--theta-count", "1000000000000"]) == 2
@@ -260,6 +263,36 @@ def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     assert err.count("error: cannot load") == 2 and "Traceback" not in err
 
 
+# Grid ranges as CLI values and as JSON numbers (1e309 reads as inf). The
+# last is finite and ordered, yet holds too few floats for its points to
+# increase strictly, so only building the grid can find it.
+UNBUILDABLE_GRIDS = (
+    {"theta_hi": "1e309"},
+    {"lambda_hi": "1e309"},
+    {"theta_lo": "1", "theta_hi": "1.0000000000000002"},
+)
+
+
+@pytest.mark.parametrize("grids", UNBUILDABLE_GRIDS)
+@pytest.mark.parametrize("command", ["verify", "oracle-study", "shrink", "replay"])
+def test_unbuildable_grid_is_a_config_error(capsys, tmp_path, command, grids):
+    flags = [arg for k, v in grids.items() for arg in (f"--{k.replace('_', '-')}", v)]
+    stored = ", ".join(f'"{k}": {v}' for k, v in grids.items())
+    ce_path = tmp_path / "ce.json"
+    ce_path.write_text('{"theorem": "oracle", "params": {"grids": {%s}}, "instance": %s}'
+                       % (stored, VALID_INSTANCE))
+    if command == "replay":
+        with pytest.raises(ConfigError):
+            replay_counterexample(json.loads(ce_path.read_text()))
+        return
+    argv = {"verify": ["verify", "--trials", "2", *flags],
+            "oracle-study": ["oracle-study", "--trials", "2", "--grids", "4,8", *flags],
+            "shrink": ["shrink", "--instance", str(ce_path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_shrink_cli_errors(capsys, tmp_path):
     inst_path = tmp_path / "good.json"
     inst_path.write_text(json.dumps({
@@ -281,9 +314,12 @@ def test_shrink_cli_errors(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # the package is imported from the checkout's src, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "riesz_sip.cli", "verify",
          "--trials", "5", "--theorems", "means"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("ok")

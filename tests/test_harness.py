@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from riesz_sip.harness import (
     Instance,
     Tolerances,
     TrialConfig,
-    build_grids,
     config_from_params,
     convergence_study,
     emit_report,
@@ -25,8 +24,9 @@ from riesz_sip.harness import (
     run_suite,
     shrink,
 )
+from riesz_sip.cauchy_schwarz import Gram
 from riesz_sip.lattice import DimensionMismatch
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd, sip_eval
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, check_axioms, random_psd
 
 SMALL = TrialConfig(seed=42, trials=40)
 
@@ -71,6 +71,9 @@ def test_config_validation():
         TrialConfig(tolerances=Tolerances(rel=0.0))
     with pytest.raises(ConfigError):
         TrialConfig(lambda_lo=1.0, lambda_hi=0.5)
+    for hi in ("theta_hi", "lambda_hi"):
+        with pytest.raises(ConfigError):
+            TrialConfig(**{hi: float("inf")})
     with pytest.raises(ConfigError):
         TrialConfig(theta_count=1)
     for count in ("angle_count", "lambda_count", "theta_count"):
@@ -126,7 +129,7 @@ def test_generate_positive_log_range():
 def test_generate_orthogonal_pairs():
     for i in range(100):
         inst = generate_instance(SMALL, i, "orthogonal")
-        b = sip_eval(inst.sip, inst.x, inst.y)
+        b = Gram(inst.sip, inst.x, inst.y).b
         scale = max(1.0, float(np.max(np.abs(inst.x))))
         assert float(np.max(np.abs(b))) <= 1e-8 * scale
         if inst.kind == "psd_family":
@@ -147,6 +150,66 @@ def test_instance_round_trip():
                               "u": [1.0, 1.0], "x": [1.0, 2.0, 3.0],
                               "y": [1.0, 2.0]})
     assert bad.x.shape == (3,)
+
+
+def test_serialization_round_trip():
+    T = random_psd(np.random.default_rng(6), 3, 2)
+    d = Instance(sip=T, u=np.ones(2), x=np.ones(3), y=np.ones(3)).to_dict()
+    assert d["kind"] == "psd_family"
+    assert d["m"] == 3 and d["n"] == 2
+    back = Instance.from_dict(d)
+    assert np.array_equal(back.sip.matrices, T.matrices)
+
+    vectors = {"u": [1.0] * 4, "x": [2.0] * 4, "y": [3.0] * 4}
+    d2 = Instance(sip=MultiplicationSip(4), **{k: np.array(v) for k, v in vectors.items()}).to_dict()
+    assert d2 == {"kind": "multiplication", "m": 4, "n": 4, **vectors}
+    assert Instance.from_dict(d2).sip.dim == 4
+
+
+def test_deserialization_never_validates():
+    # a broken family must load so the axiom checker can flag it
+    d = {"kind": "psd_family", "m": 2, "n": 1,
+         "matrices": [[[0.0, 1.0], [0.0, 0.0]]], "u": [1.0], "x": [1.0, 1.0], "y": [1.0, 1.0]}
+    broken = Instance.from_dict(d).sip
+    assert max(check_axioms(broken, samples=100, seed=0).values()) > 1e-9
+
+
+def test_deserialization_validation_errors():
+    vectors = {"u": [1.0], "x": [1.0], "y": [1.0]}
+    with pytest.raises(DimensionMismatch):
+        Instance.from_dict({"kind": "multiplication", "m": 2, "n": 3, **vectors})
+    with pytest.raises(DimensionMismatch):
+        Instance.from_dict({"kind": "psd_family", "m": 2, "n": 2,
+                            "matrices": [[[1.0]]], **vectors})
+    with pytest.raises(ValueError):
+        Instance.from_dict({"kind": "something_else", "m": 1, "n": 1, **vectors})
+
+
+def test_grids_are_built_on_first_read_and_kept():
+    names = ("theta_grid", "angle_grid", "lambda_grid")
+    config = TrialConfig()
+    assert not set(names) & set(vars(config))
+    for name in names:
+        assert getattr(config, name) is getattr(config, name)
+    # the grids are no fields: the config, its params and a report's echo
+    # of it read as before they were built
+    fresh = TrialConfig()
+    assert config == fresh and hash(config) == hash(fresh)
+    assert asdict(config) == asdict(fresh)
+    assert params_from_config(config) == params_from_config(fresh)
+    report = run_suite(replace(config, trials=1, theorems=("oracle",)))
+    assert set(report.config) == set(asdict(fresh)) and not set(names) & set(report.config)
+    sized = replace(config, theta_count=33)
+    assert sized.theta_grid.count == 33 and config.theta_grid.count == config.theta_count
+
+
+def test_unknown_check_names_are_config_errors():
+    with pytest.raises(ConfigError, match="unknown check 'bogus'"):
+        shrink(_asymmetric_instance(), "bogus", SMALL)
+    ce = run_suite(TrialConfig(trials=1, theorems=("axioms",)),
+                   injected=(_asymmetric_instance(),)).theorems["axioms"]["counterexamples"][0]
+    with pytest.raises(ConfigError, match="unknown check 'bogus'"):
+        replay_counterexample({**ce, "theorem": "bogus"})
 
 
 def test_run_suite_bookkeeping():
@@ -254,7 +317,7 @@ def test_mismatched_instance_fails_as_invalid():
 def test_only_broken_input_counts_as_invalid(monkeypatch):
     # a check failing with any error but the three of broken input is a
     # fault of the program: it propagates instead of being recorded
-    def faulty(inst, config, grids):
+    def faulty(inst, config):
         raise ValueError("a fault of the program")
     monkeypatch.setitem(CHECKS, "cs", faulty)
     with pytest.raises(ValueError, match="a fault of the program"):
@@ -262,7 +325,7 @@ def test_only_broken_input_counts_as_invalid(monkeypatch):
     # x and y that numpy cannot add are refused at the suite's entry
     bad = Instance(sip=MultiplicationSip(3), u=np.ones(3), x=np.ones(3), y=np.ones(2))
     with pytest.raises(DimensionMismatch):
-        CHECKS["means"](bad, SMALL, build_grids(SMALL))
+        CHECKS["means"](bad, SMALL)
 
 
 def test_shrink_minimizes_asymmetric_witness():
@@ -437,10 +500,9 @@ def test_each_gram_value_is_evaluated_once(monkeypatch):
     # the five scaled pairs of the seminorm homogeneity check
     distinct = {"cs": 3, "sharp": 4, "additivity": 4, "pythagoras": 4,
                 "parallelogram": 4, "vsn": 8}
-    grids = build_grids(SMALL)
     for suite, expected in distinct.items():
         for i in range(20):
             inst = generate_instance(SMALL, i, PURPOSES[suite])
             del calls[:]
-            assert CHECKS[suite](inst, SMALL, grids).status != "fail"
+            assert CHECKS[suite](inst, SMALL).status != "fail"
             assert len(calls) == expected, suite

@@ -17,18 +17,16 @@ from riesz_sip.harness import (
     THEOREMS,
     Instance,
     TrialConfig,
-    build_grids,
     generate_instance,
 )
 from riesz_sip.sip import PsdFamilySip
 
 CONFIG = TrialConfig(trials=200, seed=11)
-GRIDS = build_grids(CONFIG)
 SCALED_ABS_TOL = 1e-12
 
 
 def _checked(suite, inst):
-    return CHECKS[suite](inst, CONFIG, GRIDS)
+    return CHECKS[suite](inst, CONFIG)
 
 
 def _instances(suite):

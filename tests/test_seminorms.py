@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riesz_sip.cauchy_schwarz import Gram
 from riesz_sip.lattice import (
     DimensionMismatch,
     NotInPositiveCone,
@@ -24,7 +25,6 @@ from riesz_sip.sip import (
     PsdFamilySip,
     orthogonal_sample,
     random_psd,
-    sip_eval,
 )
 
 WORKED_TOL = 1e-10
@@ -47,7 +47,7 @@ def triangle_residual(spec, x, y):
 
 def seminorm_sq(spec, x):
     """T(x,x)*u, the f-algebra square of seminorm_eval(spec, x)."""
-    return sip_eval(spec.sip, x, x) * spec.u
+    return Gram(spec.sip, x, x).a * spec.u
 
 
 def pythagoras_residual(spec, x, y):
@@ -164,7 +164,7 @@ def test_sharpened_triangle_strict_example():
     assert not got.borderline
     # the cone condition fails because T(x,y)*u = (-1, 1) has a negative entry
     assert np.array_equal(
-        sip_eval(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0]) * np.ones(2),
+        Gram(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0]).b * np.ones(2),
         [-1.0, 1.0])
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riesz_sip.cauchy_schwarz import Gram
 from riesz_sip.lattice import DimensionMismatch, in_positive_cone
 from riesz_sip.sip import (
     MultiplicationSip,
@@ -9,9 +10,6 @@ from riesz_sip.sip import (
     check_axioms,
     random_psd,
     orthogonal_sample,
-    sip_eval,
-    sip_from_dict,
-    sip_to_dict,
 )
 
 AXIOM_TOL = 1e-9
@@ -19,8 +17,8 @@ AXIOM_TOL = 1e-9
 
 def test_multiplication_sip_eval():
     T = MultiplicationSip(2)
-    assert np.array_equal(sip_eval(T, [1.0, 2.0], [3.0, 1.0]), [3.0, 2.0])
-    assert np.array_equal(sip_eval(T, [1.0, -2.0], [1.0, -2.0]), [1.0, 4.0])
+    assert np.array_equal(Gram(T, [1.0, 2.0], [3.0, 1.0]).b, [3.0, 2.0])
+    assert np.array_equal(Gram(T, [1.0, -2.0], [1.0, -2.0]).b, [1.0, 4.0])
     assert T.domain_dim == 2
     assert T.codomain_dim == 2
     with pytest.raises(ValueError):
@@ -30,8 +28,8 @@ def test_multiplication_sip_eval():
 def test_psd_family_sip_eval():
     # T(x, y)_1 = x . y and T(x, y)_2 = x_1 y_1 via A_1 = I, A_2 = diag(1, 0)
     T = PsdFamilySip([np.eye(2), np.diag([1.0, 0.0])])
-    assert np.array_equal(sip_eval(T, [1.0, 2.0], [3.0, 1.0]), [5.0, 3.0])
-    assert np.array_equal(sip_eval(T, [0.0, 1.0], [0.0, 1.0]), [1.0, 0.0])
+    assert np.array_equal(Gram(T, [1.0, 2.0], [3.0, 1.0]).b, [5.0, 3.0])
+    assert np.array_equal(Gram(T, [0.0, 1.0], [0.0, 1.0]).b, [1.0, 0.0])
     assert T.domain_dim == 2
     assert T.codomain_dim == 2
 
@@ -39,7 +37,7 @@ def test_psd_family_sip_eval():
 def test_psd_family_allows_degenerate_members():
     # T(x, x) = 0 for x = e_2 even though x != 0: semi-inner, not inner
     T = PsdFamilySip([np.diag([1.0, 0.0])])
-    assert np.array_equal(sip_eval(T, [0.0, 1.0], [0.0, 1.0]), [0.0])
+    assert np.array_equal(Gram(T, [0.0, 1.0], [0.0, 1.0]).b, [0.0])
     assert max(check_axioms(T, samples=500, seed=7).values()) <= AXIOM_TOL
 
 
@@ -54,14 +52,6 @@ def test_eval_batch_matches_eval():
         assert np.allclose(batch[s], T.eval(X[s], Y[s]), rtol=1e-12, atol=1e-12)
 
 
-def test_sip_eval_checks_dimensions():
-    T = MultiplicationSip(2)
-    with pytest.raises(DimensionMismatch):
-        sip_eval(T, [1.0, 2.0, 3.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sip_eval(T, [1.0, np.nan], [1.0, 2.0])
-
-
 def test_psd_family_validation():
     with pytest.raises(ValueError):
         PsdFamilySip([[[0.0, 1.0], [0.0, 0.0]]])  # asymmetric
@@ -73,8 +63,8 @@ def test_psd_family_validation():
         PsdFamilySip([[[np.inf]]], validate=False)  # non-finite never loads
     # the fault-injection path loads anything finite and square
     broken = PsdFamilySip([[[0.0, 1.0], [0.0, 0.0]]], validate=False)
-    assert np.array_equal(sip_eval(broken, [1.0, 0.0], [0.0, 1.0]), [1.0])
-    assert np.array_equal(sip_eval(broken, [0.0, 1.0], [1.0, 0.0]), [0.0])
+    assert np.array_equal(Gram(broken, [1.0, 0.0], [0.0, 1.0]).b, [1.0])
+    assert np.array_equal(Gram(broken, [0.0, 1.0], [1.0, 0.0]).b, [0.0])
     # eigenvalues inside the floor are admitted with validation on
     PsdFamilySip([np.diag([1.0, -1e-12])])
 
@@ -110,7 +100,7 @@ def test_check_axioms_catches_negativity():
     residuals = check_axioms(broken, samples=200, seed=0)
     failed = {k for k, v in residuals.items() if v > AXIOM_TOL}
     assert "positivity" in failed
-    assert np.array_equal(sip_eval(broken, [1.0, 0.0], [1.0, 0.0]), [-1.0])
+    assert np.array_equal(Gram(broken, [1.0, 0.0], [1.0, 0.0]).b, [-1.0])
 
 
 def test_check_axioms_is_deterministic():
@@ -140,7 +130,7 @@ def test_orthogonal_sample_multiplication():
     T = MultiplicationSip(2)
     y = orthogonal_sample(T, [1.0, 0.0], seed=0)
     assert np.array_equal(np.abs(y), [0.0, 1.0])
-    assert np.array_equal(sip_eval(T, [1.0, 0.0], y), [0.0, 0.0])
+    assert np.array_equal(Gram(T, [1.0, 0.0], y).b, [0.0, 0.0])
     # full support leaves no nonzero orthogonal vector
     with pytest.raises(NoNontrivialOrthogonal):
         orthogonal_sample(T, [1.0, 2.0], seed=0)
@@ -167,34 +157,3 @@ def test_orthogonal_sample_trivial_kernel():
     with pytest.raises(NoNontrivialOrthogonal):
         orthogonal_sample(T, [1.0, 2.0], seed=0)
 
-
-def test_serialization_round_trip():
-    T = random_psd(np.random.default_rng(6), 3, 2)
-    d = sip_to_dict(T)
-    assert d["kind"] == "psd_family"
-    assert d["m"] == 3 and d["n"] == 2
-    back = sip_from_dict(d)
-    assert np.array_equal(back.matrices, T.matrices)
-
-    M = MultiplicationSip(4)
-    d2 = sip_to_dict(M)
-    assert d2 == {"kind": "multiplication", "m": 4, "n": 4}
-    assert sip_from_dict(d2).dim == 4
-
-
-def test_deserialization_never_validates():
-    # a broken family must load so the axiom checker can flag it
-    d = {"kind": "psd_family", "m": 2, "n": 1,
-         "matrices": [[[0.0, 1.0], [0.0, 0.0]]]}
-    broken = sip_from_dict(d)
-    assert max(check_axioms(broken, samples=100, seed=0).values()) > AXIOM_TOL
-
-
-def test_deserialization_validation_errors():
-    with pytest.raises(DimensionMismatch):
-        sip_from_dict({"kind": "multiplication", "m": 2, "n": 3})
-    with pytest.raises(DimensionMismatch):
-        sip_from_dict({"kind": "psd_family", "m": 2, "n": 2,
-                       "matrices": [[[1.0]]]})
-    with pytest.raises(ValueError):
-        sip_from_dict({"kind": "something_else", "m": 1, "n": 1})
