@@ -5,12 +5,13 @@ instances and aggregates the results into a deterministic JSON report.
 Every trial draws its randomness from a substream keyed by
 (config.seed, trial_index), so reports are reproducible bit for bit
 (wall time aside) and any recorded counterexample can be replayed or
-shrunk offline from its serialized instance alone. A check is a function
-of (instance, config) and nothing else: the oracle grids it samples are
-derived on the config, anything else sampled inside a check uses fixed
-seeds or fixed scalar sets, never fresh entropy. A check builds one Gram or WeightedGram record per trial, so each T-value is
-evaluated once, passes it to the library's theorem functions, and only
-maps the residuals they return to tolerances.
+shrunk offline from its serialized instance alone. A check is a
+deterministic function of (instance, config): the oracle grids it samples
+are derived on the config, and anything else sampled inside a check uses
+fixed seeds or fixed scalar sets, never fresh entropy. A check builds one
+Gram or WeightedGram record per trial, so each T-value is evaluated once,
+passes it to the library's theorem functions, and only maps the residuals
+they return to tolerances.
 
 Suite names:
 

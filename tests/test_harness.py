@@ -161,7 +161,7 @@ def test_serialization_round_trip():
     assert np.array_equal(back.sip.matrices, T.matrices)
 
     vectors = {"u": [1.0] * 4, "x": [2.0] * 4, "y": [3.0] * 4}
-    d2 = Instance(sip=MultiplicationSip(4), **{k: np.array(v) for k, v in vectors.items()}).to_dict()
+    d2 = Instance(MultiplicationSip(4), *(np.array(vectors[k]) for k in ("u", "x", "y"))).to_dict()
     assert d2 == {"kind": "multiplication", "m": 4, "n": 4, **vectors}
     assert Instance.from_dict(d2).sip.dim == 4
 
