@@ -6,6 +6,8 @@ computed once per module with the default configuration (seed 0, 10^4
 trials per suite, every theorem).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,18 @@ from riesz_sip.harness import (
     Instance,
     TrialConfig,
     replay_counterexample,
+    report_to_json,
     run_suite,
 )
 from riesz_sip.seminorms import SeminormSpec, WeightedGram, sharp_verdict
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip
 
 WORKED_TOL = 1e-10
+
+# sha256 of the default report (full_report), less wall_time_s. Refactors
+# must leave it unchanged; a change that alters reports on purpose updates
+# it and says so.
+PINNED_DEFAULT_SHA256 = "3ae0086ca818cd241af6ca30f9f97cdf7270cb4bba38265edbeb807c79e795b0"
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +222,10 @@ def test_criterion_10_determinism_and_replay(criterion):
         "reports_identical": r1 == r2,
         "replay_exact": exact,
     })
+
+
+def test_default_report_bytes_are_pinned(full_report):
+    body = full_report.to_dict()
+    body.pop("wall_time_s")
+    assert hashlib.sha256(report_to_json(body).encode("utf-8")).hexdigest() \
+        == PINNED_DEFAULT_SHA256
