@@ -13,6 +13,11 @@ Gram or WeightedGram record per trial, so each T-value is evaluated once,
 passes it to the library's theorem functions, and only maps the residuals
 they return to tolerances.
 
+run_suite works one instance recipe at a time: it generates a recipe's
+trials once, runs every selected suite that reads them and drops them
+before the next recipe. Each suite's report entry is folded in one pass
+over its (instance, result) pairs.
+
 Suite names:
 
   axioms         semi-inner-product axioms on random families
@@ -37,6 +42,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -190,6 +196,9 @@ class TrialConfig:
         unknown = set(self.theorems) - set(THEOREMS)
         if unknown:
             raise ConfigError(f"unknown theorems: {sorted(unknown)}")
+        duplicate = {t for t in self.theorems if self.theorems.count(t) > 1}
+        if duplicate:
+            raise ConfigError(f"duplicate theorems: {sorted(duplicate)}")
         if "pythagoras" in self.theorems and not any(self.orthogonal_recipes):
             raise ConfigError("pythagoras trials need m > n possible or codomain dim >= 2")
 
@@ -278,16 +287,19 @@ class Instance:
             if v.ndim != 1:
                 raise DimensionMismatch(f"instance field {key!r} must be a vector")
             vecs[key] = _finite(v)
+        m, n = d["m"], d["n"]
+        # int() would truncate 2.7 and read True or "2" as a dimension
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (m, n)):
+            raise DimensionMismatch(f"m and n must be integers, got m={m!r}, n={n!r}")
         kind = d.get("kind")
         if kind == "multiplication":
-            if d["m"] != d["n"]:
+            if m != n:
                 raise DimensionMismatch("multiplication sip requires m == n")
-            T = MultiplicationSip(int(d["n"]))
+            T = MultiplicationSip(int(n))
         elif kind == "psd_family":
             A = np.asarray(d["matrices"], dtype=np.float64)
-            if A.shape != (int(d["n"]), int(d["m"]), int(d["m"])):
-                raise DimensionMismatch(
-                    f"matrices shape {A.shape} does not match m={d['m']}, n={d['n']}")
+            if A.shape != (n, m, m):
+                raise DimensionMismatch(f"matrices shape {A.shape} does not match m={m}, n={n}")
             T = PsdFamilySip(A, validate=False)
         else:
             raise ValueError(f"unknown sip kind: {kind!r}")
@@ -401,12 +413,6 @@ class TrialResult:
     tols: dict
     failed: tuple
     tags: tuple = ()
-
-    @property
-    def ratio(self) -> float:
-        """Largest residual in units of its own tolerance, NaN above all."""
-        return max((v / self.tols[k] for k, v in self.residuals.items()),
-                   default=0.0, key=_rank)
 
 
 def _rank(v: float) -> tuple:
@@ -645,89 +651,78 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
-def _generate_or_none(config: TrialConfig, trial_index: int, purpose: str):
-    try:
-        return generate_instance(config, trial_index, purpose)
-    except GenerationExhausted:
-        return None
+def _generate(config: TrialConfig, purpose: str) -> list:
+    """config.trials instances of one recipe, None where generation gave up."""
+    trials = []
+    for i in range(config.trials):
+        try:
+            trials.append(generate_instance(config, i, purpose))
+        except GenerationExhausted:
+            trials.append(None)
+    return trials
+
+
+def _suite_entry(name: str, instances, config: TrialConfig, params: dict) -> dict:
+    """name's report entry, folded in one pass over (instance, result) pairs.
+
+    A None instance (generation gave up) is a failure with no
+    counterexample. The worst trial is the first of the highest ratio,
+    with NaN above every number.
+    """
+    status, counts, residual_max, kept = Counter(), Counter(), {}, []
+    worst = None  # (ratio, result, instance)
+    for inst in instances:
+        res = (_run_check(name, inst, config) if inst is not None
+               else _result({"generation": (1.0, BICOND_TOL)}))
+        status[res.status] += 1
+        counts.update(res.tags)
+        for k, v in res.residuals.items():
+            residual_max[k] = max(residual_max.get(k, 0.0), v, key=_rank)
+        # the largest residual in units of its own tolerance
+        ratio = max((v / res.tols[k] for k, v in res.residuals.items()), default=0.0, key=_rank)
+        if worst is None or _rank(ratio) > _rank(worst[0]):
+            worst = ratio, res, inst
+        if res.status == "fail" and inst is not None and len(kept) < MAX_COUNTEREXAMPLES:
+            kept.append(counterexample(name, res, inst, params))
+    ratio, res, inst = worst
+    return {
+        "trials": sum(status.values()),
+        "passes": status["pass"],
+        "failures": status["fail"],
+        "borderline": status["borderline"],
+        "max_residual": max(residual_max.values(), default=0.0, key=_rank),
+        "residuals": residual_max,
+        "counts": dict(counts),
+        "worst_instance": {"ratio": ratio, "residuals": dict(res.residuals),
+                           "failed": list(res.failed),
+                           "instance": inst.to_dict() if inst is not None else None},
+        "counterexamples": kept,
+    }
 
 
 def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
-    injected instances (the fault-injection surface) are appended to every
-    selected suite after the generated trials, so the reported trial count
-    is config.trials + len(injected) per theorem. Each purpose's trials are
-    generated once per run and shared by the suites that read them (None
-    where generation gave up); checks never modify an instance.
+    The suites run one instance recipe (PURPOSES) at a time: a recipe's
+    trials are generated once, read by each selected suite of that recipe
+    (checks never modify an instance) and dropped before the next recipe
+    is generated, so at most config.trials generated instances are alive
+    at once. injected instances (the fault-injection surface) follow the
+    generated trials in every selected suite, so the reported trial count
+    is config.trials + len(injected) per theorem. The report lists the
+    suites in config.theorems order.
     """
     start = time.perf_counter()
-    theorems = {}
-    uses = Counter(PURPOSES[name] for name in config.theorems)
-    generated: dict = {}
-    for name in config.theorems:
-        purpose = PURPOSES[name]
-        if purpose not in generated:
-            generated[purpose] = [_generate_or_none(config, i, purpose)
-                                  for i in range(config.trials)]
-        uses[purpose] -= 1
-        # the last suite of a purpose releases its instances
-        trials = generated[purpose] if uses[purpose] else generated.pop(purpose)
-        passes = failures = borderline = 0
-        residual_max: dict = {}
-        counts: dict = {}
-        worst = None  # (ratio, summary dict)
-        counterexamples = []
-        params = params_from_config(config)
-
-        def record(inst: Instance | None, res: TrialResult):
-            nonlocal passes, failures, borderline, worst
-            for k, v in res.residuals.items():
-                residual_max[k] = max(residual_max.get(k, 0.0), v, key=_rank)
-            for t in res.tags:
-                counts[t] = counts.get(t, 0) + 1
-            ratio = res.ratio
-            if worst is None or _rank(ratio) > _rank(worst[0]):
-                worst = (ratio, {
-                    "ratio": ratio,
-                    "residuals": dict(res.residuals),
-                    "failed": list(res.failed),
-                    "instance": inst.to_dict() if inst is not None else None,
-                })
-            if res.status == "fail":
-                failures += 1
-                if inst is not None and len(counterexamples) < MAX_COUNTEREXAMPLES:
-                    counterexamples.append(counterexample(name, res, inst, params))
-            elif res.status == "borderline":
-                borderline += 1
-            else:
-                passes += 1
-
-        for inst in trials:
-            if inst is None:
-                record(None, _result({"generation": (1.0, BICOND_TOL)}))
-            else:
-                record(inst, _run_check(name, inst, config))
-        for inst in injected:
-            record(inst, _run_check(name, inst, config))
-
-        theorems[name] = {
-            "trials": config.trials + len(injected),
-            "passes": passes,
-            "failures": failures,
-            "borderline": borderline,
-            "max_residual": max(residual_max.values(), default=0.0, key=_rank),
-            "residuals": residual_max,
-            "counts": counts,
-            "worst_instance": worst[1] if worst else None,
-            "counterexamples": counterexamples,
-        }
-
-    return VerificationReport(
-        config=asdict(config),
-        theorems=theorems,
-        wall_time_s=time.perf_counter() - start,
-    )
+    params = params_from_config(config)
+    entries = dict.fromkeys(config.theorems)  # keeps config.theorems order
+    for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
+        trials = _generate(config, purpose)
+        for name in config.theorems:
+            if PURPOSES[name] == purpose:
+                entries[name] = _suite_entry(name, chain(trials, injected), config, params)
+        del trials  # freed before the next recipe is generated
+    return VerificationReport(config=asdict(config), theorems=entries,
+                              wall_time_s=time.perf_counter() - start)
 
 
 def _drop(v: np.ndarray, i: int) -> np.ndarray:
@@ -790,16 +785,14 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     if res.status != "fail":
         raise ConfigError("shrink requires an instance that fails the check")
     current = inst
-    progress = True
-    while progress:
-        progress = False
+    while True:
         for cand in _shrink_candidates(current):
             cand_res = _run_check(theorem, cand, config)
             if cand_res.status == "fail":
                 current, res = cand, cand_res
-                progress = True
                 break
-    return current, res
+        else:
+            return current, res
 
 
 @dataclass
@@ -834,11 +827,8 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
         raise ConfigError(f"need at least two grid sizes, all in [4, {MAX_GRID_COUNT}]")
     start = time.perf_counter()
     floor = config.tolerances.abs
-    pairs = []
-    for i in range(config.trials):
-        gen = generate_instance(config, i, "generic")
-        pairs.append((generate_instance(config, i, "positive_log"),
-                      Gram(gen.sip, gen.x, gen.y)))
+    pairs = list(zip(_generate(config, "positive_log"),
+                     (Gram(g.sip, g.x, g.y) for g in _generate(config, "generic"))))
     rows = []
     sandwich_ok = True
     for G in sizes:

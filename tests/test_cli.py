@@ -84,6 +84,8 @@ def test_verify_config_errors(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert main(["verify", "--trials", "5", "--theorems", "bogus"]) == 2
     assert "error: unknown theorems: ['bogus']" in capsys.readouterr().err
+    assert main(["verify", "--trials", "3", "--theorems", "cs,cs"]) == 2
+    assert "error: duplicate theorems: ['cs']" in capsys.readouterr().err
     assert main(["verify", "--trials", "5", "--instances", "/nonexistent"]) == 2
     # a grid that would exhaust memory is refused before it is built
     assert main(["verify", "--trials", "5", "--theta-count", "1000000000000"]) == 2
@@ -251,7 +253,12 @@ VALID_INSTANCE = '{"kind": "multiplication", "m": 1, "n": 1, "u": [1.0], "x": [1
     '{"params": {"grids": {"theta_count": 100.5}}, "theorem": "oracle", "instance": %s}'
     % VALID_INSTANCE,
     '{"params": {"grids": {"theta_count": 1000000000000000}}, "theorem": "oracle", '
-    '"instance": %s}' % VALID_INSTANCE])
+    '"instance": %s}' % VALID_INSTANCE,
+    # dimensions that int() would truncate or coerce
+    '{"kind": "multiplication", "m": 2.7, "n": 2.7, "u": [1, 1], "x": [1, 1], "y": [1, 1]}',
+    '{"kind": "psd_family", "m": 1, "n": 1.5, "matrices": [[[1]]], "u": [1], "x": [1], "y": [1]}',
+    '{"kind": "multiplication", "m": true, "n": 1, "u": [1], "x": [1], "y": [1]}',
+    '{"kind": "multiplication", "m": "2", "n": "2", "u": [1, 1], "x": [1, 1], "y": [1, 1]}'])
 def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from riesz_sip import harness
+from riesz_sip.cli import main
 from riesz_sip.harness import (
     CHECKS,
     MAX_GRID_COUNT,
@@ -67,6 +70,8 @@ def test_config_validation():
         TrialConfig(n_hi=65)
     with pytest.raises(ConfigError):
         TrialConfig(theorems=("axioms", "nonsense"))
+    with pytest.raises(ConfigError, match=r"^duplicate theorems: \['cs'\]$"):
+        TrialConfig(theorems=("cs", "axioms", "cs"))
     with pytest.raises(ConfigError):
         TrialConfig(tolerances=Tolerances(rel=0.0))
     with pytest.raises(ConfigError):
@@ -183,6 +188,13 @@ def test_deserialization_validation_errors():
                             "matrices": [[[1.0]]], **vectors})
     with pytest.raises(ValueError):
         Instance.from_dict({"kind": "something_else", "m": 1, "n": 1, **vectors})
+    # dimensions that int() would truncate or coerce
+    for m, n in ((2.7, 2.7), (True, True), ("2", "2"), (2, 2.0)):
+        with pytest.raises(DimensionMismatch, match="must be integers"):
+            Instance.from_dict({"kind": "multiplication", "m": m, "n": n, **vectors})
+    with pytest.raises(DimensionMismatch, match="must be integers"):
+        Instance.from_dict({"kind": "psd_family", "m": 1, "n": 1.5,
+                            "matrices": [[[1.0]]], **vectors})
 
 
 def test_grids_are_built_on_first_read_and_kept():
@@ -472,15 +484,49 @@ def test_injected_overflow_and_shape_report_is_pinned():
     assert invalid == {"vsn", "sharp", "additivity", "pythagoras", "parallelogram", "means"}
 
 
-def test_suites_share_instances_without_changing_them():
-    # each purpose's instances are generated once and read by several
-    # suites: a suite's entry must not depend on the suites run before it
+def test_suites_share_instances_without_changing_them(capsys):
+    # each recipe's instances are generated once and read by several
+    # suites: a suite's entry must not depend on the suites run before it,
+    # and the report and verify's lines follow config.theorems, even where
+    # the order interleaves recipes
     config = TrialConfig(trials=200, seed=2024)
     injected = (_asymmetric_instance(m=2), _negative_instance())
-    together = run_suite(config, injected=injected).theorems
-    for name in THEOREMS:
-        alone = run_suite(replace(config, theorems=(name,)), injected=injected).theorems
-        assert report_to_json(alone[name]) == report_to_json(together[name]), name
+    interleaved = ("oracle", "cs", "pythagoras", "means")
+    for order in (THEOREMS, interleaved):
+        together = run_suite(replace(config, theorems=order), injected=injected).theorems
+        assert list(together) == list(order)
+        for name in order:
+            alone = run_suite(replace(config, theorems=(name,)), injected=injected).theorems
+            assert report_to_json(alone[name]) == report_to_json(together[name]), name
+    assert main(["verify", "--trials", "20", "--theorems", ",".join(interleaved)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [*interleaved, "ok"]
+
+
+def test_at_most_one_recipe_of_instances_is_alive(monkeypatch):
+    # a recipe's instances are dropped before the next recipe is generated,
+    # so while any check runs at most config.trials generated instances
+    # are alive; injected instances are not counted
+    config = TrialConfig(trials=5, seed=3)
+    # Instance is unhashable (it holds arrays), so no WeakSet
+    refs = []
+    seen = []
+
+    def tracked(*args, _generate=harness.generate_instance, **kwargs):
+        inst = _generate(*args, **kwargs)
+        refs.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(harness, "generate_instance", tracked)
+    for name, check in list(CHECKS.items()):
+        def counted(inst, config, _check=check):
+            seen.append(sum(ref() is not None for ref in refs))
+            return _check(inst, config)
+        monkeypatch.setitem(CHECKS, name, counted)
+    injected = (_asymmetric_instance(m=2), _negative_instance())
+    run_suite(config, injected=injected)
+    assert len(seen) == len(THEOREMS) * (config.trials + len(injected))
+    assert max(seen) <= config.trials
 
 
 def test_study_bytes_are_pinned():
