@@ -491,13 +491,14 @@ def test_suites_share_instances_without_changing_them(capsys):
     # the order interleaves recipes
     config = TrialConfig(trials=200, seed=2024)
     injected = (_asymmetric_instance(m=2), _negative_instance())
+    alone = {name: run_suite(replace(config, theorems=(name,)), injected=injected)
+             .theorems[name] for name in THEOREMS}
     interleaved = ("oracle", "cs", "pythagoras", "means")
     for order in (THEOREMS, interleaved):
         together = run_suite(replace(config, theorems=order), injected=injected).theorems
         assert list(together) == list(order)
         for name in order:
-            alone = run_suite(replace(config, theorems=(name,)), injected=injected).theorems
-            assert report_to_json(alone[name]) == report_to_json(together[name]), name
+            assert report_to_json(together[name]) == report_to_json(alone[name]), name
     assert main(["verify", "--trials", "20", "--theorems", ",".join(interleaved)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [*interleaved, "ok"]
