@@ -14,6 +14,7 @@ from riesz_sip.harness import (
     PURPOSES,
     THEOREMS,
     ConfigError,
+    GenerationExhausted,
     Instance,
     Tolerances,
     TrialConfig,
@@ -41,6 +42,8 @@ PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd
 PINNED_STUDY_SHA256 = "c03b03308d74d19ddc48e7248e9bc164505e4701546d6e6ac7bccf142c7f3e3e"
 # The same for the report of test_injected_overflow_and_shape_report_is_pinned.
 PINNED_INJECTED_SHA256 = "eaa7c99532bf6f0e4c594830cfa5a9452d56449447521df7f392f28b7d9fe13d"
+# sha256 of the instances of test_orthogonal_generation_is_pinned.
+PINNED_ORTHOGONAL_SHA256 = "63cb08861d5b2a61ffb716143a570eb0eaeedcd921804047e08342f91baf9647"
 
 
 def _asymmetric_instance(m=8):
@@ -141,6 +144,21 @@ def test_generate_orthogonal_pairs():
             assert inst.sip.domain_dim > inst.sip.codomain_dim
         else:
             assert np.min(np.abs(inst.x)) == 0.0  # zeroed support
+
+
+def test_orthogonal_generation_is_pinned():
+    # Shapes beyond the defaults (m <= 6, n <= 4) give null spaces of
+    # dimension 2 and more, where the layout of the kernel basis decides
+    # the summation order of y, and so its bits.
+    config = TrialConfig(seed=2024, m_lo=1, m_hi=12, n_lo=1, n_hi=8)
+    instances = []
+    for i in range(2000):
+        try:
+            instances.append(generate_instance(config, i, "orthogonal").to_dict())
+        except GenerationExhausted:
+            instances.append(None)
+    text = json.dumps(instances, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ORTHOGONAL_SHA256
 
 
 def test_instance_round_trip():
