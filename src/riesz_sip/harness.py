@@ -840,9 +840,9 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
                     ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
                     ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
                     ("defect_gap", defect_gaps(g, lam, floor))):
-                if sandwich > SANDWICH_FLOOR:
+                if not sandwich <= SANDWICH_FLOOR:  # NaN fails too
                     sandwich_ok = False
-                row[key] = max(row[key], gap)
+                row[key] = max(row[key], gap, key=_rank)
         rows.append(row)
 
     monotone_ok = True

@@ -15,6 +15,9 @@ check_axioms measures the five axioms on random samples as normalized
 residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
 well formed beyond shape.
+
+The linear algebra (the PSD admission's eigenvalues, the kernel basis of
+orthogonal_sample) is numpy's.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (
     DEFAULT_ABS_TOL,
     DimensionMismatch,
     NonFinite,
+    _finite,
     as_lattice_vector,
 )
 
@@ -101,11 +104,10 @@ class PsdFamilySip:
             asym = np.max(np.abs(A - np.transpose(A, (0, 2, 1))))
             if asym > SYMMETRY_ABS_TOL:
                 raise ValueError(f"matrix family is asymmetric by {asym}")
-            for j, Aj in enumerate(A):
-                lo = float(np.min(scipy.linalg.eigvalsh(Aj)))
+            for j, lo in enumerate(np.linalg.eigvalsh(A).min(axis=1)):
                 if lo < EIGENVALUE_FLOOR:
                     raise ValueError(
-                        f"matrix {j} has eigenvalue {lo} below the PSD floor")
+                        f"matrix {j} has eigenvalue {float(lo)} below the PSD floor")
         self.matrices = A
 
     @property
@@ -200,7 +202,11 @@ def orthogonal_sample(T: Sip, x, seed: int = 0,
         # row j is x' A_j, not (A_j x)': the two differ on (invalid)
         # asymmetric families, and the kernel must match eval exactly.
         rows = np.einsum("jab,a->jb", T.matrices, x)
-    basis = scipy.linalg.null_space(rows, rcond=1e-10)
+    _, s, vh = np.linalg.svd(_finite(rows))
+    # The basis is a column slice of a C-ordered matrix, not a view of vh:
+    # its layout fixes the summation order of basis @ g below, and so the
+    # bits of y that the pinned reports and instances hold.
+    basis = np.ascontiguousarray(vh.T)[:, np.count_nonzero(s > 1e-10 * np.max(s)):]
     if basis.shape[1] == 0:
         raise NoNontrivialOrthogonal(
             f"T(x, .) has trivial kernel (m={T.domain_dim}, n={T.codomain_dim})")

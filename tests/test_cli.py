@@ -330,3 +330,14 @@ def test_console_script_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("ok")
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riesz_sip, riesz_sip.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -420,6 +420,15 @@ def test_convergence_study_gaps_shrink():
         convergence_study(config, grid_sizes=(4, MAX_GRID_COUNT + 1))
 
 
+def test_convergence_study_never_hides_nan_gaps():
+    # near 1e300 the products of box_times overflow, so some oracle gaps
+    # and sandwiches are NaN; run_suite counts them as oracle failures
+    with np.errstate(all="ignore"):
+        study = convergence_study(TrialConfig(trials=50, log_entry_hi=1e300), (4, 8))
+    assert not study.sandwich_ok and not study.ok
+    assert any(np.isnan(v) for k, v in study.rows[1].items() if k != "grid_size")
+
+
 def test_report_serialization():
     report = run_suite(TrialConfig(seed=5, trials=10, theorems=("means",)))
     text = report_to_json(report.to_dict())

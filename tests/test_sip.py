@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch, in_positive_cone
+from riesz_sip.lattice import DimensionMismatch, NonFinite, in_positive_cone
 from riesz_sip.sip import (
     MultiplicationSip,
     NoNontrivialOrthogonal,
@@ -57,6 +57,8 @@ def test_psd_family_validation():
         PsdFamilySip([[[0.0, 1.0], [0.0, 0.0]]])  # asymmetric
     with pytest.raises(ValueError):
         PsdFamilySip([-np.eye(2)])  # negative definite
+    with pytest.raises(ValueError, match="matrix 1 "):
+        PsdFamilySip([np.eye(2), np.diag([1.0, -1.0])])  # second member indefinite
     with pytest.raises(DimensionMismatch):
         PsdFamilySip(np.zeros((2, 3, 4)))  # non-square members
     with pytest.raises(ValueError):
@@ -157,3 +159,9 @@ def test_orthogonal_sample_trivial_kernel():
     with pytest.raises(NoNontrivialOrthogonal):
         orthogonal_sample(T, [1.0, 2.0], seed=0)
 
+
+def test_orthogonal_sample_rejects_nonfinite_kernel_rows():
+    # x and the family are finite, but the rows x' A_j overflow
+    T = PsdFamilySip([1e300 * np.eye(3)])
+    with pytest.raises(NonFinite):
+        orthogonal_sample(T, [1e10, 0.0, 0.0])
