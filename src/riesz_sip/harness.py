@@ -848,7 +848,7 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     monotone_ok = True
     for key in ("box_times_gap", "box_plus_gap", "defect_gap"):
         vals = [r[key] for r in rows]
-        if any(vals[i + 1] > vals[i] + 1e-15 for i in range(len(vals) - 1)):
+        if any(not vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1)):
             monotone_ok = False
 
     return StudyReport(

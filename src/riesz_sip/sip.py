@@ -107,7 +107,7 @@ class PsdFamilySip:
             for j, lo in enumerate(np.linalg.eigvalsh(A).min(axis=1)):
                 if lo < EIGENVALUE_FLOOR:
                     raise ValueError(
-                        f"matrix {j} has eigenvalue {float(lo)} below the PSD floor")
+                        f"matrix {j} has eigenvalue {lo} below the PSD floor")
         self.matrices = A
 
     @property

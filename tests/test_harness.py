@@ -425,7 +425,7 @@ def test_convergence_study_never_hides_nan_gaps():
     # and sandwiches are NaN; run_suite counts them as oracle failures
     with np.errstate(all="ignore"):
         study = convergence_study(TrialConfig(trials=50, log_entry_hi=1e300), (4, 8))
-    assert not study.sandwich_ok and not study.ok
+    assert not study.sandwich_ok and not study.monotone_ok and not study.ok
     assert any(np.isnan(v) for k, v in study.rows[1].items() if k != "grid_size")
 
 
