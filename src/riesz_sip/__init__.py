@@ -45,6 +45,8 @@ from .cauchy_schwarz import (
     cs_verdict,
     defect_gaps,
     defect_grid,
+    lambda_minimum,
+    lambda_samples,
 )
 from .seminorms import (
     AdditivityCheck,

@@ -18,18 +18,24 @@ Gram is the record of one pair: a, b, c, each evaluated once on first
 use, with sqrt(a*c) and the closed-form defect derived from them. The
 identity (cs_identity), the inequality with its biconditional
 (cs_verdict) and the oracle comparison (defect_gaps) are pure functions
-of a Gram, and the harness builds one per trial.
+of a Gram. The harness builds one per trial, and every suite of that
+trial reads it: the weighted record of the seminorm theorems
+(seminorms.WeightedGram) reads a, b, c, bound and defect off it rather
+than evaluating them again.
 
-defect_grid must stay independent of that derivation: it samples the
-defining family by evaluating T directly on lambda*x - y over the +-
-closure of a log-spaced magnitude grid (means.LogGrid, the grid type of
-the [*] infimum), using neither bilinear expansion nor calculus. The grid
-minimum over-estimates the infimum, so grid >= closed always, and the gap
-shrinks with grid resolution. It is the one lambda-grid sampler: the
-weighted oracle of the sharpened triangle inequality calls it with the
-weight u.
+The lambda-grid oracle must stay independent of that derivation: it
+samples the defining family by evaluating T directly on lambda*x - y over
+the +- closure of a log-spaced magnitude grid (means.LogGrid, the grid
+type of the [*] infimum), using neither bilinear expansion nor calculus.
+The grid minimum over-estimates the infimum, so grid >= closed always,
+and the gap shrinks with grid resolution. lambda_samples is the one
+sampler: it holds the T-values T(lambda*x - y, lambda*x - y), which do
+not depend on a weight, so one sampling of a pair serves both the defect
+(lambda_minimum without a weight) and the weighted defect D(x,y)*u of the
+sharpened triangle inequality (lambda_minimum with u). defect_grid is the
+two steps in one call.
 
-defect_grid follows the layout rule of the mean oracles (see means): T
+The samples follow the layout rule of the mean oracles (see means): T
 runs on the (S, m) difference vectors, one row per lambda, and its (S, n)
 values, weighted and divided by |lambda|, form an (n, S) array whose
 minimum runs along contiguous rows, keeping every bit.
@@ -66,9 +72,13 @@ class Gram:
     """The T-evaluations of one pair (x, y), each made once, on first use.
 
     a = T(x,x), b = T(x,y), c = T(y,y). Every Cauchy-Schwarz quantity is
-    algebra on these three vectors, so a check builds one Gram per trial
-    and reads everything off it; evaluating lazily keeps a suite from
-    computing (or raising on) a value it never reads.
+    algebra on these three vectors, so the harness builds one Gram per
+    trial and every suite of the trial reads it, directly or through a
+    WeightedGram built on it (seminorms.WeightedGram.of): a, b, c, bound
+    and defect are evaluated once per trial, however many suites read
+    them. Evaluating lazily keeps a suite from computing (or raising on) a
+    value it never reads; a value that raises is not kept, so the next
+    reader raises on it again.
     """
 
     def __init__(self, T: Sip, x, y):
@@ -106,6 +116,29 @@ class Gram:
         return 2.0 * (self.bound - np.abs(self.b))
 
 
+def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
+    """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
+
+    Column k holds the T-value at grid.signed[k]. Reads g's sip and its
+    validated pair only, never a, b or c: the oracle evaluates T on the
+    difference vectors directly, with no bilinear expansion.
+    """
+    lam = grid.signed
+    Z = lam[:, None] * g.x[None, :] - g.y[None, :]
+    return g.T.eval_batch(Z, Z).T
+
+
+def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None) -> np.ndarray:
+    """Componentwise min over the grid of samples/|lambda|, or of samples*u/|lambda|.
+
+    samples are lambda_samples on the same grid; u is a validated weight.
+    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
+    """
+    if u is not None:
+        samples = samples * u[:, None]
+    return np.divide(samples, np.abs(grid.signed), order="C").min(axis=1)
+
+
 def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     """Componentwise min of |lambda|^-1 T(lambda*x - y, lambda*x - y) over the grid.
 
@@ -115,24 +148,20 @@ def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
     by construction. With a weight u, samples D(x,y)*u instead: each
     T-value is multiplied by u before the division by |lambda|.
     """
-    x = as_lattice_vector(x, T.domain_dim)
-    y = as_lattice_vector(y, T.domain_dim)
-    lam = grid.signed
-    Z = lam[:, None] * x[None, :] - y[None, :]
-    vals = T.eval_batch(Z, Z).T
     if u is not None:
-        vals = vals * as_lattice_vector(u, T.codomain_dim)[:, None]
-    return np.divide(vals, np.abs(lam), order="C").min(axis=1)
+        u = as_lattice_vector(u, T.codomain_dim)
+    return lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
 
 
-def defect_gaps(g: Gram, grid: LogGrid,
+def defect_gaps(g: Gram, sampled: np.ndarray,
                 floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
-    """(sandwich, gap) of the lambda-grid oracle against the closed-form defect.
+    """(sandwich, gap) of the lambda-grid oracle's value sampled against the closed-form defect.
 
-    Normalized by the largest of |a|, |c| and both defect values: sandwich
-    is the violation of grid >= closed, gap the worst over-estimate.
+    sampled is the oracle's defect of g's pair (lambda_minimum without a
+    weight, or defect_grid). Normalized by the largest of |a|, |c| and both
+    defect values: sandwich is the violation of grid >= closed, gap the
+    worst over-estimate.
     """
-    sampled = defect_grid(g.T, g.x, g.y, grid)
     gap = sampled - g.defect
     scale = np.maximum(np.abs(g.a), np.maximum(np.abs(g.c), np.maximum(
         np.abs(g.defect), np.abs(sampled)))) + floor

@@ -8,15 +8,19 @@ Every trial draws its randomness from a substream keyed by
 shrunk offline from its serialized instance alone. A check is a
 deterministic function of (instance, config): the oracle grids it samples
 are derived on the config, and anything else sampled inside a check uses
-fixed seeds or fixed scalar sets, never fresh entropy. A check builds one
-Gram or WeightedGram record per trial, so each T-value is evaluated once,
-passes it to the library's theorem functions, and only maps the residuals
-they return to tolerances.
+fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
+Trial, the lazy record of one instance under one config (its Gram, the
+WeightedGram under u and the lambda-grid samples), passes its values to
+the library's theorem functions, and only maps the residuals they return
+to tolerances.
 
-run_suite works one instance recipe at a time: it generates a recipe's
-trials once, runs every selected suite that reads them and drops them
-before the next recipe. Each suite's report entry is folded in one pass
-over its (instance, result) pairs.
+run_suite is trial-major: for each instance recipe it generates trial i,
+builds one Trial, runs every selected suite of the recipe on it and folds
+each result into that suite's report entry, then drops the trial before
+generating trial i + 1. The suites of a trial share its record, so each
+T-value and the lambda-grid sampling are evaluated once per trial, and
+at most one generated instance is alive. replay_counterexample and
+shrink build a fresh record for every check they run.
 
 Suite names:
 
@@ -63,9 +67,12 @@ from .means import (
     THETA_LO,
     AngleGrid,
     LogGrid,
-    box_plus,
+    _box_plus,
+    _box_times,
     box_plus_gaps,
     box_plus_oracle,
+    # Not called here since the means suite runs the kernels; perfbench's
+    # tracer test reads the binding harness.box_times.
     box_times,
     box_times_gaps,
     theta_minimizer,
@@ -79,6 +86,9 @@ from .cauchy_schwarz import (
     Gram,
     cs_verdict,
     defect_gaps,
+    defect_grid,
+    lambda_minimum,
+    lambda_samples,
 )
 from .seminorms import (
     CHAIN_FLOOR,
@@ -440,16 +450,54 @@ def _branch(holds: bool) -> tuple:
     return ("equality",) if holds else ("strict",)
 
 
-def check_axioms_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    res = check_axioms(inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=config.tolerances.abs)
-    return _result({k: (v, config.tolerances.rel) for k, v in res.items()}, tags=(inst.kind,))
+class Trial:
+    """One instance under one config: the lazy record every suite of a trial reads.
+
+    Each value is computed once, on first read, and shared by every suite
+    that reads it: the pair's Gram (a, b, c, bound and the defect), the
+    WeightedGram under u built on that Gram (only when a suite reads u),
+    the lambda-grid samples T(lambda*x - y, lambda*x - y) of the defect
+    oracles, and the validated vectors of the means and oracle suites. A
+    value that raises is not kept (cached_property), so every suite raises
+    on exactly the values it reads, as it would alone.
+    """
+
+    def __init__(self, inst: Instance, config: TrialConfig):
+        self.inst = inst
+        self.config = config
+
+    @cached_property
+    def gram(self) -> Gram:
+        return Gram(self.inst.sip, self.inst.x, self.inst.y)
+
+    @cached_property
+    def weighted(self) -> WeightedGram:
+        return WeightedGram.of(SeminormSpec(self.inst.sip, self.inst.u), self.gram)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """lambda_samples of the pair on config.lambda_grid."""
+        return lambda_samples(self.gram, self.config.lambda_grid)
+
+    @cached_property
+    def vectors(self) -> tuple:
+        """x and y as vectors of one lattice; the sip is not read."""
+        x = as_lattice_vector(self.inst.x)
+        return x, as_lattice_vector(self.inst.y, x.size)
 
 
-def check_cs_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    g = Gram(inst.sip, inst.x, inst.y)
+def check_axioms_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    res = check_axioms(trial.inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
+    return _result({k: (v, tol.rel) for k, v in res.items()}, tags=(trial.inst.kind,))
+
+
+def check_cs_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    g = trial.gram
     chk = cs_verdict(g, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = defect_gaps(g, config.lambda_grid, tol.abs)
+    sandwich, gap = defect_gaps(
+        g, lambda_minimum(trial.samples, trial.config.lambda_grid), tol.abs)
     return _result({
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
@@ -460,40 +508,41 @@ def check_cs_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     }, borderline=chk.borderline, tags=_branch(chk.equality_holds))
 
 
-def check_means_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    # Validated before a + b; the suite states identities of the public
-    # means, whose checks catch a + b or lam*a overflowing.
-    x = as_lattice_vector(inst.x)
-    a, b = np.abs(x), np.abs(as_lattice_vector(inst.y, x.size))
-    c = as_lattice_vector(inst.u, x.size)
-    floor = config.tolerances.abs
-    biadd = rel_residual(box_times(a + b, c, floor=floor),
-                         box_plus(box_times(a, c, floor=floor),
-                                  box_times(b, c, floor=floor)), floor=floor)
+def check_means_trial(trial: Trial) -> TrialResult:
+    # The suite states identities of the means on the validated x, y, u;
+    # the kernels still catch a + b or lam*a overflowing.
+    x, y = trial.vectors
+    a, b = np.abs(x), np.abs(y)
+    c = as_lattice_vector(trial.inst.u, x.size)
+    floor = trial.config.tolerances.abs
+    biadd = rel_residual(_box_times(a + b, c, floor),
+                         _box_plus(_box_times(a, c, floor), _box_times(b, c, floor)),
+                         floor=floor)
     hom = 0.0
-    ab = box_times(a, b, floor=floor)
+    ab = _box_times(a, b, floor)
     # |x_0| adds a scalar that depends on the data, yet keeps the check a
     # pure function of the instance.
     for lam in (0.0, 0.5, 1.0, 4.0, float(a[0])):
         ref = np.sqrt(lam) * ab
-        hom = max(hom, rel_residual(box_times(lam * a, b, floor=floor), ref, floor=floor))
-        hom = max(hom, rel_residual(box_times(a, lam * b, floor=floor), ref, floor=floor))
+        hom = max(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor))
+        hom = max(hom, rel_residual(_box_times(a, lam * b, floor), ref, floor=floor))
     return _result({"biadditivity": (biadd, MEANS_REL_TOL), "homogeneity": (hom, MEANS_REL_TOL)})
 
 
-def check_vsn_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+def check_vsn_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
             "square": SQUARE_REL_TOL}
-    return _result({k: (v, tols[k]) for k, v in seminorm_residuals(g, floor=tol.abs).items()})
+    residuals = seminorm_residuals(trial.weighted, floor=tol.abs)
+    return _result({k: (v, tols[k]) for k, v in residuals.items()})
 
 
-def check_sharp_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+def check_sharp_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    g = trial.weighted
     st = sharp_verdict(g, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = weighted_defect_gaps(g, config.lambda_grid, tol.abs)
+    sandwich, gap = weighted_defect_gaps(
+        g, lambda_minimum(trial.samples, trial.config.lambda_grid, g.u), tol.abs)
     return _result({
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
@@ -503,10 +552,9 @@ def check_sharp_trial(inst: Instance, config: TrialConfig) -> TrialResult:
     }, borderline=st.borderline, tags=_branch(st.equality_holds))
 
 
-def check_additivity_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
-    ac = additivity_verdict(g, band=tol.cone_band, floor=tol.abs)
+def check_additivity_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    ac = additivity_verdict(trial.weighted, band=tol.cone_band, floor=tol.abs)
     agreed = ac.additive == (ac.condition_pos and ac.condition_defect_zero)
     tags = (
         "additive" if ac.additive else "nonadditive",
@@ -517,28 +565,28 @@ def check_additivity_trial(inst: Instance, config: TrialConfig) -> TrialResult:
                    borderline=ac.borderline, tags=tags)
 
 
-def check_pythagoras_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
+def check_pythagoras_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    g = trial.weighted
     pre = orthogonality(g, floor=tol.abs)
     # The identity is only asserted, and its seminorms only evaluated,
     # when the orthogonality hypothesis holds.
     ident = 0.0 if pre > PRECOND_TOL else rel_residual(*pythagoras_sides(g), floor=tol.abs)
     return _result({"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
-                   tags=(inst.kind,))
+                   tags=(trial.inst.kind,))
 
 
-def check_parallelogram_trial(inst: Instance, config: TrialConfig) -> TrialResult:
+def check_parallelogram_trial(trial: Trial) -> TrialResult:
+    tol = trial.config.tolerances
+    sides = parallelogram_sides(trial.weighted)
+    return _result({"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
+                   tags=(trial.inst.kind,))
+
+
+def check_oracle_trial(trial: Trial) -> TrialResult:
+    config = trial.config
     tol = config.tolerances
-    g = WeightedGram(SeminormSpec(inst.sip, inst.u), inst.x, inst.y)
-    return _result({"identity": (rel_residual(*parallelogram_sides(g), floor=tol.abs), tol.rel)},
-                   tags=(inst.kind,))
-
-
-def check_oracle_trial(inst: Instance, config: TrialConfig) -> TrialResult:
-    tol = config.tolerances
-    x = as_lattice_vector(inst.x)
-    y = as_lattice_vector(inst.y, x.size)
+    x, y = trial.vectors
     u, v = np.abs(x), np.abs(y)
     theta, angle = config.theta_grid, config.angle_grid
     bt_sandwich, bt_gap = box_times_gaps(u, v, theta, tol.abs)
@@ -570,13 +618,13 @@ CHECKS = {
 }
 
 
-def _run_check(theorem: str, inst: Instance, config: TrialConfig) -> TrialResult:
-    """theorem's check of inst; the one place that rejects an unknown check name."""
+def _run_check(theorem: str, trial: Trial) -> TrialResult:
+    """theorem's check of trial; the one place that rejects an unknown check name."""
     check = CHECKS.get(theorem)
     if check is None:
         raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
     try:
-        return check(inst, config)
+        return check(trial)
     except (DimensionMismatch, NotInPositiveCone, NonFinite):
         # Broken instance (fault injection): counted as a failure, never
         # silently skipped. Any other exception is a fault and propagates.
@@ -633,7 +681,7 @@ def replay_counterexample(ce: dict) -> TrialResult:
     inst, theorem, config = read_case(ce)
     if config is None:
         raise ConfigError("a counterexample needs an 'instance' and a 'theorem'")
-    return _run_check(theorem, inst, config)
+    return _run_check(theorem, Trial(inst, config))
 
 
 @dataclass
@@ -651,77 +699,86 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
-def _generate(config: TrialConfig, purpose: str) -> list:
-    """config.trials instances of one recipe, None where generation gave up."""
-    trials = []
+def _generate(config: TrialConfig, purpose: str):
+    """config.trials instances of one recipe, one at a time, None where generation gave up."""
     for i in range(config.trials):
         try:
-            trials.append(generate_instance(config, i, purpose))
+            inst = generate_instance(config, i, purpose)
         except GenerationExhausted:
-            trials.append(None)
-    return trials
+            inst = None
+        yield inst
 
 
-def _suite_entry(name: str, instances, config: TrialConfig, params: dict) -> dict:
-    """name's report entry, folded in one pass over (instance, result) pairs.
+class _SuiteFold:
+    """One suite's report entry, folded one (instance, result) pair at a time.
 
     A None instance (generation gave up) is a failure with no
     counterexample. The worst trial is the first of the highest ratio,
-    with NaN above every number.
+    with NaN above every number; its instance is kept as a dict, so the
+    fold holds no instance.
     """
-    status, counts, residual_max, kept = Counter(), Counter(), {}, []
-    worst = None  # (ratio, result, instance)
-    for inst in instances:
-        res = (_run_check(name, inst, config) if inst is not None
-               else _result({"generation": (1.0, BICOND_TOL)}))
-        status[res.status] += 1
-        counts.update(res.tags)
+
+    def __init__(self, name: str, params: dict):
+        self.name = name
+        self.params = params
+        self.status, self.counts, self.residual_max, self.kept = Counter(), Counter(), {}, []
+        self.worst = None  # (ratio, result, instance dict)
+
+    def add(self, inst, res: TrialResult) -> None:
+        self.status[res.status] += 1
+        self.counts.update(res.tags)
         for k, v in res.residuals.items():
-            residual_max[k] = max(residual_max.get(k, 0.0), v, key=_rank)
+            self.residual_max[k] = max(self.residual_max.get(k, 0.0), v, key=_rank)
         # the largest residual in units of its own tolerance
         ratio = max((v / res.tols[k] for k, v in res.residuals.items()), default=0.0, key=_rank)
-        if worst is None or _rank(ratio) > _rank(worst[0]):
-            worst = ratio, res, inst
-        if res.status == "fail" and inst is not None and len(kept) < MAX_COUNTEREXAMPLES:
-            kept.append(counterexample(name, res, inst, params))
-    ratio, res, inst = worst
-    return {
-        "trials": sum(status.values()),
-        "passes": status["pass"],
-        "failures": status["fail"],
-        "borderline": status["borderline"],
-        "max_residual": max(residual_max.values(), default=0.0, key=_rank),
-        "residuals": residual_max,
-        "counts": dict(counts),
-        "worst_instance": {"ratio": ratio, "residuals": dict(res.residuals),
-                           "failed": list(res.failed),
-                           "instance": inst.to_dict() if inst is not None else None},
-        "counterexamples": kept,
-    }
+        if self.worst is None or _rank(ratio) > _rank(self.worst[0]):
+            self.worst = ratio, res, inst.to_dict() if inst is not None else None
+        if res.status == "fail" and inst is not None and len(self.kept) < MAX_COUNTEREXAMPLES:
+            self.kept.append(counterexample(self.name, res, inst, self.params))
+
+    def entry(self) -> dict:
+        ratio, res, inst = self.worst
+        status = self.status
+        return {
+            "trials": sum(status.values()),
+            "passes": status["pass"],
+            "failures": status["fail"],
+            "borderline": status["borderline"],
+            "max_residual": max(self.residual_max.values(), default=0.0, key=_rank),
+            "residuals": self.residual_max,
+            "counts": dict(self.counts),
+            "worst_instance": {"ratio": ratio, "residuals": dict(res.residuals),
+                               "failed": list(res.failed), "instance": inst},
+            "counterexamples": self.kept,
+        }
 
 
 def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
-    The suites run one instance recipe (PURPOSES) at a time: a recipe's
-    trials are generated once, read by each selected suite of that recipe
-    (checks never modify an instance) and dropped before the next recipe
-    is generated, so at most config.trials generated instances are alive
-    at once. injected instances (the fault-injection surface) follow the
-    generated trials in every selected suite, so the reported trial count
-    is config.trials + len(injected) per theorem. The report lists the
-    suites in config.theorems order.
+    The suites run one instance recipe (PURPOSES) at a time and, within a
+    recipe, one trial at a time: trial i is generated once, wrapped in one
+    Trial record that every selected suite of the recipe checks (checks
+    never modify an instance, and the record evaluates each value once),
+    and each result is folded into its suite's entry before trial i + 1 is
+    generated, so at most one generated instance is alive at once.
+    injected instances (the fault-injection surface) follow the generated
+    trials in every selected suite, each with its own record per recipe,
+    so the reported trial count is config.trials + len(injected) per
+    theorem. The report lists the suites in config.theorems order.
     """
     start = time.perf_counter()
     params = params_from_config(config)
-    entries = dict.fromkeys(config.theorems)  # keeps config.theorems order
+    folds = {name: _SuiteFold(name, params) for name in config.theorems}
     for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
-        trials = _generate(config, purpose)
-        for name in config.theorems:
-            if PURPOSES[name] == purpose:
-                entries[name] = _suite_entry(name, chain(trials, injected), config, params)
-        del trials  # freed before the next recipe is generated
-    return VerificationReport(config=asdict(config), theorems=entries,
+        selected = [folds[name] for name in config.theorems if PURPOSES[name] == purpose]
+        for inst in chain(_generate(config, purpose), injected):
+            trial = Trial(inst, config) if inst is not None else None
+            for fold in selected:
+                fold.add(inst, _run_check(fold.name, trial) if trial is not None
+                         else _result({"generation": (1.0, BICOND_TOL)}))
+    return VerificationReport(config=asdict(config),
+                              theorems={name: fold.entry() for name, fold in folds.items()},
                               wall_time_s=time.perf_counter() - start)
 
 
@@ -781,13 +838,13 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     nonzero count, so the loop terminates. Returns (instance, result);
     raises ConfigError when the input does not fail to begin with.
     """
-    res = _run_check(theorem, inst, config)
+    res = _run_check(theorem, Trial(inst, config))
     if res.status != "fail":
         raise ConfigError("shrink requires an instance that fails the check")
     current = inst
     while True:
         for cand in _shrink_candidates(current):
-            cand_res = _run_check(theorem, cand, config)
+            cand_res = _run_check(theorem, Trial(cand, config))
             if cand_res.status == "fail":
                 current, res = cand, cand_res
                 break
@@ -839,7 +896,7 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
             for key, (sandwich, gap) in (
                     ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
                     ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
-                    ("defect_gap", defect_gaps(g, lam, floor))):
+                    ("defect_gap", defect_gaps(g, defect_grid(g.T, g.x, g.y, lam), floor))):
                 if not sandwich <= SANDWICH_FLOOR:  # NaN fails too
                     sandwich_ok = False
                 row[key] = max(row[key], gap, key=_rank)
@@ -861,12 +918,79 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     )
 
 
+class _Unencodable(Exception):
+    """A value outside the JSON subset _encode writes; json.dumps decides."""
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _encode(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at nesting indent, for str keys.
+
+    The type tests run in json's order (str, None, bools, int, float,
+    list or tuple, dict), so subclasses encode as json encodes them; any
+    other value, or a dict with a key that is not a str, raises
+    _Unencodable.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Most of a report's bytes are lists of floats (a counterexample's
+        # matrices and vectors): float.__repr__ writes them in one pass and
+        # refuses any item that is no float.
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:
+            body = sep.join([_encode(v, inner) for v in value])
+        else:
+            if "n" in body:  # nan or inf, which json spells NaN and Infinity
+                body = sep.join(map(_json_float, value))
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise _Unencodable
+        body = sep.join([_json_string(k) + ": " + _encode(value[k], inner) for k in sorted(value)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise _Unencodable
+
+
 def report_to_json(data: dict) -> str:
     """Stable serialization: sorted keys, fixed indentation, newline at EOF.
 
     The one writer of reports (through emit_report) and of shrink's output.
+    Its text is json.dumps(data, sort_keys=True, indent=2) + "\n" byte for
+    byte; indent makes json run its pure-Python encoder, so the JSON that
+    reports hold is written here instead, and json.dumps writes (or
+    refuses) anything else, such as a non-str key, a value of another type
+    or a circular structure.
     """
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    try:
+        return _encode(data, "") + "\n"
+    except (_Unencodable, RecursionError):
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def emit_report(report, path) -> None:

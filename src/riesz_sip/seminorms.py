@@ -18,14 +18,16 @@ inequality holds iff T(x,y)*u is in F+, and both sides of the iff are
 computed from quantities that agree to rounding error.
 
 Every statement here reads a WeightedGram: the Gram record of a pair
-(a, b, c and the defect, see cauchy_schwarz.Gram) extended by
-T(x+y,x+y), T(x-y,x-y), the weight u and the seminorms built from them,
-each evaluated once, on first use. A theorem is one pure function from
+(a, b, c and the defect, see cauchy_schwarz.Gram, read off a Gram that
+the harness shares among all suites of a trial) extended by T(x+y,x+y),
+T(x-y,x-y), the weight u and the seminorms built from them, each
+evaluated once, on first use. A theorem is one pure function from
 that record to its verdict and normalized residuals (sharp_verdict,
 additivity_verdict, orthogonality with pythagoras_sides,
 parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
 identities come as (lhs, rhs) pairs for lattice.rel_residual. The
-harness builds one record per trial. The record's values are reused,
+harness builds one record per trial, and only for suites that read u.
+The record's values are reused,
 never re-expressed by the algebra above: lhs_sq stays T(x+y,x+y)*u
 rather than (a + 2b + c)*u, which would make the chain check
 tautological. Scale normalization follows the package-wide policy
@@ -50,8 +52,8 @@ from .lattice import (
     in_positive_cone,
     rel_residual,
 )
-from .means import LogGrid, _box_plus, _box_times
-from .cauchy_schwarz import CONE_BAND, Gram, defect_grid
+from .means import _box_plus, _box_times
+from .cauchy_schwarz import CONE_BAND, Gram
 from .sip import Sip
 
 
@@ -82,18 +84,37 @@ def seminorm_eval(spec: SeminormSpec, x) -> np.ndarray:
     return _seminorm(spec.sip.eval(x, x), spec.u)
 
 
-class WeightedGram(Gram):
+class WeightedGram:
     """Gram record of a pair (x, y) under the weight u of a SeminormSpec.
 
-    Beyond a, b, c: s = T(x+y,x+y), d = T(x-y,x-y), the seminorms of x,
-    y, x+y and x-y, and the squared sides of the triangle inequality, each
-    computed once, on first use.
+    T, x, y, a, b, c, bound and defect are read off a Gram (the attribute
+    gram): WeightedGram(spec, x, y) builds its own, WeightedGram.of(spec,
+    gram) reads one that other readers share, so none of those values is
+    evaluated twice. Beyond them: s = T(x+y,x+y), d = T(x-y,x-y), the
+    seminorms of x, y, x+y and x-y, and the squared sides of the triangle
+    inequality, each computed once, on first use.
     """
 
     def __init__(self, spec: SeminormSpec, x, y):
-        super().__init__(spec.sip, x, y)
         self.spec = spec
         self.u = spec.u
+        self.gram = Gram(spec.sip, x, y)
+
+    @classmethod
+    def of(cls, spec: SeminormSpec, gram: Gram) -> "WeightedGram":
+        """The record of gram's pair under spec's weight; gram is shared, not copied."""
+        g = cls.__new__(cls)
+        g.spec, g.u, g.gram = spec, spec.u, gram
+        return g
+
+    T = property(lambda self: self.gram.T)
+    x = property(lambda self: self.gram.x)
+    y = property(lambda self: self.gram.y)
+    a = property(lambda self: self.gram.a)
+    b = property(lambda self: self.gram.b)
+    c = property(lambda self: self.gram.c)
+    bound = property(lambda self: self.gram.bound)
+    defect = property(lambda self: self.gram.defect)
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -156,7 +177,8 @@ def seminorm_residuals(g: WeightedGram, floor: float = DEFAULT_ABS_TOL) -> dict:
     pos = max(cone_gap(sx, np.abs(sx) + floor), cone_gap(sy, np.abs(sy) + floor))
     hom = 0.0
     for alpha in (-2.5, -1.0, 0.0, 0.5, float(g.x[0])):
-        hom = max(hom, rel_residual(seminorm_eval(g.spec, alpha * g.x),
+        z = _finite(alpha * g.x)  # g.x is validated; only its scaling can overflow
+        hom = max(hom, rel_residual(_seminorm(g.T.eval(z, z), g.u),
                                     np.abs(alpha) * sx, floor=floor))
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
     square = rel_residual(sx * sx, g.a * g.u, floor=floor)
@@ -218,16 +240,15 @@ def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
     )
 
 
-def weighted_defect_gaps(g: WeightedGram, grid: LogGrid,
+def weighted_defect_gaps(g: WeightedGram, sampled: np.ndarray,
                          floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
-    """(sandwich, gap) of a grid oracle for D(x,y)*u against the closed form.
+    """(sandwich, gap) of a grid oracle's value sampled for D(x,y)*u against the closed form.
 
-    The oracle samples the defining family of D(x,y)*u through
-    T(lambda*x - y, lambda*x - y)*u directly (defect_grid with the weight),
-    independent of the closed form. Normalized by the largest of
-    max(|a|, |c|)*u and both values.
+    sampled comes from the defining family of D(x,y)*u, sampled through
+    T(lambda*x - y, lambda*x - y)*u directly (cauchy_schwarz.lambda_minimum
+    with the weight, or defect_grid with u), independent of the closed
+    form. Normalized by the largest of max(|a|, |c|)*u and both values.
     """
-    sampled = defect_grid(g.T, g.x, g.y, grid, u=g.u)
     scale = np.maximum(
         np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
         np.maximum(np.abs(g.weighted_defect), np.abs(sampled))) + floor

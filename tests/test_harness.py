@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesz_sip import harness
 from riesz_sip.cli import main
@@ -17,6 +19,7 @@ from riesz_sip.harness import (
     GenerationExhausted,
     Instance,
     Tolerances,
+    Trial,
     TrialConfig,
     config_from_params,
     convergence_study,
@@ -347,7 +350,7 @@ def test_mismatched_instance_fails_as_invalid():
 def test_only_broken_input_counts_as_invalid(monkeypatch):
     # a check failing with any error but the three of broken input is a
     # fault of the program: it propagates instead of being recorded
-    def faulty(inst, config):
+    def faulty(trial):
         raise ValueError("a fault of the program")
     monkeypatch.setitem(CHECKS, "cs", faulty)
     with pytest.raises(ValueError, match="a fault of the program"):
@@ -355,7 +358,7 @@ def test_only_broken_input_counts_as_invalid(monkeypatch):
     # x and y that numpy cannot add are refused at the suite's entry
     bad = Instance(sip=MultiplicationSip(3), u=np.ones(3), x=np.ones(3), y=np.ones(2))
     with pytest.raises(DimensionMismatch):
-        CHECKS["means"](bad, SMALL)
+        CHECKS["means"](Trial(bad, SMALL))
 
 
 def test_shrink_minimizes_asymmetric_witness():
@@ -441,6 +444,67 @@ def test_report_serialization():
     assert text == report_to_json(report.to_dict())
 
 
+_FLOATS = st.one_of(
+    st.floats(),  # every float: NaN, +-inf, -0.0 and subnormals included
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, -2.5e-310]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text())
+# str keys with escapes and non-ASCII code points (st.text draws both), and
+# the values json.dumps writes or refuses: other key types, which it
+# converts or fails to sort, and values of types it does not know.
+_KEYS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n", "\x00", "\u00e9", "\U0001f600"]),
+                  st.integers(), st.floats(), st.booleans(), st.none())
+_UNKNOWN = st.sampled_from([np.int64(3), np.bool_(True), {1, 2}, b"bytes", np.ones(2)])
+
+
+def _json_values(scalars):
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.lists(_FLOATS, max_size=6),
+        st.dictionaries(st.text(), inner, max_size=6),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ), max_leaves=40)
+
+
+def _outcome(write, value):
+    """The text write gives value, or the class of the error it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _json_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(_SCALARS))
+def test_report_writer_is_json_dumps_byte_for_byte(value):
+    assert _outcome(report_to_json, value) == _outcome(_json_dumps, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values(st.one_of(_SCALARS, _UNKNOWN)))
+def test_report_writer_refuses_what_json_dumps_refuses(value):
+    assert _outcome(report_to_json, value) == _outcome(_json_dumps, value)
+
+
+def test_report_writer_examples():
+    with pytest.raises(TypeError):
+        report_to_json({"trials": np.int64(3)})
+    with pytest.raises(TypeError):
+        report_to_json({"a": 1, 2: 3})  # json cannot sort str against int
+    circular = []
+    circular.append(circular)
+    with pytest.raises(ValueError):
+        report_to_json(circular)
+    assert report_to_json({"x": [float("nan"), -0.0, np.float64(0.1)], "e": []}) == (
+        '{\n  "e": [],\n  "x": [\n    NaN,\n    -0.0,\n    0.1\n  ]\n}\n')
+
+
 def test_emit_report(tmp_path):
     report = run_suite(TrialConfig(seed=5, trials=5, theorems=("means",)))
     out = tmp_path / "report.json"
@@ -476,6 +540,7 @@ _SUBNORMAL = 1e-320 * np.eye(2)[None]       # T(x,x) stays finite for x near 1e3
 _SINGULAR = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
 _VALID = random_psd(np.random.default_rng(7), 4, 2)
 _U_TOO_LONG = Instance(sip=_VALID, u=np.ones(3), x=np.ones(4), y=np.ones(4))
+_X_TOO_LONG = Instance(sip=_VALID, u=np.ones(2), x=np.ones(5), y=np.ones(4))
 
 # Broken instances that reach each finiteness, cone and shape check a suite
 # relies on: overflow of a T-value, of T(x,x)*u, of x+y, x-y and alpha*x,
@@ -493,7 +558,7 @@ INJECTED_OVERFLOW_AND_SHAPE = (
     _psd(1e300 * _SINGULAR, [1.0, 2.0], [3.0, -1.0]),
     _psd([-np.eye(2)], [1.0, 2.0], [3.0, -1.0]),
     _U_TOO_LONG,
-    Instance(sip=_VALID, u=np.ones(2), x=np.ones(5), y=np.ones(4)),
+    _X_TOO_LONG,
     Instance(sip=_VALID, u=np.ones(2), x=np.ones(4), y=np.ones(5)),
     _mult([1.0], [1.0, 2.0]),
 )
@@ -515,9 +580,11 @@ def test_suites_share_instances_without_changing_them(capsys):
     # each recipe's instances are generated once and read by several
     # suites: a suite's entry must not depend on the suites run before it,
     # and the report and verify's lines follow config.theorems, even where
-    # the order interleaves recipes
+    # the order interleaves recipes. A u of the wrong length fails only
+    # the suites that read u, and an x of the wrong length every suite
+    # that reads x: a suite must not fail on a value only another reads.
     config = TrialConfig(trials=200, seed=2024)
-    injected = (_asymmetric_instance(m=2), _negative_instance())
+    injected = (_asymmetric_instance(m=2), _negative_instance(), _U_TOO_LONG, _X_TOO_LONG)
     alone = {name: run_suite(replace(config, theorems=(name,)), injected=injected)
              .theorems[name] for name in THEOREMS}
     interleaved = ("oracle", "cs", "pythagoras", "means")
@@ -531,10 +598,11 @@ def test_suites_share_instances_without_changing_them(capsys):
     assert [line.split(":")[0] for line in lines] == [*interleaved, "ok"]
 
 
-def test_at_most_one_recipe_of_instances_is_alive(monkeypatch):
-    # a recipe's instances are dropped before the next recipe is generated,
-    # so while any check runs at most config.trials generated instances
-    # are alive; injected instances are not counted
+def test_at_most_one_generated_instance_is_alive(monkeypatch):
+    # run_suite checks trial i under every selected suite of its recipe and
+    # drops it before generating trial i + 1, and no report entry keeps an
+    # instance, so while any check runs at most one generated instance is
+    # alive; injected instances are not counted
     config = TrialConfig(trials=5, seed=3)
     # Instance is unhashable (it holds arrays), so no WeakSet
     refs = []
@@ -547,20 +615,38 @@ def test_at_most_one_recipe_of_instances_is_alive(monkeypatch):
 
     monkeypatch.setattr(harness, "generate_instance", tracked)
     for name, check in list(CHECKS.items()):
-        def counted(inst, config, _check=check):
+        def counted(trial, _check=check):
             seen.append(sum(ref() is not None for ref in refs))
-            return _check(inst, config)
+            return _check(trial)
         monkeypatch.setitem(CHECKS, name, counted)
     injected = (_asymmetric_instance(m=2), _negative_instance())
     run_suite(config, injected=injected)
     assert len(seen) == len(THEOREMS) * (config.trials + len(injected))
-    assert max(seen) <= config.trials
+    assert max(seen) == 1
 
 
 def test_study_bytes_are_pinned():
     # both log-spaced grids and the lambda-grid sampler, at three sizes
     study = convergence_study(TrialConfig(trials=50, seed=2024), grid_sizes=(64, 256, 1024))
     assert _sha256_less_wall_time(study) == PINNED_STUDY_SHA256
+
+
+def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
+    # a generic trial has 10 distinct T-values (a, b, c, T(x+y,x+y),
+    # T(x-y,x-y) and the five scaled pairs of the seminorm homogeneity
+    # check) and one lambda-grid sampling, which its six suites share;
+    # each orthogonal trial adds the 4 T-values of pythagoras and, at this
+    # seed, one T-value of generation's orthogonality check; the axioms
+    # suite evaluates 11 batches per generic trial
+    calls = {"eval": 0, "eval_batch": 0}
+    for cls in (PsdFamilySip, MultiplicationSip):
+        for name in calls:
+            def counted(self, x, y, _method=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _method(self, x, y)
+            monkeypatch.setattr(cls, name, counted)
+    run_suite(TrialConfig(trials=50, seed=3))
+    assert calls == {"eval": 750, "eval_batch": 600}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
@@ -578,5 +664,5 @@ def test_each_gram_value_is_evaluated_once(monkeypatch):
         for i in range(20):
             inst = generate_instance(SMALL, i, PURPOSES[suite])
             del calls[:]
-            assert CHECKS[suite](inst, SMALL).status != "fail"
+            assert CHECKS[suite](Trial(inst, SMALL)).status != "fail"
             assert len(calls) == expected, suite

@@ -16,6 +16,7 @@ from riesz_sip.harness import (
     PURPOSES,
     THEOREMS,
     Instance,
+    Trial,
     TrialConfig,
     generate_instance,
 )
@@ -26,7 +27,7 @@ SCALED_ABS_TOL = 1e-12
 
 
 def _checked(suite, inst):
-    return CHECKS[suite](inst, CONFIG)
+    return CHECKS[suite](Trial(inst, CONFIG))
 
 
 def _instances(suite):
