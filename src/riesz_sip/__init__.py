@@ -50,14 +50,11 @@ from .cauchy_schwarz import (
 )
 from .seminorms import (
     AdditivityCheck,
-    SeminormSpec,
     SharpTriangle,
-    WeightedGram,
     additivity_verdict,
     orthogonality,
     parallelogram_sides,
     pythagoras_sides,
-    seminorm_eval,
     seminorm_residuals,
     sharp_verdict,
     weighted_defect_gaps,

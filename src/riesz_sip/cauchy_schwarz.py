@@ -14,14 +14,13 @@ and with it the exact identity |T(x,y)| = a [*] c - D/2, of which the
 Cauchy-Schwarz inequality |T(x,y)| <= T(x,x) [*] T(y,y) is the D >= 0
 corollary, with equality iff D = 0.
 
-Gram is the record of one pair: a, b, c, each evaluated once on first
-use, with sqrt(a*c) and the closed-form defect derived from them. The
-identity (cs_identity), the inequality with its biconditional
-(cs_verdict) and the oracle comparison (defect_gaps) are pure functions
-of a Gram. The harness builds one per trial, and every suite of that
-trial reads it: the weighted record of the seminorm theorems
-(seminorms.WeightedGram) reads a, b, c, bound and defect off it rather
-than evaluating them again.
+Gram is the one record of a pair: x and y, an optional weight u, a, b, c
+with sqrt(a*c) and the closed-form defect derived from them, and the
+seminorm values of the triangle-type theorems (see seminorms), each
+validated or evaluated once, on first read. The identity (cs_identity),
+the inequality with its biconditional (cs_verdict) and the oracle
+comparison (defect_gaps) are pure functions of a Gram. The harness's
+trial record is a Gram, and every suite of a trial reads it.
 
 The lambda-grid oracle must stay independent of that derivation: it
 samples the defining family by evaluating T directly on lambda*x - y over
@@ -33,7 +32,7 @@ sampler: it holds the T-values T(lambda*x - y, lambda*x - y), which do
 not depend on a weight, so one sampling of a pair serves both the defect
 (lambda_minimum without a weight) and the weighted defect D(x,y)*u of the
 sharpened triangle inequality (lambda_minimum with u). defect_grid is the
-two steps in one call.
+unweighted defect in one call.
 
 The samples follow the layout rule of the mean oracles (see means): T
 runs on the (S, m) difference vectors, one row per lambda, and its (S, n)
@@ -51,8 +50,11 @@ import numpy as np
 from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
+    NotInPositiveCone,
+    _finite,
     as_lattice_vector,
     cone_gap,
+    in_positive_cone,
 )
 from .means import LogGrid, _box_times
 from .sip import Sip
@@ -68,23 +70,48 @@ CONE_BAND = 1e-8
 INEQ_FLOOR = 1e-10
 
 
-class Gram:
-    """The T-evaluations of one pair (x, y), each made once, on first use.
+def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
+    # scale-aware floor rather than the bare absolute one.
+    floor = DEFAULT_REL_TOL * float(np.max(np.abs(t)) + np.max(np.abs(u))) + DEFAULT_ABS_TOL
+    return _box_times(t, u, floor)
 
-    a = T(x,x), b = T(x,y), c = T(y,y). Every Cauchy-Schwarz quantity is
-    algebra on these three vectors, so the harness builds one Gram per
-    trial and every suite of the trial reads it, directly or through a
-    WeightedGram built on it (seminorms.WeightedGram.of): a, b, c, bound
-    and defect are evaluated once per trial, however many suites read
-    them. Evaluating lazily keeps a suite from computing (or raising on) a
-    value it never reads; a value that raises is not kept, so the next
-    reader raises on it again.
+
+class Gram:
+    """The lazy record of one pair (x, y) under T, with an optional weight u.
+
+    Every value is validated or evaluated once, on first read: x and y
+    (vectors of T's domain), u (a vector of T's codomain in F+, tiny
+    negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
+    with bound and defect, and the seminorm values s = T(x+y,x+y),
+    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u and the
+    squared sides of the triangle inequality. Reading lazily keeps a
+    reader from computing, or raising on, a value it never reads: the
+    Cauchy-Schwarz values never read u. A value that raises is not kept,
+    so the next reader raises on it again.
     """
 
-    def __init__(self, T: Sip, x, y):
+    def __init__(self, T: Sip, x, y, u=None):
         self.T = T
-        self.x = as_lattice_vector(x, T.domain_dim)
-        self.y = as_lattice_vector(y, T.domain_dim)
+        self._x, self._y, self._u = x, y, u
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return as_lattice_vector(self._x, self.T.domain_dim)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return as_lattice_vector(self._y, self.T.domain_dim)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The weight in F+: entries negative within DEFAULT_ABS_TOL clamp to 0, others raise."""
+        if self._u is None:
+            raise ValueError("this Gram has no weight u")
+        u = as_lattice_vector(self._u, self.T.codomain_dim)
+        if not in_positive_cone(u, tol=DEFAULT_ABS_TOL):
+            raise NotInPositiveCone(f"weight entry {np.min(u)} is negative")
+        return np.maximum(u, 0.0)
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -115,6 +142,56 @@ class Gram:
         """
         return 2.0 * (self.bound - np.abs(self.b))
 
+    @cached_property
+    def s(self) -> np.ndarray:
+        """T(x+y, x+y)."""
+        z = _finite(self.x + self.y)
+        return self.T.eval(z, z)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """T(x-y, x-y)."""
+        z = _finite(self.x - self.y)
+        return self.T.eval(z, z)
+
+    @cached_property
+    def norm_x(self) -> np.ndarray:
+        return _seminorm(self.a, self.u)
+
+    @cached_property
+    def norm_y(self) -> np.ndarray:
+        return _seminorm(self.c, self.u)
+
+    @cached_property
+    def norm_sum(self) -> np.ndarray:
+        """norm(x+y)."""
+        return _seminorm(self.s, self.u)
+
+    @cached_property
+    def norm_diff(self) -> np.ndarray:
+        """norm(x-y)."""
+        return _seminorm(self.d, self.u)
+
+    @cached_property
+    def norm_bound(self) -> np.ndarray:
+        """norm(x) + norm(y), the triangle bound."""
+        return self.norm_x + self.norm_y
+
+    @cached_property
+    def lhs_sq(self) -> np.ndarray:
+        """norm(x+y)^2 = T(x+y,x+y)*u."""
+        return self.s * self.u
+
+    @cached_property
+    def rhs_sq(self) -> np.ndarray:
+        """(norm(x) + norm(y))^2."""
+        return self.norm_bound * self.norm_bound
+
+    @cached_property
+    def weighted_defect(self) -> np.ndarray:
+        """D(x,y)*u."""
+        return self.defect * self.u
+
 
 def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
     """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
@@ -139,18 +216,15 @@ def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None) -> np.ndarray:
     return np.divide(samples, np.abs(grid.signed), order="C").min(axis=1)
 
 
-def defect_grid(T: Sip, x, y, grid: LogGrid, u=None) -> np.ndarray:
+def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     """Componentwise min of |lambda|^-1 T(lambda*x - y, lambda*x - y) over the grid.
 
     lambda runs over grid.signed. Evaluates T on the difference vectors
     directly, with no bilinear expansion, so this oracle shares nothing
     with the closed form beyond T itself. Over-estimates the true infimum
-    by construction. With a weight u, samples D(x,y)*u instead: each
-    T-value is multiplied by u before the division by |lambda|.
+    by construction.
     """
-    if u is not None:
-        u = as_lattice_vector(u, T.codomain_dim)
-    return lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
+    return lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid)
 
 
 def defect_gaps(g: Gram, sampled: np.ndarray,

@@ -9,8 +9,8 @@ shrunk offline from its serialized instance alone. A check is a
 deterministic function of (instance, config): the oracle grids it samples
 are derived on the config, and anything else sampled inside a check uses
 fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
-Trial, the lazy record of one instance under one config (its Gram, the
-WeightedGram under u and the lambda-grid samples), passes its values to
+Trial, the lazy record of one instance under one config (the instance's
+Gram, see cauchy_schwarz.Gram, and its lambda-grid samples), passes it to
 the library's theorem functions, and only maps the residuals they return
 to tolerances.
 
@@ -92,8 +92,6 @@ from .cauchy_schwarz import (
 )
 from .seminorms import (
     CHAIN_FLOOR,
-    SeminormSpec,
-    WeightedGram,
     additivity_verdict,
     orthogonality,
     parallelogram_sides,
@@ -211,6 +209,9 @@ class TrialConfig:
             raise ConfigError(f"duplicate theorems: {sorted(duplicate)}")
         if "pythagoras" in self.theorems and not any(self.orthogonal_recipes):
             raise ConfigError("pythagoras trials need m > n possible or codomain dim >= 2")
+        if "pythagoras" in self.theorems and self.entry_hi < 0.5:
+            # orthogonal generation scales y by a factor drawn from [0.5, entry_hi]
+            raise ConfigError("pythagoras trials need entry_hi >= 0.5")
 
     @property
     def orthogonal_recipes(self) -> tuple:
@@ -450,40 +451,26 @@ def _branch(holds: bool) -> tuple:
     return ("equality",) if holds else ("strict",)
 
 
-class Trial:
+class Trial(Gram):
     """One instance under one config: the lazy record every suite of a trial reads.
 
-    Each value is computed once, on first read, and shared by every suite
-    that reads it: the pair's Gram (a, b, c, bound and the defect), the
-    WeightedGram under u built on that Gram (only when a suite reads u),
-    the lambda-grid samples T(lambda*x - y, lambda*x - y) of the defect
-    oracles, and the validated vectors of the means and oracle suites. A
-    value that raises is not kept (cached_property), so every suite raises
-    on exactly the values it reads, as it would alone.
+    A Trial is the Gram of the instance's pair under its weight (x, y, u,
+    a, b, c, the defect, the seminorm values) plus the lambda-grid samples
+    T(lambda*x - y, lambda*x - y) of the defect oracles. Each value is
+    computed once, on first read, and shared by every suite that reads it.
+    A value that raises is not kept (cached_property), so every suite
+    raises on exactly the values it reads, as it would alone.
     """
 
     def __init__(self, inst: Instance, config: TrialConfig):
+        super().__init__(inst.sip, inst.x, inst.y, inst.u)
         self.inst = inst
         self.config = config
 
     @cached_property
-    def gram(self) -> Gram:
-        return Gram(self.inst.sip, self.inst.x, self.inst.y)
-
-    @cached_property
-    def weighted(self) -> WeightedGram:
-        return WeightedGram.of(SeminormSpec(self.inst.sip, self.inst.u), self.gram)
-
-    @cached_property
     def samples(self) -> np.ndarray:
         """lambda_samples of the pair on config.lambda_grid."""
-        return lambda_samples(self.gram, self.config.lambda_grid)
-
-    @cached_property
-    def vectors(self) -> tuple:
-        """x and y as vectors of one lattice; the sip is not read."""
-        x = as_lattice_vector(self.inst.x)
-        return x, as_lattice_vector(self.inst.y, x.size)
+        return lambda_samples(self, self.config.lambda_grid)
 
 
 def check_axioms_trial(trial: Trial) -> TrialResult:
@@ -494,10 +481,9 @@ def check_axioms_trial(trial: Trial) -> TrialResult:
 
 def check_cs_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
-    g = trial.gram
-    chk = cs_verdict(g, band=tol.cone_band, floor=tol.abs)
+    chk = cs_verdict(trial, band=tol.cone_band, floor=tol.abs)
     sandwich, gap = defect_gaps(
-        g, lambda_minimum(trial.samples, trial.config.lambda_grid), tol.abs)
+        trial, lambda_minimum(trial.samples, trial.config.lambda_grid), tol.abs)
     return _result({
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
@@ -509,9 +495,10 @@ def check_cs_trial(trial: Trial) -> TrialResult:
 
 
 def check_means_trial(trial: Trial) -> TrialResult:
-    # The suite states identities of the means on the validated x, y, u;
+    # The suite states identities of the means on the validated x, y and
+    # on u as a vector of their lattice, not the weight of T's codomain;
     # the kernels still catch a + b or lam*a overflowing.
-    x, y = trial.vectors
+    x, y = trial.x, trial.y
     a, b = np.abs(x), np.abs(y)
     c = as_lattice_vector(trial.inst.u, x.size)
     floor = trial.config.tolerances.abs
@@ -533,16 +520,15 @@ def check_vsn_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
             "square": SQUARE_REL_TOL}
-    residuals = seminorm_residuals(trial.weighted, floor=tol.abs)
+    residuals = seminorm_residuals(trial, floor=tol.abs)
     return _result({k: (v, tols[k]) for k, v in residuals.items()})
 
 
 def check_sharp_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
-    g = trial.weighted
-    st = sharp_verdict(g, band=tol.cone_band, floor=tol.abs)
+    st = sharp_verdict(trial, band=tol.cone_band, floor=tol.abs)
     sandwich, gap = weighted_defect_gaps(
-        g, lambda_minimum(trial.samples, trial.config.lambda_grid, g.u), tol.abs)
+        trial, lambda_minimum(trial.samples, trial.config.lambda_grid, trial.u), tol.abs)
     return _result({
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
@@ -554,7 +540,7 @@ def check_sharp_trial(trial: Trial) -> TrialResult:
 
 def check_additivity_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
-    ac = additivity_verdict(trial.weighted, band=tol.cone_band, floor=tol.abs)
+    ac = additivity_verdict(trial, band=tol.cone_band, floor=tol.abs)
     agreed = ac.additive == (ac.condition_pos and ac.condition_defect_zero)
     tags = (
         "additive" if ac.additive else "nonadditive",
@@ -567,18 +553,19 @@ def check_additivity_trial(trial: Trial) -> TrialResult:
 
 def check_pythagoras_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
-    g = trial.weighted
-    pre = orthogonality(g, floor=tol.abs)
     # The identity is only asserted, and its seminorms only evaluated,
-    # when the orthogonality hypothesis holds.
-    ident = 0.0 if pre > PRECOND_TOL else rel_residual(*pythagoras_sides(g), floor=tol.abs)
+    # when the orthogonality hypothesis holds; u is read first, so that a
+    # broken weight fails the suite either way.
+    trial.u
+    pre = orthogonality(trial, floor=tol.abs)
+    ident = 0.0 if pre > PRECOND_TOL else rel_residual(*pythagoras_sides(trial), floor=tol.abs)
     return _result({"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
                    tags=(trial.inst.kind,))
 
 
 def check_parallelogram_trial(trial: Trial) -> TrialResult:
     tol = trial.config.tolerances
-    sides = parallelogram_sides(trial.weighted)
+    sides = parallelogram_sides(trial)
     return _result({"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
                    tags=(trial.inst.kind,))
 
@@ -586,7 +573,7 @@ def check_parallelogram_trial(trial: Trial) -> TrialResult:
 def check_oracle_trial(trial: Trial) -> TrialResult:
     config = trial.config
     tol = config.tolerances
-    x, y = trial.vectors
+    x, y = trial.x, trial.y
     u, v = np.abs(x), np.abs(y)
     theta, angle = config.theta_grid, config.angle_grid
     bt_sandwich, bt_gap = box_times_gaps(u, v, theta, tol.abs)

@@ -8,9 +8,10 @@ and the lattice operations are numpy's own: np.minimum and np.maximum for
 meet and join, np.abs for |a|, * for the f-algebra product.
 
 Validation rule: as_lattice_vector checks a vector's shape, dimension and
-finiteness once, where it enters: in the records (Gram, SeminormSpec),
-at the entry of the harness's means and oracle suites, and in each public
-function that takes raw values. Below that the library computes on
+finiteness once, where it enters: on first read in the pair record
+(cauchy_schwarz.Gram, whose x, y and u are validated lazily), at the
+entry of the harness's means suite (its u), and in each public function
+that takes raw values. Below that the library computes on
 trusted arrays, checking only computed values an input can spoil: finite
 (T-values, x+y, alpha*x overflow) and, for [*], in the positive cone up
 to a floor. A broken input raises DimensionMismatch, NotInPositiveCone or

@@ -17,155 +17,38 @@ what makes the equality case decidable: equality in the triangle
 inequality holds iff T(x,y)*u is in F+, and both sides of the iff are
 computed from quantities that agree to rounding error.
 
-Every statement here reads a WeightedGram: the Gram record of a pair
-(a, b, c and the defect, see cauchy_schwarz.Gram, read off a Gram that
-the harness shares among all suites of a trial) extended by T(x+y,x+y),
+Every statement here reads a cauchy_schwarz.Gram built with a weight:
+the record of a pair holds a, b, c and the defect, T(x+y,x+y),
 T(x-y,x-y), the weight u and the seminorms built from them, each
-evaluated once, on first use. A theorem is one pure function from
-that record to its verdict and normalized residuals (sharp_verdict,
+evaluated once, on first read. A theorem is one pure function from that
+record to its verdict and normalized residuals (sharp_verdict,
 additivity_verdict, orthogonality with pythagoras_sides,
 parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
 identities come as (lhs, rhs) pairs for lattice.rel_residual. The
-harness builds one record per trial, and only for suites that read u.
-The record's values are reused,
-never re-expressed by the algebra above: lhs_sq stays T(x+y,x+y)*u
-rather than (a + 2b + c)*u, which would make the chain check
-tautological. Scale normalization follows the package-wide policy
-(componentwise scale of the largest participating quantity plus an
-absolute floor).
+record's values are reused, never re-expressed by the algebra above:
+lhs_sq stays T(x+y,x+y)*u rather than (a + 2b + c)*u, which would make
+the chain check tautological. Scale normalization follows the
+package-wide policy (componentwise scale of the largest participating
+quantity plus an absolute floor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .lattice import (
     DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    NotInPositiveCone,
     _finite,
-    as_lattice_vector,
     cone_gap,
-    in_positive_cone,
     rel_residual,
 )
-from .means import _box_plus, _box_times
-from .cauchy_schwarz import CONE_BAND, Gram
-from .sip import Sip
+from .means import _box_plus
+from .cauchy_schwarz import CONE_BAND, Gram, _seminorm
 
 
-@dataclass(frozen=True)
-class SeminormSpec:
-    """A semi-inner product together with a weight u in F+."""
-
-    sip: Sip
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = as_lattice_vector(self.u, self.sip.codomain_dim)
-        if not in_positive_cone(u, tol=DEFAULT_ABS_TOL):
-            raise NotInPositiveCone(f"weight entry {np.min(u)} is negative")
-        object.__setattr__(self, "u", np.maximum(u, 0.0))
-
-
-def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
-    # scale-aware floor rather than the bare absolute one.
-    floor = DEFAULT_REL_TOL * float(np.max(np.abs(t)) + np.max(np.abs(u))) + DEFAULT_ABS_TOL
-    return _box_times(t, u, floor)
-
-
-def seminorm_eval(spec: SeminormSpec, x) -> np.ndarray:
-    """norm_u(x) = T(x,x) [*] u."""
-    x = as_lattice_vector(x, spec.sip.domain_dim)
-    return _seminorm(spec.sip.eval(x, x), spec.u)
-
-
-class WeightedGram:
-    """Gram record of a pair (x, y) under the weight u of a SeminormSpec.
-
-    T, x, y, a, b, c, bound and defect are read off a Gram (the attribute
-    gram): WeightedGram(spec, x, y) builds its own, WeightedGram.of(spec,
-    gram) reads one that other readers share, so none of those values is
-    evaluated twice. Beyond them: s = T(x+y,x+y), d = T(x-y,x-y), the
-    seminorms of x, y, x+y and x-y, and the squared sides of the triangle
-    inequality, each computed once, on first use.
-    """
-
-    def __init__(self, spec: SeminormSpec, x, y):
-        self.spec = spec
-        self.u = spec.u
-        self.gram = Gram(spec.sip, x, y)
-
-    @classmethod
-    def of(cls, spec: SeminormSpec, gram: Gram) -> "WeightedGram":
-        """The record of gram's pair under spec's weight; gram is shared, not copied."""
-        g = cls.__new__(cls)
-        g.spec, g.u, g.gram = spec, spec.u, gram
-        return g
-
-    T = property(lambda self: self.gram.T)
-    x = property(lambda self: self.gram.x)
-    y = property(lambda self: self.gram.y)
-    a = property(lambda self: self.gram.a)
-    b = property(lambda self: self.gram.b)
-    c = property(lambda self: self.gram.c)
-    bound = property(lambda self: self.gram.bound)
-    defect = property(lambda self: self.gram.defect)
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        z = _finite(self.x + self.y)
-        return self.T.eval(z, z)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        z = _finite(self.x - self.y)
-        return self.T.eval(z, z)
-
-    @cached_property
-    def norm_x(self) -> np.ndarray:
-        return _seminorm(self.a, self.u)
-
-    @cached_property
-    def norm_y(self) -> np.ndarray:
-        return _seminorm(self.c, self.u)
-
-    @cached_property
-    def norm_sum(self) -> np.ndarray:
-        """norm(x+y)."""
-        return _seminorm(self.s, self.u)
-
-    @cached_property
-    def norm_diff(self) -> np.ndarray:
-        """norm(x-y)."""
-        return _seminorm(self.d, self.u)
-
-    @cached_property
-    def norm_bound(self) -> np.ndarray:
-        """norm(x) + norm(y), the triangle bound."""
-        return self.norm_x + self.norm_y
-
-    @cached_property
-    def lhs_sq(self) -> np.ndarray:
-        """norm(x+y)^2 = T(x+y,x+y)*u."""
-        return self.s * self.u
-
-    @cached_property
-    def rhs_sq(self) -> np.ndarray:
-        """(norm(x) + norm(y))^2."""
-        return self.norm_bound * self.norm_bound
-
-    @cached_property
-    def weighted_defect(self) -> np.ndarray:
-        """D(x,y)*u."""
-        return self.defect * self.u
-
-
-def seminorm_residuals(g: WeightedGram, floor: float = DEFAULT_ABS_TOL) -> dict:
+def seminorm_residuals(g: Gram, floor: float = DEFAULT_ABS_TOL) -> dict:
     """Seminorm axioms and the square identity at one pair.
 
     positivity of norm(x), norm(y); homogeneity norm(alpha*x) =
@@ -212,7 +95,7 @@ class SharpTriangle:
 CHAIN_FLOOR = 1e-10
 
 
-def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
+def sharp_verdict(g: Gram, band: float = CONE_BAND,
                   floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
     lhs_sq, rhs_sq = g.lhs_sq, g.rhs_sq
     middle = rhs_sq - g.weighted_defect
@@ -240,14 +123,14 @@ def sharp_verdict(g: WeightedGram, band: float = CONE_BAND,
     )
 
 
-def weighted_defect_gaps(g: WeightedGram, sampled: np.ndarray,
+def weighted_defect_gaps(g: Gram, sampled: np.ndarray,
                          floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of a grid oracle's value sampled for D(x,y)*u against the closed form.
 
     sampled comes from the defining family of D(x,y)*u, sampled through
     T(lambda*x - y, lambda*x - y)*u directly (cauchy_schwarz.lambda_minimum
-    with the weight, or defect_grid with u), independent of the closed
-    form. Normalized by the largest of max(|a|, |c|)*u and both values.
+    with the weight), independent of the closed form. Normalized by the
+    largest of max(|a|, |c|)*u and both values.
     """
     scale = np.maximum(
         np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
@@ -266,7 +149,7 @@ class AdditivityCheck:
     borderline: bool
 
 
-def additivity_verdict(g: WeightedGram, band: float = CONE_BAND,
+def additivity_verdict(g: Gram, band: float = CONE_BAND,
                        floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
     """Characterize equality in the triangle inequality.
 
@@ -298,12 +181,12 @@ def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
     return float(np.max(np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)))
 
 
-def pythagoras_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
+def pythagoras_sides(g: Gram) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
     return g.norm_sum, _box_plus(g.norm_x, g.norm_y)
 
 
-def parallelogram_sides(g: WeightedGram) -> tuple[np.ndarray, np.ndarray]:
+def parallelogram_sides(g: Gram) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
     return (_box_plus(g.norm_sum, g.norm_diff),
             np.sqrt(2.0) * _box_plus(g.norm_x, g.norm_y))

@@ -134,7 +134,7 @@ def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
     return float(np.max(np.abs(diff) / (scale + floor)))
 
 
-def check_axioms(T: Sip, samples: int = 1000, seed: int = 0,
+def check_axioms(T: Sip, samples: int, seed: int = 0,
                  floor: float = DEFAULT_ABS_TOL) -> dict:
     """Worst normalized residual of each semi-inner-product axiom on random samples.
 

@@ -19,7 +19,7 @@ from riesz_sip.harness import (
     report_to_json,
     run_suite,
 )
-from riesz_sip.seminorms import SeminormSpec, WeightedGram, sharp_verdict
+from riesz_sip.seminorms import sharp_verdict
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip
 
 WORKED_TOL = 1e-10
@@ -138,12 +138,9 @@ def test_criterion_06_sharpened_triangle(full_report, criterion):
     entry = full_report.theorems["sharp"]
     r = entry["residuals"]
 
-    eq = sharp_verdict(WeightedGram(
-        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 2.0], [2.0, 1.0]))
-    strict = sharp_verdict(WeightedGram(
-        SeminormSpec(MultiplicationSip(2), np.ones(2)), [1.0, 1.0], [-1.0, 1.0]))
-    orth = sharp_verdict(WeightedGram(
-        SeminormSpec(PsdFamilySip([np.eye(2)]), np.ones(1)), [1.0, 0.0], [0.0, 1.0]))
+    eq = sharp_verdict(Gram(MultiplicationSip(2), [1.0, 2.0], [2.0, 1.0], np.ones(2)))
+    strict = sharp_verdict(Gram(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0], np.ones(2)))
+    orth = sharp_verdict(Gram(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0], np.ones(1)))
 
     criterion(6, "sharpened triangle chain, biconditional, worked examples", {
         "no_failures": entry["failures"] == 0,

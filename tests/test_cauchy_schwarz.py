@@ -10,8 +10,10 @@ from riesz_sip.cauchy_schwarz import (
     cs_identity,
     cs_verdict,
     defect_grid,
+    lambda_minimum,
+    lambda_samples,
 )
-from riesz_sip.lattice import DimensionMismatch, rel_residual
+from riesz_sip.lattice import DimensionMismatch, NotInPositiveCone, rel_residual
 from riesz_sip.means import LogGrid, box_times
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
@@ -28,9 +30,28 @@ def _scale(T, x, y):
 def test_gram_checks_dimensions():
     T = MultiplicationSip(2)
     with pytest.raises(DimensionMismatch):
-        Gram(T, [1.0, 2.0, 3.0], [1.0, 2.0])
+        Gram(T, [1.0, 2.0, 3.0], [1.0, 2.0]).a
     with pytest.raises(ValueError):
-        Gram(T, [1.0, np.nan], [1.0, 2.0])
+        Gram(T, [1.0, np.nan], [1.0, 2.0]).a
+
+
+def test_gram_validates_and_evaluates_on_first_read():
+    T = MultiplicationSip(2)
+    # a broken weight spoils only the values that read it
+    g = Gram(T, [1.0, 2.0], [3.0, -1.0], [1.0, -1.0])
+    assert np.array_equal(g.a, [1.0, 4.0]) and np.array_equal(g.b, [3.0, -2.0])
+    assert np.array_equal(g.c, [9.0, 1.0]) and np.array_equal(g.defect, [0.0, 0.0])
+    assert cs_verdict(g).identity == 0.0
+    for _ in range(2):  # a value that raises is not kept
+        with pytest.raises(NotInPositiveCone):
+            g.norm_x
+    with pytest.raises(ValueError, match="no weight"):
+        Gram(T, [1.0, 2.0], [3.0, -1.0]).norm_x
+    # a broken x fails its first reader, not the construction
+    g = Gram(T, [1.0, 2.0, 3.0], [3.0, -1.0], [1.0, 1.0])
+    assert np.array_equal(g.u, [1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        g.a
 
 
 def test_defect_closed_vanishes_for_multiplication():
@@ -224,11 +245,13 @@ def test_lambda_grid_validation():
     assert np.all(np.diff(grid.signed) > 0.0)
 
 
-def test_defect_grid_weight():
+def test_lambda_minimum_weight():
     # D(x,y)*u: each sampled T-value is weighted before the division by |lambda|
     T = random_psd(np.random.default_rng(3), 3, 2)
     x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -1.0])
     grid = LogGrid.log_spaced(1e-3, 1e3, 51)
     plain = defect_grid(T, x, y, grid)
-    assert np.array_equal(defect_grid(T, x, y, grid, u=np.ones(2)), plain)
-    assert np.array_equal(defect_grid(T, x, y, grid, u=[0.0, 2.0]), [0.0, 2.0 * plain[1]])
+    samples = lambda_samples(Gram(T, x, y), grid)
+    assert np.array_equal(lambda_minimum(samples, grid, np.ones(2)), plain)
+    assert np.array_equal(lambda_minimum(samples, grid, np.array([0.0, 2.0])),
+                          [0.0, 2.0 * plain[1]])

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riesz_sip.cauchy_schwarz import LAMBDA_COUNT, LAMBDA_HI, LAMBDA_LO, defect_grid
+from riesz_sip.cauchy_schwarz import (
+    LAMBDA_COUNT,
+    LAMBDA_HI,
+    LAMBDA_LO,
+    Gram,
+    defect_grid,
+    lambda_minimum,
+    lambda_samples,
+)
 from riesz_sip.means import (
     ANGLE_COUNT,
     THETA_COUNT,
@@ -133,7 +141,10 @@ def defect_cases(draw):
 def test_defect_grid_bits(case, grid):
     T, x, y, u = case
     with np.errstate(all="ignore"):
-        got = defect_grid(T, x, y, grid, u=u)
+        if u is None:
+            got = defect_grid(T, x, y, grid)
+        else:  # the weighted defect D(x,y)*u of the sharp suite
+            got = lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
         ref = ref_defect_grid(T, x, y, grid, u=u)
     assert_same_bits(got, ref)
 

@@ -100,6 +100,11 @@ def test_config_validation():
         TrialConfig(theorems=("pythagoras",), m_lo=1, m_hi=1, n_lo=1, n_hi=1)
     # same dims are fine for suites that do not need orthogonality
     TrialConfig(theorems=("axioms",), m_lo=1, m_hi=1, n_lo=1, n_hi=1)
+    # orthogonal generation scales y by a factor drawn from [0.5, entry_hi]
+    with pytest.raises(ConfigError):
+        TrialConfig(trials=3, entry_hi=1e-6, theorems=("pythagoras",))
+    assert run_suite(TrialConfig(trials=3, entry_hi=0.5, theorems=("pythagoras",))).ok
+    assert run_suite(TrialConfig(trials=3, entry_hi=1e-6, theorems=("cs",))).ok
 
 
 def test_generate_is_deterministic():
@@ -345,6 +350,17 @@ def test_mismatched_instance_fails_as_invalid():
     entry = report.theorems["cs"]
     assert entry["failures"] == 1
     assert entry["counterexamples"][0]["failed"] == ["invalid_instance"]
+
+
+def test_vectors_outside_the_sip_domain_fail_every_suite_that_reads_them():
+    # x, y and u share a length that is not the sip's dimension; every
+    # suite but axioms reads x, so every one but axioms rejects them
+    bad = Instance(sip=MultiplicationSip(2), u=np.ones(3),
+                   x=np.array([1.0, 2.0, 3.0]), y=np.array([2.0, 1.0, 0.5]))
+    report = run_suite(replace(SMALL, trials=2), injected=(bad,))
+    for name, entry in report.theorems.items():
+        failed = [ce["failed"] for ce in entry["counterexamples"]]
+        assert failed == ([] if name == "axioms" else [["invalid_instance"]]), name
 
 
 def test_only_broken_input_counts_as_invalid(monkeypatch):
