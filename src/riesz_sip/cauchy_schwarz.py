@@ -20,7 +20,10 @@ seminorm values of the triangle-type theorems (see seminorms), each
 validated or evaluated once, on first read. The identity (cs_identity),
 the inequality with its biconditional (cs_verdict) and the oracle
 comparison (defect_gaps) are pure functions of a Gram. The harness's
-trial record is a Gram, and every suite of a trial reads it.
+trial record is a Gram, and every suite of a trial reads it. Their
+residuals, the borderline window and the fold of two gaps follow the
+package-wide residual policy of lattice (cone_gap, excess, near and the
+NaN-first maximum).
 
 The lambda-grid oracle must stay independent of that derivation: it
 samples the defining family by evaluating T directly on lambda*x - y over
@@ -52,11 +55,14 @@ from .lattice import (
     DEFAULT_REL_TOL,
     NotInPositiveCone,
     _finite,
+    _nan_first,
     as_lattice_vector,
     cone_gap,
+    excess,
     in_positive_cone,
+    near,
 )
-from .means import LogGrid, _box_times
+from .means import LogGrid, _box_times, _cone_pair
 from .sip import Sip
 
 # Default lambda grid of a verification run (TrialConfig).
@@ -84,8 +90,9 @@ class Gram:
     (vectors of T's domain), u (a vector of T's codomain in F+, tiny
     negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
     with bound and defect, and the seminorm values s = T(x+y,x+y),
-    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u and the
-    squared sides of the triangle inequality. Reading lazily keeps a
+    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u, the
+    squared sides of the triangle inequality and the middle term of the
+    sharpened chain. Reading lazily keeps a
     reader from computing, or raising on, a value it never reads: the
     Cauchy-Schwarz values never read u. A value that raises is not kept,
     so the next reader raises on it again.
@@ -192,6 +199,11 @@ class Gram:
         """D(x,y)*u."""
         return self.defect * self.u
 
+    @cached_property
+    def middle(self) -> np.ndarray:
+        """rhs_sq - D(x,y)*u, the middle term of the sharpened triangle chain."""
+        return self.rhs_sq - self.weighted_defect
+
 
 def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
     """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
@@ -239,7 +251,7 @@ def defect_gaps(g: Gram, sampled: np.ndarray,
     gap = sampled - g.defect
     scale = np.maximum(np.abs(g.a), np.maximum(np.abs(g.c), np.maximum(
         np.abs(g.defect), np.abs(sampled)))) + floor
-    return cone_gap(gap, scale), float(max(np.max(gap / scale), 0.0))
+    return cone_gap(gap, scale), excess(gap, scale)
 
 
 def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
@@ -248,12 +260,12 @@ def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     Raises NotInPositiveCone when a or c leaves the positive cone beyond
     the rounding floor of the geometric mean.
     """
-    # a and c are in F+ up to rounding of PSD arithmetic; give the
-    # geometric mean a scale-aware clamping floor rather than the bare
-    # absolute one.
+    # a and c are in F+ up to rounding of PSD arithmetic; check them
+    # against a scale-aware floor rather than the bare absolute one. Past
+    # the check, g.bound is their geometric mean a [*] c.
     cone_floor = DEFAULT_REL_TOL * float(np.max(np.abs(g.a)) + np.max(np.abs(g.c))) + floor
-    bound = _box_times(g.a, g.c, cone_floor)
-    return np.abs(g.b) - (bound - 0.5 * g.defect)
+    _cone_pair("box_times", g.a, g.c, cone_floor)
+    return np.abs(g.b) - (g.bound - 0.5 * g.defect)
 
 
 @dataclass(frozen=True)
@@ -279,13 +291,12 @@ def cs_verdict(g: Gram, band: float = CONE_BAND,
     """
     slack = g.bound - np.abs(g.b)
     scale = np.maximum(g.bound, np.abs(g.b)) + floor
-    eq_gap = float(max(np.max(slack / scale), 0.0))
-    defect_n = float(max(np.max(0.5 * g.defect / scale), 0.0))
-    worst = max(eq_gap, defect_n)
+    eq_gap = excess(slack, scale)
+    defect_n = excess(0.5 * g.defect, scale)
     return CsCheck(
         equality_holds=eq_gap <= band,
         defect_zero=defect_n <= band,
-        borderline=band / 8.0 < worst < 8.0 * band,
+        borderline=near(max(eq_gap, defect_n, key=_nan_first), band),
         identity=float(np.max(np.abs(cs_identity(g, floor)) / scale)),
         inequality=cone_gap(slack, scale),
     )

@@ -57,6 +57,7 @@ from .lattice import (
     NonFinite,
     NotInPositiveCone,
     _finite,
+    _nan_first,
     as_lattice_vector,
     rel_residual,
 )
@@ -426,11 +427,6 @@ class TrialResult:
     tags: tuple = ()
 
 
-def _rank(v: float) -> tuple:
-    """Sort key that ranks NaN above every number, so no maximum drops it."""
-    return (v != v, v)
-
-
 def _result(checks: dict, borderline: bool = False, tags: tuple = ()) -> TrialResult:
     """TrialResult of {check name: (residual, tolerance)}."""
     residuals = {k: v for k, (v, _) in checks.items()}
@@ -511,8 +507,8 @@ def check_means_trial(trial: Trial) -> TrialResult:
     # pure function of the instance.
     for lam in (0.0, 0.5, 1.0, 4.0, float(a[0])):
         ref = np.sqrt(lam) * ab
-        hom = max(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor))
-        hom = max(hom, rel_residual(_box_times(a, lam * b, floor), ref, floor=floor))
+        hom = max(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor),
+                  rel_residual(_box_times(a, lam * b, floor), ref, floor=floor), key=_nan_first)
     return _result({"biadditivity": (biadd, MEANS_REL_TOL), "homogeneity": (hom, MEANS_REL_TOL)})
 
 
@@ -715,10 +711,10 @@ class _SuiteFold:
         self.status[res.status] += 1
         self.counts.update(res.tags)
         for k, v in res.residuals.items():
-            self.residual_max[k] = max(self.residual_max.get(k, 0.0), v, key=_rank)
+            self.residual_max[k] = max(self.residual_max.get(k, 0.0), v, key=_nan_first)
         # the largest residual in units of its own tolerance
-        ratio = max((v / res.tols[k] for k, v in res.residuals.items()), default=0.0, key=_rank)
-        if self.worst is None or _rank(ratio) > _rank(self.worst[0]):
+        ratio = max([v / res.tols[k] for k, v in res.residuals.items()] or [0.0], key=_nan_first)
+        if self.worst is None or _nan_first(ratio) > _nan_first(self.worst[0]):
             self.worst = ratio, res, inst.to_dict() if inst is not None else None
         if res.status == "fail" and inst is not None and len(self.kept) < MAX_COUNTEREXAMPLES:
             self.kept.append(counterexample(self.name, res, inst, self.params))
@@ -731,7 +727,7 @@ class _SuiteFold:
             "passes": status["pass"],
             "failures": status["fail"],
             "borderline": status["borderline"],
-            "max_residual": max(self.residual_max.values(), default=0.0, key=_rank),
+            "max_residual": max(self.residual_max.values(), default=0.0, key=_nan_first),
             "residuals": self.residual_max,
             "counts": dict(self.counts),
             "worst_instance": {"ratio": ratio, "residuals": dict(res.residuals),
@@ -884,16 +880,13 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
                     ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
                     ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
                     ("defect_gap", defect_gaps(g, defect_grid(g.T, g.x, g.y, lam), floor))):
-                if not sandwich <= SANDWICH_FLOOR:  # NaN fails too
-                    sandwich_ok = False
-                row[key] = max(row[key], gap, key=_rank)
+                sandwich_ok &= sandwich <= SANDWICH_FLOOR  # NaN fails too
+                row[key] = max(row[key], gap, key=_nan_first)
         rows.append(row)
 
-    monotone_ok = True
-    for key in ("box_times_gap", "box_plus_gap", "defect_gap"):
-        vals = [r[key] for r in rows]
-        if any(not vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1)):
-            monotone_ok = False
+    # a NaN gap fails its comparison
+    monotone_ok = all(finer[key] <= row[key] + 1e-15 for row, finer in zip(rows, rows[1:])
+                      for key in ("box_times_gap", "box_plus_gap", "defect_gap"))
 
     return StudyReport(
         config=asdict(config),

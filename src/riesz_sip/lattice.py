@@ -16,6 +16,27 @@ trusted arrays, checking only computed values an input can spoil: finite
 (T-values, x+y, alpha*x overflow) and, for [*], in the positive cone up
 to a floor. A broken input raises DimensionMismatch, NotInPositiveCone or
 NonFinite, and the harness records exactly these as an invalid instance.
+
+Residual policy: the checks reduce their arrays to normalized residuals,
+floats that are 0 when the statement holds exactly, and decide on them
+with these forms.
+
+  rel_residual(lhs, rhs)  an identity: the worst |lhs - rhs| over the
+                          larger side plus a floor.
+  cone_gap(a, scale)      a cone statement a in F+: the worst negative
+                          part of a over scale.
+  excess(a, scale)        a gap that must vanish: the worst a/scale,
+                          floored at 0.
+  near(v, band)           the borderline window band/8 < v < 8*band of a
+                          verdict decided at band; a trial inside it is
+                          flagged borderline rather than forced.
+  _nan_first              the key of every fold of residuals,
+                          max(..., key=_nan_first): NaN ranks above every
+                          number, and of equal values the first is kept.
+
+NaN passes through the three residuals, wins every fold and is never
+near, so a residual spoiled by overflow fails its check (not v <= tol)
+and shows in every maximum that folds it.
 """
 
 from __future__ import annotations
@@ -85,3 +106,22 @@ def cone_gap(a: np.ndarray, scale: np.ndarray) -> float:
     sandwiches); scale carries the identity's own magnitude and floor.
     """
     return float(np.max(np.maximum(-a, 0.0) / scale))
+
+
+def excess(a: np.ndarray, scale: np.ndarray) -> float:
+    """Worst a/scale, floored at 0: the one-sided residual of a gap that should vanish.
+
+    Not cone_gap(-a, scale): the floor keeps the sign of a zero, so a gap
+    that is 0 at worst reads -0.0 where the worst entry is -0.0.
+    """
+    return float(max(np.max(a / scale), 0.0))
+
+
+def near(v: float, band: float) -> bool:
+    """True iff v lies in the borderline window (band/8, 8*band) of a verdict at band."""
+    return band / 8.0 < v < 8.0 * band
+
+
+def _nan_first(v: float) -> tuple:
+    """Key of the one residual fold: NaN ranks above every number, so no maximum drops it."""
+    return (v != v, v)

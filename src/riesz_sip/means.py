@@ -45,6 +45,7 @@ from .lattice import (
     _finite,
     as_lattice_vector,
     cone_gap,
+    excess,
     in_positive_cone,
 )
 
@@ -244,7 +245,7 @@ def box_times_gaps(u, v, grid: LogGrid,
     bt = _box_times(u, v, floor)
     bt_o = box_times_oracle(u, v, grid, floor=floor)
     scale = np.maximum(bt, bt_o) + floor
-    return cone_gap(bt_o - bt, scale), float(max(np.max((bt_o - bt) / scale), 0.0))
+    return cone_gap(bt_o - bt, scale), excess(bt_o - bt, scale)
 
 
 def box_plus_gaps(a, b, grid: AngleGrid,

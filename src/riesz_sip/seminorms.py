@@ -27,9 +27,11 @@ parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
 identities come as (lhs, rhs) pairs for lattice.rel_residual. The
 record's values are reused, never re-expressed by the algebra above:
 lhs_sq stays T(x+y,x+y)*u rather than (a + 2b + c)*u, which would make
-the chain check tautological. Scale normalization follows the
-package-wide policy (componentwise scale of the largest participating
-quantity plus an absolute floor).
+the chain check tautological. Residuals follow the package-wide
+residual policy of lattice: each is normalized by the componentwise
+scale of the largest participating quantity plus an absolute floor and
+reduced with rel_residual, cone_gap or excess; borderline windows are
+lattice.near, and every fold of residuals ranks NaN first.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ import numpy as np
 from .lattice import (
     DEFAULT_ABS_TOL,
     _finite,
+    _nan_first,
     cone_gap,
+    excess,
+    near,
     rel_residual,
 )
 from .means import _box_plus
@@ -57,12 +62,12 @@ def seminorm_residuals(g: Gram, floor: float = DEFAULT_ABS_TOL) -> dict:
     inequality; and norm(x)^2 = T(x,x)*u.
     """
     sx, sy, sxy = g.norm_x, g.norm_y, g.norm_sum
-    pos = max(cone_gap(sx, np.abs(sx) + floor), cone_gap(sy, np.abs(sy) + floor))
+    pos = max((cone_gap(s, np.abs(s) + floor) for s in (sx, sy)), key=_nan_first)
     hom = 0.0
     for alpha in (-2.5, -1.0, 0.0, 0.5, float(g.x[0])):
         z = _finite(alpha * g.x)  # g.x is validated; only its scaling can overflow
         hom = max(hom, rel_residual(_seminorm(g.T.eval(z, z), g.u),
-                                    np.abs(alpha) * sx, floor=floor))
+                                    np.abs(alpha) * sx, floor=floor), key=_nan_first)
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
     square = rel_residual(sx * sx, g.a * g.u, floor=floor)
     return {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
@@ -72,7 +77,7 @@ def seminorm_residuals(g: Gram, floor: float = DEFAULT_ABS_TOL) -> dict:
 class SharpTriangle:
     """Both forms of the sharpened triangle inequality at one (x, y).
 
-    The squared chain is lhs_sq <= middle <= rhs_sq with
+    The squared chain is lhs_sq <= middle <= rhs_sq of the Gram, with
     middle = rhs_sq - D(x,y)*u; the sqrt form compares norm(x+y),
     sqrt(middle) and norm(x) + norm(y). chain is the worst normalized
     violation among the four links of both forms; the chain holds iff it
@@ -83,9 +88,6 @@ class SharpTriangle:
     additivity characterization, handled by additivity_verdict.)
     """
 
-    lhs_sq: np.ndarray
-    middle: np.ndarray
-    rhs_sq: np.ndarray
     equality_holds: bool
     condition_holds: bool
     borderline: bool
@@ -97,8 +99,7 @@ CHAIN_FLOOR = 1e-10
 
 def sharp_verdict(g: Gram, band: float = CONE_BAND,
                   floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
-    lhs_sq, rhs_sq = g.lhs_sq, g.rhs_sq
-    middle = rhs_sq - g.weighted_defect
+    lhs_sq, middle, rhs_sq = g.lhs_sq, g.middle, g.rhs_sq
     scale = np.maximum(np.abs(lhs_sq), np.maximum(np.abs(middle), np.abs(rhs_sq))) + floor
     sxy, ssum = g.norm_sum, g.norm_bound
     mid_sqrt = np.sqrt(np.maximum(middle, 0.0))
@@ -111,15 +112,12 @@ def sharp_verdict(g: Gram, band: float = CONE_BAND,
     # thresholds, so the biconditional cannot disagree outside the
     # borderline window.
     neg = cone_gap(g.b * g.u, scale)
-    eq_gap = float(max(np.max((middle - lhs_sq) / (4.0 * scale)), 0.0))
+    eq_gap = excess(middle - lhs_sq, 4.0 * scale)
     return SharpTriangle(
-        lhs_sq=lhs_sq,
-        middle=middle,
-        rhs_sq=rhs_sq,
         equality_holds=eq_gap <= band,
         condition_holds=neg <= band,
-        borderline=band / 8.0 < max(neg, eq_gap) < 8.0 * band,
-        chain=max(cone_gap(v, s) for v, s in links),
+        borderline=near(max(neg, eq_gap, key=_nan_first), band),
+        chain=max((cone_gap(v, s) for v, s in links), key=_nan_first),
     )
 
 
@@ -136,7 +134,7 @@ def weighted_defect_gaps(g: Gram, sampled: np.ndarray,
         np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
         np.maximum(np.abs(g.weighted_defect), np.abs(sampled))) + floor
     gap = sampled - g.weighted_defect
-    return cone_gap(gap, scale), float(max(np.max(gap / scale), 0.0))
+    return cone_gap(gap, scale), excess(gap, scale)
 
 
 @dataclass(frozen=True)
@@ -159,20 +157,15 @@ def additivity_verdict(g: Gram, band: float = CONE_BAND,
     coherent: additive uses threshold 2*band, each condition uses band,
     and inputs within (band/8, 8*band) of a threshold are borderline.
     """
-    lhs_sq, rhs_sq = g.lhs_sq, g.rhs_sq
-    scale = np.maximum(np.abs(lhs_sq), np.abs(rhs_sq)) + floor
-    gap = float(max(np.max((rhs_sq - lhs_sq) / scale), 0.0))
-    d_n = float(max(np.max(g.weighted_defect / scale), 0.0))
-    p_n = float(np.max(4.0 * np.maximum(-(g.b * g.u), 0.0) / scale))
-
-    def near(v: float) -> bool:
-        return band / 8.0 < v < 8.0 * band
-
+    scale = np.maximum(np.abs(g.lhs_sq), np.abs(g.rhs_sq)) + floor
+    gap = excess(g.rhs_sq - g.lhs_sq, scale)
+    d_n = excess(g.weighted_defect, scale)
+    p_n = cone_gap(4.0 * (g.b * g.u), scale)
     return AdditivityCheck(
         additive=gap <= 2.0 * band,
         condition_pos=p_n <= band,
         condition_defect_zero=d_n <= band,
-        borderline=near(d_n) or near(p_n),
+        borderline=near(d_n, band) or near(p_n, band),
     )
 
 

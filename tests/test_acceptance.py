@@ -138,9 +138,11 @@ def test_criterion_06_sharpened_triangle(full_report, criterion):
     entry = full_report.theorems["sharp"]
     r = entry["residuals"]
 
-    eq = sharp_verdict(Gram(MultiplicationSip(2), [1.0, 2.0], [2.0, 1.0], np.ones(2)))
-    strict = sharp_verdict(Gram(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0], np.ones(2)))
-    orth = sharp_verdict(Gram(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0], np.ones(1)))
+    # the squared sides are the record's, the verdicts sharp_verdict's
+    eq_g = Gram(MultiplicationSip(2), [1.0, 2.0], [2.0, 1.0], np.ones(2))
+    strict_g = Gram(MultiplicationSip(2), [1.0, 1.0], [-1.0, 1.0], np.ones(2))
+    orth_g = Gram(PsdFamilySip([np.eye(2)]), [1.0, 0.0], [0.0, 1.0], np.ones(1))
+    eq, strict, orth = (sharp_verdict(g) for g in (eq_g, strict_g, orth_g))
 
     criterion(6, "sharpened triangle chain, biconditional, worked examples", {
         "no_failures": entry["failures"] == 0,
@@ -151,17 +153,17 @@ def test_criterion_06_sharpened_triangle(full_report, criterion):
         "weighted_defect_oracle": r["weighted_sandwich"] <= 1e-10
                                   and r["weighted_gap"] <= 1e-4,
         "example_equality": (
-            np.max(np.abs(eq.lhs_sq - [9.0, 9.0])) <= WORKED_TOL
-            and np.max(np.abs(eq.middle - [9.0, 9.0])) <= WORKED_TOL
+            np.max(np.abs(eq_g.lhs_sq - [9.0, 9.0])) <= WORKED_TOL
+            and np.max(np.abs(eq_g.middle - [9.0, 9.0])) <= WORKED_TOL
             and eq.equality_holds and eq.condition_holds),
         "example_strict": (
-            np.max(np.abs(strict.lhs_sq - [0.0, 4.0])) <= WORKED_TOL
-            and np.max(np.abs(strict.middle - [4.0, 4.0])) <= WORKED_TOL
+            np.max(np.abs(strict_g.lhs_sq - [0.0, 4.0])) <= WORKED_TOL
+            and np.max(np.abs(strict_g.middle - [4.0, 4.0])) <= WORKED_TOL
             and not strict.equality_holds and not strict.condition_holds),
         "example_orthogonal": (
-            np.max(np.abs(orth.lhs_sq - [2.0])) <= WORKED_TOL
-            and np.max(np.abs(orth.middle - [2.0])) <= WORKED_TOL
-            and np.max(np.abs(orth.rhs_sq - [4.0])) <= WORKED_TOL
+            np.max(np.abs(orth_g.lhs_sq - [2.0])) <= WORKED_TOL
+            and np.max(np.abs(orth_g.middle - [2.0])) <= WORKED_TOL
+            and np.max(np.abs(orth_g.rhs_sq - [4.0])) <= WORKED_TOL
             and orth.equality_holds and orth.condition_holds),
     })
 

@@ -342,6 +342,21 @@ def test_nan_residuals_are_never_hidden():
     assert worst["instance"] == overflow.to_dict()
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_overflowing_pair_fails_every_suite_that_reads_it(index):
+    # x = y holds one 1e200 entry, so sqrt(|x|*|y|) overflows: every suite
+    # but axioms (which never reads x) must fail, the means suite included,
+    # whose homogeneity residual is then NaN or its scaling overflows
+    x = np.insert([2.0, 3.0], index, 1e200)
+    overflow = Instance(sip=MultiplicationSip(3), u=np.array([1.0, 2.0, 3.0]),
+                        x=x, y=x.copy())
+    with np.errstate(all="ignore"):
+        report = run_suite(replace(SMALL, trials=2), injected=(overflow,))
+    for name, entry in report.theorems.items():
+        kept = [ce["instance"] for ce in entry["counterexamples"]]
+        assert kept == ([] if name == "axioms" else [overflow.to_dict()]), name
+
+
 def test_mismatched_instance_fails_as_invalid():
     bad = Instance(sip=MultiplicationSip(2), u=np.ones(2),
                    x=np.ones(3), y=np.ones(2))

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from riesz_sip.lattice import (
     DimensionMismatch,
     NonFinite,
+    _nan_first,
     as_lattice_vector,
     cone_gap,
+    excess,
     in_positive_cone,
+    near,
     rel_residual,
 )
 from riesz_sip.means import box_plus, box_times
@@ -84,3 +89,36 @@ def test_cone_violation():
     assert cone_gap(np.array([-1.0, 2.0]), np.ones(2)) == 1.0
     # normalized by the caller's scale, worst coordinate wins
     assert cone_gap(np.array([-1e-7, -2.0]), np.array([1e-3, 1e3])) == pytest.approx(2e-3, rel=1e-12)
+
+
+def test_excess_floors_at_zero_and_keeps_the_sign_of_a_zero():
+    ones = np.ones(2)
+    assert excess(np.array([-1.0, 2.0]), np.array([1.0, 4.0])) == 0.5
+    assert excess(np.array([-1.0, -2.0]), ones) == 0.0
+    # the worst entry is -0.0 and the floor keeps it; cone_gap(-a) would give +0.0
+    assert math.copysign(1.0, excess(np.array([-1.0, -0.0]), ones)) == -1.0
+    assert math.copysign(1.0, cone_gap(-np.array([-1.0, -0.0]), ones)) == 1.0
+    assert math.isnan(excess(np.array([-1.0, np.nan]), ones))
+
+
+def test_near_is_the_open_window_around_band():
+    band = 1e-8
+    assert near(band, band) and near(band / 7.0, band) and near(7.0 * band, band)
+    for v in (0.0, band / 8.0, 8.0 * band, 1.0, math.nan):
+        assert not near(v, band), v
+
+
+@pytest.mark.parametrize("values", [
+    [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+    [0.0, math.inf, math.nan], [-math.inf, math.nan, -1.0]])
+def test_nan_anywhere_wins_the_fold(values):
+    assert math.isnan(max(values, key=_nan_first))
+    assert math.isnan(max(reversed(values), key=_nan_first))
+
+
+@pytest.mark.parametrize("pair", [(0.0, -0.0), (-0.0, 0.0)])
+def test_fold_ties_keep_the_first_as_max_does(pair):
+    got = max(pair, key=_nan_first)
+    assert math.copysign(1.0, got) == math.copysign(1.0, max(pair))
+    assert math.copysign(1.0, got) == math.copysign(1.0, pair[0])
+    assert max([1.0, 3.0, 2.0], key=_nan_first) == 3.0

@@ -145,10 +145,11 @@ def test_triangle_residual_in_cone():
 
 
 def test_sharpened_triangle_equality_example():
-    got = sharp_verdict(_mult([1.0, 2.0], [2.0, 1.0]))
-    assert np.max(np.abs(got.lhs_sq - [9.0, 9.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.middle - [9.0, 9.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.rhs_sq - [9.0, 9.0])) <= WORKED_TOL
+    g = _mult([1.0, 2.0], [2.0, 1.0])
+    got = sharp_verdict(g)
+    assert np.max(np.abs(g.lhs_sq - [9.0, 9.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.middle - [9.0, 9.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.rhs_sq - [9.0, 9.0])) <= WORKED_TOL
     assert got.chain <= CHAIN_FLOOR
     assert got.equality_holds
     assert got.condition_holds
@@ -156,10 +157,11 @@ def test_sharpened_triangle_equality_example():
 
 
 def test_sharpened_triangle_strict_example():
-    got = sharp_verdict(_mult([1.0, 1.0], [-1.0, 1.0]))
-    assert np.max(np.abs(got.lhs_sq - [0.0, 4.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.middle - [4.0, 4.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.rhs_sq - [4.0, 4.0])) <= WORKED_TOL
+    g = _mult([1.0, 1.0], [-1.0, 1.0])
+    got = sharp_verdict(g)
+    assert np.max(np.abs(g.lhs_sq - [0.0, 4.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.middle - [4.0, 4.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.rhs_sq - [4.0, 4.0])) <= WORKED_TOL
     assert got.chain <= CHAIN_FLOOR
     assert not got.equality_holds
     assert not got.condition_holds
@@ -171,10 +173,11 @@ def test_sharpened_triangle_strict_example():
 
 
 def test_sharpened_triangle_orthogonal_example():
-    got = sharp_verdict(Gram(DOT, [1.0, 0.0], [0.0, 1.0], [1.0]))
-    assert np.max(np.abs(got.lhs_sq - [2.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.middle - [2.0])) <= WORKED_TOL
-    assert np.max(np.abs(got.rhs_sq - [4.0])) <= WORKED_TOL
+    g = Gram(DOT, [1.0, 0.0], [0.0, 1.0], [1.0])
+    got = sharp_verdict(g)
+    assert np.max(np.abs(g.lhs_sq - [2.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.middle - [2.0])) <= WORKED_TOL
+    assert np.max(np.abs(g.rhs_sq - [4.0])) <= WORKED_TOL
     assert got.chain <= CHAIN_FLOOR
     assert got.equality_holds
     assert got.condition_holds
