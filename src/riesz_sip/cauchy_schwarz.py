@@ -37,10 +37,13 @@ not depend on a weight, so one sampling of a pair serves both the defect
 sharpened triangle inequality (lambda_minimum with u). defect_grid is the
 unweighted defect in one call.
 
-The samples follow the layout rule of the mean oracles (see means): T
-runs on the (S, m) difference vectors, one row per lambda, and its (S, n)
-values, weighted and divided by |lambda|, form an (n, S) array whose
-minimum runs along contiguous rows, keeping every bit.
+The sampler is coordinate-major, like the mean oracles (see means): the
+difference vectors are the columns of an (m, S) array, one column per
+lambda, built along contiguous rows, and T.quadratic maps them to an
+(n, S) array of T-values. Weighted and divided by |lambda| (cached on
+the grid), its minimum runs along contiguous rows. Each column's bits
+depend on its lambda alone, so a sample is the same on any grid that
+holds its lambda.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ INEQ_FLOOR = 1e-10
 def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
     # scale-aware floor rather than the bare absolute one.
-    floor = DEFAULT_REL_TOL * float(np.max(np.abs(t)) + np.max(np.abs(u))) + DEFAULT_ABS_TOL
+    floor = DEFAULT_REL_TOL * float(np.abs(t).max() + np.abs(u).max()) + DEFAULT_ABS_TOL
     return _box_times(t, u, floor)
 
 
@@ -212,9 +215,7 @@ def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
     validated pair only, never a, b or c: the oracle evaluates T on the
     difference vectors directly, with no bilinear expansion.
     """
-    lam = grid.signed
-    Z = lam[:, None] * g.x[None, :] - g.y[None, :]
-    return g.T.eval_batch(Z, Z).T
+    return g.T.quadratic(g.x[:, None] * grid.signed - g.y[:, None])
 
 
 def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None) -> np.ndarray:
@@ -225,7 +226,7 @@ def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None) -> np.ndarray:
     """
     if u is not None:
         samples = samples * u[:, None]
-    return np.divide(samples, np.abs(grid.signed), order="C").min(axis=1)
+    return (samples / grid.signed_abs).min(axis=1)
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -263,7 +264,7 @@ def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     # a and c are in F+ up to rounding of PSD arithmetic; check them
     # against a scale-aware floor rather than the bare absolute one. Past
     # the check, g.bound is their geometric mean a [*] c.
-    cone_floor = DEFAULT_REL_TOL * float(np.max(np.abs(g.a)) + np.max(np.abs(g.c))) + floor
+    cone_floor = DEFAULT_REL_TOL * float(np.abs(g.a).max() + np.abs(g.c).max()) + floor
     _cone_pair("box_times", g.a, g.c, cone_floor)
     return np.abs(g.b) - (g.bound - 0.5 * g.defect)
 
@@ -297,7 +298,7 @@ def cs_verdict(g: Gram, band: float = CONE_BAND,
         equality_holds=eq_gap <= band,
         defect_zero=defect_n <= band,
         borderline=near(max(eq_gap, defect_n, key=_nan_first), band),
-        identity=float(np.max(np.abs(cs_identity(g, floor)) / scale)),
+        identity=float((np.abs(cs_identity(g, floor)) / scale).max()),
         inequality=cone_gap(slack, scale),
     )
 

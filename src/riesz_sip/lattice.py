@@ -96,7 +96,7 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
     if lhs.shape != rhs.shape:
         raise DimensionMismatch(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
     scale = np.maximum(np.abs(lhs), np.abs(rhs)) + floor
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    return float((np.abs(lhs - rhs) / scale).max())
 
 
 def cone_gap(a: np.ndarray, scale: np.ndarray) -> float:
@@ -105,7 +105,7 @@ def cone_gap(a: np.ndarray, scale: np.ndarray) -> float:
     The one-sided residual of every cone statement (inequalities, oracle
     sandwiches); scale carries the identity's own magnitude and floor.
     """
-    return float(np.max(np.maximum(-a, 0.0) / scale))
+    return float((np.maximum(-a, 0.0) / scale).max())
 
 
 def excess(a: np.ndarray, scale: np.ndarray) -> float:
@@ -114,7 +114,7 @@ def excess(a: np.ndarray, scale: np.ndarray) -> float:
     Not cone_gap(-a, scale): the floor keeps the sign of a zero, so a gap
     that is 0 at worst reads -0.0 where the worst entry is -0.0.
     """
-    return float(max(np.max(a / scale), 0.0))
+    return float(max((a / scale).max(), 0.0))
 
 
 def near(v: float, band: float) -> bool:

@@ -100,6 +100,11 @@ class LogGrid:
         """-points reversed, then points: the grid's +- closure, increasing."""
         return np.concatenate([-self.points[::-1], self.points])
 
+    @cached_property
+    def signed_abs(self) -> np.ndarray:
+        """|signed|: the points reversed, then the points."""
+        return np.concatenate([self.points[::-1], self.points])
+
     def covers(self, values: np.ndarray) -> bool:
         """True iff every finite positive value lies inside [lo, hi].
 
@@ -110,7 +115,7 @@ class LogGrid:
         mask = np.isfinite(v) & (v > 0.0)
         if not np.any(mask):
             return True
-        return bool(np.min(v[mask]) >= self.lo and np.max(v[mask]) <= self.hi)
+        return bool(v[mask].min() >= self.lo and v[mask].max() <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -258,4 +263,4 @@ def box_plus_gaps(a, b, grid: AngleGrid,
     bp = _box_plus(a, b)
     bp_o = box_plus_oracle(a, b, grid)
     scale = np.maximum(bp, np.abs(bp_o)) + floor
-    return cone_gap(bp - bp_o, scale), float(np.max(np.abs(bp - bp_o) / scale))
+    return cone_gap(bp - bp_o, scale), float((np.abs(bp - bp_o) / scale).max())

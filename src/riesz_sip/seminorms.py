@@ -171,7 +171,7 @@ def additivity_verdict(g: Gram, band: float = CONE_BAND,
 
 def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
     """Worst |T(x,y)| relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y))."""
-    return float(np.max(np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)))
+    return float((np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)).max())
 
 
 def pythagoras_sides(g: Gram) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,23 @@ residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
 well formed beyond shape.
 
+Each sip has three kernels:
+
+  eval(x, y)         T(x, y) of one pair: the Gram values a, b, c and the
+                     seminorm values of a trial.
+  eval_batch(X, Y)   T on the rows of two (S, m) arrays, an (S, n) array.
+                     check_axioms is its one caller. The PSD form is an
+                     einsum along a cached path, and its bits must not move
+                     until the axiom residuals are rescaled (ROADMAP item
+                     1): the axioms pins and the false-failure seeds the
+                     benchmark leaves out are facts about these bits.
+  quadratic(Zt)      T(z, z) for every column z of an (m, S) array, an
+                     (n, S) array: the lambda-grid samples of the
+                     Cauchy-Schwarz defect oracle. The PSD form is a
+                     fixed-order multiply-and-sum with no einsum, matmul or
+                     BLAS, so a column's bits depend on that column and
+                     the family alone.
+
 The linear algebra (the PSD admission's eigenvalues, the kernel basis of
 orthogonal_sample) is numpy's.
 """
@@ -23,7 +40,7 @@ orthogonal_sample) is numpy's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,8 +84,16 @@ class MultiplicationSip:
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x * y
 
+    def quadratic(self, Zt: np.ndarray) -> np.ndarray:
+        return Zt * Zt
+
 
 _PSD_SUBSCRIPTS = "jab,sa,sb->sj"
+
+# Columns per pass of PsdFamilySip.quadratic. A column's bits do not
+# depend on it; 4K-16K columns ran fastest, the (n, width) rows of a pass
+# staying in cache.
+QUADRATIC_CHUNK = 8192
 
 
 @lru_cache(maxsize=256)
@@ -126,12 +151,52 @@ class PsdFamilySip:
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.matrices @ y @ x
 
+    @cached_property
+    def _pair_terms(self) -> tuple[tuple, np.ndarray]:
+        """The pairs (a, b), a <= b, row-major, and their (pairs, n, 1) coefficients C_jab."""
+        a, b = np.triu_indices(self.domain_dim)
+        upper, lower = self.matrices[:, a, b].T, self.matrices[:, b, a].T
+        # the mean of A_jab and A_jba: equal entries are kept exactly, and
+        # halving before the sum cannot overflow
+        coef = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
+        return tuple(zip(a.tolist(), b.tolist())), coef[:, :, None]
+
+    def quadratic(self, Zt: np.ndarray) -> np.ndarray:
+        """T(z, z)_j = sum over the pairs a <= b of (C_jab * z_a) * z_b, for every column z of Zt.
+
+        C_jaa = A_jaa, and off the diagonal C_jab is the mean of A_jab and
+        A_jba and its term is doubled (exact), so it counts both entries
+        without forming their sum, which overflows above about 8.9e307.
+        The matrix entry multiplies first; the running sum starts from the
+        first term and adds the others in np.triu_indices order. Every step
+        is an elementwise ufunc, so a column's bits depend on that column
+        alone: not on the number of columns, its position, or
+        QUADRATIC_CHUNK.
+        """
+        pairs, coef = self._pair_terms
+        S = Zt.shape[1]
+        out = np.empty((coef.shape[1], S))
+        work = np.empty((coef.shape[1], min(S, QUADRATIC_CHUNK)))
+        for lo in range(0, S, QUADRATIC_CHUNK):
+            z = Zt[:, lo:lo + QUADRATIC_CHUNK]
+            acc = out[:, lo:lo + z.shape[1]]
+            term = work[:, :z.shape[1]]
+            for p, (a, b) in enumerate(pairs):
+                dst = term if p else acc
+                np.multiply(coef[p], z[a], out=dst)
+                np.multiply(dst, z[b], out=dst)
+                if a != b:
+                    np.add(dst, dst, out=dst)
+                if p:
+                    np.add(acc, term, out=acc)
+        return out
+
 
 Sip = MultiplicationSip | PsdFamilySip
 
 
 def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
-    return float(np.max(np.abs(diff) / (scale + floor)))
+    return float((np.abs(diff) / (scale + floor)).max())
 
 
 def check_axioms(T: Sip, samples: int, seed: int = 0,

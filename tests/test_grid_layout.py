@@ -1,10 +1,12 @@
 """The coordinate-major grid oracles against their grid-major formulas, bit for bit.
 
-Each reference below is the grid-major form of an oracle: a (G, n) array,
-one row per grid point, reduced along axis 0. The library lays the same
-elements out as (n, G) and reduces along the contiguous axis; the
-elements are the same products and sums and min/max are exact, so the
-bits must agree for any input, zeros and extreme magnitudes included.
+Each mean-oracle reference below is the grid-major form of an oracle: a
+(G, n) array, one row per grid point, reduced along axis 0. The library
+lays the same elements out as (n, G) and reduces along the contiguous
+axis; the elements are the same products and sums and min/max are
+exact, so the bits must agree for any input, zeros and extreme
+magnitudes included. The lambda-grid reference computes one column at a
+time in Python floats, term by term in the PSD kernel's fixed order.
 A NaN (an overflowed T-value times a zero weight, say) only has to be a
 NaN: numpy's contiguous reductions drop its sign bit, and reports write
 every NaN the same.
@@ -87,10 +89,42 @@ def ref_eval_batch(T, X, Y):
     return np.einsum("jab,sa,sb->sj", T.matrices, X, Y, optimize=True)
 
 
+def ref_quadratic_terms(T):
+    """[(a, b, [C_jab for each j])] over the pairs a <= b in row-major order, in Python floats.
+
+    C_jaa = A_jaa; off the diagonal C_jab is A_jab where A_jba equals it,
+    else A_jab/2 + A_jba/2, and its term counts twice.
+    """
+    A = T.matrices.tolist()
+    m = T.domain_dim
+    return [(a, b, [row[a][b] if a == b or row[a][b] == row[b][a]
+                    else 0.5 * row[a][b] + 0.5 * row[b][a] for row in A])
+            for a in range(m) for b in range(a, m)]
+
+
+def ref_quadratic(T, terms, z):
+    """T(z, z) of one column in Python floats: sum of (C_jab*z_a)*z_b in the fixed order."""
+    if isinstance(T, MultiplicationSip):
+        return [v * v for v in z]
+    out = []
+    for j in range(T.codomain_dim):
+        acc = None
+        for a, b, coef in terms:
+            t = (coef[j] * z[a]) * z[b]
+            if a != b:
+                t = t + t
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
+
+
 def ref_defect_grid(T, x, y, grid, u=None):
+    # one column at a time: z = lambda*x - y, then T(z, z) term by term
     lam = grid.signed
-    Z = lam[:, None] * x[None, :] - y[None, :]
-    vals = ref_eval_batch(T, Z, Z)
+    terms = None if isinstance(T, MultiplicationSip) else ref_quadratic_terms(T)
+    xs, ys = x.tolist(), y.tolist()
+    vals = np.array([ref_quadratic(T, terms, [l * xa - ya for xa, ya in zip(xs, ys)])
+                     for l in lam.tolist()])
     if u is not None:
         vals = vals * u
     return (vals / np.abs(lam)[:, None]).min(axis=0)

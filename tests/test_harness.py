@@ -607,6 +607,17 @@ def test_injected_overflow_and_shape_report_is_pinned():
     assert invalid == {"vsn", "sharp", "additivity", "pythagoras", "parallelogram", "means"}
 
 
+def test_subnormal_family_keeps_its_defect_verdicts():
+    # the lambda-grid samples multiply the matrix entry first: 1e-320*2e300
+    # is small, while z_a*z_b first overflows at lambda*2e300 and the
+    # oracle then fails its sandwich on a pair whose closed form holds
+    trial = Trial(_psd(_SUBNORMAL, [2e300, 1.0], [1.0, 1.0]), TrialConfig(trials=3, seed=5))
+    with np.errstate(all="ignore"):
+        cs, sharp = CHECKS["cs"](trial), CHECKS["sharp"](trial)
+    assert (cs.status, cs.failed, cs.residuals["defect_sandwich"]) == ("borderline", (), 0.0)
+    assert (sharp.status, sharp.failed, sharp.residuals["weighted_sandwich"]) == ("pass", (), 0.0)
+
+
 def test_suites_share_instances_without_changing_them(capsys):
     # each recipe's instances are generated once and read by several
     # suites: a suite's entry must not depend on the suites run before it,
@@ -669,15 +680,15 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # each orthogonal trial adds the 4 T-values of pythagoras and, at this
     # seed, one T-value of generation's orthogonality check; the axioms
     # suite evaluates 11 batches per generic trial
-    calls = {"eval": 0, "eval_batch": 0}
+    calls = {"eval": 0, "eval_batch": 0, "quadratic": 0}
     for cls in (PsdFamilySip, MultiplicationSip):
         for name in calls:
-            def counted(self, x, y, _method=getattr(cls, name), _name=name):
+            def counted(self, *args, _method=getattr(cls, name), _name=name):
                 calls[_name] += 1
-                return _method(self, x, y)
+                return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
     run_suite(TrialConfig(trials=50, seed=3))
-    assert calls == {"eval": 750, "eval_batch": 600}
+    assert calls == {"eval": 750, "eval_batch": 550, "quadratic": 50}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
