@@ -4,8 +4,9 @@ quadratic computes the lambda-grid samples of the Cauchy-Schwarz defect
 oracle. A column's bits must depend on that column and the family alone:
 not on the batch around it, its position, or the chunk width of the PSD
 kernel. Its value must be T's scalar definition up to Higham's
-forward-error bound, and it must not overflow where the summed-coefficient
-or einsum forms of the same sum stay finite.
+forward-error bound, and it must stay finite on the families where a
+summed off-diagonal coefficient or a product z_a*z_b formed first would
+overflow.
 """
 
 from fractions import Fraction
