@@ -41,6 +41,7 @@ from .sip import (
 from .cauchy_schwarz import (
     CsCheck,
     Gram,
+    GramStack,
     cs_identity,
     cs_verdict,
     defect_gaps,

@@ -14,16 +14,21 @@ and with it the exact identity |T(x,y)| = a [*] c - D/2, of which the
 Cauchy-Schwarz inequality |T(x,y)| <= T(x,x) [*] T(y,y) is the D >= 0
 corollary, with equality iff D = 0.
 
-Gram is the one record of a pair: x and y, an optional weight u, a, b, c
+Gram is the record of one pair: x and y, an optional weight u, a, b, c
 with sqrt(a*c) and the closed-form defect derived from them, and the
 seminorm values of the triangle-type theorems (see seminorms), each
-validated or evaluated once, on first read. The identity (cs_identity),
-the inequality with its biconditional (cs_verdict) and the oracle
-comparison (defect_gaps) are pure functions of a Gram. The harness's
-trial record is a Gram, and every suite of a trial reads it. Their
-residuals, the borderline window and the fold of two gaps follow the
-package-wide residual policy of lattice (cone_gap, excess, near and the
-NaN-first maximum).
+validated or evaluated once, on first read. GramStack is the record of k
+pairs whose semi-inner products share the codomain R^n: each pair is a
+Gram that evaluates its own values, and the stack reads them as (k, n)
+arrays, one row per pair, and derives the rest by the same formulas on
+the rows. The identity (cs_identity), the inequality with its
+biconditional (cs_verdict) and the oracle comparison (defect_gaps) are
+pure functions of either record, with a float or bool per statement for
+a Gram and a (k,) array of them for a GramStack, the same bits row by
+row. The harness's trial record is a Gram and its group record a
+GramStack. Their residuals, the borderline window and the fold of two
+gaps follow the package-wide residual policy of lattice (cone_gap,
+excess, near and fold), which reduces over the last axis.
 
 The lambda-grid oracle must stay independent of that derivation: it
 samples the defining family by evaluating T directly on lambda*x - y over
@@ -50,18 +55,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
+    DimensionMismatch,
     NotInPositiveCone,
     _finite,
-    _nan_first,
     as_lattice_vector,
     cone_gap,
     excess,
+    fold,
     in_positive_cone,
     near,
 )
@@ -79,61 +86,28 @@ CONE_BAND = 1e-8
 INEQ_FLOOR = 1e-10
 
 
+def _rounding_floor(p: np.ndarray, q: np.ndarray, floor: float) -> np.ndarray:
+    """DEFAULT_REL_TOL * (max|p| + max|q|) + floor per row, shaped to broadcast against p.
+
+    How far rounding can push computed T-values out of F+.
+    """
+    scale = np.abs(p).max(axis=-1) + np.abs(q).max(axis=-1)
+    return (DEFAULT_REL_TOL * scale + floor)[..., None]
+
+
 def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
     # scale-aware floor rather than the bare absolute one.
-    floor = DEFAULT_REL_TOL * float(np.abs(t).max() + np.abs(u).max()) + DEFAULT_ABS_TOL
-    return _box_times(t, u, floor)
+    return _box_times(t, u, _rounding_floor(t, u, DEFAULT_ABS_TOL))
 
 
-class Gram:
-    """The lazy record of one pair (x, y) under T, with an optional weight u.
+class _Record:
+    """The values a record derives from a, b, c, s, d and u, each by one formula.
 
-    Every value is validated or evaluated once, on first read: x and y
-    (vectors of T's domain), u (a vector of T's codomain in F+, tiny
-    negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
-    with bound and defect, and the seminorm values s = T(x+y,x+y),
-    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u, the
-    squared sides of the triangle inequality and the middle term of the
-    sharpened chain. Reading lazily keeps a
-    reader from computing, or raising on, a value it never reads: the
-    Cauchy-Schwarz values never read u. A value that raises is not kept,
-    so the next reader raises on it again.
+    A Gram derives them for its pair, shaped (n,), and a GramStack for
+    its k pairs, shaped (k, n): every step is elementwise or takes a
+    floor per row, so each row has the bits of its pair's Gram.
     """
-
-    def __init__(self, T: Sip, x, y, u=None):
-        self.T = T
-        self._x, self._y, self._u = x, y, u
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return as_lattice_vector(self._x, self.T.domain_dim)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return as_lattice_vector(self._y, self.T.domain_dim)
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """The weight in F+: entries negative within DEFAULT_ABS_TOL clamp to 0, others raise."""
-        if self._u is None:
-            raise ValueError("this Gram has no weight u")
-        u = as_lattice_vector(self._u, self.T.codomain_dim)
-        if not in_positive_cone(u, tol=DEFAULT_ABS_TOL):
-            raise NotInPositiveCone(f"weight entry {np.min(u)} is negative")
-        return np.maximum(u, 0.0)
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        return self.T.eval(self.x, self.x)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return self.T.eval(self.x, self.y)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return self.T.eval(self.y, self.y)
 
     @cached_property
     def bound(self) -> np.ndarray:
@@ -151,18 +125,6 @@ class Gram:
         genuine negative value must surface as a violation.
         """
         return 2.0 * (self.bound - np.abs(self.b))
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """T(x+y, x+y)."""
-        z = _finite(self.x + self.y)
-        return self.T.eval(z, z)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        """T(x-y, x-y)."""
-        z = _finite(self.x - self.y)
-        return self.T.eval(z, z)
 
     @cached_property
     def norm_x(self) -> np.ndarray:
@@ -208,6 +170,133 @@ class Gram:
         return self.rhs_sq - self.weighted_defect
 
 
+class Gram(_Record):
+    """The lazy record of one pair (x, y) under T, with an optional weight u.
+
+    Every value is validated or evaluated once, on first read: x and y
+    (vectors of T's domain), u (a vector of T's codomain in F+, tiny
+    negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
+    with bound and defect, and the seminorm values s = T(x+y,x+y),
+    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u, the
+    squared sides of the triangle inequality and the middle term of the
+    sharpened chain. Reading lazily keeps a
+    reader from computing, or raising on, a value it never reads: the
+    Cauchy-Schwarz values never read u. A value that raises is not kept,
+    so the next reader raises on it again.
+    """
+
+    def __init__(self, T: Sip, x, y, u=None):
+        self.T = T
+        self._x, self._y, self._u = x, y, u
+
+    @property
+    def pairs(self) -> tuple:
+        """The record's pairs: this one."""
+        return (self,)
+
+    def each(self, f):
+        """f of the pair: a value the theorems compute per pair, as a GramStack stacks it."""
+        return f(self)
+
+    def where(self, holds, f):
+        """f of the record where holds, else 0.0: a residual asserted under a hypothesis."""
+        return f(self) if holds else 0.0
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return as_lattice_vector(self._x, self.T.domain_dim)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return as_lattice_vector(self._y, self.T.domain_dim)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The weight in F+: entries negative within DEFAULT_ABS_TOL clamp to 0, others raise."""
+        if self._u is None:
+            raise ValueError("this Gram has no weight u")
+        u = as_lattice_vector(self._u, self.T.codomain_dim)
+        if not in_positive_cone(u, tol=DEFAULT_ABS_TOL):
+            raise NotInPositiveCone(f"weight entry {np.min(u)} is negative")
+        return np.maximum(u, 0.0)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.T.eval(self.x, self.x)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self.T.eval(self.x, self.y)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.T.eval(self.y, self.y)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """T(x+y, x+y)."""
+        z = _finite(self.x + self.y)
+        return self.T.eval(z, z)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """T(x-y, x-y)."""
+        z = _finite(self.x - self.y)
+        return self.T.eval(z, z)
+
+
+def _stacked(name: str) -> cached_property:
+    """The GramStack value of that name: its pairs' values, stacked on first read."""
+    return cached_property(lambda self: self.each(attrgetter(name)))
+
+
+class GramStack(_Record):
+    """The lazy record of k pairs, each a Gram, under semi-inner products into one R^n.
+
+    The pairs' sips, kinds and domains may differ. x, y, u, a, b, c, s
+    and d read as the stacks of the pairs' values, one row per pair,
+    each pair validating or evaluating its own once; the derived values
+    are computed on the stacks. A value that raises on any pair raises
+    here and is not kept, as in a Gram.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+
+    def each(self, f):
+        """f of each pair, stacked along a new leading axis.
+
+        Values of different shapes (x and y of different domains) raise
+        DimensionMismatch: they have no stack.
+        """
+        values = [f(p) for p in self.pairs]
+        try:
+            return np.array(values)
+        except ValueError:
+            raise DimensionMismatch("the pairs' values differ in shape") from None
+
+    def where(self, holds: np.ndarray, f) -> np.ndarray:
+        """f of the record of the pairs where holds, 0.0 at the others, as a (k,) array."""
+        if holds.all():
+            return f(self)
+        out = np.zeros(len(self.pairs))
+        if holds.any():
+            out[holds] = f(GramStack(p for p, h in zip(self.pairs, holds) if h))
+        return out
+
+    x = _stacked("x")
+    y = _stacked("y")
+    u = _stacked("u")
+    a = _stacked("a")
+    b = _stacked("b")
+    c = _stacked("c")
+    s = _stacked("s")
+    d = _stacked("d")
+
+
+Record = Gram | GramStack
+
+
 def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
     """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
 
@@ -240,12 +329,13 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     return lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid)
 
 
-def defect_gaps(g: Gram, sampled: np.ndarray,
+def defect_gaps(g: Record, sampled: np.ndarray,
                 floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of the lambda-grid oracle's value sampled against the closed-form defect.
 
     sampled is the oracle's defect of g's pair (lambda_minimum without a
-    weight, or defect_grid). Normalized by the largest of |a|, |c| and both
+    weight, or defect_grid), or of each pair of a GramStack, stacked like
+    its values. Normalized by the largest of |a|, |c| and both
     defect values: sandwich is the violation of grid >= closed, gap the
     worst over-estimate.
     """
@@ -255,7 +345,7 @@ def defect_gaps(g: Gram, sampled: np.ndarray,
     return cone_gap(gap, scale), excess(gap, scale)
 
 
-def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
+def cs_identity(g: Record, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     """Raw residual of |b| = a [*] c - D/2, componentwise.
 
     Raises NotInPositiveCone when a or c leaves the positive cone beyond
@@ -264,13 +354,14 @@ def cs_identity(g: Gram, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     # a and c are in F+ up to rounding of PSD arithmetic; check them
     # against a scale-aware floor rather than the bare absolute one. Past
     # the check, g.bound is their geometric mean a [*] c.
-    cone_floor = DEFAULT_REL_TOL * float(np.abs(g.a).max() + np.abs(g.c).max()) + floor
-    _cone_pair("box_times", g.a, g.c, cone_floor)
+    _cone_pair("box_times", g.a, g.c, _rounding_floor(g.a, g.c, floor))
     return np.abs(g.b) - (g.bound - 0.5 * g.defect)
 
 
 @dataclass(frozen=True)
 class CsCheck:
+    """The verdicts of a record: one bool or float each for a Gram, a (k,) array for a GramStack."""
+
     equality_holds: bool
     defect_zero: bool
     borderline: bool
@@ -278,7 +369,7 @@ class CsCheck:
     inequality: float  # worst normalized violation of |b| <= sqrt(a*c)
 
 
-def cs_verdict(g: Gram, band: float = CONE_BAND,
+def cs_verdict(g: Record, band: float = CONE_BAND,
                floor: float = DEFAULT_ABS_TOL) -> CsCheck:
     """Identity, inequality and the equality <-> zero-defect biconditional.
 
@@ -297,8 +388,8 @@ def cs_verdict(g: Gram, band: float = CONE_BAND,
     return CsCheck(
         equality_holds=eq_gap <= band,
         defect_zero=defect_n <= band,
-        borderline=near(max(eq_gap, defect_n, key=_nan_first), band),
-        identity=float((np.abs(cs_identity(g, floor)) / scale).max()),
+        borderline=near(fold(eq_gap, defect_n), band),
+        identity=(np.abs(cs_identity(g, floor)) / scale).max(axis=-1),
         inequality=cone_gap(slack, scale),
     )
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .harness import (
@@ -77,7 +78,9 @@ def _add_config_flags(p: argparse.ArgumentParser, only: tuple | None = None) -> 
             p.add_argument(flag, dest=name, type=kind, default=getattr(owner, name))
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="riesz-sip",
         description="Verification harness for lattice-valued semi-inner products.")

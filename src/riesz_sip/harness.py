@@ -9,18 +9,24 @@ shrunk offline from its serialized instance alone. A check is a
 deterministic function of (instance, config): the oracle grids it samples
 are derived on the config, and anything else sampled inside a check uses
 fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
-Trial, the lazy record of one instance under one config (the instance's
-Gram, see cauchy_schwarz.Gram, and its lambda-grid samples), passes it to
-the library's theorem functions, and only maps the residuals they return
-to tolerances.
+record of trials, passes it to the library's theorem functions, and only
+maps the residuals they return to tolerances: a Trial, the lazy record of
+one instance under one config (the instance's Gram, see
+cauchy_schwarz.Gram, and its lambda-grid samples), or a TrialGroup, the
+GramStack of k Trials whose sips share a codomain R^n, on whose stacked
+values every residual is a (k,) array with each trial's bits.
 
-run_suite is trial-major: for each instance recipe it generates trial i,
-builds one Trial, runs every selected suite of the recipe on it and folds
-each result into that suite's report entry, then drops the trial before
-generating trial i + 1. The suites of a trial share its record, so each
-T-value and the lambda-grid sampling are evaluated once per trial, and
-at most one generated instance is alive. replay_counterexample and
-shrink build a fresh record for every check they run.
+run_suite is chunked and grouped: for each instance recipe it generates
+TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
+dimension (GROUP_SAMPLE_BYTES caps a group's lambda-grid samples), runs
+every selected suite of the recipe once per group and
+folds each trial's result into that suite's report entry in trial order,
+then drops the chunk before generating the next. The suites of a group
+share its record, so each T-value and the lambda-grid sampling are
+evaluated once per trial, and at most one chunk of generated instances
+is alive. A group with a broken trial is checked again one trial at a
+time. replay_counterexample and shrink check one Trial, a group of one,
+and build a fresh record for every check they run.
 
 Suite names:
 
@@ -46,7 +52,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
@@ -59,6 +65,7 @@ from .lattice import (
     _finite,
     _nan_first,
     as_lattice_vector,
+    fold,
     rel_residual,
 )
 from .means import (
@@ -85,6 +92,7 @@ from .cauchy_schwarz import (
     LAMBDA_HI,
     LAMBDA_LO,
     Gram,
+    GramStack,
     cs_verdict,
     defect_gaps,
     defect_grid,
@@ -128,6 +136,13 @@ BICOND_TOL = 0.5            # indicator residuals are 0 or 1
 AXIOM_SAMPLES = 64
 MAX_COUNTEREXAMPLES = 10
 MAX_GRID_COUNT = 10**6      # points per grid, so that no grid exhausts memory
+# Generated trials of a recipe held at once. run_suite checks a chunk's
+# trials in groups of one codomain dimension.
+TRIAL_CHUNK = 256
+# Bytes of lambda-grid samples a group's trials hold at most together (or
+# one trial's, when larger): each trial keeps its samples until the
+# group's last suite has run, so this caps the trials of a group.
+GROUP_SAMPLE_BYTES = 2**21
 
 
 class ConfigError(ValueError):
@@ -427,10 +442,9 @@ class TrialResult:
     tags: tuple = ()
 
 
-def _result(checks: dict, borderline: bool = False, tags: tuple = ()) -> TrialResult:
-    """TrialResult of {check name: (residual, tolerance)}."""
-    residuals = {k: v for k, (v, _) in checks.items()}
-    tols = {k: tol for k, (_, tol) in checks.items()}
+def _result(residuals: dict, tols: dict, borderline: bool = False,
+            tags: tuple = ()) -> TrialResult:
+    """TrialResult of {check name: residual} under {check name: tolerance}."""
     # not (v <= tol) instead of v > tol so NaN residuals count as failures
     failed = tuple(sorted(k for k, v in residuals.items() if not v <= tols[k]))
     status = "fail" if failed else ("borderline" if borderline else "pass")
@@ -438,13 +452,40 @@ def _result(checks: dict, borderline: bool = False, tags: tuple = ()) -> TrialRe
                        failed=failed, tags=tags)
 
 
-def _mismatch(borderline: bool, agreed: bool) -> float:
+def _column(values, k: int) -> list:
+    """values as k Python values: a list or (k,) array of one per trial, or one for every trial."""
+    if isinstance(values, list):
+        return values
+    values = np.asarray(values)
+    return values.tolist() if values.ndim else [values.item()] * k
+
+
+def _results(rec, checks: dict, borderline=False, tags: tuple = ()):
+    """The TrialResult of each trial of rec, from {check name: (residuals, tolerance)}.
+
+    Residuals, borderline and each tag column hold one value per trial (a
+    (k,) array or a list) or one for every trial; a None tag is no tag.
+    A group's check gives the list of its trials' results, in order, and
+    a Trial's check its one result.
+    """
+    k = len(rec.pairs)
+    tols = {name: tol for name, (_, tol) in checks.items()}
+    rows = zip(*(_column(v, k) for v, _ in checks.values()))
+    flags = _column(borderline, k)
+    tag_rows = zip(*(_column(t, k) for t in tags)) if tags else [()] * k
+    results = [_result(dict(zip(tols, row)), tols, flag,
+                       tuple(t for t in tag_row if t is not None))
+               for row, flag, tag_row in zip(rows, flags, tag_rows)]
+    return results if isinstance(rec, TrialGroup) else results[0]
+
+
+def _mismatch(borderline, agreed):
     """Indicator residual of a biconditional; borderline trials never count."""
-    return 0.0 if (borderline or agreed) else 1.0
+    return np.where(borderline | agreed, 0.0, 1.0)
 
 
-def _branch(holds: bool) -> tuple:
-    return ("equality",) if holds else ("strict",)
+def _branch(holds):
+    return np.where(holds, "equality", "strict")
 
 
 class Trial(Gram):
@@ -455,7 +496,9 @@ class Trial(Gram):
     T(lambda*x - y, lambda*x - y) of the defect oracles. Each value is
     computed once, on first read, and shared by every suite that reads it.
     A value that raises is not kept (cached_property), so every suite
-    raises on exactly the values it reads, as it would alone.
+    raises on exactly the values it reads, as it would alone. A check
+    reads a Trial as the group of one trial: its values have no trial
+    axis, and the check gives one result.
     """
 
     def __init__(self, inst: Instance, config: TrialConfig):
@@ -469,35 +512,56 @@ class Trial(Gram):
         return lambda_samples(self, self.config.lambda_grid)
 
 
-def check_axioms_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
-    res = check_axioms(trial.inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
-    return _result({k: (v, tol.rel) for k, v in res.items()}, tags=(trial.inst.kind,))
+class TrialGroup(GramStack):
+    """Trials of one config whose sips share the codomain R^n: the record a group check reads.
+
+    The GramStack of the trials: each trial evaluates its own values once,
+    and the group stacks them on first read, so a suite stacks only what
+    it reads and computes every residual as a (k,) array, with each
+    trial's bits. Per-trial work (axiom samples, lambda-grid samples,
+    grid oracles) reads the trials, group.pairs.
+    """
+
+    def __init__(self, trials, config: TrialConfig):
+        super().__init__(trials)
+        self.config = config
 
 
-def check_cs_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
-    chk = cs_verdict(trial, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = defect_gaps(
-        trial, lambda_minimum(trial.samples, trial.config.lambda_grid), tol.abs)
-    return _result({
+# The checks. Each reads a TrialGroup or a Trial and gives the results of
+# its trials (_results): the library computes the residuals on the
+# stacked values, and a check only maps them to tolerances.
+
+def check_axioms_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    rows = [check_axioms(t.inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
+            for t in rec.pairs]
+    return _results(rec, {k: ([r[k] for r in rows], tol.rel) for k in rows[0]},
+                    tags=([t.inst.kind for t in rec.pairs],))
+
+
+def check_cs_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    chk = cs_verdict(rec, band=tol.cone_band, floor=tol.abs)
+    grid = rec.config.lambda_grid
+    sandwich, gap = defect_gaps(rec, rec.each(lambda t: lambda_minimum(t.samples, grid)), tol.abs)
+    return _results(rec, {
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
         "defect_sandwich": (sandwich, SANDWICH_FLOOR),
         "defect_gap": (gap, DEFECT_GAP_REL_TOL),
         "equality_iff_defect_zero": (
             _mismatch(chk.borderline, chk.equality_holds == chk.defect_zero), BICOND_TOL),
-    }, borderline=chk.borderline, tags=_branch(chk.equality_holds))
+    }, borderline=chk.borderline, tags=(_branch(chk.equality_holds),))
 
 
-def check_means_trial(trial: Trial) -> TrialResult:
+def check_means_trials(rec) -> list | TrialResult:
     # The suite states identities of the means on the validated x, y and
     # on u as a vector of their lattice, not the weight of T's codomain;
     # the kernels still catch a + b or lam*a overflowing.
-    x, y = trial.x, trial.y
+    x, y = rec.x, rec.y
     a, b = np.abs(x), np.abs(y)
-    c = as_lattice_vector(trial.inst.u, x.size)
-    floor = trial.config.tolerances.abs
+    c = rec.each(lambda t: as_lattice_vector(t.inst.u, t.x.size))
+    floor = rec.config.tolerances.abs
     biadd = rel_residual(_box_times(a + b, c, floor),
                          _box_plus(_box_times(a, c, floor), _box_times(b, c, floor)),
                          floor=floor)
@@ -505,68 +569,77 @@ def check_means_trial(trial: Trial) -> TrialResult:
     ab = _box_times(a, b, floor)
     # |x_0| adds a scalar that depends on the data, yet keeps the check a
     # pure function of the instance.
-    for lam in (0.0, 0.5, 1.0, 4.0, float(a[0])):
+    for lam in (0.0, 0.5, 1.0, 4.0, a[..., :1]):
         ref = np.sqrt(lam) * ab
-        hom = max(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor),
-                  rel_residual(_box_times(a, lam * b, floor), ref, floor=floor), key=_nan_first)
-    return _result({"biadditivity": (biadd, MEANS_REL_TOL), "homogeneity": (hom, MEANS_REL_TOL)})
+        hom = fold(fold(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor)),
+                   rel_residual(_box_times(a, lam * b, floor), ref, floor=floor))
+    return _results(rec, {"biadditivity": (biadd, MEANS_REL_TOL),
+                          "homogeneity": (hom, MEANS_REL_TOL)})
 
 
-def check_vsn_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
+def check_vsn_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
             "square": SQUARE_REL_TOL}
-    residuals = seminorm_residuals(trial, floor=tol.abs)
-    return _result({k: (v, tols[k]) for k, v in residuals.items()})
+    residuals = seminorm_residuals(rec, floor=tol.abs)
+    return _results(rec, {k: (v, tols[k]) for k, v in residuals.items()})
 
 
-def check_sharp_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
-    st = sharp_verdict(trial, band=tol.cone_band, floor=tol.abs)
+def check_sharp_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    st = sharp_verdict(rec, band=tol.cone_band, floor=tol.abs)
+    grid = rec.config.lambda_grid
     sandwich, gap = weighted_defect_gaps(
-        trial, lambda_minimum(trial.samples, trial.config.lambda_grid, trial.u), tol.abs)
-    return _result({
+        rec, rec.each(lambda t: lambda_minimum(t.samples, grid, t.u)), tol.abs)
+    return _results(rec, {
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
             _mismatch(st.borderline, st.equality_holds == st.condition_holds), BICOND_TOL),
         "weighted_sandwich": (sandwich, SANDWICH_FLOOR),
         "weighted_gap": (gap, DEFECT_GAP_REL_TOL),
-    }, borderline=st.borderline, tags=_branch(st.equality_holds))
+    }, borderline=st.borderline, tags=(_branch(st.equality_holds),))
 
 
-def check_additivity_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
-    ac = additivity_verdict(trial, band=tol.cone_band, floor=tol.abs)
-    agreed = ac.additive == (ac.condition_pos and ac.condition_defect_zero)
+def check_additivity_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    ac = additivity_verdict(rec, band=tol.cone_band, floor=tol.abs)
+    agreed = ac.additive == (ac.condition_pos & ac.condition_defect_zero)
     tags = (
-        "additive" if ac.additive else "nonadditive",
-        "cond_pos_true" if ac.condition_pos else "cond_pos_false",
-        "cond_defect_true" if ac.condition_defect_zero else "cond_defect_false",
+        np.where(ac.additive, "additive", "nonadditive"),
+        np.where(ac.condition_pos, "cond_pos_true", "cond_pos_false"),
+        np.where(ac.condition_defect_zero, "cond_defect_true", "cond_defect_false"),
     )
-    return _result({"characterization": (_mismatch(ac.borderline, agreed), BICOND_TOL)},
-                   borderline=ac.borderline, tags=tags)
+    return _results(rec, {"characterization": (_mismatch(ac.borderline, agreed), BICOND_TOL)},
+                    borderline=ac.borderline, tags=tags)
 
 
-def check_pythagoras_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
+def check_pythagoras_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
     # The identity is only asserted, and its seminorms only evaluated,
-    # when the orthogonality hypothesis holds; u is read first, so that a
-    # broken weight fails the suite either way.
-    trial.u
-    pre = orthogonality(trial, floor=tol.abs)
-    ident = 0.0 if pre > PRECOND_TOL else rel_residual(*pythagoras_sides(trial), floor=tol.abs)
-    return _result({"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
-                   tags=(trial.inst.kind,))
+    # where the orthogonality hypothesis holds (NaN included); u is read
+    # first, so that a broken weight fails the suite either way.
+    rec.u
+    pre = orthogonality(rec, floor=tol.abs)
+    ident = rec.where(~(pre > PRECOND_TOL),
+                      lambda held: rel_residual(*pythagoras_sides(held), floor=tol.abs))
+    return _results(rec, {"orthogonality": (pre, PRECOND_TOL), "identity": (ident, tol.rel)},
+                    tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_parallelogram_trial(trial: Trial) -> TrialResult:
-    tol = trial.config.tolerances
-    sides = parallelogram_sides(trial)
-    return _result({"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
-                   tags=(trial.inst.kind,))
+def check_parallelogram_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    sides = parallelogram_sides(rec)
+    return _results(rec, {"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
+                    tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_oracle_trial(trial: Trial) -> TrialResult:
+def _oracle_gaps(trial: Trial) -> tuple:
+    """The oracle suite's values of one trial, in check_oracle_trials' order.
+
+    (box_times sandwich, box_times gap, minimizer covered, box_plus
+    sandwich, box_plus gap, quarter-circle residual); the box_times gap is
+    0.0 where the minimizer is not covered.
+    """
     config = trial.config
     tol = config.tolerances
     x, y = trial.x, trial.y
@@ -579,39 +652,66 @@ def check_oracle_trial(trial: Trial) -> TrialResult:
     bp_sandwich, bp_gap = box_plus_gaps(x, y, angle, tol.abs)
     quarter = rel_residual(box_plus_oracle(u, v, angle),
                            box_plus_oracle(u, v, angle, quarter=True), floor=tol.abs)
-    return _result({
+    return bt_sandwich, bt_gap if covered else 0.0, covered, bp_sandwich, bp_gap, quarter
+
+
+def check_oracle_trials(rec) -> list | TrialResult:
+    # the grid oracles run one trial at a time: a trial's (n, grid) block
+    # stays in cache
+    bt_sandwich, bt_gap, covered, bp_sandwich, bp_gap, quarter = (
+        list(col) for col in zip(*(_oracle_gaps(t) for t in rec.pairs)))
+    return _results(rec, {
         "box_times_sandwich": (bt_sandwich, SANDWICH_FLOOR),
-        "box_times_gap": (bt_gap if covered else 0.0, BT_GAP_REL_TOL),
+        "box_times_gap": (bt_gap, BT_GAP_REL_TOL),
         "box_plus_sandwich": (bp_sandwich, SANDWICH_FLOOR),
         "box_plus_gap": (bp_gap, BP_GAP_REL_TOL),
         "quarter_circle": (quarter, QUARTER_REL_TOL),
-    }, tags=() if covered else ("minimizer_not_covered",))
+    }, tags=([None if c else "minimizer_not_covered" for c in covered],))
 
 
 CHECKS = {
-    "axioms": check_axioms_trial,
-    "cs": check_cs_trial,
-    "means": check_means_trial,
-    "vsn": check_vsn_trial,
-    "sharp": check_sharp_trial,
-    "additivity": check_additivity_trial,
-    "pythagoras": check_pythagoras_trial,
-    "parallelogram": check_parallelogram_trial,
-    "oracle": check_oracle_trial,
+    "axioms": check_axioms_trials,
+    "cs": check_cs_trials,
+    "means": check_means_trials,
+    "vsn": check_vsn_trials,
+    "sharp": check_sharp_trials,
+    "additivity": check_additivity_trials,
+    "pythagoras": check_pythagoras_trials,
+    "parallelogram": check_parallelogram_trials,
+    "oracle": check_oracle_trials,
 }
+
+_BROKEN_INPUT = (DimensionMismatch, NotInPositiveCone, NonFinite)
 
 
 def _run_check(theorem: str, trial: Trial) -> TrialResult:
-    """theorem's check of trial; the one place that rejects an unknown check name."""
+    """theorem's check of one trial; the one place that rejects an unknown check name.
+
+    A check reads a Trial as the group of one trial, by the code that
+    checks a group.
+    """
     check = CHECKS.get(theorem)
     if check is None:
         raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
     try:
         return check(trial)
-    except (DimensionMismatch, NotInPositiveCone, NonFinite):
+    except _BROKEN_INPUT:
         # Broken instance (fault injection): counted as a failure, never
         # silently skipped. Any other exception is a fault and propagates.
-        return _result({"invalid_instance": (1.0, BICOND_TOL)})
+        return _result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
+
+
+def _check_group(theorem: str, group: TrialGroup) -> list:
+    """theorem's result of each trial of group, in order.
+
+    A broken trial makes the group's check raise, and the group is then
+    checked one trial at a time: exactly its broken trials become
+    invalid_instance, and the others keep their results.
+    """
+    try:
+        return CHECKS[theorem](group)
+    except _BROKEN_INPUT:
+        return [_run_check(theorem, trial) for trial in group.pairs]
 
 
 def params_from_config(config: TrialConfig) -> dict:
@@ -692,6 +792,44 @@ def _generate(config: TrialConfig, purpose: str):
         yield inst
 
 
+def _chunks(config: TrialConfig, purpose: str):
+    """_generate's instances in lists of TRIAL_CHUNK."""
+    generated = _generate(config, purpose)
+    while chunk := list(islice(generated, TRIAL_CHUNK)):
+        yield chunk
+
+
+_GENERATION_FAILED = _result({"generation": 1.0}, {"generation": BICOND_TOL})
+
+
+def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
+    """Check the chunk's instances under each suite and fold its results in trial order.
+
+    The instances are checked in groups of one codomain dimension, each
+    holding at most GROUP_SAMPLE_BYTES of lambda-grid samples; each suite
+    checks a group once, and the group, with its trials' values and
+    samples, is dropped before the next is built.
+    """
+    results = {suite.name: [_GENERATION_FAILED] * len(chunk) for suite in suites}
+    by_dim = {}
+    for i, inst in enumerate(chunk):
+        if inst is not None:
+            by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
+    groups = []
+    for n, idx in by_dim.items():
+        # one trial's samples are (n, 2 * lambda_count) floats
+        size = max(1, GROUP_SAMPLE_BYTES // (n * 2 * config.lambda_count * 8))
+        groups += [idx[lo:lo + size] for lo in range(0, len(idx), size)]
+    for idx in groups:
+        group = TrialGroup([Trial(chunk[i], config) for i in idx], config)
+        for suite in suites:
+            for i, res in zip(idx, _check_group(suite.name, group)):
+                results[suite.name][i] = res
+    for suite in suites:
+        for inst, res in zip(chunk, results[suite.name]):
+            suite.add(inst, res)
+
+
 class _SuiteFold:
     """One suite's report entry, folded one (instance, result) pair at a time.
 
@@ -739,29 +877,31 @@ class _SuiteFold:
 def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
-    The suites run one instance recipe (PURPOSES) at a time and, within a
-    recipe, one trial at a time: trial i is generated once, wrapped in one
-    Trial record that every selected suite of the recipe checks (checks
-    never modify an instance, and the record evaluates each value once),
-    and each result is folded into its suite's entry before trial i + 1 is
-    generated, so at most one generated instance is alive at once.
-    injected instances (the fault-injection surface) follow the generated
-    trials in every selected suite, each with its own record per recipe,
+    The suites run one instance recipe (PURPOSES) at a time. A recipe's
+    trials are generated in chunks of TRIAL_CHUNK, and at most one chunk
+    is alive: its trials are checked in groups of one codomain dimension,
+    each group a TrialGroup that every selected suite of the recipe
+    checks once (checks never modify an instance, and the record
+    evaluates each value once per trial), and each suite folds its
+    results into its entry in trial order. injected instances (the
+    fault-injection surface) follow the generated trials in every
+    selected suite, each a group of one with its own record per recipe,
     so the reported trial count is config.trials + len(injected) per
     theorem. The report lists the suites in config.theorems order.
     """
     start = time.perf_counter()
     params = params_from_config(config)
-    folds = {name: _SuiteFold(name, params) for name in config.theorems}
+    suites = {name: _SuiteFold(name, params) for name in config.theorems}
     for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
-        selected = [folds[name] for name in config.theorems if PURPOSES[name] == purpose]
-        for inst in chain(_generate(config, purpose), injected):
-            trial = Trial(inst, config) if inst is not None else None
-            for fold in selected:
-                fold.add(inst, _run_check(fold.name, trial) if trial is not None
-                         else _result({"generation": (1.0, BICOND_TOL)}))
+        selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
+        for chunk in _chunks(config, purpose):
+            _check_chunk(chunk, selected, config)
+        for inst in injected:
+            trial = Trial(inst, config)
+            for suite in selected:
+                suite.add(inst, _run_check(suite.name, trial))
     return VerificationReport(config=asdict(config),
-                              theorems={name: fold.entry() for name, fold in folds.items()},
+                              theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)
 
 
@@ -880,8 +1020,8 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
                     ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
                     ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
                     ("defect_gap", defect_gaps(g, defect_grid(g.T, g.x, g.y, lam), floor))):
-                sandwich_ok &= sandwich <= SANDWICH_FLOOR  # NaN fails too
-                row[key] = max(row[key], gap, key=_nan_first)
+                sandwich_ok &= bool(sandwich <= SANDWICH_FLOOR)  # NaN fails too
+                row[key] = max(row[key], float(gap), key=_nan_first)
         rows.append(row)
 
     # a NaN gap fails its comparison

@@ -19,7 +19,11 @@ NonFinite, and the harness records exactly these as an invalid instance.
 
 Residual policy: the checks reduce their arrays to normalized residuals,
 floats that are 0 when the statement holds exactly, and decide on them
-with these forms.
+with these forms. Each reduces over the last axis, the codomain
+coordinates, so the values of one pair, shaped (n,), give one residual
+and the stacked values of k pairs, shaped (k, n), give a (k,) array of
+them, row by row with the same bits: the row maxima are exact, and the
+other steps are elementwise.
 
   rel_residual(lhs, rhs)  an identity: the worst |lhs - rhs| over the
                           larger side plus a floor.
@@ -30,9 +34,10 @@ with these forms.
   near(v, band)           the borderline window band/8 < v < 8*band of a
                           verdict decided at band; a trial inside it is
                           flagged borderline rather than forced.
-  _nan_first              the key of every fold of residuals,
-                          max(..., key=_nan_first): NaN ranks above every
-                          number, and of equal values the first is kept.
+  fold(a, b)              the maximum of two residuals, per trial: NaN
+                          ranks above every number, and of equal values
+                          the first is kept, as max(a, b, key=_nan_first)
+                          keeps it for two floats.
 
 NaN passes through the three residuals, wins every fold and is never
 near, so a residual spoiled by overflow fails its check (not v <= tol)
@@ -81,13 +86,13 @@ def as_lattice_vector(values, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def in_positive_cone(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff every entry of a is >= -tol."""
-    return bool(a.min() >= -tol)
+def in_positive_cone(a: np.ndarray, tol=0.0) -> bool:
+    """True iff every entry of a is >= -tol; tol may hold one floor per row of a stack."""
+    return bool((a >= -tol).all())
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
-                 floor: float = DEFAULT_ABS_TOL) -> float:
+                 floor: float = DEFAULT_ABS_TOL):
     """Worst componentwise |lhs - rhs| / (max(|lhs|, |rhs|) + floor).
 
     Scale-aware residual used by every identity check: relative where the
@@ -96,32 +101,42 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray,
     if lhs.shape != rhs.shape:
         raise DimensionMismatch(f"dimension mismatch: {lhs.shape} vs {rhs.shape}")
     scale = np.maximum(np.abs(lhs), np.abs(rhs)) + floor
-    return float((np.abs(lhs - rhs) / scale).max())
+    return (np.abs(lhs - rhs) / scale).max(axis=-1)
 
 
-def cone_gap(a: np.ndarray, scale: np.ndarray) -> float:
+def cone_gap(a: np.ndarray, scale: np.ndarray):
     """Worst negative part of a over scale, zero iff a is in F+.
 
     The one-sided residual of every cone statement (inequalities, oracle
     sandwiches); scale carries the identity's own magnitude and floor.
     """
-    return float((np.maximum(-a, 0.0) / scale).max())
+    return (np.maximum(-a, 0.0) / scale).max(axis=-1)
 
 
-def excess(a: np.ndarray, scale: np.ndarray) -> float:
+def excess(a: np.ndarray, scale: np.ndarray):
     """Worst a/scale, floored at 0: the one-sided residual of a gap that should vanish.
 
     Not cone_gap(-a, scale): the floor keeps the sign of a zero, so a gap
     that is 0 at worst reads -0.0 where the worst entry is -0.0.
     """
-    return float(max((a / scale).max(), 0.0))
+    return fold((a / scale).max(axis=-1), 0.0)
 
 
-def near(v: float, band: float) -> bool:
-    """True iff v lies in the borderline window (band/8, 8*band) of a verdict at band."""
-    return band / 8.0 < v < 8.0 * band
+def near(v, band: float):
+    """True where v lies in the borderline window (band/8, 8*band) of a verdict at band."""
+    return (band / 8.0 < v) & (v < 8.0 * band)
+
+
+def fold(a, b):
+    """The NaN-first maximum of two residuals (or of two (k,) arrays of them, per trial).
+
+    a where a >= b or a is NaN, else b: a NaN is never dropped, and of
+    equal values, -0.0 and 0.0 among them, the first is kept. Two floats
+    give a numpy float.
+    """
+    return np.where((a >= b) | (a != a), a, b)[()]
 
 
 def _nan_first(v: float) -> tuple:
-    """Key of the one residual fold: NaN ranks above every number, so no maximum drops it."""
+    """Key of fold's order for floats, max(..., key=_nan_first): NaN ranks above every number."""
     return (v != v, v)

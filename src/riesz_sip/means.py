@@ -66,7 +66,7 @@ class LogGrid:
 
     def __post_init__(self):
         pts = as_lattice_vector(self.points)
-        if np.min(pts) <= 0.0:
+        if pts.min() <= 0.0:
             raise ValueError("grid points must be strictly positive")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("grid points must be strictly increasing")

@@ -17,44 +17,58 @@ what makes the equality case decidable: equality in the triangle
 inequality holds iff T(x,y)*u is in F+, and both sides of the iff are
 computed from quantities that agree to rounding error.
 
-Every statement here reads a cauchy_schwarz.Gram built with a weight:
-the record of a pair holds a, b, c and the defect, T(x+y,x+y),
-T(x-y,x-y), the weight u and the seminorms built from them, each
-evaluated once, on first read. A theorem is one pure function from that
-record to its verdict and normalized residuals (sharp_verdict,
-additivity_verdict, orthogonality with pythagoras_sides,
-parallelogram_sides, seminorm_residuals, weighted_defect_gaps); the two
-identities come as (lhs, rhs) pairs for lattice.rel_residual. The
+Every statement here reads a record built with a weight: a
+cauchy_schwarz.Gram, the record of a pair, or a GramStack, the record of
+k pairs with one codomain R^n. The record holds a, b, c and the defect,
+T(x+y,x+y), T(x-y,x-y), the weight u and the seminorms built from them,
+each evaluated once per pair, on first read; a GramStack holds each as a
+(k, n) stack. A theorem is one pure function from that record to its
+verdict and normalized residuals (sharp_verdict, additivity_verdict,
+orthogonality with pythagoras_sides, parallelogram_sides,
+seminorm_residuals, weighted_defect_gaps): a float or bool each for a
+Gram, a (k,) array of them for a GramStack, with the bits of the pairs'
+Grams row by row. The two identities come as (lhs, rhs) pairs for
+lattice.rel_residual. The
 record's values are reused, never re-expressed by the algebra above:
 lhs_sq stays T(x+y,x+y)*u rather than (a + 2b + c)*u, which would make
 the chain check tautological. Residuals follow the package-wide
 residual policy of lattice: each is normalized by the componentwise
 scale of the largest participating quantity plus an absolute floor and
-reduced with rel_residual, cone_gap or excess; borderline windows are
-lattice.near, and every fold of residuals ranks NaN first.
+reduced over the last axis with rel_residual, cone_gap or excess;
+borderline windows are lattice.near, and every fold of residuals is
+lattice.fold, which ranks NaN first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .lattice import (
     DEFAULT_ABS_TOL,
     _finite,
-    _nan_first,
     cone_gap,
     excess,
+    fold,
     near,
     rel_residual,
 )
 from .means import _box_plus
-from .cauchy_schwarz import CONE_BAND, Gram, _seminorm
+from .cauchy_schwarz import CONE_BAND, Gram, Record, _seminorm
 
 
-def seminorm_residuals(g: Gram, floor: float = DEFAULT_ABS_TOL) -> dict:
-    """Seminorm axioms and the square identity at one pair.
+def _scaled_value(p: Gram, alpha: float | None) -> np.ndarray:
+    """T(alpha*x, alpha*x) of a pair, with alpha = x_0 for None."""
+    if alpha is None:
+        alpha = float(p.x[0])
+    z = _finite(alpha * p.x)  # p.x is validated; only its scaling can overflow
+    return p.T.eval(z, z)
+
+
+def seminorm_residuals(g: Record, floor: float = DEFAULT_ABS_TOL) -> dict:
+    """Seminorm axioms and the square identity at each pair.
 
     positivity of norm(x), norm(y); homogeneity norm(alpha*x) =
     |alpha|*norm(x) over a fixed scalar set plus x_0 (a data-dependent value
@@ -62,12 +76,12 @@ def seminorm_residuals(g: Gram, floor: float = DEFAULT_ABS_TOL) -> dict:
     inequality; and norm(x)^2 = T(x,x)*u.
     """
     sx, sy, sxy = g.norm_x, g.norm_y, g.norm_sum
-    pos = max((cone_gap(s, np.abs(s) + floor) for s in (sx, sy)), key=_nan_first)
+    pos = fold(*(cone_gap(s, np.abs(s) + floor) for s in (sx, sy)))
     hom = 0.0
-    for alpha in (-2.5, -1.0, 0.0, 0.5, float(g.x[0])):
-        z = _finite(alpha * g.x)  # g.x is validated; only its scaling can overflow
-        hom = max(hom, rel_residual(_seminorm(g.T.eval(z, z), g.u),
-                                    np.abs(alpha) * sx, floor=floor), key=_nan_first)
+    for alpha in (-2.5, -1.0, 0.0, 0.5, None):
+        t = g.each(lambda p: _scaled_value(p, alpha))
+        scale = np.abs(g.each(lambda p: p.x[:1]) if alpha is None else alpha)
+        hom = fold(hom, rel_residual(_seminorm(t, g.u), scale * sx, floor=floor))
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
     square = rel_residual(sx * sx, g.a * g.u, floor=floor)
     return {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
@@ -85,7 +99,8 @@ class SharpTriangle:
     equality_holds means the sharpened bound is attained, lhs_sq = middle,
     and condition_holds means T(x,y)*u in F+; the two must agree on every
     non-borderline input. (Equality of lhs_sq with rhs_sq itself is the
-    additivity characterization, handled by additivity_verdict.)
+    additivity characterization, handled by additivity_verdict.) Each
+    field is a bool or float for a Gram, a (k,) array for a GramStack.
     """
 
     equality_holds: bool
@@ -97,7 +112,7 @@ class SharpTriangle:
 CHAIN_FLOOR = 1e-10
 
 
-def sharp_verdict(g: Gram, band: float = CONE_BAND,
+def sharp_verdict(g: Record, band: float = CONE_BAND,
                   floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
     lhs_sq, middle, rhs_sq = g.lhs_sq, g.middle, g.rhs_sq
     scale = np.maximum(np.abs(lhs_sq), np.maximum(np.abs(middle), np.abs(rhs_sq))) + floor
@@ -116,12 +131,12 @@ def sharp_verdict(g: Gram, band: float = CONE_BAND,
     return SharpTriangle(
         equality_holds=eq_gap <= band,
         condition_holds=neg <= band,
-        borderline=near(max(neg, eq_gap, key=_nan_first), band),
-        chain=max((cone_gap(v, s) for v, s in links), key=_nan_first),
+        borderline=near(fold(neg, eq_gap), band),
+        chain=reduce(fold, (cone_gap(v, s) for v, s in links)),
     )
 
 
-def weighted_defect_gaps(g: Gram, sampled: np.ndarray,
+def weighted_defect_gaps(g: Record, sampled: np.ndarray,
                          floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of a grid oracle's value sampled for D(x,y)*u against the closed form.
 
@@ -139,7 +154,10 @@ def weighted_defect_gaps(g: Gram, sampled: np.ndarray,
 
 @dataclass(frozen=True)
 class AdditivityCheck:
-    """norm(x+y) = norm(x) + norm(y) iff T(x,y)*u in F+ and D(x,y)*u = 0."""
+    """norm(x+y) = norm(x) + norm(y) iff T(x,y)*u in F+ and D(x,y)*u = 0.
+
+    Each field is a bool for a Gram, a (k,) array for a GramStack.
+    """
 
     additive: bool
     condition_pos: bool
@@ -147,7 +165,7 @@ class AdditivityCheck:
     borderline: bool
 
 
-def additivity_verdict(g: Gram, band: float = CONE_BAND,
+def additivity_verdict(g: Record, band: float = CONE_BAND,
                        floor: float = DEFAULT_ABS_TOL) -> AdditivityCheck:
     """Characterize equality in the triangle inequality.
 
@@ -165,21 +183,21 @@ def additivity_verdict(g: Gram, band: float = CONE_BAND,
         additive=gap <= 2.0 * band,
         condition_pos=p_n <= band,
         condition_defect_zero=d_n <= band,
-        borderline=near(d_n, band) or near(p_n, band),
+        borderline=near(d_n, band) | near(p_n, band),
     )
 
 
-def orthogonality(g: Gram, floor: float = DEFAULT_ABS_TOL) -> float:
+def orthogonality(g: Record, floor: float = DEFAULT_ABS_TOL) -> float:
     """Worst |T(x,y)| relative to the Cauchy-Schwarz scale sqrt(T(x,x)*T(y,y))."""
-    return float((np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)).max())
+    return (np.abs(g.b) / (np.sqrt(np.maximum(g.a * g.c, 0.0)) + floor)).max(axis=-1)
 
 
-def pythagoras_sides(g: Gram) -> tuple[np.ndarray, np.ndarray]:
+def pythagoras_sides(g: Record) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
     return g.norm_sum, _box_plus(g.norm_x, g.norm_y)
 
 
-def parallelogram_sides(g: Gram) -> tuple[np.ndarray, np.ndarray]:
+def parallelogram_sides(g: Record) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
     return (_box_plus(g.norm_sum, g.norm_diff),
             np.sqrt(2.0) * _box_plus(g.norm_x, g.norm_y))

@@ -126,7 +126,7 @@ class PsdFamilySip:
         if not np.all(np.isfinite(A)):
             raise NonFinite("matrix entries must be finite")
         if validate:
-            asym = np.max(np.abs(A - np.transpose(A, (0, 2, 1))))
+            asym = np.abs(A - np.transpose(A, (0, 2, 1))).max()
             if asym > SYMMETRY_ABS_TOL:
                 raise ValueError(f"matrix family is asymmetric by {asym}")
             for j, lo in enumerate(np.linalg.eigvalsh(A).min(axis=1)):
@@ -271,18 +271,18 @@ def orthogonal_sample(T: Sip, x, seed: int = 0,
     # The basis is a column slice of a C-ordered matrix, not a view of vh:
     # its layout fixes the summation order of basis @ g below, and so the
     # bits of y that the pinned reports and instances hold.
-    basis = np.ascontiguousarray(vh.T)[:, np.count_nonzero(s > 1e-10 * np.max(s)):]
+    basis = np.ascontiguousarray(vh.T)[:, np.count_nonzero(s > 1e-10 * s.max()):]
     if basis.shape[1] == 0:
         raise NoNontrivialOrthogonal(
             f"T(x, .) has trivial kernel (m={T.domain_dim}, n={T.codomain_dim})")
     rng = np.random.default_rng(seed)
     for _ in range(16):
         y = basis @ rng.standard_normal(basis.shape[1])
-        norm = np.max(np.abs(y))
+        norm = np.abs(y).max()
         if norm > 1e-8:
             y = y / norm
-            resid = float(np.max(np.abs(T.eval(x, y))))
-            if resid <= tol * max(1.0, float(np.max(np.abs(x)))):
+            resid = float(np.abs(T.eval(x, y)).max())
+            if resid <= tol * max(1.0, float(np.abs(x).max())):
                 return y
     raise NoNontrivialOrthogonal("could not draw a numerically orthogonal sample")
 

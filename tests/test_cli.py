@@ -320,6 +320,46 @@ def test_shrink_cli_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+def _without_wall_time(path) -> dict:
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s", None)
+    return data
+
+
+def test_consecutive_commands_in_one_process_act_as_fresh_ones(capsys, tmp_path):
+    # main builds its parser once per process: commands run one after
+    # another in one process print, exit and write what each does alone
+    inst_path = tmp_path / "bad.json"
+    _write_asymmetric_instance(inst_path)
+    commands = [
+        ["verify", "--trials", "4", "--seed", "3", "--theorems", "cs,means",
+         "--report", "{out}"],
+        ["oracle-study", "--trials", "3", "--grids", "16,64", "--report", "{out}"],
+        ["shrink", "--instance", str(inst_path), "--check", "axioms", "--out", "{out}"],
+        ["verify", "--trials", "2", "--theorems", "bogus"],
+        ["verify", "--trials", "4", "--seed", "5", "--report", "{out}"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh, together = [], []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"fresh{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "riesz_sip.cli",
+                               *(a.format(out=out) for a in argv)],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr,
+                      _without_wall_time(out) if out.exists() else None))
+    capsys.readouterr()
+    for i, argv in enumerate(commands + commands):
+        out = tmp_path / f"together{i}.json"
+        code = main([a.format(out=out) for a in argv])
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err,
+                         _without_wall_time(out) if out.exists() else None))
+    assert together == fresh + fresh
+
+
 def test_console_script_entry_point():
     # the package is imported from the checkout's src, installed or not
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -640,11 +640,13 @@ def test_suites_share_instances_without_changing_them(capsys):
     assert [line.split(":")[0] for line in lines] == [*interleaved, "ok"]
 
 
-def test_at_most_one_generated_instance_is_alive(monkeypatch):
-    # run_suite checks trial i under every selected suite of its recipe and
-    # drops it before generating trial i + 1, and no report entry keeps an
-    # instance, so while any check runs at most one generated instance is
-    # alive; injected instances are not counted
+def test_at_most_one_chunk_of_generated_instances_is_alive(monkeypatch):
+    # run_suite checks the trials of one chunk of TRIAL_CHUNK instances
+    # under every selected suite of its recipe and drops the chunk before
+    # generating the next, and no report entry keeps an instance, so while
+    # any check runs at most TRIAL_CHUNK generated instances are alive;
+    # injected instances are not counted
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 2)
     config = TrialConfig(trials=5, seed=3)
     # Instance is unhashable (it holds arrays), so no WeakSet
     refs = []
@@ -656,15 +658,17 @@ def test_at_most_one_generated_instance_is_alive(monkeypatch):
         return inst
 
     monkeypatch.setattr(harness, "generate_instance", tracked)
+    checked = []
     for name, check in list(CHECKS.items()):
-        def counted(trial, _check=check):
+        def counted(rec, _check=check):
             seen.append(sum(ref() is not None for ref in refs))
-            return _check(trial)
+            checked.append(len(rec.pairs))
+            return _check(rec)
         monkeypatch.setitem(CHECKS, name, counted)
     injected = (_asymmetric_instance(m=2), _negative_instance())
     run_suite(config, injected=injected)
-    assert len(seen) == len(THEOREMS) * (config.trials + len(injected))
-    assert max(seen) == 1
+    assert sum(checked) == len(THEOREMS) * (config.trials + len(injected))
+    assert max(seen) == 2
 
 
 def test_study_bytes_are_pinned():

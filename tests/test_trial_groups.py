@@ -1,0 +1,199 @@
+"""Batch invariance of the check layer: a group of trials is checked as its trials are alone.
+
+run_suite checks a chunk's trials in groups of one codomain dimension
+(harness.TrialGroup), computing every residual on the stacked values as a
+(k,) array; replay and shrink check one Trial at a time. Each suite must
+give every trial of a group the residual bits, status, failed list and
+tags it gets alone. The groups mix sip kinds and domain dimensions, and
+hold signed zeros, magnitudes 2^+-300 and 2^+-520 (whose overflow gives
+NaN residuals and broken-input errors), colinear and near-colinear
+(borderline) pairs and orthogonal pairs.
+
+The trials alone are checked with the folds of residuals computed by
+Python's max(..., key=_nan_first), the scalar definition that
+lattice.fold states per trial, so a group fold that dropped a NaN would
+show here as well as a reduction over the whole group in place of one
+per row.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riesz_sip import cauchy_schwarz, harness, lattice, seminorms
+from riesz_sip.harness import (
+    CHECKS,
+    PURPOSES,
+    THEOREMS,
+    Instance,
+    Trial,
+    TrialConfig,
+    TrialGroup,
+    generate_instance,
+)
+from riesz_sip.lattice import _nan_first, fold
+from riesz_sip.sip import MultiplicationSip, NoNontrivialOrthogonal, PsdFamilySip, orthogonal_sample
+
+CONFIG = TrialConfig(trials=1, seed=9)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+# 2^520 makes products of two entries overflow
+SCALES = st.sampled_from([0, 0, 0, -520, -300, -40, 40, 300, 520])
+
+
+def entries(m):
+    """m entries: zeros of both signs and signed values of mixed magnitude."""
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False))
+    return st.lists(value, min_size=m, max_size=m).map(np.array)
+
+
+def scales(m):
+    """2^e for the whole vector, or one 2^e per entry."""
+    return st.one_of(SCALES, st.lists(SCALES, min_size=m, max_size=m).map(np.array)).map(
+        lambda e: 2.0 ** e)
+
+
+@st.composite
+def instances(draw, n, multiplication_only=False):
+    """An instance with codomain R^n: either sip kind, m = 1..6, entries scaled by 2^e."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if multiplication_only or draw(st.booleans()):
+        T = MultiplicationSip(n)
+    else:
+        m = int(rng.integers(1, 7))
+        B = rng.uniform(-1.0, 1.0, (n, m, m))
+        T = PsdFamilySip(np.einsum("jka,jkb->jab", B, B), validate=False)
+    m = T.domain_dim
+    x = draw(st.one_of(entries(m), st.just(rng.uniform(-10.0, 10.0, m)))) * draw(scales(m))
+    style = draw(st.sampled_from(["generic", "colinear", "near", "near", "same", "orthogonal"]))
+    if style == "colinear":
+        y = draw(st.floats(-3.0, 3.0)) * x
+    elif style == "near":  # about the borderline window of the equality verdicts
+        y = x + 10.0 ** -rng.uniform(3.0, 4.5) * rng.uniform(-1.0, 1.0, m) * np.abs(x).max()
+    elif style == "same":
+        y = x.copy()
+    elif style == "orthogonal" and np.any(x):
+        try:
+            y = orthogonal_sample(T, x, seed=draw(st.integers(0, 99))) * np.abs(x).max()
+        except NoNontrivialOrthogonal:
+            y = draw(entries(m))
+    else:
+        y = draw(entries(m)) * draw(scales(m))
+    u = np.abs(draw(st.one_of(entries(n), st.just(rng.uniform(0.0, 10.0, n)))))
+    return Instance(sip=T, u=u * draw(scales(n)), x=x, y=y)
+
+
+def groups(suite):
+    """1 to 8 instances of one codomain dimension; the means suite's draw m = n."""
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        instances(n, multiplication_only=suite == "means"), min_size=1, max_size=8))
+
+
+def _bits(v: float) -> str:
+    return "nan" if math.isnan(v) else float(v).hex()
+
+
+def _summary(res) -> tuple:
+    return (res.status, res.failed, res.tags,
+            {k: _bits(v) for k, v in res.residuals.items()})
+
+
+def _scalar_fold(a, b):
+    return max(a, b, key=_nan_first)
+
+
+def alone(suite: str, insts) -> list:
+    """Each instance checked as a Trial, every fold the scalar NaN-first max."""
+    with mock.patch.object(lattice, "fold", _scalar_fold), \
+            mock.patch.object(cauchy_schwarz, "fold", _scalar_fold), \
+            mock.patch.object(seminorms, "fold", _scalar_fold), \
+            mock.patch.object(harness, "fold", _scalar_fold):
+        return [harness._run_check(suite, Trial(inst, CONFIG)) for inst in insts]
+
+
+@pytest.mark.parametrize("suite", THEOREMS)
+@SETTINGS
+@given(data=st.data())
+def test_a_group_gives_each_trial_its_result_alone(suite, data):
+    insts = data.draw(groups(suite))
+    group = TrialGroup([Trial(inst, CONFIG) for inst in insts], CONFIG)
+    with np.errstate(all="ignore"):
+        expected = [_summary(r) for r in alone(suite, insts)]
+        if any(failed == ("invalid_instance",) for _, failed, _, _ in expected):
+            # a broken trial: the group is checked again one trial at a time
+            got = harness._check_group(suite, group)
+        else:
+            # no trial is broken, so the group's check must not raise
+            got = CHECKS[suite](group)
+    assert [_summary(r) for r in got] == expected
+
+
+# One broken trial among valid ones: a negative weight, x = y holding a
+# 1e200 entry, and an x of the wrong length; each maps to the suites it
+# fails, every suite that reads the broken value.
+READS_U = {"means", "vsn", "sharp", "additivity", "pythagoras", "parallelogram"}
+BROKEN = {
+    "negative_u": (Instance(MultiplicationSip(2), np.array([1.0, -1.0]),
+                            np.array([1.0, 2.0]), np.array([2.0, 1.0])), READS_U),
+    "overflow": (Instance(MultiplicationSip(2), np.array([1.0, 2.0]),
+                          np.array([1e200, 3.0]), np.array([1e200, 3.0])),
+                 set(THEOREMS) - {"axioms"}),
+    "x_too_long": (Instance(MultiplicationSip(2), np.ones(2), np.ones(3), np.ones(2)),
+                   set(THEOREMS) - {"axioms"}),
+}
+
+
+def _valid(suite: str, count: int) -> list:
+    """Generated instances of the suite's recipe with codomain R^2."""
+    insts = (generate_instance(CONFIG, i, PURPOSES[suite]) for i in range(200))
+    return [inst for inst in insts if inst.sip.codomain_dim == 2][:count]
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+@pytest.mark.parametrize("suite", THEOREMS)
+def test_a_broken_trial_fails_alone_in_its_group(suite, broken):
+    inst, fails = BROKEN[broken]
+    valid = _valid(suite, 6)
+    insts = valid[:3] + [inst] + valid[3:]
+    group = TrialGroup([Trial(i, CONFIG) for i in insts], CONFIG)
+    with np.errstate(all="ignore"):
+        got = [_summary(r) for r in harness._check_group(suite, group)]
+        expected = [_summary(r) for r in alone(suite, insts)]
+    assert got == expected
+    assert [status == "fail" for status, _, _, _ in got] == [
+        i == 3 and suite in fails for i in range(len(insts))]
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf]),
+                         min_size=2, max_size=2), min_size=1, max_size=8))
+def test_fold_is_the_nan_first_max_of_each_pair(pairs):
+    a, b = np.array(pairs).T
+    got = fold(a, b)
+    assert [_bits(v) for v in got] == [_bits(_scalar_fold(x, y)) for x, y in pairs]
+
+
+def test_a_group_holds_at_most_its_budget_of_samples(monkeypatch):
+    # each trial keeps its (n, 2 * lambda_count) lambda-grid samples until
+    # its group's last suite has run; a trial whose samples alone exceed
+    # the budget is a group of one
+    config = TrialConfig(trials=40, seed=4, lambda_count=101, theorems=("cs", "sharp"))
+    per_coordinate = 2 * config.lambda_count * 8
+    budget = 3 * per_coordinate
+    monkeypatch.setattr(harness, "GROUP_SAMPLE_BYTES", budget)
+    sizes = []
+    for name in config.theorems:
+        def counted(rec, _check=CHECKS[name]):
+            n = rec.pairs[0].T.codomain_dim
+            sizes.append((len(rec.pairs), len(rec.pairs) * n * per_coordinate))
+            return _check(rec)
+        monkeypatch.setitem(CHECKS, name, counted)
+    harness.run_suite(config)
+    assert sum(k for k, _ in sizes) == len(config.theorems) * config.trials
+    assert all(k == 1 or size <= budget for k, size in sizes)
+    assert max(k for k, _ in sizes) == 3
