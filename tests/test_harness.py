@@ -43,6 +43,8 @@ SMALL = TrialConfig(seed=42, trials=40)
 PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd58ef1fd2"
 # The same for the study of test_study_bytes_are_pinned.
 PINNED_STUDY_SHA256 = "c03b03308d74d19ddc48e7248e9bc164505e4701546d6e6ac7bccf142c7f3e3e"
+# The same for the study of test_multi_block_study_bytes_are_pinned.
+PINNED_MULTI_BLOCK_STUDY_SHA256 = "c072876243c18c426d38e878ad7949b074e4b5123751e064cd670e9994e7a328"
 # The same for the report of test_injected_overflow_and_shape_report_is_pinned.
 PINNED_INJECTED_SHA256 = "eaa7c99532bf6f0e4c594830cfa5a9452d56449447521df7f392f28b7d9fe13d"
 # sha256 of the instances of test_orthogonal_generation_is_pinned.
@@ -675,6 +677,13 @@ def test_study_bytes_are_pinned():
     # both log-spaced grids and the lambda-grid sampler, at three sizes
     study = convergence_study(TrialConfig(trials=50, seed=2024), grid_sizes=(64, 256, 1024))
     assert _sha256_less_wall_time(study) == PINNED_STUDY_SHA256
+
+
+def test_multi_block_study_bytes_are_pinned():
+    # grids of 10^5 points: each oracle evaluates them in several blocks,
+    # where the 64-1,024-point grids above fit in one
+    study = convergence_study(TrialConfig(trials=20, seed=7), grid_sizes=(1000, 100_000))
+    assert _sha256_less_wall_time(study) == PINNED_MULTI_BLOCK_STUDY_SHA256
 
 
 def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
