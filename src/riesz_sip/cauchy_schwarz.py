@@ -42,19 +42,23 @@ not depend on a weight, so one sampling of a pair serves both the defect
 sharpened triangle inequality (lambda_minimum with u). defect_grid is the
 unweighted defect in one call.
 
-The sampler is coordinate-major, like the mean oracles (see means): the
-difference vectors are the columns of an (m, S) array, one column per
-lambda, built along contiguous rows, and T.quadratic maps them to an
-(n, S) array of T-values. Weighted and divided by |lambda| (cached on
-the grid), its minimum runs along contiguous rows. Each column's bits
-depend on its lambda alone, so a sample is the same on any grid that
-holds its lambda.
+The sampler is coordinate-major and blocked, like the mean oracles (see
+means): _lambda_blocks yields the S = 2G columns of the grid's +-
+closure one block at a time (means._blocks, rows max(m, n)), each
+block's difference vectors the columns of an (m, width) array built
+along contiguous rows, which T.quadratic maps to an (n, width) array of
+T-values. lambda_samples fills a trial's shared (n, S) samples from the
+blocks; defect_grid folds each block's lambda_minimum with np.minimum
+and never holds more than a block. Weighted and divided by |lambda|
+(cached on the grid), a minimum runs along contiguous rows. Each
+column's bits depend on its lambda alone, so a sample is the same on any
+grid that holds its lambda, at any block width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -72,7 +76,7 @@ from .lattice import (
     in_positive_cone,
     near,
 )
-from .means import LogGrid, _box_times, _cone_pair
+from .means import LogGrid, _blocks, _box_times, _cone_pair
 from .sip import Sip
 
 # Default lambda grid of a verification run (TrialConfig).
@@ -297,25 +301,42 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
+def _lambda_blocks(g: Gram, grid: LogGrid):
+    """(cols, T-values) per block: the columns cols of lambda_samples, in order.
+
+    Reads g's sip and its validated pair only, never a, b or c: the
+    oracle evaluates T on the difference vectors directly, with no
+    bilinear expansion.
+    """
+    x, y, lam = g.x[:, None], g.y[:, None], grid.signed
+    for cols in _blocks(max(x.shape[0], g.T.codomain_dim), lam.size):
+        z = x * lam[cols]
+        z -= y
+        yield cols, g.T.quadratic(z)
+
+
 def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
     """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
 
-    Column k holds the T-value at grid.signed[k]. Reads g's sip and its
-    validated pair only, never a, b or c: the oracle evaluates T on the
-    difference vectors directly, with no bilinear expansion.
+    Column k holds the T-value at grid.signed[k].
     """
-    return g.T.quadratic(g.x[:, None] * grid.signed - g.y[:, None])
+    out = np.empty((g.T.codomain_dim, grid.signed.size))
+    for cols, t in _lambda_blocks(g, grid):
+        out[:, cols] = t
+    return out
 
 
-def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None) -> np.ndarray:
+def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None,
+                   cols: slice = slice(None)) -> np.ndarray:
     """Componentwise min over the grid of samples/|lambda|, or of samples*u/|lambda|.
 
-    samples are lambda_samples on the same grid; u is a validated weight.
-    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
+    samples are the columns cols (all by default) of lambda_samples on
+    the same grid; u is a validated weight. Over-estimates the infimum
+    D(x,y), or D(x,y)*u, by construction.
     """
     if u is not None:
         samples = samples * u[:, None]
-    return (samples / grid.signed_abs).min(axis=1)
+    return (samples / grid.signed_abs[cols]).min(axis=1)
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -324,9 +345,10 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     lambda runs over grid.signed. Evaluates T on the difference vectors
     directly, with no bilinear expansion, so this oracle shares nothing
     with the closed form beyond T itself. Over-estimates the true infimum
-    by construction.
+    by construction. Holds one block of samples at a time.
     """
-    return lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid)
+    return reduce(np.minimum, (lambda_minimum(t, grid, cols=cols)
+                               for cols, t in _lambda_blocks(Gram(T, x, y), grid)))
 
 
 def defect_gaps(g: Record, sampled: np.ndarray,

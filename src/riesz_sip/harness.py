@@ -76,9 +76,9 @@ from .means import (
     AngleGrid,
     LogGrid,
     _box_plus,
+    _box_plus_oracle,
     _box_times,
     box_plus_gaps,
-    box_plus_oracle,
     # Not called here since the means suite runs the kernels; perfbench's
     # tracer test reads the binding harness.box_times.
     box_times,
@@ -650,14 +650,14 @@ def _oracle_gaps(trial: Trial) -> tuple:
     # tight, so its gap is not asserted there.
     covered = theta.covers(theta_minimizer(u, v))
     bp_sandwich, bp_gap = box_plus_gaps(x, y, angle, tol.abs)
-    quarter = rel_residual(box_plus_oracle(u, v, angle),
-                           box_plus_oracle(u, v, angle, quarter=True), floor=tol.abs)
+    quarter = rel_residual(_box_plus_oracle(u, v, angle),
+                           _box_plus_oracle(u, v, angle, quarter=True), floor=tol.abs)
     return bt_sandwich, bt_gap if covered else 0.0, covered, bp_sandwich, bp_gap, quarter
 
 
 def check_oracle_trials(rec) -> list | TrialResult:
-    # the grid oracles run one trial at a time: a trial's (n, grid) block
-    # stays in cache
+    # the grid oracles run one trial at a time, one block of grid columns
+    # after another, so each block stays in cache
     bt_sandwich, bt_gap, covered, bp_sandwich, bp_gap, quarter = (
         list(col) for col in zip(*(_oracle_gaps(t) for t in rec.pairs)))
     return _results(rec, {

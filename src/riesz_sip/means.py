@@ -18,24 +18,30 @@ the lambda magnitudes of the Cauchy-Schwarz defect oracle
 (cauchy_schwarz.defect_grid), also a minimum over multipliers. AngleGrid
 stays separate, since it must contain both endpoints and the axis angles.
 
-Layout of the grid oracles: coordinate-major. Each oracle builds an
-(n, G) array and reduces along its contiguous rows; the grid-side factors
-(1/theta, cos t and sin t, the quarter-circle angles) are cached on the
-grid. The elements are the products and sums of the grid-major layout,
-min and max are exact, and halving after the minimum is monotone, so each
-result keeps its bits; only the sign of a zero or of a NaN, which no
-residual reads, may differ.
+Layout of the grid oracles: coordinate-major, in blocks. Each oracle
+evaluates its (n, G) array one block of grid columns at a time (_blocks:
+at most GRID_BLOCK elements), accumulating the block in place and
+reducing it along its contiguous rows, and folds the block results with
+np.minimum or np.maximum in grid order; so memory is bounded by the
+block, not by G. The grid-side factors (1/theta, cos t and sin t, the
+quarter-circle angles) are cached on the grid. The elements are the
+products and sums of the grid-major layout, min and max are exact, and
+halving after the minimum is monotone, so each result keeps its bits at
+any block width; only the sign of a zero or of a NaN, which no residual
+reads, may differ. cauchy_schwarz's lambda-grid oracle uses the same
+blocks.
 
 Validation (see lattice): box_times, box_plus and both oracles check raw
-values. The kernels _box_times and _box_plus hold each mean's one formula,
-run on validated arrays, and check only finiteness and, for [*], the cone
-floor. The *_gaps functions take validated arrays.
+values. The kernels _box_times, _box_plus, _box_times_oracle and
+_box_plus_oracle hold each formula once, run on validated arrays, and
+check only finiteness and, for [*], the cone floor. The *_gaps functions
+take validated arrays and call the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -56,6 +62,12 @@ THETA_LO = 1e-8
 THETA_HI = 1e8
 THETA_COUNT = 10_000
 ANGLE_COUNT = 4096
+
+# Float64 elements of the largest array a grid oracle holds at once:
+# 16,384 grid columns at n = 4, half a megabyte, which stays in cache.
+# Blocks of 2**13 to 2**18 elements were timed (BENCH_grid_blocks.json);
+# 2**16 ran fastest. A result's bits do not depend on it.
+GRID_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,29 @@ def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     return _box_times(*_vectors(u, v), floor)
 
 
+def _blocks(rows: int, count: int):
+    """Slices of range(count), in order, of at most GRID_BLOCK // rows columns (one at least).
+
+    The column blocks of a grid oracle's (rows, count) array.
+    """
+    width = max(GRID_BLOCK // rows, 1)
+    for lo in range(0, count, width):
+        yield slice(lo, min(lo + width, count))
+
+
+def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
+                      floor: float) -> np.ndarray:
+    """box_times_oracle on validated vectors of one dimension."""
+    u, v = _cone_pair("box_times_oracle", u, v, floor)
+
+    def block_min(cols):
+        w = u[:, None] * grid.points[cols]
+        w += v[:, None] * grid.inverse[cols]
+        return w.min(axis=1)
+
+    return 0.5 * reduce(np.minimum, map(block_min, _blocks(u.size, grid.count)))
+
+
 def box_times_oracle(u, v, grid: LogGrid,
                      floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     """Grid realization of (1/2) inf_theta (theta*u + v/theta).
@@ -203,8 +238,7 @@ def box_times_oracle(u, v, grid: LogGrid,
     componentwise minimizer sqrt(v_j/u_j) falls outside the grid range the
     over-estimate is not tight (LogGrid.covers flags that situation).
     """
-    u, v = _cone_pair("box_times_oracle", *_vectors(u, v), floor)
-    return 0.5 * (u[:, None] * grid.points + v[:, None] * grid.inverse).min(axis=1)
+    return _box_times_oracle(*_vectors(u, v), grid, floor)
 
 
 def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,6 +261,19 @@ def box_plus(a, b) -> np.ndarray:
     return _box_plus(*_vectors(a, b))
 
 
+def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
+                     quarter: bool = False) -> np.ndarray:
+    """box_plus_oracle on validated vectors of one dimension."""
+    cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
+
+    def block_max(cols):
+        w = a[:, None] * cos_t[cols]
+        w += b[:, None] * sin_t[cols]
+        return w.max(axis=1)
+
+    return reduce(np.maximum, map(block_max, _blocks(a.size, cos_t.size)))
+
+
 def box_plus_oracle(a, b, grid: AngleGrid,
                     quarter: bool = False) -> np.ndarray:
     """Grid realization of sup_t (cos(t)*a + sin(t)*b).
@@ -235,9 +282,7 @@ def box_plus_oracle(a, b, grid: AngleGrid,
     angles in [0, pi/2] are used, which is sufficient (and equal, up to the
     shared grid points) when both arguments lie in the positive cone.
     """
-    a, b = _vectors(a, b)
-    cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
-    return (a[:, None] * cos_t + b[:, None] * sin_t).max(axis=1)
+    return _box_plus_oracle(*_vectors(a, b), grid, quarter)
 
 
 def box_times_gaps(u, v, grid: LogGrid,
@@ -248,7 +293,7 @@ def box_times_gaps(u, v, grid: LogGrid,
     violation of oracle >= closed form, gap the worst over-estimate.
     """
     bt = _box_times(u, v, floor)
-    bt_o = box_times_oracle(u, v, grid, floor=floor)
+    bt_o = _box_times_oracle(u, v, grid, floor)
     scale = np.maximum(bt, bt_o) + floor
     return cone_gap(bt_o - bt, scale), excess(bt_o - bt, scale)
 
@@ -261,6 +306,6 @@ def box_plus_gaps(a, b, grid: AngleGrid,
     absolute difference, both normalized by the larger magnitude.
     """
     bp = _box_plus(a, b)
-    bp_o = box_plus_oracle(a, b, grid)
+    bp_o = _box_plus_oracle(a, b, grid)
     scale = np.maximum(bp, np.abs(bp_o)) + floor
     return cone_gap(bp - bp_o, scale), float((np.abs(bp - bp_o) / scale).max())

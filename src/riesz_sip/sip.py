@@ -28,10 +28,11 @@ Each sip has three kernels:
                      benchmark leaves out are facts about these bits.
   quadratic(Zt)      T(z, z) for every column z of an (m, S) array, an
                      (n, S) array: the lambda-grid samples of the
-                     Cauchy-Schwarz defect oracle. The PSD form is a
-                     fixed-order multiply-and-sum with no einsum, matmul or
-                     BLAS, so a column's bits depend on that column and
-                     the family alone.
+                     Cauchy-Schwarz defect oracle, one block of grid
+                     columns per call (see means.GRID_BLOCK). The PSD
+                     form is a fixed-order multiply-and-sum with no
+                     einsum, matmul or BLAS, so a column's bits depend on
+                     that column and the family alone.
 
 The linear algebra (the PSD admission's eigenvalues, the kernel basis of
 orthogonal_sample) is numpy's.
@@ -89,11 +90,6 @@ class MultiplicationSip:
 
 
 _PSD_SUBSCRIPTS = "jab,sa,sb->sj"
-
-# Columns per pass of PsdFamilySip.quadratic. A column's bits do not
-# depend on it; 4K-16K columns ran fastest, the (n, width) rows of a pass
-# staying in cache.
-QUADRATIC_CHUNK = 8192
 
 
 @lru_cache(maxsize=256)
@@ -170,26 +166,21 @@ class PsdFamilySip:
         The matrix entry multiplies first; the running sum starts from the
         first term and adds the others in np.triu_indices order. Every step
         is an elementwise ufunc, so a column's bits depend on that column
-        alone: not on the number of columns, its position, or
-        QUADRATIC_CHUNK.
+        alone: not on the number of columns or its position. Callers pass
+        one block of columns at a time (cauchy_schwarz._lambda_blocks).
         """
         pairs, coef = self._pair_terms
-        S = Zt.shape[1]
-        out = np.empty((coef.shape[1], S))
-        work = np.empty((coef.shape[1], min(S, QUADRATIC_CHUNK)))
-        for lo in range(0, S, QUADRATIC_CHUNK):
-            z = Zt[:, lo:lo + QUADRATIC_CHUNK]
-            acc = out[:, lo:lo + z.shape[1]]
-            term = work[:, :z.shape[1]]
-            for p, (a, b) in enumerate(pairs):
-                dst = term if p else acc
-                np.multiply(coef[p], z[a], out=dst)
-                np.multiply(dst, z[b], out=dst)
-                if a != b:
-                    np.add(dst, dst, out=dst)
-                if p:
-                    np.add(acc, term, out=acc)
-        return out
+        acc = np.empty((coef.shape[1], Zt.shape[1]))
+        term = np.empty_like(acc)
+        for p, (a, b) in enumerate(pairs):
+            dst = term if p else acc
+            np.multiply(coef[p], Zt[a], out=dst)
+            np.multiply(dst, Zt[b], out=dst)
+            if a != b:
+                np.add(dst, dst, out=dst)
+            if p:
+                np.add(acc, term, out=acc)
+        return acc
 
 
 Sip = MultiplicationSip | PsdFamilySip

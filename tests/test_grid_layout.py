@@ -7,16 +7,23 @@ axis; the elements are the same products and sums and min/max are
 exact, so the bits must agree for any input, zeros and extreme
 magnitudes included. The lambda-grid reference computes one column at a
 time in Python floats, term by term in the PSD kernel's fixed order.
+The library evaluates each oracle in blocks of grid columns
+(means.GRID_BLOCK elements) and folds the blocks' minima or maxima, so
+the bits must also agree at any block width and at grid sizes on either
+side of one block.
 A NaN (an overflowed T-value times a zero weight, say) only has to be a
 NaN: numpy's contiguous reductions drop its sign bit, and reports write
 every NaN the same.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from riesz_sip import means
 from riesz_sip.cauchy_schwarz import (
     LAMBDA_COUNT,
     LAMBDA_HI,
@@ -47,6 +54,9 @@ LAMBDA_GRIDS = (LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT),
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# the runs at patched block widths and at one block's sizes
+FEW = settings(SETTINGS, max_examples=25)
+BLOCKS = (1, 2, 5)  # elements: one to five columns per block
 
 # zeros of both signs, and magnitudes from 1e-300 to 1e300
 magnitudes = st.one_of(
@@ -181,6 +191,83 @@ def test_defect_grid_bits(case, grid):
             got = lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
         ref = ref_defect_grid(T, x, y, grid, u=u)
     assert_same_bits(got, ref)
+
+
+def block_sizes(rows):
+    """w - 1, w and w + 1 grid columns, w the block width of a (rows, G) oracle."""
+    w = means.GRID_BLOCK // rows
+    return w - 1, w, w + 1
+
+
+def angle_grid(S, quarter):
+    """An angle grid of S columns, on [0, pi/2] for the quarter circle."""
+    if quarter:
+        return AngleGrid(np.concatenate([np.linspace(0.0, 0.5 * np.pi, S), [np.pi, 2 * np.pi]]))
+    return AngleGrid(np.linspace(0.0, 2 * np.pi, S))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@FEW
+@given(pairs(magnitudes), st.sampled_from(THETA_GRIDS[1:]))
+def test_box_times_oracle_bits_at_any_block(block, uv, grid):
+    u, v = uv
+    with mock.patch.object(means, "GRID_BLOCK", block):
+        got = box_times_oracle(u, v, grid)
+    assert_same_bits(got, ref_box_times_oracle(u, v, grid))
+
+
+@FEW
+@given(pairs(magnitudes))
+def test_box_times_oracle_bits_at_one_block(uv):
+    u, v = uv
+    for S in block_sizes(u.size):
+        grid = LogGrid.log_spaced(THETA_LO, THETA_HI, S)
+        assert_same_bits(box_times_oracle(u, v, grid), ref_box_times_oracle(u, v, grid))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@FEW
+@given(pairs(signed), st.sampled_from(ANGLE_GRIDS[1:]), st.booleans())
+def test_box_plus_oracle_bits_at_any_block(block, ab, grid, quarter):
+    a, b = ab
+    with mock.patch.object(means, "GRID_BLOCK", block):
+        got = box_plus_oracle(a, b, grid, quarter=quarter)
+    assert_same_bits(got, ref_box_plus_oracle(a, b, grid, quarter=quarter))
+
+
+@FEW
+@given(pairs(signed), st.booleans())
+def test_box_plus_oracle_bits_at_one_block(ab, quarter):
+    a, b = ab
+    for S in block_sizes(a.size):
+        grid = angle_grid(S, quarter)
+        assert_same_bits(box_plus_oracle(a, b, grid, quarter=quarter),
+                         ref_box_plus_oracle(a, b, grid, quarter=quarter))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@FEW
+@given(defect_cases(), st.sampled_from(LAMBDA_GRIDS[1:]))
+def test_defect_grid_bits_at_any_block(block, case, grid):
+    T, x, y, u = case
+    with np.errstate(all="ignore"), mock.patch.object(means, "GRID_BLOCK", block):
+        got = defect_grid(T, x, y, grid)
+        weighted = lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
+    with np.errstate(all="ignore"):
+        assert_same_bits(got, ref_defect_grid(T, x, y, grid))
+        assert_same_bits(weighted, ref_defect_grid(T, x, y, grid, u=u))
+
+
+@settings(FEW, max_examples=10)
+@given(defect_cases())
+def test_defect_grid_bits_at_one_block(case):
+    # the grid's 2G columns at one block, one or two below it and above it
+    T, x, y, u = case
+    w = means.GRID_BLOCK // max(T.domain_dim, T.codomain_dim)
+    for G in (w // 2 - 1, w // 2, w // 2 + 1):
+        grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
+        with np.errstate(all="ignore"):
+            assert_same_bits(defect_grid(T, x, y, grid), ref_defect_grid(T, x, y, grid))
 
 
 @pytest.mark.parametrize("batch", [1, 64, 4002])

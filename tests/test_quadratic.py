@@ -1,12 +1,12 @@
 """The quadratic kernels T(z, z), one value per column of an (m, S) array.
 
 quadratic computes the lambda-grid samples of the Cauchy-Schwarz defect
-oracle. A column's bits must depend on that column and the family alone:
-not on the batch around it, its position, or the chunk width of the PSD
-kernel. Its value must be T's scalar definition up to Higham's
-forward-error bound, and it must stay finite on the families where a
-summed off-diagonal coefficient or a product z_a*z_b formed first would
-overflow.
+oracle, one block of grid columns per call. A column's bits must depend
+on that column and the family alone: not on the batch around it, its
+position, or the block width of lambda_samples. Its value must be T's
+scalar definition up to Higham's forward-error bound, and it must stay
+finite on the families where a summed off-diagonal coefficient or a
+product z_a*z_b formed first would overflow.
 """
 
 from fractions import Fraction
@@ -16,10 +16,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riesz_sip import sip as sip_module
+from riesz_sip import means
 from riesz_sip.cauchy_schwarz import LAMBDA_COUNT, LAMBDA_HI, LAMBDA_LO, Gram, lambda_samples
-from riesz_sip.means import LogGrid
-from riesz_sip.sip import QUADRATIC_CHUNK, MultiplicationSip, PsdFamilySip, random_psd
+from riesz_sip.means import GRID_BLOCK, LogGrid
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -77,21 +77,31 @@ def test_column_bits_do_not_depend_on_the_batch(T, data):
         batch = rng.uniform(-10.0, 10.0, (m, N))
         batch[:, k] = z[:, 0]
         assert_same_bits(T.quadratic(batch)[:, k:k + 1], alone)
-        # both sides of every chunk boundary, at S one below, at and one above the width
-        for S in (QUADRATIC_CHUNK - 1, QUADRATIC_CHUNK, QUADRATIC_CHUNK + 1):
-            batch = rng.uniform(-10.0, 10.0, (m, S))
-            spots = sorted({0, QUADRATIC_CHUNK - 1, QUADRATIC_CHUNK, S - 1} & set(range(S)))
-            batch[:, spots] = z
-            got = T.quadratic(batch)
-            for k in spots:
-                assert_same_bits(got[:, k:k + 1], alone)
-        # and any chunk width
-        batch = rng.uniform(-10.0, 10.0, (m, 7))
-        batch[:, 5] = z[:, 0]
-        ref = T.quadratic(batch)
-        for width in (1, 2, 5):
-            with mock.patch.object(sip_module, "QUADRATIC_CHUNK", width):
-                assert_same_bits(T.quadratic(batch), ref)
+
+
+@SETTINGS
+@given(sips(floats(-300, 299)), st.data())
+def test_lambda_samples_bits_do_not_depend_on_the_block(T, data):
+    # lambda_samples calls quadratic once per block of grid columns: each
+    # column must be quadratic of that column alone, on both sides of
+    # every block boundary, and the samples must not depend on the width
+    m, n = T.domain_dim, T.codomain_dim
+    x, y = (data.draw(columns(floats(-300, 299), m, 1))[:, 0] for _ in "xy")
+    width = GRID_BLOCK // max(m, n)
+    with np.errstate(all="ignore"):
+        # 2G columns at one block, one below it or just above it
+        for G in (width // 2 - 1, width // 2, width // 2 + 1):
+            grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
+            got = lambda_samples(Gram(T, x, y), grid)
+            S = 2 * G
+            for k in sorted({0, width - 1, width, S - 1} & set(range(S))):
+                z = grid.signed[k] * x - y
+                assert_same_bits(got[:, k:k + 1], T.quadratic(z[:, None]))
+        grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, 7)
+        ref = lambda_samples(Gram(T, x, y), grid)
+        for block in (1, 2, 5):  # elements: one column per block when m or n > block
+            with mock.patch.object(means, "GRID_BLOCK", block):
+                assert_same_bits(lambda_samples(Gram(T, x, y), grid), ref)
 
 
 def _matrices(T):
