@@ -65,8 +65,9 @@ ANGLE_COUNT = 4096
 
 # Float64 elements of the largest array a grid oracle holds at once:
 # 16,384 grid columns at n = 4, half a megabyte, which stays in cache.
-# Blocks of 2**13 to 2**18 elements were timed (BENCH_grid_blocks.json);
-# 2**16 ran fastest. A result's bits do not depend on it.
+# Of the widths 2**13 to 2**18 timed (BENCH_grid_blocks.json), 2**15 and
+# 2**16 ran fastest, within noise of each other; 2**16 holds the default
+# theta grid in one block up to n = 6. A result's bits do not depend on it.
 GRID_BLOCK = 2**16
 
 

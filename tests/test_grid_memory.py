@@ -22,36 +22,45 @@ G = 10**6
 N = 8
 BOUND = 16 * 2**20  # bytes
 
-LOG_GRID = LogGrid.log_spaced(1e-6, 1e6, G)
-ANGLE_GRID = AngleGrid.uniform(G)
 rng = np.random.default_rng(0)
 PSD = random_psd(rng, 3, N)
 u, v = rng.uniform(0.5, 2.0, (2, N))
 x, y = rng.uniform(-1.0, 1.0, (2, 3))
 
+
+def log_grid():
+    return LogGrid.log_spaced(1e-6, 1e6, G)
+
+
+def angle_grid():
+    return AngleGrid.uniform(G)
+
+
+# name: (grid, the call measured, a call on a one-coordinate input)
 ORACLES = {
     "defect_grid-multiplication": (
-        lambda: defect_grid(MultiplicationSip(N), u, v, LOG_GRID),
-        lambda: defect_grid(MultiplicationSip(1), [1.0], [2.0], LOG_GRID)),
+        log_grid, lambda grid: defect_grid(MultiplicationSip(N), u, v, grid),
+        lambda grid: defect_grid(MultiplicationSip(1), [1.0], [2.0], grid)),
     "defect_grid-psd": (
-        lambda: defect_grid(PSD, x, y, LOG_GRID),
-        lambda: defect_grid(MultiplicationSip(1), [1.0], [2.0], LOG_GRID)),
+        log_grid, lambda grid: defect_grid(PSD, x, y, grid),
+        lambda grid: defect_grid(MultiplicationSip(1), [1.0], [2.0], grid)),
     "box_times_oracle": (
-        lambda: box_times_oracle(u, v, LOG_GRID),
-        lambda: box_times_oracle([1.0], [2.0], LOG_GRID)),
+        log_grid, lambda grid: box_times_oracle(u, v, grid),
+        lambda grid: box_times_oracle([1.0], [2.0], grid)),
     "box_plus_oracle": (
-        lambda: box_plus_oracle(u, v, ANGLE_GRID),
-        lambda: box_plus_oracle([1.0], [2.0], ANGLE_GRID)),
+        angle_grid, lambda grid: box_plus_oracle(u, v, grid),
+        lambda grid: box_plus_oracle([1.0], [2.0], grid)),
 }
 
 
 @pytest.mark.parametrize("name", ORACLES)
 def test_grid_oracle_memory_is_bounded_by_the_block(name):
-    oracle, warm = ORACLES[name]
-    warm()  # builds the grid's cached factors on a one-coordinate input
+    build, oracle, warm = ORACLES[name]
+    grid = build()
+    warm(grid)  # builds the grid's cached factors
     tracemalloc.start()
     try:
-        result = oracle()
+        result = oracle(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
