@@ -20,10 +20,10 @@ stays separate, since it must contain both endpoints and the axis angles.
 
 Layout of the grid oracles: coordinate-major, in blocks. Each oracle
 evaluates its (n, G) array one block of grid columns at a time (_blocks:
-at most GRID_BLOCK elements), accumulating the block in place and
-reducing it along its contiguous rows, and folds the block results with
-np.minimum or np.maximum in grid order; so memory is bounded by the
-block, not by G. The grid-side factors (1/theta, cos t and sin t, the
+at most GRID_BLOCK elements; _fold_blocks for the means), accumulating
+the block in place and reducing it along its contiguous rows, and folds
+the block results with np.minimum or np.maximum in grid order; so memory
+is bounded by the block, not by G. The grid-side factors (1/theta, cos t and sin t, the
 quarter-circle angles) are cached on the grid. The elements are the
 products and sums of the grid-major layout, min and max are exact, and
 halving after the minimum is monotone, so each result keeps its bits at
@@ -217,17 +217,27 @@ def _blocks(rows: int, count: int):
         yield slice(lo, min(lo + width, count))
 
 
+def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
+                 fb: np.ndarray) -> np.ndarray:
+    """fold (np.minimum or np.maximum) along the rows of a*fa + b*fb, block by block.
+
+    The (n, G) array is never built whole: each block's elements are
+    accumulated in place and reduced, and the block results are folded
+    in grid order.
+    """
+    def block(cols):
+        w = a[:, None] * fa[cols]
+        w += b[:, None] * fb[cols]
+        return fold.reduce(w, axis=1)
+
+    return reduce(fold, map(block, _blocks(a.size, fa.size)))
+
+
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
                       floor: float) -> np.ndarray:
     """box_times_oracle on validated vectors of one dimension."""
     u, v = _cone_pair("box_times_oracle", u, v, floor)
-
-    def block_min(cols):
-        w = u[:, None] * grid.points[cols]
-        w += v[:, None] * grid.inverse[cols]
-        return w.min(axis=1)
-
-    return 0.5 * reduce(np.minimum, map(block_min, _blocks(u.size, grid.count)))
+    return 0.5 * _fold_blocks(np.minimum, u, grid.points, v, grid.inverse)
 
 
 def box_times_oracle(u, v, grid: LogGrid,
@@ -266,13 +276,7 @@ def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
                      quarter: bool = False) -> np.ndarray:
     """box_plus_oracle on validated vectors of one dimension."""
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
-
-    def block_max(cols):
-        w = a[:, None] * cos_t[cols]
-        w += b[:, None] * sin_t[cols]
-        return w.max(axis=1)
-
-    return reduce(np.maximum, map(block_max, _blocks(a.size, cos_t.size)))
+    return _fold_blocks(np.maximum, a, cos_t, b, sin_t)
 
 
 def box_plus_oracle(a, b, grid: AngleGrid,
