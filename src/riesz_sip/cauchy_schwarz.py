@@ -47,12 +47,13 @@ means): _lambda_blocks yields the S = 2G columns of the grid's +-
 closure one block at a time (means._blocks, rows max(m, n)), each
 block's difference vectors the columns of an (m, width) array built
 along contiguous rows, which T.quadratic maps to an (n, width) array of
-T-values. lambda_samples fills a trial's shared (n, S) samples from the
-blocks; defect_grid folds each block's lambda_minimum with np.minimum
-and never holds more than a block. Weighted and divided by |lambda|
-(cached on the grid), a minimum runs along contiguous rows. Each
-column's bits depend on its lambda alone, so a sample is the same on any
-grid that holds its lambda, at any block width.
+T-values, in buffers made once per call. lambda_samples has each block
+write its T-values straight into a trial's shared (n, S) samples;
+defect_grid divides each block in place, folds its lambda_minimum with
+np.minimum and never holds more than a block. Weighted and divided by
+|lambda| (cached on the grid), a minimum runs along contiguous rows.
+Each column's bits depend on its lambda alone, so a sample is the same
+on any grid that holds its lambda, at any block width.
 """
 
 from __future__ import annotations
@@ -76,7 +77,14 @@ from .lattice import (
     in_positive_cone,
     near,
 )
-from .means import LogGrid, _blocks, _box_times, _cone_pair
+from .means import (
+    LogGrid,
+    _block_view,
+    _block_width,
+    _blocks,
+    _box_times,
+    _cone_pair,
+)
 from .sip import Sip
 
 # Default lambda grid of a verification run (TrialConfig).
@@ -301,18 +309,29 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
-def _lambda_blocks(g: Gram, grid: LogGrid):
+def _lambda_blocks(g: Gram, grid: LogGrid, samples=None):
     """(cols, T-values) per block: the columns cols of lambda_samples, in order.
 
-    Reads g's sip and its validated pair only, never a, b or c: the
-    oracle evaluates T on the difference vectors directly, with no
-    bilinear expansion.
+    The T-values are written to samples[:, cols] when samples, an (n, S)
+    array, is given, and otherwise to a block buffer that the next block
+    overwrites. Reads g's sip and its validated pair only, never a, b
+    or c: the oracle evaluates T on the difference vectors directly,
+    with no bilinear expansion.
     """
     x, y, lam = g.x[:, None], g.y[:, None], grid.signed
-    for cols in _blocks(max(x.shape[0], g.T.codomain_dim), lam.size):
-        z = x * lam[cols]
+    m, n = x.shape[0], g.T.codomain_dim
+    rows = max(m, n)
+    width = _block_width(rows, lam.size)
+    # z, the PSD form's term and the T-values share one allocation: three
+    # separate ones raised the peak RSS of some runs by about 2.5 MB
+    buf = np.empty((m + n + (n if samples is None else 0)) * width)
+    z_buf, w_buf, t_buf = buf[:m * width], buf[m * width:(m + n) * width], buf[(m + n) * width:]
+    for cols in _blocks(rows, lam.size):
+        z = _block_view(z_buf, m, cols)
+        np.multiply(x, lam[cols], out=z)
         z -= y
-        yield cols, g.T.quadratic(z)
+        t = _block_view(t_buf, n, cols) if samples is None else samples[:, cols]
+        yield cols, g.T.quadratic(z, t, _block_view(w_buf, n, cols))
 
 
 def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
@@ -320,23 +339,25 @@ def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
 
     Column k holds the T-value at grid.signed[k].
     """
-    out = np.empty((g.T.codomain_dim, grid.signed.size))
-    for cols, t in _lambda_blocks(g, grid):
-        out[:, cols] = t
-    return out
+    samples = np.empty((g.T.codomain_dim, grid.signed.size))
+    for _ in _lambda_blocks(g, grid, samples):  # each block fills its columns
+        pass
+    return samples
 
 
 def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None,
-                   cols: slice = slice(None)) -> np.ndarray:
+                   cols: slice = slice(None), out=None) -> np.ndarray:
     """Componentwise min over the grid of samples/|lambda|, or of samples*u/|lambda|.
 
     samples are the columns cols (all by default) of lambda_samples on
-    the same grid; u is a validated weight. Over-estimates the infimum
-    D(x,y), or D(x,y)*u, by construction.
+    the same grid; u is a validated weight. The quotients go to out, an
+    array of samples' shape (samples itself when they are not read
+    again), or to a new array. Over-estimates the infimum D(x,y), or
+    D(x,y)*u, by construction.
     """
     if u is not None:
-        samples = samples * u[:, None]
-    return (samples / grid.signed_abs[cols]).min(axis=1)
+        samples = np.multiply(samples, u[:, None], out=out)
+    return np.divide(samples, grid.signed_abs[cols], out=out).min(axis=1)
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -347,7 +368,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     with the closed form beyond T itself. Over-estimates the true infimum
     by construction. Holds one block of samples at a time.
     """
-    return reduce(np.minimum, (lambda_minimum(t, grid, cols=cols)
+    return reduce(np.minimum, (lambda_minimum(t, grid, cols=cols, out=t)
                                for cols, t in _lambda_blocks(Gram(T, x, y), grid)))
 
 

@@ -23,7 +23,10 @@ evaluates its (n, G) array one block of grid columns at a time (_blocks:
 at most GRID_BLOCK elements; _fold_blocks for the means), accumulating
 the block in place and reducing it along its contiguous rows, and folds
 the block results with np.minimum or np.maximum in grid order; so memory
-is bounded by the block, not by G. The grid-side factors (1/theta, cos t and sin t, the
+is bounded by the block, not by G. A call allocates its block buffers
+once and every block reuses them (_block_view): the block loop makes no
+array, so its cost does not depend on when the allocator maps or
+returns memory. The grid-side factors (1/theta, cos t and sin t, the
 quarter-circle angles) are cached on the grid. The elements are the
 products and sums of the grid-major layout, min and max are exact, and
 halving after the minimum is monotone, so each result keeps its bits at
@@ -207,14 +210,31 @@ def box_times(u, v, floor: float = DEFAULT_ABS_TOL) -> np.ndarray:
     return _box_times(*_vectors(u, v), floor)
 
 
+def _block_width(rows: int, count: int) -> int:
+    """Columns of a full block of a grid oracle's (rows, count) array.
+
+    GRID_BLOCK // rows, one at least and count at most.
+    """
+    return max(min(GRID_BLOCK // rows, count), 1)
+
+
 def _blocks(rows: int, count: int):
-    """Slices of range(count), in order, of at most GRID_BLOCK // rows columns (one at least).
+    """Slices of range(count), in order, of _block_width(rows, count) columns (the last fewer).
 
     The column blocks of a grid oracle's (rows, count) array.
     """
-    width = max(GRID_BLOCK // rows, 1)
+    width = _block_width(rows, count)
     for lo in range(0, count, width):
         yield slice(lo, min(lo + width, count))
+
+
+def _block_view(buf: np.ndarray, rows: int, cols: slice) -> np.ndarray:
+    """The block cols of a (rows, count) array: a contiguous (rows, width) view of buf's start.
+
+    buf is a flat buffer of rows * _block_width(rows, count) elements that
+    an oracle call allocates once and every block reuses.
+    """
+    return buf[:rows * (cols.stop - cols.start)].reshape(rows, -1)
 
 
 def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
@@ -222,15 +242,19 @@ def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
     """fold (np.minimum or np.maximum) along the rows of a*fa + b*fb, block by block.
 
     The (n, G) array is never built whole: each block's elements are
-    accumulated in place and reduced, and the block results are folded
-    in grid order.
+    accumulated in place in two block buffers and reduced, and the block
+    results are folded in grid order.
     """
+    n, count = a.size, fa.size
+    w_buf, t_buf = np.empty((2, n * _block_width(n, count)))
+
     def block(cols):
-        w = a[:, None] * fa[cols]
-        w += b[:, None] * fb[cols]
+        w, t = _block_view(w_buf, n, cols), _block_view(t_buf, n, cols)
+        np.multiply(a[:, None], fa[cols], out=w)
+        w += np.multiply(b[:, None], fb[cols], out=t)
         return fold.reduce(w, axis=1)
 
-    return reduce(fold, map(block, _blocks(a.size, fa.size)))
+    return reduce(fold, map(block, _blocks(n, count)))
 
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,

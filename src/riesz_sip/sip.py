@@ -26,10 +26,13 @@ Each sip has three kernels:
                      until the axiom residuals are rescaled (ROADMAP item
                      1): the axioms pins and the false-failure seeds the
                      benchmark leaves out are facts about these bits.
-  quadratic(Zt)      T(z, z) for every column z of an (m, S) array, an
+  quadratic(Zt, out, work)
+                     T(z, z) for every column z of an (m, S) array, an
                      (n, S) array: the lambda-grid samples of the
                      Cauchy-Schwarz defect oracle, one block of grid
-                     columns per call (see means.GRID_BLOCK). The PSD
+                     columns per call (see means.GRID_BLOCK), written
+                     into the oracle's block buffers out and work (the
+                     PSD form's current term). The PSD
                      form is a fixed-order multiply-and-sum with no
                      einsum, matmul or BLAS, so a column's bits depend on
                      that column and the family alone.
@@ -85,8 +88,8 @@ class MultiplicationSip:
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x * y
 
-    def quadratic(self, Zt: np.ndarray) -> np.ndarray:
-        return Zt * Zt
+    def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
+        return np.multiply(Zt, Zt, out=out)
 
 
 _PSD_SUBSCRIPTS = "jab,sa,sb->sj"
@@ -157,7 +160,7 @@ class PsdFamilySip:
         coef = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
         return tuple(zip(a.tolist(), b.tolist())), coef[:, :, None]
 
-    def quadratic(self, Zt: np.ndarray) -> np.ndarray:
+    def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
         """T(z, z)_j = sum over the pairs a <= b of (C_jab * z_a) * z_b, for every column z of Zt.
 
         C_jaa = A_jaa, and off the diagonal C_jab is the mean of A_jab and
@@ -167,11 +170,13 @@ class PsdFamilySip:
         first term and adds the others in np.triu_indices order. Every step
         is an elementwise ufunc, so a column's bits depend on that column
         alone: not on the number of columns or its position. Callers pass
-        one block of columns at a time (cauchy_schwarz._lambda_blocks).
+        one block of columns at a time (cauchy_schwarz._lambda_blocks),
+        with (n, S) arrays out for the sum and work for the current term;
+        both are new arrays by default.
         """
         pairs, coef = self._pair_terms
-        acc = np.empty((coef.shape[1], Zt.shape[1]))
-        term = np.empty_like(acc)
+        acc = np.empty((coef.shape[1], Zt.shape[1])) if out is None else out
+        term = np.empty_like(acc) if work is None else work
         for p, (a, b) in enumerate(pairs):
             dst = term if p else acc
             np.multiply(coef[p], Zt[a], out=dst)
