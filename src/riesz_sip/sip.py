@@ -21,11 +21,13 @@ Each sip has three kernels:
   eval(x, y)         T(x, y) of one pair: the Gram values a, b, c and the
                      seminorm values of a trial.
   eval_batch(X, Y)   T on the rows of two (S, m) arrays, an (S, n) array.
-                     check_axioms is its one caller. The PSD form is an
-                     einsum along a cached path, and its bits must not move
-                     until the axiom residuals are rescaled (ROADMAP item
-                     1): the axioms pins and the false-failure seeds the
-                     benchmark leaves out are facts about these bits.
+                     check_axioms is its one caller, once per family, on
+                     its 11 (left, right) pairs stacked into two
+                     (11*samples, m) arrays. The PSD form is an einsum
+                     along a cached path, and its bits must not move until
+                     the axiom residuals are rescaled (ROADMAP item 1): the
+                     axioms pins and the false-failure seeds the benchmark
+                     leaves out are facts about these bits.
   quadratic(Zt, out, work)
                      T(z, z) for every column z of an (m, S) array, an
                      (n, S) array: the lambda-grid samples of the
@@ -58,6 +60,10 @@ from .lattice import (
 
 SYMMETRY_ABS_TOL = 1e-12   # matrix asymmetry tolerated at construction
 EIGENVALUE_FLOOR = -1e-10  # smallest admissible eigenvalue of a PSD member
+AXIOM_PAIRS = 11           # (left, right) operand pairs check_axioms evaluates
+# _axiom_operands entries kept: one holds 2 * AXIOM_PAIRS * samples * m
+# floats, 704 KiB at m = 64 and the harness's 64 samples
+AXIOM_OPERANDS_CACHED = 8
 
 
 class NoNontrivialOrthogonal(Exception):
@@ -195,6 +201,28 @@ def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
     return float((np.abs(diff) / (scale + floor)).max())
 
 
+@lru_cache(maxsize=AXIOM_OPERANDS_CACHED)
+def _axiom_operands(m: int, samples: int, seed: int) -> tuple:
+    """The stacked (11*samples, m) operands L, R of check_axioms and its (samples, 1) lambda.
+
+    X, Y and Z are uniform in [-10, 10] and lambda in [-4, 4], drawn in
+    that order from default_rng(seed); the blocks of L and R follow the
+    pair order of check_axioms. Every family of one m shares them, so they
+    are kept, read-only.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-10.0, 10.0, (samples, m))
+    Y = rng.uniform(-10.0, 10.0, (samples, m))
+    Z = rng.uniform(-10.0, 10.0, (samples, m))
+    lam = rng.uniform(-4.0, 4.0, (samples, 1))
+    XY = X + Y
+    L = np.concatenate((X, Y, X, Y, X, XY, Z, Z, Z, lam * X, X))
+    R = np.concatenate((Y, X, Z, Z, X, Z, XY, X, Y, Y, lam * Y))
+    for a in (L, R, lam):
+        a.flags.writeable = False
+    return L, R, lam
+
+
 def check_axioms(T: Sip, samples: int, seed: int = 0,
                  floor: float = DEFAULT_ABS_TOL) -> dict:
     """Worst normalized residual of each semi-inner-product axiom on random samples.
@@ -202,33 +230,32 @@ def check_axioms(T: Sip, samples: int, seed: int = 0,
     Residuals are normalized by the magnitudes of the values entering each
     identity, so they are scale free: additivity in each slot, scalar
     homogeneity in each slot, symmetry, and positivity of T(x, x).
+
+    The samples X, Y, Z (rows of m values) and lambda depend only on
+    (T.domain_dim, samples, seed), so every family of one m is checked on
+    the same ones (_axiom_operands). One T.eval_batch call evaluates the
+    AXIOM_PAIRS = 11 pairs, stacked in this order:
+
+      T(X,Y), T(Y,X), T(X,Z), T(Y,Z), T(X,X), T(X+Y,Z), T(Z,X+Y),
+      T(Z,X), T(Z,Y), T(lambda X,Y), T(X,lambda Y)
+
+    When samples > max(m, n), einsum picks the PSD form's contraction
+    path for 11*samples rows as for samples rows, and each residual has
+    the bits of eleven separate eval_batch calls; otherwise (the harness's
+    64 samples at m or n = 64) its last bits can differ.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = T.domain_dim
-    X = rng.uniform(-10.0, 10.0, (samples, m))
-    Y = rng.uniform(-10.0, 10.0, (samples, m))
-    Z = rng.uniform(-10.0, 10.0, (samples, m))
-    lam = rng.uniform(-4.0, 4.0, (samples, 1))
-
-    Txy = T.eval_batch(X, Y)
-    Tyx = T.eval_batch(Y, X)
-    Txz = T.eval_batch(X, Z)
-    Tyz = T.eval_batch(Y, Z)
-    Txx = T.eval_batch(X, X)
+    L, R, lam = _axiom_operands(T.domain_dim, samples, seed)
+    (Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly) = (
+        T.eval_batch(L, R).reshape(AXIOM_PAIRS, samples, -1))
     scale_pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
 
     return {
-        "additivity_left": _worst(
-            T.eval_batch(X + Y, Z) - (Txz + Tyz), scale_pair, floor),
-        "additivity_right": _worst(
-            T.eval_batch(Z, X + Y) - (T.eval_batch(Z, X) + T.eval_batch(Z, Y)),
-            scale_pair, floor),
-        "homogeneity_left": _worst(
-            T.eval_batch(lam * X, Y) - lam * Txy, np.abs(lam * Txy), floor),
-        "homogeneity_right": _worst(
-            T.eval_batch(X, lam * Y) - lam * Txy, np.abs(lam * Txy), floor),
+        "additivity_left": _worst(Tx_yz - (Txz + Tyz), scale_pair, floor),
+        "additivity_right": _worst(Tzx_y - (Tzx + Tzy), scale_pair, floor),
+        "homogeneity_left": _worst(Tlxy - lam * Txy, np.abs(lam * Txy), floor),
+        "homogeneity_right": _worst(Txly - lam * Txy, np.abs(lam * Txy), floor),
         "symmetry": _worst(Txy - Tyx, np.abs(Txy), floor),
         "positivity": _worst(np.maximum(-Txx, 0.0), np.abs(Txx), floor),
     }

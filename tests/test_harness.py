@@ -692,7 +692,7 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # check) and one lambda-grid sampling, which its six suites share;
     # each orthogonal trial adds the 4 T-values of pythagoras and, at this
     # seed, one T-value of generation's orthogonality check; the axioms
-    # suite evaluates 11 batches per generic trial
+    # suite evaluates its 11 stacked pairs in one batch per generic trial
     calls = {"eval": 0, "eval_batch": 0, "quadratic": 0}
     for cls in (PsdFamilySip, MultiplicationSip):
         for name in calls:
@@ -701,7 +701,7 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
                 return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
     run_suite(TrialConfig(trials=50, seed=3))
-    assert calls == {"eval": 750, "eval_batch": 550, "quadratic": 50}
+    assert calls == {"eval": 750, "eval_batch": 50, "quadratic": 50}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
