@@ -20,14 +20,19 @@ Each sip has three kernels:
 
   eval(x, y)         T(x, y) of one pair: the Gram values a, b, c and the
                      seminorm values of a trial.
-  eval_batch(X, Y)   T on the rows of two (S, m) arrays, an (S, n) array.
-                     check_axioms is its one caller, once per family, on
-                     its 11 (left, right) pairs stacked into two
-                     (11*samples, m) arrays. The PSD form is an einsum
-                     along a cached path, and its bits must not move until
-                     the axiom residuals are rescaled (ROADMAP item 1): the
-                     axioms pins and the false-failure seeds the benchmark
-                     leaves out are facts about these bits.
+  eval_batch(X, Y)   T on the rows of two (..., S, m) arrays, an (..., S, n)
+                     array. check_axioms is its one caller, once per
+                     family, on its 11 (left, right) pairs stacked into
+                     two (11, samples, m) arrays. The PSD form is one
+                     einsum over all the rows, along the cached path
+                     einsum picks for one (S, m) block: the stacked call
+                     takes the path of one pair. Its bits must not move
+                     until the axiom residuals are rescaled (ROADMAP item
+                     1): the axioms pins and the false-failure seeds the
+                     benchmark leaves out are facts about these bits. The
+                     stacking moves them only where BLAS rounds by the
+                     row count (see check_axioms), at shapes no pin or
+                     benchmark uses.
   quadratic(Zt, out, work)
                      T(z, z) for every column z of an (m, S) array, an
                      (n, S) array: the lambda-grid samples of the
@@ -60,10 +65,13 @@ from .lattice import (
 
 SYMMETRY_ABS_TOL = 1e-12   # matrix asymmetry tolerated at construction
 EIGENVALUE_FLOOR = -1e-10  # smallest admissible eigenvalue of a PSD member
-AXIOM_PAIRS = 11           # (left, right) operand pairs check_axioms evaluates
-# _axiom_operands entries kept: one holds 2 * AXIOM_PAIRS * samples * m
-# floats, 704 KiB at m = 64 and the harness's 64 samples
-AXIOM_OPERANDS_CACHED = 8
+# _axiom_operands entries kept, one per domain dimension at the harness's
+# fixed samples and seed. A run checks every m its generator and shrink
+# reach: 6 keys in a default verify, 12 (m = 1..12) in a triage of
+# instances up to m = 12, and a cache cycled through more keys than it
+# holds gets no hits. One entry holds 2 * 11 * samples * m
+# floats: 11 KiB per unit of m, 704 KiB at m = 64.
+AXIOM_OPERANDS_CACHED = 16
 
 
 class NoNontrivialOrthogonal(Exception):
@@ -149,9 +157,13 @@ class PsdFamilySip:
         return int(self.matrices.shape[0])
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # (s, m) x (n, m, m) x (s, m) -> (s, n)
-        path = _psd_path(self.matrices.shape, X.shape, Y.shape)
-        return np.einsum(_PSD_SUBSCRIPTS, self.matrices, X, Y, optimize=path)
+        # (..., s, m) x (n, m, m) x (..., s, m) -> (..., s, n), along the
+        # path for one (s, m) block
+        path = _psd_path(self.matrices.shape, X.shape[-2:], Y.shape[-2:])
+        m = self.domain_dim
+        T = np.einsum(_PSD_SUBSCRIPTS, self.matrices, X.reshape(-1, m),
+                      Y.reshape(-1, m), optimize=path)
+        return T.reshape(*X.shape[:-1], -1)
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.matrices @ y @ x
@@ -203,7 +215,7 @@ def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
 
 @lru_cache(maxsize=AXIOM_OPERANDS_CACHED)
 def _axiom_operands(m: int, samples: int, seed: int) -> tuple:
-    """The stacked (11*samples, m) operands L, R of check_axioms and its (samples, 1) lambda.
+    """The stacked (11, samples, m) operands L, R of check_axioms and its (samples, 1) lambda.
 
     X, Y and Z are uniform in [-10, 10] and lambda in [-4, 4], drawn in
     that order from default_rng(seed); the blocks of L and R follow the
@@ -216,8 +228,8 @@ def _axiom_operands(m: int, samples: int, seed: int) -> tuple:
     Z = rng.uniform(-10.0, 10.0, (samples, m))
     lam = rng.uniform(-4.0, 4.0, (samples, 1))
     XY = X + Y
-    L = np.concatenate((X, Y, X, Y, X, XY, Z, Z, Z, lam * X, X))
-    R = np.concatenate((Y, X, Z, Z, X, Z, XY, X, Y, Y, lam * Y))
+    L = np.stack((X, Y, X, Y, X, XY, Z, Z, Z, lam * X, X))
+    R = np.stack((Y, X, Z, Z, X, Z, XY, X, Y, Y, lam * Y))
     for a in (L, R, lam):
         a.flags.writeable = False
     return L, R, lam
@@ -234,21 +246,25 @@ def check_axioms(T: Sip, samples: int, seed: int = 0,
     The samples X, Y, Z (rows of m values) and lambda depend only on
     (T.domain_dim, samples, seed), so every family of one m is checked on
     the same ones (_axiom_operands). One T.eval_batch call evaluates the
-    AXIOM_PAIRS = 11 pairs, stacked in this order:
+    11 pairs, stacked in this order:
 
       T(X,Y), T(Y,X), T(X,Z), T(Y,Z), T(X,X), T(X+Y,Z), T(Z,X+Y),
       T(Z,X), T(Z,Y), T(lambda X,Y), T(X,lambda Y)
 
-    When samples > max(m, n), einsum picks the PSD form's contraction
-    path for 11*samples rows as for samples rows, and each residual has
-    the bits of eleven separate eval_batch calls; otherwise (the harness's
-    64 samples at m or n = 64) its last bits can differ.
+    The stacked call takes the PSD form's contraction path for one block
+    of samples rows, the path of each separate pair. A one-step path's bits
+    do not depend on the row count; a two-step path has a BLAS matrix
+    product whose rounding can. At the harness's 64 samples each residual
+    has the bits of eleven separate eval_batch calls for every m, n <= 64
+    but twelve shapes with n = 1 (m in 41..44, 49..52, 57..60, on
+    OpenBLAS 0.3.31), where the last bits move. At samples = 1 a two-step
+    path multiplies a vector where the stacked call multiplies a matrix,
+    and the last bits can move too.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     L, R, lam = _axiom_operands(T.domain_dim, samples, seed)
-    (Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly) = (
-        T.eval_batch(L, R).reshape(AXIOM_PAIRS, samples, -1))
+    Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly = T.eval_batch(L, R)
     scale_pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
 
     return {
