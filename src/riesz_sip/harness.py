@@ -14,7 +14,10 @@ maps the residuals they return to tolerances: a Trial, the lazy record of
 one instance under one config (the instance's Gram, see
 cauchy_schwarz.Gram, and its lambda-grid samples), or a TrialGroup, the
 GramStack of k Trials whose sips share a codomain R^n, on whose stacked
-values every residual is a (k,) array with each trial's bits.
+values every residual is a (k,) array with each trial's bits. The oracle
+suite stacks x and y themselves, and runs the mean oracles once on the
+(k, m) stacks (means takes stacks), so its group's trials must also share
+the domain R^m.
 
 run_suite is chunked and grouped: for each instance recipe it generates
 TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
@@ -518,8 +521,9 @@ class TrialGroup(GramStack):
     The GramStack of the trials: each trial evaluates its own values once,
     and the group stacks them on first read, so a suite stacks only what
     it reads and computes every residual as a (k,) array, with each
-    trial's bits. Per-trial work (axiom samples, lambda-grid samples,
-    grid oracles) reads the trials, group.pairs.
+    trial's bits; the mean oracles run once on the stacked x and y.
+    Per-trial work (axiom families, lambda-grid samples) reads the
+    trials, group.pairs.
     """
 
     def __init__(self, trials, config: TrialConfig):
@@ -633,18 +637,11 @@ def check_parallelogram_trials(rec) -> list | TrialResult:
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def _oracle_gaps(trial: Trial) -> tuple:
-    """The oracle suite's values of one trial, in check_oracle_trials' order.
-
-    (box_times sandwich, box_times gap, minimizer covered, box_plus
-    sandwich, box_plus gap, quarter-circle residual); the box_times gap is
-    0.0 where the minimizer is not covered.
-    """
-    config = trial.config
-    tol = config.tolerances
-    x, y = trial.x, trial.y
+def check_oracle_trials(rec) -> list | TrialResult:
+    tol = rec.config.tolerances
+    theta, angle = rec.config.theta_grid, rec.config.angle_grid
+    x, y = rec.x, rec.y
     u, v = np.abs(x), np.abs(y)
-    theta, angle = config.theta_grid, config.angle_grid
     bt_sandwich, bt_gap = box_times_gaps(u, v, theta, tol.abs)
     # Outside the grid's range the theta oracle's over-estimate is not
     # tight, so its gap is not asserted there.
@@ -652,21 +649,13 @@ def _oracle_gaps(trial: Trial) -> tuple:
     bp_sandwich, bp_gap = box_plus_gaps(x, y, angle, tol.abs)
     quarter = rel_residual(_box_plus_oracle(u, v, angle),
                            _box_plus_oracle(u, v, angle, quarter=True), floor=tol.abs)
-    return bt_sandwich, bt_gap if covered else 0.0, covered, bp_sandwich, bp_gap, quarter
-
-
-def check_oracle_trials(rec) -> list | TrialResult:
-    # the grid oracles run one trial at a time, one block of grid columns
-    # after another, so each block stays in cache
-    bt_sandwich, bt_gap, covered, bp_sandwich, bp_gap, quarter = (
-        list(col) for col in zip(*(_oracle_gaps(t) for t in rec.pairs)))
     return _results(rec, {
         "box_times_sandwich": (bt_sandwich, SANDWICH_FLOOR),
-        "box_times_gap": (bt_gap, BT_GAP_REL_TOL),
+        "box_times_gap": (np.where(covered, bt_gap, 0.0), BT_GAP_REL_TOL),
         "box_plus_sandwich": (bp_sandwich, SANDWICH_FLOOR),
         "box_plus_gap": (bp_gap, BP_GAP_REL_TOL),
         "quarter_circle": (quarter, QUARTER_REL_TOL),
-    }, tags=([None if c else "minimizer_not_covered" for c in covered],))
+    }, tags=(np.where(covered, None, "minimizer_not_covered"),))
 
 
 CHECKS = {

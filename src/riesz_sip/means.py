@@ -19,11 +19,13 @@ the lambda magnitudes of the Cauchy-Schwarz defect oracle
 stays separate, since it must contain both endpoints and the axis angles.
 
 Layout of the grid oracles: coordinate-major, in blocks. Each oracle
-evaluates its (n, G) array one block of grid columns at a time (_blocks:
-at most GRID_BLOCK elements; _fold_blocks for the means), accumulating
-the block in place and reducing it along its contiguous rows, and folds
-the block results with np.minimum or np.maximum in grid order; so memory
-is bounded by the block, not by G. A call allocates its block buffers
+evaluates its (rows, G) array, one row per coordinate of each pair (n
+rows for one pair's (n,) vectors, k*n for a (k, n) stack of k trials),
+one block of grid columns at a time (_blocks: at most GRID_BLOCK
+elements; _fold_blocks for the means), accumulating the block in place
+and reducing it along its contiguous rows, and folds the block results
+with np.minimum or np.maximum in grid order; so memory is bounded by
+the block, not by G or the row count. A call allocates its block buffers
 once and every block reuses them (_block_view): the block loop makes no
 array, so its cost does not depend on when the allocator maps or
 returns memory. The grid-side factors (1/theta, cos t and sin t, the
@@ -39,6 +41,11 @@ values. The kernels _box_times, _box_plus, _box_times_oracle and
 _box_plus_oracle hold each formula once, run on validated arrays, and
 check only finiteness and, for [*], the cone floor. The *_gaps functions
 take validated arrays and call the kernels.
+
+Stacks: the kernels, theta_minimizer, the *_gaps functions and
+LogGrid.covers take one pair's (n,) vectors or a (k, n) stack of k
+pairs, and reduce over the last axis, as the lattice residuals do: a
+stack gives (k,) values, each row with the bits of its pair alone.
 """
 
 from __future__ import annotations
@@ -121,17 +128,16 @@ class LogGrid:
         """|signed|: the points reversed, then the points."""
         return np.concatenate([self.points[::-1], self.points])
 
-    def covers(self, values: np.ndarray) -> bool:
-        """True iff every finite positive value lies inside [lo, hi].
+    def covers(self, values: np.ndarray) -> np.ndarray:
+        """True where every finite positive value of a row lies inside [lo, hi].
 
         Used to flag oracle evaluations whose componentwise minimizer falls
         outside the grid, where the one-sided over-estimate is not tight.
+        One (n,) vector gives one bool, a (k, n) stack a (k,) array.
         """
         v = np.asarray(values, dtype=np.float64)
-        mask = np.isfinite(v) & (v > 0.0)
-        if not np.any(mask):
-            return True
-        return bool(v[mask].min() >= self.lo and v[mask].max() <= self.hi)
+        outside = np.isfinite(v) & (v > 0.0) & ((v < self.lo) | (v > self.hi))
+        return ~outside.any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -186,16 +192,23 @@ def _vectors(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 def _cone_pair(name: str, u: np.ndarray, v: np.ndarray,
                floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Finite u and v in F+, entries within the floor clamped to 0."""
+    """Finite u and v in F+, entries within the floor clamped to 0.
+
+    floor may hold one value per row of a stack; an error names the first
+    entry below its own row's floor.
+    """
     for a in (u, v):
         if not in_positive_cone(_finite(a), tol=floor):
+            floors = np.broadcast_to(floor, a.shape)
+            i = np.argmax(a < -floors)
             raise NotInPositiveCone(
-                f"{name} requires arguments in F+: entry {np.min(a)} is below -{floor}")
+                f"{name} requires arguments in F+: entry {float(a.flat[i])} "
+                f"is below -{float(floors.flat[i])}")
     return np.maximum(u, 0.0), np.maximum(v, 0.0)
 
 
 def _box_times(u: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
-    """box_times on validated vectors of one dimension."""
+    """box_times on validated vectors (or stacks) of one dimension."""
     u, v = _cone_pair("box_times", u, v, floor)
     return np.sqrt(u * v)
 
@@ -239,27 +252,29 @@ def _block_view(buf: np.ndarray, rows: int, cols: slice) -> np.ndarray:
 
 def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
                  fb: np.ndarray) -> np.ndarray:
-    """fold (np.minimum or np.maximum) along the rows of a*fa + b*fb, block by block.
+    """fold (np.minimum or np.maximum) of a*fa + b*fb over the grid, entry by entry, in blocks.
 
-    The (n, G) array is never built whole: each block's elements are
-    accumulated in place in two block buffers and reduced, and the block
-    results are folded in grid order.
+    a and b are an (n,) vector or a (k, n) stack; each entry is one row
+    of the (rows, G) array, which is never built whole: each block's
+    elements are accumulated in place in two block buffers and reduced,
+    and the block results are folded in grid order.
     """
-    n, count = a.size, fa.size
-    w_buf, t_buf = np.empty((2, n * _block_width(n, count)))
+    rows, count = a.size, fa.size
+    w_buf, t_buf = np.empty((2, rows * _block_width(rows, count)))
+    a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
 
     def block(cols):
-        w, t = _block_view(w_buf, n, cols), _block_view(t_buf, n, cols)
-        np.multiply(a[:, None], fa[cols], out=w)
-        w += np.multiply(b[:, None], fb[cols], out=t)
+        w, t = _block_view(w_buf, rows, cols), _block_view(t_buf, rows, cols)
+        np.multiply(a_col, fa[cols], out=w)
+        w += np.multiply(b_col, fb[cols], out=t)
         return fold.reduce(w, axis=1)
 
-    return reduce(fold, map(block, _blocks(n, count)))
+    return reduce(fold, map(block, _blocks(rows, count))).reshape(a.shape)
 
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
                       floor: float) -> np.ndarray:
-    """box_times_oracle on validated vectors of one dimension."""
+    """box_times_oracle on validated vectors (or stacks) of one dimension."""
     u, v = _cone_pair("box_times_oracle", u, v, floor)
     return 0.5 * _fold_blocks(np.minimum, u, grid.points, v, grid.inverse)
 
@@ -287,7 +302,7 @@ def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _box_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """box_plus on validated vectors of one dimension."""
+    """box_plus on validated vectors (or stacks) of one dimension."""
     return np.hypot(_finite(a), _finite(b))
 
 
@@ -298,7 +313,7 @@ def box_plus(a, b) -> np.ndarray:
 
 def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
                      quarter: bool = False) -> np.ndarray:
-    """box_plus_oracle on validated vectors of one dimension."""
+    """box_plus_oracle on validated vectors (or stacks) of one dimension."""
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
     return _fold_blocks(np.maximum, a, cos_t, b, sin_t)
 
@@ -315,11 +330,12 @@ def box_plus_oracle(a, b, grid: AngleGrid,
 
 
 def box_times_gaps(u, v, grid: LogGrid,
-                   floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+                   floor: float = DEFAULT_ABS_TOL) -> tuple:
     """(sandwich, gap) of the theta-grid oracle against box_times(u, v).
 
     Both are normalized by the larger of the two values: sandwich is the
-    violation of oracle >= closed form, gap the worst over-estimate.
+    violation of oracle >= closed form, gap the worst over-estimate. One
+    float each for (n,) vectors, a (k,) array each for (k, n) stacks.
     """
     bt = _box_times(u, v, floor)
     bt_o = _box_times_oracle(u, v, grid, floor)
@@ -328,13 +344,14 @@ def box_times_gaps(u, v, grid: LogGrid,
 
 
 def box_plus_gaps(a, b, grid: AngleGrid,
-                  floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+                  floor: float = DEFAULT_ABS_TOL) -> tuple:
     """(sandwich, gap) of the angle-grid oracle against box_plus(a, b).
 
     sandwich is the violation of oracle <= closed form, gap the worst
-    absolute difference, both normalized by the larger magnitude.
+    absolute difference, both normalized by the larger magnitude. One
+    float each for (n,) vectors, a (k,) array each for (k, n) stacks.
     """
     bp = _box_plus(a, b)
     bp_o = _box_plus_oracle(a, b, grid)
     scale = np.maximum(bp, np.abs(bp_o)) + floor
-    return cone_gap(bp - bp_o, scale), float((np.abs(bp - bp_o) / scale).max())
+    return cone_gap(bp - bp_o, scale), (np.abs(bp - bp_o) / scale).max(axis=-1)

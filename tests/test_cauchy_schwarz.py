@@ -7,6 +7,7 @@ from riesz_sip.cauchy_schwarz import (
     LAMBDA_HI,
     LAMBDA_LO,
     Gram,
+    GramStack,
     cs_identity,
     cs_verdict,
     defect_grid,
@@ -52,6 +53,21 @@ def test_gram_validates_and_evaluates_on_first_read():
     assert np.array_equal(g.u, [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         g.a
+
+
+def test_cone_error_names_the_entry_and_its_own_rows_floor():
+    # a = T(x,x) = -14 and c = T(y,y) = -26 under the negative form; the
+    # floor is the row's rounding floor 1e-9 * (|a| + |c|) + 1e-12
+    T = PsdFamilySip(-np.eye(3)[None], validate=False)
+    broken = Gram(T, [1.0, 2.0, 3.0], [1.0, 3.0, 4.0])
+    valid = Gram(PsdFamilySip(np.eye(3)[None]), [100.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    floor = 1e-9 * (14.0 + 26.0) + 1e-12
+    for g in (broken, GramStack([valid, broken, valid])):
+        with pytest.raises(NotInPositiveCone) as info:
+            cs_identity(g)
+        message = str(info.value)
+        assert "[" not in message
+        assert f"entry -14.0 is below -{floor}" in message
 
 
 def test_defect_closed_vanishes_for_multiplication():

@@ -245,6 +245,50 @@ def test_box_plus_oracle_bits_at_one_block(ab, quarter):
                          ref_box_plus_oracle(a, b, grid, quarter=quarter))
 
 
+# 10^5 columns: one row takes two blocks, a stack of k*n rows up to 80
+BIG_THETA = LogGrid.log_spaced(THETA_LO, THETA_HI, 10**5)
+BIG_ANGLE = AngleGrid.uniform(10**5)
+# zeros of both signs and values up to 10, each row scaled by 2^e
+row_entries = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False))
+row_scales = st.sampled_from([1.0, 1.0, 2.0 ** -520, 2.0 ** 520])
+
+
+@st.composite
+def stacks(draw):
+    """Two (k, n) stacks, k = 2..5 and n = 1..8, each row scaled by its own 2^e."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    scale = np.array(draw(st.lists(row_scales, min_size=k, max_size=k)))[:, None]
+    rows = st.lists(vectors(row_entries, n), min_size=k, max_size=k).map(np.array)
+    return draw(rows) * scale, draw(rows) * scale
+
+
+@FEW
+@given(stacks())
+def test_a_stack_gives_each_row_its_bits_alone(ab):
+    a, b = ab
+    # the [*] side takes magnitudes that keep a -0.0
+    u, v = np.where(a < 0.0, -a, a), np.where(b < 0.0, -b, b)
+    floor = 1e-12
+    with np.errstate(all="ignore"):
+        stacked = (*means.box_times_gaps(u, v, BIG_THETA, floor),
+                   *means.box_plus_gaps(a, b, BIG_ANGLE, floor),
+                   means._box_times_oracle(u, v, BIG_THETA, floor),
+                   means._box_plus_oracle(a, b, BIG_ANGLE),
+                   means._box_plus_oracle(a, b, BIG_ANGLE, quarter=True))
+        for i in range(len(a)):
+            alone = (*means.box_times_gaps(u[i], v[i], BIG_THETA, floor),
+                     *means.box_plus_gaps(a[i], b[i], BIG_ANGLE, floor),
+                     means._box_times_oracle(u[i], v[i], BIG_THETA, floor),
+                     means._box_plus_oracle(a[i], b[i], BIG_ANGLE),
+                     means._box_plus_oracle(a[i], b[i], BIG_ANGLE, quarter=True))
+            for got, ref in zip(stacked, alone):
+                assert_same_bits(np.asarray(got[i]), np.asarray(ref))
+    minimizers = means.theta_minimizer(u, v)
+    assert BIG_THETA.covers(minimizers).tolist() == [
+        bool(BIG_THETA.covers(row)) for row in minimizers]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @FEW
 @given(defect_cases(), st.sampled_from(LAMBDA_GRIDS[1:]))

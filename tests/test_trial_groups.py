@@ -7,7 +7,11 @@ give every trial of a group the residual bits, status, failed list and
 tags it gets alone. The groups mix sip kinds and domain dimensions, and
 hold signed zeros, magnitudes 2^+-300 and 2^+-520 (whose overflow gives
 NaN residuals and broken-input errors), colinear and near-colinear
-(borderline) pairs and orthogonal pairs.
+(borderline) pairs and orthogonal pairs. The oracle suite stacks x and
+y themselves, so a group of mixed domains has no stack there: its check
+raises DimensionMismatch, and harness._check_group checks the trials one
+at a time (run_suite never builds such a group, as the oracle's recipe
+draws m = n).
 
 The trials alone are checked with the folds of residuals computed by
 Python's max(..., key=_nan_first), the scalar definition that
@@ -35,7 +39,7 @@ from riesz_sip.harness import (
     TrialGroup,
     generate_instance,
 )
-from riesz_sip.lattice import _nan_first, fold
+from riesz_sip.lattice import DimensionMismatch, _nan_first, fold
 from riesz_sip.sip import MultiplicationSip, NoNontrivialOrthogonal, PsdFamilySip, orthogonal_sample
 
 CONFIG = TrialConfig(trials=1, seed=9)
@@ -126,6 +130,13 @@ def test_a_group_gives_each_trial_its_result_alone(suite, data):
         expected = [_summary(r) for r in alone(suite, insts)]
         if any(failed == ("invalid_instance",) for _, failed, _, _ in expected):
             # a broken trial: the group is checked again one trial at a time
+            got = harness._check_group(suite, group)
+        elif suite == "oracle" and len({inst.sip.domain_dim for inst in insts}) > 1:
+            # the oracle suite stacks x and y, which have no stack across
+            # domains: the group's check raises, and its trials are
+            # checked one at a time
+            with pytest.raises(DimensionMismatch):
+                CHECKS[suite](group)
             got = harness._check_group(suite, group)
         else:
             # no trial is broken, so the group's check must not raise
