@@ -245,7 +245,7 @@ def test_box_plus_oracle_bits_at_one_block(ab, quarter):
                          ref_box_plus_oracle(a, b, grid, quarter=quarter))
 
 
-# 10^5 columns: one row takes two blocks, a stack of k*n rows up to 80
+# 10^5 columns: a pair's n rows take 2 to 13 blocks, a stack's k*n rows up to 62
 BIG_THETA = LogGrid.log_spaced(THETA_LO, THETA_HI, 10**5)
 BIG_ANGLE = AngleGrid.uniform(10**5)
 # zeros of both signs and values up to 10, each row scaled by 2^e
