@@ -22,14 +22,18 @@ the domain R^m.
 run_suite is chunked and grouped: for each instance recipe it generates
 TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
 dimension (GROUP_SAMPLE_BYTES caps a group's lambda-grid samples), runs
-every selected suite of the recipe once per group and
-folds each trial's result into that suite's report entry in trial order,
-then drops the chunk before generating the next. The suites of a group
-share its record, so each T-value and the lambda-grid sampling are
-evaluated once per trial, and at most one chunk of generated instances
-is alive. A group with a broken trial is checked again one trial at a
-time. replay_counterexample and shrink check one Trial, a group of one,
-and build a fresh record for every check they run.
+every selected suite of the recipe once per group, folds the chunk's
+results into each suite's report entry in trial order, and drops the
+chunk before generating the next. A group's check gives its results as
+one table, a row of residuals per trial, and each suite folds a chunk's
+tables at once, building a TrialResult only for a trial its entry keeps
+(the worst instance, the counterexamples). The suites of a group share
+its record, so each T-value and the lambda-grid sampling are evaluated
+once per trial, and at most one chunk of generated instances is alive.
+A group with a broken trial is checked again one trial at a time, and
+its results are tabled by their checks. replay_counterexample and
+shrink check one Trial, a group of one, whose check gives one
+TrialResult, and build a fresh record for every check they run.
 
 Suite names:
 
@@ -352,6 +356,11 @@ PURPOSES = {
 }
 
 
+# Random signs index this with rng.integers(0, 2, n): the draw, and so the
+# stream, of rng.choice([-1.0, 1.0], n), without choice's set-up.
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
     u = rng.uniform(0.0, u_hi, n)
     r = rng.random()
@@ -402,8 +411,8 @@ def generate_instance(config: TrialConfig, trial_index: int,
         n = int(rng.integers(config.n_lo, config.n_hi + 1))
         T = MultiplicationSip(n)
         lo, hi = np.log10(config.log_entry_lo), np.log10(config.log_entry_hi)
-        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
-        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+        x = _SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
+        y = _SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
         u = rng.uniform(0.0, config.u_hi, n)
         return Instance(sip=T, u=u, x=x, y=y)
 
@@ -463,23 +472,76 @@ def _column(values, k: int) -> list:
     return values.tolist() if values.ndim else [values.item()] * k
 
 
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The results of k trials under one check, as columns: what a group's check gives.
+
+    names are the check names, in the check's order, and tols their
+    tolerances; residuals is a (k, len(names)) float64 array, one row per
+    trial; borderline a (k,) bool array; tags a tuple of tag columns, each
+    a list of k values, a None being no tag. Row i is the TrialResult of
+    trial i (row).
+    """
+
+    names: tuple
+    tols: np.ndarray
+    residuals: np.ndarray
+    borderline: np.ndarray
+    tags: tuple = ()
+
+    def row(self, i: int) -> TrialResult:
+        return _result(dict(zip(self.names, self.residuals[i].tolist())),
+                       dict(zip(self.names, self.tols.tolist())), bool(self.borderline[i]),
+                       tuple(t[i] for t in self.tags if t[i] is not None))
+
+    @classmethod
+    def of(cls, results: list) -> "_Table":
+        """The table of TrialResults of the same checks, a row each, in order.
+
+        A result's tags fill the first of the tag columns, and None the rest.
+        """
+        names = tuple(results[0].residuals)
+        width = max(len(res.tags) for res in results)
+        return cls(names, np.array([results[0].tols[k] for k in names]),
+                   np.array([list(res.residuals.values()) for res in results], dtype=np.float64),
+                   np.array([res.status == "borderline" for res in results]),
+                   tuple([res.tags[j] if j < len(res.tags) else None for res in results]
+                         for j in range(width)))
+
+
+def _tables(results: list, positions: list) -> list:
+    """(positions, _Table) pairs of the results of the trials at positions, a table per check set.
+
+    The trials checked one at a time (a broken group's, injected ones) and
+    those whose generation gave up are folded through it.
+    """
+    by_checks = {}
+    for i, res in zip(positions, results):
+        by_checks.setdefault(tuple(res.residuals), []).append((i, res))
+    return [([i for i, _ in rows], _Table.of([res for _, res in rows]))
+            for rows in by_checks.values()]
+
+
 def _results(rec, checks: dict, borderline=False, tags: tuple = ()):
-    """The TrialResult of each trial of rec, from {check name: (residuals, tolerance)}.
+    """The results of rec's trials, from {check name: (residuals, tolerance)}.
 
     Residuals, borderline and each tag column hold one value per trial (a
     (k,) array or a list) or one for every trial; a None tag is no tag.
-    A group's check gives the list of its trials' results, in order, and
-    a Trial's check its one result.
+    A group's check gives the _Table of its trials, and a Trial's check
+    its one TrialResult.
     """
-    k = len(rec.pairs)
+    if isinstance(rec, TrialGroup):
+        k = len(rec.pairs)
+        residuals = np.empty((k, len(checks)))
+        for j, (values, _) in enumerate(checks.values()):
+            residuals[:, j] = values
+        return _Table(tuple(checks), np.array([tol for _, tol in checks.values()]), residuals,
+                      np.full(k, borderline, dtype=bool),
+                      tuple(_column(t, k) for t in tags))
     tols = {name: tol for name, (_, tol) in checks.items()}
-    rows = zip(*(_column(v, k) for v, _ in checks.values()))
-    flags = _column(borderline, k)
-    tag_rows = zip(*(_column(t, k) for t in tags)) if tags else [()] * k
-    results = [_result(dict(zip(tols, row)), tols, flag,
-                       tuple(t for t in tag_row if t is not None))
-               for row, flag, tag_row in zip(rows, flags, tag_rows)]
-    return results if isinstance(rec, TrialGroup) else results[0]
+    tag_row = (_column(t, 1)[0] for t in tags)
+    return _result({name: _column(v, 1)[0] for name, (v, _) in checks.items()}, tols,
+                   _column(borderline, 1)[0], tuple(t for t in tag_row if t is not None))
 
 
 def _mismatch(borderline, agreed):
@@ -522,8 +584,9 @@ class TrialGroup(GramStack):
     and the group stacks them on first read, so a suite stacks only what
     it reads and computes every residual as a (k,) array, with each
     trial's bits; the mean oracles run once on the stacked x and y.
-    Per-trial work (axiom families, lambda-grid samples) reads the
-    trials, group.pairs.
+    Per-trial work (PSD axiom families, lambda-grid samples) reads the
+    trials, group.pairs; the axioms of the group's multiplication sips,
+    which depend on n alone, are checked once.
     """
 
     def __init__(self, trials, config: TrialConfig):
@@ -535,15 +598,24 @@ class TrialGroup(GramStack):
 # its trials (_results): the library computes the residuals on the
 # stacked values, and a check only maps them to tolerances.
 
-def check_axioms_trials(rec) -> list | TrialResult:
+def check_axioms_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
-    rows = [check_axioms(t.inst.sip, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
-            for t in rec.pairs]
+
+    def axioms(T):
+        return check_axioms(T, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
+
+    # A multiplication sip's residuals depend on its dimension alone, so
+    # each distinct one (MultiplicationSip(n) == MultiplicationSip(n)) is
+    # checked once.
+    sips = [t.inst.sip for t in rec.pairs]
+    mult = {T: axioms(T)
+            for T in dict.fromkeys(T for T in sips if isinstance(T, MultiplicationSip))}
+    rows = [mult[T] if isinstance(T, MultiplicationSip) else axioms(T) for T in sips]
     return _results(rec, {k: ([r[k] for r in rows], tol.rel) for k in rows[0]},
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_cs_trials(rec) -> list | TrialResult:
+def check_cs_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     chk = cs_verdict(rec, band=tol.cone_band, floor=tol.abs)
     grid = rec.config.lambda_grid
@@ -558,30 +630,34 @@ def check_cs_trials(rec) -> list | TrialResult:
     }, borderline=chk.borderline, tags=(_branch(chk.equality_holds),))
 
 
-def check_means_trials(rec) -> list | TrialResult:
+def check_means_trials(rec) -> _Table | TrialResult:
     # The suite states identities of the means on the validated x, y and
     # on u as a vector of their lattice, not the weight of T's codomain;
-    # the kernels still catch a + b or lam*a overflowing.
+    # the kernel still catches a + b or lam*a overflowing.
     x, y = rec.x, rec.y
     a, b = np.abs(x), np.abs(y)
     c = rec.each(lambda t: as_lattice_vector(t.inst.u, t.x.size))
     floor = rec.config.tolerances.abs
-    biadd = rel_residual(_box_times(a + b, c, floor),
-                         _box_plus(_box_times(a, c, floor), _box_times(b, c, floor)),
-                         floor=floor)
-    hom = 0.0
-    ab = _box_times(a, b, floor)
     # |x_0| adds a scalar that depends on the data, yet keeps the check a
     # pure function of the instance.
-    for lam in (0.0, 0.5, 1.0, 4.0, a[..., :1]):
-        ref = np.sqrt(lam) * ab
-        hom = fold(fold(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor)),
-                   rel_residual(_box_times(a, lam * b, floor), ref, floor=floor))
+    lam = np.stack(np.broadcast_arrays(0.0, 0.5, 1.0, 4.0, a[..., :1]))
+    five = (5,) + a.shape
+    # One call evaluates the 14 geometric means, row by row: (a+b)[*]c,
+    # a[*]c, b[*]c, a[*]b, then (lam*a)[*]b and a[*](lam*b) for each lam.
+    means = _box_times(
+        np.concatenate((np.stack((a + b, a, b, a)), lam * a, np.broadcast_to(a, five))),
+        np.concatenate((np.stack((c, c, c, b)), np.broadcast_to(b, five), lam * b)), floor)
+    biadd = rel_residual(means[0], _box_plus(means[1], means[2]), floor=floor)
+    ref = np.sqrt(lam) * means[3]
+    # Every residual is +0.0, positive or NaN, so the NaN-first maximum of
+    # the ten, folded into 0.0, is the fold of them one by one.
+    hom = fold(0.0, np.concatenate((rel_residual(means[4:9], ref, floor=floor),
+                                    rel_residual(means[9:], ref, floor=floor))).max(axis=0))
     return _results(rec, {"biadditivity": (biadd, MEANS_REL_TOL),
                           "homogeneity": (hom, MEANS_REL_TOL)})
 
 
-def check_vsn_trials(rec) -> list | TrialResult:
+def check_vsn_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
             "square": SQUARE_REL_TOL}
@@ -589,7 +665,7 @@ def check_vsn_trials(rec) -> list | TrialResult:
     return _results(rec, {k: (v, tols[k]) for k, v in residuals.items()})
 
 
-def check_sharp_trials(rec) -> list | TrialResult:
+def check_sharp_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     st = sharp_verdict(rec, band=tol.cone_band, floor=tol.abs)
     grid = rec.config.lambda_grid
@@ -604,7 +680,7 @@ def check_sharp_trials(rec) -> list | TrialResult:
     }, borderline=st.borderline, tags=(_branch(st.equality_holds),))
 
 
-def check_additivity_trials(rec) -> list | TrialResult:
+def check_additivity_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     ac = additivity_verdict(rec, band=tol.cone_band, floor=tol.abs)
     agreed = ac.additive == (ac.condition_pos & ac.condition_defect_zero)
@@ -617,7 +693,7 @@ def check_additivity_trials(rec) -> list | TrialResult:
                     borderline=ac.borderline, tags=tags)
 
 
-def check_pythagoras_trials(rec) -> list | TrialResult:
+def check_pythagoras_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     # The identity is only asserted, and its seminorms only evaluated,
     # where the orthogonality hypothesis holds (NaN included); u is read
@@ -630,14 +706,14 @@ def check_pythagoras_trials(rec) -> list | TrialResult:
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_parallelogram_trials(rec) -> list | TrialResult:
+def check_parallelogram_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     sides = parallelogram_sides(rec)
     return _results(rec, {"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_oracle_trials(rec) -> list | TrialResult:
+def check_oracle_trials(rec) -> _Table | TrialResult:
     tol = rec.config.tolerances
     theta, angle = rec.config.theta_grid, rec.config.angle_grid
     x, y = rec.x, rec.y
@@ -690,17 +766,17 @@ def _run_check(theorem: str, trial: Trial) -> TrialResult:
         return _result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
 
 
-def _check_group(theorem: str, group: TrialGroup) -> list:
-    """theorem's result of each trial of group, in order.
+def _check_group(theorem: str, group: TrialGroup, idx: list) -> list:
+    """theorem's results of group's trials, idx their positions, as (positions, _Table) pairs.
 
     A broken trial makes the group's check raise, and the group is then
     checked one trial at a time: exactly its broken trials become
     invalid_instance, and the others keep their results.
     """
     try:
-        return CHECKS[theorem](group)
+        return [(idx, CHECKS[theorem](group))]
     except _BROKEN_INPUT:
-        return [_run_check(theorem, trial) for trial in group.pairs]
+        return _tables([_run_check(theorem, trial) for trial in group.pairs], idx)
 
 
 def params_from_config(config: TrialConfig) -> dict:
@@ -797,30 +873,30 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     The instances are checked in groups of one codomain dimension, each
     holding at most GROUP_SAMPLE_BYTES of lambda-grid samples; each suite
     checks a group once, and the group, with its trials' values and
-    samples, is dropped before the next is built.
+    samples, is dropped before the next is built. Each suite then folds
+    the chunk's tables at once.
     """
-    results = {suite.name: [_GENERATION_FAILED] * len(chunk) for suite in suites}
-    by_dim = {}
+    by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
-        if inst is not None:
+        if inst is None:
+            gave_up.append(i)
+        else:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
-    groups = []
+    parts = {suite.name: _tables([_GENERATION_FAILED] * len(gave_up), gave_up)
+             for suite in suites}
     for n, idx in by_dim.items():
         # one trial's samples are (n, 2 * lambda_count) floats
         size = max(1, GROUP_SAMPLE_BYTES // (n * 2 * config.lambda_count * 8))
-        groups += [idx[lo:lo + size] for lo in range(0, len(idx), size)]
-    for idx in groups:
-        group = TrialGroup([Trial(chunk[i], config) for i in idx], config)
-        for suite in suites:
-            for i, res in zip(idx, _check_group(suite.name, group)):
-                results[suite.name][i] = res
+        for lo in range(0, len(idx), size):
+            group = TrialGroup([Trial(chunk[i], config) for i in idx[lo:lo + size]], config)
+            for suite in suites:
+                parts[suite.name] += _check_group(suite.name, group, idx[lo:lo + size])
     for suite in suites:
-        for inst, res in zip(chunk, results[suite.name]):
-            suite.add(inst, res)
+        suite.fold(chunk, parts[suite.name])
 
 
 class _SuiteFold:
-    """One suite's report entry, folded one (instance, result) pair at a time.
+    """One suite's report entry, folded one list of instances and their result tables at a time.
 
     A None instance (generation gave up) is a failure with no
     counterexample. The worst trial is the first of the highest ratio,
@@ -834,17 +910,45 @@ class _SuiteFold:
         self.status, self.counts, self.residual_max, self.kept = Counter(), Counter(), {}, []
         self.worst = None  # (ratio, result, instance dict)
 
-    def add(self, inst, res: TrialResult) -> None:
-        self.status[res.status] += 1
-        self.counts.update(res.tags)
-        for k, v in res.residuals.items():
-            self.residual_max[k] = max(self.residual_max.get(k, 0.0), v, key=_nan_first)
-        # the largest residual in units of its own tolerance
-        ratio = max([v / res.tols[k] for k, v in res.residuals.items()] or [0.0], key=_nan_first)
-        if self.worst is None or _nan_first(ratio) > _nan_first(self.worst[0]):
-            self.worst = ratio, res, inst.to_dict() if inst is not None else None
-        if res.status == "fail" and inst is not None and len(self.kept) < MAX_COUNTEREXAMPLES:
-            self.kept.append(counterexample(self.name, res, inst, self.params))
+    def fold(self, insts: list, parts: list) -> None:
+        """Fold the results of insts, in their order.
+
+        parts are (positions, table) pairs that cover the positions of
+        insts once each: the table's rows are the results of the instances
+        at its positions, a list. A TrialResult is built only for a trial
+        the entry keeps.
+        """
+        ratio = np.empty(len(insts))
+        failing = np.empty(len(insts), dtype=bool)
+        for pos, t in parts:
+            res = t.residuals
+            failed = (~(res <= t.tols)).any(axis=1)  # NaN residuals fail
+            fails, borderline = int(failed.sum()), int((t.borderline & ~failed).sum())
+            self.status.update({"fail": fails, "borderline": borderline,
+                                "pass": len(pos) - fails - borderline})
+            for column in t.tags:
+                self.counts.update(column)
+            for k, v in zip(t.names, res.max(axis=0).tolist()):
+                self.residual_max[k] = max(self.residual_max.get(k, 0.0), v, key=_nan_first)
+            # the largest residual in units of its own tolerance, the first
+            # of the checks' order (a NaN before any number)
+            q = res / t.tols
+            ratio[pos] = q[np.arange(len(pos)), q.argmax(axis=1)]
+            failing[pos] = failed
+
+        def result(p: int) -> TrialResult:
+            pos, t = next((pos, t) for pos, t in parts if p in pos)
+            return t.row(pos.index(p))
+
+        p = int(ratio.argmax())  # the first NaN, or the first highest ratio
+        if self.worst is None or _nan_first(ratio[p]) > _nan_first(self.worst[0]):
+            inst = insts[p]
+            self.worst = ratio[p].item(), result(p), inst.to_dict() if inst is not None else None
+        for p in np.flatnonzero(failing).tolist():
+            if len(self.kept) == MAX_COUNTEREXAMPLES:
+                break
+            if insts[p] is not None:
+                self.kept.append(counterexample(self.name, result(p), insts[p], self.params))
 
     def entry(self) -> dict:
         ratio, res, inst = self.worst
@@ -856,7 +960,7 @@ class _SuiteFold:
             "borderline": status["borderline"],
             "max_residual": max(self.residual_max.values(), default=0.0, key=_nan_first),
             "residuals": self.residual_max,
-            "counts": dict(self.counts),
+            "counts": {tag: n for tag, n in self.counts.items() if tag is not None},
             "worst_instance": {"ratio": ratio, "residuals": dict(res.residuals),
                                "failed": list(res.failed), "instance": inst},
             "counterexamples": self.kept,
@@ -885,10 +989,14 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
         selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
         for chunk in _chunks(config, purpose):
             _check_chunk(chunk, selected, config)
+        results = {suite.name: [] for suite in selected}
         for inst in injected:
             trial = Trial(inst, config)
             for suite in selected:
-                suite.add(inst, _run_check(suite.name, trial))
+                results[suite.name].append(_run_check(suite.name, trial))
+        if injected:
+            for suite in selected:
+                suite.fold(list(injected), _tables(results[suite.name], range(len(injected))))
     return VerificationReport(config=asdict(config),
                               theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)

@@ -144,6 +144,17 @@ def test_generate_positive_log_range():
         assert np.max(mags) <= SMALL.log_entry_hi
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 10**6), n=st.integers(1, 64))
+def test_positive_log_signs_draw_what_rng_choice_draws(seed, trial, n):
+    # generation indexes harness._SIGNS with rng.integers(0, 2, n) in place
+    # of rng.choice([-1.0, 1.0], n): the same signs, and the same stream after
+    indexed, chosen = (np.random.default_rng((seed, trial)) for _ in range(2))
+    assert harness._SIGNS[indexed.integers(0, 2, n)].tobytes() == chosen.choice(
+        [-1.0, 1.0], n).tobytes()
+    assert indexed.random() == chosen.random()
+
+
 def test_generate_orthogonal_pairs():
     for i in range(100):
         inst = generate_instance(SMALL, i, "orthogonal")
@@ -692,7 +703,15 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # check) and one lambda-grid sampling, which its six suites share;
     # each orthogonal trial adds the 4 T-values of pythagoras and, at this
     # seed, one T-value of generation's orthogonality check; the axioms
-    # suite evaluates its 11 stacked pairs in one batch per generic trial
+    # suite evaluates its 11 stacked pairs in one batch per PSD family and
+    # in one per group for its multiplication sips, whose residuals depend
+    # on n alone: the 50 trials are one chunk, and each codomain dimension
+    # one group (at most 14 trials, under the 16 of n = 4's sample budget)
+    config = TrialConfig(trials=50, seed=3)
+    insts = [generate_instance(config, i) for i in range(config.trials)]
+    psd = sum(inst.kind == "psd_family" for inst in insts)
+    mult_groups = len({inst.sip.codomain_dim for inst in insts if inst.kind == "multiplication"})
+    assert (psd, mult_groups) == (20, 4)
     calls = {"eval": 0, "eval_batch": 0, "quadratic": 0}
     for cls in (PsdFamilySip, MultiplicationSip):
         for name in calls:
@@ -700,8 +719,8 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
-    run_suite(TrialConfig(trials=50, seed=3))
-    assert calls == {"eval": 750, "eval_batch": 50, "quadratic": 50}
+    run_suite(config)
+    assert calls == {"eval": 750, "eval_batch": psd + mult_groups, "quadratic": 50}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):

@@ -2,12 +2,14 @@
 
 run_suite checks a chunk's trials in groups of one codomain dimension
 (harness.TrialGroup), computing every residual on the stacked values as a
-(k,) array; replay and shrink check one Trial at a time. Each suite must
-give every trial of a group the residual bits, status, failed list and
-tags it gets alone. The groups mix sip kinds and domain dimensions, and
-hold signed zeros, magnitudes 2^+-300 and 2^+-520 (whose overflow gives
-NaN residuals and broken-input errors), colinear and near-colinear
-(borderline) pairs and orthogonal pairs. The oracle suite stacks x and
+(k,) array, and a group's check gives its results as one table, a row per
+trial; replay and shrink check one Trial at a time. Each suite must give
+every trial of a group, in its row of the table, the residual bits,
+status, failed list and tags it gets alone as a TrialResult. The groups
+mix sip kinds and domain dimensions, and hold signed zeros, magnitudes
+2^+-300 and 2^+-520 (whose overflow gives NaN residuals and broken-input
+errors), colinear and near-colinear (borderline) pairs and orthogonal
+pairs. The oracle suite stacks x and
 y themselves, so a group of mixed domains has no stack there: its check
 raises DimensionMismatch, and harness._check_group checks the trials one
 at a time (run_suite never builds such a group, as the oracle's recipe
@@ -39,7 +41,14 @@ from riesz_sip.harness import (
     TrialGroup,
     generate_instance,
 )
-from riesz_sip.lattice import DimensionMismatch, _nan_first, fold
+from riesz_sip.lattice import (
+    DimensionMismatch,
+    _nan_first,
+    as_lattice_vector,
+    fold,
+    rel_residual,
+)
+from riesz_sip.means import _box_plus, _box_times
 from riesz_sip.sip import MultiplicationSip, NoNontrivialOrthogonal, PsdFamilySip, orthogonal_sample
 
 CONFIG = TrialConfig(trials=1, seed=9)
@@ -111,6 +120,23 @@ def _scalar_fold(a, b):
     return max(a, b, key=_nan_first)
 
 
+def rows(table) -> list:
+    """The TrialResult of each row of a group check's table."""
+    k = len(table.residuals)
+    assert table.residuals.shape == (k, len(table.names))
+    assert table.borderline.shape == (k,) and all(len(column) == k for column in table.tags)
+    return [table.row(i) for i in range(k)]
+
+
+def checked(suite: str, group) -> list:
+    """harness._check_group's results of the group's trials, in order, each given once."""
+    parts = harness._check_group(suite, group, list(range(len(group.pairs))))
+    at = {i: r for pos, table in parts for i, r in zip(pos, rows(table))}
+    assert sorted(at) == list(range(len(group.pairs)))
+    assert sum(len(pos) for pos, _ in parts) == len(group.pairs)
+    return [at[i] for i in range(len(group.pairs))]
+
+
 def alone(suite: str, insts) -> list:
     """Each instance checked as a Trial, every fold the scalar NaN-first max."""
     with mock.patch.object(lattice, "fold", _scalar_fold), \
@@ -130,17 +156,17 @@ def test_a_group_gives_each_trial_its_result_alone(suite, data):
         expected = [_summary(r) for r in alone(suite, insts)]
         if any(failed == ("invalid_instance",) for _, failed, _, _ in expected):
             # a broken trial: the group is checked again one trial at a time
-            got = harness._check_group(suite, group)
+            got = checked(suite, group)
         elif suite == "oracle" and len({inst.sip.domain_dim for inst in insts}) > 1:
             # the oracle suite stacks x and y, which have no stack across
             # domains: the group's check raises, and its trials are
             # checked one at a time
             with pytest.raises(DimensionMismatch):
                 CHECKS[suite](group)
-            got = harness._check_group(suite, group)
+            got = checked(suite, group)
         else:
             # no trial is broken, so the group's check must not raise
-            got = CHECKS[suite](group)
+            got = rows(CHECKS[suite](group))
     assert [_summary(r) for r in got] == expected
 
 
@@ -173,11 +199,88 @@ def test_a_broken_trial_fails_alone_in_its_group(suite, broken):
     insts = valid[:3] + [inst] + valid[3:]
     group = TrialGroup([Trial(i, CONFIG) for i in insts], CONFIG)
     with np.errstate(all="ignore"):
-        got = [_summary(r) for r in harness._check_group(suite, group)]
+        got = [_summary(r) for r in checked(suite, group)]
         expected = [_summary(r) for r in alone(suite, insts)]
     assert got == expected
     assert [status == "fail" for status, _, _, _ in got] == [
         i == 3 and suite in fails for i in range(len(insts))]
+
+
+def means_loop(rec) -> tuple:
+    """(biadditivity, homogeneity) of the means suite, one geometric mean per call.
+
+    The check before its 14 means were stacked into one call, kept as the
+    reference: each residual folded into the last, the homogeneity
+    residuals starting from 0.0.
+    """
+    x, y = rec.x, rec.y
+    a, b = np.abs(x), np.abs(y)
+    c = rec.each(lambda t: as_lattice_vector(t.inst.u, t.x.size))
+    floor = rec.config.tolerances.abs
+    biadd = rel_residual(_box_times(a + b, c, floor),
+                         _box_plus(_box_times(a, c, floor), _box_times(b, c, floor)),
+                         floor=floor)
+    hom = 0.0
+    ab = _box_times(a, b, floor)
+    for lam in (0.0, 0.5, 1.0, 4.0, a[..., :1]):
+        ref = np.sqrt(lam) * ab
+        hom = fold(fold(hom, rel_residual(_box_times(lam * a, b, floor), ref, floor=floor)),
+                   rel_residual(_box_times(a, lam * b, floor), ref, floor=floor))
+    return biadd, hom
+
+
+def _means_bits(rec) -> list:
+    """The means suite's residual bits of each trial of rec, or "broken" if it raises as such."""
+    try:
+        res = CHECKS["means"](rec)
+    except harness._BROKEN_INPUT:
+        return "broken"
+    if isinstance(rec, TrialGroup):
+        return [[_bits(v) for v in row] for row in res.residuals.tolist()]
+    return [[_bits(res.residuals["biadditivity"]), _bits(res.residuals["homogeneity"])]]
+
+
+def _means_loop_bits(rec) -> list:
+    try:
+        biadd, hom = means_loop(rec)
+    except harness._BROKEN_INPUT:
+        return "broken"
+    return [[_bits(b), _bits(h)] for b, h in zip(np.atleast_1d(biadd).tolist(),
+                                                  np.atleast_1d(hom).tolist())]
+
+
+def _check_means_against_the_loop(insts):
+    """The means suite's residuals of each trial alone and of the group are the loop's."""
+    def group():
+        return TrialGroup([Trial(inst, CONFIG) for inst in insts], CONFIG)
+
+    with np.errstate(all="ignore"):
+        for inst in insts:
+            assert _means_bits(Trial(inst, CONFIG)) == _means_loop_bits(Trial(inst, CONFIG))
+        assert _means_bits(group()) == _means_loop_bits(group())
+
+
+@SETTINGS
+@given(data=st.data())
+def test_means_in_one_call_is_the_loop_of_means(data):
+    _check_means_against_the_loop(data.draw(groups("means")))
+
+
+@pytest.mark.parametrize("broken", [
+    # a negative weight: c leaves the positive cone
+    Instance(MultiplicationSip(2), np.array([1.0, -1.0]), np.array([1.0, 2.0]),
+             np.array([2.0, 1.0])),
+    # a + b stays finite, but x_0 * a overflows
+    Instance(MultiplicationSip(2), np.array([1.0, 2.0]), np.array([1e200, 1.0]),
+             np.array([1.0, 1.0])),
+])
+def test_means_in_one_call_raises_where_the_loop_raises(broken):
+    valid = _valid("means", 3)
+    _check_means_against_the_loop([broken])
+    _check_means_against_the_loop(valid[:1] + [broken] + valid[1:])
+    with np.errstate(all="ignore"):
+        assert _summary(harness._run_check("means", Trial(broken, CONFIG)))[1] == (
+            "invalid_instance",)
 
 
 @SETTINGS
