@@ -24,16 +24,17 @@ TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
 dimension (GROUP_SAMPLE_BYTES caps a group's lambda-grid samples), runs
 every selected suite of the recipe once per group, folds the chunk's
 results into each suite's report entry in trial order, and drops the
-chunk before generating the next. A group's check gives its results as
-one table, a row of residuals per trial, and each suite folds a chunk's
-tables at once, building a TrialResult only for a trial its entry keeps
-(the worst instance, the counterexamples). The suites of a group share
-its record, so each T-value and the lambda-grid sampling are evaluated
-once per trial, and at most one chunk of generated instances is alive.
-A group with a broken trial is checked again one trial at a time, and
-its results are tabled by their checks. replay_counterexample and
-shrink check one Trial, a group of one, whose check gives one
-TrialResult, and build a fresh record for every check they run.
+chunk before generating the next. The suites of a group share its
+record, so each T-value and the lambda-grid sampling are evaluated once
+per trial, and at most one chunk of generated instances is alive. Every
+check gives one table (_Table), a row of residuals per trial. A Trial's
+check, as for an injected trial or each trial of a group with a broken
+trial, gives one row, a broken trial the one-row invalid_instance table
+and one whose generation gave up the one-row generation table. Each
+suite folds a chunk's tables at once, building a TrialResult, a table's
+row, only for a trial its entry keeps (the worst instance, the
+counterexamples); replay_counterexample and shrink read one Trial's row
+and build a fresh record for every check they run.
 
 Suite names:
 
@@ -58,8 +59,10 @@ import numbers
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
-from itertools import islice
+from functools import cache, cached_property
+from itertools import compress, islice
+from operator import le, not_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -445,23 +448,12 @@ def generate_instance(config: TrialConfig, trial_index: int,
     raise ConfigError(f"unknown generation purpose: {purpose!r}")
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     status: str  # pass | fail | borderline
     residuals: dict
     tols: dict
     failed: tuple
     tags: tuple = ()
-
-
-def _result(residuals: dict, tols: dict, borderline: bool = False,
-            tags: tuple = ()) -> TrialResult:
-    """TrialResult of {check name: residual} under {check name: tolerance}."""
-    # not (v <= tol) instead of v > tol so NaN residuals count as failures
-    failed = tuple(sorted(k for k, v in residuals.items() if not v <= tols[k]))
-    status = "fail" if failed else ("borderline" if borderline else "pass")
-    return TrialResult(status=status, residuals=residuals, tols=tols,
-                       failed=failed, tags=tags)
 
 
 def _column(values, k: int) -> list:
@@ -472,76 +464,54 @@ def _column(values, k: int) -> list:
     return values.tolist() if values.ndim else [values.item()] * k
 
 
-@dataclass(frozen=True, eq=False)
 class _Table:
-    """The results of k trials under one check, as columns: what a group's check gives.
+    """The results of k trials under one check, as columns: what every check gives.
 
     names are the check names, in the check's order, and tols their
     tolerances; residuals is a (k, len(names)) float64 array, one row per
-    trial; borderline a (k,) bool array; tags a tuple of tag columns, each
-    a list of k values, a None being no tag. Row i is the TrialResult of
-    trial i (row).
+    trial, and rows the same as lists; borderline a list of k bools; tags
+    a tuple of tag columns, each a list of k values, a None being no tag.
+    A Trial's check gives a table of one row. passed and status, which row
+    and the report fold read, are the one statement of which trials pass;
+    row(i), the only builder of a TrialResult, is trial i's result.
     """
 
-    names: tuple
-    tols: np.ndarray
-    residuals: np.ndarray
-    borderline: np.ndarray
-    tags: tuple = ()
+    def __init__(self, names: tuple, tols: tuple, residuals: np.ndarray, borderline: list,
+                 tags: tuple = ()):
+        self.names, self.tols, self.residuals = names, tols, residuals
+        self.borderline, self.tags = borderline, tags
+        self.rows = residuals.tolist()
+        # v <= tol, not v > tol, so that a NaN residual fails
+        self.passed = [list(map(le, row, tols)) for row in self.rows]
+        self.status = ["fail" if not all(passed) else "borderline" if border else "pass"
+                       for passed, border in zip(self.passed, borderline)]
 
     def row(self, i: int) -> TrialResult:
-        return _result(dict(zip(self.names, self.residuals[i].tolist())),
-                       dict(zip(self.names, self.tols.tolist())), bool(self.borderline[i]),
-                       tuple(t[i] for t in self.tags if t[i] is not None))
-
-    @classmethod
-    def of(cls, results: list) -> "_Table":
-        """The table of TrialResults of the same checks, a row each, in order.
-
-        A result's tags fill the first of the tag columns, and None the rest.
-        """
-        names = tuple(results[0].residuals)
-        width = max(len(res.tags) for res in results)
-        return cls(names, np.array([results[0].tols[k] for k in names]),
-                   np.array([list(res.residuals.values()) for res in results], dtype=np.float64),
-                   np.array([res.status == "borderline" for res in results]),
-                   tuple([res.tags[j] if j < len(res.tags) else None for res in results]
-                         for j in range(width)))
+        names = self.names
+        return TrialResult(self.status[i], dict(zip(names, self.rows[i])),
+                           dict(zip(names, self.tols)),
+                           tuple(sorted(compress(names, map(not_, self.passed[i])))),
+                           tuple([t[i] for t in self.tags if t[i] is not None]))
 
 
-def _tables(results: list, positions: list) -> list:
-    """(positions, _Table) pairs of the results of the trials at positions, a table per check set.
+def _results(rec, checks: dict, borderline=False, tags: tuple = ()) -> _Table:
+    """The _Table of rec's k trials (k = 1 for a Trial), from {check name: (residuals, tolerance)}.
 
-    The trials checked one at a time (a broken group's, injected ones) and
-    those whose generation gave up are folded through it.
+    Each check's residuals hold one value per trial (a (k,) array or a
+    list, or a scalar for a Trial); borderline and each tag column hold
+    one per trial or one for every trial, a None tag being no tag.
     """
-    by_checks = {}
-    for i, res in zip(positions, results):
-        by_checks.setdefault(tuple(res.residuals), []).append((i, res))
-    return [([i for i, _ in rows], _Table.of([res for _, res in rows]))
-            for rows in by_checks.values()]
+    k = len(rec.pairs)
+    values, tols = zip(*checks.values())
+    return _Table(tuple(checks), tols,
+                  np.array(values, dtype=np.float64).reshape(len(checks), k).T,
+                  _column(borderline, k), tuple(_column(t, k) for t in tags))
 
 
-def _results(rec, checks: dict, borderline=False, tags: tuple = ()):
-    """The results of rec's trials, from {check name: (residuals, tolerance)}.
-
-    Residuals, borderline and each tag column hold one value per trial (a
-    (k,) array or a list) or one for every trial; a None tag is no tag.
-    A group's check gives the _Table of its trials, and a Trial's check
-    its one TrialResult.
-    """
-    if isinstance(rec, TrialGroup):
-        k = len(rec.pairs)
-        residuals = np.empty((k, len(checks)))
-        for j, (values, _) in enumerate(checks.values()):
-            residuals[:, j] = values
-        return _Table(tuple(checks), np.array([tol for _, tol in checks.values()]), residuals,
-                      np.full(k, borderline, dtype=bool),
-                      tuple(_column(t, k) for t in tags))
-    tols = {name: tol for name, (_, tol) in checks.items()}
-    tag_row = (_column(t, 1)[0] for t in tags)
-    return _result({name: _column(v, 1)[0] for name, (v, _) in checks.items()}, tols,
-                   _column(borderline, 1)[0], tuple(t for t in tag_row if t is not None))
+@cache
+def _unchecked(name: str) -> _Table:
+    """The one-row table, one per name, of a trial that could not be checked: name fails."""
+    return _Table((name,), (BICOND_TOL,), np.ones((1, 1)), [False])
 
 
 def _mismatch(borderline, agreed):
@@ -563,7 +533,7 @@ class Trial(Gram):
     A value that raises is not kept (cached_property), so every suite
     raises on exactly the values it reads, as it would alone. A check
     reads a Trial as the group of one trial: its values have no trial
-    axis, and the check gives one result.
+    axis, and the check gives a table of one row.
     """
 
     def __init__(self, inst: Instance, config: TrialConfig):
@@ -594,11 +564,11 @@ class TrialGroup(GramStack):
         self.config = config
 
 
-# The checks. Each reads a TrialGroup or a Trial and gives the results of
+# The checks. Each reads a TrialGroup or a Trial and gives the table of
 # its trials (_results): the library computes the residuals on the
 # stacked values, and a check only maps them to tolerances.
 
-def check_axioms_trials(rec) -> _Table | TrialResult:
+def check_axioms_trials(rec) -> _Table:
     tol = rec.config.tolerances
 
     def axioms(T):
@@ -615,7 +585,7 @@ def check_axioms_trials(rec) -> _Table | TrialResult:
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_cs_trials(rec) -> _Table | TrialResult:
+def check_cs_trials(rec) -> _Table:
     tol = rec.config.tolerances
     chk = cs_verdict(rec, band=tol.cone_band, floor=tol.abs)
     grid = rec.config.lambda_grid
@@ -630,7 +600,7 @@ def check_cs_trials(rec) -> _Table | TrialResult:
     }, borderline=chk.borderline, tags=(_branch(chk.equality_holds),))
 
 
-def check_means_trials(rec) -> _Table | TrialResult:
+def check_means_trials(rec) -> _Table:
     # The suite states identities of the means on the validated x, y and
     # on u as a vector of their lattice, not the weight of T's codomain;
     # the kernel still catches a + b or lam*a overflowing.
@@ -657,7 +627,7 @@ def check_means_trials(rec) -> _Table | TrialResult:
                           "homogeneity": (hom, MEANS_REL_TOL)})
 
 
-def check_vsn_trials(rec) -> _Table | TrialResult:
+def check_vsn_trials(rec) -> _Table:
     tol = rec.config.tolerances
     tols = {"positivity": tol.rel, "homogeneity": tol.rel, "triangle": tol.rel,
             "square": SQUARE_REL_TOL}
@@ -665,7 +635,7 @@ def check_vsn_trials(rec) -> _Table | TrialResult:
     return _results(rec, {k: (v, tols[k]) for k, v in residuals.items()})
 
 
-def check_sharp_trials(rec) -> _Table | TrialResult:
+def check_sharp_trials(rec) -> _Table:
     tol = rec.config.tolerances
     st = sharp_verdict(rec, band=tol.cone_band, floor=tol.abs)
     grid = rec.config.lambda_grid
@@ -680,7 +650,7 @@ def check_sharp_trials(rec) -> _Table | TrialResult:
     }, borderline=st.borderline, tags=(_branch(st.equality_holds),))
 
 
-def check_additivity_trials(rec) -> _Table | TrialResult:
+def check_additivity_trials(rec) -> _Table:
     tol = rec.config.tolerances
     ac = additivity_verdict(rec, band=tol.cone_band, floor=tol.abs)
     agreed = ac.additive == (ac.condition_pos & ac.condition_defect_zero)
@@ -693,7 +663,7 @@ def check_additivity_trials(rec) -> _Table | TrialResult:
                     borderline=ac.borderline, tags=tags)
 
 
-def check_pythagoras_trials(rec) -> _Table | TrialResult:
+def check_pythagoras_trials(rec) -> _Table:
     tol = rec.config.tolerances
     # The identity is only asserted, and its seminorms only evaluated,
     # where the orthogonality hypothesis holds (NaN included); u is read
@@ -706,14 +676,14 @@ def check_pythagoras_trials(rec) -> _Table | TrialResult:
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_parallelogram_trials(rec) -> _Table | TrialResult:
+def check_parallelogram_trials(rec) -> _Table:
     tol = rec.config.tolerances
     sides = parallelogram_sides(rec)
     return _results(rec, {"identity": (rel_residual(*sides, floor=tol.abs), tol.rel)},
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
-def check_oracle_trials(rec) -> _Table | TrialResult:
+def check_oracle_trials(rec) -> _Table:
     tol = rec.config.tolerances
     theta, angle = rec.config.theta_grid, rec.config.angle_grid
     x, y = rec.x, rec.y
@@ -749,21 +719,21 @@ CHECKS = {
 _BROKEN_INPUT = (DimensionMismatch, NotInPositiveCone, NonFinite)
 
 
-def _run_check(theorem: str, trial: Trial) -> TrialResult:
-    """theorem's check of one trial; the one place that rejects an unknown check name.
-
-    A check reads a Trial as the group of one trial, by the code that
-    checks a group.
-    """
-    check = CHECKS.get(theorem)
-    if check is None:
-        raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
+def _check_trial(theorem: str, trial: Trial) -> _Table:
+    """theorem's one-row table of one trial, read as the group of one trial."""
     try:
-        return check(trial)
+        return CHECKS[theorem](trial)
     except _BROKEN_INPUT:
         # Broken instance (fault injection): counted as a failure, never
         # silently skipped. Any other exception is a fault and propagates.
-        return _result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
+        return _unchecked("invalid_instance")
+
+
+def _run_check(theorem: str, trial: Trial) -> TrialResult:
+    """theorem's result of one trial; the one place that rejects an unknown check name."""
+    if theorem not in CHECKS:
+        raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
+    return _check_trial(theorem, trial).row(0)
 
 
 def _check_group(theorem: str, group: TrialGroup, idx: list) -> list:
@@ -776,7 +746,7 @@ def _check_group(theorem: str, group: TrialGroup, idx: list) -> list:
     try:
         return [(idx, CHECKS[theorem](group))]
     except _BROKEN_INPUT:
-        return _tables([_run_check(theorem, trial) for trial in group.pairs], idx)
+        return [([i], _check_trial(theorem, trial)) for i, trial in zip(idx, group.pairs)]
 
 
 def params_from_config(config: TrialConfig) -> dict:
@@ -864,9 +834,6 @@ def _chunks(config: TrialConfig, purpose: str):
         yield chunk
 
 
-_GENERATION_FAILED = _result({"generation": 1.0}, {"generation": BICOND_TOL})
-
-
 def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
@@ -882,8 +849,7 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
             gave_up.append(i)
         else:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
-    parts = {suite.name: _tables([_GENERATION_FAILED] * len(gave_up), gave_up)
-             for suite in suites}
+    parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
     for n, idx in by_dim.items():
         # one trial's samples are (n, 2 * lambda_count) floats
         size = max(1, GROUP_SAMPLE_BYTES // (n * 2 * config.lambda_count * 8))
@@ -915,17 +881,15 @@ class _SuiteFold:
 
         parts are (positions, table) pairs that cover the positions of
         insts once each: the table's rows are the results of the instances
-        at its positions, a list. A TrialResult is built only for a trial
-        the entry keeps.
+        at its positions, a list (a one-row table for a trial checked
+        alone). Each trial counts under its row's status, and a
+        TrialResult is built only for a trial the entry keeps.
         """
         ratio = np.empty(len(insts))
         failing = np.empty(len(insts), dtype=bool)
         for pos, t in parts:
             res = t.residuals
-            failed = (~(res <= t.tols)).any(axis=1)  # NaN residuals fail
-            fails, borderline = int(failed.sum()), int((t.borderline & ~failed).sum())
-            self.status.update({"fail": fails, "borderline": borderline,
-                                "pass": len(pos) - fails - borderline})
+            self.status.update(t.status)
             for column in t.tags:
                 self.counts.update(column)
             for k, v in zip(t.names, res.max(axis=0).tolist()):
@@ -934,7 +898,7 @@ class _SuiteFold:
             # of the checks' order (a NaN before any number)
             q = res / t.tols
             ratio[pos] = q[np.arange(len(pos)), q.argmax(axis=1)]
-            failing[pos] = failed
+            failing[pos] = [status == "fail" for status in t.status]
 
         def result(p: int) -> TrialResult:
             pos, t = next((pos, t) for pos, t in parts if p in pos)
@@ -989,14 +953,14 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
         selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
         for chunk in _chunks(config, purpose):
             _check_chunk(chunk, selected, config)
-        results = {suite.name: [] for suite in selected}
-        for inst in injected:
+        parts = {suite.name: [] for suite in selected}
+        for i, inst in enumerate(injected):
             trial = Trial(inst, config)
             for suite in selected:
-                results[suite.name].append(_run_check(suite.name, trial))
+                parts[suite.name].append(([i], _check_trial(suite.name, trial)))
         if injected:
             for suite in selected:
-                suite.fold(list(injected), _tables(results[suite.name], range(len(injected))))
+                suite.fold(list(injected), parts[suite.name])
     return VerificationReport(config=asdict(config),
                               theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)

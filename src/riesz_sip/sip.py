@@ -96,11 +96,11 @@ class MultiplicationSip:
     def codomain_dim(self) -> int:
         return self.dim
 
-    def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return X * Y
-
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x * y
+
+    # Stacked pairs multiply as one pair does.
+    eval_batch = eval
 
     def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
         return np.multiply(Zt, Zt, out=out)

@@ -626,7 +626,7 @@ def test_subnormal_family_keeps_its_defect_verdicts():
     # oracle then fails its sandwich on a pair whose closed form holds
     trial = Trial(_psd(_SUBNORMAL, [2e300, 1.0], [1.0, 1.0]), TrialConfig(trials=3, seed=5))
     with np.errstate(all="ignore"):
-        cs, sharp = CHECKS["cs"](trial), CHECKS["sharp"](trial)
+        cs, sharp = CHECKS["cs"](trial).row(0), CHECKS["sharp"](trial).row(0)
     assert (cs.status, cs.failed, cs.residuals["defect_sandwich"]) == ("borderline", (), 0.0)
     assert (sharp.status, sharp.failed, sharp.residuals["weighted_sandwich"]) == ("pass", (), 0.0)
 
@@ -738,5 +738,5 @@ def test_each_gram_value_is_evaluated_once(monkeypatch):
         for i in range(20):
             inst = generate_instance(SMALL, i, PURPOSES[suite])
             del calls[:]
-            assert CHECKS[suite](Trial(inst, SMALL)).status != "fail"
+            assert CHECKS[suite](Trial(inst, SMALL)).row(0).status != "fail"
             assert len(calls) == expected, suite

@@ -27,7 +27,7 @@ SCALED_ABS_TOL = 1e-12
 
 
 def _checked(suite, inst):
-    return CHECKS[suite](Trial(inst, CONFIG))
+    return CHECKS[suite](Trial(inst, CONFIG)).row(0)
 
 
 def _instances(suite):

@@ -8,10 +8,20 @@ status counts, branch counts, NaN-first residual maxima that start at
 0.0, the first trial of the highest ratio (a NaN above every number,
 -0.0 kept), and the first MAX_COUNTEREXAMPLES failing trials that have
 an instance.
+
+Every check gives a table, a Trial's check a table of one row, and a
+table's row is the only TrialResult the harness builds. reference_result
+and reference_results below are the scalar status rule and the packing
+of one trial's TrialResult that the one-row table replaced: one trial's
+result must keep their bits, and a table's row statuses must be the
+statuses the fold counts.
 """
 
 import math
+import struct
 from collections import Counter
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +33,13 @@ from riesz_sip.harness import (
     BICOND_TOL,
     MAX_COUNTEREXAMPLES,
     PURPOSES,
+    THEOREMS,
     GenerationExhausted,
     Instance,
     Trial,
     TrialConfig,
-    _result,
+    TrialResult,
+    _column,
     _run_check,
     _Table,
     counterexample,
@@ -43,6 +55,24 @@ CONFIG = TrialConfig(trials=1, seed=5)
 PARAMS = params_from_config(CONFIG)
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def reference_result(residuals: dict, tols: dict, borderline: bool = False,
+                     tags: tuple = ()) -> TrialResult:
+    """TrialResult of {check name: residual} under {check name: tolerance}, one trial alone."""
+    # not (v <= tol) instead of v > tol so NaN residuals count as failures
+    failed = tuple(sorted(k for k, v in residuals.items() if not v <= tols[k]))
+    status = "fail" if failed else ("borderline" if borderline else "pass")
+    return TrialResult(status=status, residuals=residuals, tols=tols,
+                       failed=failed, tags=tags)
+
+
+def reference_results(rec, checks: dict, borderline=False, tags: tuple = ()) -> TrialResult:
+    """A Trial's check packing its one TrialResult directly, in place of harness._results."""
+    tols = {name: tol for name, (_, tol) in checks.items()}
+    tag_row = (_column(t, 1)[0] for t in tags)
+    return reference_result({name: _column(v, 1)[0] for name, (v, _) in checks.items()}, tols,
+                            _column(borderline, 1)[0], tuple(t for t in tag_row if t is not None))
 
 
 class ReferenceFold:
@@ -90,8 +120,8 @@ TOLS = (1e-9, 2e-4, BICOND_TOL)
 VALUES = st.sampled_from([0.0, -0.0, 0.0, 5e-10, 1e-9, 2e-9, 1e-4, 4e-4, 1.0, math.nan,
                           math.inf])
 TAGS = st.sampled_from([None, "equality", "strict"])
-INVALID = _result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
-GENERATION_FAILED = _result({"generation": 1.0}, {"generation": BICOND_TOL})
+INVALID = harness._unchecked("invalid_instance").row(0)
+GENERATION_FAILED = harness._unchecked("generation").row(0)
 
 
 @st.composite
@@ -110,8 +140,15 @@ def _reference_result(row):
     if row is None:
         return INVALID
     values, borderline, tags = row
-    return _result(dict(zip(NAMES, values)), dict(zip(NAMES, TOLS)), borderline,
-                   tuple(t for t in tags if t is not None))
+    return reference_result(dict(zip(NAMES, values)), dict(zip(NAMES, TOLS)), borderline,
+                            tuple(t for t in tags if t is not None))
+
+
+def _table(rows) -> _Table:
+    """The table of rows of the three-residual check, each (values, borderline, tags)."""
+    return _Table(NAMES, TOLS, np.array([r[0] for r in rows], dtype=np.float64),
+                  [r[1] for r in rows],
+                  tuple(list(c) for c in zip(*(r[2] for r in rows))))
 
 
 def _parts(chunk, labels):
@@ -124,14 +161,11 @@ def _parts(chunk, labels):
     groups, parts = {}, []
     for i, ((inst, row), label) in enumerate(zip(chunk, labels)):
         if row is None:
-            parts.append(([i], _Table.of([INVALID])))
+            parts.append(([i], harness._unchecked("invalid_instance")))
         else:
             groups.setdefault(label, []).append(i)
     for idx in groups.values():
-        rows = [chunk[i][1] for i in idx]
-        parts.append((idx, _Table(NAMES, np.array(TOLS), np.array([r[0] for r in rows]),
-                                  np.array([r[1] for r in rows]),
-                                  tuple(list(c) for c in zip(*(r[2] for r in rows))))))
+        parts.append((idx, _table([chunk[i][1] for i in idx])))
     return parts
 
 
@@ -220,17 +254,130 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
             assert all(ce["instance"] is not None for ce in entry["counterexamples"])
 
 
-def test_a_table_of_results_gives_back_each_result():
-    # results of one check set whose tag counts differ: each result's tags
-    # fill the first tag columns, and row i is result i again
-    results = [_reference_result(([math.nan, -0.0, 1.0], True, ["strict", None])),
-               _reference_result(([0.0, 1e-4, 0.0], True, [None, None])),
-               _reference_result(([0.0, 1e-4, 0.0], False, ["equality", "strict"]))]
-    for table in (_Table.of(results), *(_Table.of([res]) for res in results)):
-        rows = [table.row(i) for i in range(len(table.residuals))]
-        expected = results if len(rows) > 1 else [r for r in results if r.tags == rows[0].tags]
-        for back, res in zip(rows, expected):
-            assert (back.status, back.failed, back.tags, back.tols, list(back.residuals)) == (
-                res.status, res.failed, res.tags, res.tols, list(res.residuals))
-            assert report_to_json(back.residuals) == report_to_json(res.residuals)
-    assert _Table.of([INVALID]).row(0) == INVALID
+def _bits(v: float) -> str:
+    return struct.pack("<d", v).hex()
+
+
+def _exact(res) -> tuple:
+    """res with each residual as its bits: -0.0 is not 0.0, and a NaN keeps its sign and payload."""
+    return (res.status, res.failed, res.tags, res.tols, list(res.residuals),
+            [_bits(v) for v in res.residuals.values()])
+
+
+def reference_check(suite: str, trial) -> TrialResult:
+    """suite's result of one trial, packed directly by reference_results."""
+    with mock.patch.object(harness, "_results", reference_results):
+        try:
+            return harness.CHECKS[suite](trial)
+        except harness._BROKEN_INPUT:
+            return reference_result({"invalid_instance": 1.0}, {"invalid_instance": BICOND_TOL})
+
+
+BROKEN_CLASSES = ("asymmetric", "negative", "shape-u", "shape-x", "shape-y", "overflow")
+
+
+def broken_instance(seed: int, cls: str) -> Instance:
+    """A deliberately broken instance of class cls, the classes of fault triage.
+
+    asymmetric: one PSD member gets an antisymmetric perturbation.
+    negative:   one member is negated, so it is negative definite.
+    shape-*:    u, x or y carries one coordinate too many.
+    overflow:   multiplication sip on R^n with x = y holding a 1e200 entry.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    if cls == "overflow":
+        x = rng.uniform(-10.0, 10.0, n)
+        x[int(rng.integers(n))] = 1e200
+        return Instance(MultiplicationSip(n), rng.uniform(0.0, 10.0, n), x, x.copy())
+    B = rng.uniform(-1.0, 1.0, (n, m, m))
+    A = np.einsum("jka,jkb->jab", B, B)
+    j = int(rng.integers(n))
+    if cls == "asymmetric":
+        N = rng.uniform(-1.0, 1.0, (m, m))
+        A[j] += N - N.T
+    elif cls == "negative":
+        A[j] = -A[j]
+    vecs = {"u": rng.uniform(0.0, 10.0, n), "x": rng.uniform(-10.0, 10.0, m),
+            "y": rng.uniform(-10.0, 10.0, m)}
+    if cls.startswith("shape-"):
+        key = cls[len("shape-"):]
+        vecs[key] = np.append(vecs[key], rng.uniform(0.0, 10.0))
+    return Instance(PsdFamilySip(A, validate=False), **vecs)
+
+
+def _one_trial_instances() -> list:
+    """Instances whose results hold every status, NaN, tags and invalid_instance.
+
+    Generated instances of every recipe; y about the borderline window of
+    the equality verdicts; x and y scaled by 2^+-300 and 2^+-520, whose
+    overflow gives NaN residuals and broken input; x of signed zeros;
+    broken instances of every class, and shrink steps of these.
+    """
+    generated = [generate_instance(CONFIG, i, recipe)
+                 for recipe in dict.fromkeys(PURPOSES.values()) for i in range(40)]
+    rng = np.random.default_rng(3)
+    near = [Instance(g.sip, g.u, g.x, g.x + 10.0 ** -rng.uniform(3.0, 4.5)
+                     * rng.uniform(-1.0, 1.0, g.x.size) * np.abs(g.x).max())
+            for g in generated[:40]]
+    scaled = [Instance(g.sip, g.u, g.x * 2.0 ** e, g.y * 2.0 ** e)
+              for g in generated[::10] for e in (-520, -300, 300, 520)]
+    zeros = [Instance(g.sip, g.u, -0.0 * g.x, g.y) for g in generated[::10]]
+    # x and y far apart in scale: the [*] minimiser leaves the theta grid
+    apart = [Instance(g.sip, g.u, g.x * 2.0 ** e, g.y) for g in generated[::10] for e in (-60, 60)]
+    broken = [broken_instance(seed, cls) for cls in BROKEN_CLASSES for seed in range(4)]
+    steps = [cand for inst in broken[::2] for cand in islice(harness._shrink_candidates(inst), 6)]
+    return generated + near + scaled + zeros + apart + broken + steps
+
+
+ONE_TRIAL = _one_trial_instances()
+
+
+def test_one_trials_result_keeps_the_bits_it_was_packed_with():
+    # _run_check reads row 0 of the trial's one-row table: residual bits,
+    # status, the sorted failed list, tags with None dropped and tols are
+    # those of the TrialResult a Trial's check packed directly
+    seen = Counter()
+    with np.errstate(all="ignore"):
+        for suite in THEOREMS:
+            for inst in ONE_TRIAL:
+                got = _run_check(suite, Trial(inst, CONFIG))
+                assert _exact(got) == _exact(reference_check(suite, Trial(inst, CONFIG))), suite
+                seen[got.status] += 1
+                seen["invalid_instance"] += got.failed == ("invalid_instance",)
+                seen["nan"] += any(math.isnan(v) for v in got.residuals.values())
+                seen["minimizer_not_covered"] += "minimizer_not_covered" in got.tags
+    assert all(seen[key] for key in ("pass", "fail", "borderline", "invalid_instance", "nan",
+                                     "minimizer_not_covered")), seen
+
+
+@pytest.mark.parametrize("one_row", [False, True])
+def test_a_rows_status_is_the_status_the_fold_counts(one_row):
+    # NaN fails; -0.0 passes and keeps its sign; a borderline trial with a
+    # failing residual fails; residuals at their tolerances pass
+    rows = [([math.nan, 0.0, 0.0], False, [None, None]),
+            ([-0.0, -0.0, 0.0], False, ["strict", None]),
+            ([5e-9, 1.0, 0.0], True, [None, "equality"]),
+            ([0.0, 1e-4, 0.0], True, [None, None]),
+            ([1e-9, 2e-4, BICOND_TOL], False, ["equality", "strict"])]
+    insts = [generate_instance(CONFIG, i) for i in range(len(rows))]
+    parts = ([([i], _table([row])) for i, row in enumerate(rows)] if one_row
+             else [(list(range(len(rows))), _table(rows))])
+    got = [table.row(pos.index(i)) for pos, table in parts for i in pos]
+    assert [_exact(res) for res in got] == [_exact(_reference_result(row)) for row in rows]
+    assert [res.status for res in got] == ["fail", "pass", "fail", "borderline", "pass"]
+    assert got[2].failed == ("gap", "identity")  # sorted, not in the checks' order
+    fold = harness._SuiteFold("cs", PARAMS)
+    with np.errstate(all="ignore"):
+        fold.fold(insts, parts)
+    entry = fold.entry()
+    assert Counter(res.status for res in got) == Counter(
+        {"pass": entry["passes"], "fail": entry["failures"], "borderline": entry["borderline"]})
+    assert [ce["failed"] for ce in entry["counterexamples"]] == [
+        list(res.failed) for res in got if res.status == "fail"]
+
+
+def test_a_trial_that_could_not_be_checked_is_a_failing_row():
+    for name in ("invalid_instance", "generation"):
+        assert _exact(harness._unchecked(name).row(0)) == _exact(
+            reference_result({name: 1.0}, {name: BICOND_TOL}))

@@ -124,7 +124,7 @@ def rows(table) -> list:
     """The TrialResult of each row of a group check's table."""
     k = len(table.residuals)
     assert table.residuals.shape == (k, len(table.names))
-    assert table.borderline.shape == (k,) and all(len(column) == k for column in table.tags)
+    assert len(table.borderline) == k and all(len(column) == k for column in table.tags)
     return [table.row(i) for i in range(k)]
 
 
@@ -232,12 +232,11 @@ def means_loop(rec) -> tuple:
 def _means_bits(rec) -> list:
     """The means suite's residual bits of each trial of rec, or "broken" if it raises as such."""
     try:
-        res = CHECKS["means"](rec)
+        table = CHECKS["means"](rec)
     except harness._BROKEN_INPUT:
         return "broken"
-    if isinstance(rec, TrialGroup):
-        return [[_bits(v) for v in row] for row in res.residuals.tolist()]
-    return [[_bits(res.residuals["biadditivity"]), _bits(res.residuals["homogeneity"])]]
+    return [[_bits(res.residuals["biadditivity"]), _bits(res.residuals["homogeneity"])]
+            for res in rows(table)]
 
 
 def _means_loop_bits(rec) -> list:
