@@ -205,7 +205,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     # found with, as replay does; flags apply to bare instances only.
     config = stored if stored is not None else _config_from_args(args, theorems=(check,))
     small, res = shrink(inst, check, config)
-    text = report_to_json(counterexample(check, res, small, params_from_config(config)))
+    text = report_to_json(counterexample(check, res, small.to_dict(), params_from_config(config)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

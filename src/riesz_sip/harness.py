@@ -212,10 +212,12 @@ class TrialConfig:
             raise ConfigError("domain dimension range must satisfy 1 <= lo <= hi <= 64")
         if not (1 <= self.n_lo <= self.n_hi <= 64):
             raise ConfigError("codomain dimension range must satisfy 1 <= lo <= hi <= 64")
-        if not (self.entry_hi > 0.0 and self.u_hi > 0.0):
-            raise ConfigError("entry ranges must be positive")
-        if not (0.0 < self.log_entry_lo < self.log_entry_hi):
-            raise ConfigError("log-uniform entry range must satisfy 0 < lo < hi")
+        # An infinite bound would reach numpy's uniform, which refuses it
+        # with a bare OverflowError.
+        if not (0.0 < self.entry_hi < math.inf and 0.0 < self.u_hi < math.inf):
+            raise ConfigError("entry ranges must be positive and finite")
+        if not (0.0 < self.log_entry_lo < self.log_entry_hi < math.inf):
+            raise ConfigError("log-uniform entry range must satisfy 0 < lo < hi < inf")
         self.tolerances.validate()
         # A count read from a counterexample's params may be any JSON number.
         if not all(isinstance(c, numbers.Integral) and c <= MAX_GRID_COUNT
@@ -755,10 +757,10 @@ def params_from_config(config: TrialConfig) -> dict:
             "grids": {k: getattr(config, k) for k in GRID_FIELDS}}
 
 
-def counterexample(theorem: str, res: TrialResult, inst: Instance, params: dict) -> dict:
-    """The replayable record of inst failing theorem's check with result res."""
+def counterexample(theorem: str, res: TrialResult, instance: dict, params: dict) -> dict:
+    """The replayable record of an instance (its to_dict) failing theorem's check as res."""
     return {"schema": REPORT_SCHEMA, "theorem": theorem, "failed": list(res.failed),
-            "residuals": dict(res.residuals), "instance": inst.to_dict(), "params": params}
+            "residuals": dict(res.residuals), "instance": instance, "params": params}
 
 
 def config_from_params(params: dict) -> TrialConfig:
@@ -841,7 +843,7 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     holding at most GROUP_SAMPLE_BYTES of lambda-grid samples; each suite
     checks a group once, and the group, with its trials' values and
     samples, is dropped before the next is built. Each suite then folds
-    the chunk's tables at once.
+    the chunk's tables at once, and the suites share one dict per instance.
     """
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
@@ -857,8 +859,9 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
             group = TrialGroup([Trial(chunk[i], config) for i in idx[lo:lo + size]], config)
             for suite in suites:
                 parts[suite.name] += _check_group(suite.name, group, idx[lo:lo + size])
+    dicts = {}
     for suite in suites:
-        suite.fold(chunk, parts[suite.name])
+        suite.fold(chunk, parts[suite.name], dicts)
 
 
 class _SuiteFold:
@@ -866,8 +869,10 @@ class _SuiteFold:
 
     A None instance (generation gave up) is a failure with no
     counterexample. The worst trial is the first of the highest ratio,
-    with NaN above every number; its instance is kept as a dict, so the
-    fold holds no instance.
+    with NaN above every number. The entry keeps an instance as its dict,
+    so the fold holds no instance. The suites that fold one list of
+    instances share one map of their dicts, so every entry of one
+    instance, in every suite, is one dict object, built once.
     """
 
     def __init__(self, name: str, params: dict):
@@ -876,15 +881,23 @@ class _SuiteFold:
         self.status, self.counts, self.residual_max, self.kept = Counter(), Counter(), {}, []
         self.worst = None  # (ratio, result, instance dict)
 
-    def fold(self, insts: list, parts: list) -> None:
+    def fold(self, insts: list, parts: list, dicts: dict | None = None) -> None:
         """Fold the results of insts, in their order.
 
         parts are (positions, table) pairs that cover the positions of
         insts once each: the table's rows are the results of the instances
         at its positions, a list (a one-row table for a trial checked
         alone). Each trial counts under its row's status, and a
-        TrialResult is built only for a trial the entry keeps.
+        TrialResult is built only for a trial the entry keeps. dicts maps
+        a position of insts to its instance's dict, built on first need.
         """
+        dicts = {} if dicts is None else dicts
+
+        def instance(p: int) -> dict:
+            if p not in dicts:
+                dicts[p] = insts[p].to_dict()
+            return dicts[p]
+
         ratio = np.empty(len(insts))
         failing = np.empty(len(insts), dtype=bool)
         for pos, t in parts:
@@ -906,13 +919,12 @@ class _SuiteFold:
 
         p = int(ratio.argmax())  # the first NaN, or the first highest ratio
         if self.worst is None or _nan_first(ratio[p]) > _nan_first(self.worst[0]):
-            inst = insts[p]
-            self.worst = ratio[p].item(), result(p), inst.to_dict() if inst is not None else None
+            self.worst = ratio[p].item(), result(p), instance(p) if insts[p] is not None else None
         for p in np.flatnonzero(failing).tolist():
             if len(self.kept) == MAX_COUNTEREXAMPLES:
                 break
             if insts[p] is not None:
-                self.kept.append(counterexample(self.name, result(p), insts[p], self.params))
+                self.kept.append(counterexample(self.name, result(p), instance(p), self.params))
 
     def entry(self) -> dict:
         ratio, res, inst = self.worst
@@ -945,10 +957,17 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     selected suite, each a group of one with its own record per recipe,
     so the reported trial count is config.trials + len(injected) per
     theorem. The report lists the suites in config.theorems order.
+
+    Each instance the report names is one dict, built once: its worst
+    instance and counterexample entries, in every suite, are that object
+    (the params too are one dict), and report_to_json writes it once. A
+    consumer that edits a report copies it first. A dict that
+    Instance.to_dict gives is new on every call, and stays the caller's.
     """
     start = time.perf_counter()
     params = params_from_config(config)
     suites = {name: _SuiteFold(name, params) for name in config.theorems}
+    injected_dicts = {}
     for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
         selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
         for chunk in _chunks(config, purpose):
@@ -960,7 +979,7 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
                 parts[suite.name].append(([i], _check_trial(suite.name, trial)))
         if injected:
             for suite in selected:
-                suite.fold(list(injected), parts[suite.name])
+                suite.fold(list(injected), parts[suite.name], injected_dicts)
     return VerificationReport(config=asdict(config),
                               theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)
@@ -1112,26 +1131,30 @@ def _json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _encode(value, indent: str) -> str:
+def _encode(value, indent: str, texts: dict) -> str:
     """json.dumps(value, sort_keys=True, indent=2) at nesting indent, for str keys.
 
-    The type tests run in json's order (str, None, bools, int, float,
-    list or tuple, dict), so subclasses encode as json encodes them; any
-    other value, or a dict with a key that is not a str, raises
-    _Unencodable.
+    A value is at most one of float, str and int, and bools are tested
+    before int and lists or tuples before dicts, as json tests them, so
+    subclasses encode as json encodes them; any other value raises
+    _Unencodable, and a dict with a key that is not a str TypeError.
+
+    texts, keyed by id, marks each dict met once (None) and keeps the
+    text of each dict met twice, with the indent it was written at; every
+    later occurrence takes that text re-indented. So a dict that occurs n
+    times is encoded twice, not n times, and one that occurs once keeps no
+    text. The text holds no newline but its own line breaks (json escapes
+    those of strings), each followed by that indent, so re-indenting is
+    one replace.
     """
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     if isinstance(value, float):
         return _json_float(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, int):
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    if value is None:
+        return "null"
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
@@ -1143,7 +1166,7 @@ def _encode(value, indent: str) -> str:
         try:
             body = sep.join(map(float.__repr__, value))
         except TypeError:
-            body = sep.join([_encode(v, inner) for v in value])
+            body = sep.join([_encode(v, inner, texts) for v in value])
         else:
             if "n" in body:  # nan or inf, which json spells NaN and Infinity
                 body = sep.join(map(_json_float, value))
@@ -1151,10 +1174,17 @@ def _encode(value, indent: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if not all(isinstance(k, str) for k in value):
-            raise _Unencodable
-        body = sep.join([_json_string(k) + ": " + _encode(value[k], inner) for k in sorted(value)])
-        return "{\n" + inner + body + "\n" + indent + "}"
+        key = id(value)
+        kept = texts.get(key)
+        if kept is not None:
+            at, text = kept
+            return text if at == indent else text.replace("\n" + at, "\n" + indent)
+        # a key that is no str fails to sort or to encode: TypeError
+        body = sep.join([f"{_json_string(k)}: {_encode(value[k], inner, texts)}"
+                         for k in sorted(value)])
+        text = "{\n" + inner + body + "\n" + indent + "}"
+        texts[key] = (indent, text) if key in texts else None
+        return text
     raise _Unencodable
 
 
@@ -1166,11 +1196,13 @@ def report_to_json(data: dict) -> str:
     byte; indent makes json run its pure-Python encoder, so the JSON that
     reports hold is written here instead, and json.dumps writes (or
     refuses) anything else, such as a non-str key, a value of another type
-    or a circular structure.
+    or a circular structure. A dict that data holds at several places, as
+    a report holds each instance's dict and the params once per entry that
+    names them, is encoded at its first two places only (see _encode).
     """
     try:
-        return _encode(data, "") + "\n"
-    except (_Unencodable, RecursionError):
+        return _encode(data, "", {}) + "\n"
+    except (_Unencodable, TypeError, RecursionError):
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 

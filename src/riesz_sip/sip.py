@@ -121,6 +121,18 @@ def _psd_path(*shapes: tuple) -> tuple:
     return tuple(np.einsum_path(_PSD_SUBSCRIPTS, *operands, optimize=True)[0])
 
 
+# 64 entries hold every domain dimension a TrialConfig allows.
+@lru_cache(maxsize=64)
+def _upper_pairs(m: int) -> tuple:
+    """The pairs (a, b) of range(m), a <= b, in np.triu_indices order, and their index arrays.
+
+    Every family of one m shares them, so they are kept, read-only.
+    """
+    a, b = np.triu_indices(m)
+    a.flags.writeable = b.flags.writeable = False
+    return tuple(zip(a.tolist(), b.tolist())), a, b
+
+
 class PsdFamilySip:
     """T(x, y)_j = x' A_j y for a family of symmetric PSD m x m matrices.
 
@@ -171,12 +183,12 @@ class PsdFamilySip:
     @cached_property
     def _pair_terms(self) -> tuple[tuple, np.ndarray]:
         """The pairs (a, b), a <= b, row-major, and their (pairs, n, 1) coefficients C_jab."""
-        a, b = np.triu_indices(self.domain_dim)
+        pairs, a, b = _upper_pairs(self.domain_dim)
         upper, lower = self.matrices[:, a, b].T, self.matrices[:, b, a].T
         # the mean of A_jab and A_jba: equal entries are kept exactly, and
         # halving before the sum cannot overflow
         coef = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
-        return tuple(zip(a.tolist(), b.tolist())), coef[:, :, None]
+        return pairs, coef[:, :, None]
 
     def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
         """T(z, z)_j = sum over the pairs a <= b of (C_jab * z_a) * z_b, for every column z of Zt.

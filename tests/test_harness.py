@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import weakref
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -107,6 +109,16 @@ def test_config_validation():
         TrialConfig(trials=3, entry_hi=1e-6, theorems=("pythagoras",))
     assert run_suite(TrialConfig(trials=3, entry_hi=0.5, theorems=("pythagoras",))).ok
     assert run_suite(TrialConfig(trials=3, entry_hi=1e-6, theorems=("cs",))).ok
+
+
+@pytest.mark.parametrize("field", ["entry_hi", "u_hi", "log_entry_lo", "log_entry_hi"])
+def test_non_finite_entry_ranges_are_config_errors(field):
+    # an infinite or NaN bound is a config error, caught before generation
+    # hands it to numpy's uniform, which refuses it with a bare OverflowError
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            run_suite(TrialConfig(trials=3, **{field: value}))
+    TrialConfig(entry_hi=1e300, u_hi=1e300, log_entry_lo=1e-300, log_entry_hi=1e300)
 
 
 def test_generate_is_deterministic():
@@ -524,8 +536,24 @@ def _json_dumps(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+@st.composite
+def _shared_values(draw):
+    """A value that holds one list or dict object at several places and depths.
+
+    The shared object may hold NaN, -0.0 and keys that json converts or
+    cannot sort, and sits at least at two depths.
+    """
+    shared = draw(st.one_of(
+        st.lists(_FLOATS, min_size=1, max_size=6),
+        st.lists(_json_values(_SCALARS), min_size=1, max_size=4),
+        st.dictionaries(st.text(), _json_values(_SCALARS), min_size=1, max_size=4),
+        st.dictionaries(_KEYS, _json_values(_SCALARS), min_size=1, max_size=3)))
+    holders = _json_values(st.one_of(_SCALARS, st.just(shared)))
+    return draw(st.lists(holders, max_size=3)) + [shared, {"at": [shared]}]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_json_values(_SCALARS))
+@given(st.one_of(_json_values(_SCALARS), _shared_values()))
 def test_report_writer_is_json_dumps_byte_for_byte(value):
     assert _outcome(report_to_json, value) == _outcome(_json_dumps, value)
 
@@ -547,6 +575,60 @@ def test_report_writer_examples():
         report_to_json(circular)
     assert report_to_json({"x": [float("nan"), -0.0, np.float64(0.1)], "e": []}) == (
         '{\n  "e": [],\n  "x": [\n    NaN,\n    -0.0,\n    0.1\n  ]\n}\n')
+
+
+def test_report_writer_writes_a_shared_subtree_as_json_dumps_does():
+    row = [float("nan"), -0.0, 1.5]
+    shared = {"m": [row, row], "x": row, "deep": {"k": [[row]]}}
+    value = {"a": shared, "b": [shared, {"c": [shared]}], "d": row, "e": [[[row]]]}
+    assert report_to_json(value) == _json_dumps(value)
+    # keys json converts, inside a shared dict
+    keys = {1: float("nan"), 2.5: -0.0}
+    assert report_to_json({"x": keys, "y": [keys]}) == _json_dumps({"x": keys, "y": [keys]})
+    with pytest.raises(TypeError):
+        report_to_json({"x": {1: 0.0, "a": -0.0}, "y": [{1: 0.0, "a": -0.0}]})
+    # a circular structure is refused as json.dumps refuses it, whether it
+    # is reached once or from several places
+    cycle = {"a": [1.0]}
+    cycle["self"] = [cycle]
+    for data in (cycle, {"x": cycle, "y": [cycle]}, [row, [row, cycle]]):
+        assert _outcome(report_to_json, data) == _outcome(_json_dumps, data) == ValueError
+
+
+def test_report_writer_keeps_text_only_for_a_repeated_dict():
+    once, twice = {"x": [1.0, 2.0]}, {"y": -0.0}
+    texts = {}
+    data = {"a": once, "b": [twice, {"c": twice}]}
+    assert harness._encode(data, "", texts) + "\n" == _json_dumps(data)
+    assert {key for key, kept in texts.items() if kept is not None} == {id(twice)}
+
+
+def test_report_holds_each_instance_once():
+    # every injected instance fails at least three suites (axioms, means,
+    # pythagoras), and some suites also name it as their worst instance
+    config = TrialConfig(seed=3, trials=5)
+    injected = (_asymmetric_instance(), _negative_instance(), _asymmetric_instance(3))
+    report = run_suite(config, injected).to_dict()
+    report["wall_time_s"] = 0.0
+    named = [ce["instance"] for e in report["theorems"].values() for ce in e["counterexamples"]]
+    named += [e["worst_instance"]["instance"] for e in report["theorems"].values()]
+    objects, times = {}, Counter()
+    for d in named:
+        key = json.dumps(d, sort_keys=True)
+        objects.setdefault(key, set()).add(id(d))
+        times[key] += 1
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert all(times[json.dumps(inst.to_dict(), sort_keys=True)] >= 3 for inst in injected)
+    text = report_to_json(report)
+    assert text == _json_dumps(report)
+    # a dict that to_dict gives is its caller's: editing it reaches no report
+    for inst in injected:
+        mine = inst.to_dict()
+        mine["x"][0], mine["m"] = 99.0, 0
+        mine.pop("matrices")
+    again = run_suite(config, injected).to_dict()
+    again["wall_time_s"] = 0.0
+    assert report_to_json(again) == text
 
 
 def test_emit_report(tmp_path):

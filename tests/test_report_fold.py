@@ -93,7 +93,7 @@ class ReferenceFold:
         if self.worst is None or _nan_first(ratio) > _nan_first(self.worst[0]):
             self.worst = ratio, res, inst.to_dict() if inst is not None else None
         if res.status == "fail" and inst is not None and len(self.kept) < MAX_COUNTEREXAMPLES:
-            self.kept.append(counterexample(self.name, res, inst, self.params))
+            self.kept.append(counterexample(self.name, res, inst.to_dict(), self.params))
 
     def entry(self) -> dict:
         ratio, res, inst = self.worst
