@@ -46,8 +46,7 @@ from .cauchy_schwarz import (
     cs_verdict,
     defect_gaps,
     defect_grid,
-    lambda_minimum,
-    lambda_samples,
+    lambda_minima,
 )
 from .seminorms import (
     AdditivityCheck,

@@ -35,31 +35,29 @@ samples the defining family by evaluating T directly on lambda*x - y over
 the +- closure of a log-spaced magnitude grid (means.LogGrid, the grid
 type of the [*] infimum), using neither bilinear expansion nor calculus.
 The grid minimum over-estimates the infimum, so grid >= closed always,
-and the gap shrinks with grid resolution. lambda_samples is the one
-sampler: it holds the T-values T(lambda*x - y, lambda*x - y), which do
-not depend on a weight, so one sampling of a pair serves both the defect
-(lambda_minimum without a weight) and the weighted defect D(x,y)*u of the
-sharpened triangle inequality (lambda_minimum with u). defect_grid is the
-unweighted defect in one call.
+and the gap shrinks with grid resolution. lambda_minima is the one pass:
+the T-values T(lambda*x - y, lambda*x - y) do not depend on a weight, so
+one pass over a pair's grid gives both the defect D(x,y) and the
+weighted defect D(x,y)*u of the sharpened triangle inequality.
+defect_grid is its unweighted defect in one call.
 
-The sampler is coordinate-major and blocked, like the mean oracles (see
+The pass is coordinate-major and blocked, like the mean oracles (see
 means): _lambda_blocks yields the S = 2G columns of the grid's +-
 closure one block at a time (means._blocks, rows max(m, n)), each
 block's difference vectors the columns of an (m, width) array built
 along contiguous rows, which T.quadratic maps to an (n, width) array of
-T-values, in buffers made once per call. lambda_samples has each block
-write its T-values straight into a trial's shared (n, S) samples;
-defect_grid divides each block in place, folds its lambda_minimum with
-np.minimum and never holds more than a block. Weighted and divided by
-|lambda| (cached on the grid), a minimum runs along contiguous rows.
-Each column's bits depend on its lambda alone, so a sample is the same
-on any grid that holds its lambda, at any block width.
+T-values, in buffers made once per call. lambda_minima weights a block
+into the spare buffer (the PSD kernel's term), divides by |lambda|
+(cached on the grid) in place and folds the row minima with np.minimum,
+so it never holds more than a block. Each column's bits depend on its
+lambda alone, and minima are exact, so the minima are the same at any
+block width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -309,55 +307,50 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
-def _lambda_blocks(g: Gram, grid: LogGrid, samples=None):
-    """(cols, T-values) per block: the columns cols of lambda_samples, in order.
+def _lambda_blocks(g: Gram, grid: LogGrid):
+    """(cols, T-values, spare) per block of the columns of grid.signed, in order.
 
-    The T-values are written to samples[:, cols] when samples, an (n, S)
-    array, is given, and otherwise to a block buffer that the next block
-    overwrites. Reads g's sip and its validated pair only, never a, b
-    or c: the oracle evaluates T on the difference vectors directly,
-    with no bilinear expansion.
+    The T-values T(lambda*x - y, lambda*x - y) of the block's lambdas are
+    an (n, width) array, and spare a block of that shape that the caller
+    may overwrite; the next block overwrites both. Reads g's sip and its
+    validated pair only, never a, b or c: the oracle evaluates T on the
+    difference vectors directly, with no bilinear expansion.
     """
     x, y, lam = g.x[:, None], g.y[:, None], grid.signed
     m, n = x.shape[0], g.T.codomain_dim
     rows = max(m, n)
     width = _block_width(rows, lam.size)
-    # z, the PSD form's term and the T-values share one allocation: three
-    # separate ones raised the peak RSS of some runs by about 2.5 MB
-    buf = np.empty((m + n + (n if samples is None else 0)) * width)
+    # z, the PSD form's term (the spare block) and the T-values share one
+    # allocation: three separate ones raised the peak RSS of some runs by
+    # about 2.5 MB
+    buf = np.empty((m + 2 * n) * width)
     z_buf, w_buf, t_buf = buf[:m * width], buf[m * width:(m + n) * width], buf[(m + n) * width:]
     for cols in _blocks(rows, lam.size):
         z = _block_view(z_buf, m, cols)
         np.multiply(x, lam[cols], out=z)
         z -= y
-        t = _block_view(t_buf, n, cols) if samples is None else samples[:, cols]
-        yield cols, g.T.quadratic(z, t, _block_view(w_buf, n, cols))
+        w = _block_view(w_buf, n, cols)
+        yield cols, g.T.quadratic(z, _block_view(t_buf, n, cols), w), w
 
 
-def lambda_samples(g: Gram, grid: LogGrid) -> np.ndarray:
-    """T(lambda*x - y, lambda*x - y) for lambda over grid.signed, as an (n, S) array.
+def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
+    """(D, D*u): componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
 
-    Column k holds the T-value at grid.signed[k].
+    t is T(lambda*x - y, lambda*x - y) of g's pair, and u a validated
+    weight; D*u is None without one. One pass over the grid folds both
+    minima block by block, so it never holds more than a block of
+    T-values. Over-estimates the infimum D(x,y), or D(x,y)*u, by
+    construction.
     """
-    samples = np.empty((g.T.codomain_dim, grid.signed.size))
-    for _ in _lambda_blocks(g, grid, samples):  # each block fills its columns
-        pass
-    return samples
-
-
-def lambda_minimum(samples: np.ndarray, grid: LogGrid, u=None,
-                   cols: slice = slice(None), out=None) -> np.ndarray:
-    """Componentwise min over the grid of samples/|lambda|, or of samples*u/|lambda|.
-
-    samples are the columns cols (all by default) of lambda_samples on
-    the same grid; u is a validated weight. The quotients go to out, an
-    array of samples' shape (samples itself when they are not read
-    again), or to a new array. Over-estimates the infimum D(x,y), or
-    D(x,y)*u, by construction.
-    """
-    if u is not None:
-        samples = np.multiply(samples, u[:, None], out=out)
-    return np.divide(samples, grid.signed_abs[cols], out=out).min(axis=1)
+    d = du = None
+    for cols, t, w in _lambda_blocks(g, grid):
+        abs_lam = grid.signed_abs[cols]
+        if u is not None:
+            low = np.divide(np.multiply(t, u[:, None], out=w), abs_lam, out=w).min(axis=1)
+            du = low if du is None else np.minimum(du, low, out=du)
+        low = np.divide(t, abs_lam, out=t).min(axis=1)
+        d = low if d is None else np.minimum(d, low, out=d)
+    return d, du
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -366,18 +359,17 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     lambda runs over grid.signed. Evaluates T on the difference vectors
     directly, with no bilinear expansion, so this oracle shares nothing
     with the closed form beyond T itself. Over-estimates the true infimum
-    by construction. Holds one block of samples at a time.
+    by construction. lambda_minima's D of the pair.
     """
-    return reduce(np.minimum, (lambda_minimum(t, grid, cols=cols, out=t)
-                               for cols, t in _lambda_blocks(Gram(T, x, y), grid)))
+    return lambda_minima(Gram(T, x, y), grid)[0]
 
 
 def defect_gaps(g: Record, sampled: np.ndarray,
                 floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     """(sandwich, gap) of the lambda-grid oracle's value sampled against the closed-form defect.
 
-    sampled is the oracle's defect of g's pair (lambda_minimum without a
-    weight, or defect_grid), or of each pair of a GramStack, stacked like
+    sampled is the oracle's defect of g's pair (lambda_minima's D, as
+    defect_grid gives it), or of each pair of a GramStack, stacked like
     its values. Normalized by the largest of |a|, |c| and both
     defect values: sandwich is the violation of grid >= closed, gap the
     worst over-estimate.

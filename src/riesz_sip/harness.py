@@ -12,7 +12,7 @@ fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
 record of trials, passes it to the library's theorem functions, and only
 maps the residuals they return to tolerances: a Trial, the lazy record of
 one instance under one config (the instance's Gram, see
-cauchy_schwarz.Gram, and its lambda-grid samples), or a TrialGroup, the
+cauchy_schwarz.Gram, and its lambda-grid minima), or a TrialGroup, the
 GramStack of k Trials whose sips share a codomain R^n, on whose stacked
 values every residual is a (k,) array with each trial's bits. The oracle
 suite stacks x and y themselves, and runs the mean oracles once on the
@@ -21,11 +21,10 @@ the domain R^m.
 
 run_suite is chunked and grouped: for each instance recipe it generates
 TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
-dimension (GROUP_SAMPLE_BYTES caps a group's lambda-grid samples), runs
-every selected suite of the recipe once per group, folds the chunk's
-results into each suite's report entry in trial order, and drops the
-chunk before generating the next. The suites of a group share its
-record, so each T-value and the lambda-grid sampling are evaluated once
+dimension, runs every selected suite of the recipe once per group, folds
+the chunk's results into each suite's report entry in trial order, and
+drops the chunk before generating the next. The suites of a group share
+its record, so each T-value and the lambda-grid pass are evaluated once
 per trial, and at most one chunk of generated instances is alive. Every
 check gives one table (_Table), a row of residuals per trial. A Trial's
 check, as for an injected trial or each trial of a group with a broken
@@ -56,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -106,8 +106,7 @@ from .cauchy_schwarz import (
     cs_verdict,
     defect_gaps,
     defect_grid,
-    lambda_minimum,
-    lambda_samples,
+    lambda_minima,
 )
 from .seminorms import (
     CHAIN_FLOOR,
@@ -149,10 +148,6 @@ MAX_GRID_COUNT = 10**6      # points per grid, so that no grid exhausts memory
 # Generated trials of a recipe held at once. run_suite checks a chunk's
 # trials in groups of one codomain dimension.
 TRIAL_CHUNK = 256
-# Bytes of lambda-grid samples a group's trials hold at most together (or
-# one trial's, when larger): each trial keeps its samples until the
-# group's last suite has run, so this caps the trials of a group.
-GROUP_SAMPLE_BYTES = 2**21
 
 
 class ConfigError(ValueError):
@@ -212,10 +207,11 @@ class TrialConfig:
             raise ConfigError("domain dimension range must satisfy 1 <= lo <= hi <= 64")
         if not (1 <= self.n_lo <= self.n_hi <= 64):
             raise ConfigError("codomain dimension range must satisfy 1 <= lo <= hi <= 64")
-        # An infinite bound would reach numpy's uniform, which refuses it
-        # with a bare OverflowError.
-        if not (0.0 < self.entry_hi < math.inf and 0.0 < self.u_hi < math.inf):
-            raise ConfigError("entry ranges must be positive and finite")
+        # numpy's uniform refuses a range of infinite width, such as
+        # (-entry_hi, entry_hi) past half the largest float, with a bare
+        # OverflowError.
+        if not (0.0 < self.entry_hi <= sys.float_info.max / 2 and 0.0 < self.u_hi < math.inf):
+            raise ConfigError("entry ranges must be positive, of finite width")
         if not (0.0 < self.log_entry_lo < self.log_entry_hi < math.inf):
             raise ConfigError("log-uniform entry range must satisfy 0 < lo < hi < inf")
         self.tolerances.validate()
@@ -439,7 +435,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
                 x[rng.choice(m, size=k, replace=False)] = 0.0
             try:
                 y = orthogonal_sample(T, x, seed=(config.seed, trial_index, attempt))
-            except NoNontrivialOrthogonal:
+            except (NoNontrivialOrthogonal, NonFinite):  # NonFinite: x'A_j overflowed
                 continue
             y = y * float(rng.uniform(0.5, config.entry_hi))
             u = rng.uniform(0.0, config.u_hi, n)
@@ -525,17 +521,21 @@ def _branch(holds):
     return np.where(holds, "equality", "strict")
 
 
+_BROKEN_INPUT = (DimensionMismatch, NotInPositiveCone, NonFinite)
+
+
 class Trial(Gram):
     """One instance under one config: the lazy record every suite of a trial reads.
 
     A Trial is the Gram of the instance's pair under its weight (x, y, u,
-    a, b, c, the defect, the seminorm values) plus the lambda-grid samples
-    T(lambda*x - y, lambda*x - y) of the defect oracles. Each value is
-    computed once, on first read, and shared by every suite that reads it.
-    A value that raises is not kept (cached_property), so every suite
-    raises on exactly the values it reads, as it would alone. A check
-    reads a Trial as the group of one trial: its values have no trial
-    axis, and the check gives a table of one row.
+    a, b, c, the defect, the seminorm values) plus the two minima of the
+    defect oracles, D and D*u, from one lambda-grid pass that keeps no
+    samples. Each value is computed once, on first read, and shared by
+    every suite that reads it. A value that raises is not kept
+    (cached_property), so every suite raises on exactly the values it
+    reads, as it would alone. A check reads a Trial as the group of one
+    trial: its values have no trial axis, and the check gives a table of
+    one row.
     """
 
     def __init__(self, inst: Instance, config: TrialConfig):
@@ -544,9 +544,17 @@ class Trial(Gram):
         self.config = config
 
     @cached_property
-    def samples(self) -> np.ndarray:
-        """lambda_samples of the pair on config.lambda_grid."""
-        return lambda_samples(self, self.config.lambda_grid)
+    def minima(self) -> tuple:
+        """lambda_minima of the pair under its weight on config.lambda_grid.
+
+        A broken weight leaves D*u None and D as it is: cs never reads u,
+        and sharp reads u first, so it raises there.
+        """
+        try:
+            u = self.u
+        except _BROKEN_INPUT:
+            u = None
+        return lambda_minima(self, self.config.lambda_grid, u)
 
 
 class TrialGroup(GramStack):
@@ -556,7 +564,7 @@ class TrialGroup(GramStack):
     and the group stacks them on first read, so a suite stacks only what
     it reads and computes every residual as a (k,) array, with each
     trial's bits; the mean oracles run once on the stacked x and y.
-    Per-trial work (PSD axiom families, lambda-grid samples) reads the
+    Per-trial work (PSD axiom families, lambda-grid minima) reads the
     trials, group.pairs; the axioms of the group's multiplication sips,
     which depend on n alone, are checked once.
     """
@@ -590,8 +598,7 @@ def check_axioms_trials(rec) -> _Table:
 def check_cs_trials(rec) -> _Table:
     tol = rec.config.tolerances
     chk = cs_verdict(rec, band=tol.cone_band, floor=tol.abs)
-    grid = rec.config.lambda_grid
-    sandwich, gap = defect_gaps(rec, rec.each(lambda t: lambda_minimum(t.samples, grid)), tol.abs)
+    sandwich, gap = defect_gaps(rec, rec.each(lambda t: t.minima[0]), tol.abs)
     return _results(rec, {
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
@@ -640,9 +647,7 @@ def check_vsn_trials(rec) -> _Table:
 def check_sharp_trials(rec) -> _Table:
     tol = rec.config.tolerances
     st = sharp_verdict(rec, band=tol.cone_band, floor=tol.abs)
-    grid = rec.config.lambda_grid
-    sandwich, gap = weighted_defect_gaps(
-        rec, rec.each(lambda t: lambda_minimum(t.samples, grid, t.u)), tol.abs)
+    sandwich, gap = weighted_defect_gaps(rec, rec.each(lambda t: t.minima[1]), tol.abs)
     return _results(rec, {
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
@@ -717,8 +722,6 @@ CHECKS = {
     "parallelogram": check_parallelogram_trials,
     "oracle": check_oracle_trials,
 }
-
-_BROKEN_INPUT = (DimensionMismatch, NotInPositiveCone, NonFinite)
 
 
 def _check_trial(theorem: str, trial: Trial) -> _Table:
@@ -839,11 +842,10 @@ def _chunks(config: TrialConfig, purpose: str):
 def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    The instances are checked in groups of one codomain dimension, each
-    holding at most GROUP_SAMPLE_BYTES of lambda-grid samples; each suite
-    checks a group once, and the group, with its trials' values and
-    samples, is dropped before the next is built. Each suite then folds
-    the chunk's tables at once, and the suites share one dict per instance.
+    The instances are checked in groups of one codomain dimension: each
+    suite checks a group once, and the group, with its trials' values, is
+    dropped before the next is built. Each suite then folds the chunk's
+    tables at once, and the suites share one dict per instance.
     """
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
@@ -852,13 +854,10 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
         else:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
-    for n, idx in by_dim.items():
-        # one trial's samples are (n, 2 * lambda_count) floats
-        size = max(1, GROUP_SAMPLE_BYTES // (n * 2 * config.lambda_count * 8))
-        for lo in range(0, len(idx), size):
-            group = TrialGroup([Trial(chunk[i], config) for i in idx[lo:lo + size]], config)
-            for suite in suites:
-                parts[suite.name] += _check_group(suite.name, group, idx[lo:lo + size])
+    for idx in by_dim.values():
+        group = TrialGroup([Trial(chunk[i], config) for i in idx], config)
+        for suite in suites:
+            parts[suite.name] += _check_group(suite.name, group, idx)
     dicts = {}
     for suite in suites:
         suite.fold(chunk, parts[suite.name], dicts)

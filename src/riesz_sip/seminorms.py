@@ -141,7 +141,7 @@ def weighted_defect_gaps(g: Record, sampled: np.ndarray,
     """(sandwich, gap) of a grid oracle's value sampled for D(x,y)*u against the closed form.
 
     sampled comes from the defining family of D(x,y)*u, sampled through
-    T(lambda*x - y, lambda*x - y)*u directly (cauchy_schwarz.lambda_minimum
+    T(lambda*x - y, lambda*x - y)*u directly (cauchy_schwarz.lambda_minima
     with the weight), independent of the closed form. Normalized by the
     largest of max(|a|, |c|)*u and both values.
     """

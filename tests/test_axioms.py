@@ -103,7 +103,7 @@ def test_stacked_pairs_keep_the_per_pair_bits_at_the_largest_shapes(m, n):
 # at 11 * 64 rows than at 64: at m in 41..44, 49..52 and 57..60 the stacked
 # residuals move in their last bits, by at most 7e-13 in the shapes
 # measured. These are the bits of both at (41, 1); a kernel whose bits do
-# not depend on the row count (ROADMAP item 7) makes them equal.
+# not depend on the row count (ROADMAP item 5) makes them equal.
 STACKED_AT_41_1 = {"additivity_left": "0x1.cc4c6d8228cddp-51",
                    "homogeneity_left": "0x1.54b7e28e1f24bp-48",
                    "homogeneity_right": "0x1.9bb3871665a1bp-48",

@@ -11,8 +11,7 @@ from riesz_sip.cauchy_schwarz import (
     cs_identity,
     cs_verdict,
     defect_grid,
-    lambda_minimum,
-    lambda_samples,
+    lambda_minima,
 )
 from riesz_sip.lattice import DimensionMismatch, NotInPositiveCone, rel_residual
 from riesz_sip.means import LogGrid, box_times
@@ -267,7 +266,10 @@ def test_lambda_minimum_weight():
     x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -1.0])
     grid = LogGrid.log_spaced(1e-3, 1e3, 51)
     plain = defect_grid(T, x, y, grid)
-    samples = lambda_samples(Gram(T, x, y), grid)
-    assert np.array_equal(lambda_minimum(samples, grid, np.ones(2)), plain)
-    assert np.array_equal(lambda_minimum(samples, grid, np.array([0.0, 2.0])),
-                          [0.0, 2.0 * plain[1]])
+    g = Gram(T, x, y)
+    d, du = lambda_minima(g, grid)
+    assert np.array_equal(d, plain) and du is None
+    for u, weighted in ((np.ones(2), plain), (np.array([0.0, 2.0]), [0.0, 2.0 * plain[1]])):
+        d, du = lambda_minima(g, grid, u)
+        assert np.array_equal(d, plain)  # the weight leaves D as it is
+        assert np.array_equal(du, weighted)

@@ -6,7 +6,9 @@ lays the same elements out as (n, G) and reduces along the contiguous
 axis; the elements are the same products and sums and min/max are
 exact, so the bits must agree for any input, zeros and extreme
 magnitudes included. The lambda-grid reference computes one column at a
-time in Python floats, term by term in the PSD kernel's fixed order.
+time in Python floats, term by term in the PSD kernel's fixed order, and
+reduces the columns to both minima that lambda_minima folds in one pass:
+the defect D, and with a weight u the weighted defect D*u.
 The library evaluates each oracle in blocks of grid columns
 (means.GRID_BLOCK elements) and folds the blocks' minima or maxima, so
 the bits must also agree at any block width and at grid sizes on either
@@ -30,8 +32,7 @@ from riesz_sip.cauchy_schwarz import (
     LAMBDA_LO,
     Gram,
     defect_grid,
-    lambda_minimum,
-    lambda_samples,
+    lambda_minima,
 )
 from riesz_sip.means import (
     ANGLE_COUNT,
@@ -128,16 +129,17 @@ def ref_quadratic(T, terms, z):
     return out
 
 
-def ref_defect_grid(T, x, y, grid, u=None):
+def ref_lambda_minima(T, x, y, grid, u=None):
+    """(D, D*u) as lambda_minima gives them: D*u is None without u."""
     # one column at a time: z = lambda*x - y, then T(z, z) term by term
     lam = grid.signed
     terms = None if isinstance(T, MultiplicationSip) else ref_quadratic_terms(T)
     xs, ys = x.tolist(), y.tolist()
     vals = np.array([ref_quadratic(T, terms, [l * xa - ya for xa, ya in zip(xs, ys)])
                      for l in lam.tolist()])
-    if u is not None:
-        vals = vals * u
-    return (vals / np.abs(lam)[:, None]).min(axis=0)
+    abs_lam = np.abs(lam)[:, None]
+    return ((vals / abs_lam).min(axis=0),
+            None if u is None else (vals * u / abs_lam).min(axis=0))
 
 
 def assert_same_bits(got, ref):
@@ -145,6 +147,15 @@ def assert_same_bits(got, ref):
     nan = np.isnan(ref)
     assert np.array_equal(np.isnan(got), nan), (got, ref)
     assert got[~nan].tobytes() == ref[~nan].tobytes(), (got, ref)
+
+
+def assert_same_minima(got, ref):
+    """(D, D*u) pairs with the same bits, D*u None on both sides or on neither."""
+    assert_same_bits(got[0], ref[0])
+    if ref[1] is None:
+        assert got[1] is None
+    else:
+        assert_same_bits(got[1], ref[1])
 
 
 @SETTINGS
@@ -183,14 +194,14 @@ def defect_cases(draw):
 @SETTINGS
 @given(defect_cases(), st.sampled_from(LAMBDA_GRIDS))
 def test_defect_grid_bits(case, grid):
+    # D and, with u, the weighted defect D(x,y)*u of the sharp suite, from one pass
     T, x, y, u = case
     with np.errstate(all="ignore"):
-        if u is None:
-            got = defect_grid(T, x, y, grid)
-        else:  # the weighted defect D(x,y)*u of the sharp suite
-            got = lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
-        ref = ref_defect_grid(T, x, y, grid, u=u)
-    assert_same_bits(got, ref)
+        got = lambda_minima(Gram(T, x, y), grid, u)
+        plain = defect_grid(T, x, y, grid)
+        ref = ref_lambda_minima(T, x, y, grid, u)
+    assert_same_minima(got, ref)
+    assert_same_bits(plain, ref[0])
 
 
 def block_sizes(rows):
@@ -295,11 +306,12 @@ def test_a_stack_gives_each_row_its_bits_alone(ab):
 def test_defect_grid_bits_at_any_block(block, case, grid):
     T, x, y, u = case
     with np.errstate(all="ignore"), mock.patch.object(means, "GRID_BLOCK", block):
-        got = defect_grid(T, x, y, grid)
-        weighted = lambda_minimum(lambda_samples(Gram(T, x, y), grid), grid, u)
+        got = lambda_minima(Gram(T, x, y), grid, u)
+        plain = defect_grid(T, x, y, grid)
     with np.errstate(all="ignore"):
-        assert_same_bits(got, ref_defect_grid(T, x, y, grid))
-        assert_same_bits(weighted, ref_defect_grid(T, x, y, grid, u=u))
+        ref = ref_lambda_minima(T, x, y, grid, u)
+    assert_same_minima(got, ref)
+    assert_same_bits(plain, ref[0])
 
 
 # each example costs about a second of Python-float reference, so a
@@ -313,7 +325,8 @@ def test_defect_grid_bits_at_one_block(case):
     for G in (w // 2 - 1, w // 2, w // 2 + 1):
         grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
         with np.errstate(all="ignore"):
-            assert_same_bits(defect_grid(T, x, y, grid), ref_defect_grid(T, x, y, grid))
+            assert_same_minima(lambda_minima(Gram(T, x, y), grid, u),
+                               ref_lambda_minima(T, x, y, grid, u))
 
 
 @pytest.mark.parametrize("batch", [1, 64, 4002])

@@ -4,9 +4,10 @@ At G = 10^6 grid points and n = 8 coordinates, an oracle that built its
 whole (n, G) array would hold 61 MiB per array (122 MiB for a mean
 oracle, 244 MiB for the lambda-grid defect with its 2G columns). Blocks
 of means.GRID_BLOCK elements keep the peak of traced allocations far
-below the bound here. The grid's own cached factors (1/theta, the
-+- closure, cos and sin) are built by a first call and kept for every
-later call on that grid, so they are not counted.
+below the bound here. So does the cs and sharp check of one trial, whose
+one lambda-grid pass gives both of its minima. The grid's own cached
+factors (1/theta, the +- closure, cos and sin) are built by a first call
+and kept for every later call on that grid, so they are not counted.
 """
 
 import tracemalloc
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import defect_grid
+from riesz_sip.harness import Instance, Trial, TrialConfig, _run_check
 from riesz_sip.means import AngleGrid, LogGrid, box_plus_oracle, box_times_oracle
 from riesz_sip.sip import MultiplicationSip, random_psd
 
@@ -66,3 +68,17 @@ def test_grid_oracle_memory_is_bounded_by_the_block(name):
         tracemalloc.stop()
     assert result.shape == (N,) and np.all(np.isfinite(result))
     assert peak < BOUND, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_cs_and_sharp_of_a_trial_hold_one_block():
+    config = TrialConfig(trials=1, lambda_count=G)
+    defect_grid(MultiplicationSip(1), [1.0], [2.0], config.lambda_grid)  # the cached factors
+    trial = Trial(Instance(PSD, u, x, y), config)
+    tracemalloc.start()
+    try:
+        results = [_run_check(name, trial) for name in ("cs", "sharp")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("invalid_instance" not in res.residuals for res in results)
+    assert peak < BOUND, f"cs and sharp peaked at {peak / 2**20:.1f} MiB"

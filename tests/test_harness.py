@@ -34,7 +34,7 @@ from riesz_sip.harness import (
     shrink,
 )
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch
+from riesz_sip.lattice import DimensionMismatch, NonFinite
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, check_axioms, random_psd
 
 SMALL = TrialConfig(seed=42, trials=40)
@@ -119,6 +119,38 @@ def test_non_finite_entry_ranges_are_config_errors(field):
         with pytest.raises(ConfigError):
             run_suite(TrialConfig(trials=3, **{field: value}))
     TrialConfig(entry_hi=1e300, u_hi=1e300, log_entry_lo=1e-300, log_entry_hi=1e300)
+
+
+@pytest.mark.parametrize("entry_hi", [1e308, 9e307])
+def test_entry_ranges_of_infinite_width_are_config_errors(entry_hi):
+    # generation draws from (-entry_hi, entry_hi), whose width 2*entry_hi
+    # overflows: numpy's uniform would refuse it with a bare OverflowError
+    with pytest.raises(ConfigError):
+        run_suite(TrialConfig(trials=3, entry_hi=entry_hi))
+
+
+def test_the_widest_entry_range_counts_every_trial():
+    # 2 * 8e307 is finite, but x'A_j of an orthogonal draw and the T-values
+    # overflow: every trial is counted, and none raises out of run_suite
+    with np.errstate(all="ignore"):
+        report = run_suite(TrialConfig(trials=3, entry_hi=8e307))
+    assert all(entry["trials"] == 3 for entry in report.theorems.values())
+    assert report.theorems["pythagoras"]["failures"] == 3
+
+
+def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
+    # orthogonal_sample raises NonFinite when x'A_j overflows; the recipe
+    # retries as it does on a trivial kernel, and a trial whose every
+    # attempt overflows is a counted generation failure
+    def overflows(T, x, seed=0):
+        raise NonFinite("lattice vector entries must be finite")
+
+    monkeypatch.setattr(harness, "orthogonal_sample", overflows)
+    with pytest.raises(GenerationExhausted):
+        generate_instance(TrialConfig(trials=1), 0, "orthogonal")
+    entry = run_suite(TrialConfig(trials=3, theorems=("pythagoras",))).theorems["pythagoras"]
+    assert entry["failures"] == 3 and entry["residuals"] == {"generation": 1.0}
+    assert entry["counterexamples"] == []
 
 
 def test_generate_is_deterministic():

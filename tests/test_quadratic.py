@@ -3,7 +3,7 @@
 quadratic computes the lambda-grid samples of the Cauchy-Schwarz defect
 oracle, one block of grid columns per call. A column's bits must depend
 on that column and the family alone: not on the batch around it, its
-position, or the block width of lambda_samples. Its value must be T's
+position, or the block width of the lambda-grid pass. Its value must be T's
 scalar definition up to Higham's forward-error bound, and it must stay
 finite on the families where a summed off-diagonal coefficient or a
 product z_a*z_b formed first would overflow.
@@ -17,12 +17,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riesz_sip import means
-from riesz_sip.cauchy_schwarz import LAMBDA_COUNT, LAMBDA_HI, LAMBDA_LO, Gram, lambda_samples
+from riesz_sip.cauchy_schwarz import LAMBDA_COUNT, LAMBDA_HI, LAMBDA_LO, Gram, _lambda_blocks
 from riesz_sip.means import GRID_BLOCK, LogGrid
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def lambda_samples(T, x, y, grid):
+    """The T-values of the lambda-grid pass over grid.signed, block after block, as (n, 2G)."""
+    # each block's buffer is overwritten by the next, so it is copied first
+    return np.concatenate([t.copy() for _, t, _ in _lambda_blocks(Gram(T, x, y), grid)],
+                          axis=1)
 
 
 def floats(lo, hi):
@@ -82,7 +89,7 @@ def test_column_bits_do_not_depend_on_the_batch(T, data):
 @SETTINGS
 @given(sips(floats(-300, 299)), st.data())
 def test_lambda_samples_bits_do_not_depend_on_the_block(T, data):
-    # lambda_samples calls quadratic once per block of grid columns: each
+    # the pass calls quadratic once per block of grid columns: each
     # column must be quadratic of that column alone, on both sides of
     # every block boundary, and the samples must not depend on the width
     m, n = T.domain_dim, T.codomain_dim
@@ -92,16 +99,16 @@ def test_lambda_samples_bits_do_not_depend_on_the_block(T, data):
         # 2G columns at one block, one below it or just above it
         for G in (width // 2 - 1, width // 2, width // 2 + 1):
             grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
-            got = lambda_samples(Gram(T, x, y), grid)
+            got = lambda_samples(T, x, y, grid)
             S = 2 * G
             for k in sorted({0, width - 1, width, S - 1} & set(range(S))):
                 z = grid.signed[k] * x - y
                 assert_same_bits(got[:, k:k + 1], T.quadratic(z[:, None]))
         grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, 7)
-        ref = lambda_samples(Gram(T, x, y), grid)
+        ref = lambda_samples(T, x, y, grid)
         for block in (1, 2, 5):  # elements: one column per block when m or n > block
             with mock.patch.object(means, "GRID_BLOCK", block):
-                assert_same_bits(lambda_samples(Gram(T, x, y), grid), ref)
+                assert_same_bits(lambda_samples(T, x, y, grid), ref)
 
 
 def _matrices(T):
@@ -145,7 +152,7 @@ def test_huge_off_diagonal_entries_do_not_overflow_the_coefficient():
     x, y = np.array([1e-3, 2e-3]), np.array([-1e-3, 1e-3])
     Z = GRID.signed[:, None] * x - y
     with np.errstate(all="ignore"):
-        got = lambda_samples(Gram(T, x, y), GRID)
+        got = lambda_samples(T, x, y, GRID)
         einsum = T.eval_batch(Z, Z).T
     assert np.all(np.isfinite(got)[np.isfinite(einsum)])
     assert np.isfinite(got).sum() >= 2884

@@ -226,8 +226,8 @@ INJECTED = (
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
 def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
-    # small chunks and groups put group, generation-failure and broken-group
-    # rows in many chunks; every third trial's generation gives up
+    # small chunks put group, generation-failure and broken-group rows in
+    # many chunks and groups; every third trial's generation gives up
     config = TrialConfig(trials=24, seed=11)
     generate = harness.generate_instance
 
@@ -237,7 +237,6 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
         return generate(config, i, purpose)
 
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
-    monkeypatch.setattr(harness, "GROUP_SAMPLE_BYTES", 3 * 4 * 2 * config.lambda_count * 8)
     monkeypatch.setattr(harness, "generate_instance", gives_up)
     with np.errstate(all="ignore"):
         report = run_suite(config, injected=INJECTED)

@@ -291,22 +291,56 @@ def test_fold_is_the_nan_first_max_of_each_pair(pairs):
     assert [_bits(v) for v in got] == [_bits(_scalar_fold(x, y)) for x, y in pairs]
 
 
-def test_a_group_holds_at_most_its_budget_of_samples(monkeypatch):
-    # each trial keeps its (n, 2 * lambda_count) lambda-grid samples until
-    # its group's last suite has run; a trial whose samples alone exceed
-    # the budget is a group of one
-    config = TrialConfig(trials=40, seed=4, lambda_count=101, theorems=("cs", "sharp"))
-    per_coordinate = 2 * config.lambda_count * 8
-    budget = 3 * per_coordinate
-    monkeypatch.setattr(harness, "GROUP_SAMPLE_BYTES", budget)
-    sizes = []
+def test_a_group_holds_all_of_a_chunks_trials_of_one_n(monkeypatch):
+    # a trial keeps its two lambda-grid minima, never its samples, so no
+    # grid size splits a group: each is the chunk's trials of one codomain
+    # dimension, in trial order, and each suite checks it once
+    config = TrialConfig(trials=40, seed=4, lambda_count=10**5, theorems=("cs", "sharp"))
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 16)
+    seen = {name: [] for name in config.theorems}
     for name in config.theorems:
-        def counted(rec, _check=CHECKS[name]):
-            n = rec.pairs[0].T.codomain_dim
-            sizes.append((len(rec.pairs), len(rec.pairs) * n * per_coordinate))
+        def recorded(rec, _check=CHECKS[name], _seen=seen[name]):
+            _seen.append([t.inst.x.tobytes() for t in rec.pairs])
             return _check(rec)
-        monkeypatch.setitem(CHECKS, name, counted)
+        monkeypatch.setitem(CHECKS, name, recorded)
     harness.run_suite(config)
-    assert sum(k for k, _ in sizes) == len(config.theorems) * config.trials
-    assert all(k == 1 or size <= budget for k, size in sizes)
-    assert max(k for k, _ in sizes) == 3
+    expected = []
+    for chunk in harness._chunks(config, "generic"):
+        by_n = {}
+        for inst in chunk:
+            by_n.setdefault(inst.sip.codomain_dim, []).append(inst.x.tobytes())
+        expected += by_n.values()
+    assert len(expected) > 3 and max(map(len, expected)) > 1
+    assert seen == {name: expected for name in config.theorems}
+
+
+# cs's defect_gap bits of a generated PSD trial and a multiplication one,
+# as they were when each trial kept its lambda-grid samples
+CS_DEFECT_GAP = {0: "0x1.ff8ad5b68be1bp-18", 2: "0x1.6c5c0c7a481fbp-16"}
+
+
+@pytest.mark.parametrize("i", sorted(CS_DEFECT_GAP))
+@pytest.mark.parametrize("weight", ["shape", "negative"])
+def test_a_broken_weight_keeps_the_cs_row_and_fails_sharp(i, weight):
+    # the pass leaves D*u None for a weight it cannot read: cs, which
+    # never reads u, gives the row of the same pair under a valid weight,
+    # and sharp reads u first and fails the trial as invalid_instance,
+    # whichever suite reads the trial first
+    inst = generate_instance(TrialConfig(seed=0), i)
+    n = inst.sip.codomain_dim
+    u = np.ones(n + 1) if weight == "shape" else np.where(np.arange(n) == 0, -1.0, inst.u)
+    broken = Instance(inst.sip, u, inst.x, inst.y)
+    valid = _summary(harness._run_check("cs", Trial(inst, CONFIG)))
+    assert valid[3]["defect_gap"] == CS_DEFECT_GAP[i]
+    for order in (("cs", "sharp"), ("sharp", "cs")):
+        trial = Trial(broken, CONFIG)
+        got = {name: _summary(harness._run_check(name, trial)) for name in order}
+        assert got["cs"] == valid
+        assert got["sharp"][1] == ("invalid_instance",)
+    # in a group the broken trial keeps its cs row, and fails sharp alone
+    def group():
+        return TrialGroup([Trial(inst, CONFIG), Trial(broken, CONFIG)], CONFIG)
+    assert [_summary(r) for r in checked("cs", group())] == [valid, valid]
+    sharp = [_summary(r) for r in checked("sharp", group())]
+    assert sharp[0] == _summary(harness._run_check("sharp", Trial(inst, CONFIG)))
+    assert sharp[1][1] == ("invalid_instance",)

@@ -1,0 +1,210 @@
+"""Digest a fixed corpus of outputs on one source tree, and diff two trees' digests.
+
+A refactor keeps every report, replay and shrink byte for byte; a change
+that moves bytes on purpose must move exactly the outputs it names. This
+script states both as one diff.
+
+    python tools/compare.py digest TREE [--tiny] [--out FILE]
+    python tools/compare.py diff OLD.json NEW.json
+
+digest runs the corpus in a subprocess with TREE/src first on PYTHONPATH,
+so the package under test is that tree's, and writes one JSON object, the
+SHA-256 of each output by name (to stdout without --out). The corpus:
+
+  report/...    run_suite reports over seeds x trial counts, a lambda grid
+                of 400 points, one of 10^5 (several blocks per pair), the
+                shapes m <= 12, n <= 8, and non-default grids and
+                tolerances;
+  triage/...    reports with eight broken instances injected, made by
+                perfbench's broken_instance (read from the perfbench
+                beside this script, so both trees get the same ones);
+  .../replay    replay_counterexample of every distinct counterexample;
+  .../shrink    shrink's output file for each of them;
+  study         one convergence study at grids 64, 1000 and 10^5.
+
+Reports and the study are digested with wall_time_s removed. An output
+that raises is digested as its exception's class and message. --tiny
+runs a corpus of a few seconds' work, for tests.
+
+diff names every output that differs or that one file lacks, and exits 1
+if there is one, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+
+# (seed, trials, TrialConfig fields other than seed and trials) per report
+FULL_REPORTS = (
+    [(seed, trials, {}) for seed in range(8) for trials in (60, 300)]
+    + [(3, 300, {"lambda_count": 400}), (0, 60, {"lambda_count": 10**5})]
+    + [(seed, 60, {"m_hi": 12, "n_hi": 8}) for seed in range(4)]
+    + [(5, 60, {"theta_count": 300, "angle_count": 256,
+                "tolerances": {"rel": 1e-7, "abs": 1e-11, "cone_band": 1e-6}})])
+TINY_REPORTS = [(0, 8, {}), (1, 8, {"lambda_count": 400, "m_hi": 12, "n_hi": 8})]
+# (seeds, trials) of the triage reports, and (trials, grids) of the study
+FULL_TRIAGE, TINY_TRIAGE = (range(6), 5), (range(1), 2)
+FULL_STUDY, TINY_STUDY = (20, (64, 1000, 10**5)), (4, (8, 64))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _triage_instances(seed: int, k: int) -> list:
+    """The eight broken instances of a triage-shrink session k, drawn from seed."""
+    import numpy as np
+    from workloads import BROKEN_CLASSES, CODOMAIN_DIMS, DOMAIN_DIMS, broken_instance
+
+    rng = np.random.default_rng(seed)
+    dims = len(DOMAIN_DIMS)
+    return [broken_instance(rng, cls, 0, int(rng.integers(1, 9))) if cls == "overflow"
+            else broken_instance(rng, cls, DOMAIN_DIMS[(i + k) % dims],
+                                 CODOMAIN_DIMS[(i + 3 * k) % dims])
+            for i, cls in enumerate(BROKEN_CLASSES)]
+
+
+def corpus(tiny: bool) -> dict:
+    """{output name: SHA-256} of the corpus on the riesz_sip that imports here."""
+    import numpy as np
+
+    from riesz_sip import harness as h
+
+    digests, seen = {}, set()
+
+    def digest(name: str, produce) -> None:
+        try:
+            text = produce()
+        except Exception as exc:  # an output that raises is an output too
+            text = f"{type(exc).__name__}: {exc}"
+        digests[name] = _sha(text)
+
+    def without_wall_time(obj) -> str:
+        data = obj.to_dict()
+        del data["wall_time_s"]
+        return h.report_to_json(data)
+
+    def replay_and_shrink(name: str, report) -> None:
+        for theorem, entry in report.theorems.items():
+            for i, ce in enumerate(entry["counterexamples"]):
+                key = h.report_to_json(ce)
+                if key in seen:
+                    continue
+                seen.add(key)
+                at = f"{name}/{theorem}/{i}"
+                digest(f"{at}/replay", lambda: h.report_to_json(
+                    h.replay_counterexample(ce)._asdict()))
+                digest(f"{at}/shrink", lambda: shrunk(ce))
+
+    def shrunk(ce: dict) -> str:
+        inst, theorem, config = h.read_case(ce)
+        small, res = h.shrink(inst, theorem, config)
+        return h.report_to_json(h.counterexample(
+            theorem, res, small.to_dict(), h.params_from_config(config)))
+
+    def config(seed: int, trials: int, fields: dict):
+        fields = dict(fields)
+        if "tolerances" in fields:
+            fields["tolerances"] = h.Tolerances(**fields["tolerances"])
+        return h.TrialConfig(seed=seed, trials=trials, **fields)
+
+    def run(name: str, cfg, injected=()) -> None:
+        try:
+            report = h.run_suite(cfg, injected=injected)
+        except Exception as exc:
+            digests[name] = _sha(f"{type(exc).__name__}: {exc}")
+        else:
+            digests[name] = _sha(without_wall_time(report))
+            replay_and_shrink(name, report)
+
+    with np.errstate(all="ignore"):
+        for seed, trials, fields in TINY_REPORTS if tiny else FULL_REPORTS:
+            label = ",".join([f"seed={seed}", f"trials={trials}"]
+                             + [f"{k}={v}" for k, v in sorted(fields.items())])
+            run(f"report/{label}", config(seed, trials, fields))
+        seeds, trials = TINY_TRIAGE if tiny else FULL_TRIAGE
+        for k, seed in enumerate(seeds):
+            injected = tuple(h.Instance.from_dict(d) for d in _triage_instances(seed, k))
+            run(f"triage/seed={seed}", h.TrialConfig(seed=seed, trials=trials), injected)
+        trials, grids = TINY_STUDY if tiny else FULL_STUDY
+        digest("study", lambda: without_wall_time(
+            h.convergence_study(h.TrialConfig(trials=trials), grids)))
+    return digests
+
+
+def digest_tree(tree: Path, tiny: bool) -> dict:
+    """corpus(tiny) in a subprocess that imports riesz_sip from tree/src."""
+    src = (tree / "src").resolve()
+    if not (src / "riesz_sip").is_dir():
+        raise SystemExit(f"error: {src} holds no riesz_sip package")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    argv = [sys.executable, str(Path(__file__).resolve()), "_corpus", str(src)]
+    out = subprocess.run(argv + (["--tiny"] if tiny else []), env=env, check=True,
+                         stdout=subprocess.PIPE, text=True)
+    return json.loads(out.stdout)
+
+
+def diff(old: dict, new: dict) -> list:
+    """A line per output that differs between old and new, or that one of them lacks."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            lines.append(f"missing in new: {name}")
+        elif name not in old:
+            lines.append(f"missing in old: {name}")
+        elif old[name] != new[name]:
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("digest", help="digest the corpus on TREE's src")
+    p.add_argument("tree", type=Path)
+    p.add_argument("--tiny", action="store_true")
+    p.add_argument("--out", type=Path)
+    p = sub.add_parser("diff", help="name every output that differs")
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    p = sub.add_parser("_corpus")  # the subprocess of digest
+    p.add_argument("src", type=Path)
+    p.add_argument("--tiny", action="store_true")
+    args = parser.parse_args(argv)
+
+    if args.command == "_corpus":
+        import riesz_sip
+
+        if args.src.resolve() not in Path(riesz_sip.__file__).resolve().parents:
+            raise SystemExit(f"error: imported {riesz_sip.__file__}, not {args.src}'s package")
+        sys.path.insert(0, str(PERFBENCH))  # for perfbench's workloads module
+        json.dump(corpus(args.tiny), sys.stdout, indent=1, sort_keys=True)
+        return 0
+    if args.command == "digest":
+        text = json.dumps(digest_tree(args.tree, args.tiny), indent=1, sort_keys=True) + "\n"
+        if args.out:
+            args.out.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return 0
+    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (args.old, args.new))
+    lines = diff(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(old.keys() | new.keys())} outputs, {len(lines)} differing or missing")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
