@@ -23,17 +23,19 @@ run_suite is chunked and grouped: for each instance recipe it generates
 TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
 dimension, runs every selected suite of the recipe once per group, folds
 the chunk's results into each suite's report entry in trial order, and
-drops the chunk before generating the next. The suites of a group share
-its record, so each T-value and the lambda-grid pass are evaluated once
-per trial, and at most one chunk of generated instances is alive. Every
-check gives one table (_Table), a row of residuals per trial. A Trial's
-check, as for an injected trial or each trial of a group with a broken
-trial, gives one row, a broken trial the one-row invalid_instance table
-and one whose generation gave up the one-row generation table. Each
-suite folds a chunk's tables at once, building a TrialResult, a table's
-row, only for a trial its entry keeps (the worst instance, the
-counterexamples); replay_counterexample and shrink read one Trial's row
-and build a fresh record for every check they run.
+drops the chunk before generating the next; the injected instances are
+then checked as one more chunk. The suites of a group share its record,
+so each T-value and the lambda-grid pass are evaluated once per trial,
+and at most one chunk of generated instances is alive. _check_group is
+the one caller of the checks, and every check gives one table (_Table),
+a row of residuals per trial. A Trial's check, as for a group of one
+trial or each trial of a group with a broken trial, gives one row, a
+broken trial the one-row invalid_instance table and one whose
+generation gave up the one-row generation table. Each suite folds a
+chunk's tables at once, building a TrialResult, a table's row, only for
+a trial its entry keeps (the worst instance, the counterexamples);
+replay_counterexample and shrink read one Trial's row and build a fresh
+record for every check they run.
 
 Suite names:
 
@@ -724,34 +726,31 @@ CHECKS = {
 }
 
 
-def _check_trial(theorem: str, trial: Trial) -> _Table:
-    """theorem's one-row table of one trial, read as the group of one trial."""
-    try:
-        return CHECKS[theorem](trial)
-    except _BROKEN_INPUT:
-        # Broken instance (fault injection): counted as a failure, never
-        # silently skipped. Any other exception is a fault and propagates.
-        return _unchecked("invalid_instance")
-
-
 def _run_check(theorem: str, trial: Trial) -> TrialResult:
     """theorem's result of one trial; the one place that rejects an unknown check name."""
     if theorem not in CHECKS:
         raise ConfigError(f"unknown check {theorem!r}; choose from {sorted(CHECKS)}")
-    return _check_trial(theorem, trial).row(0)
+    return _check_group(theorem, trial, [0])[0][1].row(0)
 
 
-def _check_group(theorem: str, group: TrialGroup, idx: list) -> list:
-    """theorem's results of group's trials, idx their positions, as (positions, _Table) pairs.
+def _check_group(theorem: str, rec, idx: list) -> list:
+    """theorem's results of rec's trials, idx their positions, as (positions, _Table) pairs.
 
-    A broken trial makes the group's check raise, and the group is then
-    checked one trial at a time: exactly its broken trials become
-    invalid_instance, and the others keep their results.
+    The one caller of CHECKS. rec is a TrialGroup, or a Trial, the record
+    of one trial. A broken instance (fault injection) makes the check
+    raise: a trial checked alone is then invalid_instance, counted as a
+    failure and never silently skipped, and a group is checked again one
+    trial at a time, so exactly its broken trials become invalid_instance
+    and the others keep their results. Any other exception is a fault and
+    propagates.
     """
     try:
-        return [(idx, CHECKS[theorem](group))]
+        return [(idx, CHECKS[theorem](rec))]
     except _BROKEN_INPUT:
-        return [([i], _check_trial(theorem, trial)) for i, trial in zip(idx, group.pairs)]
+        if len(idx) == 1:
+            return [(idx, _unchecked("invalid_instance"))]
+        return [part for i, trial in zip(idx, rec.pairs)
+                for part in _check_group(theorem, trial, [i])]
 
 
 def params_from_config(config: TrialConfig) -> dict:
@@ -839,13 +838,14 @@ def _chunks(config: TrialConfig, purpose: str):
         yield chunk
 
 
-def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
+def _check_chunk(chunk: list, suites: list, config: TrialConfig, dicts: dict) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    The instances are checked in groups of one codomain dimension: each
-    suite checks a group once, and the group, with its trials' values, is
-    dropped before the next is built. Each suite then folds the chunk's
-    tables at once, and the suites share one dict per instance.
+    The instances are checked in groups of one codomain dimension, a
+    group of one trial as that Trial: each suite checks a group once, and
+    the group, with its trials' values, is dropped before the next is
+    built. Each suite then folds the chunk's tables at once, and the
+    suites share dicts, one dict per instance of the chunk.
     """
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
@@ -855,10 +855,10 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
     for idx in by_dim.values():
-        group = TrialGroup([Trial(chunk[i], config) for i in idx], config)
+        trials = [Trial(chunk[i], config) for i in idx]
+        rec = trials[0] if len(trials) == 1 else TrialGroup(trials, config)
         for suite in suites:
-            parts[suite.name] += _check_group(suite.name, group, idx)
-    dicts = {}
+            parts[suite.name] += _check_group(suite.name, rec, idx)
     for suite in suites:
         suite.fold(chunk, parts[suite.name], dicts)
 
@@ -880,7 +880,7 @@ class _SuiteFold:
         self.status, self.counts, self.residual_max, self.kept = Counter(), Counter(), {}, []
         self.worst = None  # (ratio, result, instance dict)
 
-    def fold(self, insts: list, parts: list, dicts: dict | None = None) -> None:
+    def fold(self, insts: list, parts: list, dicts: dict) -> None:
         """Fold the results of insts, in their order.
 
         parts are (positions, table) pairs that cover the positions of
@@ -890,8 +890,6 @@ class _SuiteFold:
         TrialResult is built only for a trial the entry keeps. dicts maps
         a position of insts to its instance's dict, built on first need.
         """
-        dicts = {} if dicts is None else dicts
-
         def instance(p: int) -> dict:
             if p not in dicts:
                 dicts[p] = insts[p].to_dict()
@@ -948,14 +946,15 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     The suites run one instance recipe (PURPOSES) at a time. A recipe's
     trials are generated in chunks of TRIAL_CHUNK, and at most one chunk
     is alive: its trials are checked in groups of one codomain dimension,
-    each group a TrialGroup that every selected suite of the recipe
-    checks once (checks never modify an instance, and the record
-    evaluates each value once per trial), and each suite folds its
-    results into its entry in trial order. injected instances (the
-    fault-injection surface) follow the generated trials in every
-    selected suite, each a group of one with its own record per recipe,
-    so the reported trial count is config.trials + len(injected) per
-    theorem. The report lists the suites in config.theorems order.
+    each group a record (a TrialGroup, or a Trial if it has one trial)
+    that every selected suite of the recipe checks once (checks never
+    modify an instance, and the record evaluates each value once per
+    trial), and each suite folds its results into its entry in trial
+    order. injected instances (the fault-injection surface) follow the
+    generated trials in every selected suite, checked as one more chunk
+    with its own records per recipe, so the reported trial count is
+    config.trials + len(injected) per theorem. The report lists the
+    suites in config.theorems order.
 
     Each instance the report names is one dict, built once: its worst
     instance and counterexample entries, in every suite, are that object
@@ -970,15 +969,9 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
         selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
         for chunk in _chunks(config, purpose):
-            _check_chunk(chunk, selected, config)
-        parts = {suite.name: [] for suite in selected}
-        for i, inst in enumerate(injected):
-            trial = Trial(inst, config)
-            for suite in selected:
-                parts[suite.name].append(([i], _check_trial(suite.name, trial)))
+            _check_chunk(chunk, selected, config, {})
         if injected:
-            for suite in selected:
-                suite.fold(list(injected), parts[suite.name], injected_dicts)
+            _check_chunk(list(injected), selected, config, injected_dicts)
     return VerificationReport(config=asdict(config),
                               theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)

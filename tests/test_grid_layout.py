@@ -57,6 +57,11 @@ SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 # the runs at patched block widths and at one block's sizes
 FEW = settings(SETTINGS, max_examples=25)
+# The defect-grid tests' examples cost up to a second each of Python-float
+# reference, so a failure is reported as found, without the minutes of
+# shrinking it; no test calls target(), so a passing run draws the same
+# examples as with every phase.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 BLOCKS = (1, 2, 5)  # elements: one to five columns per block
 
 # zeros of both signs, and magnitudes from 1e-300 to 1e300
@@ -191,7 +196,7 @@ def defect_cases(draw):
     return T, x, y, u
 
 
-@SETTINGS
+@settings(SETTINGS, phases=NO_SHRINK)
 @given(defect_cases(), st.sampled_from(LAMBDA_GRIDS))
 def test_defect_grid_bits(case, grid):
     # D and, with u, the weighted defect D(x,y)*u of the sharp suite, from one pass
@@ -301,7 +306,7 @@ def test_a_stack_gives_each_row_its_bits_alone(ab):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-@FEW
+@settings(FEW, phases=NO_SHRINK)
 @given(defect_cases(), st.sampled_from(LAMBDA_GRIDS[1:]))
 def test_defect_grid_bits_at_any_block(block, case, grid):
     T, x, y, u = case
@@ -314,9 +319,7 @@ def test_defect_grid_bits_at_any_block(block, case, grid):
     assert_same_bits(plain, ref[0])
 
 
-# each example costs about a second of Python-float reference, so a
-# failure is reported as found, without the minutes of shrinking it
-@settings(FEW, max_examples=6, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@settings(FEW, max_examples=6, phases=NO_SHRINK)
 @given(defect_cases())
 def test_defect_grid_bits_at_one_block(case):
     # the grid's 2G columns at one block, one or two below it and above it

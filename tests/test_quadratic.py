@@ -6,7 +6,9 @@ on that column and the family alone: not on the batch around it, its
 position, or the block width of the lambda-grid pass. Its value must be T's
 scalar definition up to Higham's forward-error bound, and it must stay
 finite on the families where a summed off-diagonal coefficient or a
-product z_a*z_b formed first would overflow.
+product z_a*z_b formed first would overflow. The values of a pair's Gram,
+T(x,x), T(x,y), T(y,y), T(x+y,x+y) and T(x-y,x-y), are held to the same
+scalar definition and bound, and a GramStack holds each pair's bits.
 """
 
 from fractions import Fraction
@@ -17,7 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riesz_sip import means
-from riesz_sip.cauchy_schwarz import LAMBDA_COUNT, LAMBDA_HI, LAMBDA_LO, Gram, _lambda_blocks
+from riesz_sip.cauchy_schwarz import (
+    LAMBDA_COUNT,
+    LAMBDA_HI,
+    LAMBDA_LO,
+    Gram,
+    GramStack,
+    _lambda_blocks,
+)
 from riesz_sip.means import GRID_BLOCK, LogGrid
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
@@ -40,11 +49,11 @@ def floats(lo, hi):
                   st.integers(lo, hi), st.floats(1.0, 10.0, exclude_max=True)))
 
 
-def sips(scales):
-    """Either sip kind, m = 1..12 and n = 1..8; PSD families symmetric or not."""
+def sips(scales, dims=st.integers(1, 8)):
+    """Either sip kind, m = 1..12 and n drawn from dims; PSD families symmetric or not."""
     @st.composite
     def build(draw):
-        n = draw(st.integers(1, 8))
+        n = draw(dims)
         if draw(st.booleans()):
             return MultiplicationSip(n)
         m = draw(st.integers(1, 12))
@@ -139,6 +148,46 @@ def test_quadratic_is_the_scalar_definition(T, data):
             exact = sum(z[a] * Aj[a][b] * z[b] for a in range(m) for b in range(m))
             mag = sum(abs(z[a] * Aj[a][b] * z[b]) for a in range(m) for b in range(m))
             assert abs(Fraction(got[j, s]) - exact) <= gamma * mag, (j, s)
+
+
+def _definition(A: list, x: list, y: list) -> tuple:
+    """(T(x, y)_j, sum_ab |x_a A_jab y_b|) per j, exactly: T(x, y)_j = sum_ab x_a A_jab y_b."""
+    m = len(x)
+    terms = [[x[a] * Aj[a][b] * y[b] for a in range(m) for b in range(m)] for Aj in A]
+    return [sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_gram_values_are_the_scalar_definition(n, data):
+    # a, b and c are T(x,x), T(x,y) and T(y,y) of the validated pair, and s
+    # and d T(z,z) at z = fl(x+y) and fl(x-y). Evaluating T is two dot
+    # products of length m, within gamma_2m * |x|'|A_j||y| (Higham, 3.5);
+    # z's rounding, |fl(z) - z| <= u|z|, adds at most 2u + u^2 relative to
+    # |z|'|A_j||z|, so s and d are within gamma_(2m+2) of the exact T(z,z).
+    # A GramStack of pairs into R^n holds each pair's values bit for bit.
+    grams = []
+    for T in data.draw(st.lists(sips(floats(-60, 60), st.just(n)), min_size=1, max_size=3)):
+        x, y = (data.draw(columns(floats(-60, 60), T.domain_dim, 1))[:, 0] for _ in "xy")
+        grams.append(Gram(T, x, y))
+    u = Fraction(1, 2**53)
+    for g in grams:
+        m = g.T.domain_dim
+        A = [[[Fraction(v) for v in row] for row in Aj] for Aj in _matrices(g.T).tolist()]
+        x, y = ([Fraction(v) for v in v.tolist()] for v in (g.x, g.y))
+        plus, minus = [p + q for p, q in zip(x, y)], [p - q for p, q in zip(x, y)]
+        for name, left, right, k in (("a", x, x, 2 * m), ("b", x, y, 2 * m),
+                                     ("c", y, y, 2 * m), ("s", plus, plus, 2 * m + 2),
+                                     ("d", minus, minus, 2 * m + 2)):
+            gamma = k * u / (1 - k * u)
+            got = getattr(g, name)
+            assert got.shape == (n,)
+            for j, (exact, mag) in enumerate(zip(*_definition(A, left, right))):
+                assert abs(Fraction(got[j]) - exact) <= gamma * mag, (name, j)
+    stack = GramStack(grams)
+    for name in "abcsd":
+        for i, g in enumerate(grams):
+            assert_same_bits(getattr(stack, name)[i], getattr(g, name))
 
 
 GRID = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)

@@ -18,6 +18,7 @@ statuses the fold counts.
 """
 
 import math
+import operator
 import struct
 from collections import Counter
 from itertools import islice
@@ -185,7 +186,7 @@ def test_chunk_fold_is_the_trial_by_trial_fold(data):
             break
         labels = data.draw(st.lists(st.integers(0, 2), min_size=len(chunk), max_size=len(chunk)))
         with np.errstate(all="ignore"):
-            fold.fold([inst for inst, _ in chunk], _parts(chunk, labels))
+            fold.fold([inst for inst, _ in chunk], _parts(chunk, labels), {})
         start += size
     assert report_to_json(fold.entry()) == report_to_json(reference.entry())
 
@@ -201,7 +202,8 @@ def test_chunk_fold_keeps_the_first_counterexamples_and_the_first_worst():
         reference.add(inst, _reference_result(row))
     fold = harness._SuiteFold("cs", PARAMS)
     for chunk in (trials[:13], trials[13:]):
-        fold.fold([inst for inst, _ in chunk], _parts(chunk, [i % 2 for i in range(len(chunk))]))
+        fold.fold([inst for inst, _ in chunk], _parts(chunk, [i % 2 for i in range(len(chunk))]),
+                  {})
     entry = fold.entry()
     assert len(entry["counterexamples"]) == MAX_COUNTEREXAMPLES
     assert entry["worst_instance"]["instance"] == trials[0][0].to_dict()
@@ -214,6 +216,14 @@ def _negative_instance():
                     np.array([3.0, -1.0]))
 
 
+def _psd_instance():
+    B = np.array([[[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]], [[2.0, 0.0, 1.0], [1.0, 1.0, -1.0]]])
+    return Instance(PsdFamilySip(np.einsum("jka,jkb->jab", B, B)), np.array([1.0, 3.0]),
+                    np.array([1.0, -2.0, 0.5]), np.array([2.0, 1.0, -1.0]))
+
+
+# Broken instances and, with n = 2, one injected group of three broken
+# multiplication pairs, a valid one and a valid PSD family
 INJECTED = (
     _negative_instance(),
     Instance(MultiplicationSip(2), np.array([1.0, -1.0]), np.array([1.0, 2.0]),
@@ -221,6 +231,9 @@ INJECTED = (
     Instance(MultiplicationSip(2), np.array([1.0, 2.0]), np.array([1e200, 3.0]),
              np.array([1e200, 3.0])),
     Instance(MultiplicationSip(2), np.ones(2), np.ones(3), np.ones(2)),
+    Instance(MultiplicationSip(2), np.array([2.0, 0.5]), np.array([1.0, -3.0]),
+             np.array([-2.0, 4.0])),
+    _psd_instance(),
 )
 
 
@@ -238,8 +251,26 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
 
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(harness, "generate_instance", gives_up)
+    injected_parts = {}
+
+    def recorded(self, insts, parts, dicts, _fold=harness._SuiteFold.fold):
+        if len(insts) == len(INJECTED) and all(map(operator.is_, insts, INJECTED)):
+            injected_parts[self.name] = parts
+        return _fold(self, insts, parts, dicts)
+
+    monkeypatch.setattr(harness._SuiteFold, "fold", recorded)
     with np.errstate(all="ignore"):
         report = run_suite(config, injected=INJECTED)
+        # the injected instances are checked as a chunk: each row of their
+        # tables, a group's included, is the trial's result alone
+        for name, parts in injected_parts.items():
+            assert sorted(p for pos, _ in parts for p in pos) == list(range(len(INJECTED)))
+            for pos, table in parts:
+                for j, p in enumerate(pos):
+                    alone = _run_check(name, Trial(INJECTED[p], config))
+                    assert _exact(table.row(j)) == _exact(alone), name
+        assert set(injected_parts) == set(config.theorems)
+        assert max(len(pos) for parts in injected_parts.values() for pos, _ in parts) == 5
         for name in config.theorems:
             reference = ReferenceFold(name, params_from_config(config))
             for inst in list(harness._generate(config, PURPOSES[name])) + list(INJECTED):
@@ -368,7 +399,7 @@ def test_a_rows_status_is_the_status_the_fold_counts(one_row):
     assert got[2].failed == ("gap", "identity")  # sorted, not in the checks' order
     fold = harness._SuiteFold("cs", PARAMS)
     with np.errstate(all="ignore"):
-        fold.fold(insts, parts)
+        fold.fold(insts, parts, {})
     entry = fold.entry()
     assert Counter(res.status for res in got) == Counter(
         {"pass": entry["passes"], "fail": entry["failures"], "borderline": entry["borderline"]})

@@ -344,3 +344,32 @@ def test_a_broken_weight_keeps_the_cs_row_and_fails_sharp(i, weight):
     sharp = [_summary(r) for r in checked("sharp", group())]
     assert sharp[0] == _summary(harness._run_check("sharp", Trial(inst, CONFIG)))
     assert sharp[1][1] == ("invalid_instance",)
+
+
+def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
+    # with chunks of one trial, each generated trial is a group of one and
+    # arrives at its checks as its Trial; injected instances of one n (and
+    # one m, which the oracle's stacks need) arrive as one TrialGroup, and
+    # a broken instance alone in its n is checked once per suite, with no
+    # second attempt after its check raises
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
+    config = TrialConfig(trials=3, seed=2)
+    valid = _valid("means", 3)
+    broken = Instance(MultiplicationSip(1), np.ones(1), np.array([1e200]), np.array([1e200]))
+    injected = (valid[0], broken, valid[1], valid[2])
+    seen = {name: [] for name in THEOREMS}
+    for name in THEOREMS:
+        def recorded(rec, _check=CHECKS[name], _seen=seen[name]):
+            _seen.append((type(rec).__name__, [t.inst for t in rec.pairs]))
+            return _check(rec)
+        monkeypatch.setitem(CHECKS, name, recorded)
+    with np.errstate(all="ignore"):
+        report = harness.run_suite(config, injected=injected)
+    for name in THEOREMS:
+        calls = seen[name]
+        assert [kind for kind, _ in calls[:config.trials]] == ["Trial"] * config.trials, name
+        injected_calls = [(kind, [id(i) for i in insts]) for kind, insts in calls[config.trials:]]
+        assert sorted(injected_calls) == sorted([
+            ("TrialGroup", [id(valid[0]), id(valid[1]), id(valid[2])]),
+            ("Trial", [id(broken)])]), name
+        assert report.theorems[name]["trials"] == config.trials + len(injected)

@@ -18,6 +18,11 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
   triage/...    reports with eight broken instances injected, made by
                 perfbench's broken_instance (read from the perfbench
                 beside this script, so both trees get the same ones);
+  triage-group/...
+                reports with the eight broken instances at one (m, n),
+                interleaved with valid generated instances of that n, so
+                that the injected instances are checked as groups of one
+                codomain dimension, broken and valid trials together;
   .../replay    replay_counterexample of every distinct counterexample;
   .../shrink    shrink's output file for each of them;
   study         one convergence study at grids 64, 1000 and 10^5.
@@ -38,6 +43,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -51,8 +57,11 @@ FULL_REPORTS = (
     + [(5, 60, {"theta_count": 300, "angle_count": 256,
                 "tolerances": {"rel": 1e-7, "abs": 1e-11, "cone_band": 1e-6}})])
 TINY_REPORTS = [(0, 8, {}), (1, 8, {"lambda_count": 400, "m_hi": 12, "n_hi": 8})]
-# (seeds, trials) of the triage reports, and (trials, grids) of the study
+# (seeds, trials) of the triage reports, (seed, m, n) of the triage-group
+# reports, and (trials, grids) of the study
 FULL_TRIAGE, TINY_TRIAGE = (range(6), 5), (range(1), 2)
+FULL_TRIAGE_GROUPS = [(0, 2, 1), (1, 4, 2), (2, 5, 3), (3, 3, 3), (4, 7, 5), (5, 12, 8)]
+TINY_TRIAGE_GROUPS = [(0, 4, 2)]
 FULL_STUDY, TINY_STUDY = (20, (64, 1000, 10**5)), (4, (8, 64))
 
 
@@ -71,6 +80,24 @@ def _triage_instances(seed: int, k: int) -> list:
             else broken_instance(rng, cls, DOMAIN_DIMS[(i + k) % dims],
                                  CODOMAIN_DIMS[(i + 3 * k) % dims])
             for i, cls in enumerate(BROKEN_CLASSES)]
+
+
+def _triage_group_instances(seed: int, m: int, n: int) -> list:
+    """The eight broken instances at (m, n), drawn from seed, interleaved with six valid ones.
+
+    The valid instances are two of each recipe, generated with codomain
+    dimension n.
+    """
+    import numpy as np
+    from riesz_sip import harness as h
+    from workloads import BROKEN_CLASSES, broken_instance
+
+    rng = np.random.default_rng(seed)
+    broken = [h.Instance.from_dict(broken_instance(rng, cls, m, n)) for cls in BROKEN_CLASSES]
+    config = h.TrialConfig(seed=seed, trials=2, m_hi=12, n_lo=n, n_hi=n)
+    valid = [h.generate_instance(config, i, purpose)
+             for purpose in ("generic", "positive_log", "orthogonal") for i in range(2)]
+    return [inst for pair in zip_longest(broken, valid) for inst in pair if inst is not None]
 
 
 def corpus(tiny: bool) -> dict:
@@ -135,6 +162,9 @@ def corpus(tiny: bool) -> dict:
         for k, seed in enumerate(seeds):
             injected = tuple(h.Instance.from_dict(d) for d in _triage_instances(seed, k))
             run(f"triage/seed={seed}", h.TrialConfig(seed=seed, trials=trials), injected)
+        for seed, m, n in TINY_TRIAGE_GROUPS if tiny else FULL_TRIAGE_GROUPS:
+            run(f"triage-group/seed={seed},m={m},n={n}", h.TrialConfig(seed=seed, trials=trials),
+                tuple(_triage_group_instances(seed, m, n)))
         trials, grids = TINY_STUDY if tiny else FULL_STUDY
         digest("study", lambda: without_wall_time(
             h.convergence_study(h.TrialConfig(trials=trials), grids)))
