@@ -18,17 +18,23 @@ Gram is the record of one pair: x and y, an optional weight u, a, b, c
 with sqrt(a*c) and the closed-form defect derived from them, and the
 seminorm values of the triangle-type theorems (see seminorms), each
 validated or evaluated once, on first read. GramStack is the record of k
-pairs whose semi-inner products share the codomain R^n: each pair is a
-Gram that evaluates its own values, and the stack reads them as (k, n)
-arrays, one row per pair, and derives the rest by the same formulas on
-the rows. The identity (cs_identity), the inequality with its
-biconditional (cs_verdict) and the oracle comparison (defect_gaps) are
-pure functions of either record, with a float or bool per statement for
-a Gram and a (k,) array of them for a GramStack, the same bits row by
-row. The harness's trial record is a Gram and its group record a
-GramStack. Their residuals, the borderline window and the fold of two
-gaps follow the package-wide residual policy of lattice (cone_gap,
-excess, near and fold), which reduces over the last axis.
+pairs whose semi-inner products share the codomain R^n, read as (k, n)
+arrays, one row per pair. A record evaluates T-values with values(): a
+Gram in one sip.eval_stack call, a GramStack in one call per sub-stack
+of pairs of one sip kind and one domain R^m, each call stacking every
+pair of the sub-stack and every argument pair asked for. a, b and c come
+from one such evaluation, and s and d from another, so an x+y or x-y
+that overflows raises only on reading s or d; seminorms evaluates its
+scaled values the same way. The derived values follow by the same
+formulas on the rows, and each row has the bits of its pair's Gram,
+which are those of T.eval. The identity (cs_identity), the inequality
+with its biconditional (cs_verdict) and the oracle comparison
+(defect_gaps) are pure functions of either record, with a float or bool
+per statement for a Gram and a (k,) array of them for a GramStack, the
+same bits row by row. The harness's trial record is a Gram and its group
+record a GramStack. Their residuals, the borderline window and the fold
+of two gaps follow the package-wide residual policy of lattice
+(cone_gap, excess, near and fold), which reduces over the last axis.
 
 The lambda-grid oracle must stay independent of that derivation: it
 samples the defining family by evaluating T directly on lambda*x - y over
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 
 import numpy as np
@@ -66,6 +73,7 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DimensionMismatch,
+    NonFinite,
     NotInPositiveCone,
     _finite,
     as_lattice_vector,
@@ -83,7 +91,7 @@ from .means import (
     _box_times,
     _cone_pair,
 )
-from .sip import Sip
+from .sip import Sip, eval_stack
 
 # Default lambda grid of a verification run (TrialConfig).
 LAMBDA_LO = 1e-6
@@ -112,12 +120,66 @@ def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class _Record:
-    """The values a record derives from a, b, c, s, d and u, each by one formula.
+    """The values a record evaluates and derives from its pairs, each by one formula.
 
-    A Gram derives them for its pair, shaped (n,), and a GramStack for
-    its k pairs, shaped (k, n): every step is elementwise or takes a
-    floor per row, so each row has the bits of its pair's Gram.
+    A Gram holds them for its pair, shaped (n,), and a GramStack for its
+    k pairs, shaped (k, n). The T-values come from values(), whose rows
+    have the bits of each pair's T.eval; every derived step is
+    elementwise or takes a floor per row, so each row has the bits of its
+    pair's Gram.
     """
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """a, b and c, stacked: T(x,x), T(x,y) and T(y,y) from one evaluation."""
+        return self.values(lambda x, y: (np.array((x, x, y)), np.array((x, y, y))))
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self._gram[0]
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self._gram[1]
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self._gram[2]
+
+    @cached_property
+    def _sums(self) -> tuple:
+        """(T(x+y,x+y) and T(x-y,x-y) stacked, which of x+y and x-y is finite at every pair).
+
+        One evaluation gives both; an argument that overflows at some pair
+        is evaluated as zeros there, and its value raises when read.
+        """
+        finite = [True, True]
+
+        def args(x, y):
+            z = np.array((x + y, x - y))
+            ok = np.isfinite(z)
+            if not ok.all():
+                finite[:] = map(min, finite, ok.reshape(2, -1).all(axis=1).tolist())
+                z = np.where(ok, z, 0.0)
+            return z, z
+
+        return self.values(args), finite
+
+    def _sum_value(self, i: int, name: str) -> np.ndarray:
+        t, finite = self._sums
+        if not finite[i]:
+            raise NonFinite(f"{name} has an entry that is not finite")
+        return t[i]
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """T(x+y, x+y)."""
+        return self._sum_value(0, "x+y")
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """T(x-y, x-y)."""
+        return self._sum_value(1, "x-y")
 
     @cached_property
     def bound(self) -> np.ndarray:
@@ -186,13 +248,13 @@ class Gram(_Record):
     Every value is validated or evaluated once, on first read: x and y
     (vectors of T's domain), u (a vector of T's codomain in F+, tiny
     negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
-    with bound and defect, and the seminorm values s = T(x+y,x+y),
-    d = T(x-y,x-y), the seminorms of x, y, x+y and x-y under u, the
-    squared sides of the triangle inequality and the middle term of the
-    sharpened chain. Reading lazily keeps a
-    reader from computing, or raising on, a value it never reads: the
-    Cauchy-Schwarz values never read u. A value that raises is not kept,
-    so the next reader raises on it again.
+    (one evaluation) with bound and defect, and the seminorm values
+    s = T(x+y,x+y) and d = T(x-y,x-y) (another), the seminorms of x, y,
+    x+y and x-y under u, the squared sides of the triangle inequality and
+    the middle term of the sharpened chain. Reading lazily keeps a reader
+    from computing, or raising on, a value it never reads: the
+    Cauchy-Schwarz values never read u, nor x+y and x-y. A value that
+    raises is not kept, so the next reader raises on it again.
     """
 
     def __init__(self, T: Sip, x, y, u=None):
@@ -230,29 +292,9 @@ class Gram(_Record):
             raise NotInPositiveCone(f"weight entry {np.min(u)} is negative")
         return np.maximum(u, 0.0)
 
-    @cached_property
-    def a(self) -> np.ndarray:
-        return self.T.eval(self.x, self.x)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return self.T.eval(self.x, self.y)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return self.T.eval(self.y, self.y)
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """T(x+y, x+y)."""
-        z = _finite(self.x + self.y)
-        return self.T.eval(z, z)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        """T(x-y, x-y)."""
-        z = _finite(self.x - self.y)
-        return self.T.eval(z, z)
+    def values(self, args) -> np.ndarray:
+        """T(l, r) for the j argument pairs (l, r) of args(x, y), two (j, m) arrays: a (j, n) array."""
+        return eval_stack((self.T,), *args(self.x, self.y))
 
 
 def _stacked(name: str) -> cached_property:
@@ -263,11 +305,12 @@ def _stacked(name: str) -> cached_property:
 class GramStack(_Record):
     """The lazy record of k pairs, each a Gram, under semi-inner products into one R^n.
 
-    The pairs' sips, kinds and domains may differ. x, y, u, a, b, c, s
-    and d read as the stacks of the pairs' values, one row per pair,
-    each pair validating or evaluating its own once; the derived values
-    are computed on the stacks. A value that raises on any pair raises
-    here and is not kept, as in a Gram.
+    The pairs' sips, kinds and domains may differ. x, y and u read as the
+    stacks of the pairs' validated values, one row per pair. The T-values
+    are evaluated on the stack, one eval_stack call per sub-stack of pairs
+    of one sip kind and one domain R^m, and the derived values are
+    computed on the stacks. A value that raises on any pair raises here
+    and is not kept, as in a Gram.
     """
 
     def __init__(self, pairs):
@@ -286,22 +329,58 @@ class GramStack(_Record):
             raise DimensionMismatch("the pairs' values differ in shape") from None
 
     def where(self, holds: np.ndarray, f) -> np.ndarray:
-        """f of the record of the pairs where holds, 0.0 at the others, as a (k,) array."""
+        """f of the record of the pairs where holds, 0.0 at the others, as a (k,) array.
+
+        The record of those pairs keeps the rows of the T-values evaluated
+        here, so no pair's value is evaluated twice.
+        """
         if holds.all():
             return f(self)
         out = np.zeros(len(self.pairs))
         if holds.any():
-            out[holds] = f(GramStack(p for p, h in zip(self.pairs, holds) if h))
+            held = GramStack(compress(self.pairs, holds))
+            if "_gram" in vars(self):
+                held._gram = self._gram[:, holds]
+            if "_sums" in vars(self) and all(self._sums[1]):
+                held._sums = self._sums[0][:, holds], self._sums[1]
+            out[holds] = f(held)
+        return out
+
+    @cached_property
+    def _parts(self) -> list:
+        """(positions, sips, x, y) of each sub-stack of pairs of one sip kind, m and n.
+
+        x and y are the (k', m) stacks of the sub-stack's validated pairs,
+        validated in pair order.
+        """
+        xs, ys = [p.x for p in self.pairs], [p.y for p in self.pairs]
+        parts = {}
+        for i, p in enumerate(self.pairs):
+            parts.setdefault((type(p.T), p.T.domain_dim, p.T.codomain_dim), []).append(i)
+        return [(rows, [self.pairs[i].T for i in rows],
+                 np.array([xs[i] for i in rows]), np.array([ys[i] for i in rows]))
+                for rows in parts.values()]
+
+    def values(self, args) -> np.ndarray:
+        """T(l, r) for the j argument pairs (l, r) of args at every pair: a (j, k, n) array.
+
+        args maps a sub-stack's (k', m) stacks of x and y to two (j, k', m)
+        arrays, evaluated in one eval_stack call. Pairs of different
+        codomains raise DimensionMismatch.
+        """
+        out = None
+        for rows, sips, x, y in self._parts:
+            t = eval_stack(sips, *args(x, y))
+            if out is None:
+                out = np.empty((len(t), len(self.pairs), t.shape[-1]))
+            elif t.shape[-1] != out.shape[-1]:
+                raise DimensionMismatch("the pairs' values differ in shape")
+            out[:, rows] = t
         return out
 
     x = _stacked("x")
     y = _stacked("y")
     u = _stacked("u")
-    a = _stacked("a")
-    b = _stacked("b")
-    c = _stacked("c")
-    s = _stacked("s")
-    d = _stacked("d")
 
 
 Record = Gram | GramStack

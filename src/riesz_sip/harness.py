@@ -5,7 +5,10 @@ instances and aggregates the results into a deterministic JSON report.
 Every trial draws its randomness from a substream keyed by
 (config.seed, trial_index), so reports are reproducible bit for bit
 (wall time aside) and any recorded counterexample can be replayed or
-shrunk offline from its serialized instance alone. A check is a
+shrunk offline from its serialized instance alone. The streams are
+np.random.default_rng's of those keys, bit for bit, set per trial on one
+reused Generator from a hash of the whole chunk's keys
+(streams.ChunkStreams), not built one default_rng at a time. A check is a
 deterministic function of (instance, config): the oracle grids it samples
 are derived on the config, and anything else sampled inside a check uses
 fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
@@ -62,7 +65,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
-from itertools import compress, islice
+from itertools import chain, compress
 from operator import le, not_
 from typing import NamedTuple
 
@@ -128,6 +131,7 @@ from .sip import (
     orthogonal_sample,
     random_psd,
 )
+from .streams import ChunkStreams
 
 REPORT_SCHEMA = "riesz-sip/1"
 
@@ -376,7 +380,7 @@ def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
 
 
 def generate_instance(config: TrialConfig, trial_index: int,
-                      purpose: str = "generic") -> Instance:
+                      purpose: str = "generic", streams: ChunkStreams | None = None) -> Instance:
     """Deterministic instance for one trial, keyed by (seed, trial_index).
 
     generic draws mix both sip kinds and bias a quarter of the pairs to
@@ -386,8 +390,16 @@ def generate_instance(config: TrialConfig, trial_index: int,
     T(x, y) = 0 built by orthogonal_sample, preferring PSD families with
     m > n. positive_log draws signed entries with log-uniform magnitudes
     on the multiplication sip, the stress regime for the grid oracles.
+
+    The draws come from default_rng((seed, trial_index)) and, for
+    orthogonal_sample's attempts, default_rng((seed, trial_index,
+    attempt)): from streams, the pre-seeded streams of the trial's chunk
+    (_chunks), or without them from the trial's own, seeded by the same
+    hash.
     """
-    rng = np.random.default_rng((config.seed, trial_index))
+    if streams is None:
+        streams = ChunkStreams(config.seed, (trial_index,), purpose)
+    rng = streams.trial(trial_index)
 
     if purpose == "generic":
         mult = rng.random() < 0.5
@@ -436,7 +448,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
                 k = int(rng.integers(1, m))  # nonempty proper zero support
                 x[rng.choice(m, size=k, replace=False)] = 0.0
             try:
-                y = orthogonal_sample(T, x, seed=(config.seed, trial_index, attempt))
+                y = orthogonal_sample(T, x, seed=streams.attempt(trial_index, attempt))
             except (NoNontrivialOrthogonal, NonFinite):  # NonFinite: x'A_j overflowed
                 continue
             y = y * float(rng.uniform(0.5, config.entry_hi))
@@ -821,21 +833,27 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
-def _generate(config: TrialConfig, purpose: str):
-    """config.trials instances of one recipe, one at a time, None where generation gave up."""
-    for i in range(config.trials):
-        try:
-            inst = generate_instance(config, i, purpose)
-        except GenerationExhausted:
-            inst = None
-        yield inst
-
-
 def _chunks(config: TrialConfig, purpose: str):
-    """_generate's instances in lists of TRIAL_CHUNK."""
-    generated = _generate(config, purpose)
-    while chunk := list(islice(generated, TRIAL_CHUNK)):
+    """config.trials instances of one recipe in lists of TRIAL_CHUNK, None where generation gave up.
+
+    Each chunk's streams are seeded at once (ChunkStreams), and its instances
+    generated one at a time.
+    """
+    for lo in range(0, config.trials, TRIAL_CHUNK):
+        indices = range(lo, min(lo + TRIAL_CHUNK, config.trials))
+        streams = ChunkStreams(config.seed, indices, purpose)
+        chunk = []
+        for i in indices:
+            try:
+                chunk.append(generate_instance(config, i, purpose, streams))
+            except GenerationExhausted:
+                chunk.append(None)
         yield chunk
+
+
+def _generate(config: TrialConfig, purpose: str):
+    """_chunks' instances one at a time."""
+    return chain.from_iterable(_chunks(config, purpose))
 
 
 def _check_chunk(chunk: list, suites: list, config: TrialConfig, dicts: dict) -> None:

@@ -22,13 +22,16 @@ Layout of the grid oracles: coordinate-major, in blocks. Each oracle
 evaluates its (rows, G) array, one row per coordinate of each pair (n
 rows for one pair's (n,) vectors, k*n for a (k, n) stack of k trials),
 one block of grid columns at a time (_blocks: at most GRID_BLOCK
-elements; _fold_blocks for the means), accumulating the block in place
-and reducing it along its contiguous rows, and folds the block results
-with np.minimum or np.maximum in grid order; so memory is bounded by
-the block, not by G or the row count. A call allocates its block buffers
-once and every block reuses them (_block_view): the block loop makes no
-array, so its cost does not depend on when the allocator maps or
-returns memory. The grid-side factors (1/theta, cos t and sin t, the
+elements), accumulating the block in place and reducing it along its
+contiguous rows, and folds the block results with np.minimum or
+np.maximum in grid order; so memory is bounded by the block, not by G or
+the row count. The mean oracles (_fold_blocks) cut a stack's rows into
+bands of at most GRID_BLOCK // BAND_COLUMNS rows and run each band's
+blocks in turn, so that a block row keeps BAND_COLUMNS grid columns
+where the grid has them, out of numpy's slow regime for short rows. A
+call allocates its block buffers once and every block reuses them
+(_block_view): the block loop makes no array, so its cost does not
+depend on when the allocator maps or returns memory. The grid-side factors (1/theta, cos t and sin t, the
 quarter-circle angles) are cached on the grid. The elements are the
 products and sums of the grid-major layout, min and max are exact, and
 halving after the minimum is monotone, so each result keeps its bits at
@@ -78,7 +81,14 @@ ANGLE_COUNT = 4096
 # Of the widths 2**13 to 2**18 timed (BENCH_grid_blocks.json), 2**15 and
 # 2**16 ran fastest, within noise of each other; 2**16 holds the default
 # theta grid in one block up to n = 6. A result's bits do not depend on it.
+# The mean oracles do not narrow a block below BAND_COLUMNS for a stack's
+# many rows: on numpy 2.4.6 a block's outer product, np.multiply of a
+# (rows, 1) column and a (width,) grid slice, costs 1.2-1.7 ns per element
+# at widths up to 2,730 columns and 0.25-0.5 ns from 2,800 up, at 1 to 56
+# rows (BENCH_stack_setup.json), so _fold_blocks cuts the rows into bands.
 GRID_BLOCK = 2**16
+# Grid columns a block row keeps at least, where the grid has them.
+BAND_COLUMNS = 4096
 
 
 @dataclass(frozen=True)
@@ -255,21 +265,29 @@ def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
     """fold (np.minimum or np.maximum) of a*fa + b*fb over the grid, entry by entry, in blocks.
 
     a and b are an (n,) vector or a (k, n) stack; each entry is one row
-    of the (rows, G) array, which is never built whole: each block's
-    elements are accumulated in place in two block buffers and reduced,
-    and the block results are folded in grid order.
+    of the (rows, G) array, which is never built whole. The rows go in
+    the fewest bands of at most GRID_BLOCK // BAND_COLUMNS rows, of even
+    size, and each band's blocks (_blocks of the band) are accumulated in
+    place in two block buffers and reduced, and their results folded in
+    grid order.
     """
     rows, count = a.size, fa.size
-    w_buf, t_buf = np.empty((2, rows * _block_width(rows, count)))
+    bands = -(-rows // max(GRID_BLOCK // BAND_COLUMNS, 1))
+    band = -(-rows // bands)
+    w_buf, t_buf = np.empty((2, band * _block_width(band, count)))
     a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
+    out = np.empty(rows)
 
-    def block(cols):
-        w, t = _block_view(w_buf, rows, cols), _block_view(t_buf, rows, cols)
-        np.multiply(a_col, fa[cols], out=w)
-        w += np.multiply(b_col, fb[cols], out=t)
+    def block(lo, hi, cols):
+        w, t = _block_view(w_buf, hi - lo, cols), _block_view(t_buf, hi - lo, cols)
+        np.multiply(a_col[lo:hi], fa[cols], out=w)
+        w += np.multiply(b_col[lo:hi], fb[cols], out=t)
         return fold.reduce(w, axis=1)
 
-    return reduce(fold, map(block, _blocks(rows, count))).reshape(a.shape)
+    for lo in range(0, rows, band):
+        hi = min(lo + band, rows)
+        out[lo:hi] = reduce(fold, (block(lo, hi, cols) for cols in _blocks(band, count)))
+    return out.reshape(a.shape)
 
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,

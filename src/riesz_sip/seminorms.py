@@ -56,15 +56,18 @@ from .lattice import (
     rel_residual,
 )
 from .means import _box_plus
-from .cauchy_schwarz import CONE_BAND, Gram, Record, _seminorm
+from .cauchy_schwarz import CONE_BAND, Record, _seminorm
 
 
-def _scaled_value(p: Gram, alpha: float | None) -> np.ndarray:
-    """T(alpha*x, alpha*x) of a pair, with alpha = x_0 for None."""
-    if alpha is None:
-        alpha = float(p.x[0])
-    z = _finite(alpha * p.x)  # p.x is validated; only its scaling can overflow
-    return p.T.eval(z, z)
+# The fixed scalars of the homogeneity check; x_0 is the fifth.
+_SCALARS = (-2.5, -1.0, 0.0, 0.5)
+
+
+def _scaled_pairs(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(z, z) for Record.values: the rows alpha*x for each fixed alpha, then x_0*x."""
+    # x is validated; only its scaling can overflow
+    z = _finite(np.concatenate((np.multiply.outer(_SCALARS, x), (x[..., :1] * x)[None])))
+    return z, z
 
 
 def seminorm_residuals(g: Record, floor: float = DEFAULT_ABS_TOL) -> dict:
@@ -72,14 +75,14 @@ def seminorm_residuals(g: Record, floor: float = DEFAULT_ABS_TOL) -> dict:
 
     positivity of norm(x), norm(y); homogeneity norm(alpha*x) =
     |alpha|*norm(x) over a fixed scalar set plus x_0 (a data-dependent value
-    that keeps the check a pure function of the pair); the triangle
+    that keeps the check a pure function of the pair), its five scaled
+    values T(alpha*x, alpha*x) from one evaluation; the triangle
     inequality; and norm(x)^2 = T(x,x)*u.
     """
     sx, sy, sxy = g.norm_x, g.norm_y, g.norm_sum
     pos = fold(*(cone_gap(s, np.abs(s) + floor) for s in (sx, sy)))
     hom = 0.0
-    for alpha in (-2.5, -1.0, 0.0, 0.5, None):
-        t = g.each(lambda p: _scaled_value(p, alpha))
+    for alpha, t in zip((*_SCALARS, None), g.values(_scaled_pairs)):
         scale = np.abs(g.each(lambda p: p.x[:1]) if alpha is None else alpha)
         hom = fold(hom, rel_residual(_seminorm(t, g.u), scale * sx, floor=floor))
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)

@@ -16,10 +16,17 @@ residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
 well formed beyond shape.
 
-Each sip has three kernels:
+Each sip has three kernels, and eval_stack evaluates a stack of sips:
 
-  eval(x, y)         T(x, y) of one pair: the Gram values a, b, c and the
-                     seminorm values of a trial.
+  eval(x, y)         T(x, y) of one pair: orthogonal_sample's check of its
+                     draw.
+  eval_stack(sips, L, R)
+                     T_i(l, r) for k sips of one kind, m and n, at
+                     the rows of two (..., k, m) arrays: the Gram values
+                     a, b, c, the seminorm values and the scaled values of
+                     a record's pairs (cauchy_schwarz.Gram, GramStack).
+                     The PSD form is two stacked matmuls, a row's bits
+                     those of its sip's eval.
   eval_batch(X, Y)   T on the rows of two (..., S, m) arrays, an (..., S, n)
                      array. check_axioms is its one caller, once per
                      family, on its 11 (left, right) pairs stacked into
@@ -219,6 +226,21 @@ class PsdFamilySip:
 
 
 Sip = MultiplicationSip | PsdFamilySip
+
+
+def eval_stack(sips, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """T_i(l, r) at the rows l, r of L and R for the k sips T_i: (..., k, m) arrays to (..., k, n).
+
+    The sips share one kind, m and n; for one sip the k axis may be left
+    out, (..., m) arrays to (..., n). Row i has the bits of
+    sips[i].eval(l, r): multiplication sips multiply the rows, and PSD
+    families evaluate A_i @ r @ l as two matmuls stacked over every row
+    and every family, whose inner products are those of eval's.
+    """
+    if isinstance(sips[0], MultiplicationSip):
+        return L * R
+    A = sips[0].matrices if len(sips) == 1 else np.array([T.matrices for T in sips])
+    return ((A @ R[..., None, :, None])[..., 0] @ L[..., :, None])[..., 0]
 
 
 def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riesz_sip import cauchy_schwarz
 from riesz_sip.cauchy_schwarz import (
     INEQ_FLOOR,
     LAMBDA_COUNT,
@@ -273,3 +274,25 @@ def test_lambda_minimum_weight():
         d, du = lambda_minima(g, grid, u)
         assert np.array_equal(d, plain)  # the weight leaves D as it is
         assert np.array_equal(du, weighted)
+
+
+def test_where_keeps_the_rows_evaluated_so_far(monkeypatch):
+    # GramStack.where hands the pairs where a hypothesis holds their rows of
+    # the T-values evaluated so far: no pair's value is evaluated twice
+    evaluated = []
+
+    def counted(sips, L, R, _eval_stack=cauchy_schwarz.eval_stack):
+        evaluated.append((len(L), len(sips)))
+        return _eval_stack(sips, L, R)
+
+    monkeypatch.setattr(cauchy_schwarz, "eval_stack", counted)
+    T = PsdFamilySip(np.eye(3)[None])
+    rng = np.random.default_rng(4)
+    stack = GramStack(Gram(T, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), np.ones(1))
+                      for _ in range(4))
+    stack.a, stack.s
+    holds = np.array([True, False, True, True])
+    got = stack.where(holds, lambda held: (held.norm_x + held.norm_sum + held.b).max(axis=-1))
+    assert evaluated == [(3, 4), (2, 4)]  # a, b, c of 4 pairs, then s and d
+    ref = (stack.norm_x + stack.norm_sum + stack.b).max(axis=-1)
+    assert np.array_equal(got, np.where(holds, ref, 0.0))

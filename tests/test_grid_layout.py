@@ -342,3 +342,39 @@ def test_psd_eval_batch_matches_einsum_optimize(batch):
             X = rng.uniform(-10.0, 10.0, (batch, m))
             Y = rng.uniform(-10.0, 10.0, (batch, m))
             assert_same_bits(T.eval_batch(X, Y), ref_eval_batch(T, X, Y))
+
+
+def banded_rows():
+    """300 rows of entries a and b: magnitudes 1e-300 to 1e300 and zeros of both signs, some rows all zero."""
+    rng = np.random.default_rng(24)
+    a, b = (rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-300.0, 300.0, 300)
+            for _ in "ab")
+    for v in (a, b):
+        v[rng.choice(300, 60, replace=False)] = rng.choice([0.0, -0.0], 60)
+    a[::37] = b[::37] = -0.0
+    a[5::41] = b[5::41] = 0.0
+    return a, b
+
+
+def test_banded_stacks_give_each_row_its_bits_alone():
+    # _fold_blocks cuts a stack's rows into bands of at most
+    # GRID_BLOCK // BAND_COLUMNS rows, each in blocks of at least
+    # BAND_COLUMNS grid columns; a (k, n) stack of 1 to 300 rows gives
+    # every row the bits of its one-row call (one band of one block at the
+    # default grids), for both mean oracles and the quarter circle
+    a, b = banded_rows()
+    u, v = np.abs(a), np.abs(b)
+    theta, angle = THETA_GRIDS[0], ANGLE_GRIDS[0]
+    cos_t, sin_t = angle._trig
+    qcos, qsin = angle._quarter_trig
+    folds = [(np.minimum, u, theta.points, v, theta.inverse),
+             (np.maximum, a, cos_t, b, sin_t), (np.maximum, a, qcos, b, qsin)]
+    with np.errstate(all="ignore"):
+        alone = [np.concatenate([means._fold_blocks(f, p[i:i + 1], fp, q[i:i + 1], fq)
+                                 for i in range(300)]) for f, p, fp, q, fq in folds]
+        for rows in range(1, 301):
+            n = next(d for d in (4, 3, 2, 1) if rows % d == 0)
+            for (f, p, fp, q, fq), ref in zip(folds, alone):
+                got = means._fold_blocks(f, p[:rows].reshape(-1, n), fp, q[:rows].reshape(-1, n), fq)
+                assert got.shape == (rows // n, n)
+                assert_same_bits(got.ravel(), ref[:rows])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riesz_sip import harness
+from riesz_sip import cauchy_schwarz, harness
 from riesz_sip.cli import main
 from riesz_sip.harness import (
     CHECKS,
@@ -820,16 +820,38 @@ def test_multi_block_study_bytes_are_pinned():
     assert _sha256_less_wall_time(study) == PINNED_MULTI_BLOCK_STUDY_SHA256
 
 
+def _count_rows(monkeypatch) -> tuple:
+    """(rows, calls, sips): the T-values cauchy_schwarz.eval_stack evaluates per sip, by id.
+
+    Each evaluation is j argument pairs at each of its sips, so it adds j
+    rows to every sip; sips keeps the sips alive, so that no id is reused.
+    """
+    rows, calls, sips = Counter(), [], []
+
+    def counted(stack, L, R, _eval_stack=cauchy_schwarz.eval_stack):
+        calls.append(1)
+        sips.extend(stack)
+        for T in stack:
+            rows[id(T)] += len(L)
+        return _eval_stack(stack, L, R)
+
+    monkeypatch.setattr(cauchy_schwarz, "eval_stack", counted)
+    return rows, calls, sips
+
+
 def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
-    # a generic trial has 10 distinct T-values (a, b, c, T(x+y,x+y),
-    # T(x-y,x-y) and the five scaled pairs of the seminorm homogeneity
-    # check) and one lambda-grid sampling, which its six suites share;
-    # each orthogonal trial adds the 4 T-values of pythagoras and, at this
-    # seed, one T-value of generation's orthogonality check; the axioms
-    # suite evaluates its 11 stacked pairs in one batch per PSD family and
-    # in one per group for its multiplication sips, whose residuals depend
-    # on n alone: the 50 trials are one chunk, and each codomain dimension
-    # one group (at most 14 trials, under the 16 of n = 4's sample budget)
+    # a generic trial has 10 distinct T-values, evaluated on its group's
+    # stacks: a, b and c in one evaluation, T(x+y,x+y) and T(x-y,x-y) in a
+    # second and the five scaled pairs of the seminorm homogeneity check
+    # in a third, and one lambda-grid sampling, which its six suites
+    # share; each orthogonal trial has the 5 T-values of the first two
+    # evaluations (pythagoras reads all but T(x-y,x-y)) and, at this seed,
+    # one eval of generation's orthogonality check; positive_log trials
+    # evaluate none; the axioms suite evaluates its 11 stacked pairs in
+    # one batch per PSD family and in one per group for its multiplication
+    # sips, whose residuals depend on n alone: the 50 trials are one
+    # chunk, and each codomain dimension one group (at most 14 trials,
+    # under the 16 of n = 4's sample budget)
     config = TrialConfig(trials=50, seed=3)
     insts = [generate_instance(config, i) for i in range(config.trials)]
     psd = sum(inst.kind == "psd_family" for inst in insts)
@@ -842,24 +864,26 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
+    rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
-    assert calls == {"eval": 750, "eval_batch": psd + mult_groups, "quadratic": 50}
+    assert calls == {"eval": 50, "eval_batch": psd + mult_groups, "quadratic": 50}
+    # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 5
+    assert Counter(rows.values()) == {10: 50, 5: 50}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
-    calls = []
-    for cls in (PsdFamilySip, MultiplicationSip):
-        def counted(self, x, y, _eval=cls.eval):
-            calls.append(1)
-            return _eval(self, x, y)
-        monkeypatch.setattr(cls, "eval", counted)
-    # distinct T-values per trial: a, b, c, T(x+y,x+y), T(x-y,x-y), and
-    # the five scaled pairs of the seminorm homogeneity check
-    distinct = {"cs": 3, "sharp": 4, "additivity": 4, "pythagoras": 4,
-                "parallelogram": 4, "vsn": 8}
+    rows, calls, _ = _count_rows(monkeypatch)
+    # (evaluations, T-values) per trial: a, b and c in one evaluation,
+    # T(x+y,x+y) and T(x-y,x-y) in another, and the five scaled pairs of
+    # the seminorm homogeneity check in a third; a suite evaluates those
+    # it reads, b and T(x-y,x-y) along with the others of theirs
+    distinct = {"cs": (1, 3), "sharp": (2, 5), "additivity": (2, 5), "pythagoras": (2, 5),
+                "parallelogram": (2, 5), "vsn": (3, 10)}
     for suite, expected in distinct.items():
         for i in range(20):
             inst = generate_instance(SMALL, i, PURPOSES[suite])
+            rows.clear()
             del calls[:]
             assert CHECKS[suite](Trial(inst, SMALL)).row(0).status != "fail"
-            assert len(calls) == expected, suite
+            assert (len(calls), rows[id(inst.sip)]) == expected, suite
+            assert list(rows) == [id(inst.sip)]

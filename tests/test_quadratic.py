@@ -15,10 +15,11 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riesz_sip import means
+from riesz_sip import means, seminorms
 from riesz_sip.cauchy_schwarz import (
     LAMBDA_COUNT,
     LAMBDA_HI,
@@ -27,8 +28,9 @@ from riesz_sip.cauchy_schwarz import (
     GramStack,
     _lambda_blocks,
 )
+from riesz_sip.lattice import NonFinite
 from riesz_sip.means import GRID_BLOCK, LogGrid
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, eval_stack, random_psd
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -188,6 +190,72 @@ def test_gram_values_are_the_scalar_definition(n, data):
     for name in "abcsd":
         for i, g in enumerate(grams):
             assert_same_bits(getattr(stack, name)[i], getattr(g, name))
+
+
+def scaled_values(g):
+    return g.values(seminorms._scaled_pairs)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_a_stack_gives_each_pair_its_grams_bits(n, data):
+    # a GramStack evaluates its T-values in one eval_stack call per sub-stack
+    # of one sip kind and one m, stacks that mix kinds and m (m <= 12):
+    # each row has the bits of its pair's Gram, and a Gram those of T.eval;
+    # one pair's x+y overflows, and reading a, b and c neither raises nor
+    # evaluates s or d
+    kinds = data.draw(st.lists(sips(floats(-60, 60), st.just(n)), min_size=1, max_size=4))
+    grams = []
+    for T in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=17)):
+        x, y = (data.draw(columns(floats(-60, 60), T.domain_dim, 1))[:, 0] for _ in "xy")
+        grams.append(Gram(T, x, y))
+    big = np.full(n, 1e308)
+    at = data.draw(st.integers(0, len(grams)))
+    grams.insert(at, Gram(MultiplicationSip(n), big, big))
+    stack = GramStack(grams)
+    with np.errstate(over="ignore"):  # the big pair's T-values overflow
+        for name in "abc":
+            getattr(stack, name)
+        assert "_sums" not in vars(stack) and not any("_sums" in vars(g) for g in grams)
+        for read in (lambda r: r.s, lambda r: scaled_values(r)):
+            for record in (stack, grams[at]):
+                with pytest.raises(NonFinite):
+                    read(record)
+        d = stack.d
+    assert_same_bits(d[at], np.zeros(n))
+    del grams[at]
+    stack = GramStack(grams)
+    for name, value in (("a", lambda g: g.T.eval(g.x, g.x)), ("b", lambda g: g.T.eval(g.x, g.y)),
+                        ("c", lambda g: g.T.eval(g.y, g.y)),
+                        ("s", lambda g: g.T.eval(g.x + g.y, g.x + g.y)),
+                        ("d", lambda g: g.T.eval(g.x - g.y, g.x - g.y))):
+        rows = getattr(stack, name)
+        for i, g in enumerate(grams):
+            assert_same_bits(getattr(g, name), value(g))
+            assert_same_bits(rows[i], getattr(g, name))
+    rows = scaled_values(stack)
+    for i, g in enumerate(grams):
+        alone = scaled_values(g)
+        for alpha, t in zip((-2.5, -1.0, 0.0, 0.5, float(g.x[0])), alone):
+            assert_same_bits(t, g.T.eval(alpha * g.x, alpha * g.x))
+        assert_same_bits(rows[:, i], alone)
+
+
+def test_stacked_evaluation_has_the_bits_of_eval():
+    # the stacked matmuls of eval_stack against A @ r @ l one pair at a
+    # time, at every m <= 12 and n <= 8, for stacks of 1 and of 17 families
+    # and for one family without a stack axis
+    rng = np.random.default_rng(96)
+    for m in range(1, 13):
+        for n in range(1, 9):
+            for k in (1, 17):
+                sips = [random_psd(rng, m, n) for _ in range(k)]
+                L, R = (rng.uniform(-10.0, 10.0, (3, k, m)) for _ in "LR")
+                got = eval_stack(sips, L, R)
+                for j in range(3):
+                    for i, T in enumerate(sips):
+                        assert_same_bits(got[j, i], T.eval(L[j, i], R[j, i]))
+            assert_same_bits(eval_stack(sips[:1], L[:, 0], R[:, 0]), got[:, 0])
 
 
 GRID = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, LAMBDA_COUNT)

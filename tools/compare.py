@@ -13,8 +13,10 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
 
   report/...    run_suite reports over seeds x trial counts, a lambda grid
                 of 400 points, one of 10^5 (several blocks per pair), the
-                shapes m <= 12, n <= 8, and non-default grids and
-                tolerances;
+                shapes m <= 12, n <= 8, non-default grids and
+                tolerances, and a seed of two 32-bit words (2^40 + 3)
+                over more than one chunk of trials, whose streams the
+                harness seeds from the words of the key;
   triage/...    reports with eight broken instances injected, made by
                 perfbench's broken_instance (read from the perfbench
                 beside this script, so both trees get the same ones);
@@ -55,7 +57,8 @@ FULL_REPORTS = (
     + [(3, 300, {"lambda_count": 400}), (0, 60, {"lambda_count": 10**5})]
     + [(seed, 60, {"m_hi": 12, "n_hi": 8}) for seed in range(4)]
     + [(5, 60, {"theta_count": 300, "angle_count": 256,
-                "tolerances": {"rel": 1e-7, "abs": 1e-11, "cone_band": 1e-6}})])
+                "tolerances": {"rel": 1e-7, "abs": 1e-11, "cone_band": 1e-6}}),
+       (2**40 + 3, 300, {})])
 TINY_REPORTS = [(0, 8, {}), (1, 8, {"lambda_count": 400, "m_hi": 12, "n_hi": 8})]
 # (seeds, trials) of the triage reports, (seed, m, n) of the triage-group
 # reports, and (trials, grids) of the study
