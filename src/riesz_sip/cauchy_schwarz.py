@@ -23,11 +23,16 @@ arrays, one row per pair. A record evaluates T-values with values(): a
 Gram in one sip.eval_stack call, a GramStack in one call per sub-stack
 of pairs of one sip kind and one domain R^m, each call stacking every
 pair of the sub-stack and every argument pair asked for. a, b and c come
-from one such evaluation, and s and d from another, so an x+y or x-y
-that overflows raises only on reading s or d; seminorms evaluates its
-scaled values the same way. The derived values follow by the same
-formulas on the rows, and each row has the bits of its pair's Gram,
-which are those of T.eval. The identity (cs_identity), the inequality
+from one such evaluation. s = T(x+y,x+y) and d = T(x-y,x-y) are
+evaluated per request (sums): those a reader asks for in one evaluation,
+so an x+y or x-y that overflows raises only on a request for its value,
+and a reader that never reads d never evaluates it. The seminorms of x,
+y, x+y and x-y are evaluated per request too (norms): a theorem asks for
+those it reads, and one _seminorm call maps their stacked T-values, each
+row under its own rounding floor. seminorms evaluates its scaled values
+the same way. The derived values follow by the same formulas on the
+rows, and each row has the bits of its pair's Gram, which are those of
+T.eval. The identity (cs_identity), the inequality
 with its biconditional (cs_verdict) and the oracle comparison
 (defect_gaps) are pure functions of either record, with a float or bool
 per statement for a Gram and a (k,) array of them for a GramStack, the
@@ -63,7 +68,6 @@ block width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import attrgetter
 
@@ -81,6 +85,7 @@ from .lattice import (
     excess,
     fold,
     in_positive_cone,
+    lazy,
     near,
 )
 from .means import (
@@ -113,6 +118,12 @@ def _rounding_floor(p: np.ndarray, q: np.ndarray, floor: float) -> np.ndarray:
     return (DEFAULT_REL_TOL * scale + floor)[..., None]
 
 
+# The T-values of sums, by name, and their arguments.
+_SUMS = {"s": "x+y", "d": "x-y"}
+# The T-value each seminorm of norms maps.
+_NORMS = {"norm_x": "a", "norm_y": "c", "norm_sum": "s", "norm_diff": "d"}
+
+
 def _seminorm(t: np.ndarray, u: np.ndarray) -> np.ndarray:
     # t = T(z,z) is computed, hence rounded; clamp it into the cone with a
     # scale-aware floor rather than the bare absolute one.
@@ -129,64 +140,70 @@ class _Record:
     pair's Gram.
     """
 
-    @cached_property
+    @lazy
     def _gram(self) -> np.ndarray:
         """a, b and c, stacked: T(x,x), T(x,y) and T(y,y) from one evaluation."""
         return self.values(lambda x, y: (np.array((x, x, y)), np.array((x, y, y))))
 
-    @cached_property
+    @lazy
     def a(self) -> np.ndarray:
         return self._gram[0]
 
-    @cached_property
+    @lazy
     def b(self) -> np.ndarray:
         return self._gram[1]
 
-    @cached_property
+    @lazy
     def c(self) -> np.ndarray:
         return self._gram[2]
 
-    @cached_property
-    def _sums(self) -> tuple:
-        """(T(x+y,x+y) and T(x-y,x-y) stacked, which of x+y and x-y is finite at every pair).
+    def _request(self, names: tuple, evaluate) -> list:
+        """The values of names: those not yet kept from one call of evaluate, which keeps them.
 
-        One evaluation gives both; an argument that overflows at some pair
-        is evaluated as zeros there, and its value raises when read.
+        evaluate maps the list of those names to their values, stacked
+        along the first axis; each is kept under its name, and none if it
+        raises.
         """
-        finite = [True, True]
+        kept = vars(self)
+        todo = [name for name in names if name not in kept]
+        if todo:
+            kept.update(zip(todo, evaluate(todo)))
+        return [kept[name] for name in names]
 
-        def args(x, y):
-            z = np.array((x + y, x - y))
-            ok = np.isfinite(z)
-            if not ok.all():
-                finite[:] = map(min, finite, ok.reshape(2, -1).all(axis=1).tolist())
-                z = np.where(ok, z, 0.0)
-            return z, z
+    def sums(self, *names) -> list:
+        """s = T(x+y,x+y) or d = T(x-y,x-y) for each of names, those not yet kept in one evaluation.
 
-        return self.values(args), finite
+        An argument that overflows at some pair raises NonFinite: a
+        reader asks only for the values it reads.
+        """
+        def evaluate(todo):
+            def args(x, y):
+                z = np.array([x + y if name == "s" else x - y for name in todo])
+                if not np.isfinite(z).all():
+                    raise NonFinite(f"{' or '.join(_SUMS[name] for name in todo)} "
+                                    "has an entry that is not finite")
+                return z, z
 
-    def _sum_value(self, i: int, name: str) -> np.ndarray:
-        t, finite = self._sums
-        if not finite[i]:
-            raise NonFinite(f"{name} has an entry that is not finite")
-        return t[i]
+            return self.values(args)
 
-    @cached_property
+        return self._request(names, evaluate)
+
+    @lazy
     def s(self) -> np.ndarray:
         """T(x+y, x+y)."""
-        return self._sum_value(0, "x+y")
+        return self.sums("s")[0]
 
-    @cached_property
+    @lazy
     def d(self) -> np.ndarray:
         """T(x-y, x-y)."""
-        return self._sum_value(1, "x-y")
+        return self.sums("d")[0]
 
-    @cached_property
+    @lazy
     def bound(self) -> np.ndarray:
         """sqrt(a*c), factors clamped at 0: T(x,x) [*] T(y,y) without the cone check."""
         return np.sqrt(np.maximum(self.a, 0.0) * np.maximum(self.c, 0.0))
 
-    @cached_property
+    @lazy
     def defect(self) -> np.ndarray:
         """Closed-form defect 2*(sqrt(a*c) - |b|).
 
@@ -198,45 +215,61 @@ class _Record:
         """
         return 2.0 * (self.bound - np.abs(self.b))
 
-    @cached_property
+    def norms(self, *names) -> list:
+        """The seminorms of names (norm_x, norm_y, norm_sum, norm_diff), those not kept in one call.
+
+        The T-values they map (a, c, s, d; s and d in one request of
+        sums) are stacked, and one _seminorm call maps them, each row
+        under its own rounding floor, so each has the bits it has alone.
+        """
+        def evaluate(todo):
+            values = [_NORMS[name] for name in todo]
+            sums = [name for name in values if name in _SUMS]
+            if sums:
+                self.sums(*sums)
+            return _seminorm(np.array([getattr(self, name) for name in values]), self.u)
+
+        return self._request(names, evaluate)
+
+    @lazy
     def norm_x(self) -> np.ndarray:
-        return _seminorm(self.a, self.u)
+        return self.norms("norm_x")[0]
 
-    @cached_property
+    @lazy
     def norm_y(self) -> np.ndarray:
-        return _seminorm(self.c, self.u)
+        return self.norms("norm_y")[0]
 
-    @cached_property
+    @lazy
     def norm_sum(self) -> np.ndarray:
         """norm(x+y)."""
-        return _seminorm(self.s, self.u)
+        return self.norms("norm_sum")[0]
 
-    @cached_property
+    @lazy
     def norm_diff(self) -> np.ndarray:
         """norm(x-y)."""
-        return _seminorm(self.d, self.u)
+        return self.norms("norm_diff")[0]
 
-    @cached_property
+    @lazy
     def norm_bound(self) -> np.ndarray:
         """norm(x) + norm(y), the triangle bound."""
         return self.norm_x + self.norm_y
 
-    @cached_property
+    @lazy
     def lhs_sq(self) -> np.ndarray:
         """norm(x+y)^2 = T(x+y,x+y)*u."""
         return self.s * self.u
 
-    @cached_property
+    @lazy
     def rhs_sq(self) -> np.ndarray:
         """(norm(x) + norm(y))^2."""
         return self.norm_bound * self.norm_bound
 
-    @cached_property
+    @lazy
     def weighted_defect(self) -> np.ndarray:
         """D(x,y)*u."""
         return self.defect * self.u
 
-    @cached_property
+    @lazy
     def middle(self) -> np.ndarray:
         """rhs_sq - D(x,y)*u, the middle term of the sharpened triangle chain."""
         return self.rhs_sq - self.weighted_defect
@@ -245,12 +278,13 @@ class _Record:
 class Gram(_Record):
     """The lazy record of one pair (x, y) under T, with an optional weight u.
 
-    Every value is validated or evaluated once, on first read: x and y
-    (vectors of T's domain), u (a vector of T's codomain in F+, tiny
-    negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
-    (one evaluation) with bound and defect, and the seminorm values
-    s = T(x+y,x+y) and d = T(x-y,x-y) (another), the seminorms of x, y,
-    x+y and x-y under u, the squared sides of the triangle inequality and
+    Every value is validated or evaluated once, on first read or request:
+    x and y (vectors of T's domain), u (a vector of T's codomain in F+,
+    tiny negative entries clamped to 0), a = T(x,x), b = T(x,y), c = T(y,y)
+    (one evaluation) with bound and defect, the seminorm values
+    s = T(x+y,x+y) and d = T(x-y,x-y) (one evaluation per request of
+    sums), the seminorms of x, y, x+y and x-y under u (one call per
+    request of norms), the squared sides of the triangle inequality and
     the middle term of the sharpened chain. Reading lazily keeps a reader
     from computing, or raising on, a value it never reads: the
     Cauchy-Schwarz values never read u, nor x+y and x-y. A value that
@@ -274,15 +308,15 @@ class Gram(_Record):
         """f of the record where holds, else 0.0: a residual asserted under a hypothesis."""
         return f(self) if holds else 0.0
 
-    @cached_property
+    @lazy
     def x(self) -> np.ndarray:
         return as_lattice_vector(self._x, self.T.domain_dim)
 
-    @cached_property
+    @lazy
     def y(self) -> np.ndarray:
         return as_lattice_vector(self._y, self.T.domain_dim)
 
-    @cached_property
+    @lazy
     def u(self) -> np.ndarray:
         """The weight in F+: entries negative within DEFAULT_ABS_TOL clamp to 0, others raise."""
         if self._u is None:
@@ -297,9 +331,9 @@ class Gram(_Record):
         return eval_stack((self.T,), *args(self.x, self.y))
 
 
-def _stacked(name: str) -> cached_property:
+def _stacked(name: str) -> lazy:
     """The GramStack value of that name: its pairs' values, stacked on first read."""
-    return cached_property(lambda self: self.each(attrgetter(name)))
+    return lazy(lambda self: self.each(attrgetter(name)))
 
 
 class GramStack(_Record):
@@ -339,14 +373,16 @@ class GramStack(_Record):
         out = np.zeros(len(self.pairs))
         if holds.any():
             held = GramStack(compress(self.pairs, holds))
-            if "_gram" in vars(self):
+            kept = vars(self)
+            if "_gram" in kept:
                 held._gram = self._gram[:, holds]
-            if "_sums" in vars(self) and all(self._sums[1]):
-                held._sums = self._sums[0][:, holds], self._sums[1]
+            for name in _SUMS:
+                if name in kept:
+                    vars(held)[name] = kept[name][holds]
             out[holds] = f(held)
         return out
 
-    @cached_property
+    @lazy
     def _parts(self) -> list:
         """(positions, sips, x, y) of each sub-stack of pairs of one sip kind, m and n.
 

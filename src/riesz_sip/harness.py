@@ -17,14 +17,15 @@ maps the residuals they return to tolerances: a Trial, the lazy record of
 one instance under one config (the instance's Gram, see
 cauchy_schwarz.Gram, and its lambda-grid minima), or a TrialGroup, the
 GramStack of k Trials whose sips share a codomain R^n, on whose stacked
-values every residual is a (k,) array with each trial's bits. The oracle
-suite stacks x and y themselves, and runs the mean oracles once on the
-(k, m) stacks (means takes stacks), so its group's trials must also share
-the domain R^m.
+values every residual is a (k,) array with each trial's bits. The means
+and oracle suites stack x and y themselves (the oracle suite runs the
+mean oracles once on the (k, m) stacks; means takes stacks), so their
+groups' trials must also share the domain R^m.
 
 run_suite is chunked and grouped: for each instance recipe it generates
 TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
-dimension, runs every selected suite of the recipe once per group, folds
+dimension (and by domain dimension for the recipe of the means and
+oracle suites), runs every selected suite of the recipe once per group, folds
 the chunk's results into each suite's report entry in trial order, and
 drops the chunk before generating the next; the injected instances are
 then checked as one more chunk. The suites of a group share its record,
@@ -36,9 +37,11 @@ trial or each trial of a group with a broken trial, gives one row, a
 broken trial the one-row invalid_instance table and one whose
 generation gave up the one-row generation table. Each suite folds a
 chunk's tables at once, building a TrialResult, a table's row, only for
-a trial its entry keeps (the worst instance, the counterexamples);
-replay_counterexample and shrink read one Trial's row and build a fresh
-record for every check they run.
+a trial its entry keeps (the worst instance, the counterexamples).
+replay_counterexample reads one Trial's row; shrink reads each
+candidate's status off its one-row table, and builds a TrialResult only
+for a candidate it accepts. Both build a fresh record for every check
+they run.
 
 Suite names:
 
@@ -64,7 +67,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, lru_cache
 from itertools import chain, compress
 from operator import le, not_
 from typing import NamedTuple
@@ -81,6 +84,7 @@ from .lattice import (
     _nan_first,
     as_lattice_vector,
     fold,
+    lazy,
     rel_residual,
 )
 from .means import (
@@ -127,6 +131,7 @@ from .sip import (
     MultiplicationSip,
     NoNontrivialOrthogonal,
     PsdFamilySip,
+    _upper_pairs,
     check_axioms,
     orthogonal_sample,
     random_psd,
@@ -256,17 +261,17 @@ class TrialConfig:
     # The grids are built on first read and kept; they are not fields, so
     # asdict, ==, hash and replace ignore them.
 
-    @cached_property
+    @lazy
     def theta_grid(self) -> LogGrid:
         """Multipliers of the [*] infimum's oracle."""
         return _grid(LogGrid.log_spaced, self.theta_lo, self.theta_hi, self.theta_count)
 
-    @cached_property
+    @lazy
     def angle_grid(self) -> AngleGrid:
         """Angles of the [+] supremum's oracle."""
         return _grid(AngleGrid.uniform, self.angle_count)
 
-    @cached_property
+    @lazy
     def lambda_grid(self) -> LogGrid:
         """lambda magnitudes of the defect's oracle."""
         return _grid(LogGrid.log_spaced, self.lambda_lo, self.lambda_hi, self.lambda_count)
@@ -546,7 +551,7 @@ class Trial(Gram):
     defect oracles, D and D*u, from one lambda-grid pass that keeps no
     samples. Each value is computed once, on first read, and shared by
     every suite that reads it. A value that raises is not kept
-    (cached_property), so every suite raises on exactly the values it
+    (lattice.lazy), so every suite raises on exactly the values it
     reads, as it would alone. A check reads a Trial as the group of one
     trial: its values have no trial axis, and the check gives a table of
     one row.
@@ -557,7 +562,7 @@ class Trial(Gram):
         self.inst = inst
         self.config = config
 
-    @cached_property
+    @lazy
     def minima(self) -> tuple:
         """lambda_minima of the pair under its weight on config.lambda_grid.
 
@@ -623,23 +628,34 @@ def check_cs_trials(rec) -> _Table:
     }, borderline=chk.borderline, tags=(_branch(chk.equality_holds),))
 
 
+# The fixed multipliers lam of the means suite's homogeneity identities,
+# as a column; |x_0| is the fifth.
+_MEANS_LAMBDAS = np.array([[0.0], [0.5], [1.0], [4.0]])
+
+
 def check_means_trials(rec) -> _Table:
     # The suite states identities of the means on the validated x, y and
     # on u as a vector of their lattice, not the weight of T's codomain;
     # the kernel still catches a + b or lam*a overflowing.
     x, y = rec.x, rec.y
     a, b = np.abs(x), np.abs(y)
-    c = rec.each(lambda t: as_lattice_vector(t.inst.u, t.x.size))
     floor = rec.config.tolerances.abs
+    # One call evaluates the 14 geometric means of the rows of left and
+    # right: (a+b)[*]c, a[*]c, b[*]c, a[*]b, then (lam*a)[*]b and
+    # a[*](lam*b) for each lam.
+    left, right = np.empty((2, 14) + a.shape)
+    np.add(a, b, out=left[0])
+    left[1] = left[3] = left[9:] = a
+    left[2] = right[3:9] = b
+    right[:3] = rec.each(lambda t: as_lattice_vector(t.inst.u, t.x.size))
     # |x_0| adds a scalar that depends on the data, yet keeps the check a
     # pure function of the instance.
-    lam = np.stack(np.broadcast_arrays(0.0, 0.5, 1.0, 4.0, a[..., :1]))
-    five = (5,) + a.shape
-    # One call evaluates the 14 geometric means, row by row: (a+b)[*]c,
-    # a[*]c, b[*]c, a[*]b, then (lam*a)[*]b and a[*](lam*b) for each lam.
-    means = _box_times(
-        np.concatenate((np.stack((a + b, a, b, a)), lam * a, np.broadcast_to(a, five))),
-        np.concatenate((np.stack((c, c, c, b)), np.broadcast_to(b, five), lam * b)), floor)
+    lam = np.empty((5,) + a[..., :1].shape)
+    lam.reshape(5, -1)[:4] = _MEANS_LAMBDAS
+    lam[4] = a[..., :1]
+    np.multiply(lam, a, out=left[4:9])
+    np.multiply(lam, b, out=right[9:])
+    means = _box_times(left, right, floor)
     biadd = rel_residual(means[0], _box_plus(means[1], means[2]), floor=floor)
     ref = np.sqrt(lam) * means[3]
     # Every residual is +0.0, positive or NaN, so the NaN-first maximum of
@@ -856,21 +872,30 @@ def _generate(config: TrialConfig, purpose: str):
     return chain.from_iterable(_chunks(config, purpose))
 
 
+# The suites whose checks stack x and y themselves: their groups must also
+# share the domain R^m.
+_STACK_VECTORS = {"means", "oracle"}
+
+
 def _check_chunk(chunk: list, suites: list, config: TrialConfig, dicts: dict) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    The instances are checked in groups of one codomain dimension, a
-    group of one trial as that Trial: each suite checks a group once, and
-    the group, with its trials' values, is dropped before the next is
-    built. Each suite then folds the chunk's tables at once, and the
-    suites share dicts, one dict per instance of the chunk.
+    The instances are checked in groups of one codomain dimension (and one
+    domain dimension, if a suite stacks x and y), a group of one trial as
+    that Trial: each suite checks a group once, and the group, with its
+    trials' values, is dropped before the next is built. Each suite then
+    folds the chunk's tables at once, and the suites share dicts, one dict
+    per instance of the chunk.
     """
+    by_domain = any(suite.name in _STACK_VECTORS for suite in suites)
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
         if inst is None:
             gave_up.append(i)
         else:
-            by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
+            T = inst.sip
+            key = (T.codomain_dim, T.domain_dim) if by_domain else T.codomain_dim
+            by_dim.setdefault(key, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
     for idx in by_dim.values():
         trials = [Trial(chunk[i], config) for i in idx]
@@ -963,8 +988,9 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
 
     The suites run one instance recipe (PURPOSES) at a time. A recipe's
     trials are generated in chunks of TRIAL_CHUNK, and at most one chunk
-    is alive: its trials are checked in groups of one codomain dimension,
-    each group a record (a TrialGroup, or a Trial if it has one trial)
+    is alive: its trials are checked in groups of one codomain dimension
+    (and one domain dimension where a suite stacks x and y), each group a
+    record (a TrialGroup, or a Trial if it has one trial)
     that every selected suite of the recipe checks once (checks never
     modify an instance, and the record evaluates each value once per
     trial), and each suite folds its results into its entry in trial
@@ -995,50 +1021,70 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
                               wall_time_s=time.perf_counter() - start)
 
 
-def _drop(v: np.ndarray, i: int) -> np.ndarray:
-    # Slicing, unlike np.delete, tolerates an index past the end of a
-    # malformed (too short) vector.
-    return np.concatenate((v[:i], v[i + 1:]))
+@lru_cache(maxsize=64)
+def _kept(size: int, count: int) -> tuple:
+    """For each j in range(count), the positions of range(size) but j, in order, read-only.
+
+    v.take(_kept(v.size, count)[j]) is v without its entry j, as slicing
+    around j gives it: a malformed vector keeps its extra coordinate, and
+    one too short to have an entry j is copied whole. One entry serves
+    every vector, and every matrix axis, of one size and count; a shrink
+    meets a few.
+    """
+    keep = []
+    for j in range(count):
+        idx = np.delete(np.arange(size), j) if j < size else np.arange(size)
+        idx.flags.writeable = False
+        keep.append(idx)
+    return tuple(keep)
 
 
-def _zeroed(v: np.ndarray, index) -> np.ndarray:
+def _zeroed(v: np.ndarray, i: int) -> np.ndarray:
     v = v.copy()
-    v[index] = 0.0
+    v[i] = 0.0
     return v
 
 
 def _shrink_candidates(cur: Instance):
     """Every one-step simplification of cur, in the order shrink tries them."""
-    T = cur.sip
+    T, u, x, y = cur.sip, cur.u, cur.x, cur.y
     mult = isinstance(T, MultiplicationSip)
     # Dimensions come from the sip, never from u, x or y: a malformed
     # instance's vectors may carry a coordinate too many or too few.
     n = T.codomain_dim
     if n > 1:
-        for j in range(n):
-            if mult:
-                yield Instance(MultiplicationSip(n - 1), _drop(cur.u, j),
-                               _drop(cur.x, j), _drop(cur.y, j))
-            else:
-                yield replace(cur, sip=PsdFamilySip(np.delete(T.matrices, j, axis=0),
-                                                    validate=False), u=_drop(cur.u, j))
+        drop_u = _kept(u.size, n)
+        if mult:
+            drop_x, drop_y = _kept(x.size, n), _kept(y.size, n)
+            for j in range(n):
+                yield Instance(MultiplicationSip(n - 1), u.take(drop_u[j]),
+                               x.take(drop_x[j]), y.take(drop_y[j]))
+        else:
+            drop = _kept(n, n)
+            for j in range(n):
+                yield Instance(PsdFamilySip(T.matrices.take(drop[j], axis=0), validate=False),
+                               u.take(drop_u[j]), x, y)
     if not mult and T.domain_dim > 1:
-        for k in range(T.domain_dim):
-            A = np.delete(np.delete(T.matrices, k, axis=1), k, axis=2)
-            yield Instance(PsdFamilySip(A, validate=False), cur.u,
-                           _drop(cur.x, k), _drop(cur.y, k))
-    for key in ("x", "y", "u"):
-        v = getattr(cur, key)
-        for i in np.flatnonzero(v):
-            yield replace(cur, **{key: _zeroed(v, i)})
-    if not mult:
         m = T.domain_dim
-        for j in range(n):
-            for r in range(m):
-                for c in range(r, m):
-                    if T.matrices[j, r, c] != 0.0:
-                        A = _zeroed(T.matrices, (j, [r, c], [c, r]))
-                        yield replace(cur, sip=PsdFamilySip(A, validate=False))
+        drop, drop_x, drop_y = _kept(m, m), _kept(x.size, m), _kept(y.size, m)
+        for k in range(m):
+            A = T.matrices.take(drop[k], axis=1).take(drop[k], axis=2)
+            yield Instance(PsdFamilySip(A, validate=False), u,
+                           x.take(drop_x[k]), y.take(drop_y[k]))
+    for i in np.flatnonzero(x).tolist():
+        yield Instance(T, u, _zeroed(x, i), y)
+    for i in np.flatnonzero(y).tolist():
+        yield Instance(T, u, x, _zeroed(y, i))
+    for i in np.flatnonzero(u).tolist():
+        yield Instance(T, _zeroed(u, i), x, y)
+    if not mult:
+        # each symmetric pair of entries once, by its upper one, in (j, r, c) order
+        pairs, a, b = _upper_pairs(T.domain_dim)
+        for j, p in np.argwhere(T.matrices[:, a, b] != 0.0).tolist():
+            r, c = pairs[p]
+            A = T.matrices.copy()
+            A[j, r, c] = A[j, c, r] = 0.0
+            yield Instance(PsdFamilySip(A, validate=False), u, x, y)
 
 
 def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
@@ -1047,9 +1093,11 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     Tries, in order: dropping a codomain coordinate, dropping a domain
     coordinate (PSD families), zeroing single entries of x, y, u, and
     zeroing symmetric matrix entry pairs. A move is kept iff the named
-    check still fails. Every kept move strictly reduces dimension count or
-    nonzero count, so the loop terminates. Returns (instance, result);
-    raises ConfigError when the input does not fail to begin with.
+    check still fails: a candidate's one-row table gives its status, and
+    a TrialResult is built only for a kept move. Every kept move strictly
+    reduces dimension count or nonzero count, so the loop terminates.
+    Returns (instance, result); raises ConfigError when the input does
+    not fail to begin with.
     """
     res = _run_check(theorem, Trial(inst, config))
     if res.status != "fail":
@@ -1057,9 +1105,9 @@ def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     current = inst
     while True:
         for cand in _shrink_candidates(current):
-            cand_res = _run_check(theorem, Trial(cand, config))
-            if cand_res.status == "fail":
-                current, res = cand, cand_res
+            (_, table), = _check_group(theorem, Trial(cand, config), [0])
+            if table.status[0] == "fail":
+                current, res = cand, table.row(0)
                 break
         else:
             return current, res

@@ -42,6 +42,10 @@ other steps are elementwise.
 NaN passes through the three residuals, wins every fold and is never
 near, so a residual spoiled by overflow fails its check (not v <= tol)
 and shows in every maximum that folds it.
+
+lazy is the package's value computed on first read and kept, the
+records' and grids' cached values: functools.cached_property's rule
+without its lock.
 """
 
 from __future__ import annotations
@@ -52,6 +56,30 @@ import numpy as np
 # so comparisons stay meaningful near zero.
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
+
+
+class lazy:
+    """functools.cached_property without its lock: f's value, computed on first read and kept.
+
+    The value is kept in the instance's __dict__ under the attribute's
+    name, which later reads find before the descriptor, as
+    cached_property keeps it; a value that raises is not kept, so the next
+    read raises again. cached_property takes a lock on every first read
+    on Python 3.11, and this package reads its values from one thread.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.__doc__ = f.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.f(obj)
+        return value
 
 
 class DimensionMismatch(ValueError):

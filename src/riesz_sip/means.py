@@ -54,7 +54,7 @@ stack gives (k,) values, each row with the bits of its pair alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .lattice import (
     cone_gap,
     excess,
     in_positive_cone,
+    lazy,
 )
 
 # Default grids of a verification run (TrialConfig). The theta range must
@@ -123,17 +124,17 @@ class LogGrid:
     def count(self) -> int:
         return int(self.points.size)
 
-    @cached_property
+    @lazy
     def inverse(self) -> np.ndarray:
         """1/points, the v/theta factors of the [*] oracle."""
         return 1.0 / self.points
 
-    @cached_property
+    @lazy
     def signed(self) -> np.ndarray:
         """-points reversed, then points: the grid's +- closure, increasing."""
         return np.concatenate([-self.points[::-1], self.points])
 
-    @cached_property
+    @lazy
     def signed_abs(self) -> np.ndarray:
         """|signed|: the points reversed, then the points."""
         return np.concatenate([self.points[::-1], self.points])
@@ -182,11 +183,11 @@ class AngleGrid:
     def count(self) -> int:
         return int(self.points.size)
 
-    @cached_property
+    @lazy
     def _trig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cos(self.points), np.sin(self.points)
 
-    @cached_property
+    @lazy
     def _quarter_trig(self) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of the angles in [0, pi/2]."""
         keep = self.points <= 0.5 * np.pi

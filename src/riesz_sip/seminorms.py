@@ -22,8 +22,11 @@ cauchy_schwarz.Gram, the record of a pair, or a GramStack, the record of
 k pairs with one codomain R^n. The record holds a, b, c and the defect,
 T(x+y,x+y), T(x-y,x-y), the weight u and the seminorms built from them,
 each evaluated once per pair, on first read; a GramStack holds each as a
-(k, n) stack. A theorem is one pure function from that record to its
-verdict and normalized residuals (sharp_verdict, additivity_verdict,
+(k, n) stack. A theorem asks the record for the seminorms it reads in
+one request (Record.norms), which evaluates them, and the T(x+y,x+y)
+and T(x-y,x-y) they need, in one call each. A theorem is one pure
+function from that record to its verdict and normalized residuals
+(sharp_verdict, additivity_verdict,
 orthogonality with pythagoras_sides, parallelogram_sides,
 seminorm_residuals, weighted_defect_gaps): a float or bool each for a
 Gram, a (k,) array of them for a GramStack, with the bits of the pairs'
@@ -61,6 +64,7 @@ from .cauchy_schwarz import CONE_BAND, Record, _seminorm
 
 # The fixed scalars of the homogeneity check; x_0 is the fifth.
 _SCALARS = (-2.5, -1.0, 0.0, 0.5)
+_ABS_SCALARS = np.abs(_SCALARS)
 
 
 def _scaled_pairs(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -76,15 +80,18 @@ def seminorm_residuals(g: Record, floor: float = DEFAULT_ABS_TOL) -> dict:
     positivity of norm(x), norm(y); homogeneity norm(alpha*x) =
     |alpha|*norm(x) over a fixed scalar set plus x_0 (a data-dependent value
     that keeps the check a pure function of the pair), its five scaled
-    values T(alpha*x, alpha*x) from one evaluation; the triangle
-    inequality; and norm(x)^2 = T(x,x)*u.
+    values T(alpha*x, alpha*x) from one evaluation and their seminorms
+    from one call; the triangle inequality; and norm(x)^2 = T(x,x)*u.
     """
-    sx, sy, sxy = g.norm_x, g.norm_y, g.norm_sum
+    sx, sy, sxy = g.norms("norm_x", "norm_y", "norm_sum")
     pos = fold(*(cone_gap(s, np.abs(s) + floor) for s in (sx, sy)))
-    hom = 0.0
-    for alpha, t in zip((*_SCALARS, None), g.values(_scaled_pairs)):
-        scale = np.abs(g.each(lambda p: p.x[:1]) if alpha is None else alpha)
-        hom = fold(hom, rel_residual(_seminorm(t, g.u), scale * sx, floor=floor))
+    # |alpha|*norm(x) for each scaled row; every residual is +0.0, positive
+    # or NaN, so the NaN-first maximum of the five, folded into 0.0, is the
+    # fold of them one by one
+    ref = np.concatenate((np.multiply.outer(_ABS_SCALARS, sx),
+                          (np.abs(g.each(lambda p: p.x[:1])) * sx)[None]))
+    scaled = _seminorm(g.values(_scaled_pairs), g.u)
+    hom = fold(0.0, rel_residual(scaled, ref, floor=floor).max(axis=0))
     tri = cone_gap(g.norm_bound - sxy, np.maximum(sxy, g.norm_bound) + floor)
     square = rel_residual(sx * sx, g.a * g.u, floor=floor)
     return {"positivity": pos, "homogeneity": hom, "triangle": tri, "square": square}
@@ -117,9 +124,10 @@ CHAIN_FLOOR = 1e-10
 
 def sharp_verdict(g: Record, band: float = CONE_BAND,
                   floor: float = DEFAULT_ABS_TOL) -> SharpTriangle:
+    _, _, sxy = g.norms("norm_x", "norm_y", "norm_sum")
     lhs_sq, middle, rhs_sq = g.lhs_sq, g.middle, g.rhs_sq
     scale = np.maximum(np.abs(lhs_sq), np.maximum(np.abs(middle), np.abs(rhs_sq))) + floor
-    sxy, ssum = g.norm_sum, g.norm_bound
+    ssum = g.norm_bound
     mid_sqrt = np.sqrt(np.maximum(middle, 0.0))
     lin_scale = np.maximum(sxy, np.maximum(mid_sqrt, ssum)) + floor
     links = ((middle - lhs_sq, scale), (rhs_sq - middle, scale),
@@ -178,6 +186,7 @@ def additivity_verdict(g: Record, band: float = CONE_BAND,
     coherent: additive uses threshold 2*band, each condition uses band,
     and inputs within (band/8, 8*band) of a threshold are borderline.
     """
+    g.norms("norm_x", "norm_y")
     scale = np.maximum(np.abs(g.lhs_sq), np.abs(g.rhs_sq)) + floor
     gap = excess(g.rhs_sq - g.lhs_sq, scale)
     d_n = excess(g.weighted_defect, scale)
@@ -197,10 +206,11 @@ def orthogonality(g: Record, floor: float = DEFAULT_ABS_TOL) -> float:
 
 def pythagoras_sides(g: Record) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) = norm(x) [+] norm(y), for T(x,y) = 0."""
-    return g.norm_sum, _box_plus(g.norm_x, g.norm_y)
+    sxy, sx, sy = g.norms("norm_sum", "norm_x", "norm_y")
+    return sxy, _box_plus(sx, sy)
 
 
 def parallelogram_sides(g: Record) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of norm(x+y) [+] norm(x-y) = sqrt(2)*(norm(x) [+] norm(y)), for all x, y."""
-    return (_box_plus(g.norm_sum, g.norm_diff),
-            np.sqrt(2.0) * _box_plus(g.norm_x, g.norm_y))
+    sxy, sdiff, sx, sy = g.norms("norm_sum", "norm_diff", "norm_x", "norm_y")
+    return _box_plus(sxy, sdiff), np.sqrt(2.0) * _box_plus(sx, sy)

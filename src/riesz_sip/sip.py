@@ -58,7 +58,7 @@ orthogonal_sample) is numpy's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from .lattice import (
     NonFinite,
     _finite,
     as_lattice_vector,
+    lazy,
 )
 
 SYMMETRY_ABS_TOL = 1e-12   # matrix asymmetry tolerated at construction
@@ -187,7 +188,7 @@ class PsdFamilySip:
     def eval(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.matrices @ y @ x
 
-    @cached_property
+    @lazy
     def _pair_terms(self) -> tuple[tuple, np.ndarray]:
         """The pairs (a, b), a <= b, row-major, and their (pairs, n, 1) coefficients C_jab."""
         pairs, a, b = _upper_pairs(self.domain_dim)

@@ -14,7 +14,7 @@ from riesz_sip.cauchy_schwarz import (
     defect_grid,
     lambda_minima,
 )
-from riesz_sip.lattice import DimensionMismatch, NotInPositiveCone, rel_residual
+from riesz_sip.lattice import DimensionMismatch, NonFinite, NotInPositiveCone, rel_residual
 from riesz_sip.means import LogGrid, box_times
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
@@ -290,9 +290,106 @@ def test_where_keeps_the_rows_evaluated_so_far(monkeypatch):
     rng = np.random.default_rng(4)
     stack = GramStack(Gram(T, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), np.ones(1))
                       for _ in range(4))
-    stack.a, stack.s
+    stack.a, stack.sums("s", "d")
     holds = np.array([True, False, True, True])
-    got = stack.where(holds, lambda held: (held.norm_x + held.norm_sum + held.b).max(axis=-1))
-    assert evaluated == [(3, 4), (2, 4)]  # a, b, c of 4 pairs, then s and d
-    ref = (stack.norm_x + stack.norm_sum + stack.b).max(axis=-1)
+
+    def f(r):
+        return (r.norm_x + r.norm_sum + r.norm_diff + r.b).max(axis=-1)
+
+    got = stack.where(holds, f)
+    assert evaluated == [(3, 4), (2, 4)]  # a, b, c of 4 pairs, then s and d in one request
+    ref = f(stack)
     assert np.array_equal(got, np.where(holds, ref, 0.0))
+
+
+NORMS = ("norm_x", "norm_y", "norm_sum", "norm_diff")
+# the T-value each seminorm maps
+NORM_OF = {"norm_x": "a", "norm_y": "c", "norm_sum": "s", "norm_diff": "d"}
+
+
+def _norm_pairs() -> list:
+    """(T, x, y, u) of pairs with codomain R^2 under both sip kinds and two domains."""
+    rng = np.random.default_rng(11)
+    pairs = [(MultiplicationSip(2), rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2),
+              np.array([0.0, 3.0]))]
+    for m in (2, 4, 4):
+        pairs.append((random_psd(rng, m, 2), rng.uniform(-5, 5, m), rng.uniform(-5, 5, m),
+                      rng.uniform(0, 5, 2)))
+    x = rng.uniform(-5, 5, 4)
+    pairs.append((random_psd(rng, 4, 2), x, -2.0 * x, np.ones(2)))  # colinear
+    return pairs
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v).tobytes()
+
+
+@pytest.mark.parametrize("request_", [NORMS, ("norm_sum", "norm_x"), ("norm_diff",),
+                                      ("norm_y", "norm_diff", "norm_x")])
+def test_norms_of_one_request_have_their_lone_bits(request_):
+    # one request evaluates the seminorms in one stacked call; each, read
+    # after it, has the bits of a fresh record's lone read and of the
+    # seminorm of its T-value alone, row by row in a stack
+    pairs = _norm_pairs()
+    grams = [Gram(*p) for p in pairs]
+    stack = GramStack(Gram(*p) for p in pairs)
+    for record in (*grams, stack):
+        got = record.norms(*request_)
+        assert [_bits(v) for v in got] == [_bits(getattr(record, name)) for name in request_]
+    for i, p in enumerate(pairs):
+        for name in request_:
+            alone = Gram(*p)
+            lone = _bits(getattr(alone, name))
+            assert set(NORMS) & vars(alone).keys() == {name}
+            assert lone == _bits(cauchy_schwarz._seminorm(getattr(alone, NORM_OF[name]), alone.u))
+            assert _bits(getattr(grams[i], name)) == lone
+            assert _bits(getattr(stack, name)[i]) == lone
+
+
+def test_norms_evaluate_only_the_sums_they_read():
+    # x - y overflows (x + y does not) where T's tiny family keeps a and c
+    # finite: x, y and the sum may be requested, the difference raises and
+    # keeps nothing, alone or in a GramStack with another sip kind
+    T = PsdFamilySip(1e-310 * np.eye(2)[None].repeat(2, axis=0), validate=False)
+    x, y = np.array([1e308, 1.0]), np.array([-1e308, 1.0])
+    other = (MultiplicationSip(2), np.array([1.0, 2.0]), np.array([3.0, -1.0]), np.ones(2))
+    with np.errstate(over="ignore"):
+        for record in (Gram(T, x, y, np.ones(2)),
+                       GramStack([Gram(*other), Gram(T, x, y, np.ones(2))])):
+            sx, sy, ssum = record.norms("norm_x", "norm_y", "norm_sum")
+            assert np.isfinite(sx).all() and np.isfinite(sy).all() and np.isfinite(ssum).all()
+            assert "d" not in vars(record)
+            for _ in range(2):
+                with pytest.raises(NonFinite):
+                    record.norms("norm_sum", "norm_diff")
+                assert not {"d", "norm_diff"} & vars(record).keys()
+            with pytest.raises(NonFinite):
+                record.norm_diff
+
+
+def test_norms_of_a_negative_weight_raise_on_every_request():
+    pairs = _norm_pairs()
+    T, x, y, _ = pairs[1]
+    broken = (T, x, y, np.array([1.0, -1.0]))
+    for make in (lambda: Gram(*broken), lambda: GramStack([Gram(*pairs[0]), Gram(*broken)])):
+        record = make()
+        for _ in range(2):
+            with pytest.raises(NotInPositiveCone):
+                record.norms("norm_x", "norm_y", "norm_sum")
+            assert not set(NORMS) & vars(record).keys()
+        for name in NORMS:
+            with pytest.raises(NotInPositiveCone):
+                getattr(record, name)
+        assert not set(NORMS) & vars(record).keys()
+
+
+def test_norms_keep_each_rows_floor():
+    # T(x,x) = -1e-6 leaves F+ beyond its own rounding floor (about 1e-9
+    # of |a| + |u|) but not beyond the floor of T(y,y) = 1e6: stacked with
+    # norm_y, norm_x still raises, as alone, and norm_y alone does not
+    T = PsdFamilySip(np.array([[[-1e-6, 0.0], [0.0, 1e6]]]), validate=False)
+    x, y, u = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(1)
+    for request in (("norm_x",), ("norm_x", "norm_y"), ("norm_y", "norm_x")):
+        with pytest.raises(NotInPositiveCone):
+            Gram(T, x, y, u).norms(*request)
+    assert np.array_equal(Gram(T, x, y, u).norm_y, [1e3])

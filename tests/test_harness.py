@@ -841,11 +841,11 @@ def _count_rows(monkeypatch) -> tuple:
 
 def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # a generic trial has 10 distinct T-values, evaluated on its group's
-    # stacks: a, b and c in one evaluation, T(x+y,x+y) and T(x-y,x-y) in a
-    # second and the five scaled pairs of the seminorm homogeneity check
-    # in a third, and one lambda-grid sampling, which its six suites
-    # share; each orthogonal trial has the 5 T-values of the first two
-    # evaluations (pythagoras reads all but T(x-y,x-y)) and, at this seed,
+    # stacks: a, b and c in one evaluation, T(x+y,x+y) in a second, the
+    # five scaled pairs of the seminorm homogeneity check in a third and
+    # T(x-y,x-y), which parallelogram alone reads, in a fourth, and one
+    # lambda-grid sampling, which its six suites share; each orthogonal
+    # trial has the 4 T-values pythagoras reads (all but T(x-y,x-y)) and, at this seed,
     # one eval of generation's orthogonality check; positive_log trials
     # evaluate none; the axioms suite evaluates its 11 stacked pairs in
     # one batch per PSD family and in one per group for its multiplication
@@ -867,18 +867,18 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
     assert calls == {"eval": 50, "eval_batch": psd + mult_groups, "quadratic": 50}
-    # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 5
-    assert Counter(rows.values()) == {10: 50, 5: 50}
+    # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 4
+    assert Counter(rows.values()) == {10: 50, 4: 50}
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
     rows, calls, _ = _count_rows(monkeypatch)
     # (evaluations, T-values) per trial: a, b and c in one evaluation,
-    # T(x+y,x+y) and T(x-y,x-y) in another, and the five scaled pairs of
-    # the seminorm homogeneity check in a third; a suite evaluates those
-    # it reads, b and T(x-y,x-y) along with the others of theirs
-    distinct = {"cs": (1, 3), "sharp": (2, 5), "additivity": (2, 5), "pythagoras": (2, 5),
-                "parallelogram": (2, 5), "vsn": (3, 10)}
+    # the T(x+y,x+y) and T(x-y,x-y) a suite reads in another, and the five
+    # scaled pairs of the seminorm homogeneity check in a third; a suite
+    # evaluates those it reads, and b along with a and c
+    distinct = {"cs": (1, 3), "sharp": (2, 4), "additivity": (2, 4), "pythagoras": (2, 4),
+                "parallelogram": (2, 5), "vsn": (3, 9)}
     for suite, expected in distinct.items():
         for i in range(20):
             inst = generate_instance(SMALL, i, PURPOSES[suite])

@@ -202,8 +202,8 @@ def test_a_stack_gives_each_pair_its_grams_bits(n, data):
     # a GramStack evaluates its T-values in one eval_stack call per sub-stack
     # of one sip kind and one m, stacks that mix kinds and m (m <= 12):
     # each row has the bits of its pair's Gram, and a Gram those of T.eval;
-    # one pair's x+y overflows, and reading a, b and c neither raises nor
-    # evaluates s or d
+    # one pair's x+y overflows: reading a, b and c neither raises nor
+    # evaluates s or d, and d, read alone, neither raises
     kinds = data.draw(st.lists(sips(floats(-60, 60), st.just(n)), min_size=1, max_size=4))
     grams = []
     for T in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=17)):
@@ -216,7 +216,7 @@ def test_a_stack_gives_each_pair_its_grams_bits(n, data):
     with np.errstate(over="ignore"):  # the big pair's T-values overflow
         for name in "abc":
             getattr(stack, name)
-        assert "_sums" not in vars(stack) and not any("_sums" in vars(g) for g in grams)
+        assert not any({"s", "d"} & vars(r).keys() for r in (stack, *grams))
         for read in (lambda r: r.s, lambda r: scaled_values(r)):
             for record in (stack, grams[at]):
                 with pytest.raises(NonFinite):

@@ -12,8 +12,8 @@ errors), colinear and near-colinear (borderline) pairs and orthogonal
 pairs. The oracle suite stacks x and
 y themselves, so a group of mixed domains has no stack there: its check
 raises DimensionMismatch, and harness._check_group checks the trials one
-at a time (run_suite never builds such a group, as the oracle's recipe
-draws m = n).
+at a time (run_suite never builds such a group: it groups the trials of
+the oracle's recipe by domain dimension too).
 
 The trials alone are checked with the folds of residuals computed by
 Python's max(..., key=_nan_first), the scalar definition that
@@ -373,3 +373,40 @@ def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
             ("TrialGroup", [id(valid[0]), id(valid[1]), id(valid[2])]),
             ("Trial", [id(broken)])]), name
         assert report.theorems[name]["trials"] == config.trials + len(injected)
+
+
+def test_injected_instances_of_one_n_and_two_m_are_checked_once(monkeypatch):
+    # the means and oracle suites stack x and y, so run_suite groups their
+    # recipe's injected instances by codomain and domain dimension: valid
+    # PSD instances of one n and two m (u a vector of x's lattice, as the
+    # means suite reads it) arrive as two TrialGroups, each checked once
+    # with no attempt that raises and falls back to lone checks, and each
+    # row is the trial's lone check, bit for bit
+    rng = np.random.default_rng(6)
+    insts = []
+    for m in (2, 3, 3, 2, 3):
+        B = rng.uniform(-1.0, 1.0, (2, m, m))
+        T = PsdFamilySip(np.einsum("jka,jkb->jab", B, B), validate=False)
+        insts.append(Instance(T, rng.uniform(0.0, 5.0, m), rng.uniform(-5.0, 5.0, m),
+                              rng.uniform(-5.0, 5.0, m)))
+    config = TrialConfig(trials=2, seed=3, theorems=("means", "oracle"))
+    expected = {name: [_summary(harness._run_check(name, Trial(inst, config))) for inst in insts]
+                for name in config.theorems}
+    assert all(summary[0] != "fail" for lone in expected.values() for summary in lone)
+    ids = {id(inst): k for k, inst in enumerate(insts)}
+    seen = {name: [] for name in config.theorems}
+    for name in config.theorems:
+        def recorded(rec, _check=CHECKS[name], _seen=seen[name]):
+            # kept before the check, so that an attempt that raises shows
+            call = [type(rec).__name__, [ids.get(id(t.inst)) for t in rec.pairs], None]
+            _seen.append(call)
+            call[2] = _check(rec)
+            return call[2]
+        monkeypatch.setitem(CHECKS, name, recorded)
+    harness.run_suite(config, injected=tuple(insts))
+    for name in config.theorems:
+        calls = [call for call in seen[name] if call[1] != [None] * len(call[1])]
+        assert [(kind, attempt) for kind, attempt, _ in calls] == [
+            ("TrialGroup", [0, 3]), ("TrialGroup", [1, 2, 4])], name
+        for _, attempt, table in calls:
+            assert [_summary(r) for r in rows(table)] == [expected[name][k] for k in attempt]
