@@ -37,11 +37,16 @@ trial or each trial of a group with a broken trial, gives one row, a
 broken trial the one-row invalid_instance table and one whose
 generation gave up the one-row generation table. Each suite folds a
 chunk's tables at once, building a TrialResult, a table's row, only for
-a trial its entry keeps (the worst instance, the counterexamples).
-replay_counterexample reads one Trial's row; shrink reads each
-candidate's status off its one-row table, and builds a TrialResult only
-for a candidate it accepts. Both build a fresh record for every check
-they run.
+a trial its entry keeps (the worst instance, the counterexamples). A
+Trial's one-row table keeps its row as floats, and builds its array
+only when the fold reads it. replay_counterexample reads one Trial's
+row. shrink keeps a memo for one call, from each candidate's read key
+(the parts of the instance the check reads, stated once in _READS) to
+its verdict and, for a failing one, its TrialResult, and checks only a
+candidate whose key it does not hold, reading its status off its
+one-row table. A candidate that drops a codomain coordinate takes the
+current trial's lambda minima without that row, which are the rows of a
+fresh pass, bit for bit.
 
 Suite names:
 
@@ -485,23 +490,32 @@ class _Table:
     """The results of k trials under one check, as columns: what every check gives.
 
     names are the check names, in the check's order, and tols their
-    tolerances; residuals is a (k, len(names)) float64 array, one row per
-    trial, and rows the same as lists; borderline a list of k bools; tags
-    a tuple of tag columns, each a list of k values, a None being no tag.
-    A Trial's check gives a table of one row. passed and status, which row
-    and the report fold read, are the one statement of which trials pass;
-    row(i), the only builder of a TrialResult, is trial i's result.
+    tolerances; rows holds each trial's residuals as a list of floats, and
+    residuals is the same as a (k, len(names)) float64 array; borderline
+    a list of k bools; tags a tuple of tag columns, each a list of k
+    values, a None being no tag. A group's table is built from its array,
+    and a Trial's, a table of one row, from its row (a list of one list),
+    whose array is built only if the report fold reads it. passed and
+    status, which row and the report fold read, are the one statement of
+    which trials pass; row(i), the only builder of a TrialResult, is trial
+    i's result.
     """
 
-    def __init__(self, names: tuple, tols: tuple, residuals: np.ndarray, borderline: list,
-                 tags: tuple = ()):
-        self.names, self.tols, self.residuals = names, tols, residuals
+    def __init__(self, names: tuple, tols: tuple, residuals, borderline: list, tags: tuple = ()):
+        self.names, self.tols = names, tols
         self.borderline, self.tags = borderline, tags
-        self.rows = residuals.tolist()
+        if isinstance(residuals, list):
+            self.rows = residuals
+        else:
+            self.residuals, self.rows = residuals, residuals.tolist()
         # v <= tol, not v > tol, so that a NaN residual fails
         self.passed = [list(map(le, row, tols)) for row in self.rows]
         self.status = ["fail" if not all(passed) else "borderline" if border else "pass"
                        for passed, border in zip(self.passed, borderline)]
+
+    @lazy
+    def residuals(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.float64)
 
     def row(self, i: int) -> TrialResult:
         names = self.names
@@ -516,19 +530,30 @@ def _results(rec, checks: dict, borderline=False, tags: tuple = ()) -> _Table:
 
     Each check's residuals hold one value per trial (a (k,) array or a
     list, or a scalar for a Trial); borderline and each tag column hold
-    one per trial or one for every trial, a None tag being no tag.
+    one per trial or one for every trial, a None tag being no tag. A
+    Trial's row is kept as floats, so its check builds no 2-D array.
     """
     k = len(rec.pairs)
     values, tols = zip(*checks.values())
-    return _Table(tuple(checks), tols,
-                  np.array(values, dtype=np.float64).reshape(len(checks), k).T,
+    residuals = ([list(map(_float, values))] if isinstance(rec, Trial) else
+                 np.array(values, dtype=np.float64).reshape(len(checks), k).T)
+    return _Table(tuple(checks), tols, residuals,
                   _column(borderline, k), tuple(_column(t, k) for t in tags))
+
+
+def _float(value) -> float:
+    """A Trial's residual as a float with the bits of its float64: a bool is 1.0 or 0.0.
+
+    value is a float, a numpy scalar or 0-d array, or a list of one (the
+    axioms suite gives a list per record).
+    """
+    return float(value[0] if type(value) is list else value)
 
 
 @cache
 def _unchecked(name: str) -> _Table:
     """The one-row table, one per name, of a trial that could not be checked: name fails."""
-    return _Table((name,), (BICOND_TOL,), np.ones((1, 1)), [False])
+    return _Table((name,), (BICOND_TOL,), [[1.0]], [False])
 
 
 def _mismatch(borderline, agreed):
@@ -796,11 +821,11 @@ def counterexample(theorem: str, res: TrialResult, instance: dict, params: dict)
 def config_from_params(params: dict) -> TrialConfig:
     """Minimal config honoring a counterexample's stored tolerances and grids.
 
-    The inverse of params_from_config.
+    The inverse of params_from_config. The config is built, and so
+    validated, once; the stored grids override its defaults, trials too.
     """
-    base = TrialConfig(trials=1)
     tolerances = Tolerances(**params.get("tolerances", {}))
-    return replace(base, tolerances=tolerances, **params.get("grids", {}))
+    return TrialConfig(**{"trials": 1, **params.get("grids", {})}, tolerances=tolerances)
 
 
 def read_case(data) -> tuple:
@@ -1046,7 +1071,12 @@ def _zeroed(v: np.ndarray, i: int) -> np.ndarray:
 
 
 def _shrink_candidates(cur: Instance):
-    """Every one-step simplification of cur, in the order shrink tries them."""
+    """Every one-step simplification of cur, in the order shrink tries them.
+
+    When n > 1 the first n drop codomain coordinate j = 0, ..., n - 1, in
+    order (shrink hands each the current trial's lambda minima without
+    row j).
+    """
     T, u, x, y = cur.sip, cur.u, cur.x, cur.y
     mult = isinstance(T, MultiplicationSip)
     # Dimensions come from the sip, never from u, x or y: a malformed
@@ -1087,27 +1117,122 @@ def _shrink_candidates(cur: Instance):
             yield Instance(PsdFamilySip(A, validate=False), u, x, y)
 
 
+# The parts of an instance that each check reads: with the sip's m and n
+# and the config, all that its result depends on. "sip" is the family:
+# its kind and, for a PSD family, its matrices.
+_ALL_PARTS = ("sip", "u", "x", "y")
+_READS = {
+    # check_axioms_trials reads each trial's sip and kind, never u, x or y.
+    "axioms": ("sip",),
+    # a, b and c are T-values of x and y, and the minima give D from T on
+    # lambda*x - y. Trial.minima reads u only for D*u, which cs never
+    # reads, and a weight that does not validate leaves D as it is.
+    "cs": ("sip", "x", "y"),
+    # Means of |x|, |y| and u, read as a vector of x's lattice; x and y
+    # are validated against m, and no T-value is read.
+    "means": ("u", "x", "y"),
+    # The seminorms are T-values under the weight u.
+    "vsn": _ALL_PARTS,
+    "sharp": _ALL_PARTS,
+    "additivity": _ALL_PARTS,
+    "pythagoras": _ALL_PARTS,
+    "parallelogram": _ALL_PARTS,
+    # The mean oracles and closed forms of x and y, validated against m;
+    # neither T nor u.
+    "oracle": ("x", "y"),
+}
+
+
+# What shrink's memo gives for a key it does not hold: that candidate is checked.
+_UNCHECKED = object()
+
+
+def _read_key(theorem: str, inst: Instance) -> tuple:
+    """The check name, m, n and the bytes of the parts of inst that theorem's check reads.
+
+    Instances of one key get one result from the check under one config,
+    bit for bit (_READS). m and n are a PSD family's matrix shape
+    (n, m, m), or a multiplication sip's dimension. A vector is keyed by
+    its shape too, since its bytes alone do not give it; not by its
+    dtype, which one shrink call never changes (every candidate's vector
+    is a take or a copy of the input's).
+    """
+    T = inst.sip
+    psd = isinstance(T, PsdFamilySip)
+    key = [theorem, T.matrices.shape if psd else T.dim]
+    for part in _READS[theorem]:
+        if part != "sip":
+            v = getattr(inst, part)
+            key += (v.shape, v.tobytes())
+        elif psd:
+            key.append(T.matrices.tobytes())
+    return tuple(key)
+
+
+def _inherit_minima(trial: Trial, parent: Trial, j: int) -> None:
+    """Give trial, parent's instance without codomain coordinate j, parent's lambda minima but row j.
+
+    Only when parent has computed them under a weight it validated. Each
+    row of the lambda-grid samples depends on its own family member (PSD)
+    or its own coordinates (multiplication) alone, each row of D*u on its
+    own entry of u too, and a minimum is exact, so the rows kept are
+    those of trial's own pass, bit for bit. A weight that did not validate
+    (of the wrong size, or with a negative entry) may validate without
+    entry j, and then trial runs its own pass.
+    """
+    kept = vars(parent)
+    if "minima" in kept and "u" in kept:
+        n = parent.T.codomain_dim
+        trial.minima = tuple(v.take(_kept(n, n)[j]) for v in kept["minima"])
+
+
 def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
     """Greedy minimization of a failing instance.
 
     Tries, in order: dropping a codomain coordinate, dropping a domain
     coordinate (PSD families), zeroing single entries of x, y, u, and
     zeroing symmetric matrix entry pairs. A move is kept iff the named
-    check still fails: a candidate's one-row table gives its status, and
-    a TrialResult is built only for a kept move. Every kept move strictly
-    reduces dimension count or nonzero count, so the loop terminates.
-    Returns (instance, result); raises ConfigError when the input does
-    not fail to begin with.
+    check still fails. Every kept move strictly reduces dimension count or
+    nonzero count, so the loop terminates. Returns (instance, result);
+    raises ConfigError when the input does not fail to begin with.
+
+    The call keeps a memo, dropped when it returns, from each read key
+    (_read_key: the parts of an instance the check reads, _READS) to the
+    check's verdict, with the TrialResult of a failing one. A candidate
+    whose key is in the memo is not checked again: a move the check does
+    not read (an x, y or u move under axioms) or a move refused before the
+    last kept one; under a check that reads every part only the latter
+    can occur, so the memo keeps only refused candidates. Any other
+    candidate gets its status from its one-row table, and one that drops a
+    codomain coordinate takes the current trial's lambda minima without
+    that row (_inherit_minima).
     """
-    res = _run_check(theorem, Trial(inst, config))
+    trial = Trial(inst, config)
+    res = _run_check(theorem, trial)
     if res.status != "fail":
         raise ConfigError("shrink requires an instance that fails the check")
+    # Every kept move strictly shrinks the instance, so under a check that
+    # reads every part no key comes again before a candidate is refused:
+    # none is read till then.
+    reads_all = _READS[theorem] == _ALL_PARTS
+    memo = {} if reads_all else {_read_key(theorem, inst): res}
     current = inst
     while True:
-        for cand in _shrink_candidates(current):
-            (_, table), = _check_group(theorem, Trial(cand, config), [0])
-            if table.status[0] == "fail":
-                current, res = cand, table.row(0)
+        n = current.sip.codomain_dim
+        drops = n if n > 1 else 0
+        for i, cand in enumerate(_shrink_candidates(current)):
+            key = _read_key(theorem, cand) if memo else None
+            verdict, checked = memo.get(key, _UNCHECKED), None
+            if verdict is _UNCHECKED:
+                checked = Trial(cand, config)
+                if i < drops and trial is not None:
+                    _inherit_minima(checked, trial, i)
+                (_, table), = _check_group(theorem, checked, [0])
+                verdict = table.row(0) if table.status[0] == "fail" else None
+                if verdict is None or not reads_all:
+                    memo[_read_key(theorem, cand) if key is None else key] = verdict
+            if verdict is not None:
+                current, res, trial = cand, verdict, checked
                 break
         else:
             return current, res

@@ -351,7 +351,10 @@ def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
     # arrives at its checks as its Trial; injected instances of one n (and
     # one m, which the oracle's stacks need) arrive as one TrialGroup, and
     # a broken instance alone in its n is checked once per suite, with no
-    # second attempt after its check raises
+    # second attempt after its check raises. A Trial's table keeps its row
+    # as floats and builds its one-row array when the fold reads it: each
+    # check of a Trial gains a NaN, a -0.0 and a bool residual here, and
+    # the array and rows must be those the group path packs
     monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
     config = TrialConfig(trials=3, seed=2)
     valid = _valid("means", 3)
@@ -363,8 +366,30 @@ def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
             _seen.append((type(rec).__name__, [t.inst for t in rec.pairs]))
             return _check(rec)
         monkeypatch.setitem(CHECKS, name, recorded)
+    lone, results = [], harness._results
+    extra = {"nan": (np.float64(math.nan), 1.0), "negative_zero": (np.array(-0.0), 1.0),
+             "bool": (np.True_, 1.0)}
+
+    def with_extra(rec, checks, *args, **kwargs):
+        if isinstance(rec, Trial):
+            checks = {**checks, **extra}
+            lone.append(([v for v, _ in checks.values()], results(rec, checks, *args, **kwargs)))
+            return lone[-1][1]
+        return results(rec, checks, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_results", with_extra)
     with np.errstate(all="ignore"):
         report = harness.run_suite(config, injected=injected)
+    # every generated trial in each suite, and the broken one where its check gets that far
+    assert len(lone) > config.trials * len(THEOREMS)
+    for values, table in lone:
+        packed = np.array([np.reshape(v, 1) for v in values], dtype=np.float64).T
+        assert all(type(v) is float for v in table.rows[0])
+        assert [_bits(v) for v in table.rows[0]] == [_bits(v) for v in packed[0].tolist()]
+        assert [_bits(v) for v in table.rows[0][-3:]] == ["nan", (-0.0).hex(), (1.0).hex()]
+        assert table.residuals.shape == packed.shape
+        assert table.residuals.tobytes() == packed.tobytes()
+        assert table.status == ["fail"]
     for name in THEOREMS:
         calls = seen[name]
         assert [kind for kind, _ in calls[:config.trials]] == ["Trial"] * config.trials, name

@@ -27,6 +27,11 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 codomain dimension, broken and valid trials together;
   .../replay    replay_counterexample of every distinct counterexample;
   .../shrink    shrink's output file for each of them;
+  shrink-case/...
+                shrink's output file for instances of no report: a
+                multiplication sip under a coarse lambda grid, with a valid
+                weight and with one entry too many, against cs and sharp,
+                and a PSD family with a negated member against axioms;
   study         one convergence study at grids 64, 1000 and 10^5.
 
 Reports and the study are digested with wall_time_s removed. An output
@@ -103,6 +108,61 @@ def _triage_group_instances(seed: int, m: int, n: int) -> list:
     return [inst for pair in zip_longest(broken, valid) for inst in pair if inst is not None]
 
 
+def reports(tiny: bool):
+    """(name, config, injected instances) of each report of the corpus, in order."""
+    from riesz_sip import harness as h
+
+    def config(seed: int, trials: int, fields: dict):
+        fields = dict(fields)
+        if "tolerances" in fields:
+            fields["tolerances"] = h.Tolerances(**fields["tolerances"])
+        return h.TrialConfig(seed=seed, trials=trials, **fields)
+
+    for seed, trials, fields in TINY_REPORTS if tiny else FULL_REPORTS:
+        label = ",".join([f"seed={seed}", f"trials={trials}"]
+                         + [f"{k}={v}" for k, v in sorted(fields.items())])
+        yield f"report/{label}", config(seed, trials, fields), ()
+    seeds, trials = TINY_TRIAGE if tiny else FULL_TRIAGE
+    for k, seed in enumerate(seeds):
+        injected = tuple(h.Instance.from_dict(d) for d in _triage_instances(seed, k))
+        yield f"triage/seed={seed}", h.TrialConfig(seed=seed, trials=trials), injected
+    for seed, m, n in TINY_TRIAGE_GROUPS if tiny else FULL_TRIAGE_GROUPS:
+        yield (f"triage-group/seed={seed},m={m},n={n}", h.TrialConfig(seed=seed, trials=trials),
+               tuple(_triage_group_instances(seed, m, n)))
+
+
+def shrink_cases() -> list:
+    """(name, counterexample) of the shrinks the corpus runs on instances of no report.
+
+    A multiplication sip on R^4 under a lambda grid of 8 points, whose
+    defect gaps fail cs and sharp, with a valid weight and with one entry
+    too many: shrink's codomain drops take the current trial's lambda
+    minima under the valid weight, and run their own pass under the other.
+    A PSD family with a negated member (perfbench's broken_instance)
+    shrunk against axioms, which reads no x, y or u move.
+    """
+    import numpy as np
+    from riesz_sip import harness as h
+    from workloads import broken_instance
+
+    rng = np.random.default_rng(11)
+    coarse = h.params_from_config(h.TrialConfig(trials=1, lambda_count=8))
+    x, y = rng.uniform(-10.0, 10.0, (2, 4))
+    cases = []
+    for label, u in (("valid-u", rng.uniform(0.0, 10.0, 4)),
+                     ("long-u", rng.uniform(0.0, 10.0, 5))):
+        inst = {"kind": "multiplication", "m": 4, "n": 4,
+                "u": u.tolist(), "x": x.tolist(), "y": y.tolist()}
+        cases += [(f"shrink-case/multiplication,{label}/{theorem}",
+                   {"instance": inst, "theorem": theorem, "params": coarse})
+                  for theorem in ("cs", "sharp")]
+    negated = broken_instance(rng, "negative", 5, 3)
+    cases.append(("shrink-case/negative/axioms",
+                  {"instance": negated, "theorem": "axioms",
+                   "params": h.params_from_config(h.TrialConfig(trials=1))}))
+    return cases
+
+
 def corpus(tiny: bool) -> dict:
     """{output name: SHA-256} of the corpus on the riesz_sip that imports here."""
     import numpy as np
@@ -141,12 +201,6 @@ def corpus(tiny: bool) -> dict:
         return h.report_to_json(h.counterexample(
             theorem, res, small.to_dict(), h.params_from_config(config)))
 
-    def config(seed: int, trials: int, fields: dict):
-        fields = dict(fields)
-        if "tolerances" in fields:
-            fields["tolerances"] = h.Tolerances(**fields["tolerances"])
-        return h.TrialConfig(seed=seed, trials=trials, **fields)
-
     def run(name: str, cfg, injected=()) -> None:
         try:
             report = h.run_suite(cfg, injected=injected)
@@ -157,17 +211,10 @@ def corpus(tiny: bool) -> dict:
             replay_and_shrink(name, report)
 
     with np.errstate(all="ignore"):
-        for seed, trials, fields in TINY_REPORTS if tiny else FULL_REPORTS:
-            label = ",".join([f"seed={seed}", f"trials={trials}"]
-                             + [f"{k}={v}" for k, v in sorted(fields.items())])
-            run(f"report/{label}", config(seed, trials, fields))
-        seeds, trials = TINY_TRIAGE if tiny else FULL_TRIAGE
-        for k, seed in enumerate(seeds):
-            injected = tuple(h.Instance.from_dict(d) for d in _triage_instances(seed, k))
-            run(f"triage/seed={seed}", h.TrialConfig(seed=seed, trials=trials), injected)
-        for seed, m, n in TINY_TRIAGE_GROUPS if tiny else FULL_TRIAGE_GROUPS:
-            run(f"triage-group/seed={seed},m={m},n={n}", h.TrialConfig(seed=seed, trials=trials),
-                tuple(_triage_group_instances(seed, m, n)))
+        for name, cfg, injected in reports(tiny):
+            run(name, cfg, injected)
+        for name, ce in shrink_cases():
+            digest(f"{name}/shrink", lambda: shrunk(ce))
         trials, grids = TINY_STUDY if tiny else FULL_STUDY
         digest("study", lambda: without_wall_time(
             h.convergence_study(h.TrialConfig(trials=trials), grids)))
