@@ -8,8 +8,9 @@ Each command takes only the settings it reads: oracle-study sizes its own
 grids and bounds its gaps, so of the tolerance and grid flags it takes
 --tol-abs and the grid ranges; shrink draws nothing, so it takes no
 --trials, --seed, --m or --n. Exit codes: 0 all checks passed, 1 at least
-one violation, 2 invalid configuration or input. The environment variable
-RIESZ_SIP_SEED, when set, overrides --seed of verify and oracle-study.
+one violation, 2 invalid configuration or input, or an output file that
+cannot be written. The environment variable RIESZ_SIP_SEED, when set,
+overrides --seed of verify and oracle-study.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .harness import (
     report_to_json,
     run_suite,
     shrink,
+    write_json,
 )
 
 DEFAULTS = TrialConfig(trials=1)
@@ -205,12 +207,11 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     # found with, as replay does; flags apply to bare instances only.
     config = stored if stored is not None else _config_from_args(args, theorems=(check,))
     small, res = shrink(inst, check, config)
-    text = report_to_json(counterexample(check, res, small.to_dict(), params_from_config(config)))
+    shrunk = counterexample(check, res, small.to_dict(), params_from_config(config))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(shrunk, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report_to_json(shrunk))
     return 0
 
 

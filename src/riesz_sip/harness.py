@@ -1314,61 +1314,80 @@ def _json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _encode(value, indent: str, texts: dict) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) at nesting indent, for str keys.
+def _encode(value, indent: str, out: list, spans: dict) -> None:
+    """Append json.dumps(value, sort_keys=True, indent=2) at nesting indent to out, for str keys.
 
     A value is at most one of float, str and int, and bools are tested
     before int and lists or tuples before dicts, as json tests them, so
     subclasses encode as json encodes them; any other value raises
     _Unencodable, and a dict with a key that is not a str TypeError.
 
-    texts, keyed by id, marks each dict met once (None) and keeps the
-    text of each dict met twice, with the indent it was written at; every
-    later occurrence takes that text re-indented. So a dict that occurs n
-    times is encoded twice, not n times, and one that occurs once keeps no
-    text. The text holds no newline but its own line breaks (json escapes
-    those of strings), each followed by that indent, so re-indenting is
-    one replace.
+    The text goes to out as fragments, which the caller joins once, so no
+    level copies its children's text. spans, keyed by id, holds for each
+    dict met so far the indent it was written at and the range of out its
+    fragments fill. A later occurrence at that indent appends the range
+    again; at another indent it joins the range and re-indents it with one
+    replace. So a dict that occurs n times is encoded once, and spans keeps
+    no text. A dict's text holds no newline but its own line breaks (json
+    escapes those of strings), each followed by its indent, so
+    re-indenting is that one replace.
     """
     if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, int):
-        return "true" if value is True else "false" if value is False else int.__repr__(value)
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+        out.append(_json_float(value))
+    elif isinstance(value, str):
+        out.append(_json_string(value))
+    elif isinstance(value, int):
+        out.append("true" if value is True else "false" if value is False
+                   else int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
         # Most of a report's bytes are lists of floats (a counterexample's
         # matrices and vectors): float.__repr__ writes them in one pass and
         # refuses any item that is no float.
         try:
             body = sep.join(map(float.__repr__, value))
         except TypeError:
-            body = sep.join([_encode(v, inner, texts) for v in value])
+            head = "[\n" + inner
+            for v in value:
+                out.append(head)
+                _encode(v, inner, out, spans)
+                head = sep
+            out.append("\n" + indent + "]")
         else:
             if "n" in body:  # nan or inf, which json spells NaN and Infinity
                 body = sep.join(map(_json_float, value))
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, dict):
+            out += ("[\n" + inner, body, "\n" + indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         key = id(value)
-        kept = texts.get(key)
-        if kept is not None:
-            at, text = kept
-            return text if at == indent else text.replace("\n" + at, "\n" + indent)
+        span = spans.get(key)
+        if span is not None:
+            at, start, end = span
+            if at == indent:
+                out += out[start:end]
+            else:
+                out.append("".join(out[start:end]).replace("\n" + at, "\n" + indent))
+            return
+        start = len(out)
+        inner = indent + "  "
+        head = "{\n" + inner
         # a key that is no str fails to sort or to encode: TypeError
-        body = sep.join([f"{_json_string(k)}: {_encode(value[k], inner, texts)}"
-                         for k in sorted(value)])
-        text = "{\n" + inner + body + "\n" + indent + "}"
-        texts[key] = (indent, text) if key in texts else None
-        return text
-    raise _Unencodable
+        for k in sorted(value):
+            out.append(head + _json_string(k) + ": ")
+            _encode(value[k], inner, out, spans)
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+        spans[key] = (indent, start, len(out))
+    else:
+        raise _Unencodable
 
 
 def report_to_json(data: dict) -> str:
@@ -1379,16 +1398,35 @@ def report_to_json(data: dict) -> str:
     byte; indent makes json run its pure-Python encoder, so the JSON that
     reports hold is written here instead, and json.dumps writes (or
     refuses) anything else, such as a non-str key, a value of another type
-    or a circular structure. A dict that data holds at several places, as
-    a report holds each instance's dict and the params once per entry that
-    names them, is encoded at its first two places only (see _encode).
+    or a circular structure. The text is written in one pass: _encode
+    appends fragments to one list, joined once at the end. A dict that
+    data holds at several places, as a report holds each instance's dict
+    and the params once per entry that names them, is encoded at its first
+    place only; later places repeat its fragments (see _encode).
     """
+    out = []
     try:
-        return _encode(data, "", {}) + "\n"
+        _encode(data, "", out, {})
     except (_Unencodable, TypeError, RecursionError):
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def write_json(data, path) -> None:
+    """Write report_to_json(data) to path: the one writer of report and shrink files.
+
+    The text is encoded before the file is opened, so data that cannot be
+    encoded leaves a file already at path as it was. A path that cannot be
+    written raises ConfigError, as a case file that cannot be read does.
+    """
+    text = report_to_json(data)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def emit_report(report, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report.to_dict()))
+    write_json(report.to_dict(), path)

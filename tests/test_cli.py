@@ -270,6 +270,21 @@ def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     assert err.count("error: cannot load") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle-study", "shrink"])
+def test_unwritable_output_exits_2(capsys, tmp_path, command):
+    # exit 1 means a violation; a path that cannot be written is bad input
+    out = str(tmp_path / "missing" / "out.json")
+    inst_path = tmp_path / "bad.json"
+    _write_asymmetric_instance(inst_path)
+    argv = {"verify": ["verify", "--trials", "2", "--theorems", "axioms", "--report", out],
+            "oracle-study": ["oracle-study", "--trials", "2", "--grids", "4,8", "--report", out],
+            "shrink": ["shrink", "--instance", str(inst_path), "--check", "axioms",
+                       "--out", out]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err and "Traceback" not in err
+
+
 # Grid ranges as CLI values and as JSON numbers (1e309 reads as inf). The
 # last is finite and ordered, yet holds too few floats for its points to
 # increase strictly, so only building the grid can find it.

@@ -53,16 +53,16 @@ PINNED_INJECTED_SHA256 = "eaa7c99532bf6f0e4c594830cfa5a9452d56449447521df7f392f2
 PINNED_ORTHOGONAL_SHA256 = "63cb08861d5b2a61ffb716143a570eb0eaeedcd921804047e08342f91baf9647"
 
 
-def _asymmetric_instance(m=8):
-    A = np.zeros((1, m, m))
+def _asymmetric_instance(m=8, n=1):
+    A = np.zeros((n, m, m))
     A[0, 0, 1] = 1.0
     return Instance(sip=PsdFamilySip(A, validate=False),
-                    u=np.ones(1), x=np.ones(m), y=np.ones(m))
+                    u=np.ones(n), x=np.ones(m), y=np.ones(m))
 
 
-def _negative_instance():
-    return Instance(sip=PsdFamilySip([-np.eye(2)], validate=False),
-                    u=np.ones(1), x=np.ones(2), y=np.ones(2))
+def _negative_instance(m=2, n=1):
+    return Instance(sip=PsdFamilySip([-np.eye(m)] * n, validate=False),
+                    u=np.ones(n), x=np.ones(m), y=np.ones(m))
 
 
 def test_config_validation():
@@ -627,12 +627,59 @@ def test_report_writer_writes_a_shared_subtree_as_json_dumps_does():
         assert _outcome(report_to_json, data) == _outcome(_json_dumps, data) == ValueError
 
 
+class _CountingDict(dict):
+    """A dict that counts the reads of its values, as the writer reads each once per encoding."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 def test_report_writer_keeps_text_only_for_a_repeated_dict():
-    once, twice = {"x": [1.0, 2.0]}, {"y": -0.0}
-    texts = {}
-    data = {"a": once, "b": [twice, {"c": twice}]}
-    assert harness._encode(data, "", texts) + "\n" == _json_dumps(data)
-    assert {key for key, kept in texts.items() if kept is not None} == {id(twice)}
+    once, twice = {"x": [1.0, 2.0]}, _CountingDict(y=-0.0, z=[float("nan")])
+    out, spans = [], {}
+    data = {"a": once, "b": [twice, {"c": twice}], "d": twice}
+    harness._encode(data, "", out, spans)
+    assert "".join(out) + "\n" == _json_dumps(data)
+    # spans keeps each dict's indent and its range of out, and no text:
+    # a dict met once keeps no text, and one met three times is encoded once
+    assert set(spans) == {id(data), id(once), id(twice), id(data["b"][1])}
+    for indent, start, end in spans.values():
+        assert indent.strip(" ") == "" and 0 <= start < end <= len(out)
+    assert twice.reads == 2
+    assert spans[id(twice)][0] == " " * 4
+
+
+def test_report_writer_repeats_a_dict_at_any_indent():
+    row = [1.5, float("nan"), -0.0]
+    inner = {"v": row, "w": "t\n\u00e9"}
+    outer = {"i": inner, "j": [inner, {"k": inner}]}
+    cases = [
+        # one dict at two indents, first at the deeper one and then at the shallower
+        {"a": [[inner]], "b": inner},
+        # and first at the shallower one
+        {"a": inner, "b": [[inner]]},
+        # a repeated dict inside another repeated dict, at several indents
+        {"a": outer, "b": [outer, {"c": outer}], "d": inner, "e": [[outer]]},
+        # a first occurrence inside a list of dicts, then inside one of its dicts
+        {"a": [{"x": 1}, inner, {"k": inner}], "b": inner, "c": [{"y": [inner]}]},
+    ]
+    for data in cases:
+        assert report_to_json(data) == _json_dumps(data)
+
+
+def test_report_writer_on_a_triage_report():
+    # the witnesses at m = 12, n = 8 are named in several suites each, at
+    # two indents (counterexamples and worst_instance)
+    injected = (_asymmetric_instance(12, 8), _negative_instance(12, 8))
+    report = run_suite(TrialConfig(seed=4, trials=5), injected).to_dict()
+    named = {id(ce["instance"]) for e in report["theorems"].values()
+             for ce in e["counterexamples"]}
+    worst = {id(e["worst_instance"]["instance"]) for e in report["theorems"].values()}
+    assert len(named) == 2 and named <= worst
+    assert report_to_json(report) == _json_dumps(report)
 
 
 def test_report_holds_each_instance_once():
@@ -667,7 +714,14 @@ def test_emit_report(tmp_path):
     report = run_suite(TrialConfig(seed=5, trials=5, theorems=("means",)))
     out = tmp_path / "report.json"
     emit_report(report, out)
-    assert json.loads(out.read_text()) == json.loads(report_to_json(report.to_dict()))
+    assert out.read_bytes() == report_to_json(report.to_dict()).encode("utf-8")
+    # the text is encoded before the file is opened: a value that cannot
+    # be encoded leaves the file as it was
+    with pytest.raises(TypeError):
+        harness.write_json({"trials": np.int64(3)}, out)
+    assert out.read_bytes() == report_to_json(report.to_dict()).encode("utf-8")
+    with pytest.raises(ConfigError, match="cannot write"):
+        emit_report(report, tmp_path / "missing" / "report.json")
 
 
 def _sha256_less_wall_time(report) -> str:
