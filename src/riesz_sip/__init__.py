@@ -5,8 +5,8 @@ Library layers, bottom up: componentwise lattice/f-algebra primitives
 concrete semi-inner products and axiom checking (sip), the Cauchy-Schwarz
 identity and defect (cauchy_schwarz), weighted vector seminorms and the
 triangle-type theorems (seminorms), and the randomized verification
-harness plus CLI (harness, cli), whose trials draw from streams seeded a
-chunk at a time (streams).
+harness plus CLI (harness, cli), whose trial i draws from
+np.random.default_rng((seed, i)).
 """
 
 from .lattice import (

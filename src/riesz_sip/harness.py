@@ -2,16 +2,14 @@
 
 Runs named theorem suites over randomly generated semi-inner-product
 instances and aggregates the results into a deterministic JSON report.
-Every trial draws its randomness from a substream keyed by
-(config.seed, trial_index), so reports are reproducible bit for bit
-(wall time aside) and any recorded counterexample can be replayed or
-shrunk offline from its serialized instance alone. The streams are
-np.random.default_rng's of those keys, bit for bit, set per trial on one
-reused Generator from a hash of the whole chunk's keys
-(streams.ChunkStreams), not built one default_rng at a time. A check is a
-deterministic function of (instance, config): the oracle grids it samples
-are derived on the config, and anything else sampled inside a check uses
-fixed seeds or fixed scalar sets, never fresh entropy. A check reads a
+Trial i draws its randomness from np.random.default_rng((seed, i)), and
+attempt a of an orthogonal trial from default_rng((seed, i, a)), so
+reports are reproducible bit for bit (wall time aside) and any recorded
+counterexample can be replayed or shrunk offline from its serialized
+instance alone. A check is a deterministic function of (instance,
+config): the oracle grids it samples are derived on the config, and
+anything else sampled inside a check uses fixed seeds or fixed scalar
+sets, never fresh entropy. A check reads a
 record of trials, passes it to the library's theorem functions, and only
 maps the residuals they return to tolerances: a Trial, the lazy record of
 one instance under one config (the instance's Gram, see
@@ -141,7 +139,6 @@ from .sip import (
     orthogonal_sample,
     random_psd,
 )
-from .streams import ChunkStreams
 
 REPORT_SCHEMA = "riesz-sip/1"
 
@@ -390,7 +387,7 @@ def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
 
 
 def generate_instance(config: TrialConfig, trial_index: int,
-                      purpose: str = "generic", streams: ChunkStreams | None = None) -> Instance:
+                      purpose: str = "generic") -> Instance:
     """Deterministic instance for one trial, keyed by (seed, trial_index).
 
     generic draws mix both sip kinds and bias a quarter of the pairs to
@@ -401,15 +398,11 @@ def generate_instance(config: TrialConfig, trial_index: int,
     m > n. positive_log draws signed entries with log-uniform magnitudes
     on the multiplication sip, the stress regime for the grid oracles.
 
-    The draws come from default_rng((seed, trial_index)) and, for
-    orthogonal_sample's attempts, default_rng((seed, trial_index,
-    attempt)): from streams, the pre-seeded streams of the trial's chunk
-    (_chunks), or without them from the trial's own, seeded by the same
-    hash.
+    The draws come from default_rng((seed, trial_index)), and attempt a
+    of an orthogonal draw passes orthogonal_sample the key (seed,
+    trial_index, a), from which it draws default_rng((seed, trial_index, a)).
     """
-    if streams is None:
-        streams = ChunkStreams(config.seed, (trial_index,), purpose)
-    rng = streams.trial(trial_index)
+    rng = np.random.default_rng((config.seed, trial_index))
 
     if purpose == "generic":
         mult = rng.random() < 0.5
@@ -458,7 +451,7 @@ def generate_instance(config: TrialConfig, trial_index: int,
                 k = int(rng.integers(1, m))  # nonempty proper zero support
                 x[rng.choice(m, size=k, replace=False)] = 0.0
             try:
-                y = orthogonal_sample(T, x, seed=streams.attempt(trial_index, attempt))
+                y = orthogonal_sample(T, x, seed=(config.seed, trial_index, attempt))
             except (NoNontrivialOrthogonal, NonFinite):  # NonFinite: x'A_j overflowed
                 continue
             y = y * float(rng.uniform(0.5, config.entry_hi))
@@ -877,16 +870,13 @@ class VerificationReport:
 def _chunks(config: TrialConfig, purpose: str):
     """config.trials instances of one recipe in lists of TRIAL_CHUNK, None where generation gave up.
 
-    Each chunk's streams are seeded at once (ChunkStreams), and its instances
-    generated one at a time.
+    Each instance is generated alone, trial i from default_rng((seed, i)).
     """
     for lo in range(0, config.trials, TRIAL_CHUNK):
-        indices = range(lo, min(lo + TRIAL_CHUNK, config.trials))
-        streams = ChunkStreams(config.seed, indices, purpose)
         chunk = []
-        for i in indices:
+        for i in range(lo, min(lo + TRIAL_CHUNK, config.trials)):
             try:
-                chunk.append(generate_instance(config, i, purpose, streams))
+                chunk.append(generate_instance(config, i, purpose))
             except GenerationExhausted:
                 chunk.append(None)
         yield chunk

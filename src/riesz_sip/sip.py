@@ -324,7 +324,7 @@ def random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:
     return PsdFamilySip(A, validate=False)
 
 
-def orthogonal_sample(T: Sip, x, seed: int = 0,
+def orthogonal_sample(T: Sip, x, seed: int | tuple | np.random.Generator = 0,
                       tol: float = 1e-10) -> np.ndarray:
     """Random nonzero y with T(x, y) = 0, normalized to sup norm 1.
 
@@ -332,7 +332,9 @@ def orthogonal_sample(T: Sip, x, seed: int = 0,
     space of the n x m matrix with rows (A_j x)'. A random element of that
     null space is returned; when the null space is trivial (generic when
     m <= n) NoNontrivialOrthogonal is raised. For the multiplication sip
-    the kernel is exactly the coordinates where x vanishes.
+    the kernel is exactly the coordinates where x vanishes. seed is
+    anything np.random.default_rng accepts: an int, a tuple of ints or a
+    Generator.
     """
     x = as_lattice_vector(x, T.domain_dim)
     if isinstance(T, MultiplicationSip):

@@ -35,7 +35,13 @@ from riesz_sip.harness import (
 )
 from riesz_sip.cauchy_schwarz import Gram
 from riesz_sip.lattice import DimensionMismatch, NonFinite
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, check_axioms, random_psd
+from riesz_sip.sip import (
+    MultiplicationSip,
+    NoNontrivialOrthogonal,
+    PsdFamilySip,
+    check_axioms,
+    random_psd,
+)
 
 SMALL = TrialConfig(seed=42, trials=40)
 
@@ -162,6 +168,42 @@ def test_generate_is_deterministic():
         assert a != c
     with pytest.raises(ConfigError):
         generate_instance(SMALL, 0, "bogus")
+
+
+KEY_SEEDS = (0, 2**32 - 1, 2**40 + 9, 2**64 - 1)
+KEY_INDICES = (0, 255, 256, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
+    # the report contract: trial i draws from default_rng((seed, i)), and
+    # attempt a of an orthogonal trial hands orthogonal_sample (seed, i, a)
+    config = TrialConfig(seed=seed)
+    lo, hi = np.log10(config.log_entry_lo), np.log10(config.log_entry_hi)
+    for i in KEY_INDICES:
+        rng = np.random.default_rng((seed, i))
+        n = int(rng.integers(config.n_lo, config.n_hi + 1))
+        x = harness._SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
+        y = harness._SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
+        u = rng.uniform(0.0, config.u_hi, n)
+        inst = generate_instance(config, i, "positive_log")
+        assert inst.sip.codomain_dim == n
+        assert (inst.x.tobytes(), inst.y.tobytes(), inst.u.tobytes()) == (
+            x.tobytes(), y.tobytes(), u.tobytes())
+
+    keys = []
+
+    def twice_trivial(T, x, seed=0, _sample=harness.orthogonal_sample):
+        keys.append(seed)
+        if len(keys) < 3:
+            raise NoNontrivialOrthogonal("recorded")
+        return _sample(T, x, seed=seed)
+
+    monkeypatch.setattr(harness, "orthogonal_sample", twice_trivial)
+    for i in KEY_INDICES:
+        del keys[:]
+        generate_instance(config, i, "orthogonal")
+        assert keys == [(seed, i, 0), (seed, i, 1), (seed, i, 2)]
 
 
 def test_generate_generic_shapes():

@@ -244,10 +244,10 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
     config = TrialConfig(trials=24, seed=11)
     generate = harness.generate_instance
 
-    def gives_up(config, i, purpose="generic", streams=None):
+    def gives_up(config, i, purpose="generic"):
         if i % 3 == 1:
             raise GenerationExhausted(f"trial {i}")
-        return generate(config, i, purpose, streams)
+        return generate(config, i, purpose)
 
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(harness, "generate_instance", gives_up)

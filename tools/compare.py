@@ -15,8 +15,9 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 of 400 points, one of 10^5 (several blocks per pair), the
                 shapes m <= 12, n <= 8, non-default grids and
                 tolerances, and a seed of two 32-bit words (2^40 + 3)
-                over more than one chunk of trials, whose streams the
-                harness seeds from the words of the key;
+                over more than one chunk of trials, whose trial i draws
+                from default_rng((seed, i)) and attempt a of an
+                orthogonal trial from default_rng((seed, i, a));
   triage/...    reports with eight broken instances injected, made by
                 perfbench's broken_instance (read from the perfbench
                 beside this script, so both trees get the same ones);
