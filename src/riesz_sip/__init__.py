@@ -5,8 +5,9 @@ Library layers, bottom up: componentwise lattice/f-algebra primitives
 concrete semi-inner products and axiom checking (sip), the Cauchy-Schwarz
 identity and defect (cauchy_schwarz), weighted vector seminorms and the
 triangle-type theorems (seminorms), and the randomized verification
-harness plus CLI (harness, cli), whose trial i draws from
-np.random.default_rng((seed, i)).
+harness plus CLI (harness, cli), whose generic trial i draws from
+np.random.default_rng((seed, i)), and whose positive_log and orthogonal
+trials a chunk c at a time from np.random.default_rng((seed, recipe, c)).
 """
 
 from .lattice import (
@@ -37,6 +38,7 @@ from .sip import (
     PsdFamilySip,
     check_axioms,
     orthogonal_sample,
+    orthogonal_stack,
     random_psd,
 )
 from .cauchy_schwarz import (

@@ -2,15 +2,18 @@
 
 Runs named theorem suites over randomly generated semi-inner-product
 instances and aggregates the results into a deterministic JSON report.
-Trial i draws its randomness from np.random.default_rng((seed, i)), and
-attempt a of an orthogonal trial from default_rng((seed, i, a)), so
-reports are reproducible bit for bit (wall time aside) and any recorded
-counterexample can be replayed or shrunk offline from its serialized
-instance alone. A check is a deterministic function of (instance,
-config): the oracle grids it samples are derived on the config, and
-anything else sampled inside a check uses fixed seeds or fixed scalar
-sets, never fresh entropy. A check reads a
-record of trials, passes it to the library's theorem functions, and only
+A generic trial i draws its randomness from np.random.default_rng((seed,
+i)); the positive_log and orthogonal recipes draw a chunk of trials at
+once, chunk c from default_rng((seed, RECIPE_KEYS[recipe], c)), and a
+retried orthogonal trial i from default_rng((seed, 2, c, i))
+(_recipe_chunk). So a trial's instance depends on the seed, its recipe,
+its index and the chunk length alone, reports are reproducible bit for
+bit (wall time aside) and any recorded counterexample can be replayed or
+shrunk offline from its serialized instance alone. A check is a
+deterministic function of (instance, config): the oracle grids it
+samples are derived on the config, and anything else sampled inside a
+check uses fixed seeds or fixed scalar sets, never fresh entropy. A
+check reads a record of trials, passes it to the library's theorem functions, and only
 maps the residuals they return to tolerances: a Trial, the lazy record of
 one instance under one config (the instance's Gram, see
 cauchy_schwarz.Gram, and its lambda-grid minima), or a TrialGroup, the
@@ -20,15 +23,17 @@ and oracle suites stack x and y themselves (the oracle suite runs the
 mean oracles once on the (k, m) stacks; means takes stacks), so their
 groups' trials must also share the domain R^m.
 
-run_suite is chunked and grouped: for each instance recipe it generates
-TRIAL_CHUNK trials at a time, groups the chunk's trials by codomain
-dimension (and by domain dimension for the recipe of the means and
+run_suite is chunked and grouped: for each instance recipe it takes
+TRIAL_CHUNK generated trials at a time, groups the chunk's trials by
+codomain dimension (and by domain dimension for the recipe of the means and
 oracle suites), runs every selected suite of the recipe once per group, folds
 the chunk's results into each suite's report entry in trial order, and
 drops the chunk before generating the next; the injected instances are
 then checked as one more chunk. The suites of a group share its record,
 so each T-value and the lambda-grid pass are evaluated once per trial,
-and at most one chunk of generated instances is alive. _check_group is
+and at most one chunk of generated instances is alive, with the rest of
+the recipe chunk it was cut from (none at the defaults, where both hold
+256 trials). _check_group is
 the one caller of the checks, and every check gives one table (_Table),
 a row of residuals per trial. A Trial's check, as for a group of one
 trial or each trial of a group with a broken trial, gives one row, a
@@ -71,7 +76,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, lru_cache
-from itertools import chain, compress
+from itertools import compress, islice
 from operator import le, not_
 from typing import NamedTuple
 
@@ -132,11 +137,11 @@ from .seminorms import (
 )
 from .sip import (
     MultiplicationSip,
-    NoNontrivialOrthogonal,
+    ORTHOGONAL,
     PsdFamilySip,
     _upper_pairs,
     check_axioms,
-    orthogonal_sample,
+    orthogonal_stack,
     random_psd,
 )
 
@@ -370,9 +375,17 @@ PURPOSES = {
 }
 
 
-# Random signs index this with rng.integers(0, 2, n): the draw, and so the
-# stream, of rng.choice([-1.0, 1.0], n), without choice's set-up.
+# Random signs: a block of rng.integers(0, 2) indexes this.
 _SIGNS = np.array([-1.0, 1.0])
+
+# The positive_log and orthogonal recipes draw a chunk of trials at once:
+# chunk c of a recipe draws from default_rng((seed, RECIPE_KEYS[recipe], c)).
+# A chunk is RECIPE_CHUNK trials; an orthogonal chunk also holds at most
+# RECIPE_CHUNK_FLOATS entries of its drawn matrices, n_hi * m_hi^2 per trial.
+RECIPE_KEYS = {"positive_log": 1, "orthogonal": 2}
+RECIPE_CHUNK = 256
+RECIPE_CHUNK_FLOATS = 2**17
+ORTHOGONAL_ATTEMPTS = 100
 
 
 def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
@@ -386,6 +399,19 @@ def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
     return u
 
 
+def _chunk_length(config: TrialConfig, purpose: str) -> int:
+    """The trials of one chunk of the positive_log or orthogonal recipe under config.
+
+    RECIPE_CHUNK, and for orthogonal draws at most RECIPE_CHUNK_FLOATS //
+    (n_hi * m_hi^2), at least 1: the chunk's draw of PSD factors B is one
+    (length, min(n_hi, m_hi - 1), m_hi, m_hi) block.
+    """
+    if purpose == "orthogonal":
+        per_trial = config.n_hi * config.m_hi ** 2
+        return max(1, min(RECIPE_CHUNK, RECIPE_CHUNK_FLOATS // per_trial))
+    return RECIPE_CHUNK
+
+
 def generate_instance(config: TrialConfig, trial_index: int,
                       purpose: str = "generic") -> Instance:
     """Deterministic instance for one trial, keyed by (seed, trial_index).
@@ -393,74 +419,188 @@ def generate_instance(config: TrialConfig, trial_index: int,
     generic draws mix both sip kinds and bias a quarter of the pairs to
     colinear y and (for the multiplication sip) a quarter to positive-cone
     pairs, so equality branches of the biconditionals appear with
-    non-negligible frequency. orthogonal draws return a pair with
-    T(x, y) = 0 built by orthogonal_sample, preferring PSD families with
-    m > n. positive_log draws signed entries with log-uniform magnitudes
-    on the multiplication sip, the stress regime for the grid oracles.
-
-    The draws come from default_rng((seed, trial_index)), and attempt a
-    of an orthogonal draw passes orthogonal_sample the key (seed,
-    trial_index, a), from which it draws default_rng((seed, trial_index, a)).
+    non-negligible frequency; they come from default_rng((seed,
+    trial_index)). positive_log and orthogonal trials are built from their
+    chunk's draws (_recipe_chunk), as run_suite builds them, bit for bit.
     """
+    if purpose in RECIPE_KEYS:
+        length = _chunk_length(config, purpose)
+        j = trial_index % length
+        inst, = _recipe_chunk(config, purpose, trial_index // length, j, j + 1)
+        if inst is None:
+            raise GenerationExhausted(
+                f"no orthogonal pair after {ORTHOGONAL_ATTEMPTS} attempts at trial {trial_index}")
+        return inst
+    if purpose != "generic":
+        raise ConfigError(f"unknown generation purpose: {purpose!r}")
+
     rng = np.random.default_rng((config.seed, trial_index))
-
-    if purpose == "generic":
-        mult = rng.random() < 0.5
-        n = int(rng.integers(config.n_lo, config.n_hi + 1))
-        if mult:
-            m = n
-            T = MultiplicationSip(n)
-        else:
-            m = int(rng.integers(config.m_lo, config.m_hi + 1))
-            T = random_psd(rng, m, n)
-        u = _random_weight(rng, n, config.u_hi)
-        x = rng.uniform(-config.entry_hi, config.entry_hi, m)
-        style = rng.random()
-        if style < 0.25:
-            y = float(rng.uniform(-3.0, 3.0)) * x
-        elif style < 0.5 and mult:
-            x = np.abs(x)
-            y = rng.uniform(0.0, config.entry_hi, m)
-        else:
-            y = rng.uniform(-config.entry_hi, config.entry_hi, m)
-        return Instance(sip=T, u=u, x=x, y=y)
-
-    if purpose == "positive_log":
-        n = int(rng.integers(config.n_lo, config.n_hi + 1))
+    mult = rng.random() < 0.5
+    n = int(rng.integers(config.n_lo, config.n_hi + 1))
+    if mult:
+        m = n
         T = MultiplicationSip(n)
-        lo, hi = np.log10(config.log_entry_lo), np.log10(config.log_entry_hi)
-        x = _SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
-        y = _SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
-        u = rng.uniform(0.0, config.u_hi, n)
-        return Instance(sip=T, u=u, x=x, y=y)
+    else:
+        m = int(rng.integers(config.m_lo, config.m_hi + 1))
+        T = random_psd(rng, m, n)
+    u = _random_weight(rng, n, config.u_hi)
+    x = rng.uniform(-config.entry_hi, config.entry_hi, m)
+    style = rng.random()
+    if style < 0.25:
+        y = float(rng.uniform(-3.0, 3.0)) * x
+    elif style < 0.5 and mult:
+        x = np.abs(x)
+        y = rng.uniform(0.0, config.entry_hi, m)
+    else:
+        y = rng.uniform(-config.entry_hi, config.entry_hi, m)
+    return Instance(sip=T, u=u, x=x, y=y)
 
-    if purpose == "orthogonal":
-        psd_possible, mult_possible = config.orthogonal_recipes
-        use_psd = psd_possible and (not mult_possible or rng.random() < 0.7)
-        for attempt in range(100):
-            if use_psd:
-                n = int(rng.integers(config.n_lo, min(config.n_hi, config.m_hi - 1) + 1))
-                m = int(rng.integers(max(config.m_lo, n + 1), config.m_hi + 1))
-                T = random_psd(rng, m, n)
-                x = rng.uniform(-config.entry_hi, config.entry_hi, m)
-            else:
-                n = int(rng.integers(max(config.n_lo, 2), config.n_hi + 1))
-                m = n
-                T = MultiplicationSip(n)
-                x = rng.uniform(-config.entry_hi, config.entry_hi, m)
-                k = int(rng.integers(1, m))  # nonempty proper zero support
-                x[rng.choice(m, size=k, replace=False)] = 0.0
-            try:
-                y = orthogonal_sample(T, x, seed=(config.seed, trial_index, attempt))
-            except (NoNontrivialOrthogonal, NonFinite):  # NonFinite: x'A_j overflowed
-                continue
-            y = y * float(rng.uniform(0.5, config.entry_hi))
-            u = rng.uniform(0.0, config.u_hi, n)
-            return Instance(sip=T, u=u, x=x, y=y)
-        raise GenerationExhausted(
-            f"no orthogonal pair after 100 attempts at trial {trial_index}")
 
-    raise ConfigError(f"unknown generation purpose: {purpose!r}")
+def _recipe_chunk(config: TrialConfig, purpose: str, c: int, start: int, stop: int) -> list:
+    """Trials start..stop-1 of chunk c of a recipe, None where generation gave up.
+
+    Every variate of the chunk is drawn as one block of fixed shape from
+    default_rng((seed, RECIPE_KEYS[purpose], c)), in the order
+    _positive_log_draws and _orthogonal_draws state, and a trial reads
+    its row, sliced to its n and m: a trial's instance depends on the
+    seed, the recipe, its index and the chunk length, and not on which
+    trials are built. positive_log
+    draws signed entries with log-uniform magnitudes on the
+    multiplication sip, the stress regime for the grid oracles.
+    orthogonal trials are pairs with T(x, y) = 0 (_orthogonal_trials),
+    PSD families with m > n for 70% of them where both kinds are
+    possible; a trial whose pair fails draws attempt after attempt, up to
+    ORTHOGONAL_ATTEMPTS in all, each a chunk of one trial, from
+    default_rng((seed, RECIPE_KEYS["orthogonal"], c, trial_index)).
+    """
+    key = (config.seed, RECIPE_KEYS[purpose], c)
+    length = _chunk_length(config, purpose)
+    rng = np.random.default_rng(key)
+    if purpose == "positive_log":
+        n, x, y, u = _positive_log_draws(rng, config, length)
+        return [Instance(MultiplicationSip(k), u[j, :k], x[j, :k], y[j, :k])
+                for j, k in zip(range(start, stop), n[start:stop].tolist())]
+    insts = _orthogonal_trials(config, _orthogonal_draws(rng, config, length), start, stop)
+    for j, inst in enumerate(insts):
+        if inst is None:
+            retry = np.random.default_rng((*key, c * length + start + j))
+            for _ in range(ORTHOGONAL_ATTEMPTS - 1):
+                inst, = _orthogonal_trials(config, _orthogonal_draws(retry, config, 1), 0, 1)
+                if inst is not None:
+                    insts[j] = inst
+                    break
+    return insts
+
+
+def _positive_log_draws(rng: np.random.Generator, config: TrialConfig, length: int) -> tuple:
+    """A positive_log chunk's blocks, in draw order: n, then x, y and u as (length, n_hi) rows."""
+    lo, hi = np.log10(config.log_entry_lo), np.log10(config.log_entry_hi)
+    shape = (length, config.n_hi)
+    n = rng.integers(config.n_lo, config.n_hi + 1, length)
+    x = _SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
+    y = _SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
+    u = rng.uniform(0.0, config.u_hi, shape)
+    return n, x, y, u
+
+
+class _OrthogonalDraws(NamedTuple):
+    psd: np.ndarray    # (length,) bool: a PSD family, else a multiplication sip
+    n: np.ndarray      # (length,) codomain dimension
+    m: np.ndarray      # (length,) domain dimension
+    B: np.ndarray      # (length, n_psd, m_hi, m_hi) PSD factors, entries in [-1, 1]
+    zero: np.ndarray   # (length, w) bool: x's zero support, for a multiplication sip
+    x: np.ndarray      # (length, w)
+    g: np.ndarray      # (length, w) standard normal: y's coordinates in the kernel
+    scale: np.ndarray  # (length,) y's sup norm
+    u: np.ndarray      # (length, n_hi)
+
+
+def _orthogonal_draws(rng: np.random.Generator, config: TrialConfig,
+                      length: int) -> _OrthogonalDraws:
+    """An orthogonal chunk's blocks, in draw order; w = max(m_hi, n_hi).
+
+    The kind (uniform r < 0.7 is PSD where both kinds are possible); for
+    PSD families n in [n_lo, n_psd], n_psd = min(n_hi, m_hi - 1), then m in
+    [max(m_lo, n + 1), m_hi] and the factors B; for multiplication sips n
+    in [max(n_lo, 2), n_hi], the size k in [1, n - 1] of x's zero support
+    and a uniform key per coordinate (the support is the k smallest keys
+    of the first n); then x, g, the scale and u. The blocks of a kind the
+    dimension ranges rule out are not drawn.
+    """
+    psd_possible, mult_possible = config.orthogonal_recipes
+    m_hi, n_hi = config.m_hi, config.n_hi
+    w = max(m_hi, n_hi)
+    r = rng.random(length)
+    psd = r < 0.7 if psd_possible and mult_possible else np.full(length, psd_possible)
+    n = np.zeros(length, dtype=np.int64)
+    m = np.zeros(length, dtype=np.int64)
+    B = zero = None
+    if psd_possible:
+        n_psd = min(n_hi, m_hi - 1)
+        n_p = rng.integers(config.n_lo, n_psd + 1, length)
+        m_p = rng.integers(np.maximum(config.m_lo, n_p + 1), m_hi + 1)
+        B = rng.uniform(-1.0, 1.0, (length, n_psd, m_hi, m_hi))
+        n[psd], m[psd] = n_p[psd], m_p[psd]
+    if mult_possible:
+        n_m = rng.integers(max(config.n_lo, 2), n_hi + 1, length)
+        size = rng.integers(1, n_m)
+        keys = np.where(np.arange(w) < n_m[:, None], rng.random((length, w)), np.inf)
+        zero = keys.argsort(axis=1).argsort(axis=1) < size[:, None]
+        n[~psd] = m[~psd] = n_m[~psd]
+    x = rng.uniform(-config.entry_hi, config.entry_hi, (length, w))
+    g = rng.standard_normal((length, w))
+    scale = rng.uniform(0.5, config.entry_hi, length)
+    u = rng.uniform(0.0, config.u_hi, (length, n_hi))
+    return _OrthogonalDraws(psd, n, m, B, zero, x, g, scale, u)
+
+
+def _orthogonal_trials(config: TrialConfig, d: _OrthogonalDraws, start: int, stop: int) -> list:
+    """The orthogonal pairs of rows start..stop-1 of d, None where a pair fails.
+
+    A PSD family is A_j = B_j' B_j, random_psd's formula, of the top-left
+    (m, m) block of each of the first n factors, summed over k in order
+    (so exactly symmetric, with no symmetrization); past n and m the stack
+    holds zeros, so every PSD pair of the rows goes to one
+    orthogonal_stack call. x is the row of d.x cut to m, and a
+    multiplication sip's x is 0 on its zero support; y is orthogonal_stack's
+    vector times the scale.
+    """
+    rows = np.arange(start, stop)
+    keep = np.arange(d.x.shape[1]) < d.m[rows, None]
+    X = np.where(keep, d.x[rows], 0.0)
+    Y = np.empty_like(X)
+    ok = np.zeros(len(rows), dtype=bool)
+    psd = d.psd[rows]
+    if psd.any():
+        p = rows[psd]
+        m_hi = d.B.shape[2]
+        inside = np.arange(m_hi) < d.m[p, None]
+        member = np.arange(d.B.shape[1]) < d.n[p, None]
+        mask = member[:, :, None, None] & inside[:, None, :, None] & inside[:, None, None, :]
+        B = np.where(mask, d.B[p], 0.0)
+        A = B[:, :, 0, :, None] * B[:, :, 0, None, :]
+        for k in range(1, m_hi):
+            A += B[:, :, k, :, None] * B[:, :, k, None, :]
+        Xp = X[psd, :m_hi]
+        Yp, status = orthogonal_stack(A, Xp, d.g[p, :m_hi], dims=d.m[p])
+        Y[psd, :m_hi], ok[psd] = Yp, status == ORTHOGONAL
+    if not psd.all():
+        q = ~psd
+        X[q] = np.where(d.zero[rows[q]], 0.0, X[q])
+        Y[q], status = orthogonal_stack(None, X[q], d.g[rows[q]], dims=d.m[rows[q]])
+        ok[q] = status == ORTHOGONAL
+    family = (np.cumsum(psd) - 1).tolist()  # a PSD row's place in A
+    insts = []
+    for j, (good, kind, n, m, scale) in enumerate(zip(
+            ok.tolist(), psd.tolist(), d.n[rows].tolist(), d.m[rows].tolist(),
+            d.scale[rows].tolist())):
+        if not good:
+            insts.append(None)
+            continue
+        T = (PsdFamilySip(A[family[j], :n, :m, :m].copy(), validate=False) if kind
+             else MultiplicationSip(n))
+        insts.append(Instance(sip=T, u=d.u[start + j, :n], x=X[j, :m], y=Y[j, :m] * scale))
+    return insts
 
 
 class TrialResult(NamedTuple):
@@ -867,24 +1007,29 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
-def _chunks(config: TrialConfig, purpose: str):
-    """config.trials instances of one recipe in lists of TRIAL_CHUNK, None where generation gave up.
-
-    Each instance is generated alone, trial i from default_rng((seed, i)).
-    """
-    for lo in range(0, config.trials, TRIAL_CHUNK):
-        chunk = []
-        for i in range(lo, min(lo + TRIAL_CHUNK, config.trials)):
-            try:
-                chunk.append(generate_instance(config, i, purpose))
-            except GenerationExhausted:
-                chunk.append(None)
-        yield chunk
-
-
 def _generate(config: TrialConfig, purpose: str):
-    """_chunks' instances one at a time."""
-    return chain.from_iterable(_chunks(config, purpose))
+    """config.trials instances of one recipe in trial order, None where generation gave up.
+
+    A generic trial is generated alone (generate_instance); positive_log
+    and orthogonal trials a chunk at a time (_recipe_chunk).
+    """
+    if purpose not in RECIPE_KEYS:
+        for i in range(config.trials):
+            try:
+                yield generate_instance(config, i, purpose)
+            except GenerationExhausted:
+                yield None
+        return
+    length = _chunk_length(config, purpose)
+    for lo in range(0, config.trials, length):
+        yield from _recipe_chunk(config, purpose, lo // length, 0, min(length, config.trials - lo))
+
+
+def _chunks(config: TrialConfig, purpose: str):
+    """_generate's instances in lists of TRIAL_CHUNK."""
+    trials = _generate(config, purpose)
+    while chunk := list(islice(trials, TRIAL_CHUNK)):
+        yield chunk
 
 
 # The suites whose checks stack x and y themselves: their groups must also
@@ -1002,8 +1147,9 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
     The suites run one instance recipe (PURPOSES) at a time. A recipe's
-    trials are generated in chunks of TRIAL_CHUNK, and at most one chunk
-    is alive: its trials are checked in groups of one codomain dimension
+    trials are taken in chunks of TRIAL_CHUNK (_chunks), and at most one
+    chunk is alive, with the rest of the recipe chunk it was cut from: its
+    trials are checked in groups of one codomain dimension
     (and one domain dimension where a suite stacks x and y), each group a
     record (a TrialGroup, or a Trial if it has one trial)
     that every selected suite of the recipe checks once (checks never

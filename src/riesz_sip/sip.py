@@ -18,8 +18,8 @@ well formed beyond shape.
 
 Each sip has three kernels, and eval_stack evaluates a stack of sips:
 
-  eval(x, y)         T(x, y) of one pair: orthogonal_sample's check of its
-                     draw.
+  eval(x, y)         T(x, y) of one pair, whose bits each row of
+                     eval_stack keeps.
   eval_stack(sips, L, R)
                      T_i(l, r) for k sips of one kind, m and n, at
                      the rows of two (..., k, m) arrays: the Gram values
@@ -51,8 +51,12 @@ Each sip has three kernels, and eval_stack evaluates a stack of sips:
                      einsum, matmul or BLAS, so a column's bits depend on
                      that column and the family alone.
 
-The linear algebra (the PSD admission's eigenvalues, the kernel basis of
-orthogonal_sample) is numpy's.
+orthogonal_stack builds orthogonal pairs, y with T(x, y) = 0, for a stack
+of pairs at once: the orthogonal recipe's chunks, and orthogonal_sample's
+one pair. Its kernel basis comes from a fixed-order Gauss-Jordan
+elimination with no LAPACK, BLAS, matmul or einsum, so a pair's bits
+depend on that pair alone. The PSD admission's eigenvalues are numpy's
+eigvalsh; they decide a verdict, and reach no reported value.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DimensionMismatch,
     NonFinite,
-    _finite,
     as_lattice_vector,
     lazy,
 )
@@ -324,41 +327,145 @@ def random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:
     return PsdFamilySip(A, validate=False)
 
 
+# A column of the eliminated rows of T(x, .) takes a pivot only where its
+# largest entry exceeds this fraction of the largest entry of the rows.
+PIVOT_REL_TOL = 1e-12
+# orthogonal_stack's status per pair, and the error orthogonal_sample raises
+ORTHOGONAL, OVERFLOW, TRIVIAL_KERNEL, NOT_ORTHOGONAL = range(4)
+
+
+def _kernel_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The rows x'A_j of T(x, .) for each pair, (k, n, m, m) and (k, m) to (k, n, m).
+
+    Row j is x' A_j, not (A_j x)': the two differ on (invalid) asymmetric
+    families, and the kernel must match eval exactly. The sum over a runs
+    in index order, one elementwise step per term.
+    """
+    rows = X[:, :1, None] * A[:, :, 0]
+    for a in range(1, X.shape[1]):
+        rows += X[:, a, None, None] * A[:, :, a]
+    return rows
+
+
+def _eliminate(R: np.ndarray, dims: np.ndarray) -> tuple:
+    """Gauss-Jordan elimination of the (k, n, m) rows R, in place, stacked over pairs.
+
+    Columns go in order; a column's pivot is the first of its largest
+    entries among the rows that hold no pivot yet (partial pivoting),
+    taken only above PIVOT_REL_TOL times the pair's largest entry and
+    below its dims. The pivot row is divided by the pivot and the column
+    cleared from every other row. Every step is elementwise over the
+    pairs, so a pair's bits do not depend on the others in its stack.
+    Returns (pivot, free): the pivot row of each column (k, m), and the
+    columns below dims that hold none.
+    """
+    k, n, m = R.shape
+    pairs = np.arange(k)
+    threshold = PIVOT_REL_TOL * np.abs(R).max(axis=(1, 2), initial=0.0)
+    used = np.zeros((k, n), dtype=bool)
+    pivot = np.zeros((k, m), dtype=np.intp)
+    has = np.zeros((k, m), dtype=bool)
+    for c in range(m):
+        candidates = np.where(used, -1.0, np.abs(R[:, :, c]))
+        p = candidates.argmax(axis=1)
+        take = (candidates[pairs, p] > threshold) & (c < dims)
+        if not take.any():
+            continue
+        row = R[pairs, p] / R[pairs, p, c, None]
+        cleared = R - R[:, :, c, None] * row[:, None, :]
+        cleared[pairs, p] = row
+        R[take] = cleared[take]
+        used[pairs[take], p[take]] = True
+        pivot[:, c], has[:, c] = p, take
+    free = ~has & (np.arange(m) < dims[:, None])
+    return np.where(has, pivot, -1), free
+
+
+def orthogonal_stack(A, X: np.ndarray, G: np.ndarray, dims=None,
+                     tol: float = 1e-10) -> tuple:
+    """Nonzero y with T_i(x_i, y) = 0 for a stack of k pairs, normalized to sup norm 1.
+
+    A is the (k, n, m, m) stack of PSD families, or None for
+    multiplication sips (n = m); X and G are (k, m): x_i, and the standard
+    normal draws y_i is built from. A pair of a smaller domain R^d is
+    zero-padded to the stack's n and m (its matrices and x), and dims
+    holds each pair's d (default m): its coordinates past d are padding
+    and its y is 0 there.
+
+    T(x, .) is the linear map y -> (x' A_j y)_j, and its kernel is the
+    null space of the rows x' A_j (_kernel_rows). _eliminate brings them
+    to reduced row echelon form; the free columns, in order, take
+    g_1, g_2, ... and each pivot column the value that cancels its row,
+    0 - sum over the columns f of R_pf * y_f in column order. For the
+    multiplication sip the kernel is exactly the coordinates where x
+    vanishes, and they take g_1, g_2, ... in order. No step uses LAPACK,
+    BLAS, matmul or einsum, and each is elementwise over the pairs: a
+    pair's bits are those orthogonal_sample gives it alone, and depend on
+    neither its stack nor the machine's BLAS.
+
+    Returns (Y, status): Y (k, m), and per pair ORTHOGONAL, or OVERFLOW
+    (the rows x' A_j are not finite), TRIVIAL_KERNEL (no free column) or
+    NOT_ORTHOGONAL (y vanishes, or |T(x, y)| exceeds tol * max(1, |x|)),
+    where its row of Y is not a result.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    k, m = X.shape
+    dims = np.full(k, m) if dims is None else np.asarray(dims)
+    with np.errstate(all="ignore"):
+        if A is None:
+            rows = None
+            finite = np.ones(k, dtype=bool)
+            free = (X == 0.0) & (np.arange(m) < dims[:, None])
+        else:
+            rows = _kernel_rows(np.asarray(A, dtype=np.float64), X)
+            finite = np.isfinite(rows).all(axis=(1, 2))
+            R = rows.copy()
+            pivot, free = _eliminate(R, dims)
+        # the free columns take g_1, g_2, ... in column order
+        slot = np.maximum(free.cumsum(axis=1) - 1, 0)
+        Y = np.where(free, np.take_along_axis(G, slot, axis=1), 0.0)
+        if rows is not None:
+            R_piv = R[np.arange(k)[:, None], np.maximum(pivot, 0)]  # (k, m, m)
+            s = np.zeros((k, m))
+            for f in range(m):
+                s += R_piv[:, :, f] * Y[:, f, None]
+            Y = np.where(pivot >= 0, 0.0 - s, Y)
+        norm = np.abs(Y).max(axis=1)
+        Y = Y / norm[:, None]
+        if rows is None:
+            T = X * Y
+        else:
+            T = rows[:, :, 0] * Y[:, :1]
+            for b in range(1, m):
+                T += rows[:, :, b] * Y[:, b, None]
+        resid = np.abs(T).max(axis=1)
+        orthogonal = (norm > 1e-8) & (resid <= tol * np.maximum(1.0, np.abs(X).max(axis=1)))
+    status = np.select([~finite, ~free.any(axis=1), ~orthogonal],
+                       [OVERFLOW, TRIVIAL_KERNEL, NOT_ORTHOGONAL], ORTHOGONAL)
+    return Y, status
+
+
 def orthogonal_sample(T: Sip, x, seed: int | tuple | np.random.Generator = 0,
                       tol: float = 1e-10) -> np.ndarray:
-    """Random nonzero y with T(x, y) = 0, normalized to sup norm 1.
+    """Random nonzero y with T(x, y) = 0, normalized to sup norm 1: orthogonal_stack of one pair.
 
-    T(x, .) is the linear map y -> (x' A_j y)_j, so its kernel is the null
-    space of the n x m matrix with rows (A_j x)'. A random element of that
-    null space is returned; when the null space is trivial (generic when
-    m <= n) NoNontrivialOrthogonal is raised. For the multiplication sip
-    the kernel is exactly the coordinates where x vanishes. seed is
-    anything np.random.default_rng accepts: an int, a tuple of ints or a
-    Generator.
+    y is built from the standard normal draws g = default_rng(seed).
+    standard_normal(m); seed is anything np.random.default_rng accepts:
+    an int, a tuple of ints or a Generator. When the kernel of T(x, .) is
+    trivial (generic when m <= n) or y fails its orthogonality check,
+    NoNontrivialOrthogonal is raised, and NonFinite when the rows x' A_j
+    overflow.
     """
     x = as_lattice_vector(x, T.domain_dim)
-    if isinstance(T, MultiplicationSip):
-        rows = np.diag(x)  # row j of T(x, .) is x_j * e_j'
-    else:
-        # row j is x' A_j, not (A_j x)': the two differ on (invalid)
-        # asymmetric families, and the kernel must match eval exactly.
-        rows = np.einsum("jab,a->jb", T.matrices, x)
-    _, s, vh = np.linalg.svd(_finite(rows))
-    # The basis is a column slice of a C-ordered matrix, not a view of vh:
-    # its layout fixes the summation order of basis @ g below, and so the
-    # bits of y that the pinned reports and instances hold.
-    basis = np.ascontiguousarray(vh.T)[:, np.count_nonzero(s > 1e-10 * s.max()):]
-    if basis.shape[1] == 0:
+    A = None if isinstance(T, MultiplicationSip) else T.matrices[None]
+    g = np.random.default_rng(seed).standard_normal(T.domain_dim)
+    Y, status = orthogonal_stack(A, x[None], g[None], tol=tol)
+    if status[0] == OVERFLOW:
+        raise NonFinite("the rows x' A_j of T(x, .) must be finite")
+    if status[0] == TRIVIAL_KERNEL:
         raise NoNontrivialOrthogonal(
             f"T(x, .) has trivial kernel (m={T.domain_dim}, n={T.codomain_dim})")
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        y = basis @ rng.standard_normal(basis.shape[1])
-        norm = np.abs(y).max()
-        if norm > 1e-8:
-            y = y / norm
-            resid = float(np.abs(T.eval(x, y)).max())
-            if resid <= tol * max(1.0, float(np.abs(x).max())):
-                return y
-    raise NoNontrivialOrthogonal("could not draw a numerically orthogonal sample")
-
+    if status[0] == NOT_ORTHOGONAL:
+        raise NoNontrivialOrthogonal("could not draw a numerically orthogonal sample")
+    return Y[0]

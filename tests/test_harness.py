@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import asdict, replace
@@ -34,12 +35,15 @@ from riesz_sip.harness import (
     shrink,
 )
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch, NonFinite
+from riesz_sip.lattice import DimensionMismatch
 from riesz_sip.sip import (
+    NOT_ORTHOGONAL,
+    ORTHOGONAL,
+    OVERFLOW,
     MultiplicationSip,
-    NoNontrivialOrthogonal,
     PsdFamilySip,
     check_axioms,
+    orthogonal_stack,
     random_psd,
 )
 
@@ -48,15 +52,15 @@ SMALL = TrialConfig(seed=42, trials=40)
 # sha256 of the report of test_report_bytes_are_pinned, less wall_time_s.
 # Refactors must leave it unchanged; a change that alters reports on
 # purpose updates it and says so.
-PINNED_REPORT_SHA256 = "300b4df6dec70464f36a9650aa9c9c4a642812cf482b52a3dacf4abd58ef1fd2"
+PINNED_REPORT_SHA256 = "37dd1f49164e41f07cf05de03ca6b49c8b1c218955632343ddd759d1a244f2ad"
 # The same for the study of test_study_bytes_are_pinned.
-PINNED_STUDY_SHA256 = "c03b03308d74d19ddc48e7248e9bc164505e4701546d6e6ac7bccf142c7f3e3e"
+PINNED_STUDY_SHA256 = "260cda3c71587cbfb477e3aa82ef426e774a7b2399408c67e351923eb3488144"
 # The same for the study of test_multi_block_study_bytes_are_pinned.
-PINNED_MULTI_BLOCK_STUDY_SHA256 = "c072876243c18c426d38e878ad7949b074e4b5123751e064cd670e9994e7a328"
+PINNED_MULTI_BLOCK_STUDY_SHA256 = "f702418df2d378227f68c14084b4f4842d2a06c52f84c1662bf5b1eb694448c8"
 # The same for the report of test_injected_overflow_and_shape_report_is_pinned.
-PINNED_INJECTED_SHA256 = "eaa7c99532bf6f0e4c594830cfa5a9452d56449447521df7f392f28b7d9fe13d"
+PINNED_INJECTED_SHA256 = "e03517a0aa2e254e42028a97b4f7612386e44fc37689274c6e8321dc53c969cf"
 # sha256 of the instances of test_orthogonal_generation_is_pinned.
-PINNED_ORTHOGONAL_SHA256 = "63cb08861d5b2a61ffb716143a570eb0eaeedcd921804047e08342f91baf9647"
+PINNED_ORTHOGONAL_SHA256 = "0feda88ce5eba5afd0406d0cb4610073174e4a29ec3e84347858b96635120c8d"
 
 
 def _asymmetric_instance(m=8, n=1):
@@ -145,16 +149,28 @@ def test_the_widest_entry_range_counts_every_trial():
 
 
 def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
-    # orthogonal_sample raises NonFinite when x'A_j overflows; the recipe
-    # retries as it does on a trivial kernel, and a trial whose every
-    # attempt overflows is a counted generation failure
-    def overflows(T, x, seed=0):
-        raise NonFinite("lattice vector entries must be finite")
+    # at m = 12, n = 1 and entry_hi = 8e307 the rows x'A_j of every PSD
+    # draw overflow: orthogonal_stack reports OVERFLOW, the trial draws its
+    # retries, and a trial whose every attempt overflows is a counted
+    # generation failure, with no exception out of run_suite
+    config = TrialConfig(trials=3, entry_hi=8e307, m_lo=12, m_hi=12, n_hi=1,
+                         theorems=("pythagoras",))
+    statuses = []
 
-    monkeypatch.setattr(harness, "orthogonal_sample", overflows)
-    with pytest.raises(GenerationExhausted):
-        generate_instance(TrialConfig(trials=1), 0, "orthogonal")
-    entry = run_suite(TrialConfig(trials=3, theorems=("pythagoras",))).theorems["pythagoras"]
+    def recorded(*args, _stack=harness.orthogonal_stack, **kwargs):
+        Y, status = _stack(*args, **kwargs)
+        statuses.extend(status.tolist())
+        return Y, status
+
+    monkeypatch.setattr(harness, "orthogonal_stack", recorded)
+    with np.errstate(all="ignore"):
+        with pytest.raises(GenerationExhausted):
+            generate_instance(config, 0, "orthogonal")
+        assert statuses == [OVERFLOW] * harness.ORTHOGONAL_ATTEMPTS
+        del statuses[:]
+        entry = run_suite(config).theorems["pythagoras"]
+    # one chunk of three trials, then 99 retries of each
+    assert statuses == [OVERFLOW] * (3 + 3 * (harness.ORTHOGONAL_ATTEMPTS - 1))
     assert entry["failures"] == 3 and entry["residuals"] == {"generation": 1.0}
     assert entry["counterexamples"] == []
 
@@ -174,36 +190,129 @@ KEY_SEEDS = (0, 2**32 - 1, 2**40 + 9, 2**64 - 1)
 KEY_INDICES = (0, 255, 256, 2**32 - 1)
 
 
+def _psd_family(B: np.ndarray, n: int, m: int) -> np.ndarray:
+    """A_j = B_j' B_j of the top-left (m, m) block of the first n factors, summed over k in order."""
+    B = B[:n, :m, :m]
+    A = B[:, 0, :, None] * B[:, 0, None, :]
+    for k in range(1, m):
+        A = A + B[:, k, :, None] * B[:, k, None, :]
+    return A
+
+
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
-    # the report contract: trial i draws from default_rng((seed, i)), and
-    # attempt a of an orthogonal trial hands orthogonal_sample (seed, i, a)
+    # the report contract: generic trial i draws from default_rng((seed,
+    # i)); chunk c of the positive_log and orthogonal recipes draws its
+    # blocks from default_rng((seed, RECIPE_KEYS[recipe], c)) in a stated
+    # order, and trial i is row i % length of chunk i // length; the
+    # retries of orthogonal trial i draw from default_rng((seed, 2, c, i))
     config = TrialConfig(seed=seed)
+    assert harness.RECIPE_KEYS == {"positive_log": 1, "orthogonal": 2}
     lo, hi = np.log10(config.log_entry_lo), np.log10(config.log_entry_hi)
     for i in KEY_INDICES:
         rng = np.random.default_rng((seed, i))
+        mult = rng.random() < 0.5
         n = int(rng.integers(config.n_lo, config.n_hi + 1))
-        x = harness._SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
-        y = harness._SIGNS[rng.integers(0, 2, n)] * 10.0 ** rng.uniform(lo, hi, n)
-        u = rng.uniform(0.0, config.u_hi, n)
+        inst = generate_instance(config, i, "generic")
+        assert (inst.kind == "multiplication", inst.sip.codomain_dim) == (mult, n)
+
+        length = harness._chunk_length(config, "positive_log")
+        c, j = divmod(i, length)
+        rng = np.random.default_rng((seed, 1, c))
+        shape = (length, config.n_hi)
+        n = int(rng.integers(config.n_lo, config.n_hi + 1, length)[j])
+        x = harness._SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
+        y = harness._SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
+        u = rng.uniform(0.0, config.u_hi, shape)
         inst = generate_instance(config, i, "positive_log")
         assert inst.sip.codomain_dim == n
         assert (inst.x.tobytes(), inst.y.tobytes(), inst.u.tobytes()) == (
-            x.tobytes(), y.tobytes(), u.tobytes())
+            x[j, :n].tobytes(), y[j, :n].tobytes(), u[j, :n].tobytes())
 
-    keys = []
+        length = harness._chunk_length(config, "orthogonal")
+        c, j = divmod(i, length)
+        rng = np.random.default_rng((seed, 2, c))
+        w, m_hi, n_hi = max(config.m_hi, config.n_hi), config.m_hi, config.n_hi
+        psd = rng.random(length)[j] < 0.7
+        n_psd = rng.integers(config.n_lo, min(n_hi, m_hi - 1) + 1, length)
+        m_psd = rng.integers(np.maximum(config.m_lo, n_psd + 1), m_hi + 1)
+        B = rng.uniform(-1.0, 1.0, (length, min(n_hi, m_hi - 1), m_hi, m_hi))[j]
+        n_mult = rng.integers(max(config.n_lo, 2), n_hi + 1, length)
+        size = rng.integers(1, n_mult)[j]
+        keys = rng.random((length, w))[j]
+        x = rng.uniform(-config.entry_hi, config.entry_hi, (length, w))[j]
+        g = rng.standard_normal((length, w))[j]
+        scale = rng.uniform(0.5, config.entry_hi, length)[j]
+        u = rng.uniform(0.0, config.u_hi, (length, n_hi))[j]
+        if psd:
+            n, m = int(n_psd[j]), int(m_psd[j])
+            A, x = _psd_family(B, n, m), x[:m]
+        else:
+            n = m = int(n_mult[j])
+            A, x = None, x[:m].copy()
+            x[np.argsort(keys[:m])[:size]] = 0.0
+        Y, status = orthogonal_stack(None if A is None else A[None], x[None], g[None, :m])
+        assert status[0] == ORTHOGONAL
+        inst = generate_instance(config, i, "orthogonal")
+        assert inst.kind == ("psd_family" if psd else "multiplication")
+        if psd:
+            assert inst.sip.matrices.tobytes() == A.tobytes()
+        assert (inst.sip.codomain_dim, inst.sip.domain_dim) == (n, m)
+        assert (inst.x.tobytes(), inst.y.tobytes(), inst.u.tobytes()) == (
+            x.tobytes(), (Y[0] * scale).tobytes(), u[:n].tobytes())
 
-    def twice_trivial(T, x, seed=0, _sample=harness.orthogonal_sample):
-        keys.append(seed)
-        if len(keys) < 3:
-            raise NoNontrivialOrthogonal("recorded")
-        return _sample(T, x, seed=seed)
+    # a pair that fails draws its retries, each a chunk of one trial, one
+    # after another from the trial's retry key
+    def failing_twice(*args, _stack=orthogonal_stack, **kwargs):
+        Y, status = _stack(*args, **kwargs)
+        calls.append(len(status))
+        return Y, status if len(calls) > 2 else np.full_like(status, NOT_ORTHOGONAL)
 
-    monkeypatch.setattr(harness, "orthogonal_sample", twice_trivial)
+    length = harness._chunk_length(config, "orthogonal")
     for i in KEY_INDICES:
-        del keys[:]
-        generate_instance(config, i, "orthogonal")
-        assert keys == [(seed, i, 0), (seed, i, 1), (seed, i, 2)]
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "orthogonal_stack", failing_twice)
+            inst = generate_instance(config, i, "orthogonal")
+        assert calls == [1, 1, 1]
+        retry = np.random.default_rng((seed, 2, i // length, i))
+        harness._orthogonal_draws(retry, config, 1)
+        expected, = harness._orthogonal_trials(config, harness._orthogonal_draws(retry, config, 1),
+                                               0, 1)
+        assert inst.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("purpose", ["positive_log", "orthogonal"])
+def test_a_trials_instance_does_not_depend_on_the_trial_count(purpose):
+    # a trial's instance depends on the seed, the recipe, its index and
+    # the chunk length: the same bytes however many trials a run holds,
+    # within its chunk, at its end or past it, and alone
+    config = TrialConfig(seed=5)
+    assert harness._chunk_length(config, purpose) == 256
+    for i in (0, 17, 49):
+        alone = generate_instance(config, i, purpose).to_dict()
+        for trials in (i + 1, 50, 255, 256, 257, 600):
+            insts = list(harness._generate(replace(config, trials=trials), purpose))
+            assert len(insts) == trials
+            assert insts[i].to_dict() == alone, (i, trials)
+
+
+def test_orthogonal_chunks_hold_a_bounded_block():
+    # 256 trials of (n, m) = (63, 64) factors would take 528 MB: the chunk
+    # length falls with n_hi * m_hi^2, and generation at that shape stays
+    # under 16 MB
+    config = TrialConfig(trials=3, m_lo=64, m_hi=64, n_lo=63, n_hi=63, theorems=("pythagoras",))
+    assert harness._chunk_length(config, "orthogonal") == 1
+    assert harness._chunk_length(replace(config, m_lo=12, m_hi=12, n_lo=8, n_hi=8),
+                                "orthogonal") == 113
+    tracemalloc.start()
+    try:
+        kinds = [inst and inst.kind for inst in harness._generate(config, "orthogonal")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kinds) == 3 and None not in kinds
+    assert peak < 16 * 2**20, peak
 
 
 def test_generate_generic_shapes():
@@ -222,8 +331,7 @@ def test_generate_generic_shapes():
 
 
 def test_generate_positive_log_range():
-    for i in range(100):
-        inst = generate_instance(SMALL, i, "positive_log")
+    for inst in harness._generate(replace(SMALL, trials=100), "positive_log"):
         assert inst.kind == "multiplication"
         mags = np.abs(np.concatenate([inst.x, inst.y]))
         assert np.min(mags) >= SMALL.log_entry_lo
@@ -242,8 +350,7 @@ def test_positive_log_signs_draw_what_rng_choice_draws(seed, trial, n):
 
 
 def test_generate_orthogonal_pairs():
-    for i in range(100):
-        inst = generate_instance(SMALL, i, "orthogonal")
+    for inst in harness._generate(replace(SMALL, trials=100), "orthogonal"):
         b = Gram(inst.sip, inst.x, inst.y).b
         scale = max(1.0, float(np.max(np.abs(inst.x))))
         assert float(np.max(np.abs(b))) <= 1e-8 * scale
@@ -255,15 +362,10 @@ def test_generate_orthogonal_pairs():
 
 def test_orthogonal_generation_is_pinned():
     # Shapes beyond the defaults (m <= 6, n <= 4) give null spaces of
-    # dimension 2 and more, where the layout of the kernel basis decides
-    # the summation order of y, and so its bits.
-    config = TrialConfig(seed=2024, m_lo=1, m_hi=12, n_lo=1, n_hi=8)
-    instances = []
-    for i in range(2000):
-        try:
-            instances.append(generate_instance(config, i, "orthogonal").to_dict())
-        except GenerationExhausted:
-            instances.append(None)
+    # dimension 2 and more, whose pivot columns sum several free ones, and
+    # orthogonal chunks of 113 trials.
+    config = TrialConfig(seed=2024, trials=2000, m_lo=1, m_hi=12, n_lo=1, n_hi=8)
+    instances = [inst and inst.to_dict() for inst in harness._generate(config, "orthogonal")]
     text = json.dumps(instances, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ORTHOGONAL_SHA256
 
@@ -941,9 +1043,9 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # five scaled pairs of the seminorm homogeneity check in a third and
     # T(x-y,x-y), which parallelogram alone reads, in a fourth, and one
     # lambda-grid sampling, which its six suites share; each orthogonal
-    # trial has the 4 T-values pythagoras reads (all but T(x-y,x-y)) and, at this seed,
-    # one eval of generation's orthogonality check; positive_log trials
-    # evaluate none; the axioms suite evaluates its 11 stacked pairs in
+    # trial has the 4 T-values pythagoras reads (all but T(x-y,x-y)), and
+    # generation checks its pairs inside orthogonal_stack, with no eval;
+    # positive_log trials evaluate none; the axioms suite evaluates its 11 stacked pairs in
     # one batch per PSD family and in one per group for its multiplication
     # sips, whose residuals depend on n alone: the 50 trials are one
     # chunk, and each codomain dimension one group (at most 14 trials,
@@ -962,7 +1064,7 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
             monkeypatch.setattr(cls, name, counted)
     rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
-    assert calls == {"eval": 50, "eval_batch": psd + mult_groups, "quadratic": 50}
+    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "quadratic": 50}
     # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 4
     assert Counter(rows.values()) == {10: 50, 4: 50}
 

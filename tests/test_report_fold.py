@@ -249,8 +249,14 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
             raise GenerationExhausted(f"trial {i}")
         return generate(config, i, purpose)
 
+    def chunk_gives_up(config, purpose, c, start, stop, _chunk=harness._recipe_chunk):
+        first = c * harness._chunk_length(config, purpose) + start
+        return [None if (first + j) % 3 == 1 else inst
+                for j, inst in enumerate(_chunk(config, purpose, c, start, stop))]
+
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(harness, "generate_instance", gives_up)
+    monkeypatch.setattr(harness, "_recipe_chunk", chunk_gives_up)
     injected_parts = {}
 
     def recorded(self, insts, parts, dicts, _fold=harness._SuiteFold.fold):

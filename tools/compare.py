@@ -13,11 +13,15 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
 
   report/...    run_suite reports over seeds x trial counts, a lambda grid
                 of 400 points, one of 10^5 (several blocks per pair), the
-                shapes m <= 12, n <= 8, non-default grids and
-                tolerances, and a seed of two 32-bit words (2^40 + 3)
-                over more than one chunk of trials, whose trial i draws
-                from default_rng((seed, i)) and attempt a of an
-                orthogonal trial from default_rng((seed, i, a));
+                shapes m <= 12, n <= 8 (at 300 trials, over three
+                orthogonal chunks of 113), non-default grids and
+                tolerances, 255, 256 and 257 trials (a recipe chunk
+                short of full, full, and one over), and a seed of two
+                32-bit words (2^40 + 3) over more than one chunk of
+                trials, whose generic trial i draws from
+                default_rng((seed, i)) and chunk c of the positive_log
+                and orthogonal recipes from default_rng((seed, 1, c)) and
+                default_rng((seed, 2, c));
   triage/...    reports with eight broken instances injected, made by
                 perfbench's broken_instance (read from the perfbench
                 beside this script, so both trees get the same ones);
@@ -26,7 +30,8 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 interleaved with valid generated instances of that n, so
                 that the injected instances are checked as groups of one
                 codomain dimension, broken and valid trials together;
-  .../replay    replay_counterexample of every distinct counterexample;
+  .../replay    replay_counterexample of every distinct counterexample,
+                named by the first 12 hex digits of its instance's SHA-256;
   .../shrink    shrink's output file for each of them;
   shrink-case/...
                 shrink's output file for instances of no report: a
@@ -62,6 +67,8 @@ FULL_REPORTS = (
     [(seed, trials, {}) for seed in range(8) for trials in (60, 300)]
     + [(3, 300, {"lambda_count": 400}), (0, 60, {"lambda_count": 10**5})]
     + [(seed, 60, {"m_hi": 12, "n_hi": 8}) for seed in range(4)]
+    + [(4, 300, {"m_hi": 12, "n_hi": 8})]
+    + [(6, trials, {}) for trials in (255, 256, 257)]
     + [(5, 60, {"theta_count": 300, "angle_count": 256,
                 "tolerances": {"rel": 1e-7, "abs": 1e-11, "cone_band": 1e-6}}),
        (2**40 + 3, 300, {})])
@@ -186,12 +193,14 @@ def corpus(tiny: bool) -> dict:
 
     def replay_and_shrink(name: str, report) -> None:
         for theorem, entry in report.theorems.items():
-            for i, ce in enumerate(entry["counterexamples"]):
+            for ce in entry["counterexamples"]:
                 key = h.report_to_json(ce)
                 if key in seen:
                     continue
                 seen.add(key)
-                at = f"{name}/{theorem}/{i}"
+                # named by its instance, not its place in the list, so a
+                # counterexample that comes or goes renames no other
+                at = f"{name}/{theorem}/{_sha(h.report_to_json(ce['instance']))[:12]}"
                 digest(f"{at}/replay", lambda: h.report_to_json(
                     h.replay_counterexample(ce)._asdict()))
                 digest(f"{at}/shrink", lambda: shrunk(ce))
