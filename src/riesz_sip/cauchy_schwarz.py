@@ -79,7 +79,6 @@ from .lattice import (
     DimensionMismatch,
     NonFinite,
     NotInPositiveCone,
-    _finite,
     as_lattice_vector,
     cone_gap,
     excess,

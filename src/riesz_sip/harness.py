@@ -2,54 +2,54 @@
 
 Runs named theorem suites over randomly generated semi-inner-product
 instances and aggregates the results into a deterministic JSON report.
-A generic trial i draws its randomness from np.random.default_rng((seed,
-i)); the positive_log and orthogonal recipes draw a chunk of trials at
-once, chunk c from default_rng((seed, RECIPE_KEYS[recipe], c)), and a
-retried orthogonal trial i from default_rng((seed, 2, c, i))
-(_recipe_chunk). So a trial's instance depends on the seed, its recipe,
-its index and the chunk length alone, reports are reproducible bit for
-bit (wall time aside) and any recorded counterexample can be replayed or
-shrunk offline from its serialized instance alone. A check is a
-deterministic function of (instance, config): the oracle grids it
-samples are derived on the config, and anything else sampled inside a
-check uses fixed seeds or fixed scalar sets, never fresh entropy. A
-check reads a record of trials, passes it to the library's theorem functions, and only
-maps the residuals they return to tolerances: a Trial, the lazy record of
-one instance under one config (the instance's Gram, see
-cauchy_schwarz.Gram, and its lambda-grid minima), or a TrialGroup, the
-GramStack of k Trials whose sips share a codomain R^n, on whose stacked
-values every residual is a (k,) array with each trial's bits. The means
-and oracle suites stack x and y themselves (the oracle suite runs the
-mean oracles once on the (k, m) stacks; means takes stacks), so their
-groups' trials must also share the domain R^m.
+Every recipe is generated a chunk at a time (_recipe_chunk): a generic
+trial i draws its randomness from np.random.default_rng((seed, i)); the
+positive_log and orthogonal recipes draw a chunk of trials at once,
+chunk c from default_rng((seed, RECIPE_KEYS[recipe], c)), and a retried
+orthogonal trial i from default_rng((seed, 2, c, i)). So a trial's
+instance depends on the seed, its recipe, its index and the chunk length
+alone, reports are reproducible bit for bit (wall time aside) and any
+recorded counterexample can be replayed or shrunk offline from its
+serialized instance alone. A check is a deterministic function of
+(instance, config): the oracle grids it samples are derived on the
+config, and anything else sampled inside a check uses fixed seeds or
+fixed scalar sets, never fresh entropy. A check reads a record of
+trials, passes it to the library's theorem functions, and only maps the
+residuals they return to tolerances: a Trial, the lazy record of one
+instance under one config (the instance's Gram, see cauchy_schwarz.Gram,
+and its lambda-grid minima), or a TrialGroup, the GramStack of k Trials
+whose sips share a codomain R^n, on whose stacked values every residual
+is a (k,) array with each trial's bits. The means and oracle suites
+stack x and y themselves (the oracle suite runs the mean oracles once on
+the (k, m) stacks; means takes stacks), so their groups' trials must
+also share the domain R^m.
 
-run_suite is chunked and grouped: for each instance recipe it takes
-TRIAL_CHUNK generated trials at a time, groups the chunk's trials by
-codomain dimension (and by domain dimension for the recipe of the means and
-oracle suites), runs every selected suite of the recipe once per group, folds
-the chunk's results into each suite's report entry in trial order, and
-drops the chunk before generating the next; the injected instances are
-then checked as one more chunk. The suites of a group share its record,
-so each T-value and the lambda-grid pass are evaluated once per trial,
-and at most one chunk of generated instances is alive, with the rest of
-the recipe chunk it was cut from (none at the defaults, where both hold
-256 trials). _check_group is
-the one caller of the checks, and every check gives one table (_Table),
-a row of residuals per trial. A Trial's check, as for a group of one
-trial or each trial of a group with a broken trial, gives one row, a
-broken trial the one-row invalid_instance table and one whose
-generation gave up the one-row generation table. Each suite folds a
-chunk's tables at once, building a TrialResult, a table's row, only for
-a trial its entry keeps (the worst instance, the counterexamples). A
-Trial's one-row table keeps its row as floats, and builds its array
-only when the fold reads it. replay_counterexample reads one Trial's
-row. shrink keeps a memo for one call, from each candidate's read key
-(the parts of the instance the check reads, stated once in _READS) to
-its verdict and, for a failing one, its TrialResult, and checks only a
-candidate whose key it does not hold, reading its status off its
-one-row table. A candidate that drops a codomain coordinate takes the
-current trial's lambda minima without that row, which are the rows of a
-fresh pass, bit for bit.
+run_suite is chunked and grouped: for each instance recipe it checks
+each chunk exactly as it is generated (_chunks; _chunk_length trials,
+TRIAL_CHUNK but for orthogonal chunks of large shapes), groups the
+chunk's trials by codomain dimension (and by domain dimension for the
+recipe of the means and oracle suites), runs every selected suite of the
+recipe once per group, folds the chunk's results into each suite's
+report entry in trial order, and drops the chunk before generating the
+next; the injected instances are then checked as one more chunk. The
+suites of a group share its record, so each T-value and the lambda-grid
+pass are evaluated once per trial, and at most one chunk of generated
+instances is alive. _check_group is the one caller of the checks, and
+every check gives one table (_Table), a row of residuals per trial. A
+Trial's check, as for a group of one trial or each trial of a group with
+a broken trial, gives one row, a broken trial the one-row
+invalid_instance table and one whose generation gave up the one-row
+generation table. Each suite folds a chunk's tables at once, building a
+TrialResult, a table's row, only for a trial its entry keeps (the worst
+instance, the counterexamples). A Trial's one-row table keeps its row as
+floats, and builds its array only when the fold reads it.
+replay_counterexample reads one Trial's row. shrink keeps a memo for one
+call, from each candidate's read key (the parts of the instance the
+check reads, stated once in _READS) to its verdict and, for a failing
+one, its TrialResult, and checks only a candidate whose key it does not
+hold, reading its status off its one-row table. A candidate that drops a
+codomain coordinate takes the current trial's lambda minima without that
+row, which are the rows of a fresh pass, bit for bit.
 
 Suite names:
 
@@ -76,7 +76,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, lru_cache
-from itertools import compress, islice
+from itertools import chain, compress
 from operator import le, not_
 from typing import NamedTuple
 
@@ -163,7 +163,7 @@ BICOND_TOL = 0.5            # indicator residuals are 0 or 1
 AXIOM_SAMPLES = 64
 MAX_COUNTEREXAMPLES = 10
 MAX_GRID_COUNT = 10**6      # points per grid, so that no grid exhausts memory
-# Generated trials of a recipe held at once. run_suite checks a chunk's
+# Trials of a generated chunk (_chunk_length). run_suite checks a chunk's
 # trials in groups of one codomain dimension.
 TRIAL_CHUNK = 256
 
@@ -380,10 +380,9 @@ _SIGNS = np.array([-1.0, 1.0])
 
 # The positive_log and orthogonal recipes draw a chunk of trials at once:
 # chunk c of a recipe draws from default_rng((seed, RECIPE_KEYS[recipe], c)).
-# A chunk is RECIPE_CHUNK trials; an orthogonal chunk also holds at most
-# RECIPE_CHUNK_FLOATS entries of its drawn matrices, n_hi * m_hi^2 per trial.
+# An orthogonal chunk holds at most RECIPE_CHUNK_FLOATS entries of its
+# drawn matrices, n_hi * m_hi^2 per trial.
 RECIPE_KEYS = {"positive_log": 1, "orthogonal": 2}
-RECIPE_CHUNK = 256
 RECIPE_CHUNK_FLOATS = 2**17
 ORTHOGONAL_ATTEMPTS = 100
 
@@ -400,16 +399,16 @@ def _random_weight(rng: np.random.Generator, n: int, u_hi: float) -> np.ndarray:
 
 
 def _chunk_length(config: TrialConfig, purpose: str) -> int:
-    """The trials of one chunk of the positive_log or orthogonal recipe under config.
+    """The trials of one chunk of a recipe under config: the one owner of the chunk length.
 
-    RECIPE_CHUNK, and for orthogonal draws at most RECIPE_CHUNK_FLOATS //
+    TRIAL_CHUNK, and for orthogonal draws at most RECIPE_CHUNK_FLOATS //
     (n_hi * m_hi^2), at least 1: the chunk's draw of PSD factors B is one
     (length, min(n_hi, m_hi - 1), m_hi, m_hi) block.
     """
     if purpose == "orthogonal":
         per_trial = config.n_hi * config.m_hi ** 2
-        return max(1, min(RECIPE_CHUNK, RECIPE_CHUNK_FLOATS // per_trial))
-    return RECIPE_CHUNK
+        return max(1, min(TRIAL_CHUNK, RECIPE_CHUNK_FLOATS // per_trial))
+    return TRIAL_CHUNK
 
 
 def generate_instance(config: TrialConfig, trial_index: int,
@@ -459,33 +458,37 @@ def generate_instance(config: TrialConfig, trial_index: int,
 def _recipe_chunk(config: TrialConfig, purpose: str, c: int, start: int, stop: int) -> list:
     """Trials start..stop-1 of chunk c of a recipe, None where generation gave up.
 
-    Every variate of the chunk is drawn as one block of fixed shape from
-    default_rng((seed, RECIPE_KEYS[purpose], c)), in the order
-    _positive_log_draws and _orthogonal_draws state, and a trial reads
-    its row, sliced to its n and m: a trial's instance depends on the
-    seed, the recipe, its index and the chunk length, and not on which
-    trials are built. positive_log
-    draws signed entries with log-uniform magnitudes on the
-    multiplication sip, the stress regime for the grid oracles.
-    orthogonal trials are pairs with T(x, y) = 0 (_orthogonal_trials),
-    PSD families with m > n for 70% of them where both kinds are
-    possible; a trial whose pair fails draws attempt after attempt, up to
-    ORTHOGONAL_ATTEMPTS in all, each a chunk of one trial, from
-    default_rng((seed, RECIPE_KEYS["orthogonal"], c, trial_index)).
+    The one builder of generated trials. Chunk c holds trials c*L to c*L +
+    L - 1, L = _chunk_length(config, purpose). A generic trial draws alone
+    from its own key (generate_instance). A positive_log or orthogonal
+    chunk draws every variate of its trials as one block of fixed shape
+    from default_rng((seed, RECIPE_KEYS[purpose], c)), in the order
+    _positive_log_draws and _orthogonal_chunk state, and a trial reads its
+    row, sliced to its n and m. So a trial's instance depends on the seed,
+    the recipe, its index and the chunk length, and not on which trials
+    are built. positive_log draws signed entries with log-uniform
+    magnitudes on the multiplication sip, the stress regime for the grid
+    oracles. orthogonal trials are pairs with T(x, y) = 0, PSD families
+    with m > n for 70% of them where both kinds are possible; a trial whose
+    pair fails draws attempt after attempt, up to ORTHOGONAL_ATTEMPTS in
+    all, each a chunk of one trial, from default_rng((seed,
+    RECIPE_KEYS["orthogonal"], c, trial_index)).
     """
-    key = (config.seed, RECIPE_KEYS[purpose], c)
     length = _chunk_length(config, purpose)
+    if purpose == "generic":
+        return [generate_instance(config, c * length + j) for j in range(start, stop)]
+    key = (config.seed, RECIPE_KEYS[purpose], c)
     rng = np.random.default_rng(key)
     if purpose == "positive_log":
         n, x, y, u = _positive_log_draws(rng, config, length)
         return [Instance(MultiplicationSip(k), u[j, :k], x[j, :k], y[j, :k])
                 for j, k in zip(range(start, stop), n[start:stop].tolist())]
-    insts = _orthogonal_trials(config, _orthogonal_draws(rng, config, length), start, stop)
+    insts = _orthogonal_chunk(rng, config, length, start, stop)
     for j, inst in enumerate(insts):
         if inst is None:
             retry = np.random.default_rng((*key, c * length + start + j))
             for _ in range(ORTHOGONAL_ATTEMPTS - 1):
-                inst, = _orthogonal_trials(config, _orthogonal_draws(retry, config, 1), 0, 1)
+                inst, = _orthogonal_chunk(retry, config, 1, 0, 1)
                 if inst is not None:
                     insts[j] = inst
                     break
@@ -503,29 +506,29 @@ def _positive_log_draws(rng: np.random.Generator, config: TrialConfig, length: i
     return n, x, y, u
 
 
-class _OrthogonalDraws(NamedTuple):
-    psd: np.ndarray    # (length,) bool: a PSD family, else a multiplication sip
-    n: np.ndarray      # (length,) codomain dimension
-    m: np.ndarray      # (length,) domain dimension
-    B: np.ndarray      # (length, n_psd, m_hi, m_hi) PSD factors, entries in [-1, 1]
-    zero: np.ndarray   # (length, w) bool: x's zero support, for a multiplication sip
-    x: np.ndarray      # (length, w)
-    g: np.ndarray      # (length, w) standard normal: y's coordinates in the kernel
-    scale: np.ndarray  # (length,) y's sup norm
-    u: np.ndarray      # (length, n_hi)
+def _orthogonal_chunk(rng: np.random.Generator, config: TrialConfig, length: int,
+                      start: int, stop: int) -> list:
+    """The orthogonal pairs of rows start..stop-1 of a chunk of length rows drawn from rng.
 
+    None where a pair fails. The chunk's blocks, in draw order, with w =
+    max(m_hi, n_hi): the kind (uniform r < 0.7 is PSD where both kinds are
+    possible); for PSD families n in [n_lo, n_psd], n_psd = min(n_hi,
+    m_hi - 1), then m in [max(m_lo, n + 1), m_hi] and the factors B, one
+    (length, n_psd, m_hi, m_hi) block with entries in [-1, 1]; for
+    multiplication sips n in [max(n_lo, 2), n_hi], the size k in [1, n - 1]
+    of x's zero support and a uniform key per coordinate (the support is
+    the k smallest keys of the first n); then x and g (standard normal,
+    y's coordinates in the kernel) as (length, w) rows, the scale (y's sup
+    norm) and u as (length, n_hi) rows. The blocks of a kind the dimension
+    ranges rule out are not drawn.
 
-def _orthogonal_draws(rng: np.random.Generator, config: TrialConfig,
-                      length: int) -> _OrthogonalDraws:
-    """An orthogonal chunk's blocks, in draw order; w = max(m_hi, n_hi).
-
-    The kind (uniform r < 0.7 is PSD where both kinds are possible); for
-    PSD families n in [n_lo, n_psd], n_psd = min(n_hi, m_hi - 1), then m in
-    [max(m_lo, n + 1), m_hi] and the factors B; for multiplication sips n
-    in [max(n_lo, 2), n_hi], the size k in [1, n - 1] of x's zero support
-    and a uniform key per coordinate (the support is the k smallest keys
-    of the first n); then x, g, the scale and u. The blocks of a kind the
-    dimension ranges rule out are not drawn.
+    A PSD family is A_j = B_j' B_j, random_psd's formula, of the top-left
+    (m, m) block of each of the first n factors, summed over k in order
+    (so exactly symmetric, with no symmetrization); past n and m the stack
+    holds zeros, so every PSD pair of the rows goes to one
+    orthogonal_stack call. x is its row cut to m, and a multiplication
+    sip's x is 0 on its zero support; y is orthogonal_stack's vector times
+    the scale.
     """
     psd_possible, mult_possible = config.orthogonal_recipes
     m_hi, n_hi = config.m_hi, config.n_hi
@@ -551,55 +554,37 @@ def _orthogonal_draws(rng: np.random.Generator, config: TrialConfig,
     g = rng.standard_normal((length, w))
     scale = rng.uniform(0.5, config.entry_hi, length)
     u = rng.uniform(0.0, config.u_hi, (length, n_hi))
-    return _OrthogonalDraws(psd, n, m, B, zero, x, g, scale, u)
 
-
-def _orthogonal_trials(config: TrialConfig, d: _OrthogonalDraws, start: int, stop: int) -> list:
-    """The orthogonal pairs of rows start..stop-1 of d, None where a pair fails.
-
-    A PSD family is A_j = B_j' B_j, random_psd's formula, of the top-left
-    (m, m) block of each of the first n factors, summed over k in order
-    (so exactly symmetric, with no symmetrization); past n and m the stack
-    holds zeros, so every PSD pair of the rows goes to one
-    orthogonal_stack call. x is the row of d.x cut to m, and a
-    multiplication sip's x is 0 on its zero support; y is orthogonal_stack's
-    vector times the scale.
-    """
-    rows = np.arange(start, stop)
-    keep = np.arange(d.x.shape[1]) < d.m[rows, None]
-    X = np.where(keep, d.x[rows], 0.0)
+    rows = slice(start, stop)
+    psd, n, m, x, g, scale, u = psd[rows], n[rows], m[rows], x[rows], g[rows], scale[rows], u[rows]
+    X = np.where(np.arange(w) < m[:, None], x, 0.0)
     Y = np.empty_like(X)
-    ok = np.zeros(len(rows), dtype=bool)
-    psd = d.psd[rows]
+    ok = np.zeros(len(psd), dtype=bool)
     if psd.any():
-        p = rows[psd]
-        m_hi = d.B.shape[2]
-        inside = np.arange(m_hi) < d.m[p, None]
-        member = np.arange(d.B.shape[1]) < d.n[p, None]
+        inside = np.arange(m_hi) < m[psd, None]
+        member = np.arange(B.shape[1]) < n[psd, None]
         mask = member[:, :, None, None] & inside[:, None, :, None] & inside[:, None, None, :]
-        B = np.where(mask, d.B[p], 0.0)
+        B = np.where(mask, B[rows][psd], 0.0)
         A = B[:, :, 0, :, None] * B[:, :, 0, None, :]
         for k in range(1, m_hi):
             A += B[:, :, k, :, None] * B[:, :, k, None, :]
-        Xp = X[psd, :m_hi]
-        Yp, status = orthogonal_stack(A, Xp, d.g[p, :m_hi], dims=d.m[p])
+        Yp, status = orthogonal_stack(A, X[psd, :m_hi], g[psd, :m_hi], dims=m[psd])
         Y[psd, :m_hi], ok[psd] = Yp, status == ORTHOGONAL
     if not psd.all():
         q = ~psd
-        X[q] = np.where(d.zero[rows[q]], 0.0, X[q])
-        Y[q], status = orthogonal_stack(None, X[q], d.g[rows[q]], dims=d.m[rows[q]])
+        X[q] = np.where(zero[rows][q], 0.0, X[q])
+        Y[q], status = orthogonal_stack(None, X[q], g[q], dims=m[q])
         ok[q] = status == ORTHOGONAL
     family = (np.cumsum(psd) - 1).tolist()  # a PSD row's place in A
     insts = []
-    for j, (good, kind, n, m, scale) in enumerate(zip(
-            ok.tolist(), psd.tolist(), d.n[rows].tolist(), d.m[rows].tolist(),
-            d.scale[rows].tolist())):
+    for j, (good, is_psd, n_j, m_j, scale_j) in enumerate(zip(
+            ok.tolist(), psd.tolist(), n.tolist(), m.tolist(), scale.tolist())):
         if not good:
             insts.append(None)
             continue
-        T = (PsdFamilySip(A[family[j], :n, :m, :m].copy(), validate=False) if kind
-             else MultiplicationSip(n))
-        insts.append(Instance(sip=T, u=d.u[start + j, :n], x=X[j, :m], y=Y[j, :m] * scale))
+        T = (PsdFamilySip(A[family[j], :n_j, :m_j, :m_j].copy(), validate=False) if is_psd
+             else MultiplicationSip(n_j))
+        insts.append(Instance(sip=T, u=u[j, :n_j], x=X[j, :m_j], y=Y[j, :m_j] * scale_j))
     return insts
 
 
@@ -1007,29 +992,16 @@ class VerificationReport:
         return {**vars(self), "ok": self.ok}
 
 
-def _generate(config: TrialConfig, purpose: str):
-    """config.trials instances of one recipe in trial order, None where generation gave up.
+def _chunks(config: TrialConfig, purpose: str):
+    """config.trials instances of one recipe in trial order, as the lists _recipe_chunk builds.
 
-    A generic trial is generated alone (generate_instance); positive_log
-    and orthogonal trials a chunk at a time (_recipe_chunk).
+    Each list is one chunk of _chunk_length trials (the last one may be
+    shorter), None where generation gave up: run_suite checks each list as
+    it is drawn.
     """
-    if purpose not in RECIPE_KEYS:
-        for i in range(config.trials):
-            try:
-                yield generate_instance(config, i, purpose)
-            except GenerationExhausted:
-                yield None
-        return
     length = _chunk_length(config, purpose)
     for lo in range(0, config.trials, length):
-        yield from _recipe_chunk(config, purpose, lo // length, 0, min(length, config.trials - lo))
-
-
-def _chunks(config: TrialConfig, purpose: str):
-    """_generate's instances in lists of TRIAL_CHUNK."""
-    trials = _generate(config, purpose)
-    while chunk := list(islice(trials, TRIAL_CHUNK)):
-        yield chunk
+        yield _recipe_chunk(config, purpose, lo // length, 0, min(length, config.trials - lo))
 
 
 # The suites whose checks stack x and y themselves: their groups must also
@@ -1147,9 +1119,9 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     """Run every selected theorem suite and aggregate a report.
 
     The suites run one instance recipe (PURPOSES) at a time. A recipe's
-    trials are taken in chunks of TRIAL_CHUNK (_chunks), and at most one
-    chunk is alive, with the rest of the recipe chunk it was cut from: its
-    trials are checked in groups of one codomain dimension
+    trials are checked a chunk at a time, each chunk exactly as _chunks
+    draws it, and at most one chunk is alive: its trials are checked in
+    groups of one codomain dimension
     (and one domain dimension where a suite stacks x and y), each group a
     record (a TrialGroup, or a Trial if it has one trial)
     that every selected suite of the recipe checks once (checks never
@@ -1406,8 +1378,9 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
         raise ConfigError(f"need at least two grid sizes, all in [4, {MAX_GRID_COUNT}]")
     start = time.perf_counter()
     floor = config.tolerances.abs
-    pairs = list(zip(_generate(config, "positive_log"),
-                     (Gram(g.sip, g.x, g.y) for g in _generate(config, "generic"))))
+    pairs = list(zip(chain.from_iterable(_chunks(config, "positive_log")),
+                     (Gram(g.sip, g.x, g.y)
+                      for g in chain.from_iterable(_chunks(config, "generic")))))
     rows = []
     sandwich_ok = True
     for G in sizes:

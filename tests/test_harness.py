@@ -5,6 +5,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -276,13 +277,12 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
             inst = generate_instance(config, i, "orthogonal")
         assert calls == [1, 1, 1]
         retry = np.random.default_rng((seed, 2, i // length, i))
-        harness._orthogonal_draws(retry, config, 1)
-        expected, = harness._orthogonal_trials(config, harness._orthogonal_draws(retry, config, 1),
-                                               0, 1)
+        harness._orthogonal_chunk(retry, config, 1, 0, 1)
+        expected, = harness._orthogonal_chunk(retry, config, 1, 0, 1)
         assert inst.to_dict() == expected.to_dict()
 
 
-@pytest.mark.parametrize("purpose", ["positive_log", "orthogonal"])
+@pytest.mark.parametrize("purpose", ["generic", "positive_log", "orthogonal"])
 def test_a_trials_instance_does_not_depend_on_the_trial_count(purpose):
     # a trial's instance depends on the seed, the recipe, its index and
     # the chunk length: the same bytes however many trials a run holds,
@@ -292,7 +292,8 @@ def test_a_trials_instance_does_not_depend_on_the_trial_count(purpose):
     for i in (0, 17, 49):
         alone = generate_instance(config, i, purpose).to_dict()
         for trials in (i + 1, 50, 255, 256, 257, 600):
-            insts = list(harness._generate(replace(config, trials=trials), purpose))
+            chunks = harness._chunks(replace(config, trials=trials), purpose)
+            insts = list(chain.from_iterable(chunks))
             assert len(insts) == trials
             assert insts[i].to_dict() == alone, (i, trials)
 
@@ -307,12 +308,31 @@ def test_orthogonal_chunks_hold_a_bounded_block():
                                 "orthogonal") == 113
     tracemalloc.start()
     try:
-        kinds = [inst and inst.kind for inst in harness._generate(config, "orthogonal")]
+        kinds = [inst and inst.kind
+                 for inst in chain.from_iterable(harness._chunks(config, "orthogonal"))]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(kinds) == 3 and None not in kinds
     assert peak < 16 * 2**20, peak
+
+
+def test_run_suite_checks_each_chunk_as_it_is_drawn(monkeypatch):
+    # every recipe's trials reach the checks in the lists its one chunk
+    # builder draws: 256 trials for generic and positive_log, and at m_hi =
+    # 12, n_hi = 8 orthogonal chunks of 113, never re-cut to 256
+    config = TrialConfig(seed=4, trials=300, m_hi=12, n_hi=8)
+    assert harness._chunk_length(config, "orthogonal") == 113
+    lengths = {}
+
+    def recorded(chunk, suites, *args, _check=harness._check_chunk):
+        lengths.setdefault(PURPOSES[suites[0].name], []).append(len(chunk))
+        return _check(chunk, suites, *args)
+
+    monkeypatch.setattr(harness, "_check_chunk", recorded)
+    run_suite(config)
+    assert lengths == {"generic": [256, 44], "positive_log": [256, 44],
+                       "orthogonal": [113, 113, 74]}
 
 
 def test_generate_generic_shapes():
@@ -331,7 +351,7 @@ def test_generate_generic_shapes():
 
 
 def test_generate_positive_log_range():
-    for inst in harness._generate(replace(SMALL, trials=100), "positive_log"):
+    for inst in chain.from_iterable(harness._chunks(replace(SMALL, trials=100), "positive_log")):
         assert inst.kind == "multiplication"
         mags = np.abs(np.concatenate([inst.x, inst.y]))
         assert np.min(mags) >= SMALL.log_entry_lo
@@ -350,7 +370,7 @@ def test_positive_log_signs_draw_what_rng_choice_draws(seed, trial, n):
 
 
 def test_generate_orthogonal_pairs():
-    for inst in harness._generate(replace(SMALL, trials=100), "orthogonal"):
+    for inst in chain.from_iterable(harness._chunks(replace(SMALL, trials=100), "orthogonal")):
         b = Gram(inst.sip, inst.x, inst.y).b
         scale = max(1.0, float(np.max(np.abs(inst.x))))
         assert float(np.max(np.abs(b))) <= 1e-8 * scale
@@ -365,7 +385,8 @@ def test_orthogonal_generation_is_pinned():
     # dimension 2 and more, whose pivot columns sum several free ones, and
     # orthogonal chunks of 113 trials.
     config = TrialConfig(seed=2024, trials=2000, m_lo=1, m_hi=12, n_lo=1, n_hi=8)
-    instances = [inst and inst.to_dict() for inst in harness._generate(config, "orthogonal")]
+    instances = [inst and inst.to_dict()
+                 for inst in chain.from_iterable(harness._chunks(config, "orthogonal"))]
     text = json.dumps(instances, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_ORTHOGONAL_SHA256
 

@@ -13,6 +13,7 @@ kernel. The kernel uses no LAPACK, BLAS, matmul or einsum.
 import ast
 import inspect
 import textwrap
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_generated_pairs_are_orthogonal_at_larger_shapes():
     # of y included, at m <= 12, n <= 8
     config = TrialConfig(seed=11, trials=600, m_lo=1, m_hi=12, n_lo=1, n_hi=8)
     kinds = set()
-    for inst in harness._generate(config, "orthogonal"):
+    for inst in chain.from_iterable(harness._chunks(config, "orthogonal")):
         kinds.add(inst.kind)
         resid = np.abs(inst.sip.eval(inst.x, inst.y)).max()
         assert resid <= 1e-10 * max(1.0, np.abs(inst.x).max())

@@ -21,7 +21,7 @@ import math
 import operator
 import struct
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from unittest import mock
 
 import numpy as np
@@ -35,7 +35,6 @@ from riesz_sip.harness import (
     MAX_COUNTEREXAMPLES,
     PURPOSES,
     THEOREMS,
-    GenerationExhausted,
     Instance,
     Trial,
     TrialConfig,
@@ -240,14 +239,9 @@ INJECTED = (
 @pytest.mark.parametrize("chunk", [1, 7, 256])
 def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
     # small chunks put group, generation-failure and broken-group rows in
-    # many chunks and groups; every third trial's generation gives up
+    # many chunks and groups; every third trial's generation gives up, in
+    # every recipe, as the one chunk builder returns None for it
     config = TrialConfig(trials=24, seed=11)
-    generate = harness.generate_instance
-
-    def gives_up(config, i, purpose="generic"):
-        if i % 3 == 1:
-            raise GenerationExhausted(f"trial {i}")
-        return generate(config, i, purpose)
 
     def chunk_gives_up(config, purpose, c, start, stop, _chunk=harness._recipe_chunk):
         first = c * harness._chunk_length(config, purpose) + start
@@ -255,7 +249,6 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
                 for j, inst in enumerate(_chunk(config, purpose, c, start, stop))]
 
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
-    monkeypatch.setattr(harness, "generate_instance", gives_up)
     monkeypatch.setattr(harness, "_recipe_chunk", chunk_gives_up)
     injected_parts = {}
 
@@ -279,7 +272,8 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
         assert max(len(pos) for parts in injected_parts.values() for pos, _ in parts) == 5
         for name in config.theorems:
             reference = ReferenceFold(name, params_from_config(config))
-            for inst in list(harness._generate(config, PURPOSES[name])) + list(INJECTED):
+            generated = chain.from_iterable(harness._chunks(config, PURPOSES[name]))
+            for inst in [*generated, *INJECTED]:
                 res = (_run_check(name, Trial(inst, config)) if inst is not None
                        else GENERATION_FAILED)
                 reference.add(inst, res)
