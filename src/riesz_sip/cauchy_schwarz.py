@@ -57,8 +57,11 @@ means): _lambda_blocks yields the S = 2G columns of the grid's +-
 closure one block at a time (means._blocks, rows max(m, n)), each
 block's difference vectors the columns of an (m, width) array built
 along contiguous rows, which T.quadratic maps to an (n, width) array of
-T-values, in buffers made once per call. lambda_minima weights a block
-into the spare buffer (the PSD kernel's term), divides by |lambda|
+T-values (for a PSD family in the fixed row order of its own kernel,
+sip.PsdFamilySip.quadratic). The difference vectors, the PSD kernel's
+two work blocks (a row's sum and its current term) and the T-values are
+slices of one buffer made once per call. lambda_minima weights a block
+into the spare block (the kernel's row sum), divides by |lambda|
 (cached on the grid) in place and folds the row minima with np.minimum,
 so it never holds more than a block. Each column's bits depend on its
 lambda alone, and minima are exact, so the minima are the same at any
@@ -434,17 +437,17 @@ def _lambda_blocks(g: Gram, grid: LogGrid):
     m, n = x.shape[0], g.T.codomain_dim
     rows = max(m, n)
     width = _block_width(rows, lam.size)
-    # z, the PSD form's term (the spare block) and the T-values share one
-    # allocation: three separate ones raised the peak RSS of some runs by
-    # about 2.5 MB
-    buf = np.empty((m + 2 * n) * width)
-    z_buf, w_buf, t_buf = buf[:m * width], buf[m * width:(m + n) * width], buf[(m + n) * width:]
+    # z, the PSD form's row sum (the spare block) and term, and the
+    # T-values share one allocation: separate ones raised the peak RSS of
+    # some runs by about 2.5 MB
+    buf = np.empty((m + 3 * n) * width)
+    z_buf, w_buf, t_buf = np.split(buf, [m * width, (m + 2 * n) * width])
     for cols in _blocks(rows, lam.size):
         z = _block_view(z_buf, m, cols)
         np.multiply(x, lam[cols], out=z)
         z -= y
-        w = _block_view(w_buf, n, cols)
-        yield cols, g.T.quadratic(z, _block_view(t_buf, n, cols), w), w
+        w = _block_view(w_buf, 2 * n, cols).reshape(2, n, -1)
+        yield cols, g.T.quadratic(z, _block_view(t_buf, n, cols), w), w[0]
 
 
 def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:

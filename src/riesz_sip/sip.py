@@ -46,10 +46,16 @@ Each sip has three kernels, and eval_stack evaluates a stack of sips:
                      Cauchy-Schwarz defect oracle, one block of grid
                      columns per call (see means.GRID_BLOCK), written
                      into the oracle's block buffers out and work (the
-                     PSD form's current term). The PSD
-                     form is a fixed-order multiply-and-sum with no
-                     einsum, matmul or BLAS, so a column's bits depend on
-                     that column and the family alone.
+                     PSD form's row sum and current term). The PSD form
+                     is a kernel of its own, a fixed-order
+                     multiply-and-sum in row form: twice the sum over
+                     rows a of z_a times row a's sum of coefficients
+                     times z_b, b >= a, about half the elementwise
+                     passes of a sum over the pairs a <= b. It uses no
+                     einsum, matmul or BLAS, so a column's bits depend
+                     on that column and the family alone, and not on
+                     numpy's SIMD dispatch; the multiplication sip's is
+                     Zt * Zt.
 
 orthogonal_stack builds orthogonal pairs, y with T(x, y) = 0, for a stack
 of pairs at once: the orthogonal recipe's chunks, and orthogonal_sample's
@@ -192,41 +198,63 @@ class PsdFamilySip:
         return self.matrices @ y @ x
 
     @lazy
-    def _pair_terms(self) -> tuple[tuple, np.ndarray]:
-        """The pairs (a, b), a <= b, row-major, and their (pairs, n, 1) coefficients C_jab."""
-        pairs, a, b = _upper_pairs(self.domain_dim)
-        upper, lower = self.matrices[:, a, b].T, self.matrices[:, b, a].T
-        # the mean of A_jab and A_jba: equal entries are kept exactly, and
-        # halving before the sum cannot overflow
-        coef = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
-        return pairs, coef[:, :, None]
+    def _row_coefficients(self) -> list:
+        """quadratic's coefficients of each row a, m - a (n, 1) arrays: A_jaa/2, then C_jab for b > a.
+
+        C_jab is A_jab where A_jba equals it, else A_jab/2 + A_jba/2, a
+        sum that cannot overflow.
+        """
+        A = self.matrices
+        At = np.swapaxes(A, 1, 2)
+        C = np.where(A == At, A, 0.5 * A + 0.5 * At)
+        diag = np.arange(self.domain_dim)
+        C[:, diag, diag] *= 0.5
+        C = np.ascontiguousarray(np.moveaxis(C, 0, -1))[..., None]
+        return [list(C[a, a:]) for a in diag]
 
     def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
-        """T(z, z)_j = sum over the pairs a <= b of (C_jab * z_a) * z_b, for every column z of Zt.
+        """T(z, z)_j = 2 * sum_a z_a * (A_jaa/2 * z_a + sum_{b > a} C_jab * z_b), for every column z of Zt.
 
-        C_jaa = A_jaa, and off the diagonal C_jab is the mean of A_jab and
-        A_jba and its term is doubled (exact), so it counts both entries
-        without forming their sum, which overflows above about 8.9e307.
-        The matrix entry multiplies first; the running sum starts from the
-        first term and adds the others in np.triu_indices order. Every step
-        is an elementwise ufunc, so a column's bits depend on that column
-        alone: not on the number of columns or its position. Callers pass
-        one block of columns at a time (cauchy_schwarz._lambda_blocks),
-        with (n, S) arrays out for the sum and work for the current term;
-        both are new arrays by default.
+        The row form of sum_ab z_a A_jab z_b. Row a's sum starts from
+        A_jaa/2 * z_a and adds C_jab * z_b for b = a+1, ..., m-1 in order;
+        it is multiplied by z_a and added to the running sum of the rows,
+        a in order, and that sum is doubled last. This takes m^2 + 2m
+        elementwise passes over an (n, S) block, where a sum of the pairs'
+        terms (C_jab * z_a) * z_b, a <= b, takes 2m^2 + m. Each choice:
+
+        - C_jab counts A_jab and A_jba in one coefficient: their mean, or
+          the entry where they are equal, never their sum, which
+          overflows above about 8.9e307.
+        - Halving A_jaa and doubling the sum once costs one pass, where
+          doubling each row's off-diagonal part costs one per row. Both
+          are exact, but for |A_jaa| < 2^-1021, whose half rounds, and a
+          doubled sum above the largest float, where T(z, z) overflows.
+        - The matrix entry multiplies first: z_a * z_b is never formed,
+          which overflows above about 1.3e154 where (A_jab * z_b) * z_a
+          stays finite.
+        - Every step is an elementwise multiply or add, with no einsum,
+          matmul or BLAS, so a column's bits depend on that column and
+          the family alone: not on the number of columns, its position,
+          or the SIMD paths numpy dispatches to.
+
+        Callers pass one block of columns at a time
+        (cauchy_schwarz._lambda_blocks), with an (n, S) array out for the
+        sum and a (2, n, S) array work for a row's sum and its current
+        term; both are new arrays by default.
         """
-        pairs, coef = self._pair_terms
-        acc = np.empty((coef.shape[1], Zt.shape[1])) if out is None else out
-        term = np.empty_like(acc) if work is None else work
-        for p, (a, b) in enumerate(pairs):
-            dst = term if p else acc
-            np.multiply(coef[p], Zt[a], out=dst)
-            np.multiply(dst, Zt[b], out=dst)
-            if a != b:
-                np.add(dst, dst, out=dst)
-            if p:
-                np.add(acc, term, out=acc)
-        return acc
+        m, S = Zt.shape
+        acc = np.empty((self.codomain_dim, S)) if out is None else out
+        work = np.empty((2, *acc.shape)) if work is None else work
+        row, term = work[0], work[1]
+        for a, coef in enumerate(self._row_coefficients):
+            r = row if a else acc
+            np.multiply(coef[0], Zt[a], out=r)
+            for b in range(a + 1, m):
+                np.add(r, np.multiply(coef[b - a], Zt[b], out=term), out=r)
+            np.multiply(r, Zt[a], out=r)
+            if a:
+                np.add(acc, r, out=acc)
+        return np.add(acc, acc, out=acc)
 
 
 Sip = MultiplicationSip | PsdFamilySip

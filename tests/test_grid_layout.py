@@ -106,31 +106,33 @@ def ref_eval_batch(T, X, Y):
 
 
 def ref_quadratic_terms(T):
-    """[(a, b, [C_jab for each j])] over the pairs a <= b in row-major order, in Python floats.
+    """Row a's [C_jab for each j] for b = a..m-1, for each row a, in Python floats.
 
-    C_jaa = A_jaa; off the diagonal C_jab is A_jab where A_jba equals it,
-    else A_jab/2 + A_jba/2, and its term counts twice.
+    The row's diagonal coefficient is A_jaa/2; off the diagonal C_jab is
+    A_jab where A_jba equals it, else A_jab/2 + A_jba/2.
     """
     A = T.matrices.tolist()
     m = T.domain_dim
-    return [(a, b, [row[a][b] if a == b or row[a][b] == row[b][a]
-                    else 0.5 * row[a][b] + 0.5 * row[b][a] for row in A])
-            for a in range(m) for b in range(a, m)]
+    return [[[0.5 * row[a][a] if a == b else row[a][b] if row[a][b] == row[b][a]
+              else 0.5 * row[a][b] + 0.5 * row[b][a] for row in A]
+             for b in range(a, m)] for a in range(m)]
 
 
 def ref_quadratic(T, terms, z):
-    """T(z, z) of one column in Python floats: sum of (C_jab*z_a)*z_b in the fixed order."""
+    """T(z, z) of one column in Python floats: 2 * sum_a z_a * sum_{b >= a} C_jab*z_b in the fixed order."""
     if isinstance(T, MultiplicationSip):
         return [v * v for v in z]
     out = []
     for j in range(T.codomain_dim):
         acc = None
-        for a, b, coef in terms:
-            t = (coef[j] * z[a]) * z[b]
-            if a != b:
-                t = t + t
-            acc = t if acc is None else acc + t
-        out.append(acc)
+        for a, row in enumerate(terms):
+            r = None
+            for b, coef in enumerate(row, a):
+                t = coef[j] * z[b]
+                r = t if r is None else r + t
+            r = r * z[a]
+            acc = r if acc is None else acc + r
+        out.append(acc + acc)
     return out
 
 

@@ -3,15 +3,20 @@
 quadratic computes the lambda-grid samples of the Cauchy-Schwarz defect
 oracle, one block of grid columns per call. A column's bits must depend
 on that column and the family alone: not on the batch around it, its
-position, or the block width of the lambda-grid pass. Its value must be T's
-scalar definition up to Higham's forward-error bound, and it must stay
-finite on the families where a summed off-diagonal coefficient or a
-product z_a*z_b formed first would overflow. The values of a pair's Gram,
-T(x,x), T(x,y), T(y,y), T(x+y,x+y) and T(x-y,x-y), are held to the same
-scalar definition and bound, and a GramStack holds each pair's bits.
+position, the block width of the lambda-grid pass, or the SIMD paths
+numpy dispatches to. Its value must be T's scalar definition up to
+Higham's forward-error bound, and it must stay finite on the families
+where a summed off-diagonal coefficient or a product z_a*z_b formed first
+would overflow. The values of a pair's Gram, T(x,x), T(x,y), T(y,y),
+T(x+y,x+y) and T(x-y,x-y), are held to the same scalar definition and
+bound, and a GramStack holds each pair's bits.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +39,9 @@ from riesz_sip.sip import MultiplicationSip, PsdFamilySip, eval_stack, random_ps
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# numpy's SIMD targets switched off in a child process: its AVX-512 paths,
+# and with them its AVX2 ones (X86_V3)
+DISPATCH_OFF = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
 
 
 def lambda_samples(T, x, y, grid):
@@ -133,15 +141,18 @@ def _matrices(T):
 def test_quadratic_is_the_scalar_definition(T, data):
     # |fl(T(z,z)_j) - T(z,z)_j| <= gamma_k * sum_ab |z_a||A_jab||z_b| (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), with
-    # T(z,z)_j and the bound exact: each term takes the rounded mean of its
-    # two entries and two products, then rides through the P - 1 additions
-    # of the running sum, so k = P + 2 for the P pairs a <= b.
+    # T(z,z)_j and the bound exact. The kernel's halving of A_jaa and its
+    # last doubling are exact at these magnitudes, so the term of a pair
+    # a <= b rounds at most at: the mean of its two entries (1), C_jab*z_b
+    # (1), the additions of row a's sum after it (at most m - 1), the
+    # product with z_a (1) and the additions of the rows' sum after row a
+    # (at most m - 1): k = 2m + 1, reached by the pair (0, 1).
     m = T.domain_dim
     Zt = data.draw(columns(floats(-60, 60), m, 3))
     got = T.quadratic(Zt)
     assert got.shape == (T.codomain_dim, 3)
     A = [[[Fraction(v) for v in row] for row in Aj] for Aj in _matrices(T).tolist()]
-    k = m * (m + 1) // 2 + 2
+    k = 2 * m + 1
     u = Fraction(1, 2**53)
     gamma = k * u / (1 - k * u)
     for s in range(Zt.shape[1]):
@@ -283,3 +294,40 @@ def test_matrix_entry_multiplies_first():
     got = T.quadratic(Zt)
     assert np.all(np.isfinite(got))
     assert got[0, 0] == (1e-320 * 2e300) * 2e300 + (1e-320 * 1.0) * 1.0
+
+
+# Prints whether any of the SIMD targets named in argv[2] is still on,
+# then quadratic of both sip kinds on the inputs saved in argv[1], as hex.
+_CHILD = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip
+with np.load(sys.argv[1]) as f:
+    A, Z, W = f["A"], f["Z"], f["W"]
+print(any(__cpu_features__.get(name, False) for name in sys.argv[2].split()))
+print(PsdFamilySip(A, validate=False).quadratic(Z).tobytes().hex())
+print(MultiplicationSip(W.shape[0]).quadratic(W).tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("disabled", DISPATCH_OFF)
+def test_quadratic_bits_do_not_follow_numpys_simd_dispatch(disabled, tmp_path):
+    # the lambda-grid samples are elementwise multiplications and
+    # additions, correctly rounded on every SIMD path: fixed inputs give
+    # the bits computed here in a process with those paths switched off
+    rng = np.random.default_rng(13)
+    A = rng.uniform(-1.0, 1.0, (8, 12, 12)) * 10.0 ** rng.integers(-30, 30, (8, 12, 12))
+    Z = rng.uniform(-1.0, 1.0, (12, 4002)) * 10.0 ** rng.integers(-60, 60, (12, 4002))
+    W = Z[:8].copy()
+    np.savez(tmp_path / "inputs.npz", A=A, Z=Z, W=W)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(tmp_path / "inputs.npz"), disabled],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    enabled, psd, mult = proc.stdout.split()
+    assert enabled == "False"
+    assert psd == PsdFamilySip(A, validate=False).quadratic(Z).tobytes().hex()
+    assert mult == MultiplicationSip(8).quadratic(W).tobytes().hex()

@@ -1,14 +1,15 @@
-"""Gate a change to instance generation against its parent tree: no new failures, same tag rates.
+"""Gate a change to instance generation or to a check's bits against its parent tree: no new failures, same tag rates.
 
     python tools/recipe_gate.py OLD_TREE NEW_TREE [--out FILE] [--tiny]
 
 Each tree's tallies run in a subprocess with TREE/src first on
 PYTHONPATH, so each side imports its own riesz_sip (numpy only):
 
-  pool      run_suite at 50 trials over the means, oracle and pythagoras
-            suites, at every program seed of perfbench's pool (0..4095
-            less the false-failure seeds 1882 and 1892): the seeds at
-            which a suite fails a trial;
+  pool      run_suite at 50 trials over every suite verify runs, at
+            every program seed of perfbench's pool (0..4095 less the
+            false-failure seeds 1882 and 1892): the seeds at which a
+            suite fails a trial, as perfbench's gate reads them per
+            session;
   study     the oracle study at grids 1000, 10000 and 100000 over 25
             trials, seeds 0..255: the seeds at which monotone_ok or
             sandwich_ok is false;
@@ -50,8 +51,7 @@ def tally(tiny: bool) -> dict:
 
     pool = POOL[:8] if tiny else POOL
     failing = [seed for seed in pool
-               if not run_suite(TrialConfig(trials=50, seed=seed,
-                                            theorems=("means", "oracle", "pythagoras"))).ok]
+               if not run_suite(TrialConfig(trials=50, seed=seed)).ok]
     study = [seed for seed in (range(8) if tiny else STUDY_SEEDS)
              if not convergence_study(TrialConfig(trials=25, seed=seed), STUDY_GRIDS).ok]
     report = run_suite(TrialConfig(trials=1000 if tiny else COUNT_TRIALS, seed=0))
