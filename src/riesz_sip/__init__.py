@@ -24,7 +24,6 @@ from .lattice import (
 from .means import (
     AngleGrid,
     LogGrid,
-    box_plus,
     box_plus_gaps,
     box_plus_oracle,
     box_times,
@@ -34,10 +33,8 @@ from .means import (
 )
 from .sip import (
     MultiplicationSip,
-    NoNontrivialOrthogonal,
     PsdFamilySip,
     check_axioms,
-    orthogonal_sample,
     orthogonal_stack,
     random_psd,
 )
@@ -64,7 +61,6 @@ from .seminorms import (
 )
 from .harness import (
     ConfigError,
-    GenerationExhausted,
     Instance,
     StudyReport,
     THEOREMS,

@@ -172,10 +172,6 @@ class ConfigError(ValueError):
     """Invalid verification configuration (CLI exit code 2)."""
 
 
-class GenerationExhausted(RuntimeError):
-    """Instance generation gave up after repeated retries."""
-
-
 @dataclass(frozen=True)
 class Tolerances:
     rel: float = DEFAULT_REL_TOL
@@ -411,28 +407,16 @@ def _chunk_length(config: TrialConfig, purpose: str) -> int:
     return TRIAL_CHUNK
 
 
-def generate_instance(config: TrialConfig, trial_index: int,
-                      purpose: str = "generic") -> Instance:
-    """Deterministic instance for one trial, keyed by (seed, trial_index).
+def generate_instance(config: TrialConfig, trial_index: int) -> Instance:
+    """Deterministic generic instance for one trial, keyed by (seed, trial_index).
 
-    generic draws mix both sip kinds and bias a quarter of the pairs to
+    Generic draws mix both sip kinds and bias a quarter of the pairs to
     colinear y and (for the multiplication sip) a quarter to positive-cone
     pairs, so equality branches of the biconditionals appear with
     non-negligible frequency; they come from default_rng((seed,
-    trial_index)). positive_log and orthogonal trials are built from their
-    chunk's draws (_recipe_chunk), as run_suite builds them, bit for bit.
+    trial_index)). positive_log and orthogonal trials are built a chunk at
+    a time (_recipe_chunk).
     """
-    if purpose in RECIPE_KEYS:
-        length = _chunk_length(config, purpose)
-        j = trial_index % length
-        inst, = _recipe_chunk(config, purpose, trial_index // length, j, j + 1)
-        if inst is None:
-            raise GenerationExhausted(
-                f"no orthogonal pair after {ORTHOGONAL_ATTEMPTS} attempts at trial {trial_index}")
-        return inst
-    if purpose != "generic":
-        raise ConfigError(f"unknown generation purpose: {purpose!r}")
-
     rng = np.random.default_rng((config.seed, trial_index))
     mult = rng.random() < 0.5
     n = int(rng.integers(config.n_lo, config.n_hi + 1))

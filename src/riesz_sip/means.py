@@ -39,11 +39,12 @@ any block width; only the sign of a zero or of a NaN, which no residual
 reads, may differ. cauchy_schwarz's lambda-grid oracle uses the same
 blocks.
 
-Validation (see lattice): box_times, box_plus and both oracles check raw
-values. The kernels _box_times, _box_plus, _box_times_oracle and
-_box_plus_oracle hold each formula once, run on validated arrays, and
-check only finiteness and, for [*], the cone floor. The *_gaps functions
-take validated arrays and call the kernels.
+Validation (see lattice): box_times and both oracles check raw values.
+The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
+hold each formula once, run on validated arrays, and check only
+finiteness and, for [*], the cone floor; _box_plus, the square mean, has
+no validating wrapper, since its callers hold validated arrays. The
+*_gaps functions take validated arrays and call the kernels.
 
 Stacks: the kernels, theta_minimizer, the *_gaps functions and
 LogGrid.covers take one pair's (n,) vectors or a (k, n) stack of k
@@ -321,13 +322,8 @@ def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _box_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """box_plus on validated vectors (or stacks) of one dimension."""
+    """Square mean a [+] b = sqrt(a^2 + b^2) componentwise, any signs, on validated arrays."""
     return np.hypot(_finite(a), _finite(b))
-
-
-def box_plus(a, b) -> np.ndarray:
-    """Square mean a [+] b = sqrt(a^2 + b^2) componentwise, any signs."""
-    return _box_plus(*_vectors(a, b))
 
 
 def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
@@ -364,7 +360,7 @@ def box_times_gaps(u, v, grid: LogGrid,
 
 def box_plus_gaps(a, b, grid: AngleGrid,
                   floor: float = DEFAULT_ABS_TOL) -> tuple:
-    """(sandwich, gap) of the angle-grid oracle against box_plus(a, b).
+    """(sandwich, gap) of the angle-grid oracle against a [+] b (_box_plus).
 
     sandwich is the violation of oracle <= closed form, gap the worst
     absolute difference, both normalized by the larger magnitude. One

@@ -58,11 +58,11 @@ Each sip has three kernels, and eval_stack evaluates a stack of sips:
                      Zt * Zt.
 
 orthogonal_stack builds orthogonal pairs, y with T(x, y) = 0, for a stack
-of pairs at once: the orthogonal recipe's chunks, and orthogonal_sample's
-one pair. Its kernel basis comes from a fixed-order Gauss-Jordan
-elimination with no LAPACK, BLAS, matmul or einsum, so a pair's bits
-depend on that pair alone. The PSD admission's eigenvalues are numpy's
-eigvalsh; they decide a verdict, and reach no reported value.
+of pairs at once: the orthogonal recipe's chunks. Its kernel basis comes
+from a fixed-order Gauss-Jordan elimination with no LAPACK, BLAS, matmul
+or einsum, so a pair's bits depend on that pair alone. The PSD
+admission's eigenvalues are numpy's eigvalsh; they decide a verdict, and
+reach no reported value.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .lattice import (
     DEFAULT_ABS_TOL,
     DimensionMismatch,
     NonFinite,
-    as_lattice_vector,
     lazy,
 )
 
@@ -89,10 +88,6 @@ EIGENVALUE_FLOOR = -1e-10  # smallest admissible eigenvalue of a PSD member
 # holds gets no hits. One entry holds 2 * 11 * samples * m
 # floats: 11 KiB per unit of m, 704 KiB at m = 64.
 AXIOM_OPERANDS_CACHED = 16
-
-
-class NoNontrivialOrthogonal(Exception):
-    """No nonzero y with T(x, y) = 0 exists for the given T and x."""
 
 
 @dataclass(frozen=True)
@@ -358,7 +353,9 @@ def random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:
 # A column of the eliminated rows of T(x, .) takes a pivot only where its
 # largest entry exceeds this fraction of the largest entry of the rows.
 PIVOT_REL_TOL = 1e-12
-# orthogonal_stack's status per pair, and the error orthogonal_sample raises
+# The largest |T(x, y)| orthogonal_stack admits, relative to max(1, |x|).
+ORTHOGONAL_TOL = 1e-10
+# orthogonal_stack's status per pair
 ORTHOGONAL, OVERFLOW, TRIVIAL_KERNEL, NOT_ORTHOGONAL = range(4)
 
 
@@ -409,8 +406,7 @@ def _eliminate(R: np.ndarray, dims: np.ndarray) -> tuple:
     return np.where(has, pivot, -1), free
 
 
-def orthogonal_stack(A, X: np.ndarray, G: np.ndarray, dims=None,
-                     tol: float = 1e-10) -> tuple:
+def orthogonal_stack(A, X: np.ndarray, G: np.ndarray, dims=None) -> tuple:
     """Nonzero y with T_i(x_i, y) = 0 for a stack of k pairs, normalized to sup norm 1.
 
     A is the (k, n, m, m) stack of PSD families, or None for
@@ -428,13 +424,13 @@ def orthogonal_stack(A, X: np.ndarray, G: np.ndarray, dims=None,
     multiplication sip the kernel is exactly the coordinates where x
     vanishes, and they take g_1, g_2, ... in order. No step uses LAPACK,
     BLAS, matmul or einsum, and each is elementwise over the pairs: a
-    pair's bits are those orthogonal_sample gives it alone, and depend on
+    pair's bits are those of a stack of that pair alone, and depend on
     neither its stack nor the machine's BLAS.
 
     Returns (Y, status): Y (k, m), and per pair ORTHOGONAL, or OVERFLOW
     (the rows x' A_j are not finite), TRIVIAL_KERNEL (no free column) or
-    NOT_ORTHOGONAL (y vanishes, or |T(x, y)| exceeds tol * max(1, |x|)),
-    where its row of Y is not a result.
+    NOT_ORTHOGONAL (y vanishes, or |T(x, y)| exceeds ORTHOGONAL_TOL *
+    max(1, |x|)), where its row of Y is not a result.
     """
     X = np.asarray(X, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -468,32 +464,9 @@ def orthogonal_stack(A, X: np.ndarray, G: np.ndarray, dims=None,
             for b in range(1, m):
                 T += rows[:, :, b] * Y[:, b, None]
         resid = np.abs(T).max(axis=1)
-        orthogonal = (norm > 1e-8) & (resid <= tol * np.maximum(1.0, np.abs(X).max(axis=1)))
+        bound = ORTHOGONAL_TOL * np.maximum(1.0, np.abs(X).max(axis=1))
+        orthogonal = (norm > 1e-8) & (resid <= bound)
     status = np.select([~finite, ~free.any(axis=1), ~orthogonal],
                        [OVERFLOW, TRIVIAL_KERNEL, NOT_ORTHOGONAL], ORTHOGONAL)
     return Y, status
 
-
-def orthogonal_sample(T: Sip, x, seed: int | tuple | np.random.Generator = 0,
-                      tol: float = 1e-10) -> np.ndarray:
-    """Random nonzero y with T(x, y) = 0, normalized to sup norm 1: orthogonal_stack of one pair.
-
-    y is built from the standard normal draws g = default_rng(seed).
-    standard_normal(m); seed is anything np.random.default_rng accepts:
-    an int, a tuple of ints or a Generator. When the kernel of T(x, .) is
-    trivial (generic when m <= n) or y fails its orthogonality check,
-    NoNontrivialOrthogonal is raised, and NonFinite when the rows x' A_j
-    overflow.
-    """
-    x = as_lattice_vector(x, T.domain_dim)
-    A = None if isinstance(T, MultiplicationSip) else T.matrices[None]
-    g = np.random.default_rng(seed).standard_normal(T.domain_dim)
-    Y, status = orthogonal_stack(A, x[None], g[None], tol=tol)
-    if status[0] == OVERFLOW:
-        raise NonFinite("the rows x' A_j of T(x, .) must be finite")
-    if status[0] == TRIVIAL_KERNEL:
-        raise NoNontrivialOrthogonal(
-            f"T(x, .) has trivial kernel (m={T.domain_dim}, n={T.codomain_dim})")
-    if status[0] == NOT_ORTHOGONAL:
-        raise NoNontrivialOrthogonal("could not draw a numerically orthogonal sample")
-    return Y[0]

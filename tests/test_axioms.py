@@ -171,7 +171,7 @@ FALSE_AXIOM_FAILURES = {
 def test_recorded_false_axiom_failures_keep_their_bits():
     for (seed, trial), expected in FALSE_AXIOM_FAILURES.items():
         config = TrialConfig(seed=seed)
-        T = generate_instance(config, trial, "generic").sip
+        T = generate_instance(config, trial).sip
         residuals = check_axioms(T, samples=AXIOM_SAMPLES, seed=0,
                                  floor=config.tolerances.abs)
         failing = {k: v for k, v in residuals.items() if v > 1e-9}

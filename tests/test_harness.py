@@ -20,7 +20,6 @@ from riesz_sip.harness import (
     PURPOSES,
     THEOREMS,
     ConfigError,
-    GenerationExhausted,
     Instance,
     Tolerances,
     Trial,
@@ -165,8 +164,7 @@ def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
 
     monkeypatch.setattr(harness, "orthogonal_stack", recorded)
     with np.errstate(all="ignore"):
-        with pytest.raises(GenerationExhausted):
-            generate_instance(config, 0, "orthogonal")
+        assert harness._recipe_chunk(config, "orthogonal", 0, 0, 1) == [None]
         assert statuses == [OVERFLOW] * harness.ORTHOGONAL_ATTEMPTS
         del statuses[:]
         entry = run_suite(config).theorems["pythagoras"]
@@ -176,15 +174,20 @@ def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
     assert entry["counterexamples"] == []
 
 
+def _trial(config: TrialConfig, i: int, purpose: str) -> Instance:
+    """Trial i of a recipe, built alone from its chunk's draws."""
+    c, j = divmod(i, harness._chunk_length(config, purpose))
+    inst, = harness._recipe_chunk(config, purpose, c, j, j + 1)
+    return inst
+
+
 def test_generate_is_deterministic():
     for purpose in ("generic", "positive_log", "orthogonal"):
-        a = generate_instance(SMALL, 7, purpose).to_dict()
-        b = generate_instance(SMALL, 7, purpose).to_dict()
+        a = _trial(SMALL, 7, purpose).to_dict()
+        b = _trial(SMALL, 7, purpose).to_dict()
         assert a == b
-        c = generate_instance(SMALL, 8, purpose).to_dict()
+        c = _trial(SMALL, 8, purpose).to_dict()
         assert a != c
-    with pytest.raises(ConfigError):
-        generate_instance(SMALL, 0, "bogus")
 
 
 KEY_SEEDS = (0, 2**32 - 1, 2**40 + 9, 2**64 - 1)
@@ -214,7 +217,7 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
         rng = np.random.default_rng((seed, i))
         mult = rng.random() < 0.5
         n = int(rng.integers(config.n_lo, config.n_hi + 1))
-        inst = generate_instance(config, i, "generic")
+        inst = generate_instance(config, i)
         assert (inst.kind == "multiplication", inst.sip.codomain_dim) == (mult, n)
 
         length = harness._chunk_length(config, "positive_log")
@@ -225,7 +228,7 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
         x = harness._SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
         y = harness._SIGNS[rng.integers(0, 2, shape)] * 10.0 ** rng.uniform(lo, hi, shape)
         u = rng.uniform(0.0, config.u_hi, shape)
-        inst = generate_instance(config, i, "positive_log")
+        inst = _trial(config, i, "positive_log")
         assert inst.sip.codomain_dim == n
         assert (inst.x.tobytes(), inst.y.tobytes(), inst.u.tobytes()) == (
             x[j, :n].tobytes(), y[j, :n].tobytes(), u[j, :n].tobytes())
@@ -254,7 +257,7 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
             x[np.argsort(keys[:m])[:size]] = 0.0
         Y, status = orthogonal_stack(None if A is None else A[None], x[None], g[None, :m])
         assert status[0] == ORTHOGONAL
-        inst = generate_instance(config, i, "orthogonal")
+        inst = _trial(config, i, "orthogonal")
         assert inst.kind == ("psd_family" if psd else "multiplication")
         if psd:
             assert inst.sip.matrices.tobytes() == A.tobytes()
@@ -274,7 +277,7 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(harness, "orthogonal_stack", failing_twice)
-            inst = generate_instance(config, i, "orthogonal")
+            inst = _trial(config, i, "orthogonal")
         assert calls == [1, 1, 1]
         retry = np.random.default_rng((seed, 2, i // length, i))
         harness._orthogonal_chunk(retry, config, 1, 0, 1)
@@ -290,7 +293,7 @@ def test_a_trials_instance_does_not_depend_on_the_trial_count(purpose):
     config = TrialConfig(seed=5)
     assert harness._chunk_length(config, purpose) == 256
     for i in (0, 17, 49):
-        alone = generate_instance(config, i, purpose).to_dict()
+        alone = _trial(config, i, purpose).to_dict()
         for trials in (i + 1, 50, 255, 256, 257, 600):
             chunks = harness._chunks(replace(config, trials=trials), purpose)
             insts = list(chain.from_iterable(chunks))
@@ -338,7 +341,7 @@ def test_run_suite_checks_each_chunk_as_it_is_drawn(monkeypatch):
 def test_generate_generic_shapes():
     kinds = set()
     for i in range(200):
-        inst = generate_instance(SMALL, i, "generic")
+        inst = generate_instance(SMALL, i)
         kinds.add(inst.kind)
         n = inst.sip.codomain_dim
         assert SMALL.n_lo <= n <= SMALL.n_hi
@@ -392,7 +395,7 @@ def test_orthogonal_generation_is_pinned():
 
 
 def test_instance_round_trip():
-    inst = generate_instance(SMALL, 3, "generic")
+    inst = generate_instance(SMALL, 3)
     back = Instance.from_dict(inst.to_dict())
     assert back.to_dict() == inst.to_dict()
     with pytest.raises(ValueError):
@@ -1099,8 +1102,7 @@ def test_each_gram_value_is_evaluated_once(monkeypatch):
     distinct = {"cs": (1, 3), "sharp": (2, 4), "additivity": (2, 4), "pythagoras": (2, 4),
                 "parallelogram": (2, 5), "vsn": (3, 9)}
     for suite, expected in distinct.items():
-        for i in range(20):
-            inst = generate_instance(SMALL, i, PURPOSES[suite])
+        for inst in harness._recipe_chunk(SMALL, PURPOSES[suite], 0, 0, 20):
             rows.clear()
             del calls[:]
             assert CHECKS[suite](Trial(inst, SMALL)).row(0).status != "fail"

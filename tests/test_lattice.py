@@ -14,7 +14,7 @@ from riesz_sip.lattice import (
     near,
     rel_residual,
 )
-from riesz_sip.means import box_plus, box_times
+from riesz_sip.means import box_times
 
 
 def test_in_positive_cone():
@@ -72,7 +72,7 @@ def test_as_lattice_vector_validation():
 
 def test_dimension_mismatch_raises():
     # the entry points that take raw values keep the check
-    for entry in (box_times, box_plus, rel_residual):
+    for entry in (box_times, rel_residual):
         with pytest.raises(DimensionMismatch):
             entry(np.zeros(2), np.zeros(3))
 

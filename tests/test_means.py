@@ -9,7 +9,7 @@ from riesz_sip.means import (
     THETA_LO,
     AngleGrid,
     LogGrid,
-    box_plus,
+    _box_plus,
     box_plus_oracle,
     box_times,
     box_times_oracle,
@@ -109,9 +109,9 @@ def test_box_times_oracle_convergence():
 
 
 def test_box_plus_examples():
-    assert np.array_equal(box_plus(np.array([3.0, 0.0]), np.array([4.0, 0.0])), [5.0, 0.0])
-    assert np.array_equal(box_plus(np.array([-2.0, 1.0]), np.zeros(2)), [2.0, 1.0])
-    got = box_plus(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
+    assert np.array_equal(_box_plus(np.array([3.0, 0.0]), np.array([4.0, 0.0])), [5.0, 0.0])
+    assert np.array_equal(_box_plus(np.array([-2.0, 1.0]), np.zeros(2)), [2.0, 1.0])
+    got = _box_plus(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
     assert rel_residual(got, np.sqrt([5.0, 8.0])) <= 1e-15
 
 
@@ -119,10 +119,10 @@ def test_box_plus_oracle_matches_closed_form():
     a = np.array([3.0, 0.0])
     b = np.array([4.0, 0.0])
     approx = box_plus_oracle(a, b, grid=AngleGrid.uniform(4096))
-    assert rel_residual(approx, box_plus(a, b)) <= BP_DEFAULT_REL_TOL
+    assert rel_residual(approx, _box_plus(a, b)) <= BP_DEFAULT_REL_TOL
     a2 = np.array([1.0, 2.0])
     b2 = np.array([2.0, 2.0])
-    assert rel_residual(box_plus_oracle(a2, b2, ANGLE), box_plus(a2, b2)) <= BP_ORACLE_REL_TOL
+    assert rel_residual(box_plus_oracle(a2, b2, ANGLE), _box_plus(a2, b2)) <= BP_ORACLE_REL_TOL
 
 
 def test_box_plus_oracle_zero():
@@ -134,7 +134,7 @@ def test_box_plus_zero_argument_is_exact():
     rng = np.random.default_rng(11)
     for _ in range(50):
         a = rng.uniform(-10, 10, 4)
-        assert np.array_equal(box_plus(a, np.zeros(4)), np.abs(a))
+        assert np.array_equal(_box_plus(a, np.zeros(4)), np.abs(a))
         assert np.array_equal(box_plus_oracle(a, np.zeros(4), ANGLE), np.abs(a))
 
 
@@ -145,7 +145,7 @@ def test_box_plus_sandwich_random():
         a = rng.uniform(-10, 10, m)
         b = rng.uniform(-10, 10, m)
         under = box_plus_oracle(a, b, ANGLE)
-        exact = box_plus(a, b)
+        exact = _box_plus(a, b)
         assert np.all(exact - under >= -1e-12)
         assert rel_residual(under, exact) <= BP_DEFAULT_REL_TOL
 
@@ -166,7 +166,7 @@ def test_self_mean_identities():
         u = rng.uniform(0, 10, 4)
         a = rng.uniform(-10, 10, 4)
         assert rel_residual(box_times(u, u), u) <= EXACT_REL_TOL
-        assert rel_residual(box_plus(a, a), np.sqrt(2.0) * np.abs(a)) <= EXACT_REL_TOL
+        assert rel_residual(_box_plus(a, a), np.sqrt(2.0) * np.abs(a)) <= EXACT_REL_TOL
 
 
 def test_biadditivity_identity_spot_check():
@@ -175,7 +175,7 @@ def test_biadditivity_identity_spot_check():
     v = np.array([3.0])
     w = np.array([3.0])
     lhs = box_times(u + v, w)
-    rhs = box_plus(box_times(u, w), box_times(v, w))
+    rhs = _box_plus(box_times(u, w), box_times(v, w))
     assert rel_residual(lhs, np.array([np.sqrt(12.0)])) <= 1e-15
     assert rel_residual(lhs, rhs) <= EXACT_REL_TOL
 
@@ -186,7 +186,7 @@ def test_biadditivity_identity_random():
         m = int(rng.integers(1, 6))
         u, v, w = rng.uniform(0, 10, (3, m))
         lhs = box_times(u + v, w)
-        rhs = box_plus(box_times(u, w), box_times(v, w))
+        rhs = _box_plus(box_times(u, w), box_times(v, w))
         assert rel_residual(lhs, rhs) <= IDENTITY_REL_TOL
 
 

@@ -26,7 +26,6 @@ from riesz_sip.harness import (
     TrialConfig,
     _chunks,
     _run_check,
-    generate_instance,
 )
 from riesz_sip.sip import PsdFamilySip
 
@@ -39,7 +38,7 @@ def _checked(suite, inst):
 
 
 def _instances(suite):
-    return [generate_instance(CONFIG, i, PURPOSES[suite]) for i in range(CONFIG.trials)]
+    return list(chain.from_iterable(_chunks(CONFIG, PURPOSES[suite])))
 
 
 @pytest.mark.parametrize("suite", THEOREMS)

@@ -4,8 +4,8 @@ sip.orthogonal_stack builds the orthogonal recipe's pairs a chunk at a
 time: a stacked Gauss-Jordan elimination on the rows x'A_j for PSD
 families, and x's zero support for multiplication sips. Every step is
 elementwise over the pairs, so a pair's bits in a stack of any size,
-zero-padded to the stack's largest n and m, must be the bits
-orthogonal_sample gives it alone (a batch of 1 and a batch of N agree),
+zero-padded to the stack's largest n and m, must be the bits and the
+status of a stack of that pair alone (a batch of 1 and a batch of N agree),
 rank-deficient rows included: a zero family member, and x in a member's
 kernel. The kernel uses no LAPACK, BLAS, matmul or einsum.
 """
@@ -16,19 +16,15 @@ import textwrap
 from itertools import chain
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riesz_sip import harness, sip
 from riesz_sip.harness import TrialConfig
-from riesz_sip.lattice import NonFinite
 from riesz_sip.sip import (
     ORTHOGONAL,
     MultiplicationSip,
-    NoNontrivialOrthogonal,
     PsdFamilySip,
-    orthogonal_sample,
     orthogonal_stack,
     random_psd,
 )
@@ -91,15 +87,13 @@ def _padded_stack(pairs):
 def _assert_each_pair_alone(pairs):
     A, X, G, dims = _padded_stack(pairs)
     Y, status = orthogonal_stack(A, X, G, dims=dims)
-    for i, (T, x, seed) in enumerate(pairs):
-        m = T.domain_dim
+    for i, pair in enumerate(pairs):
+        m = pair[0].domain_dim
+        y, alone = orthogonal_stack(*_padded_stack([pair])[:3])
+        assert status[i] == alone[0], i
         if status[i] == ORTHOGONAL:
-            y = orthogonal_sample(T, x, seed=seed)
-            assert Y[i, :m].tobytes() == y.tobytes(), i
+            assert Y[i, :m].tobytes() == y[0].tobytes(), i
             assert not Y[i, m:].any()
-        else:
-            with pytest.raises((NoNontrivialOrthogonal, NonFinite)):
-                orthogonal_sample(T, x, seed=seed)
 
 
 @SETTINGS
@@ -120,9 +114,10 @@ def test_rank_deficient_rows_leave_a_larger_kernel():
     A = np.zeros((2, 3, 3))
     A[1, 0, 0] = 2.0
     x = np.array([0.0, 1.0, -2.0])
-    y = orthogonal_sample(PsdFamilySip(A, validate=False), x, seed=5)
+    Y, status = orthogonal_stack(*_padded_stack([(PsdFamilySip(A, validate=False), x, 5)])[:3])
     g = np.random.default_rng(5).standard_normal(3)
-    assert y.tobytes() == (g / np.abs(g).max()).tobytes()
+    assert status[0] == ORTHOGONAL
+    assert Y[0].tobytes() == (g / np.abs(g).max()).tobytes()
 
 
 def test_generated_pairs_are_orthogonal_at_larger_shapes():

@@ -344,8 +344,8 @@ def _one_trial_instances() -> list:
     overflow gives NaN residuals and broken input; x of signed zeros;
     broken instances of every class, and shrink steps of these.
     """
-    generated = [generate_instance(CONFIG, i, recipe)
-                 for recipe in dict.fromkeys(PURPOSES.values()) for i in range(40)]
+    generated = [inst for recipe in dict.fromkeys(PURPOSES.values())
+                 for inst in harness._recipe_chunk(CONFIG, recipe, 0, 0, 40)]
     rng = np.random.default_rng(3)
     near = [Instance(g.sip, g.u, g.x, g.x + 10.0 ** -rng.uniform(3.0, 4.5)
                      * rng.uniform(-1.0, 1.0, g.x.size) * np.abs(g.x).max())

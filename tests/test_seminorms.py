@@ -18,9 +18,10 @@ from riesz_sip.seminorms import (
     sharp_verdict,
 )
 from riesz_sip.sip import (
+    ORTHOGONAL,
     MultiplicationSip,
     PsdFamilySip,
-    orthogonal_sample,
+    orthogonal_stack,
     random_psd,
 )
 
@@ -260,7 +261,10 @@ def test_pythagoras_random_orthogonal_pairs():
         sip = random_psd(np.random.default_rng(trial), m, n)
         u = rng.uniform(0, 10, n)
         x = rng.uniform(-10, 10, m)
-        y = orthogonal_sample(sip, x, seed=trial) * rng.uniform(0.1, 10)
+        g = np.random.default_rng(trial).standard_normal(m)
+        Y, status = orthogonal_stack(sip.matrices[None], x[None], g[None])
+        assert status[0] == ORTHOGONAL
+        y = Y[0] * rng.uniform(0.1, 10)
         r = pythagoras_residual(Gram(sip, x, y, u))
         scale = float(np.max(norm(sip, u, x) + norm(sip, u, y))) + 1e-10
         assert np.max(np.abs(r)) <= 1e-9 * scale

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from riesz_sip import harness
-from riesz_sip.harness import PURPOSES, Instance, TrialConfig, generate_instance
+from riesz_sip.harness import PURPOSES, Instance, TrialConfig
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip
 
 CONFIG = TrialConfig(seed=5, m_hi=12, n_hi=8)
@@ -106,8 +106,8 @@ SHAPES = ((1, 1), (2, 1), (2, 2), (3, 5), (7, 3), (12, 8), (12, 1), (5, 8))
 
 
 def _instances() -> list:
-    generated = [generate_instance(CONFIG, i, purpose)
-                 for purpose in dict.fromkeys(PURPOSES.values()) for i in range(25)]
+    generated = [inst for purpose in dict.fromkeys(PURPOSES.values())
+                 for inst in harness._recipe_chunk(CONFIG, purpose, 0, 0, 25)]
     rng = np.random.default_rng(8)
     broken = [_broken(rng, cls, m, n) for cls in BROKEN_CLASSES for m, n in SHAPES]
     # signed zeros and zero matrix entries, which no candidate zeroes again

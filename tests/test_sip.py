@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch, NonFinite, in_positive_cone
+from riesz_sip.lattice import DimensionMismatch, in_positive_cone
 from riesz_sip.sip import (
+    ORTHOGONAL,
+    OVERFLOW,
+    TRIVIAL_KERNEL,
     MultiplicationSip,
-    NoNontrivialOrthogonal,
     PsdFamilySip,
     check_axioms,
+    orthogonal_stack,
     random_psd,
-    orthogonal_sample,
 )
 
 AXIOM_TOL = 1e-9
@@ -128,19 +130,29 @@ def test_random_psd_is_deterministic_and_psd():
         assert in_positive_cone(T1.eval(x, x), tol=1e-10)
 
 
+def _one_pair(T, x, seed):
+    """orthogonal_stack of one pair: y, built from default_rng(seed)'s normal draws, and its status."""
+    x = np.asarray(x, dtype=np.float64)
+    A = None if isinstance(T, MultiplicationSip) else T.matrices[None]
+    g = np.random.default_rng(seed).standard_normal(T.domain_dim)
+    Y, status = orthogonal_stack(A, x[None], g[None])
+    return Y[0], status[0]
+
+
 def test_orthogonal_sample_multiplication():
     T = MultiplicationSip(2)
-    y = orthogonal_sample(T, [1.0, 0.0], seed=0)
+    y, status = _one_pair(T, [1.0, 0.0], 0)
+    assert status == ORTHOGONAL
     assert np.array_equal(np.abs(y), [0.0, 1.0])
     assert np.array_equal(Gram(T, [1.0, 0.0], y).b, [0.0, 0.0])
     # full support leaves no nonzero orthogonal vector
-    with pytest.raises(NoNontrivialOrthogonal):
-        orthogonal_sample(T, [1.0, 2.0], seed=0)
+    assert _one_pair(T, [1.0, 2.0], 0)[1] == TRIVIAL_KERNEL
 
 
 def test_orthogonal_sample_psd():
     T = PsdFamilySip([np.eye(2)])
-    y = orthogonal_sample(T, [1.0, 0.0], seed=0)
+    y, status = _one_pair(T, [1.0, 0.0], 0)
+    assert status == ORTHOGONAL
     assert np.array_equal(np.abs(y), [0.0, 1.0])
     rng = np.random.default_rng(23)
     for trial in range(50):
@@ -148,7 +160,8 @@ def test_orthogonal_sample_psd():
         n = int(rng.integers(1, m))  # m > n so the kernel is nontrivial
         T = random_psd(np.random.default_rng(trial), m, n)
         x = rng.uniform(-10, 10, m)
-        y = orthogonal_sample(T, x, seed=trial)
+        y, status = _one_pair(T, x, trial)
+        assert status == ORTHOGONAL
         assert np.max(np.abs(y)) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(T.eval(x, y))) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
@@ -156,12 +169,10 @@ def test_orthogonal_sample_psd():
 def test_orthogonal_sample_trivial_kernel():
     # generically m <= n has only the zero solution
     T = random_psd(np.random.default_rng(4), 2, 3)
-    with pytest.raises(NoNontrivialOrthogonal):
-        orthogonal_sample(T, [1.0, 2.0], seed=0)
+    assert _one_pair(T, [1.0, 2.0], 0)[1] == TRIVIAL_KERNEL
 
 
 def test_orthogonal_sample_rejects_nonfinite_kernel_rows():
     # x and the family are finite, but the rows x' A_j overflow
     T = PsdFamilySip([1e300 * np.eye(3)])
-    with pytest.raises(NonFinite):
-        orthogonal_sample(T, [1e10, 0.0, 0.0])
+    assert _one_pair(T, [1e10, 0.0, 0.0], 0)[1] == OVERFLOW

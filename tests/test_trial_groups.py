@@ -23,6 +23,8 @@ per row.
 """
 
 import math
+from dataclasses import replace
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -49,7 +51,7 @@ from riesz_sip.lattice import (
     rel_residual,
 )
 from riesz_sip.means import _box_plus, _box_times
-from riesz_sip.sip import MultiplicationSip, NoNontrivialOrthogonal, PsdFamilySip, orthogonal_sample
+from riesz_sip.sip import ORTHOGONAL, MultiplicationSip, PsdFamilySip, orthogonal_stack
 
 CONFIG = TrialConfig(trials=1, seed=9)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -91,10 +93,11 @@ def instances(draw, n, multiplication_only=False):
     elif style == "same":
         y = x.copy()
     elif style == "orthogonal" and np.any(x):
-        try:
-            y = orthogonal_sample(T, x, seed=draw(st.integers(0, 99))) * np.abs(x).max()
-        except NoNontrivialOrthogonal:
-            y = draw(entries(m))
+        # orthogonal_stack of this one pair, or entries where it has no y
+        A = None if isinstance(T, MultiplicationSip) else T.matrices[None]
+        g = np.random.default_rng(draw(st.integers(0, 99))).standard_normal(m)
+        Y, status = orthogonal_stack(A, x[None], g[None])
+        y = Y[0] * np.abs(x).max() if status[0] == ORTHOGONAL else draw(entries(m))
     else:
         y = draw(entries(m)) * draw(scales(m))
     u = np.abs(draw(st.one_of(entries(n), st.just(rng.uniform(0.0, 10.0, n)))))
@@ -187,7 +190,7 @@ BROKEN = {
 
 def _valid(suite: str, count: int) -> list:
     """Generated instances of the suite's recipe with codomain R^2."""
-    insts = (generate_instance(CONFIG, i, PURPOSES[suite]) for i in range(200))
+    insts = chain.from_iterable(harness._chunks(replace(CONFIG, trials=200), PURPOSES[suite]))
     return [inst for inst in insts if inst.sip.codomain_dim == 2][:count]
 
 

@@ -38,9 +38,10 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 multiplication sip under a coarse lambda grid, with a valid
                 weight and with one entry too many, against cs and sharp,
                 and a PSD family with a negated member against axioms;
-  study         one convergence study at grids 64, 1000 and 10^5.
+  study/seed=s  convergence studies at seeds 0 to 7, 20 trials each, at
+                grids 64, 1000 and 10^5 (--tiny: one, named study).
 
-Reports and the study are digested with wall_time_s removed. An output
+Reports and studies are digested with wall_time_s removed. An output
 that raises is digested as its exception's class and message. --tiny
 runs a corpus of a few seconds' work, for tests.
 
@@ -74,11 +75,11 @@ FULL_REPORTS = (
        (2**40 + 3, 300, {})])
 TINY_REPORTS = [(0, 8, {}), (1, 8, {"lambda_count": 400, "m_hi": 12, "n_hi": 8})]
 # (seeds, trials) of the triage reports, (seed, m, n) of the triage-group
-# reports, and (trials, grids) of the study
+# reports, and (seeds, trials, grids) of the studies
 FULL_TRIAGE, TINY_TRIAGE = (range(6), 5), (range(1), 2)
 FULL_TRIAGE_GROUPS = [(0, 2, 1), (1, 4, 2), (2, 5, 3), (3, 3, 3), (4, 7, 5), (5, 12, 8)]
 TINY_TRIAGE_GROUPS = [(0, 4, 2)]
-FULL_STUDY, TINY_STUDY = (20, (64, 1000, 10**5)), (4, (8, 64))
+FULL_STUDY, TINY_STUDY = (range(8), 20, (64, 1000, 10**5)), ((0,), 4, (8, 64))
 
 
 def _sha(text: str) -> str:
@@ -102,7 +103,7 @@ def _triage_group_instances(seed: int, m: int, n: int) -> list:
     """The eight broken instances at (m, n), drawn from seed, interleaved with six valid ones.
 
     The valid instances are two of each recipe, generated with codomain
-    dimension n.
+    dimension n: trials 0 and 1 of each recipe's first chunk.
     """
     import numpy as np
     from riesz_sip import harness as h
@@ -111,8 +112,8 @@ def _triage_group_instances(seed: int, m: int, n: int) -> list:
     rng = np.random.default_rng(seed)
     broken = [h.Instance.from_dict(broken_instance(rng, cls, m, n)) for cls in BROKEN_CLASSES]
     config = h.TrialConfig(seed=seed, trials=2, m_hi=12, n_lo=n, n_hi=n)
-    valid = [h.generate_instance(config, i, purpose)
-             for purpose in ("generic", "positive_log", "orthogonal") for i in range(2)]
+    valid = [inst for purpose in ("generic", "positive_log", "orthogonal")
+             for inst in h._recipe_chunk(config, purpose, 0, 0, 2)]
     return [inst for pair in zip_longest(broken, valid) for inst in pair if inst is not None]
 
 
@@ -225,9 +226,10 @@ def corpus(tiny: bool) -> dict:
             run(name, cfg, injected)
         for name, ce in shrink_cases():
             digest(f"{name}/shrink", lambda: shrunk(ce))
-        trials, grids = TINY_STUDY if tiny else FULL_STUDY
-        digest("study", lambda: without_wall_time(
-            h.convergence_study(h.TrialConfig(trials=trials), grids)))
+        seeds, trials, grids = TINY_STUDY if tiny else FULL_STUDY
+        for seed in seeds:
+            digest("study" if tiny else f"study/seed={seed}", lambda: without_wall_time(
+                h.convergence_study(h.TrialConfig(seed=seed, trials=trials), grids)))
     return digests
 
 
