@@ -148,7 +148,11 @@ def _config_from_args(args: argparse.Namespace, theorems: tuple) -> TrialConfig:
 def _parse_theorems(raw: str) -> tuple:
     if raw.strip() == "all":
         return THEOREMS
-    return tuple(t.strip() for t in raw.split(",") if t.strip())
+    names = tuple(t.strip() for t in raw.split(",") if t.strip())
+    if not names:
+        # a run of no suite would print ok and pass a gate that checks nothing
+        raise ConfigError(f"--theorems names no suite: {raw!r}")
+    return names
 
 
 def _read_case(path) -> tuple:

@@ -327,8 +327,9 @@ class Instance:
         Neither PSD-ness nor symmetry of a family is validated, and the
         dimensions of u/x/y are not cross-checked: deserialized instances
         are the fault-injection surface, so broken ones must load and fail
-        in the checks. Non-finite entries are rejected, NaN cannot
-        participate in tolerance comparisons meaningfully.
+        in the checks. Non-finite entries, of u/x/y and of the matrices,
+        are rejected: NaN cannot participate in tolerance comparisons
+        meaningfully.
         """
         vecs = {}
         for key in ("u", "x", "y"):
@@ -349,6 +350,8 @@ class Instance:
             A = np.asarray(d["matrices"], dtype=np.float64)
             if A.shape != (n, m, m):
                 raise DimensionMismatch(f"matrices shape {A.shape} does not match m={m}, n={n}")
+            if not np.isfinite(A).all():
+                raise NonFinite("matrix entries must be finite")
             T = PsdFamilySip(A, validate=False)
         else:
             raise ValueError(f"unknown sip kind: {kind!r}")
@@ -439,8 +442,8 @@ def generate_instance(config: TrialConfig, trial_index: int) -> Instance:
     return Instance(sip=T, u=u, x=x, y=y)
 
 
-def _recipe_chunk(config: TrialConfig, purpose: str, c: int, start: int, stop: int) -> list:
-    """Trials start..stop-1 of chunk c of a recipe, None where generation gave up.
+def _recipe_chunk(config: TrialConfig, purpose: str, c: int, stop: int) -> list:
+    """Trials 0..stop-1 of chunk c of a recipe, None where generation gave up.
 
     The one builder of generated trials. Chunk c holds trials c*L to c*L +
     L - 1, L = _chunk_length(config, purpose). A generic trial draws alone
@@ -460,19 +463,19 @@ def _recipe_chunk(config: TrialConfig, purpose: str, c: int, start: int, stop: i
     """
     length = _chunk_length(config, purpose)
     if purpose == "generic":
-        return [generate_instance(config, c * length + j) for j in range(start, stop)]
+        return [generate_instance(config, c * length + j) for j in range(stop)]
     key = (config.seed, RECIPE_KEYS[purpose], c)
     rng = np.random.default_rng(key)
     if purpose == "positive_log":
         n, x, y, u = _positive_log_draws(rng, config, length)
         return [Instance(MultiplicationSip(k), u[j, :k], x[j, :k], y[j, :k])
-                for j, k in zip(range(start, stop), n[start:stop].tolist())]
-    insts = _orthogonal_chunk(rng, config, length, start, stop)
+                for j, k in enumerate(n[:stop].tolist())]
+    insts = _orthogonal_chunk(rng, config, length, stop)
     for j, inst in enumerate(insts):
         if inst is None:
-            retry = np.random.default_rng((*key, c * length + start + j))
+            retry = np.random.default_rng((*key, c * length + j))
             for _ in range(ORTHOGONAL_ATTEMPTS - 1):
-                inst, = _orthogonal_chunk(retry, config, 1, 0, 1)
+                inst, = _orthogonal_chunk(retry, config, 1, 1)
                 if inst is not None:
                     insts[j] = inst
                     break
@@ -491,8 +494,8 @@ def _positive_log_draws(rng: np.random.Generator, config: TrialConfig, length: i
 
 
 def _orthogonal_chunk(rng: np.random.Generator, config: TrialConfig, length: int,
-                      start: int, stop: int) -> list:
-    """The orthogonal pairs of rows start..stop-1 of a chunk of length rows drawn from rng.
+                      stop: int) -> list:
+    """The orthogonal pairs of rows 0..stop-1 of a chunk of length rows drawn from rng.
 
     None where a pair fails. The chunk's blocks, in draw order, with w =
     max(m_hi, n_hi): the kind (uniform r < 0.7 is PSD where both kinds are
@@ -539,7 +542,7 @@ def _orthogonal_chunk(rng: np.random.Generator, config: TrialConfig, length: int
     scale = rng.uniform(0.5, config.entry_hi, length)
     u = rng.uniform(0.0, config.u_hi, (length, n_hi))
 
-    rows = slice(start, stop)
+    rows = slice(stop)
     psd, n, m, x, g, scale, u = psd[rows], n[rows], m[rows], x[rows], g[rows], scale[rows], u[rows]
     X = np.where(np.arange(w) < m[:, None], x, 0.0)
     Y = np.empty_like(X)
@@ -985,7 +988,7 @@ def _chunks(config: TrialConfig, purpose: str):
     """
     length = _chunk_length(config, purpose)
     for lo in range(0, config.trials, length):
-        yield _recipe_chunk(config, purpose, lo // length, 0, min(length, config.trials - lo))
+        yield _recipe_chunk(config, purpose, lo // length, min(length, config.trials - lo))
 
 
 # The suites whose checks stack x and y themselves: their groups must also

@@ -148,9 +148,11 @@ def _upper_pairs(m: int) -> tuple:
 class PsdFamilySip:
     """T(x, y)_j = x' A_j y for a family of symmetric PSD m x m matrices.
 
-    validate=False skips the symmetry/eigenvalue admission checks; the
-    fault-injection path relies on this to build broken witnesses that the
-    axiom checker must then catch.
+    validate=False skips the finiteness, symmetry and eigenvalue admission
+    checks; the fault-injection path relies on this to build broken
+    witnesses that the axiom checker must then catch, and generated and
+    shrunk families, finite by construction, skip the scan.
+    Instance.from_dict checks finiteness where outside families load.
     """
 
     def __init__(self, matrices, validate: bool = True):
@@ -160,9 +162,9 @@ class PsdFamilySip:
                 f"expected matrices of shape (n, m, m), got {A.shape}")
         if A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionMismatch("need n >= 1 matrices of size m >= 1")
-        if not np.all(np.isfinite(A)):
-            raise NonFinite("matrix entries must be finite")
         if validate:
+            if not np.all(np.isfinite(A)):
+                raise NonFinite("matrix entries must be finite")
             asym = np.abs(A - np.transpose(A, (0, 2, 1))).max()
             if asym > SYMMETRY_ABS_TOL:
                 raise ValueError(f"matrix family is asymmetric by {asym}")

@@ -86,6 +86,10 @@ def test_verify_config_errors(capsys):
     assert "error: unknown theorems: ['bogus']" in capsys.readouterr().err
     assert main(["verify", "--trials", "3", "--theorems", "cs,cs"]) == 2
     assert "error: duplicate theorems: ['cs']" in capsys.readouterr().err
+    # a list naming no suite would run nothing and print ok
+    for empty in (",", "", " , "):
+        assert main(["verify", "--trials", "3", "--theorems", empty]) == 2
+        assert "error: --theorems names no suite" in capsys.readouterr().err
     assert main(["verify", "--trials", "5", "--instances", "/nonexistent"]) == 2
     # a grid that would exhaust memory is refused before it is built
     assert main(["verify", "--trials", "5", "--theta-count", "1000000000000"]) == 2
@@ -258,7 +262,11 @@ VALID_INSTANCE = '{"kind": "multiplication", "m": 1, "n": 1, "u": [1.0], "x": [1
     '{"kind": "multiplication", "m": 2.7, "n": 2.7, "u": [1, 1], "x": [1, 1], "y": [1, 1]}',
     '{"kind": "psd_family", "m": 1, "n": 1.5, "matrices": [[[1]]], "u": [1], "x": [1], "y": [1]}',
     '{"kind": "multiplication", "m": true, "n": 1, "u": [1], "x": [1], "y": [1]}',
-    '{"kind": "multiplication", "m": "2", "n": "2", "u": [1, 1], "x": [1, 1], "y": [1, 1]}'])
+    '{"kind": "multiplication", "m": "2", "n": "2", "u": [1, 1], "x": [1, 1], "y": [1, 1]}',
+    # a family's non-finite entries, which only loading checks
+    '{"kind": "psd_family", "m": 1, "n": 1, "matrices": [[[NaN]]], "u": [1], "x": [1], "y": [1]}',
+    '{"kind": "psd_family", "m": 1, "n": 1, "matrices": [[[-Infinity]]], '
+    '"u": [1], "x": [1], "y": [1]}'])
 def test_malformed_case_file_exits_2(capsys, tmp_path, content):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

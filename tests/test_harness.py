@@ -35,7 +35,7 @@ from riesz_sip.harness import (
     shrink,
 )
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch
+from riesz_sip.lattice import DimensionMismatch, NonFinite
 from riesz_sip.sip import (
     NOT_ORTHOGONAL,
     ORTHOGONAL,
@@ -164,7 +164,7 @@ def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
 
     monkeypatch.setattr(harness, "orthogonal_stack", recorded)
     with np.errstate(all="ignore"):
-        assert harness._recipe_chunk(config, "orthogonal", 0, 0, 1) == [None]
+        assert harness._recipe_chunk(config, "orthogonal", 0, 1) == [None]
         assert statuses == [OVERFLOW] * harness.ORTHOGONAL_ATTEMPTS
         del statuses[:]
         entry = run_suite(config).theorems["pythagoras"]
@@ -175,10 +175,9 @@ def test_an_overflowing_orthogonal_draw_is_retried_then_counted(monkeypatch):
 
 
 def _trial(config: TrialConfig, i: int, purpose: str) -> Instance:
-    """Trial i of a recipe, built alone from its chunk's draws."""
+    """Trial i of a recipe, built from its chunk's draws."""
     c, j = divmod(i, harness._chunk_length(config, purpose))
-    inst, = harness._recipe_chunk(config, purpose, c, j, j + 1)
-    return inst
+    return harness._recipe_chunk(config, purpose, c, j + 1)[j]
 
 
 def test_generate_is_deterministic():
@@ -266,22 +265,24 @@ def test_trials_draw_from_default_rng_of_their_key(seed, monkeypatch):
             x.tobytes(), (Y[0] * scale).tobytes(), u[:n].tobytes())
 
     # a pair that fails draws its retries, each a chunk of one trial, one
-    # after another from the trial's retry key
+    # after another from the trial's retry key: every pair of the chunk
+    # fails here, and then every trial's first retry
     def failing_twice(*args, _stack=orthogonal_stack, **kwargs):
         Y, status = _stack(*args, **kwargs)
-        calls.append(len(status))
-        return Y, status if len(calls) > 2 else np.full_like(status, NOT_ORTHOGONAL)
+        (chunk if sum(chunk) < rows else retries).append(len(status))
+        fails = not retries or len(retries) % 2 == 1
+        return Y, np.full_like(status, NOT_ORTHOGONAL) if fails else status
 
     length = harness._chunk_length(config, "orthogonal")
     for i in KEY_INDICES:
-        calls = []
+        rows, chunk, retries = i % length + 1, [], []
         with monkeypatch.context() as patch:
             patch.setattr(harness, "orthogonal_stack", failing_twice)
             inst = _trial(config, i, "orthogonal")
-        assert calls == [1, 1, 1]
+        assert sum(chunk) == rows and retries == [1, 1] * rows
         retry = np.random.default_rng((seed, 2, i // length, i))
-        harness._orthogonal_chunk(retry, config, 1, 0, 1)
-        expected, = harness._orthogonal_chunk(retry, config, 1, 0, 1)
+        harness._orthogonal_chunk(retry, config, 1, 1)
+        expected, = harness._orthogonal_chunk(retry, config, 1, 1)
         assert inst.to_dict() == expected.to_dict()
 
 
@@ -446,6 +447,11 @@ def test_deserialization_validation_errors():
     with pytest.raises(DimensionMismatch, match="must be integers"):
         Instance.from_dict({"kind": "psd_family", "m": 1, "n": 1.5,
                             "matrices": [[[1.0]]], **vectors})
+    # PsdFamilySip(validate=False) does not scan for finiteness; loading does
+    for entry in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFinite, match="matrix entries must be finite"):
+            Instance.from_dict({"kind": "psd_family", "m": 1, "n": 1,
+                                "matrices": [[[entry]]], **vectors})
 
 
 def test_grids_are_built_on_first_read_and_kept():
@@ -1102,7 +1108,7 @@ def test_each_gram_value_is_evaluated_once(monkeypatch):
     distinct = {"cs": (1, 3), "sharp": (2, 4), "additivity": (2, 4), "pythagoras": (2, 4),
                 "parallelogram": (2, 5), "vsn": (3, 9)}
     for suite, expected in distinct.items():
-        for inst in harness._recipe_chunk(SMALL, PURPOSES[suite], 0, 0, 20):
+        for inst in harness._recipe_chunk(SMALL, PURPOSES[suite], 0, 20):
             rows.clear()
             del calls[:]
             assert CHECKS[suite](Trial(inst, SMALL)).row(0).status != "fail"

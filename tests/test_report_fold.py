@@ -243,10 +243,10 @@ def test_run_suite_entries_are_the_trial_by_trial_fold(chunk, monkeypatch):
     # every recipe, as the one chunk builder returns None for it
     config = TrialConfig(trials=24, seed=11)
 
-    def chunk_gives_up(config, purpose, c, start, stop, _chunk=harness._recipe_chunk):
-        first = c * harness._chunk_length(config, purpose) + start
+    def chunk_gives_up(config, purpose, c, stop, _chunk=harness._recipe_chunk):
+        first = c * harness._chunk_length(config, purpose)
         return [None if (first + j) % 3 == 1 else inst
-                for j, inst in enumerate(_chunk(config, purpose, c, start, stop))]
+                for j, inst in enumerate(_chunk(config, purpose, c, stop))]
 
     monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(harness, "_recipe_chunk", chunk_gives_up)
@@ -345,7 +345,7 @@ def _one_trial_instances() -> list:
     broken instances of every class, and shrink steps of these.
     """
     generated = [inst for recipe in dict.fromkeys(PURPOSES.values())
-                 for inst in harness._recipe_chunk(CONFIG, recipe, 0, 0, 40)]
+                 for inst in harness._recipe_chunk(CONFIG, recipe, 0, 40)]
     rng = np.random.default_rng(3)
     near = [Instance(g.sip, g.u, g.x, g.x + 10.0 ** -rng.uniform(3.0, 4.5)
                      * rng.uniform(-1.0, 1.0, g.x.size) * np.abs(g.x).max())

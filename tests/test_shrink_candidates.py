@@ -107,7 +107,7 @@ SHAPES = ((1, 1), (2, 1), (2, 2), (3, 5), (7, 3), (12, 8), (12, 1), (5, 8))
 
 def _instances() -> list:
     generated = [inst for purpose in dict.fromkeys(PURPOSES.values())
-                 for inst in harness._recipe_chunk(CONFIG, purpose, 0, 0, 25)]
+                 for inst in harness._recipe_chunk(CONFIG, purpose, 0, 25)]
     rng = np.random.default_rng(8)
     broken = [_broken(rng, cls, m, n) for cls in BROKEN_CLASSES for m, n in SHAPES]
     # signed zeros and zero matrix entries, which no candidate zeroes again

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riesz_sip.cauchy_schwarz import Gram
-from riesz_sip.lattice import DimensionMismatch, in_positive_cone
+from riesz_sip.lattice import DimensionMismatch, NonFinite, in_positive_cone
 from riesz_sip.sip import (
     ORTHOGONAL,
     OVERFLOW,
@@ -63,9 +63,9 @@ def test_psd_family_validation():
         PsdFamilySip([np.eye(2), np.diag([1.0, -1.0])])  # second member indefinite
     with pytest.raises(DimensionMismatch):
         PsdFamilySip(np.zeros((2, 3, 4)))  # non-square members
-    with pytest.raises(ValueError):
-        PsdFamilySip([[[np.inf]]], validate=False)  # non-finite never loads
-    # the fault-injection path loads anything finite and square
+    with pytest.raises(NonFinite):
+        PsdFamilySip([[[np.inf]]])  # non-finite; Instance.from_dict refuses it on load
+    # the fault-injection path builds anything square
     broken = PsdFamilySip([[[0.0, 1.0], [0.0, 0.0]]], validate=False)
     assert np.array_equal(Gram(broken, [1.0, 0.0], [0.0, 1.0]).b, [1.0])
     assert np.array_equal(Gram(broken, [0.0, 1.0], [1.0, 0.0]).b, [0.0])

@@ -5,9 +5,14 @@ referenced in src/ outside its own definition and outside __init__.py,
 be imported in a Python block of README's "Library use" section, or be
 on ALLOWED below with its reason. A name that only tests call fails here:
 delete it, or fold it into its caller.
+
+The package itself exports exactly what "Library use" imports, plus the
+names on EXPORTED with their reasons; everything else is imported from
+its module.
 """
 
 import ast
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -21,6 +26,11 @@ ALLOWED = {
     "box_times_oracle": "the benchmark's tracer binds it for its grid-byte count; ROADMAP item 11",
     "box_plus_oracle": "the benchmark's tracer binds it for its grid-byte count; ROADMAP item 11",
     "replay_counterexample": "the benchmark's triage workload replays counterexamples with it",
+}
+
+# name: why the package exports it although "Library use" does not import it
+EXPORTED = {
+    "as_lattice_vector": "the benchmark's tracer test reads riesz_sip.as_lattice_vector",
 }
 
 
@@ -62,3 +72,12 @@ def test_every_public_name_has_a_caller_in_src_or_a_stated_reason():
                     if name not in shown and name not in ALLOWED
                     and in_src[name] == _references(node)[name])
     assert unused == []
+
+
+def test_the_package_exports_what_library_use_imports():
+    import riesz_sip
+
+    bound = {name for name, obj in vars(riesz_sip).items()
+             if not name.startswith("__") and not inspect.ismodule(obj)}
+    expected = _library_use() | EXPORTED.keys()
+    assert sorted(bound - expected) == [] and sorted(expected - bound) == []

@@ -113,7 +113,7 @@ def _triage_group_instances(seed: int, m: int, n: int) -> list:
     broken = [h.Instance.from_dict(broken_instance(rng, cls, m, n)) for cls in BROKEN_CLASSES]
     config = h.TrialConfig(seed=seed, trials=2, m_hi=12, n_lo=n, n_hi=n)
     valid = [inst for purpose in ("generic", "positive_log", "orthogonal")
-             for inst in h._recipe_chunk(config, purpose, 0, 0, 2)]
+             for inst in next(h._chunks(config, purpose))]
     return [inst for pair in zip_longest(broken, valid) for inst in pair if inst is not None]
 
 
