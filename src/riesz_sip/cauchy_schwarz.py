@@ -91,14 +91,21 @@ from .lattice import (
     near,
 )
 from .means import (
+    EPS,
+    LAMBDA_BRACKET_ELEMENTS,
+    UNDERFLOW,
     LogGrid,
     _block_view,
     _block_width,
     _blocks,
     _box_times,
+    _brackets,
+    _coarse,
     _cone_pair,
+    _stride,
+    _windows,
 )
-from .sip import Sip, eval_stack
+from .sip import MultiplicationSip, Sip, eval_stack
 
 # Default lambda grid of a verification run (TrialConfig).
 LAMBDA_LO = 1e-6
@@ -424,8 +431,8 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
-def _lambda_blocks(g: Gram, grid: LogGrid):
-    """(cols, T-values, spare) per block of the columns of grid.signed, in order.
+def _lambda_blocks(g: Gram, grid: LogGrid, cols=None):
+    """(block, T-values, spare) per block of the columns cols of grid.signed (all by default), in order.
 
     The T-values T(lambda*x - y, lambda*x - y) of the block's lambdas are
     an (n, width) array, and spare a block of that shape that the caller
@@ -433,7 +440,8 @@ def _lambda_blocks(g: Gram, grid: LogGrid):
     validated pair only, never a, b or c: the oracle evaluates T on the
     difference vectors directly, with no bilinear expansion.
     """
-    x, y, lam = g.x[:, None], g.y[:, None], grid.signed
+    x, y = g.x[:, None], g.y[:, None]
+    lam = grid.signed if cols is None else grid.signed[cols]
     m, n = x.shape[0], g.T.codomain_dim
     rows = max(m, n)
     width = _block_width(rows, lam.size)
@@ -442,23 +450,16 @@ def _lambda_blocks(g: Gram, grid: LogGrid):
     # some runs by about 2.5 MB
     buf = np.empty((m + 3 * n) * width)
     z_buf, w_buf, t_buf = np.split(buf, [m * width, (m + 2 * n) * width])
-    for cols in _blocks(rows, lam.size):
-        z = _block_view(z_buf, m, cols)
-        np.multiply(x, lam[cols], out=z)
+    for block in _blocks(rows, lam.size):
+        z = _block_view(z_buf, m, block)
+        np.multiply(x, lam[block], out=z)
         z -= y
-        w = _block_view(w_buf, 2 * n, cols).reshape(2, n, -1)
-        yield cols, g.T.quadratic(z, _block_view(t_buf, n, cols), w), w[0]
+        w = _block_view(w_buf, 2 * n, block).reshape(2, n, -1)
+        yield block, g.T.quadratic(z, _block_view(t_buf, n, block), w), w[0]
 
 
-def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
-    """(D, D*u): componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
-
-    t is T(lambda*x - y, lambda*x - y) of g's pair, and u a validated
-    weight; D*u is None without one. One pass over the grid folds both
-    minima block by block, so it never holds more than a block of
-    T-values. Over-estimates the infimum D(x,y), or D(x,y)*u, by
-    construction.
-    """
+def _lambda_pass(g: Gram, grid: LogGrid, u) -> tuple:
+    """lambda_minima over every column of grid.signed, block by block: the whole grid."""
     d = du = None
     for cols, t, w in _lambda_blocks(g, grid):
         abs_lam = grid.signed_abs[cols]
@@ -468,6 +469,97 @@ def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
         low = np.divide(t, abs_lam, out=t).min(axis=1)
         d = low if d is None else np.minimum(d, low, out=d)
     return d, du
+
+
+def _lambda_samples(g: Gram, grid: LogGrid, cols: np.ndarray, u) -> list:
+    """[t/|lambda|] and, with u, t*u/|lambda| at the columns cols of grid.signed: (n, len(cols)) arrays.
+
+    Each element is computed as in _lambda_pass, so it has that pass's bits.
+    """
+    abs_lam = grid.signed_abs[cols]
+    out = [np.empty((g.T.codomain_dim, cols.size)) for _ in range(1 if u is None else 2)]
+    for block, t, w in _lambda_blocks(g, grid, cols):
+        if u is not None:
+            np.divide(np.multiply(t, u[:, None], out=w), abs_lam[block], out=out[1][:, block])
+        np.divide(t, abs_lam[block], out=out[0][:, block])
+    return out
+
+
+def _lambda_bound(g: Gram, grid: LogGrid) -> np.ndarray:
+    """E of each codomain row: a bound on the rounding error of any sample t/|lambda| of the grid.
+
+    Built from T's coefficients and the pair's magnitudes alone: K_j is
+    the largest |A_jab| (which bounds every |C_jab| of the kernel), X and
+    Y are sum |x_a| and sum |y_a| (for the multiplication sip, row j's
+    |x_j| and |y_j|), and S = |lambda|*X + Y bounds sum |z_a| for
+    z = lambda*x - y. z rounds twice and the kernel's row form at most 2m
+    times along any term, so t is within (2m + 5) unit roundoffs of
+    2*K*S^2, and t/|lambda| and t*u/|lambda| round once or twice more;
+    E takes (m + 8)*EPS, twice that, of 2*K*S^2/|lambda| at the grid's
+    ends, where it is largest, plus an allowance for products that
+    underflow.
+    """
+    T, x, y = g.T, g.x, g.y
+    if isinstance(T, MultiplicationSip):
+        m, K, X, Y = 1, 1.0, np.abs(x), np.abs(y)
+    else:
+        m, K, X, Y = T.domain_dim, np.abs(T.matrices).max(axis=(1, 2)), np.abs(x).sum(), np.abs(y).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        S_lo, S_hi = grid.lo * X + Y, grid.hi * X + Y
+        scale = np.maximum(2.0 * K * S_lo * S_lo / grid.lo, 2.0 * K * S_hi * S_hi / grid.hi)
+        underflow = 2.0 * (m + 2) ** 2 * UNDERFLOW * (1.0 + K) * (1.0 + S_hi) / grid.lo
+        return (m + 8) * EPS * scale + underflow
+
+
+def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
+    """(D, D*u): componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
+
+    t is T(lambda*x - y, lambda*x - y) of g's pair, and u a validated
+    weight; D*u is None without one. The grid's two branches are its
+    pieces. A coarse stage samples every s-th column of each and its ends
+    (means._coarse, s = means._stride(G, n, ...)); each row of D and of D*u
+    whose coarse samples means._brackets certifies under _lambda_bound
+    (u_j times it for D*u) on both branches takes its minimum over the
+    union of the certified windows, evaluated in one fine stage. A row of
+    D*u whose weight is zero is that zero where D's row is certified
+    positive: every t is then positive and finite. If any other row is
+    not certified, or has a zero minimum, the whole grid is
+    evaluated block by block (_lambda_pass) and gives those rows. Never
+    holds more than a block of T-values, and gives _lambda_pass's bits.
+    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
+    """
+    G, n = grid.count, g.T.codomain_dim
+    s = _stride(G, n, 2 * G * n, LAMBDA_BRACKET_ELEMENTS)
+    if not s:
+        return _lambda_pass(g, grid, u)
+    at = _coarse(G, s)
+    # rows: each codomain row of D on the negative branch, then on the
+    # positive one, then the same for D*u
+    coarse = _lambda_samples(g, grid, np.concatenate([at, G + at]), u)
+    values = np.concatenate([v.reshape(2 * n, at.size) for v in coarse])
+    bound = _lambda_bound(g, grid)
+    if u is not None:
+        bound = np.concatenate([bound, u * bound])
+    certified, starts = _brackets(values, np.minimum, lambda best: np.repeat(bound, 2), s, G)
+    starts += np.tile([0, G], len(values) // 2)  # columns of grid.signed
+    windows = _windows(starts, s, 2 * G)
+    union = np.unique(windows[certified])
+    fine = np.concatenate(_lambda_samples(g, grid, union, u))
+    kept = np.repeat(np.arange(len(coarse) * n), 2)[certified]  # each window's row of fine
+    minima = np.full(len(values), np.nan)
+    minima[certified] = fine[kept[:, None], np.searchsorted(union, windows[certified])].min(axis=1)
+    minima = minima.reshape(len(coarse), n, 2)
+    out = np.minimum(minima[..., 0], minima[..., 1])
+    whole = ~certified.reshape(len(coarse), n, 2).all(axis=2) | (out == 0.0)
+    if u is not None:
+        # where D's row is certified positive, every t is positive and
+        # finite, so a zero weight's samples t*u/|lambda| are all u's zero
+        zero = (u == 0.0) & ~whole[0] & (out[0] > 0.0)
+        out[1, zero] = u[zero]
+        whole[1] &= ~zero
+    if whole.any():
+        out[whole] = np.array([v for v in _lambda_pass(g, grid, u) if v is not None])[whole]
+    return out[0], None if u is None else out[1]
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:

@@ -54,6 +54,7 @@ stack gives (k,) values, each row with the bits of its pair alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -91,6 +92,16 @@ ANGLE_COUNT = 4096
 GRID_BLOCK = 2**16
 # Grid columns a block row keeps at least, where the grid has them.
 BAND_COLUMNS = 4096
+# The fewest elements of a grid oracle's (rows, G) array that take two
+# stages (_stride), for a mean oracle and for the lambda grid, whose kernel
+# makes m^2 + 2m passes per stage: on numpy 2.4.6 (BENCH_grid_brackets.json)
+# two stages took longer below about these sizes, and far less above them.
+MEAN_BRACKET_ELEMENTS = 2**16
+LAMBDA_BRACKET_ELEMENTS = 2**14
+# Machine epsilon of float64 (twice its unit roundoff), and the largest
+# error of a product that underflows, the least subnormal.
+EPS = 2.0**-52
+UNDERFLOW = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,18 @@ class LogGrid:
     def signed_abs(self) -> np.ndarray:
         """|signed|: the points reversed, then the points."""
         return np.concatenate([self.points[::-1], self.points])
+
+    def _bound(self, u, v, best) -> np.ndarray:
+        """E of the [*] oracle's rows: theta*u + v/theta has non-negative terms, so a relative bound.
+
+        Each of theta*u, 1/theta, its product with v and the sum rounds
+        once, and each product may underflow, so a sample is within
+        2*EPS of its exact value relatively, plus 2*UNDERFLOW; E covers
+        that bound at the best sample and at every worse one. Where
+        1/theta may be subnormal (hi >= 2^1021), no row is certified.
+        """
+        rel = 4.0 * EPS if self.hi < 2.0**1021 else np.inf
+        return rel * best + 2.0 * UNDERFLOW
 
     def covers(self, values: np.ndarray) -> np.ndarray:
         """True where every finite positive value of a row lies inside [lo, hi].
@@ -292,11 +315,111 @@ def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
     return out.reshape(a.shape)
 
 
+def _stride(count: int, windows: int, elements: int, least: int) -> int:
+    """The coarse stride s of a two-stage pass over a piece of count points, or 0 for one pass.
+
+    windows is the number of row windows that share the fine stage's
+    columns (1 for a mean oracle's row, the codomain rows for the lambda
+    grid). The coarse stage evaluates about count / s points and the fine
+    stage windows * (2s - 1), least at s = sqrt(count / (2 * windows)).
+    Two stages cost a few dozen numpy calls more than one pass, so a call
+    takes them only where its whole grid holds at least least elements
+    (elements, its rows times its points) and they evaluate at most a
+    quarter of the piece's points.
+    """
+    s = math.isqrt(count // (2 * windows))
+    if elements < least or s < 2 or count // s + 2 + windows * (2 * s - 1) > count // 4:
+        return 0
+    return s
+
+
+def _coarse(count: int, s: int, circle: bool = False) -> np.ndarray:
+    """The coarse positions of a piece: every s-th point, and the last point unless the piece is a circle."""
+    at = np.arange(0, count, s)
+    return at if circle or at[-1] == count - 1 else np.append(at, count - 1)
+
+
+def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
+              circle: bool = False) -> tuple:
+    """(certified, starts) of each row's fine window, from its coarse samples.
+
+    values is (rows, P): each row's samples at _coarse(count, s, circle).
+    bound(best) is each row's bound E on the rounding error of any sample
+    of its piece, given its best coarse sample. A row is certified where
+    every coarse sample is finite, E is finite and every other coarse
+    sample is worse than the best by more than 2E; its window is the
+    2s - 1 positions centred on the best coarse position (cyclic on a
+    circle, else shifted inside the piece), which holds every point
+    between the best's two coarse neighbours.
+    """
+    rows = np.arange(len(values))
+    at = values.argmin(axis=1) if fold is np.minimum else values.argmax(axis=1)
+    best = values[rows, at]
+    others = values.copy()
+    others[rows, at] = np.inf if fold is np.minimum else -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = np.abs(fold.reduce(others, axis=1) - best)
+        certified = np.isfinite(values).all(axis=1) & (margin > 2.0 * bound(best))
+    start = _coarse(count, s, circle)[at] - (s - 1)
+    starts = start % count if circle else np.clip(start, 0, count - (2 * s - 1))
+    return certified, starts
+
+
+def _windows(starts: np.ndarray, s: int, count: int, circle: bool = False) -> np.ndarray:
+    """The (rows, 2s - 1) positions of each row's window from its start."""
+    at = starts[:, None] + np.arange(2 * s - 1)
+    return at % count if circle else at
+
+
+def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
+                    bound, circle: bool = False) -> np.ndarray:
+    """_fold_blocks's values, from a coarse stride and a certified bracket per row.
+
+    The coarse stage evaluates a*fa + b*fb at every s-th grid point and at
+    the piece's ends (_coarse), s = _stride(G, 1, ...); the fine stage, at the
+    rows _brackets certifies under bound(a, b, best), only the window
+    around the best coarse sample, and folds the row over every point
+    evaluated. Rows that are not certified, or whose extremum is a zero
+    (whose sign the fold order decides), take the whole grid
+    (_fold_blocks). Each element is the product and sum of the full pass,
+    so a certified row has its bits; rows go in bands of at most a block.
+    """
+    count = fa.size
+    s = _stride(count, 1, a.size * count, MEAN_BRACKET_ELEMENTS)
+    if not s:
+        return _fold_blocks(fold, a, fa, b, fb)
+    at = _coarse(count, s, circle)
+    ca, cb = fa[at], fb[at]
+    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
+    rows = a_flat.size
+    out = np.empty(rows)
+    whole = np.zeros(rows, dtype=bool)
+    band = max(GRID_BLOCK // max(at.size, 2 * s - 1), 1)
+    for lo in range(0, rows, band):
+        hi = min(lo + band, rows)
+        a_col, b_col = a_flat[lo:hi, None], b_flat[lo:hi, None]
+        values = np.multiply(a_col, ca)
+        values += np.multiply(b_col, cb)
+        certified, starts = _brackets(values, fold, lambda best: bound(a_col[:, 0], b_col[:, 0], best),
+                                      s, count, circle)
+        win = _windows(starts[certified], s, count, circle)
+        fine = np.multiply(a_col[certified], fa[win])
+        fine += np.multiply(b_col[certified], fb[win])
+        ext = fold.reduce(fine, axis=1)
+        band_out, band_whole = out[lo:hi], whole[lo:hi]
+        band_out[certified] = ext
+        band_whole[:] = ~certified
+        band_whole[certified] = ext == 0.0
+    if whole.any():
+        out[whole] = _fold_blocks(fold, a_flat[whole], fa, b_flat[whole], fb)
+    return out.reshape(a.shape)
+
+
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
                       floor: float) -> np.ndarray:
     """box_times_oracle on validated vectors (or stacks) of one dimension."""
     u, v = _cone_pair("box_times_oracle", u, v, floor)
-    return 0.5 * _fold_blocks(np.minimum, u, grid.points, v, grid.inverse)
+    return 0.5 * _fold_bracketed(np.minimum, u, grid.points, v, grid.inverse, grid._bound)
 
 
 def box_times_oracle(u, v, grid: LogGrid,
@@ -321,6 +444,18 @@ def theta_minimizer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.divide(v, u))
 
 
+def _angle_bound(a, b, best) -> np.ndarray:
+    """E of the [+] oracle's rows: 3*EPS*(|a| + |b|) + UNDERFLOW for any angle's sample.
+
+    cos t and sin t are within an ulp of their exact values, and the two
+    products and the sum round once each, so a sample a*cos t + b*sin t is
+    within 2*EPS*(|a| + |b|) of R*cos(t - phi), plus an underflow; E keeps
+    half as much again in reserve.
+    """
+    with np.errstate(over="ignore"):
+        return 3.0 * EPS * (np.abs(a) + np.abs(b)) + UNDERFLOW
+
+
 def _box_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Square mean a [+] b = sqrt(a^2 + b^2) componentwise, any signs, on validated arrays."""
     return np.hypot(_finite(a), _finite(b))
@@ -330,7 +465,7 @@ def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
                      quarter: bool = False) -> np.ndarray:
     """box_plus_oracle on validated vectors (or stacks) of one dimension."""
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
-    return _fold_blocks(np.maximum, a, cos_t, b, sin_t)
+    return _fold_bracketed(np.maximum, a, cos_t, b, sin_t, _angle_bound, circle=not quarter)
 
 
 def box_plus_oracle(a, b, grid: AngleGrid,

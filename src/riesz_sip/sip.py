@@ -226,6 +226,9 @@ class PsdFamilySip:
           doubling each row's off-diagonal part costs one per row. Both
           are exact, but for |A_jaa| < 2^-1021, whose half rounds, and a
           doubled sum above the largest float, where T(z, z) overflows.
+          At m = 1 there is no other row: A_j00 * z_0 * z_0 takes the
+          full coefficient, two passes where halving and doubling take
+          three.
         - The matrix entry multiplies first: z_a * z_b is never formed,
           which overflows above about 1.3e154 where (A_jab * z_b) * z_a
           stays finite.
@@ -241,6 +244,11 @@ class PsdFamilySip:
         """
         m, S = Zt.shape
         acc = np.empty((self.codomain_dim, S)) if out is None else out
+        if m == 1:
+            # one row: A_j00 * z_0 * z_0, with the full coefficient and no
+            # doubling pass; the bits of the halved form in the normal range
+            np.multiply(self.matrices[:, 0, :1], Zt[0], out=acc)
+            return np.multiply(acc, Zt[0], out=acc)
         work = np.empty((2, *acc.shape)) if work is None else work
         row, term = work[0], work[1]
         for a, coef in enumerate(self._row_coefficients):

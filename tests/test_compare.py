@@ -21,7 +21,7 @@ def test_a_tree_against_itself_differs_nowhere_and_a_doctored_digest_is_named(tm
     digests = json.loads(first.read_text())
     kinds = {name.split("/")[0] for name in digests} | {
         name.rsplit("/", 1)[1] for name in digests if "/" in name}
-    assert {"report", "triage", "triage-group", "study", "replay", "shrink"} <= kinds
+    assert {"report", "triage", "triage-group", "fallback", "study", "replay", "shrink"} <= kinds
 
     same = compare("diff", first, second)
     assert same.returncode == 0

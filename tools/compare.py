@@ -33,6 +33,13 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
   .../replay    replay_counterexample of every distinct counterexample,
                 named by the first 12 hex digits of its instance's SHA-256;
   .../shrink    shrink's output file for each of them;
+  fallback/...  reports with one instance injected on which a grid oracle's
+                coarse stage cannot bracket a row, so the row takes the
+                whole grid: a 2 x 2 family with an indefinite member that
+                is flat in lambda on x = [0, 2], y = [3, 0], the
+                multiplication sip's exact-zero pair x = [1, 2, 0],
+                y = [0, 1, 1], and the family 1e300 * [[1, -1], [-1, 1]],
+                whose rounding bound overflows (--tiny: the first);
   shrink-case/...
                 shrink's output file for instances of no report: a
                 multiplication sip under a coarse lambda grid, with a valid
@@ -80,6 +87,18 @@ FULL_TRIAGE, TINY_TRIAGE = (range(6), 5), (range(1), 2)
 FULL_TRIAGE_GROUPS = [(0, 2, 1), (1, 4, 2), (2, 5, 3), (3, 3, 3), (4, 7, 5), (5, 12, 8)]
 TINY_TRIAGE_GROUPS = [(0, 4, 2)]
 FULL_STUDY, TINY_STUDY = (range(8), 20, (64, 1000, 10**5)), ((0,), 4, (8, 64))
+# Instances of the fallback reports, by name (instance JSON format)
+FALLBACK = {
+    "flat-2x2": {"kind": "psd_family", "m": 2, "n": 2,
+                 "matrices": [[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                 "u": [1.0, 2.0], "x": [0.0, 2.0], "y": [3.0, 0.0]},
+    "exact-zero": {"kind": "multiplication", "m": 3, "n": 3,
+                   "u": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 0.0], "y": [0.0, 1.0, 1.0]},
+    "overflow-1e300": {"kind": "psd_family", "m": 2, "n": 1,
+                       "matrices": [[[1e300, -1e300], [-1e300, 1e300]]],
+                       "u": [1.0], "x": [1.0, 2.0], "y": [3.0, -1.0]},
+}
+FULL_FALLBACK, TINY_FALLBACK = tuple(FALLBACK), ("flat-2x2",)
 
 
 def _sha(text: str) -> str:
@@ -138,6 +157,9 @@ def reports(tiny: bool):
     for seed, m, n in TINY_TRIAGE_GROUPS if tiny else FULL_TRIAGE_GROUPS:
         yield (f"triage-group/seed={seed},m={m},n={n}", h.TrialConfig(seed=seed, trials=trials),
                tuple(_triage_group_instances(seed, m, n)))
+    for name in TINY_FALLBACK if tiny else FULL_FALLBACK:
+        yield (f"fallback/{name}", h.TrialConfig(seed=0, trials=2),
+               (h.Instance.from_dict(FALLBACK[name]),))
 
 
 def shrink_cases() -> list:
