@@ -66,6 +66,38 @@ into the spare block (the kernel's row sum), divides by |lambda|
 so it never holds more than a block. Each column's bits depend on its
 lambda alone, and minima are exact, so the minima are the same at any
 block width.
+
+On a large grid (2G*n at least means.LAMBDA_BRACKET_ELEMENTS) the pass
+has two stages, as the mean oracles do (see means). Its pieces are the
+grid's two branches. The coarse stage evaluates every s-th column of
+each branch and its ends, s about sqrt(G / 2n); the fine stage evaluates
+the union of the certified rows' windows of 2s - 1 columns around their
+best coarse sample, and each row of D (and of D*u) takes its minimum over
+its window on each branch. Why that is the full grid's minimum:
+
+  - With a = T(x,x)_j, b = T(x,y)_j, c = T(y,y)_j and s = log|lambda|, a
+    row's exact samples on a branch are A*e^s + B + C*e^-s, A = a,
+    B = -+2b, C = c (for the kernel's own coefficients, which define an
+    exact quadratic form): convex where A, C >= 0, monotone where they
+    differ in sign, concave where both are negative. D*u's row is u_j
+    times it, the same shape.
+  - E bounds the rounding error of any sample on the grid
+    (_lambda_bound), built from the kernel's coefficients |C_jab| (at
+    most max |A_jab|), sum |x|, sum |y| and |lambda| only, never from a,
+    b, c or the defect; u_j*E for D*u.
+  - Where every other coarse sample of a branch is worse than the best
+    by more than 2E, the argument of means applies: a convex or monotone
+    function cannot come back past a coarse neighbour of the best
+    sample, and a concave one is no better inside a coarse interval than
+    at its ends, so no column outside the window beats it.
+
+A row falls back where either branch is not certified (a non-finite
+sample or E, which an overflow gives, a flat row, a tie) or its minimum
+is a zero; a zero weight's row of D*u is that zero where D's row is
+certified positive, since every t is then positive and finite. If any
+row falls back, the whole grid is evaluated block by block
+(_lambda_pass), and gives those rows. Every sample is a column of the
+full pass, so every row has the full grid's bits.
 """
 
 from __future__ import annotations

@@ -39,6 +39,41 @@ any block width; only the sign of a zero or of a NaN, which no residual
 reads, may differ. cauchy_schwarz's lambda-grid oracle uses the same
 blocks.
 
+Two stages (_fold_bracketed). Where a call's (rows, G) array holds at
+least MEAN_BRACKET_ELEMENTS elements, an oracle first evaluates a coarse
+stride of its grid piece: every s-th point and the piece's ends, s about
+sqrt(G / 2) (_stride, _coarse). The theta grid is one linear piece, the
+quarter circle another, and the full angle grid is taken as a circle
+(every s-th point, no end: 0 and 2*pi are neighbours). Then, for each
+row, it evaluates only the 2s - 1 points around its best coarse sample,
+which hold every point between that sample's two coarse neighbours, and
+folds the row over every point evaluated. Why that is the full grid's
+extremum:
+
+  - The exact function of a row is theta*u + v/theta = u*e^s + v*e^-s
+    with u, v >= 0 in s = log theta (convex), or a*cos t + b*sin t =
+    R*cos(t - phi) (its superlevel sets are arcs of the circle; on the
+    quarter it is either unimodal or has its minimum inside).
+  - E bounds the rounding error of any sample of the piece: relative for
+    theta, whose terms are non-negative (LogGrid._bound), and
+    3*EPS*(|a| + |b|) for the angles (_angle_bound), each with an
+    allowance for underflow. If every other coarse sample is worse than
+    the best by more than 2E (_brackets), every other coarse sample is
+    worse than the best in exact arithmetic too.
+  - A point p outside the window lies beyond a coarse neighbour c of the
+    best sample b. A convex, monotone or arc-unimodal function cannot
+    come back: f(p) is no better than f(c). A concave one (or a cosine
+    with its minimum inside the quarter) is no better inside any coarse
+    interval than at one of its two ends. Either way f(p) is worse than
+    the best sample by more than E, so p's sample cannot beat it.
+
+A row falls back to the whole grid, block by block (_fold_blocks, as
+above), where any coarse sample or E is not finite, where the margin is
+2E or less (a flat row, a tie between two coarse samples, a zero row),
+and where the extremum is a zero, whose sign the fold order decides. The
+samples are the products and sums of the full pass, so every row has the
+full grid's bits, and a row of a stack has its bits alone.
+
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
 hold each formula once, run on validated arrays, and check only
