@@ -60,20 +60,22 @@ along contiguous rows, which T.quadratic maps to an (n, width) array of
 T-values (for a PSD family in the fixed row order of its own kernel,
 sip.PsdFamilySip.quadratic). The difference vectors, the PSD kernel's
 two work blocks (a row's sum and its current term) and the T-values are
-slices of one buffer made once per call. lambda_minima weights a block
-into the spare block (the kernel's row sum), divides by |lambda|
-(cached on the grid) in place and folds the row minima with np.minimum,
-so it never holds more than a block. Each column's bits depend on its
-lambda alone, and minima are exact, so the minima are the same at any
-block width.
+slices of one buffer made once per call. _lambda_values weights a block
+into the spare block (the kernel's row sum) and divides both by |lambda|
+(cached on the grid) in place; the whole-grid pass (_lambda_pass) folds
+their row minima with np.minimum, so it never holds more than a block,
+and the staged samples (_lambda_samples) copy them out. Each column's
+bits depend on its lambda alone, and minima are exact, so the minima are
+the same at any block width.
 
-On a large grid (2G*n at least means.LAMBDA_BRACKET_ELEMENTS) the pass
-has two stages, as the mean oracles do (see means). Its pieces are the
-grid's two branches. The coarse stage evaluates every s-th column of
-each branch and its ends, s about sqrt(G / 2n); the fine stage evaluates
-the union of the certified rows' windows of 2s - 1 columns around their
-best coarse sample, and each row of D (and of D*u) takes its minimum over
-its window on each branch. Why that is the full grid's minimum:
+On a large grid (2G*n at least LAMBDA_BRACKET_ELEMENTS) the pass has two
+stages, as the mean oracles do (see means). Its pieces are the grid's
+two branches. The coarse stage evaluates every s-th column of each
+branch and its ends, s about sqrt(G / 2n); the fine stage evaluates the
+union of the certified rows' windows of 2s - 1 columns around their best
+coarse sample, and each row of D (and of D*u) certified on both branches
+takes its minimum over every column of that union. Why that is the full
+grid's minimum:
 
   - With a = T(x,x)_j, b = T(x,y)_j, c = T(y,y)_j and s = log|lambda|, a
     row's exact samples on a branch are A*e^s + B + C*e^-s, A = a,
@@ -90,14 +92,18 @@ its window on each branch. Why that is the full grid's minimum:
     function cannot come back past a coarse neighbour of the best
     sample, and a concave one is no better inside a coarse interval than
     at its ends, so no column outside the window beats it.
+  - The union holds both of the row's windows, and it is a set of grid
+    columns, so its minimum is no more than the row's minimum over its
+    windows, which is the grid minimum, and no less than the grid
+    minimum: any set of grid columns that holds the row's windows has
+    the row's grid minimum, value for value.
 
-A row falls back where either branch is not certified (a non-finite
-sample or E, which an overflow gives, a flat row, a tie) or its minimum
-is a zero; a zero weight's row of D*u is that zero where D's row is
-certified positive, since every t is then positive and finite. If any
-row falls back, the whole grid is evaluated block by block
-(_lambda_pass), and gives those rows. Every sample is a column of the
-full pass, so every row has the full grid's bits.
+The result starts as NaN, and the rows it still holds as NaN (either
+branch not certified: a non-finite sample or E, which an overflow gives,
+a flat row, a tie, a zero weight's row of D*u) or as a zero, whose sign
+the fold order decides, fall back: the whole grid is evaluated block by
+block (_lambda_pass), and gives those rows. Every sample is a column of
+the full pass, so every row has the full grid's bits.
 """
 
 from __future__ import annotations
@@ -124,7 +130,6 @@ from .lattice import (
 )
 from .means import (
     EPS,
-    LAMBDA_BRACKET_ELEMENTS,
     UNDERFLOW,
     LogGrid,
     _block_view,
@@ -135,7 +140,6 @@ from .means import (
     _coarse,
     _cone_pair,
     _stride,
-    _windows,
 )
 from .sip import MultiplicationSip, Sip, eval_stack
 
@@ -143,6 +147,11 @@ from .sip import MultiplicationSip, Sip, eval_stack
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e6
 LAMBDA_COUNT = 2001
+# The fewest elements (2G*n) of a lambda pass that take two stages
+# (means._stride): the kernel makes m^2 + 2m passes per stage, and on
+# numpy 2.4.6 (BENCH_grid_brackets.json) two stages took longer below
+# about this size, and far less above it.
+LAMBDA_BRACKET_ELEMENTS = 2**14
 
 # Normalized band of the equality <-> zero-defect biconditional, and the
 # tolerance of the inequality's normalized violation.
@@ -490,31 +499,42 @@ def _lambda_blocks(g: Gram, grid: LogGrid, cols=None):
         yield block, g.T.quadratic(z, _block_view(t_buf, n, block), w), w[0]
 
 
-def _lambda_pass(g: Gram, grid: LogGrid, u) -> tuple:
-    """lambda_minima over every column of grid.signed, block by block: the whole grid."""
-    d = du = None
-    for cols, t, w in _lambda_blocks(g, grid):
-        abs_lam = grid.signed_abs[cols]
-        if u is not None:
-            low = np.divide(np.multiply(t, u[:, None], out=w), abs_lam, out=w).min(axis=1)
-            du = low if du is None else np.minimum(du, low, out=du)
-        low = np.divide(t, abs_lam, out=t).min(axis=1)
-        d = low if d is None else np.minimum(d, low, out=d)
-    return d, du
+def _lambda_values(g: Gram, grid: LogGrid, u, cols=None):
+    """(block, values) per block of _lambda_blocks: [t/|lambda|], or [t/|lambda|, t*u/|lambda|] with u.
 
-
-def _lambda_samples(g: Gram, grid: LogGrid, cols: np.ndarray, u) -> list:
-    """[t/|lambda|] and, with u, t*u/|lambda| at the columns cols of grid.signed: (n, len(cols)) arrays.
-
-    Each element is computed as in _lambda_pass, so it has that pass's bits.
+    t is the block's T-values; t*u/|lambda| is written into the spare
+    block, then t/|lambda| over t, so the next block overwrites both.
     """
-    abs_lam = grid.signed_abs[cols]
-    out = [np.empty((g.T.codomain_dim, cols.size)) for _ in range(1 if u is None else 2)]
+    abs_lam = grid.signed_abs if cols is None else grid.signed_abs[cols]
     for block, t, w in _lambda_blocks(g, grid, cols):
-        if u is not None:
-            np.divide(np.multiply(t, u[:, None], out=w), abs_lam[block], out=out[1][:, block])
-        np.divide(t, abs_lam[block], out=out[0][:, block])
+        weighted = [] if u is None else [
+            np.divide(np.multiply(t, u[:, None], out=w), abs_lam[block], out=w)]
+        yield block, [np.divide(t, abs_lam[block], out=t)] + weighted
+
+
+def _lambda_pass(g: Gram, grid: LogGrid, u) -> list:
+    """lambda_minima's [D] or [D, D*u] over every column of grid.signed, block by block."""
+    minima = None
+    for _, values in _lambda_values(g, grid, u):
+        low = [v.min(axis=1) for v in values]
+        minima = low if minima is None else [np.minimum(a, b, out=a) for a, b in zip(minima, low)]
+    return minima
+
+
+def _lambda_samples(g: Gram, grid: LogGrid, cols: np.ndarray, u) -> np.ndarray:
+    """t/|lambda| and, with u, t*u/|lambda| at the columns cols of grid.signed: (1 or 2, n, len(cols)).
+
+    Each element is _lambda_values's, so it has _lambda_pass's bits.
+    """
+    out = np.empty((1 if u is None else 2, g.T.codomain_dim, cols.size))
+    for block, values in _lambda_values(g, grid, u, cols):
+        out[:, :, block] = values
     return out
+
+
+def _pair(minima) -> tuple:
+    """(D, D*u) of lambda_minima from [D] or [D, D*u]: D*u is None without a weight."""
+    return minima[0], None if len(minima) == 1 else minima[1]
 
 
 def _lambda_bound(g: Gram, grid: LogGrid) -> np.ndarray:
@@ -549,49 +569,40 @@ def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
     t is T(lambda*x - y, lambda*x - y) of g's pair, and u a validated
     weight; D*u is None without one. The grid's two branches are its
     pieces. A coarse stage samples every s-th column of each and its ends
-    (means._coarse, s = means._stride(G, n, ...)); each row of D and of D*u
-    whose coarse samples means._brackets certifies under _lambda_bound
-    (u_j times it for D*u) on both branches takes its minimum over the
-    union of the certified windows, evaluated in one fine stage. A row of
-    D*u whose weight is zero is that zero where D's row is certified
-    positive: every t is then positive and finite. If any other row is
-    not certified, or has a zero minimum, the whole grid is
-    evaluated block by block (_lambda_pass) and gives those rows. Never
-    holds more than a block of T-values, and gives _lambda_pass's bits.
+    (means._coarse, s = means._stride(G, n, ...)); means._brackets
+    certifies each row of D and of D*u on each branch under _lambda_bound
+    (u_j times it for D*u). One fine stage evaluates the union of the
+    certified windows, and a row certified on both branches takes its
+    minimum over every column of that union: the union holds the row's
+    own windows, so its minimum is the row's grid minimum, value for
+    value. The result starts as NaN, and if any row still holds NaN (not
+    certified on both branches) or a zero, the whole grid is evaluated
+    block by block (_lambda_pass) and gives those rows. Never holds more
+    than a block of T-values, and gives _lambda_pass's bits.
     Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
     """
     G, n = grid.count, g.T.codomain_dim
     s = _stride(G, n, 2 * G * n, LAMBDA_BRACKET_ELEMENTS)
     if not s:
-        return _lambda_pass(g, grid, u)
+        return _pair(_lambda_pass(g, grid, u))
     at = _coarse(G, s)
     # rows: each codomain row of D on the negative branch, then on the
     # positive one, then the same for D*u
-    coarse = _lambda_samples(g, grid, np.concatenate([at, G + at]), u)
-    values = np.concatenate([v.reshape(2 * n, at.size) for v in coarse])
+    values = _lambda_samples(g, grid, np.concatenate([at, G + at]), u).reshape(-1, at.size)
     bound = _lambda_bound(g, grid)
     if u is not None:
         bound = np.concatenate([bound, u * bound])
-    certified, starts = _brackets(values, np.minimum, lambda best: np.repeat(bound, 2), s, G)
-    starts += np.tile([0, G], len(values) // 2)  # columns of grid.signed
-    windows = _windows(starts, s, 2 * G)
-    union = np.unique(windows[certified])
-    fine = np.concatenate(_lambda_samples(g, grid, union, u))
-    kept = np.repeat(np.arange(len(coarse) * n), 2)[certified]  # each window's row of fine
-    minima = np.full(len(values), np.nan)
-    minima[certified] = fine[kept[:, None], np.searchsorted(union, windows[certified])].min(axis=1)
-    minima = minima.reshape(len(coarse), n, 2)
-    out = np.minimum(minima[..., 0], minima[..., 1])
-    whole = ~certified.reshape(len(coarse), n, 2).all(axis=2) | (out == 0.0)
-    if u is not None:
-        # where D's row is certified positive, every t is positive and
-        # finite, so a zero weight's samples t*u/|lambda| are all u's zero
-        zero = (u == 0.0) & ~whole[0] & (out[0] > 0.0)
-        out[1, zero] = u[zero]
-        whole[1] &= ~zero
+    certified, windows = _brackets(values, np.minimum, lambda best: np.repeat(bound, 2), s, G)
+    windows[1::2] += G  # the positive branch's columns of grid.signed
+    both = certified.reshape(-1, 2).all(axis=1)
+    minima = np.full(both.size, np.nan)
+    if both.any():
+        fine = _lambda_samples(g, grid, np.unique(windows[certified]), u)
+        minima[both] = fine.reshape(both.size, -1)[both].min(axis=1)
+    whole = np.isnan(minima) | (minima == 0.0)
     if whole.any():
-        out[whole] = np.array([v for v in _lambda_pass(g, grid, u) if v is not None])[whole]
-    return out[0], None if u is None else out[1]
+        minima[whole] = np.concatenate(_lambda_pass(g, grid, u))[whole]
+    return _pair(minima.reshape(-1, n))
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:

@@ -67,12 +67,15 @@ extremum:
     interval than at one of its two ends. Either way f(p) is worse than
     the best sample by more than E, so p's sample cannot beat it.
 
-A row falls back to the whole grid, block by block (_fold_blocks, as
-above), where any coarse sample or E is not finite, where the margin is
-2E or less (a flat row, a tie between two coarse samples, a zero row),
-and where the extremum is a zero, whose sign the fold order decides. The
-samples are the products and sums of the full pass, so every row has the
-full grid's bits, and a row of a stack has its bits alone.
+The result starts as NaN and a certified row's extremum replaces it.
+One mask, NaN or zero, names the rows that fall back to the whole grid,
+block by block (_fold_blocks, as above): NaN where a row is not
+certified (a coarse sample or E is not finite, or the margin is 2E or
+less: a flat row, a tie between two coarse samples, a zero row), zero
+where the extremum is a zero, whose sign the fold order decides. The
+lambda oracle of cauchy_schwarz marks its rows the same way. The samples
+are the products and sums of the full pass, so every row has the full
+grid's bits, and a row of a stack has its bits alone.
 
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
@@ -127,12 +130,10 @@ ANGLE_COUNT = 4096
 GRID_BLOCK = 2**16
 # Grid columns a block row keeps at least, where the grid has them.
 BAND_COLUMNS = 4096
-# The fewest elements of a grid oracle's (rows, G) array that take two
-# stages (_stride), for a mean oracle and for the lambda grid, whose kernel
-# makes m^2 + 2m passes per stage: on numpy 2.4.6 (BENCH_grid_brackets.json)
-# two stages took longer below about these sizes, and far less above them.
+# The fewest elements of a mean oracle's (rows, G) array that take two
+# stages (_stride): on numpy 2.4.6 (BENCH_grid_brackets.json) two stages
+# took longer below about this size, and far less above it.
 MEAN_BRACKET_ELEMENTS = 2**16
-LAMBDA_BRACKET_ELEMENTS = 2**14
 # Machine epsilon of float64 (twice its unit roundoff), and the largest
 # error of a product that underflows, the least subnormal.
 EPS = 2.0**-52
@@ -376,7 +377,7 @@ def _coarse(count: int, s: int, circle: bool = False) -> np.ndarray:
 
 def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
               circle: bool = False) -> tuple:
-    """(certified, starts) of each row's fine window, from its coarse samples.
+    """(certified, windows): each row's certificate and the (rows, 2s - 1) positions of its window.
 
     values is (rows, P): each row's samples at _coarse(count, s, circle).
     bound(best) is each row's bound E on the rounding error of any sample
@@ -396,14 +397,9 @@ def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
         margin = np.abs(fold.reduce(others, axis=1) - best)
         certified = np.isfinite(values).all(axis=1) & (margin > 2.0 * bound(best))
     start = _coarse(count, s, circle)[at] - (s - 1)
-    starts = start % count if circle else np.clip(start, 0, count - (2 * s - 1))
-    return certified, starts
-
-
-def _windows(starts: np.ndarray, s: int, count: int, circle: bool = False) -> np.ndarray:
-    """The (rows, 2s - 1) positions of each row's window from its start."""
-    at = starts[:, None] + np.arange(2 * s - 1)
-    return at % count if circle else at
+    if not circle:
+        start = np.clip(start, 0, count - (2 * s - 1))
+    return certified, (start[:, None] + np.arange(2 * s - 1)) % count
 
 
 def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
@@ -413,9 +409,9 @@ def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.n
     The coarse stage evaluates a*fa + b*fb at every s-th grid point and at
     the piece's ends (_coarse), s = _stride(G, 1, ...); the fine stage, at the
     rows _brackets certifies under bound(a, b, best), only the window
-    around the best coarse sample, and folds the row over every point
-    evaluated. Rows that are not certified, or whose extremum is a zero
-    (whose sign the fold order decides), take the whole grid
+    around the best coarse sample, and folds the row over it. The result
+    starts as NaN, and every row it still holds as NaN (not certified) or
+    as a zero (whose sign the fold order decides) takes the whole grid
     (_fold_blocks). Each element is the product and sum of the full pass,
     so a certified row has its bits; rows go in bands of at most a block.
     """
@@ -426,25 +422,19 @@ def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.n
     at = _coarse(count, s, circle)
     ca, cb = fa[at], fb[at]
     a_flat, b_flat = a.reshape(-1), b.reshape(-1)
-    rows = a_flat.size
-    out = np.empty(rows)
-    whole = np.zeros(rows, dtype=bool)
+    out = np.full(a_flat.size, np.nan)
     band = max(GRID_BLOCK // max(at.size, 2 * s - 1), 1)
-    for lo in range(0, rows, band):
-        hi = min(lo + band, rows)
-        a_col, b_col = a_flat[lo:hi, None], b_flat[lo:hi, None]
+    for lo in range(0, out.size, band):
+        a_col, b_col = a_flat[lo:lo + band, None], b_flat[lo:lo + band, None]
         values = np.multiply(a_col, ca)
         values += np.multiply(b_col, cb)
-        certified, starts = _brackets(values, fold, lambda best: bound(a_col[:, 0], b_col[:, 0], best),
-                                      s, count, circle)
-        win = _windows(starts[certified], s, count, circle)
+        certified, windows = _brackets(values, fold, lambda best: bound(a_col[:, 0], b_col[:, 0], best),
+                                       s, count, circle)
+        win = windows[certified]
         fine = np.multiply(a_col[certified], fa[win])
         fine += np.multiply(b_col[certified], fb[win])
-        ext = fold.reduce(fine, axis=1)
-        band_out, band_whole = out[lo:hi], whole[lo:hi]
-        band_out[certified] = ext
-        band_whole[:] = ~certified
-        band_whole[certified] = ext == 0.0
+        out[lo:lo + band][certified] = fold.reduce(fine, axis=1)
+    whole = np.isnan(out) | (out == 0.0)
     if whole.any():
         out[whole] = _fold_blocks(fold, a_flat[whole], fa, b_flat[whole], fb)
     return out.reshape(a.shape)

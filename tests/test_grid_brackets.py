@@ -8,10 +8,13 @@ elementwise order, and reduce each row in one call: the results must have
 the same bits, signed zeros included, and NaN where the reference has
 NaN. The size thresholds of the two stages are patched to 0, so that the
 small grids take two stages too, and each case runs at the library's own
-thresholds as well.
+thresholds as well. The bits cannot show a certificate that stops
+certifying, which only costs time, so the last test counts the calls
+that take the whole grid on generated pairs at the largest grid.
 """
 
 from contextlib import ExitStack
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -19,8 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riesz_sip import cauchy_schwarz, means
-from riesz_sip.cauchy_schwarz import Gram, lambda_minima
-from riesz_sip.means import AngleGrid, LogGrid, _box_plus_oracle, _box_times_oracle
+from riesz_sip.cauchy_schwarz import Gram, defect_grid, lambda_minima
+from riesz_sip.harness import TrialConfig, _chunks
+from riesz_sip.means import (
+    AngleGrid,
+    LogGrid,
+    _box_plus_oracle,
+    _box_times_oracle,
+    box_plus_gaps,
+    box_times_gaps,
+)
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -32,7 +43,7 @@ def thresholds(bracket_all: bool):
     """A context in which every call takes two stages where a stride exists, or the library's own."""
     stack = ExitStack()
     if bracket_all:
-        for module, name in ((means, "MEAN_BRACKET_ELEMENTS"), (means, "LAMBDA_BRACKET_ELEMENTS"),
+        for module, name in ((means, "MEAN_BRACKET_ELEMENTS"),
                              (cauchy_schwarz, "LAMBDA_BRACKET_ELEMENTS")):
             stack.enter_context(mock.patch.object(module, name, 0))
     return stack
@@ -153,27 +164,52 @@ def test_mean_oracles_have_the_full_grids_bits(ab, count, bracket_all):
             assert_same_bits(g, r[i])
 
 
+def counted(module, name, calls):
+    """A context in which module.name appends name to calls, then runs as before."""
+    whole = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return whole(*args)
+    return mock.patch.object(module, name, counting)
+
+
 def test_the_fallback_takes_the_rows_it_must():
-    # the flat row, a zero weight's row and the overflowing family take
-    # the whole grid; a valid pair at 10^5 points takes none
+    # the flat row, the overflowing family and a zero weight's row take
+    # the whole grid; a valid pair at 10^5 points under a positive weight
+    # takes none
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     calls = []
-    whole = cauchy_schwarz._lambda_pass
-
-    def counted(*args):
-        calls.append(args)
-        return whole(*args)
-
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
     huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
     valid = random_psd(np.random.default_rng(3), 3, 2)
-    with mock.patch.object(cauchy_schwarz, "_lambda_pass", counted), np.errstate(all="ignore"):
-        for T, x, y, falls in ((flat, [0.0, 2.0], [3.0, 0.0], True),
-                               (huge, [1.0, 2.0], [3.0, -1.0], True),
-                               (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], False)):
+    with counted(cauchy_schwarz, "_lambda_pass", calls), np.errstate(all="ignore"):
+        for T, x, y, u, falls in ((flat, [0.0, 2.0], [3.0, 0.0], [1.0, 1.0], True),
+                                  (huge, [1.0, 2.0], [3.0, -1.0], [1.0], True),
+                                  (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], False),
+                                  (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], True)):
             calls.clear()
-            got = lambda_minima(Gram(T, np.array(x), np.array(y)), grid, np.ones(T.codomain_dim))
+            x, y, u = np.array(x), np.array(y), np.array(u)
+            got = lambda_minima(Gram(T, x, y), grid, u)
             assert bool(calls) == falls
-            ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.ones(T.codomain_dim))
+            ref = ref_lambda_minima(T, x, y, grid, u)
             assert_same_bits(got[0], ref[0])
             assert_same_bits(got[1], ref[1])
+
+
+def test_generated_pairs_take_two_stages_and_never_fall_back():
+    # a certificate that quietly stops certifying keeps every bit and
+    # only costs time: at the study's largest grid, every oracle call on
+    # 20 generated pairs of each of the study's recipes must take two
+    # stages, and no row may take the whole grid
+    config = TrialConfig(trials=20, seed=7, theta_count=10**5, angle_count=10**5,
+                         lambda_count=10**5)
+    calls = []
+    with counted(cauchy_schwarz, "_lambda_pass", calls), counted(means, "_fold_blocks", calls), \
+            np.errstate(all="ignore"):
+        for g in chain.from_iterable(_chunks(config, "generic")):
+            defect_grid(g.sip, g.x, g.y, config.lambda_grid)
+        for pos in chain.from_iterable(_chunks(config, "positive_log")):
+            box_times_gaps(abs(pos.x), abs(pos.y), config.theta_grid, config.tolerances.abs)
+            box_plus_gaps(pos.x, pos.y, config.angle_grid, config.tolerances.abs)
+    assert calls == []

@@ -28,10 +28,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "riesz_sip"
 # The oracles, with the bracket and certificate helpers of their two
 # stages, the grids and each sip's quadratic.
 ORACLE = {
-    "lambda_minima", "_lambda_pass", "_lambda_samples", "_lambda_blocks", "_lambda_bound",
-    "defect_grid", "_box_times_oracle", "_box_plus_oracle", "box_times_oracle",
-    "box_plus_oracle", "_fold_blocks", "_fold_bracketed", "_stride", "_coarse",
-    "_brackets", "_windows", "_angle_bound", "_bound", "signed", "signed_abs", "inverse",
+    "lambda_minima", "_lambda_pass", "_lambda_samples", "_lambda_values", "_lambda_blocks",
+    "_lambda_bound", "defect_grid", "_box_times_oracle", "_box_plus_oracle",
+    "box_times_oracle", "box_plus_oracle", "_fold_blocks", "_fold_bracketed", "_stride",
+    "_coarse", "_brackets", "_angle_bound", "_bound", "signed", "signed_abs", "inverse",
     "_trig", "_quarter_trig", "quadratic", "_row_coefficients", "check_oracle_trials",
 }
 # The closed forms: the kernels of the means, the closed-form argmin, and

@@ -38,8 +38,11 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 whole grid: a 2 x 2 family with an indefinite member that
                 is flat in lambda on x = [0, 2], y = [3, 0], the
                 multiplication sip's exact-zero pair x = [1, 2, 0],
-                y = [0, 1, 1], and the family 1e300 * [[1, -1], [-1, 1]],
-                whose rounding bound overflows (--tiny: the first);
+                y = [0, 1, 1], the family 1e300 * [[1, -1], [-1, 1]],
+                whose rounding bound overflows, and a positive definite
+                family on R^2 into R^5 (so the default lambda grid takes
+                two stages) under a weight with a zero entry, whose row of
+                D*u is all zeros (--tiny: the first);
   shrink-case/...
                 shrink's output file for instances of no report: a
                 multiplication sip under a coarse lambda grid, with a valid
@@ -97,6 +100,11 @@ FALLBACK = {
     "overflow-1e300": {"kind": "psd_family", "m": 2, "n": 1,
                        "matrices": [[[1e300, -1e300], [-1e300, 1e300]]],
                        "u": [1.0], "x": [1.0, 2.0], "y": [3.0, -1.0]},
+    "zero-weight-n5": {"kind": "psd_family", "m": 2, "n": 5,
+                       "matrices": [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]],
+                                    [[4.0, -1.0], [-1.0, 2.0]], [[1.0, 0.5], [0.5, 1.0]],
+                                    [[3.0, 1.0], [1.0, 1.0]]],
+                       "u": [1.0, 0.0, 2.0, 0.5, 3.0], "x": [1.0, -2.0], "y": [0.5, 1.0]},
 }
 FULL_FALLBACK, TINY_FALLBACK = tuple(FALLBACK), ("flat-2x2",)
 
