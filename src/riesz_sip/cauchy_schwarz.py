@@ -415,21 +415,14 @@ class GramStack(_Record):
     def where(self, holds: np.ndarray, f) -> np.ndarray:
         """f of the record of the pairs where holds, 0.0 at the others, as a (k,) array.
 
-        The record of those pairs keeps the rows of the T-values evaluated
-        here, so no pair's value is evaluated twice.
+        The record of those pairs is a new GramStack, which evaluates the
+        values f reads afresh.
         """
         if holds.all():
             return f(self)
         out = np.zeros(len(self.pairs))
         if holds.any():
-            held = GramStack(compress(self.pairs, holds))
-            kept = vars(self)
-            if "_gram" in kept:
-                held._gram = self._gram[:, holds]
-            for name in _SUMS:
-                if name in kept:
-                    vars(held)[name] = kept[name][holds]
-            out[holds] = f(held)
+            out[holds] = f(GramStack(compress(self.pairs, holds)))
         return out
 
     @lazy
@@ -597,7 +590,9 @@ def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
     both = certified.reshape(-1, 2).all(axis=1)
     minima = np.full(both.size, np.nan)
     if both.any():
-        fine = _lambda_samples(g, grid, np.unique(windows[certified]), u)
+        union = np.zeros(2 * G, dtype=bool)
+        union[windows[certified]] = True
+        fine = _lambda_samples(g, grid, np.flatnonzero(union), u)
         minima[both] = fine.reshape(both.size, -1)[both].min(axis=1)
     whole = np.isnan(minima) | (minima == 0.0)
     if whole.any():

@@ -21,25 +21,26 @@ and its lambda-grid minima), or a TrialGroup, the GramStack of k Trials
 whose sips share a codomain R^n, on whose stacked values every residual
 is a (k,) array with each trial's bits. The means and oracle suites
 stack x and y themselves (the oracle suite runs the mean oracles once on
-the (k, m) stacks; means takes stacks), so their groups' trials must
-also share the domain R^m.
+the (k, m) stacks; means takes stacks), so a group whose trials differ
+in the domain R^m raises DimensionMismatch there and is checked one
+trial at a time; their recipe's trials have m = n, so only injected
+instances make such a group.
 
 run_suite is chunked and grouped: for each instance recipe it checks
 each chunk exactly as it is generated (_chunks; _chunk_length trials,
 TRIAL_CHUNK but for orthogonal chunks of large shapes), groups the
-chunk's trials by codomain dimension (and by domain dimension for the
-recipe of the means and oracle suites), runs every selected suite of the
+chunk's trials by codomain dimension, runs every selected suite of the
 recipe once per group, folds the chunk's results into each suite's
 report entry in trial order, and drops the chunk before generating the
-next; the injected instances are then checked as one more chunk. The
-suites of a group share its record, so each T-value and the lambda-grid
-pass are evaluated once per trial, and at most one chunk of generated
-instances is alive. _check_group is the one caller of the checks, and
-every check gives one table (_Table), a row of residuals per trial. A
-Trial's check, as for a group of one trial or each trial of a group with
-a broken trial, gives one row, a broken trial the one-row
-invalid_instance table and one whose generation gave up the one-row
-generation table. Each suite folds a chunk's tables at once, building a
+next; the injected instances are then checked once, as one more chunk
+under every selected suite. The suites of a group share its record, so
+each T-value and the lambda-grid pass are evaluated once per trial, and
+at most one chunk of generated instances is alive. _check_group is the
+one caller of the checks, and every check gives one table (_Table), a
+row of residuals per trial. A Trial's check, as for a group of one
+trial or each trial of a group with a broken trial, gives one row, a
+broken trial the one-row invalid_instance table and one whose
+generation gave up the one-row generation table. Each suite folds a chunk's tables at once, building a
 TrialResult, a table's row, only for a trial its entry keeps (the worst
 instance, the counterexamples). A Trial's one-row table keeps its row as
 floats, and builds its array only when the fold reads it.
@@ -122,7 +123,6 @@ from .cauchy_schwarz import (
     GramStack,
     cs_verdict,
     defect_gaps,
-    defect_grid,
     lambda_minima,
 )
 from .seminorms import (
@@ -991,36 +991,28 @@ def _chunks(config: TrialConfig, purpose: str):
         yield _recipe_chunk(config, purpose, lo // length, min(length, config.trials - lo))
 
 
-# The suites whose checks stack x and y themselves: their groups must also
-# share the domain R^m.
-_STACK_VECTORS = {"means", "oracle"}
-
-
-def _check_chunk(chunk: list, suites: list, config: TrialConfig, dicts: dict) -> None:
+def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    The instances are checked in groups of one codomain dimension (and one
-    domain dimension, if a suite stacks x and y), a group of one trial as
-    that Trial: each suite checks a group once, and the group, with its
-    trials' values, is dropped before the next is built. Each suite then
-    folds the chunk's tables at once, and the suites share dicts, one dict
-    per instance of the chunk.
+    The instances are checked in groups of one codomain dimension, a group
+    of one trial as that Trial: each suite checks a group once, and the
+    group, with its trials' values, is dropped before the next is built.
+    Each suite then folds the chunk's tables at once, the suites sharing
+    one dict per instance of the chunk.
     """
-    by_domain = any(suite.name in _STACK_VECTORS for suite in suites)
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
         if inst is None:
             gave_up.append(i)
         else:
-            T = inst.sip
-            key = (T.codomain_dim, T.domain_dim) if by_domain else T.codomain_dim
-            by_dim.setdefault(key, []).append(i)
+            by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
     for idx in by_dim.values():
         trials = [Trial(chunk[i], config) for i in idx]
         rec = trials[0] if len(trials) == 1 else TrialGroup(trials, config)
         for suite in suites:
             parts[suite.name] += _check_group(suite.name, rec, idx)
+    dicts = {}
     for suite in suites:
         suite.fold(chunk, parts[suite.name], dicts)
 
@@ -1108,17 +1100,16 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     The suites run one instance recipe (PURPOSES) at a time. A recipe's
     trials are checked a chunk at a time, each chunk exactly as _chunks
     draws it, and at most one chunk is alive: its trials are checked in
-    groups of one codomain dimension
-    (and one domain dimension where a suite stacks x and y), each group a
-    record (a TrialGroup, or a Trial if it has one trial)
-    that every selected suite of the recipe checks once (checks never
-    modify an instance, and the record evaluates each value once per
-    trial), and each suite folds its results into its entry in trial
-    order. injected instances (the fault-injection surface) follow the
-    generated trials in every selected suite, checked as one more chunk
-    with its own records per recipe, so the reported trial count is
-    config.trials + len(injected) per theorem. The report lists the
-    suites in config.theorems order.
+    groups of one codomain dimension, each group a record (a TrialGroup,
+    or a Trial if it has one trial) that every selected suite of the
+    recipe checks once (checks never modify an instance, and the record
+    evaluates each value once per trial), and each suite folds its
+    results into its entry in trial order. injected instances (the
+    fault-injection surface) follow the generated trials in every
+    selected suite, checked once as one more chunk under all of them, so
+    each instance is one Trial that every suite reads, and the reported
+    trial count is config.trials + len(injected) per theorem. The report
+    lists the suites in config.theorems order.
 
     Each instance the report names is one dict, built once: its worst
     instance and counterexample entries, in every suite, are that object
@@ -1129,13 +1120,12 @@ def run_suite(config: TrialConfig, injected: tuple = ()) -> VerificationReport:
     start = time.perf_counter()
     params = params_from_config(config)
     suites = {name: _SuiteFold(name, params) for name in config.theorems}
-    injected_dicts = {}
     for purpose in dict.fromkeys(PURPOSES[name] for name in config.theorems):
         selected = [suites[name] for name in config.theorems if PURPOSES[name] == purpose]
         for chunk in _chunks(config, purpose):
-            _check_chunk(chunk, selected, config, {})
-        if injected:
-            _check_chunk(list(injected), selected, config, injected_dicts)
+            _check_chunk(chunk, selected, config)
+    if injected:
+        _check_chunk(list(injected), list(suites.values()), config)
     return VerificationReport(config=asdict(config),
                               theorems={name: suite.entry() for name, suite in suites.items()},
                               wall_time_s=time.perf_counter() - start)
@@ -1378,7 +1368,7 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
             for key, (sandwich, gap) in (
                     ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
                     ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
-                    ("defect_gap", defect_gaps(g, defect_grid(g.T, g.x, g.y, lam), floor))):
+                    ("defect_gap", defect_gaps(g, lambda_minima(g, lam)[0], floor))):
                 sandwich_ok &= bool(sandwich <= SANDWICH_FLOOR)  # NaN fails too
                 row[key] = max(row[key], float(gap), key=_nan_first)
         rows.append(row)

@@ -276,16 +276,9 @@ def test_lambda_minimum_weight():
         assert np.array_equal(du, weighted)
 
 
-def test_where_keeps_the_rows_evaluated_so_far(monkeypatch):
-    # GramStack.where hands the pairs where a hypothesis holds their rows of
-    # the T-values evaluated so far: no pair's value is evaluated twice
-    evaluated = []
-
-    def counted(sips, L, R, _eval_stack=cauchy_schwarz.eval_stack):
-        evaluated.append((len(L), len(sips)))
-        return _eval_stack(sips, L, R)
-
-    monkeypatch.setattr(cauchy_schwarz, "eval_stack", counted)
+def test_where_gives_the_held_pairs_their_bits():
+    # GramStack.where checks the pairs where a hypothesis holds as a new
+    # stack of those pairs: each gets the bits of the whole stack's value
     T = PsdFamilySip(np.eye(3)[None])
     rng = np.random.default_rng(4)
     stack = GramStack(Gram(T, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), np.ones(1))
@@ -297,7 +290,6 @@ def test_where_keeps_the_rows_evaluated_so_far(monkeypatch):
         return (r.norm_x + r.norm_sum + r.norm_diff + r.b).max(axis=-1)
 
     got = stack.where(holds, f)
-    assert evaluated == [(3, 4), (2, 4)]  # a, b, c of 4 pairs, then s and d in one request
     ref = f(stack)
     assert np.array_equal(got, np.where(holds, ref, 0.0))
 

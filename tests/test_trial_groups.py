@@ -9,11 +9,11 @@ status, failed list and tags it gets alone as a TrialResult. The groups
 mix sip kinds and domain dimensions, and hold signed zeros, magnitudes
 2^+-300 and 2^+-520 (whose overflow gives NaN residuals and broken-input
 errors), colinear and near-colinear (borderline) pairs and orthogonal
-pairs. The oracle suite stacks x and
-y themselves, so a group of mixed domains has no stack there: its check
-raises DimensionMismatch, and harness._check_group checks the trials one
-at a time (run_suite never builds such a group: it groups the trials of
-the oracle's recipe by domain dimension too).
+pairs. The means and oracle suites
+stack x and y themselves, so a group of mixed domains has no stack there:
+its check raises DimensionMismatch, and harness._check_group checks the
+trials one at a time (run_suite builds such a group only of injected
+instances: a generated instance of their recipe has m = n).
 
 The trials alone are checked with the folds of residuals computed by
 Python's max(..., key=_nan_first), the scalar definition that
@@ -351,8 +351,8 @@ def test_a_broken_weight_keeps_the_cs_row_and_fails_sharp(i, weight):
 
 def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
     # with chunks of one trial, each generated trial is a group of one and
-    # arrives at its checks as its Trial; injected instances of one n (and
-    # one m, which the oracle's stacks need) arrive as one TrialGroup, and
+    # arrives at its checks as its Trial; injected instances of one n
+    # arrive as one TrialGroup, and
     # a broken instance alone in its n is checked once per suite, with no
     # second attempt after its check raises. A Trial's table keeps its row
     # as floats and builds its one-row array when the fold reads it: each
@@ -403,13 +403,14 @@ def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):
         assert report.theorems[name]["trials"] == config.trials + len(injected)
 
 
-def test_injected_instances_of_one_n_and_two_m_are_checked_once(monkeypatch):
-    # the means and oracle suites stack x and y, so run_suite groups their
-    # recipe's injected instances by codomain and domain dimension: valid
-    # PSD instances of one n and two m (u a vector of x's lattice, as the
-    # means suite reads it) arrive as two TrialGroups, each checked once
-    # with no attempt that raises and falls back to lone checks, and each
-    # row is the trial's lone check, bit for bit
+def test_every_suite_reads_an_injected_instance_through_one_trial(monkeypatch):
+    # run_suite checks the injected instances once, as one chunk under
+    # every selected suite, in groups of one codomain dimension: each
+    # instance is one Trial, which all nine suites read. Valid PSD
+    # instances of one n and two m (u a vector of x's lattice, as the
+    # means suite reads it) make one group, whose x and y have no stack:
+    # under means and oracle its check raises and falls back to lone
+    # checks, and each row is the trial's lone check, bit for bit
     rng = np.random.default_rng(6)
     insts = []
     for m in (2, 3, 3, 2, 3):
@@ -417,24 +418,41 @@ def test_injected_instances_of_one_n_and_two_m_are_checked_once(monkeypatch):
         T = PsdFamilySip(np.einsum("jka,jkb->jab", B, B), validate=False)
         insts.append(Instance(T, rng.uniform(0.0, 5.0, m), rng.uniform(-5.0, 5.0, m),
                               rng.uniform(-5.0, 5.0, m)))
-    config = TrialConfig(trials=2, seed=3, theorems=("means", "oracle"))
+    config = TrialConfig(trials=2, seed=3)
+    stacked = ("means", "oracle")
     expected = {name: [_summary(harness._run_check(name, Trial(inst, config))) for inst in insts]
-                for name in config.theorems}
+                for name in stacked}
     assert all(summary[0] != "fail" for lone in expected.values() for summary in lone)
     ids = {id(inst): k for k, inst in enumerate(insts)}
-    seen = {name: [] for name in config.theorems}
-    for name in config.theorems:
-        def recorded(rec, _check=CHECKS[name], _seen=seen[name]):
-            # kept before the check, so that an attempt that raises shows
-            call = [type(rec).__name__, [ids.get(id(t.inst)) for t in rec.pairs], None]
+    seen = {name: [] for name in THEOREMS}
+    checks = dict(CHECKS)
+    for name in THEOREMS:
+        def recorded(rec, _check=checks[name], _seen=seen[name]):
+            # kept before the check, so that an attempt that raises shows;
+            # the trials themselves are kept, so that no id is reused
+            call = [type(rec).__name__, [ids.get(id(t.inst)) for t in rec.pairs], rec.pairs, None]
             _seen.append(call)
-            call[2] = _check(rec)
-            return call[2]
+            call[3] = _check(rec)
+            return call[3]
         monkeypatch.setitem(CHECKS, name, recorded)
-    harness.run_suite(config, injected=tuple(insts))
-    for name in config.theorems:
-        calls = [call for call in seen[name] if call[1] != [None] * len(call[1])]
-        assert [(kind, attempt) for kind, attempt, _ in calls] == [
-            ("TrialGroup", [0, 3]), ("TrialGroup", [1, 2, 4])], name
-        for _, attempt, table in calls:
+    with np.errstate(all="ignore"):
+        harness.run_suite(config, injected=tuple(insts))
+    calls = {name: [call for call in seen[name] if call[1] != [None] * len(call[1])]
+             for name in THEOREMS}
+    trials = {}
+    for _, attempt, pairs, _ in chain.from_iterable(calls.values()):
+        for k, trial in zip(attempt, pairs):
+            trials.setdefault(k, []).append(trial)
+    assert sorted(trials) == list(range(len(insts)))
+    for k, seen_as in trials.items():
+        assert all(trial is seen_as[0] for trial in seen_as), k
+    for name in THEOREMS:
+        assert calls[name][0][:2] == ["TrialGroup", [0, 1, 2, 3, 4]], name
+    for name in stacked:
+        assert calls[name][0][3] is None, name
+        with pytest.raises(DimensionMismatch):
+            checks[name](TrialGroup([Trial(inst, config) for inst in insts], config))
+        assert [(kind, attempt) for kind, attempt, _, _ in calls[name][1:]] == [
+            ("Trial", [k]) for k in range(len(insts))], name
+        for _, attempt, _, table in calls[name][1:]:
             assert [_summary(r) for r in rows(table)] == [expected[name][k] for k in attempt]

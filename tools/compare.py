@@ -43,6 +43,12 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 family on R^2 into R^5 (so the default lambda grid takes
                 two stages) under a weight with a zero entry, whose row of
                 D*u is all zeros (--tiny: the first);
+  mixed-domain/...
+                a report with five PSD instances of codomain R^2 and
+                domains R^2 and R^3 injected under every suite, each valid
+                under means and oracle: those suites stack x and y, so the
+                group of one n raises and its trials are checked one at a
+                time;
   shrink-case/...
                 shrink's output file for instances of no report: a
                 multiplication sip under a coarse lambda grid, with a valid
@@ -144,6 +150,27 @@ def _triage_group_instances(seed: int, m: int, n: int) -> list:
     return [inst for pair in zip_longest(broken, valid) for inst in pair if inst is not None]
 
 
+def _mixed_domain_instances() -> list:
+    """PSD instances into R^2 of domains R^2 and R^3 (m = 2, 3, 3, 2, 3), u a vector of R^m.
+
+    u has m entries, as the means suite reads it (a vector of x's
+    lattice), so every instance is valid under means and oracle; the
+    suites that read u as T's weight find those of m = 3 broken.
+    """
+    import numpy as np
+    from riesz_sip import harness as h
+    from riesz_sip.sip import PsdFamilySip
+
+    rng = np.random.default_rng(6)
+    insts = []
+    for m in (2, 3, 3, 2, 3):
+        B = rng.uniform(-1.0, 1.0, (2, m, m))
+        T = PsdFamilySip(np.einsum("jka,jkb->jab", B, B), validate=False)
+        insts.append(h.Instance(T, rng.uniform(0.0, 5.0, m), rng.uniform(-5.0, 5.0, m),
+                                rng.uniform(-5.0, 5.0, m)))
+    return insts
+
+
 def reports(tiny: bool):
     """(name, config, injected instances) of each report of the corpus, in order."""
     from riesz_sip import harness as h
@@ -168,6 +195,8 @@ def reports(tiny: bool):
     for name in TINY_FALLBACK if tiny else FULL_FALLBACK:
         yield (f"fallback/{name}", h.TrialConfig(seed=0, trials=2),
                (h.Instance.from_dict(FALLBACK[name]),))
+    yield ("mixed-domain/seed=3", h.TrialConfig(seed=3, trials=2),
+           tuple(_mixed_domain_instances()))
 
 
 def shrink_cases() -> list:
