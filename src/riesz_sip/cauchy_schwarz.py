@@ -46,36 +46,43 @@ samples the defining family by evaluating T directly on lambda*x - y over
 the +- closure of a log-spaced magnitude grid (means.LogGrid, the grid
 type of the [*] infimum), using neither bilinear expansion nor calculus.
 The grid minimum over-estimates the infimum, so grid >= closed always,
-and the gap shrinks with grid resolution. lambda_minima is the one pass:
-the T-values T(lambda*x - y, lambda*x - y) do not depend on a weight, so
-one pass over a pair's grid gives both the defect D(x,y) and the
-weighted defect D(x,y)*u of the sharpened triangle inequality.
-defect_grid is its unweighted defect in one call.
+and the gap shrinks with grid resolution. lambda_minima is the one pass,
+over any number of pairs at once: the T-values T(lambda*x - y,
+lambda*x - y) do not depend on a weight, so one pass gives each pair
+both the defect D(x,y) and the weighted defect D(x,y)*u of the
+sharpened triangle inequality. defect_grid is one pair's unweighted
+defect in one call.
 
-The pass is coordinate-major and blocked, like the mean oracles (see
-means): _lambda_blocks yields the S = 2G columns of the grid's +-
-closure one block at a time (means._blocks, rows max(m, n)), each
-block's difference vectors the columns of an (m, width) array built
-along contiguous rows, which T.quadratic maps to an (n, width) array of
-T-values (for a PSD family in the fixed row order of its own kernel,
-sip.PsdFamilySip.quadratic). The difference vectors, the PSD kernel's
-two work blocks (a row's sum and its current term) and the T-values are
-slices of one buffer made once per call. _lambda_values weights a block
-into the spare block (the kernel's row sum) and divides both by |lambda|
-(cached on the grid) in place; the whole-grid pass (_lambda_pass) folds
-their row minima with np.minimum, so it never holds more than a block,
-and the staged samples (_lambda_samples) copy them out. Each column's
-bits depend on its lambda alone, and minima are exact, so the minima are
-the same at any block width.
+Rows by kernel class. A row is one codomain coordinate of one pair, and
+its samples depend on its own coefficients and its pair alone. The rows
+of one kernel class share every numpy call (_lambda_rows): the
+multiplication sip's rows, z_j * z_j, form one class, and the PSD rows of
+each domain dimension m another. A PSD row takes its family member's
+coefficients as (R, 1) columns, in the fixed row order of the kernel it
+shares with PsdFamilySip.quadratic (sip._row_form), and repeats its
+pair's difference vector z = lambda*x - y; the rows of one PSD pair read
+its one z. The pass is coordinate-major and blocked, like the mean
+oracles (see means): a block's difference vectors, the kernel's two work
+blocks (a row's sum and its current term) and the T-values are
+consecutive views of one buffer made once per stage (_lambda_values).
+_weigh weights a block into the spare block (the kernel's row sum) and
+divides both by |lambda| (cached on the grid) in place. The whole-grid
+pass (_lambda_pass) goes band by band and block by block
+(_lambda_blocks) and folds the row minima with np.minimum, so it never
+holds more than a block. Each column's bits depend on its lambda and its
+row alone, and minima are exact, so the minima are the same at any
+block width, in any band and in any stack.
 
-On a large grid (2G*n at least LAMBDA_BRACKET_ELEMENTS) the pass has two
-stages, as the mean oracles do (see means). Its pieces are the grid's
-two branches. The coarse stage evaluates every s-th column of each
-branch and its ends, s about sqrt(G / 2n); the fine stage evaluates the
-union of the certified rows' windows of 2s - 1 columns around their best
-coarse sample, and each row of D (and of D*u) certified on both branches
-takes its minimum over every column of that union. Why that is the full
-grid's minimum:
+Two stages, with windows per row. A class whose 2G*R elements reach
+LAMBDA_BRACKET_ELEMENTS takes two stages, as the mean oracles do (see
+means). Its pieces are the grid's two branches. The coarse stage
+evaluates every s-th column of each branch and its ends for every row of
+the class, s about sqrt(G / 2). Each row then evaluates only its own
+window of 2s - 1 columns around its best coarse sample of D on each
+branch, gathered from grid.signed, and a row of D, or of D*u, certified
+on both branches takes its minimum over those windows; a row of D*u
+counts as certified only where its row of D is too. Why that is the
+full grid's minimum:
 
   - With a = T(x,x)_j, b = T(x,y)_j, c = T(y,y)_j and s = log|lambda|, a
     row's exact samples on a branch are A*e^s + B + C*e^-s, A = a,
@@ -91,19 +98,24 @@ grid's minimum:
     by more than 2E, the argument of means applies: a convex or monotone
     function cannot come back past a coarse neighbour of the best
     sample, and a concave one is no better inside a coarse interval than
-    at its ends, so no column outside the window beats it.
-  - The union holds both of the row's windows, and it is a set of grid
-    columns, so its minimum is no more than the row's minimum over its
-    windows, which is the grid minimum, and no less than the grid
-    minimum: any set of grid columns that holds the row's windows has
-    the row's grid minimum, value for value.
+    at its ends, so no column outside the window beats it, and the
+    minimum over the row's two windows is its grid minimum, value for
+    value.
+  - Where the rows of D and of D*u are both certified on a branch, their
+    best coarse samples are at one column, so one window serves both:
+    were D best at p and D*u best at q != p, the exact values f would
+    have f(q) - f(p) > 2E - 2E = 0 from D's margin and
+    u_j*(f(p) - f(q)) > 2u_jE - 2u_jE = 0 from D*u's, and u_j > 0 on a
+    certified row of D*u (with u_j = 0 it is flat).
 
-The result starts as NaN, and the rows it still holds as NaN (either
-branch not certified: a non-finite sample or E, which an overflow gives,
-a flat row, a tie, a zero weight's row of D*u) or as a zero, whose sign
-the fold order decides, fall back: the whole grid is evaluated block by
-block (_lambda_pass), and gives those rows. Every sample is a column of
-the full pass, so every row has the full grid's bits.
+Fallback by row. The stages leave a row NaN where it is not certified on
+both branches (a non-finite sample or E, which an overflow gives, a flat
+row, a tie, a zero weight's row of D*u) and zero where its minimum is a
+zero, whose sign the fold order decides. Those rows, and every row of a
+class too small for two stages, take the whole grid in one stacked pass
+(_lambda_pass), each row alone and not its pair: a zero weight entry
+sends one row of T-values there. Every sample is a column of the full
+pass, so every row has its pair's full-grid bits, alone or stacked.
 """
 
 from __future__ import annotations
@@ -111,6 +123,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,10 +142,10 @@ from .lattice import (
     near,
 )
 from .means import (
+    BAND_COLUMNS,
     EPS,
     UNDERFLOW,
     LogGrid,
-    _block_view,
     _block_width,
     _blocks,
     _box_times,
@@ -141,16 +154,16 @@ from .means import (
     _cone_pair,
     _stride,
 )
-from .sip import MultiplicationSip, Sip, eval_stack
+from .sip import MultiplicationSip, Sip, _row_form, eval_stack
 
 # Default lambda grid of a verification run (TrialConfig).
 LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e6
 LAMBDA_COUNT = 2001
-# The fewest elements (2G*n) of a lambda pass that take two stages
-# (means._stride): the kernel makes m^2 + 2m passes per stage, and on
-# numpy 2.4.6 (BENCH_grid_brackets.json) two stages took longer below
-# about this size, and far less above it.
+# The fewest elements (2G*R, R rows of a kernel class) of a lambda pass
+# that take two stages (means._stride): the kernel makes m^2 + 2m passes
+# per stage, and on numpy 2.4.6 (BENCH_grid_brackets.json) two stages
+# took longer below about this size, and far less above it.
 LAMBDA_BRACKET_ELEMENTS = 2**14
 
 # Normalized band of the equality <-> zero-defect biconditional, and the
@@ -465,90 +478,97 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
-def _lambda_blocks(g: Gram, grid: LogGrid, cols=None):
-    """(block, T-values, spare) per block of the columns cols of grid.signed (all by default), in order.
+class _Rows(NamedTuple):
+    """The R rows of one kernel class of a lambda_minima call, each one codomain coordinate of one pair.
 
-    The T-values T(lambda*x - y, lambda*x - y) of the block's lambdas are
-    an (n, width) array, and spare a block of that shape that the caller
-    may overwrite; the next block overwrites both. Reads g's sip and its
-    validated pair only, never a, b or c: the oracle evaluates T on the
-    difference vectors directly, with no bilinear expansion.
+    The rows of the class's weighted pairs come first, then the others,
+    each in pair order; a pair's rows are contiguous, in coordinate
+    order. x and y are (m, R): row r's column is its pair's x and y (for
+    the multiplication sip, its x_j and y_j, m = 1), or (m, 1) for the
+    rows of one PSD pair, whose one column every row reads. coefficients
+    are the PSD rows' sip._row_form coefficients as (R, 1) columns, and
+    matrices their members A_j, (R, m, m); both are None for
+    multiplication rows. u holds the weights of the first R_w rows,
+    (R_w, 1).
     """
-    x, y = g.x[:, None], g.y[:, None]
-    lam = grid.signed if cols is None else grid.signed[cols]
-    m, n = x.shape[0], g.T.codomain_dim
-    rows = max(m, n)
-    width = _block_width(rows, lam.size)
-    # z, the PSD form's row sum (the spare block) and term, and the
-    # T-values share one allocation: separate ones raised the peak RSS of
-    # some runs by about 2.5 MB
-    buf = np.empty((m + 3 * n) * width)
-    z_buf, w_buf, t_buf = np.split(buf, [m * width, (m + 2 * n) * width])
-    for block in _blocks(rows, lam.size):
-        z = _block_view(z_buf, m, block)
-        np.multiply(x, lam[block], out=z)
-        z -= y
-        w = _block_view(w_buf, 2 * n, block).reshape(2, n, -1)
-        yield block, g.T.quadratic(z, _block_view(t_buf, n, block), w), w[0]
+
+    size: int
+    x: np.ndarray
+    y: np.ndarray
+    coefficients: list | None
+    matrices: np.ndarray | None
+    u: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        """The rows where the (R,) mask keep holds, in order."""
+        pick = (lambda v: v) if self.x.shape[1] == 1 else (lambda v: v[:, keep])
+        psd = self.coefficients is not None
+        return _Rows(int(keep.sum()), pick(self.x), pick(self.y),
+                     [[c[keep] for c in row] for row in self.coefficients] if psd else None,
+                     self.matrices[keep] if psd else None, self.u[keep[:len(self.u)]])
 
 
-def _lambda_values(g: Gram, grid: LogGrid, u, cols=None):
-    """(block, values) per block of _lambda_blocks: [t/|lambda|], or [t/|lambda|, t*u/|lambda|] with u.
+def _lambda_rows(pairs: list, weights: list) -> tuple:
+    """(classes, places): the _Rows of each kernel class of the pairs, and each pair's (class, first row).
 
-    t is the block's T-values; t*u/|lambda| is written into the spare
-    block, then t/|lambda| over t, so the next block overwrites both.
+    The multiplication sip's rows form one class, and the PSD rows of each
+    domain dimension m another, in order of first appearance.
     """
-    abs_lam = grid.signed_abs if cols is None else grid.signed_abs[cols]
-    for block, t, w in _lambda_blocks(g, grid, cols):
-        weighted = [] if u is None else [
-            np.divide(np.multiply(t, u[:, None], out=w), abs_lam[block], out=w)]
-        yield block, [np.divide(t, abs_lam[block], out=t)] + weighted
+    classes = {}
+    for i, g in enumerate(pairs):
+        classes.setdefault(None if isinstance(g.T, MultiplicationSip) else g.T.domain_dim,
+                           []).append(i)
+    places = [None] * len(pairs)
+    out = []
+    for key, members in classes.items():
+        members.sort(key=lambda i: weights[i] is None)  # weighted pairs first, in order
+        first = 0
+        for i in members:
+            places[i] = (len(out), first)
+            first += pairs[i].T.codomain_dim
+        out.append(_stack_rows(key is None, [pairs[i] for i in members],
+                               [weights[i] for i in members if weights[i] is not None], first))
+    return out, places
 
 
-def _lambda_pass(g: Gram, grid: LogGrid, u) -> list:
-    """lambda_minima's [D] or [D, D*u] over every column of grid.signed, block by block."""
-    minima = None
-    for _, values in _lambda_values(g, grid, u):
-        low = [v.min(axis=1) for v in values]
-        minima = low if minima is None else [np.minimum(a, b, out=a) for a, b in zip(minima, low)]
-    return minima
+def _stack_rows(multiplication: bool, grams: list, weights: list, size: int) -> _Rows:
+    """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights."""
+    u = (weights[0] if len(weights) == 1 else np.concatenate(weights + [np.empty(0)]))[:, None]
+    if len(grams) == 1:
+        (g,) = grams
+        if multiplication:
+            return _Rows(size, g.x[None], g.y[None], None, None, u)
+        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u)
+    if multiplication:
+        x = np.concatenate([g.x for g in grams])[None]
+        y = np.concatenate([g.y for g in grams])[None]
+        return _Rows(size, x, y, None, None, u)
+    families = [g.T for g in grams]
+    ns = [T.codomain_dim for T in families]
+    x = np.repeat(np.array([g.x for g in grams]), ns, axis=0).T
+    y = np.repeat(np.array([g.y for g in grams]), ns, axis=0).T
+    coefficients = [[np.concatenate(column) for column in zip(*row)]
+                    for row in zip(*(T._row_coefficients for T in families))]
+    return _Rows(size, x, y, coefficients, np.concatenate([T.matrices for T in families]), u)
 
 
-def _lambda_samples(g: Gram, grid: LogGrid, cols: np.ndarray, u) -> np.ndarray:
-    """t/|lambda| and, with u, t*u/|lambda| at the columns cols of grid.signed: (1 or 2, n, len(cols)).
-
-    Each element is _lambda_values's, so it has _lambda_pass's bits.
-    """
-    out = np.empty((1 if u is None else 2, g.T.codomain_dim, cols.size))
-    for block, values in _lambda_values(g, grid, u, cols):
-        out[:, :, block] = values
-    return out
-
-
-def _pair(minima) -> tuple:
-    """(D, D*u) of lambda_minima from [D] or [D, D*u]: D*u is None without a weight."""
-    return minima[0], None if len(minima) == 1 else minima[1]
-
-
-def _lambda_bound(g: Gram, grid: LogGrid) -> np.ndarray:
-    """E of each codomain row: a bound on the rounding error of any sample t/|lambda| of the grid.
+def _lambda_bound(rows: _Rows, grid: LogGrid) -> np.ndarray:
+    """E of each row: a bound on the rounding error of any sample t/|lambda| of the grid.
 
     Built from T's coefficients and the pair's magnitudes alone: K_j is
-    the largest |A_jab| (which bounds every |C_jab| of the kernel), X and
-    Y are sum |x_a| and sum |y_a| (for the multiplication sip, row j's
-    |x_j| and |y_j|), and S = |lambda|*X + Y bounds sum |z_a| for
-    z = lambda*x - y. z rounds twice and the kernel's row form at most 2m
-    times along any term, so t is within (2m + 5) unit roundoffs of
-    2*K*S^2, and t/|lambda| and t*u/|lambda| round once or twice more;
-    E takes (m + 8)*EPS, twice that, of 2*K*S^2/|lambda| at the grid's
-    ends, where it is largest, plus an allowance for products that
-    underflow.
+    the largest |A_jab| of the row's member (which bounds every |C_jab| of
+    the kernel; 1 for the multiplication sip), X and Y are sum |x_a| and
+    sum |y_a| over the row's column of x and y (for the multiplication
+    sip, row j's |x_j| and |y_j|), and S = |lambda|*X + Y bounds sum |z_a|
+    for z = lambda*x - y. z rounds twice and the kernel's row form at most
+    2m times along any term, so t is within (2m + 5) unit roundoffs of
+    2*K*S^2, and t/|lambda| and t*u/|lambda| round once or twice more; E
+    takes (m + 8)*EPS, twice that, of 2*K*S^2/|lambda| at the grid's ends,
+    where it is largest, plus an allowance for products that underflow.
     """
-    T, x, y = g.T, g.x, g.y
-    if isinstance(T, MultiplicationSip):
-        m, K, X, Y = 1, 1.0, np.abs(x), np.abs(y)
-    else:
-        m, K, X, Y = T.domain_dim, np.abs(T.matrices).max(axis=(1, 2)), np.abs(x).sum(), np.abs(y).sum()
+    m = rows.x.shape[0]
+    K = 1.0 if rows.matrices is None else np.abs(rows.matrices).max(axis=(1, 2))
+    X, Y = np.abs(rows.x).sum(axis=0), np.abs(rows.y).sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         S_lo, S_hi = grid.lo * X + Y, grid.hi * X + Y
         scale = np.maximum(2.0 * K * S_lo * S_lo / grid.lo, 2.0 * K * S_hi * S_hi / grid.hi)
@@ -556,48 +576,201 @@ def _lambda_bound(g: Gram, grid: LogGrid) -> np.ndarray:
         return (m + 8) * EPS * scale + underflow
 
 
-def lambda_minima(g: Gram, grid: LogGrid, u=None) -> tuple:
-    """(D, D*u): componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
+def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarray) -> tuple:
+    """(t, spare): T(lambda*x - y, lambda*x - y) of rows lo:hi, and a spare block of its shape.
 
-    t is T(lambda*x - y, lambda*x - y) of g's pair, and u a validated
-    weight; D*u is None without one. The grid's two branches are its
-    pieces. A coarse stage samples every s-th column of each and its ends
-    (means._coarse, s = means._stride(G, n, ...)); means._brackets
-    certifies each row of D and of D*u on each branch under _lambda_bound
-    (u_j times it for D*u). One fine stage evaluates the union of the
-    certified windows, and a row certified on both branches takes its
-    minimum over every column of that union: the union holds the row's
-    own windows, so its minimum is the row's grid minimum, value for
-    value. The result starts as NaN, and if any row still holds NaN (not
-    certified on both branches) or a zero, the whole grid is evaluated
-    block by block (_lambda_pass) and gives those rows. Never holds more
-    than a block of T-values, and gives _lambda_pass's bits.
-    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
+    lam is the (width,) lambdas every row reads, or the (hi - lo, width)
+    lambdas of each row. The difference vectors z, t and the kernel's two
+    work blocks (a row's sum, which is spare, and its current term) are
+    consecutive views of buf, which the caller sized; the next call
+    overwrites them all. Reads each row's pair and coefficients only,
+    never a, b or c: the oracle evaluates T on the difference vectors
+    directly, with no bilinear expansion.
     """
-    G, n = grid.count, g.T.codomain_dim
-    s = _stride(G, n, 2 * G * n, LAMBDA_BRACKET_ELEMENTS)
-    if not s:
-        return _pair(_lambda_pass(g, grid, u))
+    x, y = rows.x, rows.y
+    if x.shape[1] > 1:
+        x, y = x[:, lo:hi], y[:, lo:hi]
+    b, width = hi - lo, lam.shape[-1]
+    z_size = x.shape[0] * (x.shape[1] if lam.ndim == 1 else b) * width
+    z = buf[:z_size].reshape(x.shape[0], -1, width)
+    t = buf[z_size:z_size + b * width].reshape(b, width)
+    work = buf[z_size + b * width:z_size + 3 * b * width].reshape(2, b, width)
+    np.multiply(x[:, :, None], lam, out=z)
+    z -= y[:, :, None]
+    if rows.coefficients is None:
+        np.multiply(z[0], z[0], out=t)
+    else:
+        coefficients = rows.coefficients
+        if b < rows.size:
+            coefficients = [[c[lo:hi] for c in row] for row in coefficients]
+        _row_form(coefficients, z, t, work)
+    return t, work[0]
+
+
+def _weigh(t: np.ndarray, spare: np.ndarray, u: np.ndarray, abs_lam: np.ndarray) -> list:
+    """[t/|lambda| over t], and t*u/|lambda| over spare's first len(u) rows after it where u has rows.
+
+    abs_lam is the (width,) |lambda| of every row, or the (R, width) of each.
+    """
+    k = len(u)
+    if not k:
+        return [np.divide(t, abs_lam, out=t)]
+    weighted = np.divide(np.multiply(t[:k], u, out=spare[:k]),
+                         abs_lam[:k] if abs_lam.ndim == 2 else abs_lam, out=spare[:k])
+    return [np.divide(t, abs_lam, out=t), weighted]
+
+
+def _band(rows: _Rows, count: int) -> tuple:
+    """(band, block rows): the rows of a band of rows, and the rows means._blocks sizes its blocks by.
+
+    The rows of one PSD pair take one band, whose difference vectors are
+    the pair's own (m, width) block, and a block holds
+    GRID_BLOCK // max(m, R) columns, as for the pair alone. Other rows go
+    in the fewest even bands whose difference vectors, m rows per row,
+    keep min(count, BAND_COLUMNS) columns in a block of GRID_BLOCK
+    elements.
+    """
+    m, R = rows.x.shape[0], rows.size
+    if rows.x.shape[1] == 1:
+        return R, max(m, R)
+    bands = -(-R // _block_width(m * min(count, BAND_COLUMNS), R))
+    band = -(-R // bands)
+    return band, m * band
+
+
+def _lambda_blocks(rows: _Rows, grid: LogGrid):
+    """(lo, hi, cols, t, spare) per block of the whole grid: _lambda_values of rows lo:hi at cols.
+
+    Band by band (_band), and the blocks of grid.signed in order within a
+    band; one buffer serves every block, so the next block overwrites t
+    and spare.
+    """
+    lam = grid.signed
+    band, block_rows = _band(rows, lam.size)
+    buf = np.empty((block_rows + 3 * band) * _block_width(block_rows, lam.size))
+    for lo in range(0, rows.size, band):
+        hi = min(lo + band, rows.size)
+        for cols in _blocks(block_rows, lam.size):
+            yield (lo, hi, cols, *_lambda_values(rows, lo, hi, lam[cols], buf))
+
+
+def _lambda_pass(rows: _Rows, grid: LogGrid) -> tuple:
+    """(D, D*u) of rows: their minima of t/|lambda| and t*u/|lambda| over every column of grid.signed.
+
+    Folds the row minima of each block of _lambda_blocks with np.minimum,
+    in grid order, so it never holds more than a block.
+    """
+    w = len(rows.u)
+    d, du = np.empty(rows.size), np.empty(w)
+    for lo, hi, cols, t, spare in _lambda_blocks(rows, grid):
+        k = max(min(hi, w) - lo, 0)
+        for out, v in zip((d[lo:hi], du[lo:lo + k]),
+                          _weigh(t, spare, rows.u[lo:lo + k], grid.signed_abs[cols])):
+            if cols.start:
+                np.minimum(out, v.min(axis=1), out=out)
+            else:
+                v.min(axis=1, out=out)
+    return d, du
+
+
+def _lambda_stages(rows: _Rows, grid: LogGrid, s: int) -> tuple:
+    """(D, D*u) of rows, a certified row's minimum or NaN: a coarse stage, then each row's windows.
+
+    The coarse stage evaluates every s-th column of each branch of
+    grid.signed and its ends (means._coarse); means._brackets certifies
+    each row of D and of D*u on each branch under _lambda_bound (u_j
+    times it for D*u). Each row then evaluates the window of 2s - 1
+    columns around the best coarse sample of its row of D on each branch.
+    Its row of D, where certified on both branches, takes its minimum
+    over those columns, and so does its row of D*u where that is
+    certified too: then both rows' windows are one (see the module
+    docstring). Rows go in bands whose one buffer (the
+    difference vectors, the T-values and the kernel's work blocks) holds
+    at most GRID_BLOCK elements: with bands sized by the difference
+    vectors alone, a study's peak RSS in perfbench read 4-6 MB higher at
+    some seeds (BENCH_study_stack.json).
+    """
+    G = grid.count
     at = _coarse(G, s)
-    # rows: each codomain row of D on the negative branch, then on the
-    # positive one, then the same for D*u
-    values = _lambda_samples(g, grid, np.concatenate([at, G + at]), u).reshape(-1, at.size)
-    bound = _lambda_bound(g, grid)
-    if u is not None:
-        bound = np.concatenate([bound, u * bound])
-    certified, windows = _brackets(values, np.minimum, lambda best: np.repeat(bound, 2), s, G)
-    windows[1::2] += G  # the positive branch's columns of grid.signed
-    both = certified.reshape(-1, 2).all(axis=1)
-    minima = np.full(both.size, np.nan)
-    if both.any():
-        union = np.zeros(2 * G, dtype=bool)
-        union[windows[certified]] = True
-        fine = _lambda_samples(g, grid, np.flatnonzero(union), u)
-        minima[both] = fine.reshape(both.size, -1)[both].min(axis=1)
-    whole = np.isnan(minima) | (minima == 0.0)
-    if whole.any():
-        minima[whole] = np.concatenate(_lambda_pass(g, grid, u))[whole]
-    return _pair(minima.reshape(-1, n))
+    cols = np.concatenate([at, G + at])
+    lam, abs_lam = grid.signed[cols], grid.signed_abs[cols]
+    span = 2 * (2 * s - 1)  # a row's fine columns: its window on each branch
+    R, w = rows.size, len(rows.u)
+    m, widest = rows.x.shape[0], max(cols.size, span)
+    band = _block_width((m + 3) * widest, R)
+    buf = np.empty((m + 3) * band * widest)
+    bound = _lambda_bound(rows, grid)
+    d, du = np.full(R, np.nan), np.full(w, np.nan)
+    for lo in range(0, R, band):
+        hi = min(lo + band, R)
+        b, k = hi - lo, max(min(hi, w) - lo, 0)
+        t, spare = _lambda_values(rows, lo, hi, lam, buf)
+        values = _weigh(t, spare, rows.u[lo:lo + k], abs_lam)
+        error = np.concatenate([bound[lo:hi], rows.u[lo:lo + k, 0] * bound[lo:lo + k]])
+        error = np.repeat(error, 2)  # each row's E on both branches
+        certified, windows = _brackets(np.concatenate(values).reshape(-1, at.size), np.minimum,
+                                       lambda best: error, s, G)
+        windows[1::2] += G  # the positive branch's columns of grid.signed
+        both = certified.reshape(-1, 2).all(axis=1)
+        if both[:b].any():
+            windows = windows[:2 * b].reshape(b, span)  # those of the rows of D
+            t, spare = _lambda_values(rows, lo, hi, grid.signed[windows], buf)
+            fine = _weigh(t, spare, rows.u[lo:lo + k], grid.signed_abs[windows])
+            for out, low, ok in zip((d[lo:hi], du[lo:lo + k]), fine,
+                                    (both[:b], both[b:] & both[:k])):
+                out[ok] = low.min(axis=1)[ok]
+    return d, du
+
+
+def _class_minima(rows: _Rows, grid: LogGrid) -> tuple:
+    """(D, D*u) of the rows of one class: two stages where they pay, then the whole grid where needed.
+
+    A class whose 2G * R elements reach LAMBDA_BRACKET_ELEMENTS takes two
+    stages (_lambda_stages) under the stride means._stride(G, ...). Each
+    row the stages leave NaN (not certified) or zero (whose sign the fold
+    order decides) takes the whole grid, that row alone; so does every
+    row of a smaller class.
+    """
+    G, R, w = grid.count, rows.size, len(rows.u)
+    s = _stride(G, 2 * G * R, LAMBDA_BRACKET_ELEMENTS)
+    if not s:
+        return _lambda_pass(rows, grid)
+    d, du = _lambda_stages(rows, grid, s)
+    whole_d, whole_du = (np.isnan(v) | (v == 0.0) for v in (d, du))
+    keep = whole_d.copy()
+    keep[:w] |= whole_du
+    if keep.any():
+        fill_d, fill_du = _lambda_pass(rows if keep.all() else rows.take(keep), grid)
+        d[whole_d] = fill_d[whole_d[keep]]
+        du[whole_du] = fill_du[whole_du[keep[:w]]]
+    return d, du
+
+
+def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
+    """(D, D*u) of each pair: componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
+
+    pairs are Grams, of any sip kinds, m and n; t is T(lambda*x - y,
+    lambda*x - y) of a pair, u its validated weight in weights (one per
+    pair, None for none; none by default), and D*u is None without one.
+    Each row is one codomain coordinate of one pair, and the rows of one
+    kernel class share every numpy call (_lambda_rows): the
+    multiplication sip's rows form one class, and the PSD rows of each m
+    another. A class takes two stages where it is large enough, and a
+    row the stages do not certify takes the whole grid alone
+    (_class_minima). Never holds more than a block of T-values, and each
+    row has the bits of its pair's full grid alone. Over-estimates the
+    infimum D(x,y), or D(x,y)*u, by construction.
+    """
+    pairs = list(pairs)
+    weights = [None] * len(pairs) if weights is None else list(weights)
+    classes, places = _lambda_rows(pairs, weights)
+    minima = [_class_minima(rows, grid) for rows in classes]
+    out = []
+    for g, u, (c, first) in zip(pairs, weights, places):
+        d, du = minima[c]
+        n = g.T.codomain_dim
+        out.append((d[first:first + n], None if u is None else du[first:first + n]))
+    return out
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -608,7 +781,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     with the closed form beyond T itself. Over-estimates the true infimum
     by construction. lambda_minima's D of the pair.
     """
-    return lambda_minima(Gram(T, x, y), grid)[0]
+    return lambda_minima([Gram(T, x, y)], grid)[0][0]
 
 
 def defect_gaps(g: Record, sampled: np.ndarray,

@@ -703,7 +703,7 @@ class Trial(Gram):
             u = self.u
         except _BROKEN_INPUT:
             u = None
-        return lambda_minima(self, self.config.lambda_grid, u)
+        return lambda_minima([self], self.config.lambda_grid, [u])[0]
 
 
 class TrialGroup(GramStack):
@@ -1347,8 +1347,10 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     For each size G the three grid oracles run with G points against the
     closed forms over config.trials instances (positive log-uniform pairs
     for the means, generic mixed instances for the defect), generated once
-    for all sizes. Gaps must stay one-sided (sandwich_ok) and their maxima
-    must not increase under refinement (monotone_ok).
+    for all sizes. Per size, one lambda_minima call takes every generic
+    pair, and the mean oracles one call each per n on the stacked
+    positive_log pairs of that n. Gaps must stay one-sided (sandwich_ok)
+    and their maxima must not increase under refinement (monotone_ok).
     """
     sizes = sorted(set(int(g) for g in grid_sizes))
     if len(sizes) < 2 or sizes[0] < 4 or sizes[-1] > MAX_GRID_COUNT:
@@ -1358,19 +1360,33 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
     pairs = list(zip(chain.from_iterable(_chunks(config, "positive_log")),
                      (Gram(g.sip, g.x, g.y)
                       for g in chain.from_iterable(_chunks(config, "generic")))))
+    grams = [g for _, g in pairs]
+    # the positive_log pairs of each n, stacked for the mean oracles
+    by_n = {}
+    for pos, _ in pairs:
+        by_n.setdefault(pos.x.size, []).append(pos)
+    stacks = [(np.array([p.x for p in same]), np.array([p.y for p in same]))
+              for same in by_n.values()]
     rows = []
     sandwich_ok = True
     for G in sizes:
         sized = replace(config, theta_count=G, angle_count=G, lambda_count=G)
         theta, angle, lam = sized.theta_grid, sized.angle_grid, sized.lambda_grid
+        # (key, (sandwich, gap)) of each oracle at each pair; a row's
+        # worst gap does not depend on their order. The mean oracles run
+        # first, as they did per pair: with the lambda call first, the
+        # process's peak RSS read 4.5 MB higher (BENCH_study_stack.json)
+        found = []
+        for x, y in stacks:
+            for key, stacked in (("box_times_gap", box_times_gaps(abs(x), abs(y), theta, floor)),
+                                 ("box_plus_gap", box_plus_gaps(x, y, angle, floor))):
+                found += [(key, pair) for pair in zip(*stacked)]
+        found += [("defect_gap", defect_gaps(g, d, floor))
+                  for g, (d, _) in zip(grams, lambda_minima(grams, lam))]
         row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
-        for pos, g in pairs:
-            for key, (sandwich, gap) in (
-                    ("box_times_gap", box_times_gaps(abs(pos.x), abs(pos.y), theta, floor)),
-                    ("box_plus_gap", box_plus_gaps(pos.x, pos.y, angle, floor)),
-                    ("defect_gap", defect_gaps(g, lambda_minima(g, lam)[0], floor))):
-                sandwich_ok &= bool(sandwich <= SANDWICH_FLOOR)  # NaN fails too
-                row[key] = max(row[key], float(gap), key=_nan_first)
+        for key, (sandwich, gap) in found:
+            sandwich_ok &= bool(sandwich <= SANDWICH_FLOOR)  # NaN fails too
+            row[key] = max(row[key], float(gap), key=_nan_first)
         rows.append(row)
 
     # a NaN gap fails its comparison

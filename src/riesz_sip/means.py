@@ -351,20 +351,18 @@ def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
     return out.reshape(a.shape)
 
 
-def _stride(count: int, windows: int, elements: int, least: int) -> int:
+def _stride(count: int, elements: int, least: int) -> int:
     """The coarse stride s of a two-stage pass over a piece of count points, or 0 for one pass.
 
-    windows is the number of row windows that share the fine stage's
-    columns (1 for a mean oracle's row, the codomain rows for the lambda
-    grid). The coarse stage evaluates about count / s points and the fine
-    stage windows * (2s - 1), least at s = sqrt(count / (2 * windows)).
-    Two stages cost a few dozen numpy calls more than one pass, so a call
-    takes them only where its whole grid holds at least least elements
-    (elements, its rows times its points) and they evaluate at most a
-    quarter of the piece's points.
+    The coarse stage evaluates about count / s points of the piece and
+    the fine stage a window of 2s - 1 per row, least at
+    s = sqrt(count / 2). Two stages cost a few dozen numpy calls more than
+    one pass, so a call takes them only where its whole grid holds at
+    least least elements (elements, its rows times its points) and they
+    evaluate at most a quarter of the piece's points.
     """
-    s = math.isqrt(count // (2 * windows))
-    if elements < least or s < 2 or count // s + 2 + windows * (2 * s - 1) > count // 4:
+    s = math.isqrt(count // 2)
+    if elements < least or s < 2 or count // s + 2 + 2 * s - 1 > count // 4:
         return 0
     return s
 
@@ -407,7 +405,7 @@ def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.n
     """_fold_blocks's values, from a coarse stride and a certified bracket per row.
 
     The coarse stage evaluates a*fa + b*fb at every s-th grid point and at
-    the piece's ends (_coarse), s = _stride(G, 1, ...); the fine stage, at the
+    the piece's ends (_coarse), s = _stride(G, ...); the fine stage, at the
     rows _brackets certifies under bound(a, b, best), only the window
     around the best coarse sample, and folds the row over it. The result
     starts as NaN, and every row it still holds as NaN (not certified) or
@@ -416,7 +414,7 @@ def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.n
     so a certified row has its bits; rows go in bands of at most a block.
     """
     count = fa.size
-    s = _stride(count, 1, a.size * count, MEAN_BRACKET_ELEMENTS)
+    s = _stride(count, a.size * count, MEAN_BRACKET_ELEMENTS)
     if not s:
         return _fold_blocks(fold, a, fa, b, fb)
     at = _coarse(count, s, circle)

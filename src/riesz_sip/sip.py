@@ -42,20 +42,22 @@ Each sip has three kernels, and eval_stack evaluates a stack of sips:
                      benchmark uses.
   quadratic(Zt, out, work)
                      T(z, z) for every column z of an (m, S) array, an
-                     (n, S) array: the lambda-grid samples of the
-                     Cauchy-Schwarz defect oracle, one block of grid
-                     columns per call (see means.GRID_BLOCK), written
-                     into the oracle's block buffers out and work (the
-                     PSD form's row sum and current term). The PSD form
-                     is a kernel of its own, a fixed-order
-                     multiply-and-sum in row form: twice the sum over
-                     rows a of z_a times row a's sum of coefficients
-                     times z_b, b >= a, about half the elementwise
-                     passes of a sum over the pairs a <= b. It uses no
-                     einsum, matmul or BLAS, so a column's bits depend
-                     on that column and the family alone, and not on
-                     numpy's SIMD dispatch; the multiplication sip's is
-                     Zt * Zt.
+                     (n, S) array, written into the buffers out and work
+                     (the PSD form's row sum and current term). The PSD
+                     form is a kernel of its own, _row_form, a
+                     fixed-order multiply-and-sum in row form: twice
+                     the sum over rows a of z_a times row a's sum of
+                     coefficients times z_b, b >= a, about half the
+                     elementwise passes of a sum over the pairs a <= b.
+                     It uses no einsum, matmul or BLAS, so a column's
+                     bits depend on that column and the family alone,
+                     and not on numpy's SIMD dispatch; the
+                     multiplication sip's is Zt * Zt. The lambda-grid
+                     oracle of the Cauchy-Schwarz defect runs the same
+                     two forms on its rows, one block of grid columns
+                     at a time (cauchy_schwarz.lambda_minima, which
+                     stacks the rows of many families in one _row_form
+                     call).
 
 orthogonal_stack builds orthogonal pairs, y with T(x, y) = 0, for a stack
 of pairs at once: the orthogonal recipe's chunks. Its kernel basis comes
@@ -196,70 +198,79 @@ class PsdFamilySip:
 
     @lazy
     def _row_coefficients(self) -> list:
-        """quadratic's coefficients of each row a, m - a (n, 1) arrays: A_jaa/2, then C_jab for b > a.
+        """_row_form's coefficients of each row a, m - a (n, 1) arrays: A_jaa/2, then C_jab for b > a.
 
         C_jab is A_jab where A_jba equals it, else A_jab/2 + A_jba/2, a
-        sum that cannot overflow.
+        sum that cannot overflow. At m = 1 the one coefficient is A_j00
+        itself.
         """
         A = self.matrices
         At = np.swapaxes(A, 1, 2)
         C = np.where(A == At, A, 0.5 * A + 0.5 * At)
         diag = np.arange(self.domain_dim)
-        C[:, diag, diag] *= 0.5
+        if diag.size > 1:
+            C[:, diag, diag] *= 0.5
         C = np.ascontiguousarray(np.moveaxis(C, 0, -1))[..., None]
         return [list(C[a, a:]) for a in diag]
 
     def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
-        """T(z, z)_j = 2 * sum_a z_a * (A_jaa/2 * z_a + sum_{b > a} C_jab * z_b), for every column z of Zt.
+        """T(z, z)_j for every column z of Zt: _row_form with the family's own coefficients.
 
-        The row form of sum_ab z_a A_jab z_b. Row a's sum starts from
-        A_jaa/2 * z_a and adds C_jab * z_b for b = a+1, ..., m-1 in order;
-        it is multiplied by z_a and added to the running sum of the rows,
-        a in order, and that sum is doubled last. This takes m^2 + 2m
-        elementwise passes over an (n, S) block, where a sum of the pairs'
-        terms (C_jab * z_a) * z_b, a <= b, takes 2m^2 + m. Each choice:
-
-        - C_jab counts A_jab and A_jba in one coefficient: their mean, or
-          the entry where they are equal, never their sum, which
-          overflows above about 8.9e307.
-        - Halving A_jaa and doubling the sum once costs one pass, where
-          doubling each row's off-diagonal part costs one per row. Both
-          are exact, but for |A_jaa| < 2^-1021, whose half rounds, and a
-          doubled sum above the largest float, where T(z, z) overflows.
-          At m = 1 there is no other row: A_j00 * z_0 * z_0 takes the
-          full coefficient, two passes where halving and doubling take
-          three.
-        - The matrix entry multiplies first: z_a * z_b is never formed,
-          which overflows above about 1.3e154 where (A_jab * z_b) * z_a
-          stays finite.
-        - Every step is an elementwise multiply or add, with no einsum,
-          matmul or BLAS, so a column's bits depend on that column and
-          the family alone: not on the number of columns, its position,
-          or the SIMD paths numpy dispatches to.
-
-        Callers pass one block of columns at a time
-        (cauchy_schwarz._lambda_blocks), with an (n, S) array out for the
-        sum and a (2, n, S) array work for a row's sum and its current
-        term; both are new arrays by default.
+        Callers pass an (m, S) array, an (n, S) array out for the sum and
+        a (2, n, S) array work for a row's sum and its current term; both
+        are new arrays by default.
         """
-        m, S = Zt.shape
-        acc = np.empty((self.codomain_dim, S)) if out is None else out
-        if m == 1:
-            # one row: A_j00 * z_0 * z_0, with the full coefficient and no
-            # doubling pass; the bits of the halved form in the normal range
-            np.multiply(self.matrices[:, 0, :1], Zt[0], out=acc)
-            return np.multiply(acc, Zt[0], out=acc)
+        acc = np.empty((self.codomain_dim, Zt.shape[1])) if out is None else out
         work = np.empty((2, *acc.shape)) if work is None else work
-        row, term = work[0], work[1]
-        for a, coef in enumerate(self._row_coefficients):
-            r = row if a else acc
-            np.multiply(coef[0], Zt[a], out=r)
-            for b in range(a + 1, m):
-                np.add(r, np.multiply(coef[b - a], Zt[b], out=term), out=r)
-            np.multiply(r, Zt[a], out=r)
-            if a:
-                np.add(acc, r, out=acc)
-        return np.add(acc, acc, out=acc)
+        return _row_form(self._row_coefficients, Zt[:, None], acc, work)
+
+
+def _row_form(coefficients: list, Z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """T(z, z)_j = 2 * sum_a z_a * (A_jaa/2 * z_a + sum_{b > a} C_jab * z_b), for rows of coefficients.
+
+    The row form of sum_ab z_a A_jab z_b. coefficients are
+    PsdFamilySip._row_coefficients, or those of many families' rows
+    stacked, as (R, 1) columns; Z is (m, R, S), or (m, 1, S) when every
+    row reads the same columns; out is (R, S) and work (2, R, S). Row a's
+    sum starts from A_jaa/2 * z_a and adds C_jab * z_b for b = a+1, ...,
+    m-1 in order; it is multiplied by z_a and added to the running sum of
+    the rows, a in order, and that sum is doubled last. This takes m^2 + 2m
+    elementwise passes over an (R, S) block, where a sum of the pairs'
+    terms (C_jab * z_a) * z_b, a <= b, takes 2m^2 + m. Each choice:
+
+    - C_jab counts A_jab and A_jba in one coefficient: their mean, or
+      the entry where they are equal, never their sum, which overflows
+      above about 8.9e307.
+    - Halving A_jaa and doubling the sum once costs one pass, where
+      doubling each row's off-diagonal part costs one per row. Both are
+      exact, but for |A_jaa| < 2^-1021, whose half rounds, and a doubled
+      sum above the largest float, where T(z, z) overflows. At m = 1
+      there is no other row: A_j00 * z_0 * z_0 takes the full
+      coefficient, two passes where halving and doubling take three.
+    - The matrix entry multiplies first: z_a * z_b is never formed,
+      which overflows above about 1.3e154 where (A_jab * z_b) * z_a stays
+      finite.
+    - Every step is an elementwise multiply or add, with no einsum,
+      matmul or BLAS, so a column's bits depend on that column and its
+      row's coefficients alone: not on the number of columns or rows, its
+      position, or the SIMD paths numpy dispatches to. The one kernel
+      serves a family's quadratic and the lambda-grid oracle's stack of
+      rows (cauchy_schwarz.lambda_minima).
+    """
+    m = len(coefficients)
+    if m == 1:
+        np.multiply(coefficients[0][0], Z[0], out=out)
+        return np.multiply(out, Z[0], out=out)
+    row, term = work[0], work[1]
+    for a, coef in enumerate(coefficients):
+        r = row if a else out
+        np.multiply(coef[0], Z[a], out=r)
+        for b in range(a + 1, m):
+            np.add(r, np.multiply(coef[b - a], Z[b], out=term), out=r)
+        np.multiply(r, Z[a], out=r)
+        if a:
+            np.add(out, r, out=out)
+    return np.add(out, out, out=out)
 
 
 Sip = MultiplicationSip | PsdFamilySip

@@ -268,10 +268,10 @@ def test_lambda_minimum_weight():
     grid = LogGrid.log_spaced(1e-3, 1e3, 51)
     plain = defect_grid(T, x, y, grid)
     g = Gram(T, x, y)
-    d, du = lambda_minima(g, grid)
+    d, du = lambda_minima([g], grid)[0]
     assert np.array_equal(d, plain) and du is None
     for u, weighted in ((np.ones(2), plain), (np.array([0.0, 2.0]), [0.0, 2.0 * plain[1]])):
-        d, du = lambda_minima(g, grid, u)
+        d, du = lambda_minima([g], grid, [u])[0]
         assert np.array_equal(d, plain)  # the weight leaves D as it is
         assert np.array_equal(du, weighted)
 

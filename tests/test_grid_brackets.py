@@ -6,11 +6,13 @@ rounding certificate holds, and the whole grid for every other row. The
 references below evaluate every grid point at once, in the oracles'
 elementwise order, and reduce each row in one call: the results must have
 the same bits, signed zeros included, and NaN where the reference has
-NaN. The size thresholds of the two stages are patched to 0, so that the
-small grids take two stages too, and each case runs at the library's own
-thresholds as well. The bits cannot show a certificate that stops
-certifying, which only costs time, so the last test counts the calls
-that take the whole grid on generated pairs at the largest grid.
+NaN. lambda_minima stacks the rows of many pairs, so a stack of pairs
+must give each pair the bits it has alone. The size thresholds of the
+two stages are patched to 0, so that the small grids take two stages
+too, and each case runs at the library's own thresholds as well. The
+bits cannot show a certificate that stops certifying, which only costs
+time, so the last tests count the rows that take the whole grid: those
+that must, and none of the study's generated pairs at its largest grids.
 """
 
 from contextlib import ExitStack
@@ -21,16 +23,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riesz_sip import cauchy_schwarz, means
-from riesz_sip.cauchy_schwarz import Gram, defect_grid, lambda_minima
-from riesz_sip.harness import TrialConfig, _chunks
+from riesz_sip import cauchy_schwarz, harness, means
+from riesz_sip.cauchy_schwarz import Gram, lambda_minima
+from riesz_sip.harness import TrialConfig, _chunks, convergence_study
 from riesz_sip.means import (
     AngleGrid,
     LogGrid,
     _box_plus_oracle,
     _box_times_oracle,
-    box_plus_gaps,
-    box_times_gaps,
 )
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
@@ -77,8 +77,12 @@ def vectors(n):
 
 
 @st.composite
-def families(draw):
-    """(T, x, y, u): valid, negated, asymmetric, indefinite or zero-member families, or the flat 2x2 shape."""
+def families(draw, m_hi=4, n_hi=4):
+    """(T, x, y, u): valid, negated, asymmetric, indefinite or zero-member families, or the flat 2x2 shape.
+
+    m and n go up to m_hi and n_hi; y may be a multiple of x, and u has
+    zero entries or is None.
+    """
     kind = draw(st.sampled_from(["multiplication", "valid", "negated", "asymmetric",
                                  "indefinite", "zero", "flat", "huge"]))
     if kind == "flat":
@@ -90,10 +94,10 @@ def families(draw):
         T = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
         x, y = np.array([1.0, 2.0]), np.array([3.0, -1.0])
     elif kind == "multiplication":
-        T = MultiplicationSip(draw(st.integers(1, 4)))
+        T = MultiplicationSip(draw(st.integers(1, n_hi)))
         x, y = draw(vectors(T.dim)), draw(vectors(T.dim))
     else:
-        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        m, n = draw(st.integers(1, m_hi)), draw(st.integers(1, n_hi))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         A = random_psd(rng, m, n).matrices.copy()
         j = int(rng.integers(n))
@@ -109,6 +113,8 @@ def families(draw):
             A[j] = 0.0
         T = PsdFamilySip(A, validate=False)
         x, y = draw(vectors(m)), draw(vectors(m))
+    if draw(st.booleans()):
+        y = draw(st.sampled_from([2.0, -0.5])) * x  # colinear
     n = T.codomain_dim
     u = draw(st.none() | st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=n, max_size=n)
              .map(np.array))
@@ -121,7 +127,7 @@ def test_lambda_minima_has_the_full_grids_bits(case, count, bracket_all):
     T, x, y, u = case
     grid = LogGrid.log_spaced(1e-6, 1e6, count)
     with np.errstate(all="ignore"), thresholds(bracket_all):
-        got = lambda_minima(Gram(T, x, y), grid, u)
+        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
     with np.errstate(all="ignore"):
         ref = ref_lambda_minima(T, x, y, grid, u)
     assert_same_bits(got[0], ref[0])
@@ -129,6 +135,30 @@ def test_lambda_minima_has_the_full_grids_bits(case, count, bracket_all):
         assert got[1] is None
     else:
         assert_same_bits(got[1], ref[1])
+
+
+@settings(SETTINGS, max_examples=25)
+@given(st.lists(families(12, 8), min_size=1, max_size=12), st.sampled_from((64, 2001, 10**5)),
+       st.booleans())
+def test_stacked_pairs_have_each_pairs_bits(cases, count, bracket_all):
+    # one call over 1-12 pairs of both sip kinds, m <= 12 and n <= 8,
+    # with and without weights: each pair's D and D*u have the bits of
+    # that pair alone and of the full grid's reference
+    grid = LogGrid.log_spaced(1e-6, 1e6, count)
+    grams = [Gram(T, x, y) for T, x, y, _ in cases]
+    weights = [u for *_, u in cases]
+    with np.errstate(all="ignore"), thresholds(bracket_all):
+        stacked = lambda_minima(grams, grid, weights)
+        alone = [lambda_minima([g], grid, [u])[0] for g, u in zip(grams, weights)]
+    for (T, x, y, u), got, single in zip(cases, stacked, alone):
+        with np.errstate(all="ignore"):
+            ref = ref_lambda_minima(T, x, y, grid, u)
+        for value, one, r in zip(got, single, ref):
+            if u is None and value is None:
+                assert one is None and r is None
+                continue
+            assert_same_bits(value, r)
+            assert_same_bits(value, one)
 
 
 @st.composite
@@ -164,34 +194,42 @@ def test_mean_oracles_have_the_full_grids_bits(ab, count, bracket_all):
             assert_same_bits(g, r[i])
 
 
-def counted(module, name, calls):
-    """A context in which module.name appends name to calls, then runs as before."""
+def counted(module, name, calls, record=None):
+    """A context in which module.name appends record(*args), or name, to calls, then runs as before."""
     whole = getattr(module, name)
 
     def counting(*args):
-        calls.append(name)
+        calls.append(name if record is None else record(*args))
         return whole(*args)
     return mock.patch.object(module, name, counting)
 
 
+def whole_rows(rows, grid):
+    """The rows a call of the whole-grid pass takes: their count, and the weights of those with one."""
+    return rows.size, rows.u[:, 0].tolist()
+
+
 def test_the_fallback_takes_the_rows_it_must():
     # the flat row, the overflowing family and a zero weight's row take
-    # the whole grid; a valid pair at 10^5 points under a positive weight
-    # takes none
+    # the whole grid, each alone; a valid pair at 10^5 points under a
+    # positive weight takes none
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     calls = []
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
     huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
     valid = random_psd(np.random.default_rng(3), 3, 2)
-    with counted(cauchy_schwarz, "_lambda_pass", calls), np.errstate(all="ignore"):
-        for T, x, y, u, falls in ((flat, [0.0, 2.0], [3.0, 0.0], [1.0, 1.0], True),
-                                  (huge, [1.0, 2.0], [3.0, -1.0], [1.0], True),
-                                  (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], False),
-                                  (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], True)):
+    with counted(cauchy_schwarz, "_lambda_pass", calls, whole_rows), np.errstate(all="ignore"):
+        for T, x, y, u, rows in (
+                # coordinate 1, whose D and D*u are flat in lambda, and not coordinate 0
+                (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(1, [2.0])]),
+                (huge, [1.0, 2.0], [3.0, -1.0], [1.0], [(1, [1.0])]),
+                (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], []),
+                # the D*u row of coordinate 0, all zeros: one row of T-values
+                (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], [(1, [0.0])])):
             calls.clear()
             x, y, u = np.array(x), np.array(y), np.array(u)
-            got = lambda_minima(Gram(T, x, y), grid, u)
-            assert bool(calls) == falls
+            (got,) = lambda_minima([Gram(T, x, y)], grid, [u])
+            assert calls == rows
             ref = ref_lambda_minima(T, x, y, grid, u)
             assert_same_bits(got[0], ref[0])
             assert_same_bits(got[1], ref[1])
@@ -199,17 +237,19 @@ def test_the_fallback_takes_the_rows_it_must():
 
 def test_generated_pairs_take_two_stages_and_never_fall_back():
     # a certificate that quietly stops certifying keeps every bit and
-    # only costs time: at the study's largest grid, every oracle call on
-    # 20 generated pairs of each of the study's recipes must take two
-    # stages, and no row may take the whole grid
-    config = TrialConfig(trials=20, seed=7, theta_count=10**5, angle_count=10**5,
-                         lambda_count=10**5)
+    # only costs time: in a study at grids of 10^5 and 2*10^5 points,
+    # over 20 generated pairs of each of its recipes, every oracle call
+    # must take two stages and no row may take the whole grid; the study
+    # makes one lambda_minima call per grid size, over every pair, and
+    # one call of each mean oracle per grid size and n
+    config = TrialConfig(trials=20, seed=7)
+    ns = {pos.x.size for pos in chain.from_iterable(_chunks(config, "positive_log"))}
     calls = []
-    with counted(cauchy_schwarz, "_lambda_pass", calls), counted(means, "_fold_blocks", calls), \
-            np.errstate(all="ignore"):
-        for g in chain.from_iterable(_chunks(config, "generic")):
-            defect_grid(g.sip, g.x, g.y, config.lambda_grid)
-        for pos in chain.from_iterable(_chunks(config, "positive_log")):
-            box_times_gaps(abs(pos.x), abs(pos.y), config.theta_grid, config.tolerances.abs)
-            box_plus_gaps(pos.x, pos.y, config.angle_grid, config.tolerances.abs)
-    assert calls == []
+    with ExitStack() as stack, np.errstate(all="ignore"):
+        for module, name in ((cauchy_schwarz, "_lambda_pass"), (means, "_fold_blocks"),
+                             (harness, "lambda_minima"), (harness, "box_times_gaps"),
+                             (harness, "box_plus_gaps")):
+            stack.enter_context(counted(module, name, calls))
+        assert convergence_study(config, (10**5, 2 * 10**5)).ok
+    assert sorted(calls) == sorted(["lambda_minima"] * 2
+                                  + ["box_times_gaps", "box_plus_gaps"] * 2 * len(ns))

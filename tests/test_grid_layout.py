@@ -204,7 +204,7 @@ def test_defect_grid_bits(case, grid):
     # D and, with u, the weighted defect D(x,y)*u of the sharp suite, from one pass
     T, x, y, u = case
     with np.errstate(all="ignore"):
-        got = lambda_minima(Gram(T, x, y), grid, u)
+        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
         plain = defect_grid(T, x, y, grid)
         ref = ref_lambda_minima(T, x, y, grid, u)
     assert_same_minima(got, ref)
@@ -313,7 +313,7 @@ def test_a_stack_gives_each_row_its_bits_alone(ab):
 def test_defect_grid_bits_at_any_block(block, case, grid):
     T, x, y, u = case
     with np.errstate(all="ignore"), mock.patch.object(means, "GRID_BLOCK", block):
-        got = lambda_minima(Gram(T, x, y), grid, u)
+        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
         plain = defect_grid(T, x, y, grid)
     with np.errstate(all="ignore"):
         ref = ref_lambda_minima(T, x, y, grid, u)
@@ -330,7 +330,7 @@ def test_defect_grid_bits_at_one_block(case):
     for G in (w // 2 - 1, w // 2, w // 2 + 1):
         grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
         with np.errstate(all="ignore"):
-            assert_same_minima(lambda_minima(Gram(T, x, y), grid, u),
+            assert_same_minima(lambda_minima([Gram(T, x, y)], grid, [u])[0],
                                ref_lambda_minima(T, x, y, grid, u))
 
 

@@ -5,18 +5,21 @@ whole (n, G) array would hold 61 MiB per array (122 MiB for a mean
 oracle, 244 MiB for the lambda-grid defect with its 2G columns). Blocks
 of means.GRID_BLOCK elements keep the peak of traced allocations far
 below the bound here. So does the cs and sharp check of one trial, whose
-one lambda-grid pass gives both of its minima. The grid's own cached
+one lambda-grid pass gives both of its minima, and the study's one
+lambda_minima call over its generated pairs, whose stages go in bands of
+rows. The grid's own cached
 factors (1/theta, the +- closure, cos and sin) are built by a first call
 and kept for every later call on that grid, so they are not counted.
 """
 
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from riesz_sip.cauchy_schwarz import defect_grid
-from riesz_sip.harness import Instance, Trial, TrialConfig, _run_check
+from riesz_sip.cauchy_schwarz import Gram, defect_grid, lambda_minima
+from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _run_check
 from riesz_sip.means import AngleGrid, LogGrid, box_plus_oracle, box_times_oracle
 from riesz_sip.sip import MultiplicationSip, random_psd
 
@@ -28,6 +31,9 @@ rng = np.random.default_rng(0)
 PSD = random_psd(rng, 3, N)
 u, v = rng.uniform(0.5, 2.0, (2, N))
 x, y = rng.uniform(-1.0, 1.0, (2, 3))
+# the generic pairs of a 25-trial study, whose n differ
+GENERIC = [Gram(g.sip, g.x, g.y)
+           for g in chain.from_iterable(_chunks(TrialConfig(trials=25), "generic"))]
 
 
 def log_grid():
@@ -68,6 +74,19 @@ def test_grid_oracle_memory_is_bounded_by_the_block(name):
         tracemalloc.stop()
     assert result.shape == (N,) and np.all(np.isfinite(result))
     assert peak < BOUND, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_the_study_call_holds_a_band_of_rows():
+    grid = log_grid()
+    defect_grid(MultiplicationSip(1), [1.0], [2.0], grid)  # the cached factors
+    tracemalloc.start()
+    try:
+        minima = lambda_minima(GENERIC, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(np.isfinite(d)) for d, _ in minima)
+    assert peak < BOUND, f"the study's call peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_cs_and_sharp_of_a_trial_hold_one_block():

@@ -28,8 +28,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "riesz_sip"
 # The oracles, with the bracket and certificate helpers of their two
 # stages, the grids and each sip's quadratic.
 ORACLE = {
-    "lambda_minima", "_lambda_pass", "_lambda_samples", "_lambda_values", "_lambda_blocks",
-    "_lambda_bound", "defect_grid", "_box_times_oracle", "_box_plus_oracle",
+    "lambda_minima", "_lambda_rows", "_stack_rows", "_class_minima", "_lambda_stages",
+    "_lambda_pass", "_lambda_blocks", "_lambda_values", "_weigh", "_band", "take",
+    "_lambda_bound", "_row_form", "defect_grid", "_box_times_oracle", "_box_plus_oracle",
     "box_times_oracle", "box_plus_oracle", "_fold_blocks", "_fold_bracketed", "_stride",
     "_coarse", "_brackets", "_angle_bound", "_bound", "signed", "signed_abs", "inverse",
     "_trig", "_quarter_trig", "quadratic", "_row_coefficients", "check_oracle_trials",
@@ -137,9 +138,13 @@ def test_the_oracles_run_with_every_closed_form_raising():
         p.start()
     try:
         with np.errstate(all="ignore"):
+            for grid in (config.lambda_grid, lam):
+                stacked = lambda_minima(grams, grid, [g.u for g in grams])
+                for g, (d, du) in zip(grams, stacked):
+                    assert d.shape == du.shape == (g.T.codomain_dim,)
             for g in grams:
                 for grid in (config.lambda_grid, lam):
-                    d, du = lambda_minima(g, grid, g.u)
+                    (d, du), = lambda_minima([g], grid, [g.u])
                     assert d.shape == du.shape == (g.T.codomain_dim,)
                 defect_grid(g.T, g.x, g.y, lam)
             u, v = np.abs(stacked_x), np.abs(stacked_x[::-1])

@@ -1,10 +1,11 @@
 """The quadratic kernels T(z, z), one value per column of an (m, S) array.
 
-quadratic computes the lambda-grid samples of the Cauchy-Schwarz defect
-oracle, one block of grid columns per call. A column's bits must depend
-on that column and the family alone: not on the batch around it, its
-position, the block width of the lambda-grid pass, or the SIMD paths
-numpy dispatches to. Its value must be T's scalar definition up to
+quadratic's kernel (sip._row_form for a PSD family) computes the
+lambda-grid samples of the Cauchy-Schwarz defect oracle, one block of
+grid columns per call, on the stacked rows of many pairs. A column's bits
+must depend on that column and the family alone: not on the batch around
+it, its position, the block width of the lambda-grid pass, or the SIMD
+paths numpy dispatches to. Its value must be T's scalar definition up to
 Higham's forward-error bound, and it must stay finite on the families
 where a summed off-diagonal coefficient or a product z_a*z_b formed first
 would overflow. The values of a pair's Gram, T(x,x), T(x,y), T(y,y),
@@ -32,6 +33,7 @@ from riesz_sip.cauchy_schwarz import (
     Gram,
     GramStack,
     _lambda_blocks,
+    _lambda_rows,
 )
 from riesz_sip.lattice import NonFinite
 from riesz_sip.means import GRID_BLOCK, LogGrid
@@ -46,9 +48,12 @@ DISPATCH_OFF = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X8
 
 def lambda_samples(T, x, y, grid):
     """The T-values of the lambda-grid pass over grid.signed, block after block, as (n, 2G)."""
-    # each block's buffer is overwritten by the next, so it is copied first
-    return np.concatenate([t.copy() for _, t, _ in _lambda_blocks(Gram(T, x, y), grid)],
-                          axis=1)
+    (rows,), _ = _lambda_rows([Gram(T, x, y)], [None])
+    out = np.empty((rows.size, 2 * grid.count))
+    # each block's buffer is overwritten by the next, so it is copied out first
+    for lo, hi, cols, t, _ in _lambda_blocks(rows, grid):
+        out[lo:hi, cols] = t
+    return out
 
 
 def floats(lo, hi):

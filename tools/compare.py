@@ -55,7 +55,10 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 weight and with one entry too many, against cs and sharp,
                 and a PSD family with a negated member against axioms;
   study/seed=s  convergence studies at seeds 0 to 7, 20 trials each, at
-                grids 64, 1000 and 10^5 (--tiny: one, named study).
+                grids 64, 1000 and 10^5, and one at seed 0 with m_hi = 12
+                and n_hi = 8 (study/seed=0,m_hi=12,n_hi=8), whose generic
+                pairs span many kernel classes of the lambda oracle
+                (--tiny: one, named study).
 
 Reports and studies are digested with wall_time_s removed. An output
 that raises is digested as its exception's class and message. --tiny
@@ -95,7 +98,9 @@ TINY_REPORTS = [(0, 8, {}), (1, 8, {"lambda_count": 400, "m_hi": 12, "n_hi": 8})
 FULL_TRIAGE, TINY_TRIAGE = (range(6), 5), (range(1), 2)
 FULL_TRIAGE_GROUPS = [(0, 2, 1), (1, 4, 2), (2, 5, 3), (3, 3, 3), (4, 7, 5), (5, 12, 8)]
 TINY_TRIAGE_GROUPS = [(0, 4, 2)]
-FULL_STUDY, TINY_STUDY = (range(8), 20, (64, 1000, 10**5)), ((0,), 4, (8, 64))
+FULL_STUDY = ([(seed, {}) for seed in range(8)] + [(0, {"m_hi": 12, "n_hi": 8})],
+              20, (64, 1000, 10**5))
+TINY_STUDY = ([(0, {})], 4, (8, 64))
 # Instances of the fallback reports, by name (instance JSON format)
 FALLBACK = {
     "flat-2x2": {"kind": "psd_family", "m": 2, "n": 2,
@@ -285,10 +290,11 @@ def corpus(tiny: bool) -> dict:
             run(name, cfg, injected)
         for name, ce in shrink_cases():
             digest(f"{name}/shrink", lambda: shrunk(ce))
-        seeds, trials, grids = TINY_STUDY if tiny else FULL_STUDY
-        for seed in seeds:
-            digest("study" if tiny else f"study/seed={seed}", lambda: without_wall_time(
-                h.convergence_study(h.TrialConfig(seed=seed, trials=trials), grids)))
+        studies, trials, grids = TINY_STUDY if tiny else FULL_STUDY
+        for seed, fields in studies:
+            name = "".join([f"study/seed={seed}"] + [f",{k}={v}" for k, v in fields.items()])
+            digest("study" if tiny else name, lambda: without_wall_time(
+                h.convergence_study(h.TrialConfig(seed=seed, trials=trials, **fields), grids)))
     return digests
 
 
