@@ -56,22 +56,22 @@ defect in one call.
 Rows by kernel class. A row is one codomain coordinate of one pair, and
 its samples depend on its own coefficients and its pair alone. The rows
 of one kernel class share every numpy call (_lambda_rows): the
-multiplication sip's rows, z_j * z_j, form one class, and the PSD rows of
-each domain dimension m another. A PSD row takes its family member's
-coefficients as (R, 1) columns, in the fixed row order of the kernel it
-shares with PsdFamilySip.quadratic (sip._row_form), and repeats its
-pair's difference vector z = lambda*x - y; the rows of one PSD pair read
-its one z. The pass is coordinate-major and blocked, like the mean
-oracles (see means): a block's difference vectors, the kernel's two work
-blocks (a row's sum and its current term) and the T-values are
-consecutive views of one buffer made once per stage (_lambda_values).
-_weigh weights a block into the spare block (the kernel's row sum) and
-divides both by |lambda| (cached on the grid) in place. The whole-grid
-pass (_lambda_pass) goes band by band and block by block
-(_lambda_blocks) and folds the row minima with np.minimum, so it never
-holds more than a block. Each column's bits depend on its lambda and its
-row alone, and minima are exact, so the minima are the same at any
-block width, in any band and in any stack.
+multiplication sip's rows, z_j * z_j, form one class, and the PSD rows
+of each domain dimension m another. A PSD row takes its family member's
+coefficients as (R, 1) columns, in the fixed row order of the PSD kernel
+sip._row_form, and repeats its pair's difference vector
+z = lambda*x - y; the rows of one PSD pair read its one z. The pass is
+coordinate-major and blocked, like the mean oracles (see means): a
+block's difference vectors, the kernel's two work blocks (a row's sum
+and its current term) and the T-values are consecutive views of one
+buffer made once per stage (_lambda_values). _weigh weights a block into
+the spare block (the kernel's row sum) and divides both by |lambda|
+(cached on the grid) in place. The whole-grid pass (_lambda_pass) goes
+band by band and block by block (_lambda_blocks) and folds the row
+minima with np.minimum, so it never holds more than a block. Each
+column's bits depend on its lambda and its row alone, and minima are
+exact, so the minima are the same at any block width, in any band and in
+any stack.
 
 Two stages, with windows per row. A class whose 2G*R elements reach
 LAMBDA_BRACKET_ELEMENTS takes two stages, as the mean oracles do (see
@@ -533,16 +533,14 @@ def _lambda_rows(pairs: list, weights: list) -> tuple:
 
 def _stack_rows(multiplication: bool, grams: list, weights: list, size: int) -> _Rows:
     """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights."""
-    u = (weights[0] if len(weights) == 1 else np.concatenate(weights + [np.empty(0)]))[:, None]
-    if len(grams) == 1:
-        (g,) = grams
-        if multiplication:
-            return _Rows(size, g.x[None], g.y[None], None, None, u)
-        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u)
+    u = np.concatenate(weights + [np.empty(0)])[:, None]
     if multiplication:
         x = np.concatenate([g.x for g in grams])[None]
         y = np.concatenate([g.y for g in grams])[None]
         return _Rows(size, x, y, None, None, u)
+    if len(grams) == 1:  # one pair: every row reads its one column
+        (g,) = grams
+        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u)
     families = [g.T for g in grams]
     ns = [T.codomain_dim for T in families]
     x = np.repeat(np.array([g.x for g in grams]), ns, axis=0).T

@@ -16,7 +16,7 @@ residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
 well formed beyond shape.
 
-Each sip has three kernels, and eval_stack evaluates a stack of sips:
+Each sip has two kernels, and eval_stack evaluates a stack of sips:
 
   eval(x, y)         T(x, y) of one pair, whose bits each row of
                      eval_stack keeps.
@@ -40,24 +40,15 @@ Each sip has three kernels, and eval_stack evaluates a stack of sips:
                      stacking moves them only where BLAS rounds by the
                      row count (see check_axioms), at shapes no pin or
                      benchmark uses.
-  quadratic(Zt, out, work)
-                     T(z, z) for every column z of an (m, S) array, an
-                     (n, S) array, written into the buffers out and work
-                     (the PSD form's row sum and current term). The PSD
-                     form is a kernel of its own, _row_form, a
-                     fixed-order multiply-and-sum in row form: twice
-                     the sum over rows a of z_a times row a's sum of
-                     coefficients times z_b, b >= a, about half the
-                     elementwise passes of a sum over the pairs a <= b.
-                     It uses no einsum, matmul or BLAS, so a column's
-                     bits depend on that column and the family alone,
-                     and not on numpy's SIMD dispatch; the
-                     multiplication sip's is Zt * Zt. The lambda-grid
-                     oracle of the Cauchy-Schwarz defect runs the same
-                     two forms on its rows, one block of grid columns
-                     at a time (cauchy_schwarz.lambda_minima, which
-                     stacks the rows of many families in one _row_form
-                     call).
+
+_row_form is the lambda-grid oracle's kernel T(z, z) of a PSD family
+(cauchy_schwarz.lambda_minima, which stacks the rows of many families in
+one call, one block of grid columns at a time): a fixed-order
+multiply-and-sum in row form, twice the sum over rows a of z_a times row
+a's sum of coefficients times z_b, b >= a, about half the elementwise
+passes of a sum over the pairs a <= b. It uses no einsum, matmul or BLAS,
+so a column's bits depend on that column and the family alone, and not
+on numpy's SIMD dispatch; the multiplication sip's is z * z.
 
 orthogonal_stack builds orthogonal pairs, y with T(x, y) = 0, for a stack
 of pairs at once: the orthogonal recipe's chunks. Its kernel basis comes
@@ -115,9 +106,6 @@ class MultiplicationSip:
 
     # Stacked pairs multiply as one pair does.
     eval_batch = eval
-
-    def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
-        return np.multiply(Zt, Zt, out=out)
 
 
 _PSD_SUBSCRIPTS = "jab,sa,sb->sj"
@@ -213,17 +201,6 @@ class PsdFamilySip:
         C = np.ascontiguousarray(np.moveaxis(C, 0, -1))[..., None]
         return [list(C[a, a:]) for a in diag]
 
-    def quadratic(self, Zt: np.ndarray, out=None, work=None) -> np.ndarray:
-        """T(z, z)_j for every column z of Zt: _row_form with the family's own coefficients.
-
-        Callers pass an (m, S) array, an (n, S) array out for the sum and
-        a (2, n, S) array work for a row's sum and its current term; both
-        are new arrays by default.
-        """
-        acc = np.empty((self.codomain_dim, Zt.shape[1])) if out is None else out
-        work = np.empty((2, *acc.shape)) if work is None else work
-        return _row_form(self._row_coefficients, Zt[:, None], acc, work)
-
 
 def _row_form(coefficients: list, Z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """T(z, z)_j = 2 * sum_a z_a * (A_jaa/2 * z_a + sum_{b > a} C_jab * z_b), for rows of coefficients.
@@ -253,9 +230,7 @@ def _row_form(coefficients: list, Z: np.ndarray, out: np.ndarray, work: np.ndarr
     - Every step is an elementwise multiply or add, with no einsum,
       matmul or BLAS, so a column's bits depend on that column and its
       row's coefficients alone: not on the number of columns or rows, its
-      position, or the SIMD paths numpy dispatches to. The one kernel
-      serves a family's quadratic and the lambda-grid oracle's stack of
-      rows (cauchy_schwarz.lambda_minima).
+      position, or the SIMD paths numpy dispatches to.
     """
     m = len(coefficients)
     if m == 1:

@@ -32,7 +32,7 @@ from riesz_sip.means import (
     _box_plus_oracle,
     _box_times_oracle,
 )
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, _row_form, random_psd
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -58,7 +58,12 @@ def assert_same_bits(got, ref):
 
 def ref_lambda_minima(T, x, y, grid, u):
     lam, abs_lam = grid.signed, grid.signed_abs
-    t = T.quadratic(x[:, None] * lam - y[:, None])
+    z = x[:, None] * lam - y[:, None]
+    if isinstance(T, MultiplicationSip):
+        t = z * z
+    else:
+        t = np.empty((T.codomain_dim, lam.size))
+        _row_form(T._row_coefficients, z[:, None], t, np.empty((2, *t.shape)))
     d = (t / abs_lam).min(axis=1)
     return d, None if u is None else (t * u[:, None] / abs_lam).min(axis=1)
 

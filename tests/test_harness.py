@@ -1085,21 +1085,24 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     psd = sum(inst.kind == "psd_family" for inst in insts)
     mult_groups = len({inst.sip.codomain_dim for inst in insts if inst.kind == "multiplication"})
     assert (psd, mult_groups) == (20, 4)
-    calls = {"eval": 0, "eval_batch": 0, "lambda_minima": 0}
+    calls = {"eval": 0, "eval_batch": 0, "lambda_minima": 0, "_lambda_values": 0}
     for cls in (PsdFamilySip, MultiplicationSip):
         for name in ("eval", "eval_batch"):
             def counted(self, *args, _method=getattr(cls, name), _name=name):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
-
-    def sampled(*args, _minima=harness.lambda_minima):
-        calls["lambda_minima"] += 1
-        return _minima(*args)
-    monkeypatch.setattr(harness, "lambda_minima", sampled)
+    # a lambda_minima call per trial, and one kernel evaluation in it: the
+    # default grid is one block of one pass for every kernel class
+    for module, name in ((harness, "lambda_minima"), (cauchy_schwarz, "_lambda_values")):
+        def sampled(*args, _function=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _function(*args)
+        monkeypatch.setattr(module, name, sampled)
     rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
-    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "lambda_minima": 50}
+    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "lambda_minima": 50,
+                     "_lambda_values": 50}
     # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 4
     assert Counter(rows.values()) == {10: 50, 4: 50}
 

@@ -26,14 +26,14 @@ from riesz_sip.means import AngleGrid, LogGrid
 SRC = Path(__file__).resolve().parents[1] / "src" / "riesz_sip"
 
 # The oracles, with the bracket and certificate helpers of their two
-# stages, the grids and each sip's quadratic.
+# stages, the grids and the PSD kernel of the lambda-grid samples.
 ORACLE = {
     "lambda_minima", "_lambda_rows", "_stack_rows", "_class_minima", "_lambda_stages",
     "_lambda_pass", "_lambda_blocks", "_lambda_values", "_weigh", "_band", "take",
     "_lambda_bound", "_row_form", "defect_grid", "_box_times_oracle", "_box_plus_oracle",
     "box_times_oracle", "box_plus_oracle", "_fold_blocks", "_fold_bracketed", "_stride",
     "_coarse", "_brackets", "_angle_bound", "_bound", "signed", "signed_abs", "inverse",
-    "_trig", "_quarter_trig", "quadratic", "_row_coefficients", "check_oracle_trials",
+    "_trig", "_quarter_trig", "_row_coefficients", "check_oracle_trials",
 }
 # The closed forms: the kernels of the means, the closed-form argmin, and
 # the values a record derives from a, b and c.

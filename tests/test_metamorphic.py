@@ -67,7 +67,7 @@ def test_a_multiplication_sip_checks_as_its_diagonal_family():
     # as the PSD family A_j = e_j e_j' and checked alone in every suite its
     # recipe feeds, keeps each residual's bits, its status and failed list,
     # and its tags but the kind tag: this ties the PSD kernels (the
-    # lambda-grid samples' quadratic, eval_stack, eval_batch) to the
+    # lambda-grid samples' _row_form, eval_stack, eval_batch) to the
     # multiplication sip's, bit for bit
     config = TrialConfig(trials=300, seed=7)
     for recipe in dict.fromkeys(PURPOSES.values()):

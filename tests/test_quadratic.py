@@ -1,7 +1,7 @@
 """The quadratic kernels T(z, z), one value per column of an (m, S) array.
 
-quadratic's kernel (sip._row_form for a PSD family) computes the
-lambda-grid samples of the Cauchy-Schwarz defect oracle, one block of
+The kernel (sip._row_form for a PSD family, z * z for the multiplication
+sip) computes the lambda-grid samples of the Cauchy-Schwarz defect oracle, one block of
 grid columns per call, on the stacked rows of many pairs. A column's bits
 must depend on that column and the family alone: not on the batch around
 it, its position, the block width of the lambda-grid pass, or the SIMD
@@ -37,13 +37,21 @@ from riesz_sip.cauchy_schwarz import (
 )
 from riesz_sip.lattice import NonFinite
 from riesz_sip.means import GRID_BLOCK, LogGrid
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip, eval_stack, random_psd
+from riesz_sip.sip import MultiplicationSip, PsdFamilySip, _row_form, eval_stack, random_psd
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 # numpy's SIMD targets switched off in a child process: its AVX-512 paths,
 # and with them its AVX2 ones (X86_V3)
 DISPATCH_OFF = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3")
+
+
+def quadratic(T, Zt):
+    """T(z, z) of every column z of the (m, S) array Zt, as (n, S), by the lambda-grid oracle's kernel."""
+    if isinstance(T, MultiplicationSip):
+        return Zt * Zt
+    out = np.empty((T.codomain_dim, Zt.shape[1]))
+    return _row_form(T._row_coefficients, Zt[:, None], out, np.empty((2, *out.shape)))
 
 
 def lambda_samples(T, x, y, grid):
@@ -101,13 +109,13 @@ def test_column_bits_do_not_depend_on_the_batch(T, data):
     z = data.draw(columns(floats(-300, 299), m, 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     with np.errstate(all="ignore"):
-        alone = T.quadratic(z)
+        alone = quadratic(T, z)
         # any position in a batch of N
         N = data.draw(st.integers(1, 40))
         k = data.draw(st.integers(0, N - 1))
         batch = rng.uniform(-10.0, 10.0, (m, N))
         batch[:, k] = z[:, 0]
-        assert_same_bits(T.quadratic(batch)[:, k:k + 1], alone)
+        assert_same_bits(quadratic(T, batch)[:, k:k + 1], alone)
 
 
 @SETTINGS
@@ -127,7 +135,7 @@ def test_lambda_samples_bits_do_not_depend_on_the_block(T, data):
             S = 2 * G
             for k in sorted({0, width - 1, width, S - 1} & set(range(S))):
                 z = grid.signed[k] * x - y
-                assert_same_bits(got[:, k:k + 1], T.quadratic(z[:, None]))
+                assert_same_bits(got[:, k:k + 1], quadratic(T, z[:, None]))
         grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, 7)
         ref = lambda_samples(T, x, y, grid)
         for block in (1, 2, 5):  # elements: one column per block when m or n > block
@@ -154,7 +162,7 @@ def test_quadratic_is_the_scalar_definition(T, data):
     # (at most m - 1): k = 2m + 1, reached by the pair (0, 1).
     m = T.domain_dim
     Zt = data.draw(columns(floats(-60, 60), m, 3))
-    got = T.quadratic(Zt)
+    got = quadratic(T, Zt)
     assert got.shape == (T.codomain_dim, 3)
     A = [[[Fraction(v) for v in row] for row in Aj] for Aj in _matrices(T).tolist()]
     k = 2 * m + 1
@@ -296,23 +304,26 @@ def test_matrix_entry_multiplies_first():
     # z_a*z_a first overflows above 1.3e154 and gives inf
     T = PsdFamilySip(1e-320 * np.eye(2)[None], validate=False)
     Zt = np.array([[2e300, -1.7e308], [1.0, 1.0]])
-    got = T.quadratic(Zt)
+    got = quadratic(T, Zt)
     assert np.all(np.isfinite(got))
     assert got[0, 0] == (1e-320 * 2e300) * 2e300 + (1e-320 * 1.0) * 1.0
 
 
 # Prints whether any of the SIMD targets named in argv[2] is still on,
-# then quadratic of both sip kinds on the inputs saved in argv[1], as hex.
+# then the kernel of both sip kinds on the inputs saved in argv[1], as hex.
 _CHILD = """
 import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
-from riesz_sip.sip import MultiplicationSip, PsdFamilySip
+from riesz_sip.sip import PsdFamilySip, _row_form
 with np.load(sys.argv[1]) as f:
     A, Z, W = f["A"], f["Z"], f["W"]
 print(any(__cpu_features__.get(name, False) for name in sys.argv[2].split()))
-print(PsdFamilySip(A, validate=False).quadratic(Z).tobytes().hex())
-print(MultiplicationSip(W.shape[0]).quadratic(W).tobytes().hex())
+out = np.empty((A.shape[0], Z.shape[1]))
+_row_form(PsdFamilySip(A, validate=False)._row_coefficients, Z[:, None], out,
+          np.empty((2, *out.shape)))
+print(out.tobytes().hex())
+print((W * W).tobytes().hex())
 """
 
 
@@ -334,5 +345,5 @@ def test_quadratic_bits_do_not_follow_numpys_simd_dispatch(disabled, tmp_path):
     assert proc.returncode == 0, proc.stderr
     enabled, psd, mult = proc.stdout.split()
     assert enabled == "False"
-    assert psd == PsdFamilySip(A, validate=False).quadratic(Z).tobytes().hex()
-    assert mult == MultiplicationSip(8).quadratic(W).tobytes().hex()
+    assert psd == quadratic(PsdFamilySip(A, validate=False), Z).tobytes().hex()
+    assert mult == quadratic(MultiplicationSip(8), W).tobytes().hex()
