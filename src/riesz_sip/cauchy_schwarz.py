@@ -60,30 +60,22 @@ multiplication sip's rows, z_j * z_j, form one class, and the PSD rows
 of each domain dimension m another. A PSD row takes its family member's
 coefficients as (R, 1) columns, in the fixed row order of the PSD kernel
 sip._row_form, and repeats its pair's difference vector
-z = lambda*x - y; the rows of one PSD pair read its one z. The pass is
-coordinate-major and blocked, like the mean oracles (see means): a
-block's difference vectors, the kernel's two work blocks (a row's sum
-and its current term) and the T-values are consecutive views of one
-buffer made once per stage (_lambda_values). _weigh weights a block into
-the spare block (the kernel's row sum) and divides both by |lambda|
-(cached on the grid) in place. The whole-grid pass (_lambda_pass) goes
-band by band and block by block (_lambda_blocks) and folds the row
-minima with np.minimum, so it never holds more than a block. Each
-column's bits depend on its lambda and its row alone, and minima are
-exact, so the minima are the same at any block width, in any band and in
-any stack.
+z = lambda*x - y; the rows of one PSD pair read its one z. A class's
+_Rows is the row sampler of the one grid driver, means._fold_grid, which
+also serves the mean oracles (see means for the layout, the two stages
+and why they are sound): a block's difference vectors, the kernel's two
+work blocks (a row's sum and its current term) and the T-values are
+consecutive views of the driver's buffer (_lambda_values), and _weigh
+weights a block into the spare block (the kernel's row sum) and divides
+both by |lambda| (cached on the grid) in place. Each column's bits
+depend on its lambda and its row alone, and minima are exact, so the
+minima are the same at any block width, in any band and in any stack.
 
-Two stages, with windows per row. A class whose 2G*R elements reach
-LAMBDA_BRACKET_ELEMENTS takes two stages, as the mean oracles do (see
-means). Its pieces are the grid's two branches. The coarse stage
-evaluates every s-th column of each branch and its ends for every row of
-the class, s about sqrt(G / 2). Each row then evaluates only its own
-window of 2s - 1 columns around its best coarse sample of D on each
-branch, gathered from grid.signed, and a row of D, or of D*u, certified
-on both branches takes its minimum over those windows; a row of D*u
-counts as certified only where its row of D is too. Why that is the
-full grid's minimum:
+What the two stages need of the lambda oracle:
 
+  - The pieces are the grid's two branches, the negative and the
+    positive half of grid.signed, and a row of D, or of D*u, is
+    certified where it is on both.
   - With a = T(x,x)_j, b = T(x,y)_j, c = T(y,y)_j and s = log|lambda|, a
     row's exact samples on a branch are A*e^s + B + C*e^-s, A = a,
     B = -+2b, C = c (for the kernel's own coefficients, which define an
@@ -94,28 +86,15 @@ full grid's minimum:
     (_lambda_bound), built from the kernel's coefficients |C_jab| (at
     most max |A_jab|), sum |x|, sum |y| and |lambda| only, never from a,
     b, c or the defect; u_j*E for D*u.
-  - Where every other coarse sample of a branch is worse than the best
-    by more than 2E, the argument of means applies: a convex or monotone
-    function cannot come back past a coarse neighbour of the best
-    sample, and a concave one is no better inside a coarse interval than
-    at its ends, so no column outside the window beats it, and the
-    minimum over the row's two windows is its grid minimum, value for
-    value.
-  - Where the rows of D and of D*u are both certified on a branch, their
-    best coarse samples are at one column, so one window serves both:
-    were D best at p and D*u best at q != p, the exact values f would
-    have f(q) - f(p) > 2E - 2E = 0 from D's margin and
+  - D*u, the later output, may take D's windows: where the rows of D and
+    of D*u are both certified on a branch, their best coarse samples are
+    at one column. Were D best at p and D*u best at q != p, the exact
+    values f would have f(q) - f(p) > 2E - 2E = 0 from D's margin and
     u_j*(f(p) - f(q)) > 2u_jE - 2u_jE = 0 from D*u's, and u_j > 0 on a
     certified row of D*u (with u_j = 0 it is flat).
 
-Fallback by row. The stages leave a row NaN where it is not certified on
-both branches (a non-finite sample or E, which an overflow gives, a flat
-row, a tie, a zero weight's row of D*u) and zero where its minimum is a
-zero, whose sign the fold order decides. Those rows, and every row of a
-class too small for two stages, take the whole grid in one stacked pass
-(_lambda_pass), each row alone and not its pair: a zero weight entry
-sends one row of T-values there. Every sample is a column of the full
-pass, so every row has its pair's full-grid bits, alone or stacked.
+A row the stages leave NaN or zero takes the whole grid alone, not its
+pair: a zero weight entry sends one row of T-values there.
 """
 
 from __future__ import annotations
@@ -123,7 +102,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,17 +120,12 @@ from .lattice import (
     near,
 )
 from .means import (
-    BAND_COLUMNS,
     EPS,
     UNDERFLOW,
     LogGrid,
-    _block_width,
-    _blocks,
     _box_times,
-    _brackets,
-    _coarse,
     _cone_pair,
-    _stride,
+    _fold_grid,
 )
 from .sip import MultiplicationSip, Sip, _row_form, eval_stack
 
@@ -161,7 +134,7 @@ LAMBDA_LO = 1e-6
 LAMBDA_HI = 1e6
 LAMBDA_COUNT = 2001
 # The fewest elements (2G*R, R rows of a kernel class) of a lambda pass
-# that take two stages (means._stride): the kernel makes m^2 + 2m passes
+# that take two stages (means._fold_grid): the kernel makes m^2 + 2m passes
 # per stage, and on numpy 2.4.6 (BENCH_grid_brackets.json) two stages
 # took longer below about this size, and far less above it.
 LAMBDA_BRACKET_ELEMENTS = 2**14
@@ -478,7 +451,7 @@ class GramStack(_Record):
 Record = Gram | GramStack
 
 
-class _Rows(NamedTuple):
+class _Rows:
     """The R rows of one kernel class of a lambda_minima call, each one codomain coordinate of one pair.
 
     The rows of the class's weighted pairs come first, then the others,
@@ -490,14 +463,36 @@ class _Rows(NamedTuple):
     matrices their members A_j, (R, m, m); both are None for
     multiplication rows. u holds the weights of the first R_w rows,
     (R_w, 1).
+
+    The row sampler of means._fold_grid: two outputs, D (t/|lambda|)
+    of every row and D*u (t*u/|lambda|) of the first R_w, over the two
+    branches of grid.signed, G columns each.
     """
 
-    size: int
-    x: np.ndarray
-    y: np.ndarray
-    coefficients: list | None
-    matrices: np.ndarray | None
-    u: np.ndarray
+    # a band's block arrays: z (block_rows), then t and the kernel's two work blocks
+    fold, pieces, circle, other_rows = np.minimum, 2, False, 3
+
+    def __init__(self, size, x, y, coefficients, matrices, u, grid):
+        self.size, self.x, self.y, self.u, self.grid = size, x, y, u, grid
+        self.coefficients, self.matrices = coefficients, matrices
+        self.count, self.outputs = grid.count, (size, len(u))
+
+    def block_rows(self, b: int) -> int:
+        """The rows of a band of b rows' largest block array: z at m per row (at m, for one PSD pair's rows), or t."""
+        return max(self.x.shape[0] * min(self.x.shape[1], b), b)
+
+    def sample(self, lo: int, hi: int, cols, buf: np.ndarray) -> np.ndarray:
+        """D of rows lo:hi, then D*u of those with a weight (_weigh), at cols of grid.signed.
+
+        cols is a slice or (P,) columns of every row, or (hi - lo, P) of each.
+        """
+        block = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)
+        return _weigh(block, hi - lo, self.u[lo:hi], self.grid.signed_abs[cols])
+
+    def error(self, lo: int, hi: int, best: np.ndarray) -> np.ndarray:
+        """E of rows lo:hi of D and of D*u (u_j times it), on each branch."""
+        E, u = _lambda_bound(self, lo, hi), self.u[lo:hi, 0]
+        return np.repeat(np.concatenate([E, u * E[:len(u)]]), 2)
 
     def take(self, keep: np.ndarray) -> "_Rows":
         """The rows where the (R,) mask keep holds, in order."""
@@ -505,11 +500,11 @@ class _Rows(NamedTuple):
         psd = self.coefficients is not None
         return _Rows(int(keep.sum()), pick(self.x), pick(self.y),
                      [[c[keep] for c in row] for row in self.coefficients] if psd else None,
-                     self.matrices[keep] if psd else None, self.u[keep[:len(self.u)]])
+                     self.matrices[keep] if psd else None, self.u[keep[:len(self.u)]], self.grid)
 
 
-def _lambda_rows(pairs: list, weights: list) -> tuple:
-    """(classes, places): the _Rows of each kernel class of the pairs, and each pair's (class, first row).
+def _lambda_rows(pairs: list, weights: list, grid: LogGrid) -> tuple:
+    """(classes, places): the _Rows of each kernel class of the pairs on grid, and each pair's (class, first row).
 
     The multiplication sip's rows form one class, and the PSD rows of each
     domain dimension m another, in order of first appearance.
@@ -527,31 +522,33 @@ def _lambda_rows(pairs: list, weights: list) -> tuple:
             places[i] = (len(out), first)
             first += pairs[i].T.codomain_dim
         out.append(_stack_rows(key is None, [pairs[i] for i in members],
-                               [weights[i] for i in members if weights[i] is not None], first))
+                               [weights[i] for i in members if weights[i] is not None], first,
+                               grid))
     return out, places
 
 
-def _stack_rows(multiplication: bool, grams: list, weights: list, size: int) -> _Rows:
+def _stack_rows(multiplication: bool, grams: list, weights: list, size: int,
+                grid: LogGrid) -> _Rows:
     """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights."""
     u = np.concatenate(weights + [np.empty(0)])[:, None]
     if multiplication:
         x = np.concatenate([g.x for g in grams])[None]
         y = np.concatenate([g.y for g in grams])[None]
-        return _Rows(size, x, y, None, None, u)
+        return _Rows(size, x, y, None, None, u, grid)
     if len(grams) == 1:  # one pair: every row reads its one column
         (g,) = grams
-        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u)
+        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u, grid)
     families = [g.T for g in grams]
     ns = [T.codomain_dim for T in families]
     x = np.repeat(np.array([g.x for g in grams]), ns, axis=0).T
     y = np.repeat(np.array([g.y for g in grams]), ns, axis=0).T
     coefficients = [[np.concatenate(column) for column in zip(*row)]
                     for row in zip(*(T._row_coefficients for T in families))]
-    return _Rows(size, x, y, coefficients, np.concatenate([T.matrices for T in families]), u)
+    return _Rows(size, x, y, coefficients, np.concatenate([T.matrices for T in families]), u, grid)
 
 
-def _lambda_bound(rows: _Rows, grid: LogGrid) -> np.ndarray:
-    """E of each row: a bound on the rounding error of any sample t/|lambda| of the grid.
+def _lambda_bound(rows: _Rows, lo: int, hi: int) -> np.ndarray:
+    """E of rows lo:hi: a bound on the rounding error of any sample t/|lambda| of rows.grid.
 
     Built from T's coefficients and the pair's magnitudes alone: K_j is
     the largest |A_jab| of the row's member (which bounds every |C_jab| of
@@ -564,9 +561,12 @@ def _lambda_bound(rows: _Rows, grid: LogGrid) -> np.ndarray:
     takes (m + 8)*EPS, twice that, of 2*K*S^2/|lambda| at the grid's ends,
     where it is largest, plus an allowance for products that underflow.
     """
-    m = rows.x.shape[0]
-    K = 1.0 if rows.matrices is None else np.abs(rows.matrices).max(axis=(1, 2))
-    X, Y = np.abs(rows.x).sum(axis=0), np.abs(rows.y).sum(axis=0)
+    x, y, grid = rows.x, rows.y, rows.grid
+    if x.shape[1] > 1:
+        x, y = x[:, lo:hi], y[:, lo:hi]
+    m = x.shape[0]
+    K = 1.0 if rows.matrices is None else np.abs(rows.matrices[lo:hi]).max(axis=(1, 2))
+    X, Y = np.abs(x).sum(axis=0), np.abs(y).sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         S_lo, S_hi = grid.lo * X + Y, grid.hi * X + Y
         scale = np.maximum(2.0 * K * S_lo * S_lo / grid.lo, 2.0 * K * S_hi * S_hi / grid.hi)
@@ -574,16 +574,17 @@ def _lambda_bound(rows: _Rows, grid: LogGrid) -> np.ndarray:
         return (m + 8) * EPS * scale + underflow
 
 
-def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarray) -> tuple:
-    """(t, spare): T(lambda*x - y, lambda*x - y) of rows lo:hi, and a spare block of its shape.
+def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """T(lambda*x - y, lambda*x - y) of rows lo:hi, t, as the first hi - lo rows of a (3(hi - lo), width) block.
 
     lam is the (width,) lambdas every row reads, or the (hi - lo, width)
-    lambdas of each row. The difference vectors z, t and the kernel's two
-    work blocks (a row's sum, which is spare, and its current term) are
-    consecutive views of buf, which the caller sized; the next call
-    overwrites them all. Reads each row's pair and coefficients only,
-    never a, b or c: the oracle evaluates T on the difference vectors
-    directly, with no bilinear expansion.
+    lambdas of each row. The difference vectors z, then t and the
+    kernel's two work blocks (a row's sum, which is spare after it, and
+    its current term), which make up the block, are consecutive views of
+    buf, which the caller sized; the next call overwrites them all. Reads
+    each row's pair and coefficients only, never a, b or c: the oracle
+    evaluates T on the difference vectors directly, with no bilinear
+    expansion.
     """
     x, y = rows.x, rows.y
     if x.shape[1] > 1:
@@ -591,157 +592,32 @@ def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarr
     b, width = hi - lo, lam.shape[-1]
     z_size = x.shape[0] * (x.shape[1] if lam.ndim == 1 else b) * width
     z = buf[:z_size].reshape(x.shape[0], -1, width)
-    t = buf[z_size:z_size + b * width].reshape(b, width)
-    work = buf[z_size + b * width:z_size + 3 * b * width].reshape(2, b, width)
+    block = buf[z_size:z_size + 3 * b * width].reshape(3 * b, width)
     np.multiply(x[:, :, None], lam, out=z)
     z -= y[:, :, None]
     if rows.coefficients is None:
-        np.multiply(z[0], z[0], out=t)
+        np.multiply(z[0], z[0], out=block[:b])
     else:
         coefficients = rows.coefficients
         if b < rows.size:
             coefficients = [[c[lo:hi] for c in row] for row in coefficients]
-        _row_form(coefficients, z, t, work)
-    return t, work[0]
+        _row_form(coefficients, z, block[:b], block[b:].reshape(2, b, width))
+    return block
 
 
-def _weigh(t: np.ndarray, spare: np.ndarray, u: np.ndarray, abs_lam: np.ndarray) -> list:
-    """[t/|lambda| over t], and t*u/|lambda| over spare's first len(u) rows after it where u has rows.
+def _weigh(block: np.ndarray, b: int, u: np.ndarray, abs_lam: np.ndarray) -> np.ndarray:
+    """D and D*u of a block of _lambda_values: its (b + len(u), width) rows t/|lambda|, then t*u/|lambda|.
 
-    abs_lam is the (width,) |lambda| of every row, or the (R, width) of each.
+    t, the first b rows, is divided in place, and the rows of t with a
+    weight, weighted, over the spare rows after it; abs_lam is the
+    (width,) |lambda| of every row, or the (b, width) of each.
     """
-    k = len(u)
-    if not k:
-        return [np.divide(t, abs_lam, out=t)]
-    weighted = np.divide(np.multiply(t[:k], u, out=spare[:k]),
-                         abs_lam[:k] if abs_lam.ndim == 2 else abs_lam, out=spare[:k])
-    return [np.divide(t, abs_lam, out=t), weighted]
-
-
-def _band(rows: _Rows, count: int) -> tuple:
-    """(band, block rows): the rows of a band of rows, and the rows means._blocks sizes its blocks by.
-
-    The rows of one PSD pair take one band, whose difference vectors are
-    the pair's own (m, width) block, and a block holds
-    GRID_BLOCK // max(m, R) columns, as for the pair alone. Other rows go
-    in the fewest even bands whose difference vectors, m rows per row,
-    keep min(count, BAND_COLUMNS) columns in a block of GRID_BLOCK
-    elements.
-    """
-    m, R = rows.x.shape[0], rows.size
-    if rows.x.shape[1] == 1:
-        return R, max(m, R)
-    bands = -(-R // _block_width(m * min(count, BAND_COLUMNS), R))
-    band = -(-R // bands)
-    return band, m * band
-
-
-def _lambda_blocks(rows: _Rows, grid: LogGrid):
-    """(lo, hi, cols, t, spare) per block of the whole grid: _lambda_values of rows lo:hi at cols.
-
-    Band by band (_band), and the blocks of grid.signed in order within a
-    band; one buffer serves every block, so the next block overwrites t
-    and spare.
-    """
-    lam = grid.signed
-    band, block_rows = _band(rows, lam.size)
-    buf = np.empty((block_rows + 3 * band) * _block_width(block_rows, lam.size))
-    for lo in range(0, rows.size, band):
-        hi = min(lo + band, rows.size)
-        for cols in _blocks(block_rows, lam.size):
-            yield (lo, hi, cols, *_lambda_values(rows, lo, hi, lam[cols], buf))
-
-
-def _lambda_pass(rows: _Rows, grid: LogGrid) -> tuple:
-    """(D, D*u) of rows: their minima of t/|lambda| and t*u/|lambda| over every column of grid.signed.
-
-    Folds the row minima of each block of _lambda_blocks with np.minimum,
-    in grid order, so it never holds more than a block.
-    """
-    w = len(rows.u)
-    d, du = np.empty(rows.size), np.empty(w)
-    for lo, hi, cols, t, spare in _lambda_blocks(rows, grid):
-        k = max(min(hi, w) - lo, 0)
-        for out, v in zip((d[lo:hi], du[lo:lo + k]),
-                          _weigh(t, spare, rows.u[lo:lo + k], grid.signed_abs[cols])):
-            if cols.start:
-                np.minimum(out, v.min(axis=1), out=out)
-            else:
-                v.min(axis=1, out=out)
-    return d, du
-
-
-def _lambda_stages(rows: _Rows, grid: LogGrid, s: int) -> tuple:
-    """(D, D*u) of rows, a certified row's minimum or NaN: a coarse stage, then each row's windows.
-
-    The coarse stage evaluates every s-th column of each branch of
-    grid.signed and its ends (means._coarse); means._brackets certifies
-    each row of D and of D*u on each branch under _lambda_bound (u_j
-    times it for D*u). Each row then evaluates the window of 2s - 1
-    columns around the best coarse sample of its row of D on each branch.
-    Its row of D, where certified on both branches, takes its minimum
-    over those columns, and so does its row of D*u where that is
-    certified too: then both rows' windows are one (see the module
-    docstring). Rows go in bands whose one buffer (the
-    difference vectors, the T-values and the kernel's work blocks) holds
-    at most GRID_BLOCK elements: with bands sized by the difference
-    vectors alone, a study's peak RSS in perfbench read 4-6 MB higher at
-    some seeds (BENCH_study_stack.json).
-    """
-    G = grid.count
-    at = _coarse(G, s)
-    cols = np.concatenate([at, G + at])
-    lam, abs_lam = grid.signed[cols], grid.signed_abs[cols]
-    span = 2 * (2 * s - 1)  # a row's fine columns: its window on each branch
-    R, w = rows.size, len(rows.u)
-    m, widest = rows.x.shape[0], max(cols.size, span)
-    band = _block_width((m + 3) * widest, R)
-    buf = np.empty((m + 3) * band * widest)
-    bound = _lambda_bound(rows, grid)
-    d, du = np.full(R, np.nan), np.full(w, np.nan)
-    for lo in range(0, R, band):
-        hi = min(lo + band, R)
-        b, k = hi - lo, max(min(hi, w) - lo, 0)
-        t, spare = _lambda_values(rows, lo, hi, lam, buf)
-        values = _weigh(t, spare, rows.u[lo:lo + k], abs_lam)
-        error = np.concatenate([bound[lo:hi], rows.u[lo:lo + k, 0] * bound[lo:lo + k]])
-        error = np.repeat(error, 2)  # each row's E on both branches
-        certified, windows = _brackets(np.concatenate(values).reshape(-1, at.size), np.minimum,
-                                       lambda best: error, s, G)
-        windows[1::2] += G  # the positive branch's columns of grid.signed
-        both = certified.reshape(-1, 2).all(axis=1)
-        if both[:b].any():
-            windows = windows[:2 * b].reshape(b, span)  # those of the rows of D
-            t, spare = _lambda_values(rows, lo, hi, grid.signed[windows], buf)
-            fine = _weigh(t, spare, rows.u[lo:lo + k], grid.signed_abs[windows])
-            for out, low, ok in zip((d[lo:hi], du[lo:lo + k]), fine,
-                                    (both[:b], both[b:] & both[:k])):
-                out[ok] = low.min(axis=1)[ok]
-    return d, du
-
-
-def _class_minima(rows: _Rows, grid: LogGrid) -> tuple:
-    """(D, D*u) of the rows of one class: two stages where they pay, then the whole grid where needed.
-
-    A class whose 2G * R elements reach LAMBDA_BRACKET_ELEMENTS takes two
-    stages (_lambda_stages) under the stride means._stride(G, ...). Each
-    row the stages leave NaN (not certified) or zero (whose sign the fold
-    order decides) takes the whole grid, that row alone; so does every
-    row of a smaller class.
-    """
-    G, R, w = grid.count, rows.size, len(rows.u)
-    s = _stride(G, 2 * G * R, LAMBDA_BRACKET_ELEMENTS)
-    if not s:
-        return _lambda_pass(rows, grid)
-    d, du = _lambda_stages(rows, grid, s)
-    whole_d, whole_du = (np.isnan(v) | (v == 0.0) for v in (d, du))
-    keep = whole_d.copy()
-    keep[:w] |= whole_du
-    if keep.any():
-        fill_d, fill_du = _lambda_pass(rows if keep.all() else rows.take(keep), grid)
-        d[whole_d] = fill_d[whole_d[keep]]
-        du[whole_du] = fill_du[whole_du[keep[:w]]]
-    return d, du
+    t, k = block[:b], len(u)
+    spare = block[b:b + k]
+    np.divide(np.multiply(t[:k], u, out=spare), abs_lam[:k] if abs_lam.ndim == 2 else abs_lam,
+              out=spare)
+    np.divide(t, abs_lam, out=t)
+    return block[:b + k]
 
 
 def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
@@ -753,16 +629,17 @@ def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
     Each row is one codomain coordinate of one pair, and the rows of one
     kernel class share every numpy call (_lambda_rows): the
     multiplication sip's rows form one class, and the PSD rows of each m
-    another. A class takes two stages where it is large enough, and a
-    row the stages do not certify takes the whole grid alone
-    (_class_minima). Never holds more than a block of T-values, and each
-    row has the bits of its pair's full grid alone. Over-estimates the
-    infimum D(x,y), or D(x,y)*u, by construction.
+    another. Each class is one call of means._fold_grid: two stages where
+    its 2G*R elements reach LAMBDA_BRACKET_ELEMENTS, and the whole grid
+    for a row the stages do not certify, that row alone. Never holds
+    more than a block of T-values, and each row has the bits of its
+    pair's full grid alone. Over-estimates the infimum D(x,y), or
+    D(x,y)*u, by construction.
     """
     pairs = list(pairs)
     weights = [None] * len(pairs) if weights is None else list(weights)
-    classes, places = _lambda_rows(pairs, weights)
-    minima = [_class_minima(rows, grid) for rows in classes]
+    classes, places = _lambda_rows(pairs, weights, grid)
+    minima = [_fold_grid(rows, LAMBDA_BRACKET_ELEMENTS) for rows in classes]
     out = []
     for g, u, (c, first) in zip(pairs, weights, places):
         d, du = minima[c]

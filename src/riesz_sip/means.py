@@ -15,45 +15,63 @@ true value from opposite sides.
 
 LogGrid is the one log-spaced multiplier grid: the theta grid here, and
 the lambda magnitudes of the Cauchy-Schwarz defect oracle
-(cauchy_schwarz.defect_grid), also a minimum over multipliers. AngleGrid
-stays separate, since it must contain both endpoints and the axis angles.
+(cauchy_schwarz.lambda_minima), also a minimum over multipliers.
+AngleGrid stays separate, since it must contain both endpoints and the
+axis angles.
 
-Layout of the grid oracles: coordinate-major, in blocks. Each oracle
-evaluates its (rows, G) array, one row per coordinate of each pair (n
-rows for one pair's (n,) vectors, k*n for a (k, n) stack of k trials),
-one block of grid columns at a time (_blocks: at most GRID_BLOCK
-elements), accumulating the block in place and reducing it along its
-contiguous rows, and folds the block results with np.minimum or
-np.maximum in grid order; so memory is bounded by the block, not by G or
-the row count. The mean oracles (_fold_blocks) cut a stack's rows into
-bands of at most GRID_BLOCK // BAND_COLUMNS rows and run each band's
-blocks in turn, so that a block row keeps BAND_COLUMNS grid columns
-where the grid has them, out of numpy's slow regime for short rows. A
-call allocates its block buffers once and every block reuses them
-(_block_view): the block loop makes no array, so its cost does not
-depend on when the allocator maps or returns memory. The grid-side factors (1/theta, cos t and sin t, the
-quarter-circle angles) are cached on the grid. The elements are the
-products and sums of the grid-major layout, min and max are exact, and
-halving after the minimum is monotone, so each result keeps its bits at
-any block width; only the sign of a zero or of a NaN, which no residual
-reads, may differ. cauchy_schwarz's lambda-grid oracle uses the same
-blocks.
+One driver for the three grid oracles (_fold_grid). The [*] and [+]
+oracles here and cauchy_schwarz's lambda oracle each fold the samples of
+R rows over the columns of a grid, one row per coordinate of each pair
+(n rows for one pair's (n,) vectors, k*n for a (k, n) stack of k
+trials), with np.minimum or np.maximum. Each hands the driver a row
+sampler that holds what differs between them (_MeanRows here,
+cauchy_schwarz._Rows): how to sample rows lo:hi at columns shared by
+every row or at each row's own, into a buffer the driver makes; the
+grid's pieces, count columns each, on a circle or not; each output's
+bound E; and its rows' take(mask). A sampler may have more than one
+output (the lambda oracle's D and D*u): a later output covers the first
+rows of the first. The driver owns the rest, the same for every
+oracle: the bands of rows, the two stages, the windows and the
+fallback.
 
-Two stages (_fold_bracketed). Where a call's (rows, G) array holds at
-least MEAN_BRACKET_ELEMENTS elements, an oracle first evaluates a coarse
-stride of its grid piece: every s-th point and the piece's ends, s about
-sqrt(G / 2) (_stride, _coarse). The theta grid is one linear piece, the
-quarter circle another, and the full angle grid is taken as a circle
-(every s-th point, no end: 0 and 2*pi are neighbours). Then, for each
-row, it evaluates only the 2s - 1 points around its best coarse sample,
-which hold every point between that sample's two coarse neighbours, and
-folds the row over every point evaluated. Why that is the full grid's
-extremum:
+Layout: coordinate-major, in blocks. A sample of a row at a column is
+one element of a (rows, columns) array, which is never built whole. The
+whole-grid pass (_whole_grid) samples a band of rows one block of grid
+columns at a time, in grid order, reduces each block along its
+contiguous rows and folds the block results in grid order; so memory is
+bounded by the block, not by G or the row count. A band's largest block
+array holds at most GRID_BLOCK elements, and bands are as few as keep
+BAND_COLUMNS columns in a block row where the grid has them, out of
+numpy's slow regime for short rows. A call allocates its buffer once and every block reuses
+it: the block loop makes no array, so its cost does not depend on when
+the allocator maps or returns memory. The grid-side factors (1/theta,
+cos t and sin t, the quarter-circle angles, the lambda grid's +-
+closure) are cached on the grid. The elements are the products and sums
+of the grid-major layout, min and max are exact, and halving after the
+minimum is monotone, so each result keeps its bits at any block width;
+only the sign of a zero or of a NaN, which no residual reads, may
+differ.
 
-  - The exact function of a row is theta*u + v/theta = u*e^s + v*e^-s
-    with u, v >= 0 in s = log theta (convex), or a*cos t + b*sin t =
-    R*cos(t - phi) (its superlevel sets are arcs of the circle; on the
-    quarter it is either unimodal or has its minimum inside).
+Two stages. Where a call's R rows and grid of G columns reach its
+oracle's size threshold (MEAN_BRACKET_ELEMENTS; the lambda oracle's
+LAMBDA_BRACKET_ELEMENTS), the driver first samples a coarse stride of
+each grid piece: every s-th point and the piece's ends, s about
+sqrt(count / 2) (_stride, _coarse). The theta grid is one linear piece,
+the quarter circle another, and the full angle grid is taken as a circle
+(every s-th point, no end: 0 and 2*pi are neighbours); the lambda grid
+has two pieces, its negative and positive branches. Then, for each row,
+it samples only the 2s - 1 points of each piece around the best coarse
+sample of its first output, which hold every point between that
+sample's two coarse neighbours, and folds the row over every point
+sampled. Rows go in bands whose buffer holds at most GRID_BLOCK
+elements. Why that is the full grid's extremum:
+
+  - The exact function of a row on a piece is convex, monotone or
+    concave in a log-spaced multiplier, or a cosine on an angle. Here
+    theta*u + v/theta = u*e^s + v*e^-s with u, v >= 0 in s = log theta
+    (convex), and a*cos t + b*sin t = R*cos(t - phi) (its superlevel
+    sets are arcs of the circle; on the quarter it is either unimodal
+    or has its minimum inside).
   - E bounds the rounding error of any sample of the piece: relative for
     theta, whose terms are non-negative (LogGrid._bound), and
     3*EPS*(|a| + |b|) for the angles (_angle_bound), each with an
@@ -66,16 +84,20 @@ extremum:
     with its minimum inside the quarter) is no better inside any coarse
     interval than at one of its two ends. Either way f(p) is worse than
     the best sample by more than E, so p's sample cannot beat it.
+  - A row of a later output uses the windows of its row of the first,
+    and counts as certified only where that row is certified too, on
+    every piece: its own best coarse sample must then be at the same
+    column (cauchy_schwarz shows why for D*u).
 
-The result starts as NaN and a certified row's extremum replaces it.
-One mask, NaN or zero, names the rows that fall back to the whole grid,
-block by block (_fold_blocks, as above): NaN where a row is not
-certified (a coarse sample or E is not finite, or the margin is 2E or
-less: a flat row, a tie between two coarse samples, a zero row), zero
-where the extremum is a zero, whose sign the fold order decides. The
-lambda oracle of cauchy_schwarz marks its rows the same way. The samples
-are the products and sums of the full pass, so every row has the full
-grid's bits, and a row of a stack has its bits alone.
+Each result starts as NaN and a certified row's extremum replaces it.
+One mask, NaN or zero in any output, names the rows that fall back to
+the whole grid, in one _whole_grid call over those rows alone (not
+their pairs): NaN where a row is not certified (a coarse sample or E is
+not finite, or the margin is 2E or less: a flat row, a tie between two
+coarse samples, a zero row), zero where the extremum is a zero, whose
+sign the fold order decides. The samples are the products and sums of
+the full pass, so every row has the full grid's bits, and a row of a
+stack has its bits alone.
 
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
@@ -93,8 +115,8 @@ stack gives (k,) values, each row with the bits of its pair alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -122,11 +144,12 @@ ANGLE_COUNT = 4096
 # Of the widths 2**13 to 2**18 timed (BENCH_grid_blocks.json), 2**15 and
 # 2**16 ran fastest, within noise of each other; 2**16 holds the default
 # theta grid in one block up to n = 6. A result's bits do not depend on it.
-# The mean oracles do not narrow a block below BAND_COLUMNS for a stack's
-# many rows: on numpy 2.4.6 a block's outer product, np.multiply of a
-# (rows, 1) column and a (width,) grid slice, costs 1.2-1.7 ns per element
-# at widths up to 2,730 columns and 0.25-0.5 ns from 2,800 up, at 1 to 56
-# rows (BENCH_stack_setup.json), so _fold_blocks cuts the rows into bands.
+# The whole-grid pass does not narrow a block below BAND_COLUMNS for a
+# stack's many rows: on numpy 2.4.6 a block's outer product, np.multiply
+# of a (rows, 1) column and a (width,) grid slice, costs 1.2-1.7 ns per
+# element at widths up to 2,730 columns and 0.25-0.5 ns from 2,800 up, at
+# 1 to 56 rows (BENCH_stack_setup.json), so _whole_grid cuts the rows into
+# bands.
 GRID_BLOCK = 2**16
 # Grid columns a block row keeps at least, where the grid has them.
 BAND_COLUMNS = 4096
@@ -302,55 +325,6 @@ def _block_width(rows: int, count: int) -> int:
     return max(min(GRID_BLOCK // rows, count), 1)
 
 
-def _blocks(rows: int, count: int):
-    """Slices of range(count), in order, of _block_width(rows, count) columns (the last fewer).
-
-    The column blocks of a grid oracle's (rows, count) array.
-    """
-    width = _block_width(rows, count)
-    for lo in range(0, count, width):
-        yield slice(lo, min(lo + width, count))
-
-
-def _block_view(buf: np.ndarray, rows: int, cols: slice) -> np.ndarray:
-    """The block cols of a (rows, count) array: a contiguous (rows, width) view of buf's start.
-
-    buf is a flat buffer of rows * _block_width(rows, count) elements that
-    an oracle call allocates once and every block reuses.
-    """
-    return buf[:rows * (cols.stop - cols.start)].reshape(rows, -1)
-
-
-def _fold_blocks(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray,
-                 fb: np.ndarray) -> np.ndarray:
-    """fold (np.minimum or np.maximum) of a*fa + b*fb over the grid, entry by entry, in blocks.
-
-    a and b are an (n,) vector or a (k, n) stack; each entry is one row
-    of the (rows, G) array, which is never built whole. The rows go in
-    the fewest bands of at most GRID_BLOCK // BAND_COLUMNS rows, of even
-    size, and each band's blocks (_blocks of the band) are accumulated in
-    place in two block buffers and reduced, and their results folded in
-    grid order.
-    """
-    rows, count = a.size, fa.size
-    bands = -(-rows // max(GRID_BLOCK // BAND_COLUMNS, 1))
-    band = -(-rows // bands)
-    w_buf, t_buf = np.empty((2, band * _block_width(band, count)))
-    a_col, b_col = a.reshape(-1, 1), b.reshape(-1, 1)
-    out = np.empty(rows)
-
-    def block(lo, hi, cols):
-        w, t = _block_view(w_buf, hi - lo, cols), _block_view(t_buf, hi - lo, cols)
-        np.multiply(a_col[lo:hi], fa[cols], out=w)
-        w += np.multiply(b_col[lo:hi], fb[cols], out=t)
-        return fold.reduce(w, axis=1)
-
-    for lo in range(0, rows, band):
-        hi = min(lo + band, rows)
-        out[lo:hi] = reduce(fold, (block(lo, hi, cols) for cols in _blocks(band, count)))
-    return out.reshape(a.shape)
-
-
 def _stride(count: int, elements: int, least: int) -> int:
     """The coarse stride s of a two-stage pass over a piece of count points, or 0 for one pass.
 
@@ -400,49 +374,149 @@ def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
     return certified, (start[:, None] + np.arange(2 * s - 1)) % count
 
 
-def _fold_bracketed(fold, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
-                    bound, circle: bool = False) -> np.ndarray:
-    """_fold_blocks's values, from a coarse stride and a certified bracket per row.
+def _whole_grid(rows) -> list:
+    """Each output of rows' extremum over every column of the grid, band by band and block by block.
 
-    The coarse stage evaluates a*fa + b*fb at every s-th grid point and at
-    the piece's ends (_coarse), s = _stride(G, ...); the fine stage, at the
-    rows _brackets certifies under bound(a, b, best), only the window
-    around the best coarse sample, and folds the row over it. The result
-    starts as NaN, and every row it still holds as NaN (not certified) or
-    as a zero (whose sign the fold order decides) takes the whole grid
-    (_fold_blocks). Each element is the product and sum of the full pass,
-    so a certified row has its bits; rows go in bands of at most a block.
+    A band holds the fewest even share of the rows whose largest block
+    array (rows.block_rows) keeps BAND_COLUMNS columns in GRID_BLOCK
+    elements, or that do not widen it; its blocks of columns, of
+    GRID_BLOCK // rows.block_rows(band) columns, are sampled in grid
+    order into one buffer, made once, each reduced along its rows and
+    folded into the results.
     """
-    count = fa.size
-    s = _stride(count, a.size * count, MEAN_BRACKET_ELEMENTS)
+    R, N = rows.size, rows.pieces * rows.count
+    limit = max(GRID_BLOCK // BAND_COLUMNS, rows.block_rows(1))
+    bands = -(-R // bisect_right(range(1, R + 1), limit, key=rows.block_rows))
+    band = -(-R // bands)
+    width = _block_width(rows.block_rows(band), N)
+    buf = np.empty((rows.block_rows(band) + rows.other_rows * band) * width)
+    out = [np.empty(size) for size in rows.outputs]
+    for lo in range(0, R, band):
+        hi = min(lo + band, R)
+        for start in range(0, N, width):
+            low = rows.fold.reduce(rows.sample(lo, hi, slice(start, start + width), buf), axis=1)
+            for o in out:
+                part = o[lo:hi]
+                if start:
+                    rows.fold(part, low[:len(part)], out=part)
+                else:
+                    part[:] = low[:len(part)]
+                low = low[len(part):]
+    return out
+
+
+def _fold_grid(rows, least: int) -> list:
+    """Each output of rows' extremum over the grid: two stages where they pay, the whole grid where needed.
+
+    rows is the oracle's row sampler (_MeanRows, or cauchy_schwarz._Rows):
+      - fold: np.minimum or np.maximum; size: its R rows; outputs: each
+        output's rows, the first R, a later one the first rows of R;
+      - count, pieces, circle: the grid is pieces pieces of count
+        columns each, in turn, and a one-piece grid may be a circle;
+      - block_rows(b): the rows of a band of b rows' largest block
+        array, and other_rows: the rows per row of its other block arrays;
+      - sample(lo, hi, cols, buf): each output's rows lo:hi, in turn in
+        one (rows, width) array, at cols (a slice or (P,) columns of
+        every row, or (hi - lo, P) of each), in views of buf;
+      - error(lo, hi, best): E of those rows on each piece, given best;
+      - take(keep): the sampler of the rows where keep holds.
+    The stages take a stride s = _stride(count, elements, least),
+    elements the rows times the grid's columns. The coarse stage samples
+    every s-th point and the end of each piece (_coarse) for every row;
+    _brackets certifies each row of each output on each piece. Each row
+    then samples the window of 2s - 1 points around its first output's
+    best coarse sample on each piece, and each output takes its row's
+    extremum over those columns where that row is certified on every
+    piece, a later output only where the first is too (see the module
+    docstring). Rows go in bands whose buffer holds at most GRID_BLOCK
+    elements. The results start as NaN, and every row an output still
+    holds as NaN or zero takes the whole grid, in one _whole_grid call
+    over those rows.
+    """
+    count, pieces, R = rows.count, rows.pieces, rows.size
+    s = _stride(count, R * pieces * count, least)
     if not s:
-        return _fold_blocks(fold, a, fa, b, fb)
-    at = _coarse(count, s, circle)
-    ca, cb = fa[at], fb[at]
-    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
-    out = np.full(a_flat.size, np.nan)
-    band = max(GRID_BLOCK // max(at.size, 2 * s - 1), 1)
-    for lo in range(0, out.size, band):
-        a_col, b_col = a_flat[lo:lo + band, None], b_flat[lo:lo + band, None]
-        values = np.multiply(a_col, ca)
-        values += np.multiply(b_col, cb)
-        certified, windows = _brackets(values, fold, lambda best: bound(a_col[:, 0], b_col[:, 0], best),
-                                       s, count, circle)
-        win = windows[certified]
-        fine = np.multiply(a_col[certified], fa[win])
-        fine += np.multiply(b_col[certified], fb[win])
-        out[lo:lo + band][certified] = fold.reduce(fine, axis=1)
-    whole = np.isnan(out) | (out == 0.0)
-    if whole.any():
-        out[whole] = _fold_blocks(fold, a_flat[whole], fa, b_flat[whole], fb)
-    return out.reshape(a.shape)
+        return _whole_grid(rows)
+    at = _coarse(count, s, rows.circle)
+    cols = np.concatenate([start + at for start in range(0, pieces * count, count)])
+    span = pieces * (2 * s - 1)
+    widest = max(cols.size, span)
+    depth = rows.block_rows(1) + rows.other_rows  # elements per row and column
+    band = _block_width(depth * widest, R)
+    buf = np.empty(depth * band * widest)
+    out = [np.full(size, np.nan) for size in rows.outputs]
+    for lo in range(0, R, band):
+        hi = min(lo + band, R)
+        certified, windows = _brackets(rows.sample(lo, hi, cols, buf).reshape(-1, at.size),
+                                       rows.fold, lambda best: rows.error(lo, hi, best), s, count,
+                                       rows.circle)
+        ok = certified.reshape(-1, pieces).all(axis=1)
+        first = ok[:hi - lo]
+        if first.any():
+            windows = windows[:first.size * pieces]
+            for piece in range(1, pieces):
+                windows[piece::pieces] += piece * count
+            low = rows.fold.reduce(rows.sample(lo, hi, windows.reshape(first.size, span), buf),
+                                   axis=1)
+            for o in out:
+                part = o[lo:hi]
+                k = len(part)
+                done = ok[:k] & first[:k]
+                part[done] = low[:k][done]
+                ok, low = ok[k:], low[k:]
+    whole = [np.isnan(o) | (o == 0.0) for o in out]
+    keep = whole[0].copy()
+    for w in whole[1:]:
+        keep[:w.size] |= w
+    if keep.any():
+        fill = _whole_grid(rows if keep.all() else rows.take(keep))
+        for o, w, f in zip(out, whole, fill):
+            o[w] = f[w[keep[:w.size]]]
+    return out
+
+
+class _MeanRows:
+    """The rows of a mean oracle's call, one per entry of p and q: _fold_grid's sampler of p*fp + q*fq.
+
+    p and q are an (n,) vector or a (k, n) stack, fp and fq the grid's
+    factors (theta and 1/theta, or cos t and sin t) at its count points,
+    one piece, a circle for the full angle grid; E(p, q, best) is each
+    row's bound (LogGrid._bound, _angle_bound). One output; a band's
+    block arrays are the sum w and the term t, one row each per row.
+    """
+
+    pieces, other_rows = 1, 1
+
+    def __init__(self, fold, p, fp, q, fq, E, circle=False):
+        self.fold, self.fp, self.fq, self.E, self.circle = fold, fp, fq, E, circle
+        self.p, self.q = p.reshape(-1, 1), q.reshape(-1, 1)
+        self.size, self.count, self.outputs = len(self.p), fp.size, (len(self.p),)
+
+    def block_rows(self, b: int) -> int:
+        return b
+
+    def sample(self, lo: int, hi: int, cols, buf: np.ndarray) -> np.ndarray:
+        """p*fp + q*fq of rows lo:hi at cols: a slice or (P,) columns of every row, or (hi - lo, P) of each."""
+        fp, fq = self.fp[cols], self.fq[cols]
+        n = (hi - lo) * fp.shape[-1]
+        w, t = buf[:n].reshape(hi - lo, -1), buf[n:2 * n].reshape(hi - lo, -1)
+        np.multiply(self.p[lo:hi], fp, out=w)
+        w += np.multiply(self.q[lo:hi], fq, out=t)
+        return w
+
+    def error(self, lo: int, hi: int, best: np.ndarray) -> np.ndarray:
+        return self.E(self.p[lo:hi, 0], self.q[lo:hi, 0], best)
+
+    def take(self, keep: np.ndarray) -> "_MeanRows":
+        return _MeanRows(self.fold, self.p[keep], self.fp, self.q[keep], self.fq, self.E, self.circle)
 
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
                       floor: float) -> np.ndarray:
     """box_times_oracle on validated vectors (or stacks) of one dimension."""
     u, v = _cone_pair("box_times_oracle", u, v, floor)
-    return 0.5 * _fold_bracketed(np.minimum, u, grid.points, v, grid.inverse, grid._bound)
+    rows = _MeanRows(np.minimum, u, grid.points, v, grid.inverse, grid._bound)
+    return 0.5 * _fold_grid(rows, MEAN_BRACKET_ELEMENTS)[0].reshape(u.shape)
 
 
 def box_times_oracle(u, v, grid: LogGrid,
@@ -488,7 +562,8 @@ def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
                      quarter: bool = False) -> np.ndarray:
     """box_plus_oracle on validated vectors (or stacks) of one dimension."""
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
-    return _fold_bracketed(np.maximum, a, cos_t, b, sin_t, _angle_bound, circle=not quarter)
+    rows = _MeanRows(np.maximum, a, cos_t, b, sin_t, _angle_bound, circle=not quarter)
+    return _fold_grid(rows, MEAN_BRACKET_ELEMENTS)[0].reshape(a.shape)
 
 
 def box_plus_oracle(a, b, grid: AngleGrid,

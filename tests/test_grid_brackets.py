@@ -209,7 +209,7 @@ def counted(module, name, calls, record=None):
     return mock.patch.object(module, name, counting)
 
 
-def whole_rows(rows, grid):
+def whole_rows(rows):
     """The rows a call of the whole-grid pass takes: their count, and the weights of those with one."""
     return rows.size, rows.u[:, 0].tolist()
 
@@ -223,7 +223,7 @@ def test_the_fallback_takes_the_rows_it_must():
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
     huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
     valid = random_psd(np.random.default_rng(3), 3, 2)
-    with counted(cauchy_schwarz, "_lambda_pass", calls, whole_rows), np.errstate(all="ignore"):
+    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
         for T, x, y, u, rows in (
                 # coordinate 1, whose D and D*u are flat in lambda, and not coordinate 0
                 (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(1, [2.0])]),
@@ -240,6 +240,46 @@ def test_the_fallback_takes_the_rows_it_must():
             assert_same_bits(got[1], ref[1])
 
 
+def test_the_mean_oracles_fallback_takes_the_rows_it_must():
+    # at 10^5 points, beside a generated positive_log pair: an all-zero
+    # row (u_j = v_j = 0, flat) takes the whole grid alone, and so does a
+    # row whose best coarse samples tie (a_j = b_j < 0 on the quarter
+    # circle, best at both ends), both in one call of the shared pass; the
+    # positive_log pair alone takes none
+    theta = LogGrid.log_spaced(1e-8, 1e8, 10**5)
+    angle = AngleGrid.uniform(10**5)
+    pos = next(_chunks(TrialConfig(trials=20, seed=7), "positive_log"))[0]
+    n = pos.x.size
+    flat_x, flat_y = pos.x.copy(), pos.y.copy()
+    flat_x[0] = flat_y[0] = 0.0
+    tie_x, tie_y = pos.x.copy(), pos.y.copy()
+    tie_x[-1] = tie_y[-1] = -1.0
+    cos_t, sin_t = angle._trig
+    qcos, qsin = angle._quarter_trig
+    # the study's [*] arguments: the pair's magnitudes
+    times = (lambda p, q: _box_times_oracle(abs(p), abs(q), theta, 1e-12),
+             lambda p, q: 0.5 * ref_fold(np.minimum, abs(p), theta.points, abs(q), theta.inverse))
+    plus = (lambda p, q: _box_plus_oracle(p, q, angle),
+            lambda p, q: ref_fold(np.maximum, p, cos_t, q, sin_t))
+    quarter = (lambda p, q: _box_plus_oracle(p, q, angle, quarter=True),
+               lambda p, q: ref_fold(np.maximum, p, qcos, q, qsin))
+    calls = []
+    with counted(means, "_whole_grid", calls, lambda rows: rows.size), np.errstate(all="ignore"):
+        for (oracle, reference), x, y, rows in (
+                (times, [pos.x], [pos.y], []), (plus, [pos.x], [pos.y], []),
+                (quarter, [pos.x], [pos.y], []),
+                (times, [pos.x, flat_x], [pos.y, flat_y], [1]),
+                (plus, [pos.x, flat_x], [pos.y, flat_y], [1]),
+                (quarter, [tie_x, pos.x], [tie_y, pos.y], [1]),
+                (quarter, [flat_x, tie_x], [flat_y, tie_y], [2])):
+            calls.clear()
+            x, y = np.array(x), np.array(y)
+            got = oracle(x, y)
+            assert calls == rows
+            assert got.shape == (len(x), n)
+            assert_same_bits(got, reference(x, y))
+
+
 def test_generated_pairs_take_two_stages_and_never_fall_back():
     # a certificate that quietly stops certifying keeps every bit and
     # only costs time: in a study at grids of 10^5 and 2*10^5 points,
@@ -251,8 +291,9 @@ def test_generated_pairs_take_two_stages_and_never_fall_back():
     ns = {pos.x.size for pos in chain.from_iterable(_chunks(config, "positive_log"))}
     calls = []
     with ExitStack() as stack, np.errstate(all="ignore"):
-        for module, name in ((cauchy_schwarz, "_lambda_pass"), (means, "_fold_blocks"),
-                             (harness, "lambda_minima"), (harness, "box_times_gaps"),
+        # the whole-grid pass, shared by the three oracles, records its sampler's class
+        stack.enter_context(counted(means, "_whole_grid", calls, lambda rows: type(rows).__name__))
+        for module, name in ((harness, "lambda_minima"), (harness, "box_times_gaps"),
                              (harness, "box_plus_gaps")):
             stack.enter_context(counted(module, name, calls))
         assert convergence_study(config, (10**5, 2 * 10**5)).ok

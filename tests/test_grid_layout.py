@@ -358,8 +358,14 @@ def banded_rows():
     return a, b
 
 
+def whole_grid(fold, p, fp, q, fq):
+    """The mean oracles' whole-grid pass (means._whole_grid) of fold over p*fp + q*fq, shaped like p."""
+    rows = means._MeanRows(fold, p.reshape(-1, 1), fp, q.reshape(-1, 1), fq, None)
+    return means._whole_grid(rows)[0].reshape(p.shape)
+
+
 def test_banded_stacks_give_each_row_its_bits_alone():
-    # _fold_blocks cuts a stack's rows into bands of at most
+    # _whole_grid cuts a mean oracle's stack of rows into bands of at most
     # GRID_BLOCK // BAND_COLUMNS rows, each in blocks of at least
     # BAND_COLUMNS grid columns; a (k, n) stack of 1 to 300 rows gives
     # every row the bits of its one-row call (one band of one block at the
@@ -372,11 +378,47 @@ def test_banded_stacks_give_each_row_its_bits_alone():
     folds = [(np.minimum, u, theta.points, v, theta.inverse),
              (np.maximum, a, cos_t, b, sin_t), (np.maximum, a, qcos, b, qsin)]
     with np.errstate(all="ignore"):
-        alone = [np.concatenate([means._fold_blocks(f, p[i:i + 1], fp, q[i:i + 1], fq)
+        alone = [np.concatenate([whole_grid(f, p[i:i + 1], fp, q[i:i + 1], fq)
                                  for i in range(300)]) for f, p, fp, q, fq in folds]
         for rows in range(1, 301):
             n = next(d for d in (4, 3, 2, 1) if rows % d == 0)
             for (f, p, fp, q, fq), ref in zip(folds, alone):
-                got = means._fold_blocks(f, p[:rows].reshape(-1, n), fp, q[:rows].reshape(-1, n), fq)
+                got = whole_grid(f, p[:rows].reshape(-1, n), fp, q[:rows].reshape(-1, n), fq)
                 assert got.shape == (rows // n, n)
                 assert_same_bits(got.ravel(), ref[:rows])
+
+
+def test_two_stage_bands_give_each_row_its_bits_alone():
+    # at 10^5 points the mean oracles take two stages, and a band of the
+    # stages holds GRID_BLOCK // (2 * 449) = 72 rows (144 on the quarter
+    # circle), so the 300 rows of a (75, 4) stack go in several bands:
+    # each row has the full grid's bits and those of its one-row call
+    a, b = banded_rows()
+    u, v = np.abs(a), np.abs(b)
+    cos_t, sin_t = BIG_ANGLE._trig
+    qcos, qsin = BIG_ANGLE._quarter_trig
+    cases = [(lambda p, q: means._box_times_oracle(p, q, BIG_THETA, 1e-12), u, v,
+              lambda p, q: 0.5 * (p * BIG_THETA.points + q * BIG_THETA.inverse).min(axis=-1)),
+             (lambda p, q: means._box_plus_oracle(p, q, BIG_ANGLE), a, b,
+              lambda p, q: (p * cos_t + q * sin_t).max(axis=-1)),
+             (lambda p, q: means._box_plus_oracle(p, q, BIG_ANGLE, quarter=True), a, b,
+              lambda p, q: (p * qcos + q * qsin).max(axis=-1))]
+    bands = []
+    brackets = means._brackets
+
+    def counting(values, *args):
+        bands.append(len(values))
+        return brackets(values, *args)
+
+    for oracle, p, q, reference in cases:
+        with np.errstate(all="ignore"):
+            bands.clear()
+            with mock.patch.object(means, "_brackets", counting):
+                got = oracle(p.reshape(-1, 4), q.reshape(-1, 4)).ravel()
+            assert len(bands) > 1 and sum(bands) == 300, bands
+            # the reference five rows at a time, each of 10^5 columns
+            ref = np.concatenate([reference(p[i:i + 5, None], q[i:i + 5, None])
+                                  for i in range(0, 300, 5)])
+            alone = np.concatenate([oracle(p[i:i + 1], q[i:i + 1]) for i in range(300)])
+        assert_same_bits(got, ref)
+        assert_same_bits(got, alone)

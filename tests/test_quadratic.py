@@ -32,8 +32,9 @@ from riesz_sip.cauchy_schwarz import (
     LAMBDA_LO,
     Gram,
     GramStack,
-    _lambda_blocks,
     _lambda_rows,
+    _lambda_values,
+    _Rows,
 )
 from riesz_sip.lattice import NonFinite
 from riesz_sip.means import GRID_BLOCK, LogGrid
@@ -55,12 +56,18 @@ def quadratic(T, Zt):
 
 
 def lambda_samples(T, x, y, grid):
-    """The T-values of the lambda-grid pass over grid.signed, block after block, as (n, 2G)."""
-    (rows,), _ = _lambda_rows([Gram(T, x, y)], [None])
+    """The T-values of the whole-grid pass (means._whole_grid) over grid.signed, block after block, as (n, 2G)."""
+    (rows,), _ = _lambda_rows([Gram(T, x, y)], [None], grid)
     out = np.empty((rows.size, 2 * grid.count))
-    # each block's buffer is overwritten by the next, so it is copied out first
-    for lo, hi, cols, t, _ in _lambda_blocks(rows, grid):
+
+    def sample(self, lo, hi, cols, buf):
+        # each block's buffer is overwritten by the next, so it is copied out first
+        t = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)[:hi - lo]
         out[lo:hi, cols] = t
+        return t
+
+    with mock.patch.object(_Rows, "sample", sample):
+        means._whole_grid(rows)
     return out
 
 
