@@ -67,7 +67,8 @@ and why they are sound): a block's difference vectors, the kernel's two
 work blocks (a row's sum and its current term) and the T-values are
 consecutive views of the driver's buffer (_lambda_values), and _weigh
 weights a block into the spare block (the kernel's row sum) and divides
-both by |lambda| (cached on the grid) in place. Each column's bits
+both by |lambda| (cached on the grid) in place, so that a block's rows of
+D and then of D*u are one view of the buffer. Each column's bits
 depend on its lambda and its row alone, and minima are exact, so the
 minima are the same at any block width, in any band and in any stack.
 
