@@ -634,7 +634,10 @@ def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
     its 2G*R elements reach LAMBDA_BRACKET_ELEMENTS, and the whole grid
     for a row the stages do not certify, that row alone. Never holds
     more than a block of T-values, and each row has the bits of its
-    pair's full grid alone. Over-estimates the infimum D(x,y), or
+    pair's full grid alone, so a pair gets the same minima in any call.
+    verify makes one call per chunk of trials (harness._pass_minima) and
+    the oracle study one per grid size, so their classes hold many rows,
+    most of which take two stages. Over-estimates the infimum D(x,y), or
     D(x,y)*u, by construction.
     """
     pairs = list(pairs)

@@ -17,7 +17,8 @@ fixed scalar sets, never fresh entropy. A check reads a record of
 trials, passes it to the library's theorem functions, and only maps the
 residuals they return to tolerances: a Trial, the lazy record of one
 instance under one config (the instance's Gram, see cauchy_schwarz.Gram,
-and its lambda-grid minima), or a TrialGroup, the GramStack of k Trials
+and its lambda-grid minima, from its chunk's one lambda-grid call), or a
+TrialGroup, the GramStack of k Trials
 whose sips share a codomain R^n, on whose stacked values every residual
 is a (k,) array with each trial's bits. The means and oracle suites
 stack x and y themselves (the oracle suite runs the mean oracles once on
@@ -34,16 +35,21 @@ recipe once per group, folds the chunk's results into each suite's
 report entry in trial order, and drops the chunk before generating the
 next; the injected instances are then checked once, as one more chunk
 under every selected suite. The suites of a group share its record, so
-each T-value and the lambda-grid pass are evaluated once per trial, and
-at most one chunk of generated instances is alive. _check_group is the
-one caller of the checks, and every check gives one table (_Table), a
-row of residuals per trial. A Trial's check, as for a group of one
-trial or each trial of a group with a broken trial, gives one row, a
-broken trial the one-row invalid_instance table and one whose
-generation gave up the one-row generation table. Each suite folds a chunk's tables at once, building a
-TrialResult, a table's row, only for a trial its entry keeps (the worst
-instance, the counterexamples). A Trial's one-row table keeps its row as
-floats, and builds its array only when the fold reads it.
+each T-value is evaluated once per trial, and at most one chunk of
+generated instances is alive. The lambda-grid minima of a chunk's trials
+come from one lambda_minima call over every trial whose x and y
+validate, made on the first read of any of their minima (a chunk that
+no cs or sharp suite checks makes none); a trial left out, whose pair
+raises, and a Trial checked on its own (shrink, replay) make their own
+calls. _check_group is the one caller of the checks, and every check
+gives one table (_Table), a row of residuals per trial. A Trial's check,
+as for a group of one trial or each trial of a group with a broken
+trial, gives one row, a broken trial the one-row invalid_instance table
+and one whose generation gave up the one-row generation table. Each
+suite folds a chunk's tables at once, building a TrialResult, a table's
+row, only for a trial its entry keeps (the worst instance, the
+counterexamples). A Trial's one-row table keeps its row as floats, and
+builds its array only when the fold reads it.
 replay_counterexample reads one Trial's row. shrink keeps a memo for one
 call, from each candidate's read key (the parts of the instance the
 check reads, stated once in _READS) to its verdict and, for a failing
@@ -678,32 +684,79 @@ class Trial(Gram):
 
     A Trial is the Gram of the instance's pair under its weight (x, y, u,
     a, b, c, the defect, the seminorm values) plus the two minima of the
-    defect oracles, D and D*u, from one lambda-grid pass that keeps no
-    samples. Each value is computed once, on first read, and shared by
-    every suite that reads it. A value that raises is not kept
-    (lattice.lazy), so every suite raises on exactly the values it
-    reads, as it would alone. A check reads a Trial as the group of one
-    trial: its values have no trial axis, and the check gives a table of
-    one row.
+    defect oracles, D and D*u, from a lambda-grid pass that keeps no
+    samples: the pass of its whole chunk (_share_minima) when it has one
+    and its pair validates, else its own. Each value is computed once,
+    on first read, and shared by every suite that reads it. A value that
+    raises is not kept (lattice.lazy), so every suite raises on exactly
+    the values it reads, as it would alone. A check reads a Trial as the
+    group of one trial: its values have no trial axis, and the check
+    gives a table of one row.
     """
+
+    # The trials, this one among them, whose minima wait for one shared
+    # pass (_share_minima): a list the pass empties. Empty for a lone trial.
+    _pending = ()
 
     def __init__(self, inst: Instance, config: TrialConfig):
         super().__init__(inst.sip, inst.x, inst.y, inst.u)
         self.inst = inst
         self.config = config
 
+    @property
+    def _weight(self):
+        """The validated weight, or None where it does not validate."""
+        try:
+            return self.u
+        except _BROKEN_INPUT:
+            return None
+
     @lazy
     def minima(self) -> tuple:
         """lambda_minima of the pair under its weight on config.lambda_grid.
 
-        A broken weight leaves D*u None and D as it is: cs never reads u,
-        and sharp reads u first, so it raises there.
+        The trials pending a shared pass get theirs from it, the first
+        read of any of them making it (_pass_minima); a trial that is
+        not in it, or alone, makes its own call, which raises where its
+        pair does. A broken weight leaves D*u None and D as it is: cs
+        never reads u, and sharp reads u first, so it raises there.
         """
+        if self._pending:
+            _pass_minima(self._pending)
+        kept = vars(self)
+        if "minima" in kept:
+            return kept["minima"]
+        return lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
+
+
+def _share_minima(trials) -> None:
+    """Let trials, of one config, take their lambda minima from one pass, made on the first read."""
+    pending = list(trials)
+    for t in pending:
+        t._pending = pending
+
+
+def _pass_minima(pending: list) -> None:
+    """Give each pending trial whose x and y validate its minima, from one lambda_minima call.
+
+    Each has its validated weight, or None; a row's minima are the bits
+    of its pair's call alone (cauchy_schwarz.lambda_minima). The list is
+    emptied first, so the others, and every trial if the call raises,
+    make their own calls.
+    """
+    covered = []
+    for t in pending:
         try:
-            u = self.u
+            t.x, t.y
         except _BROKEN_INPUT:
-            u = None
-        return lambda_minima([self], self.config.lambda_grid, [u])[0]
+            continue
+        covered.append(t)
+    pending.clear()
+    if covered:
+        minima = lambda_minima(covered, covered[0].config.lambda_grid,
+                               [t._weight for t in covered])
+        for t, m in zip(covered, minima):
+            t.minima = m
 
 
 class TrialGroup(GramStack):
@@ -713,9 +766,10 @@ class TrialGroup(GramStack):
     and the group stacks them on first read, so a suite stacks only what
     it reads and computes every residual as a (k,) array, with each
     trial's bits; the mean oracles run once on the stacked x and y.
-    Per-trial work (PSD axiom families, lambda-grid minima) reads the
-    trials, group.pairs; the axioms of the group's multiplication sips,
-    which depend on n alone, are checked once.
+    Per-trial work (PSD axiom families) reads the trials, group.pairs,
+    and so do the defect checks for the lambda-grid minima, which the
+    trials take from their chunk's one pass; the axioms of the group's
+    multiplication sips, which depend on n alone, are checked once.
     """
 
     def __init__(self, trials, config: TrialConfig):
@@ -994,11 +1048,13 @@ def _chunks(config: TrialConfig, purpose: str):
 def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    The instances are checked in groups of one codomain dimension, a group
-    of one trial as that Trial: each suite checks a group once, and the
-    group, with its trials' values, is dropped before the next is built.
-    Each suite then folds the chunk's tables at once, the suites sharing
-    one dict per instance of the chunk.
+    Every instance is one Trial, and the trials share one lambda-grid
+    pass (_share_minima), made on the first read of any of their minima.
+    They are checked in groups of one codomain dimension, a group of one
+    trial as that Trial: each suite checks a group once. The trials, with
+    their values, are dropped with the chunk. Each suite then folds the
+    chunk's tables at once, the suites sharing one dict per instance of
+    the chunk.
     """
     by_dim, gave_up = {}, []
     for i, inst in enumerate(chunk):
@@ -1007,9 +1063,11 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
         else:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
+    trials = {i: Trial(inst, config) for i, inst in enumerate(chunk) if inst is not None}
+    _share_minima(trials.values())
     for idx in by_dim.values():
-        trials = [Trial(chunk[i], config) for i in idx]
-        rec = trials[0] if len(trials) == 1 else TrialGroup(trials, config)
+        group = [trials[i] for i in idx]
+        rec = group[0] if len(group) == 1 else TrialGroup(group, config)
         for suite in suites:
             parts[suite.name] += _check_group(suite.name, rec, idx)
     dicts = {}

@@ -39,18 +39,19 @@ one element of a (rows, columns) array, which is never built whole. The
 whole-grid pass (_whole_grid) samples a band of rows one block of grid
 columns at a time, in grid order, reduces each block along its
 contiguous rows and folds the block results in grid order; so memory is
-bounded by the block, not by G or the row count. A band's largest block
-array holds at most GRID_BLOCK elements, and bands are as few as keep
-BAND_COLUMNS columns in a block row where the grid has them, out of
-numpy's slow regime for short rows. A call allocates its buffer once and every block reuses
-it: the block loop makes no array, so its cost does not depend on when
-the allocator maps or returns memory. The grid-side factors (1/theta,
-cos t and sin t, the quarter-circle angles, the lambda grid's +-
-closure) are cached on the grid. The elements are the products and sums
-of the grid-major layout, min and max are exact, and halving after the
-minimum is monotone, so each result keeps its bits at any block width;
-only the sign of a zero or of a NaN, which no residual reads, may
-differ.
+bounded by the block, not by G or the row count. A band's block arrays
+together hold at most GRID_BLOCK elements, in one buffer, and bands are
+as few as keep BAND_COLUMNS columns in a block row where the grid has
+them, out of numpy's slow regime for short rows. A call allocates its
+buffer once and every block reuses it: the block loop makes no array,
+so its cost does not depend on when the allocator maps or returns
+memory, and no call frees a block larger than GRID_BLOCK elements. The
+grid-side factors (1/theta, cos t and sin t, the quarter-circle angles,
+the lambda grid's +- closure) are cached on the grid. The elements are
+the products and sums of the grid-major layout, min and max are exact,
+and halving after the minimum is monotone, so each result keeps its
+bits at any block width; only the sign of a zero or of a NaN, which no
+residual reads, may differ.
 
 Two stages. Where a call's R rows and grid of G columns reach its
 oracle's size threshold (MEAN_BRACKET_ELEMENTS; the lambda oracle's
@@ -139,11 +140,12 @@ THETA_HI = 1e8
 THETA_COUNT = 10_000
 ANGLE_COUNT = 4096
 
-# Float64 elements of the largest array a grid oracle holds at once:
-# 16,384 grid columns at n = 4, half a megabyte, which stays in cache.
-# Of the widths 2**13 to 2**18 timed (BENCH_grid_blocks.json), 2**15 and
-# 2**16 ran fastest, within noise of each other; 2**16 holds the default
-# theta grid in one block up to n = 6. A result's bits do not depend on it.
+# Float64 elements of the one buffer a grid oracle's pass holds at once,
+# all its block arrays: 8,192 grid columns of a mean oracle at n = 4,
+# half a megabyte, which stays in cache. Of the widths 2**13 to 2**18
+# timed (BENCH_grid_blocks.json), 2**15 and 2**16 ran fastest, within
+# noise of each other; 2**16 holds the default theta grid in one block
+# up to n = 3. A result's bits do not depend on it.
 # The whole-grid pass does not narrow a block below BAND_COLUMNS for a
 # stack's many rows: on numpy 2.4.6 a block's outer product, np.multiply
 # of a (rows, 1) column and a (width,) grid slice, costs 1.2-1.7 ns per
@@ -377,19 +379,23 @@ def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
 def _whole_grid(rows) -> list:
     """Each output of rows' extremum over every column of the grid, band by band and block by block.
 
-    A band holds the fewest even share of the rows whose largest block
-    array (rows.block_rows) keeps BAND_COLUMNS columns in GRID_BLOCK
-    elements, or that do not widen it; its blocks of columns, of
-    GRID_BLOCK // rows.block_rows(band) columns, are sampled in grid
-    order into one buffer, made once, each reduced along its rows and
-    folded into the results.
+    A band holds the fewest even share of the rows whose block arrays,
+    rows.block_rows(band) + rows.other_rows * band rows in all (its
+    depth), keep BAND_COLUMNS columns in GRID_BLOCK elements, or that do
+    not widen them; its blocks of columns, of GRID_BLOCK // depth
+    columns, are sampled in grid order into one buffer of at most
+    GRID_BLOCK elements (depth elements where one column takes more),
+    made once, each reduced along its rows and folded into the results.
     """
+    def depth(b: int) -> int:
+        return rows.block_rows(b) + rows.other_rows * b
+
     R, N = rows.size, rows.pieces * rows.count
-    limit = max(GRID_BLOCK // BAND_COLUMNS, rows.block_rows(1))
-    bands = -(-R // bisect_right(range(1, R + 1), limit, key=rows.block_rows))
+    limit = max(GRID_BLOCK // BAND_COLUMNS, depth(1))
+    bands = -(-R // bisect_right(range(1, R + 1), limit, key=depth))
     band = -(-R // bands)
-    width = _block_width(rows.block_rows(band), N)
-    buf = np.empty((rows.block_rows(band) + rows.other_rows * band) * width)
+    width = _block_width(depth(band), N)
+    buf = np.empty(depth(band) * width)
     out = [np.empty(size) for size in rows.outputs]
     for lo in range(0, R, band):
         hi = min(lo + band, R)

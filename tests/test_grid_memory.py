@@ -7,9 +7,12 @@ of means.GRID_BLOCK elements keep the peak of traced allocations far
 below the bound here. So does the cs and sharp check of one trial, whose
 one lambda-grid pass gives both of its minima, and the study's one
 lambda_minima call over its generated pairs, whose stages go in bands of
-rows. The grid's own cached
-factors (1/theta, the +- closure, cos and sin) are built by a first call
-and kept for every later call on that grid, so they are not counted.
+rows, and the one call of a generated chunk's trials. The grid's own
+cached factors (1/theta, the +- closure, cos and sin) are built by a
+first call and kept for every later call on that grid, so they are not
+counted. The whole-grid pass holds all its block arrays in one buffer of
+at most GRID_BLOCK elements, however many rows and block arrays a band
+has.
 """
 
 import tracemalloc
@@ -18,9 +21,17 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from riesz_sip.cauchy_schwarz import Gram, defect_grid, lambda_minima
+from riesz_sip import means
+from riesz_sip.cauchy_schwarz import Gram, _lambda_rows, defect_grid, lambda_minima
 from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _run_check
-from riesz_sip.means import AngleGrid, LogGrid, box_plus_oracle, box_times_oracle
+from riesz_sip.means import (
+    GRID_BLOCK,
+    AngleGrid,
+    LogGrid,
+    _MeanRows,
+    box_plus_oracle,
+    box_times_oracle,
+)
 from riesz_sip.sip import MultiplicationSip, random_psd
 
 G = 10**6
@@ -101,3 +112,58 @@ def test_cs_and_sharp_of_a_trial_hold_one_block():
         tracemalloc.stop()
     assert all("invalid_instance" not in res.residuals for res in results)
     assert peak < BOUND, f"cs and sharp peaked at {peak / 2**20:.1f} MiB"
+
+
+class _Buffers:
+    """A row sampler that samples as rows does and records the size of each buffer it is handed."""
+
+    def __init__(self, rows):
+        self.rows, self.sizes = rows, set()
+
+    def __getattr__(self, name):
+        return getattr(self.rows, name)
+
+    def sample(self, lo, hi, cols, buf):
+        self.sizes.add(buf.size)
+        return self.rows.sample(lo, hi, cols, buf)
+
+
+def test_the_whole_grid_pass_holds_one_block_of_elements():
+    # a band of 16 lambda rows has z, t and the kernel's two work blocks,
+    # and one of mean rows the sum and the term: all of them together,
+    # not the largest alone, stay within GRID_BLOCK float64s, at the
+    # default lambda grid and at a grid of many blocks
+    small = TrialConfig().lambda_grid
+    many = LogGrid.log_spaced(1e-6, 1e6, 50_000)
+    cos_t, sin_t = AngleGrid.uniform(50_000)._trig
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(0.5, 2.0, (2, 24))
+    cases = [
+        _lambda_rows([Gram(MultiplicationSip(64), *rng.uniform(-1.0, 1.0, (2, 64)))],
+                     [rng.uniform(0.5, 2.0, 64)], grid)[0][0]
+        for grid in (small, many)
+    ] + [_MeanRows(np.minimum, p, grid.points, q, grid.inverse, None) for grid in (small, many)]
+    cases.append(_MeanRows(np.maximum, p, cos_t, q, sin_t, None))
+    for rows in cases:
+        spy = _Buffers(rows)
+        means._whole_grid(spy)
+        assert spy.sizes and max(spy.sizes) <= GRID_BLOCK, (rows.size, spy.sizes)
+
+
+def test_a_chunks_lambda_call_holds_a_few_blocks():
+    # the one lambda_minima call of a 256-trial generic chunk holds the
+    # driver's band buffer and the whole-grid pass's, GRID_BLOCK float64s
+    # each, with the bands' brackets and windows: under four blocks
+    config = TrialConfig(trials=256)
+    trials = [Trial(inst, config) for inst in next(_chunks(config, "generic"))]
+    assert len(trials) == 256
+    weights = [t.u for t in trials]
+    lambda_minima(trials, config.lambda_grid, weights)  # the cached factors and coefficients
+    tracemalloc.start()
+    try:
+        minima = lambda_minima(trials, config.lambda_grid, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.all(np.isfinite(d)) for d, _ in minima)
+    assert peak < 4 * GRID_BLOCK * 8, f"the chunk's call peaked at {peak / 2**20:.2f} MiB"

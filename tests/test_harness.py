@@ -24,6 +24,7 @@ from riesz_sip.harness import (
     Tolerances,
     Trial,
     TrialConfig,
+    _run_check,
     config_from_params,
     convergence_study,
     emit_report,
@@ -1085,26 +1086,137 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     psd = sum(inst.kind == "psd_family" for inst in insts)
     mult_groups = len({inst.sip.codomain_dim for inst in insts if inst.kind == "multiplication"})
     assert (psd, mult_groups) == (20, 4)
-    calls = {"eval": 0, "eval_batch": 0, "lambda_minima": 0, "_lambda_values": 0}
+    calls = {"eval": 0, "eval_batch": 0, "lambda_minima": 0}
     for cls in (PsdFamilySip, MultiplicationSip):
         for name in ("eval", "eval_batch"):
             def counted(self, *args, _method=getattr(cls, name), _name=name):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(cls, name, counted)
-    # a lambda_minima call per trial, and one kernel evaluation in it: the
-    # default grid is one block of one pass for every kernel class
-    for module, name in ((harness, "lambda_minima"), (cauchy_schwarz, "_lambda_values")):
-        def sampled(*args, _function=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _function(*args)
-        monkeypatch.setattr(module, name, sampled)
+    # one lambda_minima call per generic chunk, which samples the rows of
+    # each of its trials, one per codomain coordinate, once
+    sampled_rows = Counter()
+
+    def sampled(pairs, grid, weights=None, _function=harness.lambda_minima):
+        calls["lambda_minima"] += 1
+        for g in pairs:
+            sampled_rows[id(g)] += g.T.codomain_dim
+        return _function(pairs, grid, weights)
+
+    monkeypatch.setattr(harness, "lambda_minima", sampled)
     rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
-    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "lambda_minima": 50,
-                     "_lambda_values": 50}
+    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "lambda_minima": 1}
+    assert sorted(sampled_rows.values()) == sorted(inst.sip.codomain_dim for inst in insts)
     # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 4
     assert Counter(rows.values()) == {10: 50, 4: 50}
+
+
+
+def _broken_chunk() -> tuple:
+    """(chunk, broken): 12 valid generic instances and three broken ones among them, by position.
+
+    A shape-broken x (three entries for a sip on R^2), a negative weight
+    on a valid pair, and a pair whose T-values overflow.
+    """
+    valid = list(chain.from_iterable(harness._chunks(TrialConfig(trials=12, seed=5), "generic")))
+    v = valid[0]
+    shape = Instance(MultiplicationSip(2), u=np.ones(2), x=np.ones(3), y=np.ones(2))
+    negative = Instance(v.sip, u=-np.ones(v.u.size), x=v.x, y=v.y)
+    big = np.array([1e200, 1.0])
+    overflow = Instance(MultiplicationSip(2), u=np.ones(2), x=big, y=big.copy())
+    chunk = valid[:4] + [shape] + valid[4:8] + [negative] + valid[8:] + [overflow]
+    return chunk, {"shape": 4, "negative": 9, "overflow": 14}
+
+
+def _counted_minima(monkeypatch) -> list:
+    """The number of pairs of each harness.lambda_minima call, in call order."""
+    calls = []
+
+    def counted(pairs, grid, weights=None, _function=harness.lambda_minima):
+        calls.append(len(pairs))
+        return _function(pairs, grid, weights)
+
+    monkeypatch.setattr(harness, "lambda_minima", counted)
+    return calls
+
+
+def _minima_bytes(minima: tuple) -> tuple:
+    return tuple(None if v is None else v.tobytes() for v in minima)
+
+
+def test_a_chunk_takes_its_minima_from_one_pass_on_first_read(monkeypatch):
+    # the first read of a valid trial's minima makes one lambda_minima call
+    # over every trial whose x and y validate, each under its validated
+    # weight or None, and every covered trial has the bits of its own
+    # lone pass; the shape-broken trial is left to its own call, which
+    # raises as it does alone
+    config = TrialConfig(trials=1)
+    chunk, broken = _broken_chunk()
+    trials = [Trial(inst, config) for inst in chunk]
+    harness._share_minima(trials)
+    calls = _counted_minima(monkeypatch)
+    assert calls == []
+    with np.errstate(all="ignore"):
+        trials[0].minima
+        assert calls == [len(chunk) - 1]
+        for i, (t, inst) in enumerate(zip(trials, chunk)):
+            if i == broken["shape"]:
+                assert "minima" not in vars(t)
+                with pytest.raises(DimensionMismatch):
+                    t.minima
+                continue
+            alone = Trial(inst, config).minima
+            assert _minima_bytes(vars(t)["minima"]) == _minima_bytes(alone), i
+            assert (t.minima[1] is None) == (i == broken["negative"]), i
+    # one lone call each: the broken trial's, which raised, and the references
+    assert calls == [len(chunk) - 1, 1] + [1] * (len(chunk) - 1)
+
+
+# The suites in which each broken trial of _broken_chunk is invalid_instance.
+_INVALID_IN = {
+    "shape": set(THEOREMS) - {"axioms"},
+    "negative": {"means", "vsn", "sharp", "additivity", "pythagoras", "parallelogram"},
+    "overflow": set(THEOREMS) - {"axioms", "oracle"},
+}
+
+
+def test_broken_trials_of_a_chunk_stay_invalid_in_their_suites(monkeypatch):
+    class Kept:
+        def __init__(self, name):
+            self.name, self.failed = name, {}
+
+        def fold(self, insts, parts, dicts):
+            for pos, table in parts:
+                for k, p in enumerate(pos):
+                    self.failed[p] = table.row(k).failed
+
+    chunk, broken = _broken_chunk()
+    calls = _counted_minima(monkeypatch)
+    suites = [Kept(name) for name in THEOREMS]
+    config = TrialConfig(trials=1)
+    with np.errstate(all="ignore"):
+        harness._check_chunk(chunk, suites, config)
+    assert calls == [len(chunk) - 1]
+    for what, p in broken.items():
+        invalid = {s.name for s in suites if s.failed[p] == ("invalid_instance",)}
+        assert invalid == _INVALID_IN[what], what
+    # and every trial fails the checks it fails alone (the means suite
+    # reads u as a vector of x's lattice, so a valid generic trial with
+    # m != n is invalid there too: ROADMAP item 12)
+    with np.errstate(all="ignore"):
+        for p, inst in enumerate(chunk):
+            for s in suites:
+                assert s.failed[p] == _run_check(s.name, Trial(inst, config)).failed, (s.name, p)
+
+
+def test_suites_that_read_no_defect_make_no_lambda_call(monkeypatch):
+    chunk, _ = _broken_chunk()
+    calls = _counted_minima(monkeypatch)
+    with np.errstate(all="ignore"):
+        run_suite(TrialConfig(trials=50, theorems=("axioms", "means", "oracle")),
+                  injected=tuple(chunk))
+    assert calls == []
 
 
 def test_each_gram_value_is_evaluated_once(monkeypatch):
