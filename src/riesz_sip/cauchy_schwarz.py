@@ -94,8 +94,11 @@ What the two stages need of the lambda oracle:
     u_j*(f(p) - f(q)) > 2u_jE - 2u_jE = 0 from D*u's, and u_j > 0 on a
     certified row of D*u (with u_j = 0 it is flat).
 
-A row the stages leave NaN or zero takes the whole grid alone, not its
-pair: a zero weight entry sends one row of T-values there.
+  - A row of D*u whose weight u_j is +0 or -0 is exactly u_j where D's
+    row is certified positive (_Rows.settle), and takes no grid.
+
+Any other row the stages leave NaN or zero takes the whole grid alone,
+not its pair.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ from .means import (
     _cone_pair,
     _fold_grid,
 )
-from .sip import MultiplicationSip, Sip, _row_form, eval_stack
+from .sip import MultiplicationSip, Sip, _row_coefficients_of, _row_form, eval_stack
 
 # Default lambda grid of a verification run (TrialConfig).
 LAMBDA_LO = 1e-6
@@ -495,6 +498,24 @@ class _Rows:
         E, u = _lambda_bound(self, lo, hi), self.u[lo:hi, 0]
         return np.repeat(np.concatenate([E, u * E[:len(u)]]), 2)
 
+    def settle(self, out: list, whole: list) -> None:
+        """Give each fallback row of D*u of a zero weight whose row of D is certified positive its weight.
+
+        After the stages, a row of D that holds a number is certified, so
+        its E is finite: 2*K*S^2 did not overflow, and every sample t of
+        the row is finite, as is each partial sum of the kernel. D_j > 0
+        is the least of its samples t/|lambda| over the whole grid, so
+        every t is positive, and with u_j = +0 or -0 every sample
+        t*u_j/|lambda| of D*u, hence its minimum, is exactly u_j, sign
+        included. The rows settled are taken off whole[1]; any other
+        zero or NaN keeps the whole grid.
+        """
+        d, du = out
+        u = self.u[:, 0]
+        known = whole[1] & (u == 0.0) & (d[:u.size] > 0.0)
+        du[known] = u[known]
+        whole[1] &= ~known
+
     def take(self, keep: np.ndarray) -> "_Rows":
         """The rows where the (R,) mask keep holds, in order."""
         pick = (lambda v: v) if self.x.shape[1] == 1 else (lambda v: v[:, keep])
@@ -530,7 +551,13 @@ def _lambda_rows(pairs: list, weights: list, grid: LogGrid) -> tuple:
 
 def _stack_rows(multiplication: bool, grams: list, weights: list, size: int,
                 grid: LogGrid) -> _Rows:
-    """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights."""
+    """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights.
+
+    The PSD class's coefficients are built in one pass over its rows'
+    members, concatenated (sip._row_coefficients_of), which is elementwise:
+    each row's have its family's bits. One pair's rows take its family's
+    kept coefficients.
+    """
     u = np.concatenate(weights + [np.empty(0)])[:, None]
     if multiplication:
         x = np.concatenate([g.x for g in grams])[None]
@@ -539,13 +566,11 @@ def _stack_rows(multiplication: bool, grams: list, weights: list, size: int,
     if len(grams) == 1:  # one pair: every row reads its one column
         (g,) = grams
         return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u, grid)
-    families = [g.T for g in grams]
-    ns = [T.codomain_dim for T in families]
+    ns = [g.T.codomain_dim for g in grams]
     x = np.repeat(np.array([g.x for g in grams]), ns, axis=0).T
     y = np.repeat(np.array([g.y for g in grams]), ns, axis=0).T
-    coefficients = [[np.concatenate(column) for column in zip(*row)]
-                    for row in zip(*(T._row_coefficients for T in families))]
-    return _Rows(size, x, y, coefficients, np.concatenate([T.matrices for T in families]), u, grid)
+    A = np.concatenate([g.T.matrices for g in grams])
+    return _Rows(size, x, y, _row_coefficients_of(A), A, u, grid)
 
 
 def _lambda_bound(rows: _Rows, lo: int, hi: int) -> np.ndarray:

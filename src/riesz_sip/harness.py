@@ -17,7 +17,8 @@ fixed scalar sets, never fresh entropy. A check reads a record of
 trials, passes it to the library's theorem functions, and only maps the
 residuals they return to tolerances: a Trial, the lazy record of one
 instance under one config (the instance's Gram, see cauchy_schwarz.Gram,
-and its lambda-grid minima, from its chunk's one lambda-grid call), or a
+its lambda-grid minima, from its chunk's one lambda-grid call, and its
+axioms residuals, from its chunk's one stacked axioms pass), or a
 TrialGroup, the GramStack of k Trials
 whose sips share a codomain R^n, on whose stacked values every residual
 is a (k,) array with each trial's bits. The means and oracle suites
@@ -41,8 +42,14 @@ come from one lambda_minima call over every trial whose x and y
 validate, made on the first read of any of their minima (a chunk that
 no cs or sharp suite checks makes none); a trial left out, whose pair
 raises, and a Trial checked on its own (shrink, replay) make their own
-calls. _check_group is the one caller of the checks, and every check
-gives one table (_Table), a row of residuals per trial. A Trial's check,
+calls. Likewise the axioms residuals of a chunk's sips come from one
+check_axioms_stack call, made on the first read of any of them: the PSD
+families of one m whose contraction is one c_einsum step are stacked
+into one contraction per block of columns, and each distinct
+multiplication sip is checked once; a Trial checked on its own checks
+its sip alone, with the same bits. _check_group is the one caller of
+the checks, and every check gives one table (_Table), a row of
+residuals per trial. A Trial's check,
 as for a group of one trial or each trial of a group with a broken
 trial, gives one row, a broken trial the one-row invalid_instance table
 and one whose generation gave up the one-row generation table. Each
@@ -147,6 +154,7 @@ from .sip import (
     PsdFamilySip,
     _upper_pairs,
     check_axioms,
+    check_axioms_stack,
     orthogonal_stack,
     random_psd,
 )
@@ -685,18 +693,21 @@ class Trial(Gram):
     A Trial is the Gram of the instance's pair under its weight (x, y, u,
     a, b, c, the defect, the seminorm values) plus the two minima of the
     defect oracles, D and D*u, from a lambda-grid pass that keeps no
-    samples: the pass of its whole chunk (_share_minima) when it has one
-    and its pair validates, else its own. Each value is computed once,
-    on first read, and shared by every suite that reads it. A value that
-    raises is not kept (lattice.lazy), so every suite raises on exactly
-    the values it reads, as it would alone. A check reads a Trial as the
-    group of one trial: its values have no trial axis, and the check
-    gives a table of one row.
+    samples, and the axioms residuals of its sip. Each of the last two
+    comes from its whole chunk's one pass of that value (_share_minima)
+    when it has one (for the minima, when its pair validates), else from
+    its own call. Each value is computed once, on first read, and shared
+    by every suite that reads it. A value that raises is not kept
+    (lattice.lazy), so every suite raises on exactly the values it reads,
+    as it would alone. A check reads a Trial as the group of one trial:
+    its values have no trial axis, and the check gives a table of one row.
     """
 
-    # The trials, this one among them, whose minima wait for one shared
-    # pass (_share_minima): a list the pass empties. Empty for a lone trial.
-    _pending = ()
+    # The chunk's shared passes that have not run: one dict for the chunk,
+    # from the name of a value to the trials, this one among them, that
+    # take it from its pass (_share_minima); the first read of the value
+    # pops its entry and runs the pass. None for a lone trial.
+    _pending = None
 
     def __init__(self, inst: Instance, config: TrialConfig):
         super().__init__(inst.sip, inst.x, inst.y, inst.u)
@@ -711,6 +722,17 @@ class Trial(Gram):
         except _BROKEN_INPUT:
             return None
 
+    def _from_pass(self, name: str, run):
+        """This trial's value of name from its chunk's pass, or None if it has none.
+
+        The first read of name by any trial of the chunk pops the pass
+        from the pending dict and runs run(trials).
+        """
+        trials = self._pending and self._pending.pop(name, None)
+        if trials:
+            run(trials)
+        return vars(self).get(name)
+
     @lazy
     def minima(self) -> tuple:
         """lambda_minima of the pair under its weight on config.lambda_grid.
@@ -721,42 +743,64 @@ class Trial(Gram):
         pair does. A broken weight leaves D*u None and D as it is: cs
         never reads u, and sharp reads u first, so it raises there.
         """
-        if self._pending:
-            _pass_minima(self._pending)
-        kept = vars(self)
-        if "minima" in kept:
-            return kept["minima"]
-        return lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
+        kept = self._from_pass("minima", _pass_minima)
+        if kept is None:
+            kept = lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
+        return kept
+
+    @lazy
+    def axioms(self) -> dict:
+        """check_axioms of the sip at AXIOM_SAMPLES, seed 0 and the config's absolute floor.
+
+        The trials of a chunk get theirs from one check_axioms_stack call,
+        the first read of any of them making it (_pass_axioms); a lone
+        trial checks its sip alone, with the same bits.
+        """
+        kept = self._from_pass("axioms", _pass_axioms)
+        if kept is None:
+            kept = check_axioms(self.T, AXIOM_SAMPLES, floor=self.config.tolerances.abs)
+        return kept
 
 
 def _share_minima(trials) -> None:
-    """Let trials, of one config, take their lambda minima from one pass, made on the first read."""
-    pending = list(trials)
-    for t in pending:
+    """Let trials, of one config, take their lambda minima and their axioms each from one pass.
+
+    Each pass is made on the first read of its value by any of them.
+    """
+    trials = list(trials)
+    pending = {"minima": trials, "axioms": trials}
+    for t in trials:
         t._pending = pending
 
 
-def _pass_minima(pending: list) -> None:
-    """Give each pending trial whose x and y validate its minima, from one lambda_minima call.
+def _pass_minima(trials: list) -> None:
+    """Give each of trials whose x and y validate its minima, from one lambda_minima call.
 
     Each has its validated weight, or None; a row's minima are the bits
-    of its pair's call alone (cauchy_schwarz.lambda_minima). The list is
-    emptied first, so the others, and every trial if the call raises,
-    make their own calls.
+    of its pair's call alone (cauchy_schwarz.lambda_minima). The pass is
+    popped from the pending dict first, so the others, and every trial if
+    the call raises, make their own calls.
     """
     covered = []
-    for t in pending:
+    for t in trials:
         try:
             t.x, t.y
         except _BROKEN_INPUT:
             continue
         covered.append(t)
-    pending.clear()
     if covered:
         minima = lambda_minima(covered, covered[0].config.lambda_grid,
                                [t._weight for t in covered])
         for t, m in zip(covered, minima):
             t.minima = m
+
+
+def _pass_axioms(trials: list) -> None:
+    """Give each of trials its axioms residuals, from one check_axioms_stack call over their sips."""
+    floor = trials[0].config.tolerances.abs
+    for t, residuals in zip(trials, check_axioms_stack([t.T for t in trials], AXIOM_SAMPLES,
+                                                       floor=floor)):
+        t.axioms = residuals
 
 
 class TrialGroup(GramStack):
@@ -766,10 +810,9 @@ class TrialGroup(GramStack):
     and the group stacks them on first read, so a suite stacks only what
     it reads and computes every residual as a (k,) array, with each
     trial's bits; the mean oracles run once on the stacked x and y.
-    Per-trial work (PSD axiom families) reads the trials, group.pairs,
-    and so do the defect checks for the lambda-grid minima, which the
-    trials take from their chunk's one pass; the axioms of the group's
-    multiplication sips, which depend on n alone, are checked once.
+    The axioms and defect checks read the trials, group.pairs, for their
+    axioms residuals and lambda-grid minima, which the trials take from
+    their chunk's one pass of each.
     """
 
     def __init__(self, trials, config: TrialConfig):
@@ -782,19 +825,12 @@ class TrialGroup(GramStack):
 # stacked values, and a check only maps them to tolerances.
 
 def check_axioms_trials(rec) -> _Table:
-    tol = rec.config.tolerances
-
-    def axioms(T):
-        return check_axioms(T, samples=AXIOM_SAMPLES, seed=0, floor=tol.abs)
-
-    # A multiplication sip's residuals depend on its dimension alone, so
-    # each distinct one (MultiplicationSip(n) == MultiplicationSip(n)) is
-    # checked once.
-    sips = [t.inst.sip for t in rec.pairs]
-    mult = {T: axioms(T)
-            for T in dict.fromkeys(T for T in sips if isinstance(T, MultiplicationSip))}
-    rows = [mult[T] if isinstance(T, MultiplicationSip) else axioms(T) for T in sips]
-    return _results(rec, {k: ([r[k] for r in rows], tol.rel) for k in rows[0]},
+    # Each trial's residuals come from its chunk's one stacked pass
+    # (Trial.axioms), in which each distinct multiplication sip is checked
+    # once, since its residuals depend on n alone.
+    rows = [t.axioms for t in rec.pairs]
+    rel = rec.config.tolerances.rel
+    return _results(rec, {k: ([r[k] for r in rows], rel) for k in rows[0]},
                     tags=([t.inst.kind for t in rec.pairs],))
 
 
@@ -1049,7 +1085,8 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
     Every instance is one Trial, and the trials share one lambda-grid
-    pass (_share_minima), made on the first read of any of their minima.
+    pass and one axioms pass (_share_minima), each made on the first read
+    of any of their values.
     They are checked in groups of one codomain dimension, a group of one
     trial as that Trial: each suite checks a group once. The trials, with
     their values, are dropped with the chunk. Each suite then folds the

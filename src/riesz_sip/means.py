@@ -96,7 +96,9 @@ the whole grid, in one _whole_grid call over those rows alone (not
 their pairs): NaN where a row is not certified (a coarse sample or E is
 not finite, or the margin is 2E or less: a flat row, a tie between two
 coarse samples, a zero row), zero where the extremum is a zero, whose
-sign the fold order decides. The samples are the products and sums of
+sign the fold order decides. The sampler may take rows off the mask
+whose extremum it knows exactly from the certified rows (settle; the
+lambda oracle's D*u rows of a zero weight). The samples are the products and sums of
 the full pass, so every row has the full grid's bits, and a row of a
 stack has its bits alone.
 
@@ -241,9 +243,14 @@ class AngleGrid:
     """Sorted angle grid on [0, 2*pi] for the [+] supremum.
 
     Invariant: covers both endpoints 0 and 2*pi. The uniform constructor
-    has count divisible by 4, so the axis angles 0, pi/2, pi, 3*pi/2 are
-    grid points exactly (spacing is pi over a power of two times an
-    integer); this makes a [+] 0 = |a| exact rather than approximate.
+    takes the count points k * (2*pi / count) and adds the axis angles 0,
+    pi/2, pi, 3*pi/2 and 2*pi, so each axis angle is a grid point exactly
+    and a [+] 0 = |a| is exact rather than approximate. Where a rounded
+    base point equals an axis angle, the two are one point: at 4,096 and
+    10^4 points all do, and the grid holds count + 1 points. Elsewhere an
+    axis angle lies an ulp or a few beside a base point and the grid
+    holds both: at 10^5 points pi/2, pi and 3*pi/2 do, and the grid holds
+    100,004 points.
     """
 
     points: np.ndarray
@@ -425,6 +432,9 @@ def _fold_grid(rows, least: int) -> list:
         one (rows, width) array, at cols (a slice or (P,) columns of
         every row, or (hi - lo, P) of each), in views of buf;
       - error(lo, hi, best): E of those rows on each piece, given best;
+      - settle(out, whole): after the stages, set the rows of whole, the
+        fallback mask of each output, whose extremum it knows without
+        the grid, and take them off whole;
       - take(keep): the sampler of the rows where keep holds.
     The stages take a stride s = _stride(count, elements, least),
     elements the rows times the grid's columns. The coarse stage samples
@@ -436,8 +446,8 @@ def _fold_grid(rows, least: int) -> list:
     piece, a later output only where the first is too (see the module
     docstring). Rows go in bands whose buffer holds at most GRID_BLOCK
     elements. The results start as NaN, and every row an output still
-    holds as NaN or zero takes the whole grid, in one _whole_grid call
-    over those rows.
+    holds as NaN or zero, but those the sampler settles, takes the whole
+    grid, in one _whole_grid call over those rows.
     """
     count, pieces, R = rows.count, rows.pieces, rows.size
     s = _stride(count, R * pieces * count, least)
@@ -471,6 +481,7 @@ def _fold_grid(rows, least: int) -> list:
                 part[done] = low[:k][done]
                 ok, low = ok[k:], low[k:]
     whole = [np.isnan(o) | (o == 0.0) for o in out]
+    rows.settle(out, whole)
     keep = whole[0].copy()
     for w in whole[1:]:
         keep[:w.size] |= w
@@ -512,6 +523,9 @@ class _MeanRows:
 
     def error(self, lo: int, hi: int, best: np.ndarray) -> np.ndarray:
         return self.E(self.p[lo:hi, 0], self.q[lo:hi, 0], best)
+
+    def settle(self, out: list, whole: list) -> None:
+        """No row of a mean oracle is known without its grid."""
 
     def take(self, keep: np.ndarray) -> "_MeanRows":
         return _MeanRows(self.fold, self.p[keep], self.fp, self.q[keep], self.fq, self.E, self.circle)

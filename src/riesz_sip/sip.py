@@ -14,7 +14,8 @@ in the positive cone for every x. Two concrete families:
 check_axioms measures the five axioms on random samples as normalized
 residuals; it is also the detector for deliberately broken instances fed
 in through the fault-injection path, so nothing here assumes its input is
-well formed beyond shape.
+well formed beyond shape. check_axioms_stack checks many sips at once,
+each with the bits check_axioms gives it alone.
 
 Each sip has two kernels, and eval_stack evaluates a stack of sips:
 
@@ -28,17 +29,21 @@ Each sip has two kernels, and eval_stack evaluates a stack of sips:
                      The PSD form is two stacked matmuls, a row's bits
                      those of its sip's eval.
   eval_batch(X, Y)   T on the rows of two (..., S, m) arrays, an (..., S, n)
-                     array. check_axioms is its one caller, once per
-                     family, on its 11 (left, right) pairs stacked into
-                     two (11, samples, m) arrays. The PSD form is one
-                     einsum over all the rows, along the cached path
-                     einsum picks for one (S, m) block: the stacked call
-                     takes the path of one pair. Its bits must not move
+                     array: the axioms' T-values of a multiplication sip
+                     and of a PSD family whose contraction path has a BLAS
+                     step, on its 11 (left, right) pairs stacked into two
+                     (11, samples, m) arrays. The PSD form is one einsum
+                     over all the rows, along the cached path einsum picks
+                     for one (S, m) block: the stacked call takes the path
+                     of one pair. A family whose path is one c_einsum step
+                     is evaluated instead in one contraction with every
+                     such family of its m (check_axioms_stack), whose
+                     columns keep their bits. Their bits must not move
                      until the axiom residuals are rescaled (ROADMAP item
                      1): the axioms pins and the false-failure seeds the
                      benchmark leaves out are facts about these bits. The
-                     stacking moves them only where BLAS rounds by the
-                     row count (see check_axioms), at shapes no pin or
+                     stacking of pairs moves them only where BLAS rounds by
+                     the row count (see check_axioms), at shapes no pin or
                      benchmark uses.
 
 _row_form is the lambda-grid oracle's kernel T(z, z) of a PSD family
@@ -71,6 +76,7 @@ from .lattice import (
     NonFinite,
     lazy,
 )
+from .means import GRID_BLOCK
 
 SYMMETRY_ABS_TOL = 1e-12   # matrix asymmetry tolerated at construction
 EIGENVALUE_FLOOR = -1e-10  # smallest admissible eigenvalue of a PSD member
@@ -109,6 +115,9 @@ class MultiplicationSip:
 
 
 _PSD_SUBSCRIPTS = "jab,sa,sb->sj"
+# The one c_einsum step of a one-step path for _PSD_SUBSCRIPTS, on the
+# operands (Y, X, A) in the order the path hands them to it.
+_ONE_STEP = "sb,sa,jab->sj"
 
 
 @lru_cache(maxsize=256)
@@ -186,32 +195,38 @@ class PsdFamilySip:
 
     @lazy
     def _row_coefficients(self) -> list:
-        """_row_form's coefficients of each row a, m - a (n, 1) arrays: A_jaa/2, then C_jab for b > a.
+        """_row_form's coefficients of the family's rows (_row_coefficients_of)."""
+        return _row_coefficients_of(self.matrices)
 
-        C_jab is A_jab where A_jba equals it, else A_jab/2 + A_jba/2, a
-        sum that cannot overflow. At m = 1 the one coefficient is A_j00
-        itself.
-        """
-        A = self.matrices
-        At = np.swapaxes(A, 1, 2)
-        C = np.where(A == At, A, 0.5 * A + 0.5 * At)
-        diag = np.arange(self.domain_dim)
-        if diag.size > 1:
-            C[:, diag, diag] *= 0.5
-        C = np.ascontiguousarray(np.moveaxis(C, 0, -1))[..., None]
-        return [list(C[a, a:]) for a in diag]
+
+def _row_coefficients_of(A: np.ndarray) -> list:
+    """_row_form's coefficients of each row a of the (R, m, m) members A, m - a (R, 1) arrays: A_jaa/2, then C_jab for b > a.
+
+    C_jab is A_jab where A_jba equals it, else A_jab/2 + A_jba/2, a sum
+    that cannot overflow. At m = 1 the one coefficient is A_j00 itself.
+    Every step is elementwise, so a member's coefficients have the same
+    bits in any stack of members.
+    """
+    At = np.swapaxes(A, 1, 2)
+    C = np.where(A == At, A, 0.5 * A + 0.5 * At)
+    diag = np.arange(A.shape[1])
+    if diag.size > 1:
+        C[:, diag, diag] *= 0.5
+    C = np.ascontiguousarray(np.moveaxis(C, 0, -1))[..., None]
+    return [list(C[a, a:]) for a in diag]
 
 
 def _row_form(coefficients: list, Z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """T(z, z)_j = 2 * sum_a z_a * (A_jaa/2 * z_a + sum_{b > a} C_jab * z_b), for rows of coefficients.
 
     The row form of sum_ab z_a A_jab z_b. coefficients are
-    PsdFamilySip._row_coefficients, or those of many families' rows
-    stacked, as (R, 1) columns; Z is (m, R, S), or (m, 1, S) when every
-    row reads the same columns; out is (R, S) and work (2, R, S). Row a's
-    sum starts from A_jaa/2 * z_a and adds C_jab * z_b for b = a+1, ...,
-    m-1 in order; it is multiplied by z_a and added to the running sum of
-    the rows, a in order, and that sum is doubled last. This takes m^2 + 2m
+    _row_coefficients_of the R rows' members, one family's or many
+    families' stacked, as (R, 1) columns; Z is (m, R, S), or (m, 1, S)
+    when every row reads the same columns; out is (R, S) and work
+    (2, R, S). Row a's sum starts from A_jaa/2 * z_a and adds C_jab * z_b
+    for b = a+1, ..., m-1 in order; it is multiplied by z_a and added to
+    the running sum of the rows, a in order, and that sum is doubled
+    last. This takes m^2 + 2m
     elementwise passes over an (R, S) block, where a sum of the pairs'
     terms (C_jab * z_a) * z_b, a <= b, takes 2m^2 + m. Each choice:
 
@@ -270,6 +285,11 @@ def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
     return float((np.abs(diff) / (scale + floor)).max())
 
 
+# check_axioms' residuals, in the order _axiom_worst computes them
+_AXIOMS = ("additivity_left", "additivity_right", "homogeneity_left",
+           "homogeneity_right", "symmetry", "positivity")
+
+
 @lru_cache(maxsize=AXIOM_OPERANDS_CACHED)
 def _axiom_operands(m: int, samples: int, seed: int) -> tuple:
     """The stacked (11, samples, m) operands L, R of check_axioms and its (samples, 1) lambda.
@@ -292,6 +312,93 @@ def _axiom_operands(m: int, samples: int, seed: int) -> tuple:
     return L, R, lam
 
 
+def _axiom_worst(T: np.ndarray, lam: np.ndarray, floor: float, starts) -> list:
+    """The residual dicts of the sips whose columns of the (11, S, J) T-values start at starts.
+
+    Each residual is |difference| / (scale + floor) elementwise, and a
+    sip's worst is the maximum over its rows and columns, which is exact:
+    its bits do not depend on the other columns.
+    """
+    Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly = T
+    lam_xy = lam * Txy
+    pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
+    diff = np.stack((Tx_yz - (Txz + Tyz), Tzx_y - (Tzx + Tzy), Tlxy - lam_xy,
+                     Txly - lam_xy, Txy - Tyx, np.maximum(-Txx, 0.0)))
+    scale = np.stack((pair, pair, np.abs(lam_xy), np.abs(lam_xy), np.abs(Txy), np.abs(Txx)))
+    scale += floor
+    np.abs(diff, out=diff)
+    diff /= scale
+    worst = np.maximum.reduceat(diff.max(axis=1), starts, axis=1)
+    return [dict(zip(_AXIOMS, column)) for column in zip(*worst.tolist())]
+
+
+def _one_step(T: PsdFamilySip, samples: int) -> bool:
+    """Whether eval_batch's path for T at samples rows is one c_einsum step, with no BLAS product."""
+    m = T.domain_dim
+    return len(_psd_path(T.matrices.shape, (samples, m), (samples, m))) == 2
+
+
+def _eval_stacked(families: list, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """T_i on the rows of the (11, S, m) L and R for one-step PSD families of one m: (11, S, J), their columns side by side.
+
+    One c_einsum contraction over the families' members, A concatenated
+    along j: the step of each family's own path, whose order of summation
+    does not depend on J, so each column has its family's eval_batch bits.
+    """
+    m = L.shape[-1]
+    A = np.concatenate([T.matrices for T in families])
+    return np.einsum(_ONE_STEP, R.reshape(-1, m), L.reshape(-1, m), A).reshape(*L.shape[:-1], -1)
+
+
+def check_axioms_stack(sips, samples: int, seed: int = 0,
+                       floor: float = DEFAULT_ABS_TOL) -> list:
+    """check_axioms of each of sips, in order, each with the bits it has alone.
+
+    The PSD families whose contraction path for samples rows is one
+    c_einsum step (_one_step; at 64 samples, m >= 3 with n >= 2, and m = 2
+    with n <= 3) are stacked by m, into blocks whose T-values hold at most
+    GRID_BLOCK float64s (11 * samples * J <= GRID_BLOCK, J the block's
+    columns, a family of more columns alone), and each block is one
+    contraction (_eval_stacked) and one elementwise pass of the residuals
+    over all its columns. A family whose path has a BLAS step (n = 1, m = 1
+    and, at 64 samples, m = 2 with n >= 4) stays alone on its eval_batch,
+    since stacking it moves its last bits; so does a multiplication sip,
+    whose residuals depend on its dimension alone: each distinct one is
+    checked once.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    alone, stacks = {}, {}
+    for i, T in enumerate(sips):
+        if isinstance(T, PsdFamilySip) and _one_step(T, samples):
+            stacks.setdefault(T.domain_dim, []).append(i)
+        else:
+            alone.setdefault(T, []).append(i)
+    out = [None] * len(sips)
+    for T, at in alone.items():
+        L, R, lam = _axiom_operands(T.domain_dim, samples, seed)
+        (residuals,) = _axiom_worst(T.eval_batch(L, R), lam, floor, [0])
+        for i in at:
+            out[i] = residuals
+    width = GRID_BLOCK // (11 * samples)
+    for m, at in stacks.items():
+        L, R, lam = _axiom_operands(m, samples, seed)
+        while at:
+            block, starts, columns = [], [], 0
+            for i in at:
+                n = sips[i].codomain_dim
+                if block and columns + n > width:
+                    break
+                block.append(i)
+                starts.append(columns)
+                columns += n
+            at = at[len(block):]
+            T = _eval_stacked([sips[i] for i in block], L, R)
+            for i, residuals in zip(block, _axiom_worst(T, lam, floor, starts)):
+                out[i] = residuals
+    return out
+
+
 def check_axioms(T: Sip, samples: int, seed: int = 0,
                  floor: float = DEFAULT_ABS_TOL) -> dict:
     """Worst normalized residual of each semi-inner-product axiom on random samples.
@@ -302,15 +409,18 @@ def check_axioms(T: Sip, samples: int, seed: int = 0,
 
     The samples X, Y, Z (rows of m values) and lambda depend only on
     (T.domain_dim, samples, seed), so every family of one m is checked on
-    the same ones (_axiom_operands). One T.eval_batch call evaluates the
-    11 pairs, stacked in this order:
+    the same ones (_axiom_operands). The 11 pairs are stacked in this
+    order and evaluated at once:
 
       T(X,Y), T(Y,X), T(X,Z), T(Y,Z), T(X,X), T(X+Y,Z), T(Z,X+Y),
       T(Z,X), T(Z,Y), T(lambda X,Y), T(X,lambda Y)
 
-    The stacked call takes the PSD form's contraction path for one block
-    of samples rows, the path of each separate pair. A one-step path's bits
-    do not depend on the row count; a two-step path has a BLAS matrix
+    check_axioms is check_axioms_stack of T alone: a PSD family whose
+    contraction path is one c_einsum step is one contraction, and any
+    other sip one eval_batch call. The stacked pairs take the PSD form's
+    contraction path for one block of samples rows, the path of each
+    separate pair. A one-step path's bits do not depend on the row count
+    or on the families stacked with it; a two-step path has a BLAS matrix
     product whose rounding can. At the harness's 64 samples each residual
     has the bits of eleven separate eval_batch calls for every m, n <= 64
     but twelve shapes with n = 1 (m in 41..44, 49..52, 57..60, on
@@ -318,20 +428,7 @@ def check_axioms(T: Sip, samples: int, seed: int = 0,
     path multiplies a vector where the stacked call multiplies a matrix,
     and the last bits can move too.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    L, R, lam = _axiom_operands(T.domain_dim, samples, seed)
-    Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly = T.eval_batch(L, R)
-    scale_pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
-
-    return {
-        "additivity_left": _worst(Tx_yz - (Txz + Tyz), scale_pair, floor),
-        "additivity_right": _worst(Tzx_y - (Tzx + Tzy), scale_pair, floor),
-        "homogeneity_left": _worst(Tlxy - lam * Txy, np.abs(lam * Txy), floor),
-        "homogeneity_right": _worst(Txly - lam * Txy, np.abs(lam * Txy), floor),
-        "symmetry": _worst(Txy - Tyx, np.abs(Txy), floor),
-        "positivity": _worst(np.maximum(-Txx, 0.0), np.abs(Txx), floor),
-    }
+    return check_axioms_stack((T,), samples, seed, floor)[0]
 
 
 def random_psd(rng: np.random.Generator, m: int, n: int) -> PsdFamilySip:

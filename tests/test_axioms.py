@@ -1,10 +1,15 @@
-"""check_axioms: one stacked eval_batch per family, against eleven separate calls."""
+"""check_axioms: one stacked evaluation per family, against eleven separate calls; and
+check_axioms_stack, many families at once, against each family alone."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from riesz_sip import sip
 from riesz_sip.harness import AXIOM_SAMPLES, TrialConfig, generate_instance
 from riesz_sip.lattice import DEFAULT_ABS_TOL
+from riesz_sip.means import GRID_BLOCK
 from riesz_sip.sip import (
     AXIOM_OPERANDS_CACHED,
     MultiplicationSip,
@@ -12,6 +17,7 @@ from riesz_sip.sip import (
     _axiom_operands,
     _worst,
     check_axioms,
+    check_axioms_stack,
     random_psd,
 )
 
@@ -176,3 +182,92 @@ def test_recorded_false_axiom_failures_keep_their_bits():
                                  floor=config.tolerances.abs)
         failing = {k: v for k, v in residuals.items() if v > 1e-9}
         assert bits(failing) == expected, (seed, trial)
+
+
+# The columns of one stacked contraction at AXIOM_SAMPLES rows.
+BLOCK_COLUMNS = GRID_BLOCK // (11 * AXIOM_SAMPLES)
+
+
+def check_axioms_alone(T, samples, floor=DEFAULT_ABS_TOL):
+    """check_axioms as one eval_batch call on T's 11 stacked pairs, with no other family."""
+    L, R, lam = _axiom_operands(T.domain_dim, samples, 0)
+    Txy, Tyx, Txz, Tyz, Txx, Tx_yz, Tzx_y, Tzx, Tzy, Tlxy, Txly = T.eval_batch(L, R)
+    scale_pair = np.abs(Txy) + np.abs(Txz) + np.abs(Tyz)
+    return {
+        "additivity_left": _worst(Tx_yz - (Txz + Tyz), scale_pair, floor),
+        "additivity_right": _worst(Tzx_y - (Tzx + Tzy), scale_pair, floor),
+        "homogeneity_left": _worst(Tlxy - lam * Txy, np.abs(lam * Txy), floor),
+        "homogeneity_right": _worst(Txly - lam * Txy, np.abs(lam * Txy), floor),
+        "symmetry": _worst(Txy - Tyx, np.abs(Txy), floor),
+        "positivity": _worst(np.maximum(-Txx, 0.0), np.abs(Txx), floor),
+    }
+
+
+@st.composite
+def stacked_sips(draw):
+    """1-40 sips of m = 1..12 and n = 1..8, drawn from one to three values of m so that a stack crosses blocks.
+
+    PSD families are valid, scaled by 1e30 or 1e-30, asymmetric, negated,
+    or with a NaN entry in one member; a fifth of the sips are
+    multiplication sips.
+    """
+    ms = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sips = []
+    for _ in range(draw(st.integers(1, 40))):
+        m, n = draw(st.sampled_from(ms)), draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(["multiplication", "valid", "large", "small",
+                                     "asymmetric", "negated", "nan"]))
+        if kind == "multiplication":
+            sips.append(MultiplicationSip(m))
+            continue
+        A = random_psd(rng, m, n).matrices.copy()
+        j, a, b = rng.integers(n), rng.integers(m), rng.integers(m)
+        if kind == "large":
+            A *= 1e30
+        elif kind == "small":
+            A *= 1e-30
+        elif kind == "asymmetric":
+            A[j, a, b] += 0.5
+        elif kind == "negated":
+            A[j] = -A[j]
+        elif kind == "nan":
+            A[j, a, b] = np.nan
+        sips.append(PsdFamilySip(A, validate=False))
+    return sips
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(stacked_sips(), st.sampled_from([DEFAULT_ABS_TOL, 1e-7]))
+def test_a_stack_of_families_keeps_each_familys_bits(sips, floor):
+    # a batch of N sips gives each the six residuals of its batch of 1,
+    # bit for bit, NaN included, however its m's stack is cut into blocks:
+    # those of check_axioms and of its family's own eval_batch call
+    with np.errstate(all="ignore"):
+        stacked = check_axioms_stack(sips, AXIOM_SAMPLES, floor=floor)
+        for T, got in zip(sips, stacked):
+            assert bits(got) == bits(check_axioms(T, AXIOM_SAMPLES, floor=floor))
+            assert bits(got) == bits(check_axioms_alone(T, AXIOM_SAMPLES, floor=floor))
+
+
+def test_a_stack_crosses_blocks_with_each_familys_bits(monkeypatch):
+    # 40 families of one m and n = 1..8 are 180 columns: the one-step
+    # families take more than one contraction, none of more than
+    # BLOCK_COLUMNS columns, and the others (n = 1) none
+    blocks = []
+
+    def stacked(families, L, R, _function=sip._eval_stacked):
+        blocks.append([T.codomain_dim for T in families])
+        return _function(families, L, R)
+
+    monkeypatch.setattr(sip, "_eval_stacked", stacked)
+    rng = np.random.default_rng(40)
+    sips = [random_psd(rng, 4, 1 + i % 8) for i in range(40)]
+    got = check_axioms_stack(sips, AXIOM_SAMPLES)
+    assert len(blocks) > 1 and max(map(sum, blocks)) <= BLOCK_COLUMNS
+    assert sorted(n for block in blocks for n in block) == sorted(
+        T.codomain_dim for T in sips if T.codomain_dim > 1)
+    for T, residuals in zip(sips, got):
+        assert bits(residuals) == bits(check_axioms(T, AXIOM_SAMPLES))
+        assert bits(residuals) == bits(check_axioms_alone(T, AXIOM_SAMPLES))

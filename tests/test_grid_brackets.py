@@ -215,9 +215,10 @@ def whole_rows(rows):
 
 
 def test_the_fallback_takes_the_rows_it_must():
-    # the flat row, the overflowing family and a zero weight's row take
-    # the whole grid, each alone; a valid pair at 10^5 points under a
-    # positive weight takes none
+    # the flat row and the overflowing family take the whole grid, each
+    # alone; a valid pair at 10^5 points under a positive weight takes
+    # none, and under a weight with a zero entry none either, since that
+    # row of D*u is its weight wherever its row of D is certified positive
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     calls = []
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
@@ -229,8 +230,8 @@ def test_the_fallback_takes_the_rows_it_must():
                 (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(1, [2.0])]),
                 (huge, [1.0, 2.0], [3.0, -1.0], [1.0], [(1, [1.0])]),
                 (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], []),
-                # the D*u row of coordinate 0, all zeros: one row of T-values
-                (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], [(1, [0.0])])):
+                # the D*u row of coordinate 0, all zeros: no row of T-values
+                (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], [])):
             calls.clear()
             x, y, u = np.array(x), np.array(y), np.array(u)
             (got,) = lambda_minima([Gram(T, x, y)], grid, [u])
@@ -299,3 +300,49 @@ def test_generated_pairs_take_two_stages_and_never_fall_back():
         assert convergence_study(config, (10**5, 2 * 10**5)).ok
     assert sorted(calls) == sorted(["lambda_minima"] * 2
                                   + ["box_times_gaps", "box_plus_gaps"] * 2 * len(ns))
+
+
+def test_a_zero_weights_row_of_d_u_is_its_weight():
+    # at 10^5 points, where every pair takes two stages: a row of D*u
+    # whose weight is +0.0 or -0.0 and whose row of D is certified
+    # positive takes no whole-grid pass and has the reference's bits, the
+    # sign of its zero included, alone and stacked; the flat row (D = 0)
+    # and the overflowing family, whose E is not finite, keep the whole
+    # grid under a zero weight
+    grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
+    flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
+    huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
+    valid = random_psd(np.random.default_rng(5), 4, 3)
+    cases = [
+        (valid, [1.0, -2.0, 0.5, 3.0], [0.3, 1.0, 2.0, -1.0], [0.0, -0.0, 2.0], []),
+        (valid, [1.0, -2.0, 0.5, 3.0], [0.3, 1.0, 2.0, -1.0], [-0.0, -0.0, -0.0], []),
+        (MultiplicationSip(3), [1.0, -2.0, 3.0], [0.5, 1.0, -1.0], [-0.0, 0.0, 1.0], []),
+        # coordinate 0 of the flat family is certified positive, coordinate 1 is flat
+        (flat, [0.0, 2.0], [3.0, 0.0], [0.0, -0.0], [(1, [-0.0])]),
+        (huge, [1.0, 2.0], [3.0, -1.0], [-0.0], [(1, [-0.0])]),
+    ]
+    calls = []
+    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
+        for T, x, y, u, rows in cases:
+            calls.clear()
+            (got,) = lambda_minima([Gram(T, np.array(x), np.array(y))], grid, [np.array(u)])
+            assert calls == rows
+            ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.array(u))
+            assert_same_bits(got[0], ref[0])
+            assert_same_bits(got[1], ref[1])
+        stacked = lambda_minima([Gram(T, np.array(x), np.array(y)) for T, x, y, *_ in cases],
+                                grid, [np.array(u) for *_, u, _ in cases])
+        for (T, x, y, u, _), got in zip(cases, stacked):
+            ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.array(u))
+            assert_same_bits(got[0], ref[0])
+            assert_same_bits(got[1], ref[1])
+
+
+def test_a_thousand_trial_run_takes_no_lambda_row_through_the_whole_grid():
+    # generic weights draw zero entries; with them settled, every lambda
+    # row of a 1,000-trial verify is certified by the two stages
+    calls = []
+    with counted(means, "_whole_grid", calls, lambda rows: type(rows).__name__), \
+            np.errstate(all="ignore"):
+        harness.run_suite(TrialConfig(trials=1000, seed=0))
+    assert "_Rows" not in calls

@@ -23,7 +23,7 @@ import pytest
 
 from riesz_sip import means
 from riesz_sip.cauchy_schwarz import Gram, _lambda_rows, defect_grid, lambda_minima
-from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _run_check
+from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _run_check, _share_minima
 from riesz_sip.means import (
     GRID_BLOCK,
     AngleGrid,
@@ -167,3 +167,29 @@ def test_a_chunks_lambda_call_holds_a_few_blocks():
         tracemalloc.stop()
     assert all(np.all(np.isfinite(d)) for d, _ in minima)
     assert peak < 4 * GRID_BLOCK * 8, f"the chunk's call peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_a_chunks_axioms_pass_holds_a_few_blocks():
+    # the one axioms pass of a 256-trial generic chunk stacks its
+    # one-step PSD families of each m in blocks of at most GRID_BLOCK
+    # float64s of T-values, and a block's residuals take about as much
+    # again: the pass holds under three blocks
+    config = TrialConfig(trials=256)
+    chunk = next(_chunks(config, "generic"))
+
+    def shared() -> list:
+        trials = [Trial(inst, config) for inst in chunk]
+        _share_minima(trials)
+        return trials
+
+    warm = shared()
+    warm[0].axioms  # the cached operands and contraction paths
+    trials = shared()
+    tracemalloc.start()
+    try:
+        trials[0].axioms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all("axioms" in vars(t) for t in trials)
+    assert peak < 3 * GRID_BLOCK * 8, f"the chunk's axioms pass peaked at {peak / 2**20:.2f} MiB"

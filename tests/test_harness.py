@@ -1076,23 +1076,43 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # lambda-grid sampling, which its six suites share; each orthogonal
     # trial has the 4 T-values pythagoras reads (all but T(x-y,x-y)), and
     # generation checks its pairs inside orthogonal_stack, with no eval;
-    # positive_log trials evaluate none; the axioms suite evaluates its 11 stacked pairs in
-    # one batch per PSD family and in one per group for its multiplication
-    # sips, whose residuals depend on n alone: the 50 trials are one
-    # chunk, and each codomain dimension one group (at most 14 trials,
-    # under the 16 of n = 4's sample budget)
+    # positive_log trials evaluate none; the axioms suite evaluates the
+    # columns of its 11 stacked pairs once per PSD family, in its chunk's
+    # one stacked pass (a family stacked with the others of its m, or
+    # alone on eval_batch), and once per distinct multiplication sip,
+    # whose residuals depend on n alone: the 50 trials are one chunk
+    from riesz_sip import sip
+
     config = TrialConfig(trials=50, seed=3)
     insts = [generate_instance(config, i) for i in range(config.trials)]
-    psd = sum(inst.kind == "psd_family" for inst in insts)
-    mult_groups = len({inst.sip.codomain_dim for inst in insts if inst.kind == "multiplication"})
-    assert (psd, mult_groups) == (20, 4)
-    calls = {"eval": 0, "eval_batch": 0, "lambda_minima": 0}
+    psd = [inst.sip for inst in insts if inst.kind == "psd_family"]
+    mult = {inst.sip.codomain_dim for inst in insts if inst.kind == "multiplication"}
+    assert (len(psd), len(mult)) == (20, 4)
+    calls = {"eval": 0, "lambda_minima": 0}
+    # the axiom columns evaluated per family, keyed by its matrices' bytes
+    # (a multiplication sip by its n)
+    columns = Counter()
+
+    def key(T):
+        return T.matrices.tobytes() if isinstance(T, PsdFamilySip) else T.dim
+
     for cls in (PsdFamilySip, MultiplicationSip):
-        for name in ("eval", "eval_batch"):
-            def counted(self, *args, _method=getattr(cls, name), _name=name):
-                calls[_name] += 1
-                return _method(self, *args)
-            monkeypatch.setattr(cls, name, counted)
+        def counted(self, *args, _method=cls.eval):
+            calls["eval"] += 1
+            return _method(self, *args)
+
+        def batch(self, *args, _method=cls.eval_batch):
+            columns[key(self)] += self.codomain_dim
+            return _method(self, *args)
+        monkeypatch.setattr(cls, "eval", counted)
+        monkeypatch.setattr(cls, "eval_batch", batch)
+
+    def stacked(families, L, R, _function=sip._eval_stacked):
+        for T in families:
+            columns[key(T)] += T.codomain_dim
+        return _function(families, L, R)
+
+    monkeypatch.setattr(sip, "_eval_stacked", stacked)
     # one lambda_minima call per generic chunk, which samples the rows of
     # each of its trials, one per codomain coordinate, once
     sampled_rows = Counter()
@@ -1106,11 +1126,11 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     monkeypatch.setattr(harness, "lambda_minima", sampled)
     rows, _, _ = _count_rows(monkeypatch)
     run_suite(config)
-    assert calls == {"eval": 0, "eval_batch": psd + mult_groups, "lambda_minima": 1}
+    assert calls == {"eval": 0, "lambda_minima": 1}
+    assert columns == Counter({**{key(T): T.codomain_dim for T in psd}, **{n: n for n in mult}})
     assert sorted(sampled_rows.values()) == sorted(inst.sip.codomain_dim for inst in insts)
     # one count per trial: 50 generic trials of 10 rows, 50 orthogonal of 4
     assert Counter(rows.values()) == {10: 50, 4: 50}
-
 
 
 def _broken_chunk() -> tuple:
