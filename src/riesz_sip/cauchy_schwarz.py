@@ -555,8 +555,8 @@ def _stack_rows(multiplication: bool, grams: list, weights: list, size: int,
 
     The PSD class's coefficients are built in one pass over its rows'
     members, concatenated (sip._row_coefficients_of), which is elementwise:
-    each row's have its family's bits. One pair's rows take its family's
-    kept coefficients.
+    each row's coefficients have its family's bits. One pair's rows take
+    its family's kept coefficients.
     """
     u = np.concatenate(weights + [np.empty(0)])[:, None]
     if multiplication:

@@ -98,9 +98,9 @@ not finite, or the margin is 2E or less: a flat row, a tie between two
 coarse samples, a zero row), zero where the extremum is a zero, whose
 sign the fold order decides. The sampler may take rows off the mask
 whose extremum it knows exactly from the certified rows (settle; the
-lambda oracle's D*u rows of a zero weight). The samples are the products and sums of
-the full pass, so every row has the full grid's bits, and a row of a
-stack has its bits alone.
+lambda oracle's D*u rows of a zero weight). The samples are the
+products and sums of the full pass, so every row has the full grid's
+bits, and a row of a stack has its bits alone.
 
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
