@@ -95,10 +95,10 @@ What the two stages need of the lambda oracle:
     certified row of D*u (with u_j = 0 it is flat).
 
   - A row of D*u whose weight u_j is +0 or -0 is exactly u_j where D's
-    row is certified positive (_Rows.settle), and takes no grid.
+    row is certified positive (_Rows.settle), and needs no grid.
 
-Any other row the stages leave NaN or zero takes the whole grid alone,
-not its pair.
+Any other row the stages leave NaN or zero sends its class's whole call,
+every row of every pair in it, through the whole grid.
 """
 
 from __future__ import annotations
@@ -473,17 +473,16 @@ class _Rows:
     branches of grid.signed, G columns each.
     """
 
-    # a band's block arrays: z (block_rows), then t and the kernel's two work blocks
-    fold, pieces, circle, other_rows = np.minimum, 2, False, 3
+    fold, pieces, circle = np.minimum, 2, False
 
     def __init__(self, size, x, y, coefficients, matrices, u, grid):
         self.size, self.x, self.y, self.u, self.grid = size, x, y, u, grid
         self.coefficients, self.matrices = coefficients, matrices
         self.count, self.outputs = grid.count, (size, len(u))
 
-    def block_rows(self, b: int) -> int:
-        """The rows of a band of b rows' largest block array: z at m per row (at m, for one PSD pair's rows), or t."""
-        return max(self.x.shape[0] * min(self.x.shape[1], b), b)
+    def depth(self, b: int) -> int:
+        """The rows of a band of b rows' block arrays: z (m per row, m for one PSD pair; b at least), t and two work blocks."""
+        return max(self.x.shape[0] * min(self.x.shape[1], b), b) + 3 * b
 
     def sample(self, lo: int, hi: int, cols, buf: np.ndarray) -> np.ndarray:
         """D of rows lo:hi, then D*u of those with a weight (_weigh), at cols of grid.signed.
@@ -508,21 +507,13 @@ class _Rows:
         every t is positive, and with u_j = +0 or -0 every sample
         t*u_j/|lambda| of D*u, hence its minimum, is exactly u_j, sign
         included. The rows settled are taken off whole[1]; any other
-        zero or NaN keeps the whole grid.
+        zero or NaN sends the call through the whole grid.
         """
         d, du = out
         u = self.u[:, 0]
         known = whole[1] & (u == 0.0) & (d[:u.size] > 0.0)
         du[known] = u[known]
         whole[1] &= ~known
-
-    def take(self, keep: np.ndarray) -> "_Rows":
-        """The rows where the (R,) mask keep holds, in order."""
-        pick = (lambda v: v) if self.x.shape[1] == 1 else (lambda v: v[:, keep])
-        psd = self.coefficients is not None
-        return _Rows(int(keep.sum()), pick(self.x), pick(self.y),
-                     [[c[keep] for c in row] for row in self.coefficients] if psd else None,
-                     self.matrices[keep] if psd else None, self.u[keep[:len(self.u)]], self.grid)
 
 
 def _lambda_rows(pairs: list, weights: list, grid: LogGrid) -> tuple:
@@ -657,9 +648,10 @@ def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
     multiplication sip's rows form one class, and the PSD rows of each m
     another. Each class is one call of means._fold_grid: two stages where
     its 2G*R elements reach LAMBDA_BRACKET_ELEMENTS, and the whole grid
-    for a row the stages do not certify, that row alone. Never holds
-    more than a block of T-values, and each row has the bits of its
-    pair's full grid alone, so a pair gets the same minima in any call.
+    for every row of the class where the stages leave one row
+    uncertified. Never holds more than a block of T-values, and each row
+    has the bits of its pair's full grid alone, so a pair gets the same
+    minima in any call.
     verify makes one call per chunk of trials (harness._pass_minima) and
     the oracle study one per grid size, so their classes hold many rows,
     most of which take two stages. Over-estimates the infimum D(x,y), or

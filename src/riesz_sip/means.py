@@ -26,13 +26,13 @@ R rows over the columns of a grid, one row per coordinate of each pair
 trials), with np.minimum or np.maximum. Each hands the driver a row
 sampler that holds what differs between them (_MeanRows here,
 cauchy_schwarz._Rows): how to sample rows lo:hi at columns shared by
-every row or at each row's own, into a buffer the driver makes; the
-grid's pieces, count columns each, on a circle or not; each output's
-bound E; and its rows' take(mask). A sampler may have more than one
-output (the lambda oracle's D and D*u): a later output covers the first
-rows of the first. The driver owns the rest, the same for every
-oracle: the bands of rows, the two stages, the windows and the
-fallback.
+every row or at each row's own, into a buffer the driver makes, and the
+rows of a band's block arrays in that buffer (depth); the grid's
+pieces, count columns each, on a circle or not; and each output's bound
+E. A sampler may have more than one output (the lambda oracle's D and
+D*u): a later output covers the first rows of the first. The driver
+owns the rest, the same for every oracle: the bands of rows, the two
+stages, the windows and the fallback.
 
 Layout: coordinate-major, in blocks. A sample of a row at a column is
 one element of a (rows, columns) array, which is never built whole. The
@@ -91,16 +91,18 @@ elements. Why that is the full grid's extremum:
     column (cauchy_schwarz shows why for D*u).
 
 Each result starts as NaN and a certified row's extremum replaces it.
-One mask, NaN or zero in any output, names the rows that fall back to
-the whole grid, in one _whole_grid call over those rows alone (not
-their pairs): NaN where a row is not certified (a coarse sample or E is
-not finite, or the margin is 2E or less: a flat row, a tie between two
-coarse samples, a zero row), zero where the extremum is a zero, whose
-sign the fold order decides. The sampler may take rows off the mask
-whose extremum it knows exactly from the certified rows (settle; the
-lambda oracle's D*u rows of a zero weight). The samples are the
-products and sums of the full pass, so every row has the full grid's
-bits, and a row of a stack has its bits alone.
+A row that is still NaN or zero in any output sends the whole call to
+the whole grid, one _whole_grid call over all its rows: NaN where a row
+is not certified (a coarse sample or E is not finite, or the margin is
+2E or less: a flat row, a tie between two coarse samples, a zero row),
+zero where the extremum is a zero, whose sign the fold order decides.
+The sampler may take rows off the fallback masks whose extremum it
+knows exactly from the certified rows (settle; the lambda oracle's D*u
+rows of a zero weight). A certified row's window minimum or maximum is
+the full grid's, and a settled row's value is every sample of its whole
+grid, so the whole grid gives those rows the bits the stages give them.
+The samples are the products and sums of the full pass, so every row
+has the full grid's bits, and a row of a stack has its bits alone.
 
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
@@ -387,17 +389,14 @@ def _whole_grid(rows) -> list:
     """Each output of rows' extremum over every column of the grid, band by band and block by block.
 
     A band holds the fewest even share of the rows whose block arrays,
-    rows.block_rows(band) + rows.other_rows * band rows in all (its
-    depth), keep BAND_COLUMNS columns in GRID_BLOCK elements, or that do
-    not widen them; its blocks of columns, of GRID_BLOCK // depth
-    columns, are sampled in grid order into one buffer of at most
-    GRID_BLOCK elements (depth elements where one column takes more),
-    made once, each reduced along its rows and folded into the results.
+    rows.depth(band) rows in all, keep BAND_COLUMNS columns in
+    GRID_BLOCK elements, or that do not widen them; its blocks of
+    columns, of GRID_BLOCK // depth columns, are sampled in grid order
+    into one buffer of at most GRID_BLOCK elements (depth elements where
+    one column takes more), made once, each reduced along its rows and
+    folded into the results.
     """
-    def depth(b: int) -> int:
-        return rows.block_rows(b) + rows.other_rows * b
-
-    R, N = rows.size, rows.pieces * rows.count
+    R, N, depth = rows.size, rows.pieces * rows.count, rows.depth
     limit = max(GRID_BLOCK // BAND_COLUMNS, depth(1))
     bands = -(-R // bisect_right(range(1, R + 1), limit, key=depth))
     band = -(-R // bands)
@@ -426,16 +425,14 @@ def _fold_grid(rows, least: int) -> list:
         output's rows, the first R, a later one the first rows of R;
       - count, pieces, circle: the grid is pieces pieces of count
         columns each, in turn, and a one-piece grid may be a circle;
-      - block_rows(b): the rows of a band of b rows' largest block
-        array, and other_rows: the rows per row of its other block arrays;
+      - depth(b): the rows of a band of b rows' block arrays, all told;
       - sample(lo, hi, cols, buf): each output's rows lo:hi, in turn in
         one (rows, width) array, at cols (a slice or (P,) columns of
         every row, or (hi - lo, P) of each), in views of buf;
       - error(lo, hi, best): E of those rows on each piece, given best;
       - settle(out, whole): after the stages, set the rows of whole, the
         fallback mask of each output, whose extremum it knows without
-        the grid, and take them off whole;
-      - take(keep): the sampler of the rows where keep holds.
+        the grid, and take them off whole.
     The stages take a stride s = _stride(count, elements, least),
     elements the rows times the grid's columns. The coarse stage samples
     every s-th point and the end of each piece (_coarse) for every row;
@@ -445,9 +442,9 @@ def _fold_grid(rows, least: int) -> list:
     extremum over those columns where that row is certified on every
     piece, a later output only where the first is too (see the module
     docstring). Rows go in bands whose buffer holds at most GRID_BLOCK
-    elements. The results start as NaN, and every row an output still
-    holds as NaN or zero, but those the sampler settles, takes the whole
-    grid, in one _whole_grid call over those rows.
+    elements. The results start as NaN, and where an output still holds
+    a row as NaN or zero, but those the sampler settles, the call takes
+    the whole grid, one _whole_grid call over all its rows.
     """
     count, pieces, R = rows.count, rows.pieces, rows.size
     s = _stride(count, R * pieces * count, least)
@@ -457,7 +454,7 @@ def _fold_grid(rows, least: int) -> list:
     cols = np.concatenate([start + at for start in range(0, pieces * count, count)])
     span = pieces * (2 * s - 1)
     widest = max(cols.size, span)
-    depth = rows.block_rows(1) + rows.other_rows  # elements per row and column
+    depth = rows.depth(1)  # elements per row and column
     band = _block_width(depth * widest, R)
     buf = np.empty(depth * band * widest)
     out = [np.full(size, np.nan) for size in rows.outputs]
@@ -482,14 +479,7 @@ def _fold_grid(rows, least: int) -> list:
                 ok, low = ok[k:], low[k:]
     whole = [np.isnan(o) | (o == 0.0) for o in out]
     rows.settle(out, whole)
-    keep = whole[0].copy()
-    for w in whole[1:]:
-        keep[:w.size] |= w
-    if keep.any():
-        fill = _whole_grid(rows if keep.all() else rows.take(keep))
-        for o, w, f in zip(out, whole, fill):
-            o[w] = f[w[keep[:w.size]]]
-    return out
+    return _whole_grid(rows) if any(w.any() for w in whole) else out
 
 
 class _MeanRows:
@@ -502,15 +492,15 @@ class _MeanRows:
     block arrays are the sum w and the term t, one row each per row.
     """
 
-    pieces, other_rows = 1, 1
+    pieces = 1
 
     def __init__(self, fold, p, fp, q, fq, E, circle=False):
         self.fold, self.fp, self.fq, self.E, self.circle = fold, fp, fq, E, circle
         self.p, self.q = p.reshape(-1, 1), q.reshape(-1, 1)
         self.size, self.count, self.outputs = len(self.p), fp.size, (len(self.p),)
 
-    def block_rows(self, b: int) -> int:
-        return b
+    def depth(self, b: int) -> int:
+        return 2 * b
 
     def sample(self, lo: int, hi: int, cols, buf: np.ndarray) -> np.ndarray:
         """p*fp + q*fq of rows lo:hi at cols: a slice or (P,) columns of every row, or (hi - lo, P) of each."""
@@ -526,9 +516,6 @@ class _MeanRows:
 
     def settle(self, out: list, whole: list) -> None:
         """No row of a mean oracle is known without its grid."""
-
-    def take(self, keep: np.ndarray) -> "_MeanRows":
-        return _MeanRows(self.fold, self.p[keep], self.fp, self.q[keep], self.fq, self.E, self.circle)
 
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,

@@ -281,10 +281,6 @@ def eval_stack(sips, L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return ((A @ R[..., None, :, None])[..., 0] @ L[..., :, None])[..., 0]
 
 
-def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
-    return float((np.abs(diff) / (scale + floor)).max())
-
-
 # check_axioms' residuals, in the order _axiom_worst computes them
 _AXIOMS = ("additivity_left", "additivity_right", "homogeneity_left",
            "homogeneity_right", "symmetry", "positivity")

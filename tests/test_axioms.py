@@ -15,11 +15,15 @@ from riesz_sip.sip import (
     MultiplicationSip,
     PsdFamilySip,
     _axiom_operands,
-    _worst,
     check_axioms,
     check_axioms_stack,
     random_psd,
 )
+
+
+def _worst(diff: np.ndarray, scale: np.ndarray, floor: float) -> float:
+    """A residual's worst: the largest |diff| / (scale + floor)."""
+    return float((np.abs(diff) / (scale + floor)).max())
 
 
 def check_axioms_per_pair(T, samples, seed=0, floor=DEFAULT_ABS_TOL):

@@ -99,7 +99,7 @@ def _worst_ratio() -> float:
     samples, bounds = [], []
     for rows in classes:
         R = rows.size
-        buf = np.empty((rows.block_rows(R) + rows.other_rows * R) * cols.size)
+        buf = np.empty(rows.depth(R) * cols.size)
         with np.errstate(all="ignore"):
             block = rows.sample(0, R, cols, buf).copy()
             bound = rows.error(0, R, None)[::2]

@@ -11,8 +11,9 @@ must give each pair the bits it has alone. The size thresholds of the
 two stages are patched to 0, so that the small grids take two stages
 too, and each case runs at the library's own thresholds as well. The
 bits cannot show a certificate that stops certifying, which only costs
-time, so the last tests count the rows that take the whole grid: those
-that must, and none of the study's generated pairs at its largest grids.
+time, so the last tests count the calls that take the whole grid and
+the rows of each: a call takes it over all its rows where one row must,
+and none of the study's generated pairs takes it at its largest grids.
 """
 
 from contextlib import ExitStack
@@ -214,11 +215,27 @@ def whole_rows(rows):
     return rows.size, rows.u[:, 0].tolist()
 
 
+def mean_oracles(theta, angle):
+    """(oracle, full-grid reference) of [*], [+] and [+] on the quarter circle, each of (p, q) stacks."""
+    cos_t, sin_t = angle._trig
+    qcos, qsin = angle._quarter_trig
+    # the study's [*] arguments: the pair's magnitudes
+    times = (lambda p, q: _box_times_oracle(abs(p), abs(q), theta, 1e-12),
+             lambda p, q: 0.5 * ref_fold(np.minimum, abs(p), theta.points, abs(q), theta.inverse))
+    plus = (lambda p, q: _box_plus_oracle(p, q, angle),
+            lambda p, q: ref_fold(np.maximum, p, cos_t, q, sin_t))
+    quarter = (lambda p, q: _box_plus_oracle(p, q, angle, quarter=True),
+               lambda p, q: ref_fold(np.maximum, p, qcos, q, qsin))
+    return times, plus, quarter
+
+
 def test_the_fallback_takes_the_rows_it_must():
-    # the flat row and the overflowing family take the whole grid, each
-    # alone; a valid pair at 10^5 points under a positive weight takes
-    # none, and under a weight with a zero entry none either, since that
-    # row of D*u is its weight wherever its row of D is certified positive
+    # the flat row and the overflowing family send their call through the
+    # whole grid, once, over every row of the pair: the flat family's
+    # coordinate 0 too; a valid pair at 10^5 points under a positive
+    # weight takes none, and under a weight with a zero entry none either,
+    # since that row of D*u is its weight wherever its row of D is
+    # certified positive
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     calls = []
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
@@ -226,8 +243,8 @@ def test_the_fallback_takes_the_rows_it_must():
     valid = random_psd(np.random.default_rng(3), 3, 2)
     with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
         for T, x, y, u, rows in (
-                # coordinate 1, whose D and D*u are flat in lambda, and not coordinate 0
-                (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(1, [2.0])]),
+                # coordinate 1's D and D*u are flat in lambda, coordinate 0's are not
+                (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(2, [1.0, 2.0])]),
                 (huge, [1.0, 2.0], [3.0, -1.0], [1.0], [(1, [1.0])]),
                 (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], []),
                 # the D*u row of coordinate 0, all zeros: no row of T-values
@@ -243,10 +260,10 @@ def test_the_fallback_takes_the_rows_it_must():
 
 def test_the_mean_oracles_fallback_takes_the_rows_it_must():
     # at 10^5 points, beside a generated positive_log pair: an all-zero
-    # row (u_j = v_j = 0, flat) takes the whole grid alone, and so does a
-    # row whose best coarse samples tie (a_j = b_j < 0 on the quarter
-    # circle, best at both ends), both in one call of the shared pass; the
-    # positive_log pair alone takes none
+    # row (u_j = v_j = 0, flat) sends the call through the whole grid,
+    # once, over every row of both pairs, and so does a row whose best
+    # coarse samples tie (a_j = b_j < 0 on the quarter circle, best at
+    # both ends), or both; the positive_log pair alone takes none
     theta = LogGrid.log_spaced(1e-8, 1e8, 10**5)
     angle = AngleGrid.uniform(10**5)
     pos = next(_chunks(TrialConfig(trials=20, seed=7), "positive_log"))[0]
@@ -255,24 +272,16 @@ def test_the_mean_oracles_fallback_takes_the_rows_it_must():
     flat_x[0] = flat_y[0] = 0.0
     tie_x, tie_y = pos.x.copy(), pos.y.copy()
     tie_x[-1] = tie_y[-1] = -1.0
-    cos_t, sin_t = angle._trig
-    qcos, qsin = angle._quarter_trig
-    # the study's [*] arguments: the pair's magnitudes
-    times = (lambda p, q: _box_times_oracle(abs(p), abs(q), theta, 1e-12),
-             lambda p, q: 0.5 * ref_fold(np.minimum, abs(p), theta.points, abs(q), theta.inverse))
-    plus = (lambda p, q: _box_plus_oracle(p, q, angle),
-            lambda p, q: ref_fold(np.maximum, p, cos_t, q, sin_t))
-    quarter = (lambda p, q: _box_plus_oracle(p, q, angle, quarter=True),
-               lambda p, q: ref_fold(np.maximum, p, qcos, q, qsin))
+    times, plus, quarter = mean_oracles(theta, angle)
     calls = []
     with counted(means, "_whole_grid", calls, lambda rows: rows.size), np.errstate(all="ignore"):
         for (oracle, reference), x, y, rows in (
                 (times, [pos.x], [pos.y], []), (plus, [pos.x], [pos.y], []),
                 (quarter, [pos.x], [pos.y], []),
-                (times, [pos.x, flat_x], [pos.y, flat_y], [1]),
-                (plus, [pos.x, flat_x], [pos.y, flat_y], [1]),
-                (quarter, [tie_x, pos.x], [tie_y, pos.y], [1]),
-                (quarter, [flat_x, tie_x], [flat_y, tie_y], [2])):
+                (times, [pos.x, flat_x], [pos.y, flat_y], [2 * n]),
+                (plus, [pos.x, flat_x], [pos.y, flat_y], [2 * n]),
+                (quarter, [tie_x, pos.x], [tie_y, pos.y], [2 * n]),
+                (quarter, [flat_x, tie_x], [flat_y, tie_y], [2 * n])):
             calls.clear()
             x, y = np.array(x), np.array(y)
             got = oracle(x, y)
@@ -307,8 +316,9 @@ def test_a_zero_weights_row_of_d_u_is_its_weight():
     # whose weight is +0.0 or -0.0 and whose row of D is certified
     # positive takes no whole-grid pass and has the reference's bits, the
     # sign of its zero included, alone and stacked; the flat row (D = 0)
-    # and the overflowing family, whose E is not finite, keep the whole
-    # grid under a zero weight
+    # and the overflowing family, whose E is not finite, still send their
+    # call through the whole grid under a zero weight, over every row of
+    # the pair
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
     huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
@@ -318,7 +328,7 @@ def test_a_zero_weights_row_of_d_u_is_its_weight():
         (valid, [1.0, -2.0, 0.5, 3.0], [0.3, 1.0, 2.0, -1.0], [-0.0, -0.0, -0.0], []),
         (MultiplicationSip(3), [1.0, -2.0, 3.0], [0.5, 1.0, -1.0], [-0.0, 0.0, 1.0], []),
         # coordinate 0 of the flat family is certified positive, coordinate 1 is flat
-        (flat, [0.0, 2.0], [3.0, 0.0], [0.0, -0.0], [(1, [-0.0])]),
+        (flat, [0.0, 2.0], [3.0, 0.0], [0.0, -0.0], [(2, [0.0, -0.0])]),
         (huge, [1.0, 2.0], [3.0, -1.0], [-0.0], [(1, [-0.0])]),
     ]
     calls = []
@@ -336,6 +346,52 @@ def test_a_zero_weights_row_of_d_u_is_its_weight():
             ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.array(u))
             assert_same_bits(got[0], ref[0])
             assert_same_bits(got[1], ref[1])
+
+
+def test_a_fallback_takes_every_row_of_its_call_once():
+    # at 10^5 points and the library's thresholds, a row that must take
+    # the whole grid takes it with every other row of its call, in one
+    # _whole_grid call, and every row keeps the full grid's bits and the
+    # bits it has alone: the flat 2x2 pair among four valid m = 2 PSD
+    # pairs, one class of the lambda oracle with 12 rows; and one all-zero
+    # row among 17 positive_log rows, a stack of six pairs at n = 3,
+    # under [*], [+] and the quarter circle
+    grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
+    rng = np.random.default_rng(11)
+    flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
+    cases = [(random_psd(rng, 2, n), rng.uniform(-5.0, 5.0, 2), rng.uniform(-5.0, 5.0, 2),
+              rng.uniform(0.5, 3.0, n)) for n in (3, 1, 4, 2)]
+    cases.insert(2, (flat, np.array([0.0, 2.0]), np.array([3.0, 0.0]), np.array([1.0, 2.0])))
+    grams = [Gram(T, x, y) for T, x, y, _ in cases]
+    weights = [u for *_, u in cases]
+    calls = []
+    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
+        stacked = lambda_minima(grams, grid, weights)
+        assert calls == [(12, np.concatenate(weights).tolist())]
+        alone = [lambda_minima([g], grid, [u])[0] for g, u in zip(grams, weights)]
+    for (T, x, y, u), got, one in zip(cases, stacked, alone):
+        with np.errstate(all="ignore"):
+            ref = ref_lambda_minima(T, x, y, grid, u)
+        for value, single, r in zip(got, one, ref):
+            assert_same_bits(value, r)
+            assert_same_bits(value, single)
+
+    theta = LogGrid.log_spaced(1e-8, 1e8, 10**5)
+    angle = AngleGrid.uniform(10**5)
+    chunk = next(_chunks(TrialConfig(trials=20, seed=7, n_lo=3, n_hi=3), "positive_log"))
+    x, y = np.array([p.x for p in chunk[:6]]), np.array([p.y for p in chunk[:6]])
+    x[4, 1] = y[4, 1] = 0.0
+    for oracle, reference in mean_oracles(theta, angle):
+        calls = []
+        with counted(means, "_whole_grid", calls, lambda rows: rows.size), \
+                np.errstate(all="ignore"):
+            got = oracle(x, y)
+            assert calls == [x.size]
+            alone = [oracle(x[i], y[i]) for i in range(len(x))]
+        with np.errstate(all="ignore"):
+            assert_same_bits(got, reference(x, y))
+        for i, single in enumerate(alone):
+            assert_same_bits(got[i], single)
 
 
 def test_a_thousand_trial_run_takes_no_lambda_row_through_the_whole_grid():

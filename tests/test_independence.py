@@ -29,8 +29,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "riesz_sip"
 # and certificate helpers, the grids and the PSD kernel of the
 # lambda-grid samples.
 ORACLE = {
-    "lambda_minima", "_lambda_rows", "_stack_rows", "_lambda_values", "_weigh", "take",
-    "sample", "error", "block_rows", "_lambda_bound", "_row_form", "defect_grid",
+    "lambda_minima", "_lambda_rows", "_stack_rows", "_lambda_values", "_weigh",
+    "sample", "error", "depth", "_lambda_bound", "_row_form", "defect_grid",
     "_box_times_oracle", "_box_plus_oracle", "box_times_oracle", "box_plus_oracle",
     "_fold_grid", "_whole_grid", "_stride",
     "_coarse", "_brackets", "_angle_bound", "_bound", "signed", "signed_abs", "inverse",

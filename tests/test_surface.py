@@ -3,8 +3,10 @@
 Every module-level public function or class of src/riesz_sip must be
 referenced in src/ outside its own definition and outside __init__.py,
 be imported in a Python block of README's "Library use" section, or be
-on ALLOWED below with its reason. A name that only tests call fails here:
-delete it, or fold it into its caller.
+on ALLOWED below with its reason. Every module-level private one must be
+referenced in src/ outside its own definition. A name that only tests
+call fails here: delete it, fold it into its caller, or move it into the
+tests that call it.
 
 The package itself exports exactly what "Library use" imports, plus the
 names on EXPORTED with their reasons; everything else is imported from
@@ -46,11 +48,11 @@ def _library_use() -> set:
     return names
 
 
-def _public_definitions(trees: dict) -> dict:
-    """{name: its module-level def or class node} of every public one."""
+def _definitions(trees: dict, private: bool = False) -> dict:
+    """{name: its module-level def or class node} of every public one, or every private one."""
     return {node.name: node for tree in trees.values() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            and node.name.startswith("_") == private}
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -59,19 +61,29 @@ def _references(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree))
 
 
+def _trees() -> dict:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _uncalled(trees: dict, defined: dict) -> set:
+    """The names of defined referenced in src/ (outside __init__.py) only inside their own definitions."""
+    in_src = sum((_references(tree) for module, tree in trees.items()
+                  if module != "__init__.py"), Counter())
+    return {name for name, node in defined.items() if in_src[name] == _references(node)[name]}
+
+
 def test_every_public_name_has_a_caller_in_src_or_a_stated_reason():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    defined = _public_definitions(trees)
+    trees = _trees()
+    defined = _definitions(trees)
     shown = _library_use()
     assert shown, "README's Library use section imports nothing from riesz_sip"
     assert ALLOWED.keys() <= defined.keys(), sorted(ALLOWED.keys() - defined.keys())
-    in_src = sum((_references(tree) for module, tree in trees.items()
-                  if module != "__init__.py"), Counter())
-    # a name referenced only inside its own definition has no caller
-    unused = sorted(name for name, node in defined.items()
-                    if name not in shown and name not in ALLOWED
-                    and in_src[name] == _references(node)[name])
-    assert unused == []
+    assert sorted(_uncalled(trees, defined) - shown - ALLOWED.keys()) == []
+
+
+def test_every_private_name_has_a_caller_in_src():
+    trees = _trees()
+    assert sorted(_uncalled(trees, _definitions(trees, private=True))) == []
 
 
 def test_the_package_exports_what_library_use_imports():

@@ -39,10 +39,26 @@ SHA-256 of each output by name (to stdout without --out). The corpus:
                 is flat in lambda on x = [0, 2], y = [3, 0], the
                 multiplication sip's exact-zero pair x = [1, 2, 0],
                 y = [0, 1, 1], the family 1e300 * [[1, -1], [-1, 1]],
-                whose rounding bound overflows, and a positive definite
-                family on R^2 into R^5 (so the default lambda grid takes
-                two stages) under a weight with a zero entry, whose row of
-                D*u is all zeros (--tiny: the first);
+                whose rounding bound overflows, a positive definite family
+                on R^2 into R^5 (so the default lambda grid takes two
+                stages) under a weight with a zero entry, whose row of D*u
+                is all zeros, and the multiplication sip on R^3 with
+                x_1 = y_1 = 0, a row flat under the lambda oracle and both
+                mean oracles (--tiny: the first);
+  fallback-class/...
+                reports with fallback instances injected beside valid pairs
+                that share their oracle calls, so that a row that must
+                take the whole grid is in a two-stage call with many
+                certified rows of other pairs: the flat and the 1e300
+                families each beside four valid PSD pairs on R^2 into R^1,
+                R^2, R^4 and R^5 (one lambda class of 14 or 13 rows),
+                under cs and sharp; the x_1 = y_1 = 0 pair beside five
+                valid positive_log pairs on R^3 (one lambda class, and one
+                stacked oracle group, of 18 rows, on which [*] and [+]
+                over the full circle take two stages), under oracle, cs
+                and sharp; and all twelve in one chunk under those three
+                suites, where no PSD pair joins the group of codomain R^3
+                (--tiny: the last);
   mixed-domain/...
                 a report with five PSD instances of codomain R^2 and
                 domains R^2 and R^3 injected under every suite, each valid
@@ -116,8 +132,21 @@ FALLBACK = {
                                     [[4.0, -1.0], [-1.0, 2.0]], [[1.0, 0.5], [0.5, 1.0]],
                                     [[3.0, 1.0], [1.0, 1.0]]],
                        "u": [1.0, 0.0, 2.0, 0.5, 3.0], "x": [1.0, -2.0], "y": [0.5, 1.0]},
+    "zero-coordinate": {"kind": "multiplication", "m": 3, "n": 3,
+                        "u": [1.0, 2.0, 0.5], "x": [1.5, 0.0, -2.0], "y": [0.5, 0.0, 3.0]},
 }
 FULL_FALLBACK, TINY_FALLBACK = tuple(FALLBACK), ("flat-2x2",)
+# The fallback-class reports, by name: (theorems, fallback instances, and
+# whether the valid PSD pairs on R^2 and the positive_log pairs on R^3
+# join them)
+FALLBACK_CLASS = {
+    "flat-2x2": (("cs", "sharp"), ("flat-2x2",), True, False),
+    "overflow-1e300": (("cs", "sharp"), ("overflow-1e300",), True, False),
+    "zero-coordinate": (("oracle", "cs", "sharp"), ("zero-coordinate",), False, True),
+    "oracle,cs,sharp": (("oracle", "cs", "sharp"),
+                        ("flat-2x2", "overflow-1e300", "zero-coordinate"), True, True),
+}
+FULL_FALLBACK_CLASS, TINY_FALLBACK_CLASS = tuple(FALLBACK_CLASS), ("oracle,cs,sharp",)
 
 
 def _sha(text: str) -> str:
@@ -176,6 +205,29 @@ def _mixed_domain_instances() -> list:
     return insts
 
 
+def _fallback_class_instances(names: tuple, psd: bool, positive_log: bool) -> list:
+    """The fallback instances names, then four valid PSD pairs on R^2 and five positive_log pairs on R^3, as asked.
+
+    The PSD pairs map into R^1, R^2, R^4 and R^5 under weights of their
+    codomains, none into R^3, whose group the positive_log pairs stack
+    under the oracle suite; those are trials 0 to 4 of a chunk at n = 3.
+    """
+    import numpy as np
+    from riesz_sip import harness as h
+    from riesz_sip.sip import random_psd
+
+    insts = [h.Instance.from_dict(FALLBACK[name]) for name in names]
+    if psd:
+        rng = np.random.default_rng(8)
+        insts += [h.Instance(random_psd(rng, 2, n), rng.uniform(0.5, 5.0, n),
+                             rng.uniform(-5.0, 5.0, 2), rng.uniform(-5.0, 5.0, 2))
+                  for n in (1, 2, 4, 5)]
+    if positive_log:
+        config = h.TrialConfig(seed=9, trials=5, n_lo=3, n_hi=3)
+        insts += next(h._chunks(config, "positive_log"))
+    return insts
+
+
 def reports(tiny: bool):
     """(name, config, injected instances) of each report of the corpus, in order."""
     from riesz_sip import harness as h
@@ -200,6 +252,10 @@ def reports(tiny: bool):
     for name in TINY_FALLBACK if tiny else FULL_FALLBACK:
         yield (f"fallback/{name}", h.TrialConfig(seed=0, trials=2),
                (h.Instance.from_dict(FALLBACK[name]),))
+    for name in TINY_FALLBACK_CLASS if tiny else FULL_FALLBACK_CLASS:
+        theorems, *spec = FALLBACK_CLASS[name]
+        yield (f"fallback-class/{name}", h.TrialConfig(seed=0, trials=2, theorems=theorems),
+               tuple(_fallback_class_instances(*spec)))
     yield ("mixed-domain/seed=3", h.TrialConfig(seed=3, trials=2),
            tuple(_mixed_domain_instances()))
 
