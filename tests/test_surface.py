@@ -62,6 +62,7 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def _trees() -> dict:
+    """{module file name: its ast} of every module of src/riesz_sip."""
     return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
