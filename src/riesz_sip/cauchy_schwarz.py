@@ -652,10 +652,10 @@ def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
     uncertified. Never holds more than a block of T-values, and each row
     has the bits of its pair's full grid alone, so a pair gets the same
     minima in any call.
-    verify makes one call per chunk of trials (harness._pass_minima) and
-    the oracle study one per grid size, so their classes hold many rows,
-    most of which take two stages. Over-estimates the infimum D(x,y), or
-    D(x,y)*u, by construction.
+    verify makes one call per chunk of trials, before the chunk's groups
+    are checked (harness._pass_minima), and the oracle study one per grid
+    size, so their classes hold many rows, most of which take two stages.
+    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
     """
     pairs = list(pairs)
     weights = [None] * len(pairs) if weights is None else list(weights)

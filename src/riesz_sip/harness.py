@@ -39,17 +39,17 @@ under every selected suite. The suites of a group share its record, so
 each T-value is evaluated once per trial, and at most one chunk of
 generated instances is alive. The lambda-grid minima of a chunk's trials
 come from one lambda_minima call over every trial whose x and y
-validate, made on the first read of any of their minima (a chunk that
-no cs or sharp suite checks makes none); a trial left out, whose pair
+validate, made before the chunk's groups are checked (a chunk that no
+cs or sharp suite checks makes none); a trial left out, whose pair
 raises, and a Trial checked on its own (shrink, replay) make their own
 calls. Likewise the axioms residuals of a chunk's sips come from one
-check_axioms_stack call, made on the first read of any of them: the PSD
-families of one m whose contraction is one c_einsum step are stacked
-into one contraction per block of columns, and each distinct
-multiplication sip is checked once; a Trial checked on its own checks
-its sip alone, with the same bits. _check_group is the one caller of
-the checks, and every check gives one table (_Table), a row of
-residuals per trial. A Trial's check,
+check_axioms_stack call, made before the chunk's groups are checked
+(where an axioms suite checks it): the PSD families of one m whose
+contraction is one c_einsum step are stacked into one contraction per
+block of columns, and each distinct multiplication sip is checked once;
+a Trial checked on its own checks its sip alone, with the same bits.
+_check_group is the one caller of the checks, and every check gives one
+table (_Table), a row of residuals per trial. A Trial's check,
 as for a group of one trial or each trial of a group with a broken
 trial, gives one row, a broken trial the one-row invalid_instance table
 and one whose generation gave up the one-row generation table. Each
@@ -693,21 +693,16 @@ class Trial(Gram):
     A Trial is the Gram of the instance's pair under its weight (x, y, u,
     a, b, c, the defect, the seminorm values) plus the two minima of the
     defect oracles, D and D*u, from a lambda-grid pass that keeps no
-    samples, and the axioms residuals of its sip. Each of the last two
-    comes from its whole chunk's one pass of that value (_share_minima)
-    when it has one (for the minima, when its pair validates), else from
-    its own call. Each value is computed once, on first read, and shared
-    by every suite that reads it. A value that raises is not kept
-    (lattice.lazy), so every suite raises on exactly the values it reads,
-    as it would alone. A check reads a Trial as the group of one trial:
-    its values have no trial axis, and the check gives a table of one row.
+    samples, and the axioms residuals of its sip. A chunk sets each of the
+    last two on its trials from one pass, made before the chunk's groups
+    are checked (_pass_minima, _pass_axioms; the minima only where the
+    pair validates); any other trial makes its own call. Each value is
+    computed once and shared by every suite that reads it. A value that
+    raises is not kept (lattice.lazy), so every suite raises on exactly
+    the values it reads, as it would alone. A check reads a Trial as the
+    group of one trial: its values have no trial axis, and the check gives
+    a table of one row.
     """
-
-    # The chunk's shared passes that have not run: one dict for the chunk,
-    # from the name of a value to the trials, this one among them, that
-    # take it from its pass (_share_minima); the first read of the value
-    # pops its entry and runs the pass. None for a lone trial.
-    _pending = None
 
     def __init__(self, inst: Instance, config: TrialConfig):
         super().__init__(inst.sip, inst.x, inst.y, inst.u)
@@ -722,64 +717,31 @@ class Trial(Gram):
         except _BROKEN_INPUT:
             return None
 
-    def _from_pass(self, name: str, run):
-        """This trial's value of name from its chunk's pass, or None if it has none.
-
-        The first read of name by any trial of the chunk pops the pass
-        from the pending dict and runs run(trials).
-        """
-        trials = self._pending and self._pending.pop(name, None)
-        if trials:
-            run(trials)
-        return vars(self).get(name)
-
     @lazy
     def minima(self) -> tuple:
-        """lambda_minima of the pair under its weight on config.lambda_grid.
+        """lambda_minima of the pair under its weight on config.lambda_grid, from its own call.
 
-        The trials pending a shared pass get theirs from it, the first
-        read of any of them making it (_pass_minima); a trial that is
-        not in it, or alone, makes its own call, which raises where its
-        pair does. A broken weight leaves D*u None and D as it is: cs
-        never reads u, and sharp reads u first, so it raises there.
+        The call raises where the pair does. A broken weight leaves D*u
+        None and D as it is: cs never reads u, and sharp reads u first,
+        so it raises there.
         """
-        kept = self._from_pass("minima", _pass_minima)
-        if kept is None:
-            kept = lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
-        return kept
+        return lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
 
     @lazy
     def axioms(self) -> dict:
         """check_axioms of the sip at AXIOM_SAMPLES, seed 0 and the config's absolute floor.
 
-        The trials of a chunk get theirs from one check_axioms_stack call,
-        the first read of any of them making it (_pass_axioms); a lone
-        trial checks its sip alone, with the same bits.
+        The sip alone, with the bits of a chunk's check_axioms_stack pass.
         """
-        kept = self._from_pass("axioms", _pass_axioms)
-        if kept is None:
-            kept = check_axioms(self.T, AXIOM_SAMPLES, floor=self.config.tolerances.abs)
-        return kept
-
-
-def _share_minima(trials) -> None:
-    """Let trials, of one config, take their lambda minima and their axioms each from one pass.
-
-    Each pass is made on the first read of its value by any of them.
-    """
-    trials = list(trials)
-    pending = {"minima": trials, "axioms": trials}
-    for t in trials:
-        t._pending = pending
+        return check_axioms(self.T, AXIOM_SAMPLES, floor=self.config.tolerances.abs)
 
 
 def _pass_minima(trials: list) -> None:
     """Give each of trials whose x and y validate its minima, from one lambda_minima call.
 
     Each has its validated weight, or None; a row's minima are the bits
-    of its pair's call alone (cauchy_schwarz.lambda_minima). The pass is
-    popped from the pending dict first, so the others, and every trial if
-    the call raises, make their own calls.
+    of its pair's call alone (cauchy_schwarz.lambda_minima). The others
+    make their own calls, which raise as they do alone.
     """
     covered = []
     for t in trials:
@@ -812,7 +774,8 @@ class TrialGroup(GramStack):
     trial's bits; the mean oracles run once on the stacked x and y.
     The axioms and defect checks read the trials, group.pairs, for their
     axioms residuals and lambda-grid minima, which the trials take from
-    their chunk's one pass of each.
+    their chunk's one pass of each, made before the chunk's groups are
+    checked.
     """
 
     def __init__(self, trials, config: TrialConfig):
@@ -1084,9 +1047,10 @@ def _chunks(config: TrialConfig, purpose: str):
 def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
     """Check the chunk's instances under each suite and fold its results in trial order.
 
-    Every instance is one Trial, and the trials share one lambda-grid
-    pass and one axioms pass (_share_minima), each made on the first read
-    of any of their values.
+    Every instance is one Trial. Before the chunk's groups are checked,
+    the trials take their minima from one lambda-grid pass where a cs or
+    sharp suite reads them (_pass_minima), and their axioms residuals
+    from one axioms pass where the axioms suite does (_pass_axioms).
     They are checked in groups of one codomain dimension, a group of one
     trial as that Trial: each suite checks a group once. The trials, with
     their values, are dropped with the chunk. Each suite then folds the
@@ -1101,7 +1065,11 @@ def _check_chunk(chunk: list, suites: list, config: TrialConfig) -> None:
             by_dim.setdefault(inst.sip.codomain_dim, []).append(i)
     parts = {suite.name: [([i], _unchecked("generation")) for i in gave_up] for suite in suites}
     trials = {i: Trial(inst, config) for i, inst in enumerate(chunk) if inst is not None}
-    _share_minima(trials.values())
+    names = {suite.name for suite in suites}
+    if trials and names & {"cs", "sharp"}:  # the suites that read the minima
+        _pass_minima(list(trials.values()))
+    if trials and "axioms" in names:
+        _pass_axioms(list(trials.values()))
     for idx in by_dim.values():
         group = [trials[i] for i in idx]
         rec = group[0] if len(group) == 1 else TrialGroup(group, config)

@@ -1,4 +1,4 @@
-"""The lambda oracle's rounding certificate holds, checked in exact arithmetic (ROADMAP item 26).
+"""The lambda and theta oracles' rounding certificates hold, checked in exact arithmetic (ROADMAP item 26).
 
 The two-stage grid driver (means._fold_grid) certifies a row of the
 lambda oracle only if every other coarse sample is worse than the best by
@@ -17,14 +17,23 @@ nearly colinear with x, so that the defect's minimiser lies inside the
 grid and its samples cancel there. The columns are the ends of both
 branches of the default grid, where E is built and the samples are
 largest, their neighbours, and a stride across the rest.
+
+The [*] oracle's rows (means._MeanRows of theta*u + v/theta on the
+default theta grid) are checked the same way against LogGrid._bound,
+a relative bound, evaluated at each sample: u and v run from 2^-1074 to
+2^1000, with 0, subnormals and 1e300 among them. The angle oracle's
+bound, which needs an exact bound on cos t and sin t, is not checked
+here.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from riesz_sip.cauchy_schwarz import Gram, _lambda_rows
 from riesz_sip.harness import TrialConfig
+from riesz_sip.means import _MeanRows
 from riesz_sip.sip import MultiplicationSip, PsdFamilySip, random_psd
 
 GRID = TrialConfig().lambda_grid
@@ -55,6 +64,11 @@ def _columns() -> np.ndarray:
     G = GRID.count
     ends = [0, 1, G - 2, G - 1, G, G + 1, 2 * G - 2, 2 * G - 1]
     return np.unique(np.concatenate([ends, np.arange(0, 2 * G, 97)]))
+
+
+def _theta_columns(G: int) -> np.ndarray:
+    """Columns of a theta grid of G points: its ends and their neighbours, and every 97th."""
+    return np.unique(np.concatenate([[0, 1, G - 2, G - 1], np.arange(0, G, 97)]))
 
 
 def _integers(values) -> tuple:
@@ -125,3 +139,43 @@ def test_every_lambda_sample_is_within_its_certificate():
     worst = _worst_ratio()
     # the sample reaches the bound's scale: E / 20 would not hold
     assert 1 / 20 < worst <= 1.0, worst
+
+
+# u and v of the [*] rows: zero, the least subnormal, a subnormal, 1e300
+# and 2^1000, and log-uniform draws between 2^-1074 and 2^1000
+THETA_SPECIALS = (0.0, 2.0**-1074, 3 * 2.0**-1060, 1.0, 1e300, 2.0**1000)
+
+
+def _theta_rows() -> tuple:
+    """(u, v): every ordered pair of THETA_SPECIALS, then eight log-uniform pairs."""
+    rng = np.random.default_rng(26)
+    u, v = (np.array(a).ravel() for a in np.meshgrid(THETA_SPECIALS, THETA_SPECIALS))
+    drawn = np.ldexp(rng.uniform(1.0, 2.0, (2, 8)), rng.integers(-1074, 1000, (2, 8)))
+    return np.concatenate([u, drawn[0]]), np.concatenate([v, drawn[1]])
+
+
+def test_every_theta_sample_is_within_its_certificate():
+    grid = TrialConfig().theta_grid
+    u, v = _theta_rows()
+    rows = _MeanRows(np.minimum, u, grid.points, v, grid.inverse, grid._bound)
+    cols = _theta_columns(grid.count)
+    buf = np.empty(rows.depth(rows.size) * cols.size)
+    with np.errstate(all="ignore"):
+        block = rows.sample(0, rows.size, cols, buf).copy()
+    worst, checked = 0.0, 0
+    for r in range(rows.size):
+        ur, vr = Fraction(float(u[r])), Fraction(float(v[r]))
+        for k, theta in enumerate(grid.points[cols].tolist()):
+            fl = float(block[r, k])
+            E = float(grid._bound(u[r], v[r], fl))  # relative: at this sample
+            exact = Fraction(theta) * ur + vr / Fraction(theta)
+            if math.isinf(fl):  # theta*u overflowed, and E claims nothing
+                assert math.isinf(E) and exact > Fraction(np.finfo(float).max), (r, theta)
+                continue
+            error = abs(Fraction(fl) - exact)
+            assert error <= Fraction(E), (float(u[r]), float(v[r]), theta, float(error), E)
+            worst = max(worst, float(error / Fraction(E)))
+            checked += 1
+    # the sample reaches the bound's scale: E / 8 would not hold
+    assert 1 / 8 < worst <= 1.0, worst
+    assert checked > 0.9 * rows.size * cols.size, checked

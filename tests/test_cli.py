@@ -383,6 +383,49 @@ def test_consecutive_commands_in_one_process_act_as_fresh_ones(capsys, tmp_path)
     assert together == fresh + fresh
 
 
+# One process per hash seed runs the three outputs in main and prints
+# each one's SHA-256, wall_time_s removed.
+HASH_SEED_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from riesz_sip.cli import main
+from riesz_sip.harness import report_to_json
+
+tmp = Path(sys.argv[1])
+case = tmp / "case.json"
+case.write_text(json.dumps({"kind": "multiplication", "m": 3, "n": 3,
+                            "u": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 0.0], "y": [0.0, 1.0, 1.0]}))
+runs = {"verify": ["verify", "--trials", "50", "--seed", "3", "--report"],
+        "oracle-study": ["oracle-study", "--trials", "5", "--grids", "64,1000", "--report"],
+        "shrink": ["shrink", "--instance", str(case), "--check", "oracle", "--out"]}
+for name, argv in runs.items():
+    out = tmp / f"{name}.json"
+    main(argv + [str(out)])
+    data = json.loads(out.read_text())
+    data.pop("wall_time_s", None)
+    print("sha256", name, hashlib.sha256(report_to_json(data).encode("utf-8")).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # a verify report, an oracle study and a shrink give one SHA-256 each
+    # at three values of PYTHONHASHSEED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for seed in ("0", "1", "987654"):
+        out = tmp_path / seed
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD, str(out)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        lines = [line.split() for line in proc.stdout.splitlines() if line.startswith("sha256 ")]
+        assert [name for _, name, _ in lines] == ["verify", "oracle-study", "shrink"]
+        digests.add(tuple(map(tuple, lines)))
+    assert len(digests) == 1, digests
+
+
 def test_console_script_entry_point():
     # the package is imported from the checkout's src, installed or not
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -23,7 +23,7 @@ import pytest
 
 from riesz_sip import means
 from riesz_sip.cauchy_schwarz import Gram, _lambda_rows, defect_grid, lambda_minima
-from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _run_check, _share_minima
+from riesz_sip.harness import Instance, Trial, TrialConfig, _chunks, _pass_axioms, _run_check
 from riesz_sip.means import (
     GRID_BLOCK,
     AngleGrid,
@@ -177,17 +177,12 @@ def test_a_chunks_axioms_pass_holds_a_few_blocks():
     config = TrialConfig(trials=256)
     chunk = next(_chunks(config, "generic"))
 
-    def shared() -> list:
-        trials = [Trial(inst, config) for inst in chunk]
-        _share_minima(trials)
-        return trials
-
-    warm = shared()
-    warm[0].axioms  # the cached operands and contraction paths
-    trials = shared()
+    # a first pass builds the cached operands and contraction paths
+    _pass_axioms([Trial(inst, config) for inst in chunk])
+    trials = [Trial(inst, config) for inst in chunk]
     tracemalloc.start()
     try:
-        trials[0].axioms
+        _pass_axioms(trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

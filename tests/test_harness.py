@@ -1165,20 +1165,18 @@ def _minima_bytes(minima: tuple) -> tuple:
     return tuple(None if v is None else v.tobytes() for v in minima)
 
 
-def test_a_chunk_takes_its_minima_from_one_pass_on_first_read(monkeypatch):
-    # the first read of a valid trial's minima makes one lambda_minima call
-    # over every trial whose x and y validate, each under its validated
-    # weight or None, and every covered trial has the bits of its own
-    # lone pass; the shape-broken trial is left to its own call, which
-    # raises as it does alone
+def test_a_chunk_takes_its_minima_from_one_pass(monkeypatch):
+    # a chunk's pass makes one lambda_minima call over every trial whose x
+    # and y validate, each under its validated weight or None, and every
+    # covered trial has the bits of its own lone pass; the shape-broken
+    # trial is left to its own call, which raises as it does alone
     config = TrialConfig(trials=1)
     chunk, broken = _broken_chunk()
     trials = [Trial(inst, config) for inst in chunk]
-    harness._share_minima(trials)
     calls = _counted_minima(monkeypatch)
     assert calls == []
     with np.errstate(all="ignore"):
-        trials[0].minima
+        harness._pass_minima(trials)
         assert calls == [len(chunk) - 1]
         for i, (t, inst) in enumerate(zip(trials, chunk)):
             if i == broken["shape"]:

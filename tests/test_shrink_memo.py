@@ -11,6 +11,12 @@ residual bits, under all nine checks, over the shrink inputs of
 tools/compare.py's tiny corpus and its shrink cases, and over the eight
 broken instances of perfbench's triage-shrink sessions at three seeds.
 
+harness._READS, the memo's key, must name every part a check reads: a
+part it leaves out, drawn afresh, leaves the check's status, failed
+checks, tags and residual bits as they were, on generated trials of
+each suite's recipe and on the broken instances of four triage-shrink
+sessions.
+
 Inherited minima must be those of a fresh pass, bit for bit, for both sip
 kinds at m <= 12, n <= 8, under weights that are valid, hold a zero, hold
 a negative entry at the dropped row or away from it, hold a negative
@@ -185,3 +191,42 @@ def test_inherited_minima_are_a_fresh_pass(kind, lambda_count):
                 assert ("minima" in vars(trial)) == inherits, (m, n, weight, j)
                 fresh = Trial(cand, config).minima
                 assert _minima_bits(trial.minima) == _minima_bits(fresh), (m, n, weight, j)
+
+
+def _redrawn(inst: Instance, part: str, rng: np.random.Generator) -> Instance:
+    """inst with part drawn afresh: the sip a PSD family of its m and n, a vector one of its shape.
+
+    A redrawn u may have negative entries.
+    """
+    parts = {"sip": inst.sip, "u": inst.u, "x": inst.x, "y": inst.y}
+    if part == "sip":
+        parts["sip"] = random_psd(rng, inst.sip.domain_dim, inst.sip.codomain_dim)
+    else:
+        parts[part] = rng.uniform(-1.0 if part == "u" else -10.0, 10.0, parts[part].shape)
+    return Instance(**parts)
+
+
+def _verdict(theorem: str, inst: Instance, config: TrialConfig) -> tuple:
+    res = harness._run_check(theorem, Trial(inst, config))
+    return res.status, res.failed, res.tags, [(k, _bits(v)) for k, v in res.residuals.items()]
+
+
+def test_a_check_reads_no_part_its_read_key_leaves_out():
+    # each part outside a suite's _READS, drawn afresh twice, on 40
+    # generated trials of its recipe and on the broken instances of
+    # triage-shrink sessions 0-3
+    config = TrialConfig(trials=40)
+    broken = [Instance.from_dict(d) for k in range(4) for d in compare._triage_instances(k, k)]
+    rng = np.random.default_rng(13)
+    redraws = Counter()
+    with np.errstate(all="ignore"):
+        for theorem in THEOREMS:
+            unread = [p for p in harness._ALL_PARTS if p not in harness._READS[theorem]]
+            generated = harness._recipe_chunk(config, harness.PURPOSES[theorem], 0, 40)
+            for i, inst in enumerate([g for g in generated if g is not None] + broken):
+                expected = _verdict(theorem, inst, config)
+                for part in unread * 2:
+                    got = _verdict(theorem, _redrawn(inst, part, rng), config)
+                    assert got == expected, (theorem, i, part)
+                    redraws[theorem] += 1
+    assert set(redraws) == {"axioms", "cs", "means", "oracle"}, redraws

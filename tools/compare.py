@@ -4,12 +4,14 @@ A refactor keeps every report, replay and shrink byte for byte; a change
 that moves bytes on purpose must move exactly the outputs it names. This
 script states both as one diff.
 
-    python tools/compare.py digest TREE [--tiny] [--out FILE]
-    python tools/compare.py diff OLD.json NEW.json
+    python tools/compare.py digest TREE [--tiny] [--out FILE] [--keep DIR]
+    python tools/compare.py diff OLD NEW
 
 digest runs the corpus in a subprocess with TREE/src first on PYTHONPATH,
 so the package under test is that tree's, and writes one JSON object, the
-SHA-256 of each output by name (to stdout without --out). The corpus:
+SHA-256 of each output by name (to stdout without --out). With --keep it
+also writes each output's text, whose SHA-256 that is, to DIR/NAME.json
+(DIR new or empty: diff reads every .json file under it). The corpus:
 
   report/...    run_suite reports over seeds x trial counts, a lambda grid
                 of 400 points, one of 10^5 (several blocks per pair), the
@@ -81,7 +83,16 @@ that raises is digested as its exception's class and message. --tiny
 runs a corpus of a few seconds' work, for tests.
 
 diff names every output that differs or that one file lacks, and exits 1
-if there is one, 0 otherwise.
+if there is one, 0 otherwise. OLD and NEW are two digests, or two kept
+directories; of kept outputs that differ, diff also says what moved:
+
+  value moves   a float differs (not in an instance): each field path,
+                list indices as *, with the number of outputs it moved in
+                and its largest relative change;
+  verdict moves anything else differs: a status, a failed list, a tag, a
+                count, an instance's number, a key or list that one side
+                lacks, or a raised exception (an output that is not
+                JSON). Each is printed with its output and field.
 """
 
 from __future__ import annotations
@@ -292,20 +303,30 @@ def shrink_cases() -> list:
     return cases
 
 
-def corpus(tiny: bool) -> dict:
-    """{output name: SHA-256} of the corpus on the riesz_sip that imports here."""
+def corpus(tiny: bool, keep: Path | None = None) -> dict:
+    """{output name: SHA-256} of the corpus on the riesz_sip that imports here.
+
+    With keep, each output's text is also written to keep/NAME.json.
+    """
     import numpy as np
 
     from riesz_sip import harness as h
 
     digests, seen = {}, set()
 
+    def record(name: str, text: str) -> None:
+        digests[name] = _sha(text)
+        if keep is not None:
+            path = keep / f"{name}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+
     def digest(name: str, produce) -> None:
         try:
             text = produce()
         except Exception as exc:  # an output that raises is an output too
             text = f"{type(exc).__name__}: {exc}"
-        digests[name] = _sha(text)
+        record(name, text)
 
     def without_wall_time(obj) -> str:
         data = obj.to_dict()
@@ -336,9 +357,9 @@ def corpus(tiny: bool) -> dict:
         try:
             report = h.run_suite(cfg, injected=injected)
         except Exception as exc:
-            digests[name] = _sha(f"{type(exc).__name__}: {exc}")
+            record(name, f"{type(exc).__name__}: {exc}")
         else:
-            digests[name] = _sha(without_wall_time(report))
+            record(name, without_wall_time(report))
             replay_and_shrink(name, report)
 
     with np.errstate(all="ignore"):
@@ -354,8 +375,8 @@ def corpus(tiny: bool) -> dict:
     return digests
 
 
-def digest_tree(tree: Path, tiny: bool) -> dict:
-    """corpus(tiny) in a subprocess that imports riesz_sip from tree/src."""
+def digest_tree(tree: Path, tiny: bool, keep: Path | None = None) -> dict:
+    """corpus(tiny, keep) in a subprocess that imports riesz_sip from tree/src."""
     src = (tree / "src").resolve()
     if not (src / "riesz_sip").is_dir():
         raise SystemExit(f"error: {src} holds no riesz_sip package")
@@ -363,9 +384,15 @@ def digest_tree(tree: Path, tiny: bool) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     argv = [sys.executable, str(Path(__file__).resolve()), "_corpus", str(src)]
-    out = subprocess.run(argv + (["--tiny"] if tiny else []), env=env, check=True,
-                         stdout=subprocess.PIPE, text=True)
+    argv += (["--tiny"] if tiny else []) + (["--keep", str(keep.resolve())] if keep else [])
+    out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(out.stdout)
+
+
+def kept(root: Path) -> dict:
+    """{output name: text} of a directory that digest --keep wrote."""
+    return {str(p.relative_to(root))[:-len(".json")]: p.read_text(encoding="utf-8")
+            for p in root.rglob("*.json")}
 
 
 def diff(old: dict, new: dict) -> list:
@@ -381,6 +408,62 @@ def diff(old: dict, new: dict) -> list:
     return lines
 
 
+def _parsed(text: str):
+    """A kept output's JSON, or its text where it is not JSON (a raised exception)."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def moves(old, new, path=()):
+    """(path, relative change) of each field where old and new differ; None for a verdict move.
+
+    A float that differs outside an instance is a value move; every
+    other difference is a verdict move.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key in old and key in new:
+                yield from moves(old[key], new[key], path + (key,))
+            else:
+                yield path + (key,), None
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moves(a, b, path + (i,))
+    elif old != new and not (old != old and new != new):  # NaN equals NaN here
+        if isinstance(old, float) and isinstance(new, float) and "instance" not in path:
+            change = abs(old - new) / max(abs(old), abs(new))
+            yield path, change if change == change else float("inf")  # NaN or inf on a side
+        else:
+            yield path, None
+
+
+def what_moved(old: dict, new: dict, names: list) -> list:
+    """The lines that sort the outputs names, which differ, into value and verdict moves."""
+    values, verdicts, verdict_outputs = {}, [], set()
+    for name in names:
+        for path, change in moves(_parsed(old[name]), _parsed(new[name])):
+            if change is None:
+                verdicts.append(f"  {name}: {'/'.join(map(str, path))}")
+                verdict_outputs.add(name)
+            else:
+                field = "/".join("*" if isinstance(k, int) else k for k in path)
+                outputs, largest = values.get(field, (set(), 0.0))
+                outputs.add(name)
+                values[field] = outputs, max(largest, change)
+    lines = [f"{len(names) - len(verdict_outputs)} outputs with value moves only, "
+             f"{len(verdict_outputs)} with verdict moves"]
+    if values:
+        lines.append("value moves (field, outputs, largest relative change):")
+        lines += [f"  {field}  {len(outputs)}  {largest:.3g}"
+                  for field, (outputs, largest) in sorted(values.items())]
+    if verdicts:
+        lines.append("verdict moves (output: field):")
+        lines += verdicts
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,12 +471,14 @@ def main(argv=None) -> int:
     p.add_argument("tree", type=Path)
     p.add_argument("--tiny", action="store_true")
     p.add_argument("--out", type=Path)
-    p = sub.add_parser("diff", help="name every output that differs")
+    p.add_argument("--keep", type=Path)
+    p = sub.add_parser("diff", help="name every output that differs, and say what moved")
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
     p = sub.add_parser("_corpus")  # the subprocess of digest
     p.add_argument("src", type=Path)
     p.add_argument("--tiny", action="store_true")
+    p.add_argument("--keep", type=Path)
     args = parser.parse_args(argv)
 
     if args.command == "_corpus":
@@ -402,20 +487,28 @@ def main(argv=None) -> int:
         if args.src.resolve() not in Path(riesz_sip.__file__).resolve().parents:
             raise SystemExit(f"error: imported {riesz_sip.__file__}, not {args.src}'s package")
         sys.path.insert(0, str(PERFBENCH))  # for perfbench's workloads module
-        json.dump(corpus(args.tiny), sys.stdout, indent=1, sort_keys=True)
+        json.dump(corpus(args.tiny, args.keep), sys.stdout, indent=1, sort_keys=True)
         return 0
     if args.command == "digest":
-        text = json.dumps(digest_tree(args.tree, args.tiny), indent=1, sort_keys=True) + "\n"
+        digests = digest_tree(args.tree, args.tiny, args.keep)
+        text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
         if args.out:
             args.out.write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return 0
-    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (args.old, args.new))
+    texts = args.old.is_dir() and args.new.is_dir()
+    if texts:
+        old, new = kept(args.old), kept(args.new)
+    else:
+        old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (args.old, args.new))
     lines = diff(old, new)
     for line in lines:
         print(line)
     print(f"{len(old.keys() | new.keys())} outputs, {len(lines)} differing or missing")
+    differing = [name for name in sorted(old.keys() & new.keys()) if old[name] != new[name]]
+    if texts and differing:
+        print("\n".join(what_moved(old, new, differing)))
     return 1 if lines else 0
 
 
