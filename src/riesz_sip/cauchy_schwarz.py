@@ -47,11 +47,10 @@ the +- closure of a log-spaced magnitude grid (means.LogGrid, the grid
 type of the [*] infimum), using neither bilinear expansion nor calculus.
 The grid minimum over-estimates the infimum, so grid >= closed always,
 and the gap shrinks with grid resolution. lambda_minima is the one pass,
-over any number of pairs at once: the T-values T(lambda*x - y,
-lambda*x - y) do not depend on a weight, so one pass gives each pair
-both the defect D(x,y) and the weighted defect D(x,y)*u of the
-sharpened triangle inequality. defect_grid is one pair's unweighted
-defect in one call.
+over any number of pairs at once, and gives each pair its defect D(x,y).
+The weighted defect D(x,y)*u of the sharpened triangle inequality is u
+times it (seminorms.weighted_defect_gaps): each u_j >= 0 commutes with
+the infimum over lambda. defect_grid is one pair's defect in one call.
 
 Rows by kernel class. A row is one codomain coordinate of one pair, and
 its samples depend on its own coefficients and its pair alone. The rows
@@ -65,40 +64,29 @@ _Rows is the row sampler of the one grid driver, means._fold_grid, which
 also serves the mean oracles (see means for the layout, the two stages
 and why they are sound): a block's difference vectors, the kernel's two
 work blocks (a row's sum and its current term) and the T-values are
-consecutive views of the driver's buffer (_lambda_values), and _weigh
-weights a block into the spare block (the kernel's row sum) and divides
-both by |lambda| (cached on the grid) in place, so that a block's rows of
-D and then of D*u are one view of the buffer. Each column's bits
-depend on its lambda and its row alone, and minima are exact, so the
-minima are the same at any block width, in any band and in any stack.
+consecutive views of the driver's buffer (_lambda_values), and the
+sampler divides the T-values by |lambda| (cached on the grid) in place.
+Each column's bits depend on its lambda and its row alone, and minima
+are exact, so the minima are the same at any block width, in any band
+and in any stack.
 
 What the two stages need of the lambda oracle:
 
   - The pieces are the grid's two branches, the negative and the
-    positive half of grid.signed, and a row of D, or of D*u, is
-    certified where it is on both.
+    positive half of grid.signed, and a row is certified where it is on
+    both.
   - With a = T(x,x)_j, b = T(x,y)_j, c = T(y,y)_j and s = log|lambda|, a
     row's exact samples on a branch are A*e^s + B + C*e^-s, A = a,
     B = -+2b, C = c (for the kernel's own coefficients, which define an
     exact quadratic form): convex where A, C >= 0, monotone where they
-    differ in sign, concave where both are negative. D*u's row is u_j
-    times it, the same shape.
+    differ in sign, concave where both are negative.
   - E bounds the rounding error of any sample on the grid
     (_lambda_bound), built from the kernel's coefficients |C_jab| (at
     most max |A_jab|), sum |x|, sum |y| and |lambda| only, never from a,
-    b, c or the defect; u_j*E for D*u.
-  - D*u, the later output, may take D's windows: where the rows of D and
-    of D*u are both certified on a branch, their best coarse samples are
-    at one column. Were D best at p and D*u best at q != p, the exact
-    values f would have f(q) - f(p) > 2E - 2E = 0 from D's margin and
-    u_j*(f(p) - f(q)) > 2u_jE - 2u_jE = 0 from D*u's, and u_j > 0 on a
-    certified row of D*u (with u_j = 0 it is flat).
+    b, c or the defect.
 
-  - A row of D*u whose weight u_j is +0 or -0 is exactly u_j where D's
-    row is certified positive (_Rows.settle), and needs no grid.
-
-Any other row the stages leave NaN or zero sends its class's whole call,
-every row of every pair in it, through the whole grid.
+A row the stages leave NaN or zero sends its class's whole call, every
+row of every pair in it, through the whole grid.
 """
 
 from __future__ import annotations
@@ -280,16 +268,6 @@ class _Record:
         return self.norms("norm_y")[0]
 
     @lazy
-    def norm_sum(self) -> np.ndarray:
-        """norm(x+y)."""
-        return self.norms("norm_sum")[0]
-
-    @lazy
-    def norm_diff(self) -> np.ndarray:
-        """norm(x-y)."""
-        return self.norms("norm_diff")[0]
-
-    @lazy
     def norm_bound(self) -> np.ndarray:
         """norm(x) + norm(y), the triangle bound."""
         return self.norm_x + self.norm_y
@@ -458,65 +436,43 @@ Record = Gram | GramStack
 class _Rows:
     """The R rows of one kernel class of a lambda_minima call, each one codomain coordinate of one pair.
 
-    The rows of the class's weighted pairs come first, then the others,
-    each in pair order; a pair's rows are contiguous, in coordinate
-    order. x and y are (m, R): row r's column is its pair's x and y (for
-    the multiplication sip, its x_j and y_j, m = 1), or (m, 1) for the
-    rows of one PSD pair, whose one column every row reads. coefficients
-    are the PSD rows' sip._row_form coefficients as (R, 1) columns, and
-    matrices their members A_j, (R, m, m); both are None for
-    multiplication rows. u holds the weights of the first R_w rows,
-    (R_w, 1).
+    The rows are in pair order, and a pair's rows are contiguous, in
+    coordinate order. x and y are (m, R): row r's column is its pair's x
+    and y (for the multiplication sip, its x_j and y_j, m = 1), or (m, 1)
+    for the rows of one PSD pair, whose one column every row reads.
+    coefficients are the PSD rows' sip._row_form coefficients as (R, 1)
+    columns, and matrices their members A_j, (R, m, m); both are None for
+    multiplication rows.
 
-    The row sampler of means._fold_grid: two outputs, D (t/|lambda|)
-    of every row and D*u (t*u/|lambda|) of the first R_w, over the two
-    branches of grid.signed, G columns each.
+    The row sampler of means._fold_grid: D's samples t/|lambda| of every
+    row, over the two branches of grid.signed, G columns each.
     """
 
     fold, pieces, circle = np.minimum, 2, False
 
-    def __init__(self, size, x, y, coefficients, matrices, u, grid):
-        self.size, self.x, self.y, self.u, self.grid = size, x, y, u, grid
+    def __init__(self, size, x, y, coefficients, matrices, grid):
+        self.size, self.x, self.y, self.grid = size, x, y, grid
         self.coefficients, self.matrices = coefficients, matrices
-        self.count, self.outputs = grid.count, (size, len(u))
+        self.count = grid.count
 
     def depth(self, b: int) -> int:
         """The rows of a band of b rows' block arrays: z (m per row, m for one PSD pair; b at least), t and two work blocks."""
         return max(self.x.shape[0] * min(self.x.shape[1], b), b) + 3 * b
 
     def sample(self, lo: int, hi: int, cols, buf: np.ndarray) -> np.ndarray:
-        """D of rows lo:hi, then D*u of those with a weight (_weigh), at cols of grid.signed.
+        """t/|lambda| of rows lo:hi at cols of grid.signed, t divided in place.
 
         cols is a slice or (P,) columns of every row, or (hi - lo, P) of each.
         """
-        block = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)
-        return _weigh(block, hi - lo, self.u[lo:hi], self.grid.signed_abs[cols])
+        t = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)
+        return np.divide(t, self.grid.signed_abs[cols], out=t)
 
     def error(self, lo: int, hi: int, best: np.ndarray) -> np.ndarray:
-        """E of rows lo:hi of D and of D*u (u_j times it), on each branch."""
-        E, u = _lambda_bound(self, lo, hi), self.u[lo:hi, 0]
-        return np.repeat(np.concatenate([E, u * E[:len(u)]]), 2)
-
-    def settle(self, out: list, whole: list) -> None:
-        """Give each fallback row of D*u of a zero weight whose row of D is certified positive its weight.
-
-        After the stages, a row of D that holds a number is certified, so
-        its E is finite: 2*K*S^2 did not overflow, and every sample t of
-        the row is finite, as is each partial sum of the kernel. D_j > 0
-        is the least of its samples t/|lambda| over the whole grid, so
-        every t is positive, and with u_j = +0 or -0 every sample
-        t*u_j/|lambda| of D*u, hence its minimum, is exactly u_j, sign
-        included. The rows settled are taken off whole[1]; any other
-        zero or NaN sends the call through the whole grid.
-        """
-        d, du = out
-        u = self.u[:, 0]
-        known = whole[1] & (u == 0.0) & (d[:u.size] > 0.0)
-        du[known] = u[known]
-        whole[1] &= ~known
+        """E of rows lo:hi, on each branch."""
+        return np.repeat(_lambda_bound(self, lo, hi), 2)
 
 
-def _lambda_rows(pairs: list, weights: list, grid: LogGrid) -> tuple:
+def _lambda_rows(pairs: list, grid: LogGrid) -> tuple:
     """(classes, places): the _Rows of each kernel class of the pairs on grid, and each pair's (class, first row).
 
     The multiplication sip's rows form one class, and the PSD rows of each
@@ -529,39 +485,34 @@ def _lambda_rows(pairs: list, weights: list, grid: LogGrid) -> tuple:
     places = [None] * len(pairs)
     out = []
     for key, members in classes.items():
-        members.sort(key=lambda i: weights[i] is None)  # weighted pairs first, in order
         first = 0
         for i in members:
             places[i] = (len(out), first)
             first += pairs[i].T.codomain_dim
-        out.append(_stack_rows(key is None, [pairs[i] for i in members],
-                               [weights[i] for i in members if weights[i] is not None], first,
-                               grid))
+        out.append(_stack_rows(key is None, [pairs[i] for i in members], first, grid))
     return out, places
 
 
-def _stack_rows(multiplication: bool, grams: list, weights: list, size: int,
-                grid: LogGrid) -> _Rows:
-    """The _Rows of the pairs grams, of one class, whose first len(weights) have those weights.
+def _stack_rows(multiplication: bool, grams: list, size: int, grid: LogGrid) -> _Rows:
+    """The _Rows of the pairs grams, of one class.
 
     The PSD class's coefficients are built in one pass over its rows'
     members, concatenated (sip._row_coefficients_of), which is elementwise:
     each row's coefficients have its family's bits. One pair's rows take
     its family's kept coefficients.
     """
-    u = np.concatenate(weights + [np.empty(0)])[:, None]
     if multiplication:
         x = np.concatenate([g.x for g in grams])[None]
         y = np.concatenate([g.y for g in grams])[None]
-        return _Rows(size, x, y, None, None, u, grid)
+        return _Rows(size, x, y, None, None, grid)
     if len(grams) == 1:  # one pair: every row reads its one column
         (g,) = grams
-        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, u, grid)
+        return _Rows(size, g.x[:, None], g.y[:, None], g.T._row_coefficients, g.T.matrices, grid)
     ns = [g.T.codomain_dim for g in grams]
     x = np.repeat(np.array([g.x for g in grams]), ns, axis=0).T
     y = np.repeat(np.array([g.y for g in grams]), ns, axis=0).T
     A = np.concatenate([g.T.matrices for g in grams])
-    return _Rows(size, x, y, _row_coefficients_of(A), A, u, grid)
+    return _Rows(size, x, y, _row_coefficients_of(A), A, grid)
 
 
 def _lambda_bound(rows: _Rows, lo: int, hi: int) -> np.ndarray:
@@ -574,9 +525,9 @@ def _lambda_bound(rows: _Rows, lo: int, hi: int) -> np.ndarray:
     sip, row j's |x_j| and |y_j|), and S = |lambda|*X + Y bounds sum |z_a|
     for z = lambda*x - y. z rounds twice and the kernel's row form at most
     2m times along any term, so t is within (2m + 5) unit roundoffs of
-    2*K*S^2, and t/|lambda| and t*u/|lambda| round once or twice more; E
-    takes (m + 8)*EPS, twice that, of 2*K*S^2/|lambda| at the grid's ends,
-    where it is largest, plus an allowance for products that underflow.
+    2*K*S^2, and t/|lambda| rounds once more; E takes (m + 8)*EPS, more
+    than twice that, of 2*K*S^2/|lambda| at the grid's ends, where it is
+    largest, plus an allowance for products that underflow.
     """
     x, y, grid = rows.x, rows.y, rows.grid
     if x.shape[1] > 1:
@@ -592,16 +543,15 @@ def _lambda_bound(rows: _Rows, lo: int, hi: int) -> np.ndarray:
 
 
 def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """T(lambda*x - y, lambda*x - y) of rows lo:hi, t, as the first hi - lo rows of a (3(hi - lo), width) block.
+    """T(lambda*x - y, lambda*x - y) of rows lo:hi, t, a (hi - lo, width) view of buf.
 
     lam is the (width,) lambdas every row reads, or the (hi - lo, width)
     lambdas of each row. The difference vectors z, then t and the
-    kernel's two work blocks (a row's sum, which is spare after it, and
-    its current term), which make up the block, are consecutive views of
-    buf, which the caller sized; the next call overwrites them all. Reads
-    each row's pair and coefficients only, never a, b or c: the oracle
-    evaluates T on the difference vectors directly, with no bilinear
-    expansion.
+    kernel's two work blocks (a row's sum and its current term) are
+    consecutive views of buf, which the caller sized; the next call
+    overwrites them all. Reads each row's pair and coefficients only,
+    never a, b or c: the oracle evaluates T on the difference vectors
+    directly, with no bilinear expansion.
     """
     x, y = rows.x, rows.y
     if x.shape[1] > 1:
@@ -619,30 +569,14 @@ def _lambda_values(rows: _Rows, lo: int, hi: int, lam: np.ndarray, buf: np.ndarr
         if b < rows.size:
             coefficients = [[c[lo:hi] for c in row] for row in coefficients]
         _row_form(coefficients, z, block[:b], block[b:].reshape(2, b, width))
-    return block
+    return block[:b]
 
 
-def _weigh(block: np.ndarray, b: int, u: np.ndarray, abs_lam: np.ndarray) -> np.ndarray:
-    """D and D*u of a block of _lambda_values: its (b + len(u), width) rows t/|lambda|, then t*u/|lambda|.
-
-    t, the first b rows, is divided in place, and the rows of t with a
-    weight, weighted, over the spare rows after it; abs_lam is the
-    (width,) |lambda| of every row, or the (b, width) of each.
-    """
-    t, k = block[:b], len(u)
-    spare = block[b:b + k]
-    np.divide(np.multiply(t[:k], u, out=spare), abs_lam[:k] if abs_lam.ndim == 2 else abs_lam,
-              out=spare)
-    np.divide(t, abs_lam, out=t)
-    return block[:b + k]
-
-
-def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
-    """(D, D*u) of each pair: componentwise minima over grid.signed of t/|lambda| and of t*u/|lambda|.
+def lambda_minima(pairs, grid: LogGrid) -> list:
+    """D of each pair: its componentwise minimum over grid.signed of t/|lambda|.
 
     pairs are Grams, of any sip kinds, m and n; t is T(lambda*x - y,
-    lambda*x - y) of a pair, u its validated weight in weights (one per
-    pair, None for none; none by default), and D*u is None without one.
+    lambda*x - y) of a pair, which reads no weight.
     Each row is one codomain coordinate of one pair, and the rows of one
     kernel class share every numpy call (_lambda_rows): the
     multiplication sip's rows form one class, and the PSD rows of each m
@@ -655,18 +589,12 @@ def lambda_minima(pairs, grid: LogGrid, weights=None) -> list:
     verify makes one call per chunk of trials, before the chunk's groups
     are checked (harness._pass_minima), and the oracle study one per grid
     size, so their classes hold many rows, most of which take two stages.
-    Over-estimates the infimum D(x,y), or D(x,y)*u, by construction.
+    Over-estimates the infimum D(x,y) by construction.
     """
     pairs = list(pairs)
-    weights = [None] * len(pairs) if weights is None else list(weights)
-    classes, places = _lambda_rows(pairs, weights, grid)
+    classes, places = _lambda_rows(pairs, grid)
     minima = [_fold_grid(rows, LAMBDA_BRACKET_ELEMENTS) for rows in classes]
-    out = []
-    for g, u, (c, first) in zip(pairs, weights, places):
-        d, du = minima[c]
-        n = g.T.codomain_dim
-        out.append((d[first:first + n], None if u is None else du[first:first + n]))
-    return out
+    return [minima[c][first:first + g.T.codomain_dim] for g, (c, first) in zip(pairs, places)]
 
 
 def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
@@ -677,7 +605,7 @@ def defect_grid(T: Sip, x, y, grid: LogGrid) -> np.ndarray:
     with the closed form beyond T itself. Over-estimates the true infimum
     by construction. lambda_minima's D of the pair.
     """
-    return lambda_minima([Gram(T, x, y)], grid)[0][0]
+    return lambda_minima([Gram(T, x, y)], grid)[0]
 
 
 def defect_gaps(g: Record, sampled: np.ndarray,

@@ -691,17 +691,18 @@ class Trial(Gram):
     """One instance under one config: the lazy record every suite of a trial reads.
 
     A Trial is the Gram of the instance's pair under its weight (x, y, u,
-    a, b, c, the defect, the seminorm values) plus the two minima of the
-    defect oracles, D and D*u, from a lambda-grid pass that keeps no
-    samples, and the axioms residuals of its sip. A chunk sets each of the
-    last two on its trials from one pass, made before the chunk's groups
-    are checked (_pass_minima, _pass_axioms; the minima only where the
-    pair validates); any other trial makes its own call. Each value is
-    computed once and shared by every suite that reads it. A value that
-    raises is not kept (lattice.lazy), so every suite raises on exactly
-    the values it reads, as it would alone. A check reads a Trial as the
-    group of one trial: its values have no trial axis, and the check gives
-    a table of one row.
+    a, b, c, the defect, the seminorm values) plus the minima D of the
+    lambda-grid defect oracle, from a pass that keeps no samples and
+    reads no weight (sharp's D*u is u times them,
+    seminorms.weighted_defect_gaps), and the axioms residuals of its sip.
+    A chunk sets each of the last two on its trials from one pass, made
+    before the chunk's groups are checked (_pass_minima, _pass_axioms;
+    the minima only where the pair validates); any other trial makes its
+    own call. Each value is computed once and shared by every suite that
+    reads it. A value that raises is not kept (lattice.lazy), so every
+    suite raises on exactly the values it reads, as it would alone. A
+    check reads a Trial as the group of one trial: its values have no
+    trial axis, and the check gives a table of one row.
     """
 
     def __init__(self, inst: Instance, config: TrialConfig):
@@ -709,23 +710,14 @@ class Trial(Gram):
         self.inst = inst
         self.config = config
 
-    @property
-    def _weight(self):
-        """The validated weight, or None where it does not validate."""
-        try:
-            return self.u
-        except _BROKEN_INPUT:
-            return None
-
     @lazy
-    def minima(self) -> tuple:
-        """lambda_minima of the pair under its weight on config.lambda_grid, from its own call.
+    def minima(self) -> np.ndarray:
+        """lambda_minima of the pair on config.lambda_grid, D, from its own call.
 
-        The call raises where the pair does. A broken weight leaves D*u
-        None and D as it is: cs never reads u, and sharp reads u first,
-        so it raises there.
+        The call raises where the pair does. It reads no weight: cs never
+        reads u, and sharp reads u first, so it raises there.
         """
-        return lambda_minima([self], self.config.lambda_grid, [self._weight])[0]
+        return lambda_minima([self], self.config.lambda_grid)[0]
 
     @lazy
     def axioms(self) -> dict:
@@ -739,9 +731,9 @@ class Trial(Gram):
 def _pass_minima(trials: list) -> None:
     """Give each of trials whose x and y validate its minima, from one lambda_minima call.
 
-    Each has its validated weight, or None; a row's minima are the bits
-    of its pair's call alone (cauchy_schwarz.lambda_minima). The others
-    make their own calls, which raise as they do alone.
+    A row's minima are the bits of its pair's call alone
+    (cauchy_schwarz.lambda_minima). The others make their own calls,
+    which raise as they do alone.
     """
     covered = []
     for t in trials:
@@ -751,9 +743,7 @@ def _pass_minima(trials: list) -> None:
             continue
         covered.append(t)
     if covered:
-        minima = lambda_minima(covered, covered[0].config.lambda_grid,
-                               [t._weight for t in covered])
-        for t, m in zip(covered, minima):
+        for t, m in zip(covered, lambda_minima(covered, covered[0].config.lambda_grid)):
             t.minima = m
 
 
@@ -800,7 +790,7 @@ def check_axioms_trials(rec) -> _Table:
 def check_cs_trials(rec) -> _Table:
     tol = rec.config.tolerances
     chk = cs_verdict(rec, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = defect_gaps(rec, rec.each(lambda t: t.minima[0]), tol.abs)
+    sandwich, gap = defect_gaps(rec, rec.each(lambda t: t.minima), tol.abs)
     return _results(rec, {
         "identity": (chk.identity, tol.rel),
         "inequality": (chk.inequality, INEQ_FLOOR),
@@ -860,7 +850,7 @@ def check_vsn_trials(rec) -> _Table:
 def check_sharp_trials(rec) -> _Table:
     tol = rec.config.tolerances
     st = sharp_verdict(rec, band=tol.cone_band, floor=tol.abs)
-    sandwich, gap = weighted_defect_gaps(rec, rec.each(lambda t: t.minima[1]), tol.abs)
+    sandwich, gap = weighted_defect_gaps(rec, rec.each(lambda t: t.minima), tol.abs)
     return _results(rec, {
         "chain": (st.chain, CHAIN_FLOOR),
         "equality_iff_positive": (
@@ -1273,8 +1263,7 @@ _READS = {
     # check_axioms_trials reads each trial's sip and kind, never u, x or y.
     "axioms": ("sip",),
     # a, b and c are T-values of x and y, and the minima give D from T on
-    # lambda*x - y. Trial.minima reads u only for D*u, which cs never
-    # reads, and a weight that does not validate leaves D as it is.
+    # lambda*x - y; neither reads u.
     "cs": ("sip", "x", "y"),
     # Means of |x|, |y| and u, read as a vector of x's lattice; x and y
     # are validated against m, and no T-value is read.
@@ -1320,18 +1309,16 @@ def _read_key(theorem: str, inst: Instance) -> tuple:
 def _inherit_minima(trial: Trial, parent: Trial, j: int) -> None:
     """Give trial, parent's instance without codomain coordinate j, parent's lambda minima but row j.
 
-    Only when parent has computed them under a weight it validated. Each
-    row of the lambda-grid samples depends on its own family member (PSD)
-    or its own coordinates (multiplication) alone, each row of D*u on its
-    own entry of u too, and a minimum is exact, so the rows kept are
-    those of trial's own pass, bit for bit. A weight that did not validate
-    (of the wrong size, or with a negative entry) may validate without
-    entry j, and then trial runs its own pass.
+    Only when parent has computed them. Each row of the lambda-grid
+    samples depends on its own family member (PSD) or its own
+    coordinates (multiplication) alone, never on the weight, and a
+    minimum is exact, so the rows kept are those of trial's own pass,
+    bit for bit.
     """
     kept = vars(parent)
-    if "minima" in kept and "u" in kept:
+    if "minima" in kept:
         n = parent.T.codomain_dim
-        trial.minima = tuple(v.take(_kept(n, n)[j]) for v in kept["minima"])
+        trial.minima = kept["minima"].take(_kept(n, n)[j])
 
 
 def shrink(inst: Instance, theorem: str, config: TrialConfig) -> tuple:
@@ -1445,7 +1432,7 @@ def convergence_study(config: TrialConfig, grid_sizes: tuple) -> StudyReport:
                                  ("box_plus_gap", box_plus_gaps(x, y, angle, floor))):
                 found += [(key, pair) for pair in zip(*stacked)]
         found += [("defect_gap", defect_gaps(g, d, floor))
-                  for g, (d, _) in zip(grams, lambda_minima(grams, lam))]
+                  for g, d in zip(grams, lambda_minima(grams, lam))]
         row = {"grid_size": G, "box_times_gap": 0.0, "box_plus_gap": 0.0, "defect_gap": 0.0}
         for key, (sandwich, gap) in found:
             sandwich_ok &= bool(sandwich <= SANDWICH_FLOOR)  # NaN fails too

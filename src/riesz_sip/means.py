@@ -28,11 +28,9 @@ sampler that holds what differs between them (_MeanRows here,
 cauchy_schwarz._Rows): how to sample rows lo:hi at columns shared by
 every row or at each row's own, into a buffer the driver makes, and the
 rows of a band's block arrays in that buffer (depth); the grid's
-pieces, count columns each, on a circle or not; and each output's bound
-E. A sampler may have more than one output (the lambda oracle's D and
-D*u): a later output covers the first rows of the first. The driver
-owns the rest, the same for every oracle: the bands of rows, the two
-stages, the windows and the fallback.
+pieces, count columns each, on a circle or not; and each row's bound
+E. The driver owns the rest, the same for every oracle: the bands of
+rows, the two stages, the windows and the fallback.
 
 Layout: coordinate-major, in blocks. A sample of a row at a column is
 one element of a (rows, columns) array, which is never built whole. The
@@ -61,11 +59,11 @@ sqrt(count / 2) (_stride, _coarse). The theta grid is one linear piece,
 the quarter circle another, and the full angle grid is taken as a circle
 (every s-th point, no end: 0 and 2*pi are neighbours); the lambda grid
 has two pieces, its negative and positive branches. Then, for each row,
-it samples only the 2s - 1 points of each piece around the best coarse
-sample of its first output, which hold every point between that
-sample's two coarse neighbours, and folds the row over every point
-sampled. Rows go in bands whose buffer holds at most GRID_BLOCK
-elements. Why that is the full grid's extremum:
+it samples only the 2s - 1 points of each piece around its best coarse
+sample, which hold every point between that sample's two coarse
+neighbours, and folds the row over every point sampled. Rows go in
+bands whose buffer holds at most GRID_BLOCK elements. Why that is the
+full grid's extremum:
 
   - The exact function of a row on a piece is convex, monotone or
     concave in a log-spaced multiplier, or a cosine on an angle. Here
@@ -85,24 +83,17 @@ elements. Why that is the full grid's extremum:
     with its minimum inside the quarter) is no better inside any coarse
     interval than at one of its two ends. Either way f(p) is worse than
     the best sample by more than E, so p's sample cannot beat it.
-  - A row of a later output uses the windows of its row of the first,
-    and counts as certified only where that row is certified too, on
-    every piece: its own best coarse sample must then be at the same
-    column (cauchy_schwarz shows why for D*u).
 
 Each result starts as NaN and a certified row's extremum replaces it.
-A row that is still NaN or zero in any output sends the whole call to
-the whole grid, one _whole_grid call over all its rows: NaN where a row
-is not certified (a coarse sample or E is not finite, or the margin is
-2E or less: a flat row, a tie between two coarse samples, a zero row),
-zero where the extremum is a zero, whose sign the fold order decides.
-The sampler may take rows off the fallback masks whose extremum it
-knows exactly from the certified rows (settle; the lambda oracle's D*u
-rows of a zero weight). A certified row's window minimum or maximum is
-the full grid's, and a settled row's value is every sample of its whole
-grid, so the whole grid gives those rows the bits the stages give them.
-The samples are the products and sums of the full pass, so every row
-has the full grid's bits, and a row of a stack has its bits alone.
+A row that is still NaN or zero sends the whole call to the whole grid,
+one _whole_grid call over all its rows: NaN where a row is not
+certified (a coarse sample or E is not finite, or the margin is 2E or
+less: a flat row, a tie between two coarse samples, a zero row), zero
+where the extremum is a zero, whose sign the fold order decides. A
+certified row's window minimum or maximum is the full grid's, so the
+whole grid gives those rows the bits the stages give them. The samples
+are the products and sums of the full pass, so every row has the full
+grid's bits, and a row of a stack has its bits alone.
 
 Validation (see lattice): box_times and both oracles check raw values.
 The kernels _box_times, _box_plus, _box_times_oracle and _box_plus_oracle
@@ -385,8 +376,8 @@ def _brackets(values: np.ndarray, fold, bound, s: int, count: int,
     return certified, (start[:, None] + np.arange(2 * s - 1)) % count
 
 
-def _whole_grid(rows) -> list:
-    """Each output of rows' extremum over every column of the grid, band by band and block by block.
+def _whole_grid(rows) -> np.ndarray:
+    """Each row's extremum over every column of the grid, band by band and block by block.
 
     A band holds the fewest even share of the rows whose block arrays,
     rows.depth(band) rows in all, keep BAND_COLUMNS columns in
@@ -402,48 +393,40 @@ def _whole_grid(rows) -> list:
     band = -(-R // bands)
     width = _block_width(depth(band), N)
     buf = np.empty(depth(band) * width)
-    out = [np.empty(size) for size in rows.outputs]
+    out = np.empty(R)
     for lo in range(0, R, band):
         hi = min(lo + band, R)
+        part = out[lo:hi]
         for start in range(0, N, width):
             low = rows.fold.reduce(rows.sample(lo, hi, slice(start, start + width), buf), axis=1)
-            for o in out:
-                part = o[lo:hi]
-                if start:
-                    rows.fold(part, low[:len(part)], out=part)
-                else:
-                    part[:] = low[:len(part)]
-                low = low[len(part):]
+            if start:
+                rows.fold(part, low, out=part)
+            else:
+                part[:] = low
     return out
 
 
-def _fold_grid(rows, least: int) -> list:
-    """Each output of rows' extremum over the grid: two stages where they pay, the whole grid where needed.
+def _fold_grid(rows, least: int) -> np.ndarray:
+    """Each row's extremum over the grid: two stages where they pay, the whole grid where needed.
 
     rows is the oracle's row sampler (_MeanRows, or cauchy_schwarz._Rows):
-      - fold: np.minimum or np.maximum; size: its R rows; outputs: each
-        output's rows, the first R, a later one the first rows of R;
+      - fold: np.minimum or np.maximum; size: its R rows;
       - count, pieces, circle: the grid is pieces pieces of count
         columns each, in turn, and a one-piece grid may be a circle;
       - depth(b): the rows of a band of b rows' block arrays, all told;
-      - sample(lo, hi, cols, buf): each output's rows lo:hi, in turn in
-        one (rows, width) array, at cols (a slice or (P,) columns of
-        every row, or (hi - lo, P) of each), in views of buf;
-      - error(lo, hi, best): E of those rows on each piece, given best;
-      - settle(out, whole): after the stages, set the rows of whole, the
-        fallback mask of each output, whose extremum it knows without
-        the grid, and take them off whole.
+      - sample(lo, hi, cols, buf): rows lo:hi, one (hi - lo, width)
+        array, at cols (a slice or (P,) columns of every row, or
+        (hi - lo, P) of each), in a view of buf;
+      - error(lo, hi, best): E of those rows on each piece, given best.
     The stages take a stride s = _stride(count, elements, least),
     elements the rows times the grid's columns. The coarse stage samples
     every s-th point and the end of each piece (_coarse) for every row;
-    _brackets certifies each row of each output on each piece. Each row
-    then samples the window of 2s - 1 points around its first output's
-    best coarse sample on each piece, and each output takes its row's
-    extremum over those columns where that row is certified on every
-    piece, a later output only where the first is too (see the module
-    docstring). Rows go in bands whose buffer holds at most GRID_BLOCK
-    elements. The results start as NaN, and where an output still holds
-    a row as NaN or zero, but those the sampler settles, the call takes
+    _brackets certifies each row on each piece. Each row then samples
+    the window of 2s - 1 points around its best coarse sample on each
+    piece, and takes its extremum over those columns where it is
+    certified on every piece (see the module docstring). Rows go in
+    bands whose buffer holds at most GRID_BLOCK elements. The results
+    start as NaN, and where a row is still NaN or zero, the call takes
     the whole grid, one _whole_grid call over all its rows.
     """
     count, pieces, R = rows.count, rows.pieces, rows.size
@@ -457,29 +440,20 @@ def _fold_grid(rows, least: int) -> list:
     depth = rows.depth(1)  # elements per row and column
     band = _block_width(depth * widest, R)
     buf = np.empty(depth * band * widest)
-    out = [np.full(size, np.nan) for size in rows.outputs]
+    out = np.full(R, np.nan)
     for lo in range(0, R, band):
         hi = min(lo + band, R)
         certified, windows = _brackets(rows.sample(lo, hi, cols, buf).reshape(-1, at.size),
                                        rows.fold, lambda best: rows.error(lo, hi, best), s, count,
                                        rows.circle)
         ok = certified.reshape(-1, pieces).all(axis=1)
-        first = ok[:hi - lo]
-        if first.any():
-            windows = windows[:first.size * pieces]
+        if ok.any():
             for piece in range(1, pieces):
                 windows[piece::pieces] += piece * count
-            low = rows.fold.reduce(rows.sample(lo, hi, windows.reshape(first.size, span), buf),
+            low = rows.fold.reduce(rows.sample(lo, hi, windows.reshape(hi - lo, span), buf),
                                    axis=1)
-            for o in out:
-                part = o[lo:hi]
-                k = len(part)
-                done = ok[:k] & first[:k]
-                part[done] = low[:k][done]
-                ok, low = ok[k:], low[k:]
-    whole = [np.isnan(o) | (o == 0.0) for o in out]
-    rows.settle(out, whole)
-    return _whole_grid(rows) if any(w.any() for w in whole) else out
+            out[lo:hi][ok] = low[ok]
+    return _whole_grid(rows) if (np.isnan(out) | (out == 0.0)).any() else out
 
 
 class _MeanRows:
@@ -488,8 +462,8 @@ class _MeanRows:
     p and q are an (n,) vector or a (k, n) stack, fp and fq the grid's
     factors (theta and 1/theta, or cos t and sin t) at its count points,
     one piece, a circle for the full angle grid; E(p, q, best) is each
-    row's bound (LogGrid._bound, _angle_bound). One output; a band's
-    block arrays are the sum w and the term t, one row each per row.
+    row's bound (LogGrid._bound, _angle_bound). A band's block arrays
+    are the sum w and the term t, one row each per row.
     """
 
     pieces = 1
@@ -497,7 +471,7 @@ class _MeanRows:
     def __init__(self, fold, p, fp, q, fq, E, circle=False):
         self.fold, self.fp, self.fq, self.E, self.circle = fold, fp, fq, E, circle
         self.p, self.q = p.reshape(-1, 1), q.reshape(-1, 1)
-        self.size, self.count, self.outputs = len(self.p), fp.size, (len(self.p),)
+        self.size, self.count = len(self.p), fp.size
 
     def depth(self, b: int) -> int:
         return 2 * b
@@ -514,16 +488,13 @@ class _MeanRows:
     def error(self, lo: int, hi: int, best: np.ndarray) -> np.ndarray:
         return self.E(self.p[lo:hi, 0], self.q[lo:hi, 0], best)
 
-    def settle(self, out: list, whole: list) -> None:
-        """No row of a mean oracle is known without its grid."""
-
 
 def _box_times_oracle(u: np.ndarray, v: np.ndarray, grid: LogGrid,
                       floor: float) -> np.ndarray:
     """box_times_oracle on validated vectors (or stacks) of one dimension."""
     u, v = _cone_pair("box_times_oracle", u, v, floor)
     rows = _MeanRows(np.minimum, u, grid.points, v, grid.inverse, grid._bound)
-    return 0.5 * _fold_grid(rows, MEAN_BRACKET_ELEMENTS)[0].reshape(u.shape)
+    return 0.5 * _fold_grid(rows, MEAN_BRACKET_ELEMENTS).reshape(u.shape)
 
 
 def box_times_oracle(u, v, grid: LogGrid,
@@ -570,7 +541,7 @@ def _box_plus_oracle(a: np.ndarray, b: np.ndarray, grid: AngleGrid,
     """box_plus_oracle on validated vectors (or stacks) of one dimension."""
     cos_t, sin_t = grid._quarter_trig if quarter else grid._trig
     rows = _MeanRows(np.maximum, a, cos_t, b, sin_t, _angle_bound, circle=not quarter)
-    return _fold_grid(rows, MEAN_BRACKET_ELEMENTS)[0].reshape(a.shape)
+    return _fold_grid(rows, MEAN_BRACKET_ELEMENTS).reshape(a.shape)
 
 
 def box_plus_oracle(a, b, grid: AngleGrid,

@@ -149,13 +149,16 @@ def sharp_verdict(g: Record, band: float = CONE_BAND,
 
 def weighted_defect_gaps(g: Record, sampled: np.ndarray,
                          floor: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
-    """(sandwich, gap) of a grid oracle's value sampled for D(x,y)*u against the closed form.
+    """(sandwich, gap) of the lambda-grid oracle's D(x,y)*u against the closed form.
 
-    sampled comes from the defining family of D(x,y)*u, sampled through
-    T(lambda*x - y, lambda*x - y)*u directly (cauchy_schwarz.lambda_minima
-    with the weight), independent of the closed form. Normalized by the
-    largest of max(|a|, |c|)*u and both values.
+    sampled is the oracle's defect D(x,y) of g's pair, or of each pair of
+    a GramStack (cauchy_schwarz.lambda_minima), sampled through
+    T(lambda*x - y, lambda*x - y) directly, independent of the closed
+    form. Its D(x,y)*u is sampled*u: each u_j >= 0 commutes with the
+    infimum over lambda. Normalized by the largest of max(|a|, |c|)*u and
+    both values.
     """
+    sampled = sampled * g.u
     scale = np.maximum(
         np.maximum(np.abs(g.a), np.abs(g.c)) * g.u,
         np.maximum(np.abs(g.weighted_defect), np.abs(sampled))) + floor

@@ -262,18 +262,15 @@ def test_lambda_grid_validation():
 
 
 def test_lambda_minimum_weight():
-    # D(x,y)*u: each sampled T-value is weighted before the division by |lambda|
+    # the pass gives D alone and reads no weight: the sharp suite's D*u
+    # is u times it (seminorms.weighted_defect_gaps)
     T = random_psd(np.random.default_rng(3), 3, 2)
     x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -1.0])
     grid = LogGrid.log_spaced(1e-3, 1e3, 51)
     plain = defect_grid(T, x, y, grid)
-    g = Gram(T, x, y)
-    d, du = lambda_minima([g], grid)[0]
-    assert np.array_equal(d, plain) and du is None
-    for u, weighted in ((np.ones(2), plain), (np.array([0.0, 2.0]), [0.0, 2.0 * plain[1]])):
-        d, du = lambda_minima([g], grid, [u])[0]
-        assert np.array_equal(d, plain)  # the weight leaves D as it is
-        assert np.array_equal(du, weighted)
+    for u in (None, np.ones(2), np.array([0.0, 2.0]), np.array([1.0, -1.0])):
+        (d,) = lambda_minima([Gram(T, x, y, u)], grid)
+        assert np.array_equal(d, plain)
 
 
 def test_where_gives_the_held_pairs_their_bits():
@@ -287,7 +284,8 @@ def test_where_gives_the_held_pairs_their_bits():
     holds = np.array([True, False, True, True])
 
     def f(r):
-        return (r.norm_x + r.norm_sum + r.norm_diff + r.b).max(axis=-1)
+        sx, ssum, sdiff = r.norms("norm_x", "norm_sum", "norm_diff")
+        return (sx + ssum + sdiff + r.b).max(axis=-1)
 
     got = stack.where(holds, f)
     ref = f(stack)
@@ -327,15 +325,16 @@ def test_norms_of_one_request_have_their_lone_bits(request_):
     stack = GramStack(Gram(*p) for p in pairs)
     for record in (*grams, stack):
         got = record.norms(*request_)
-        assert [_bits(v) for v in got] == [_bits(getattr(record, name)) for name in request_]
+        assert [_bits(v) for v in got] == [_bits(vars(record)[name]) for name in request_]
     for i, p in enumerate(pairs):
         for name in request_:
             alone = Gram(*p)
-            lone = _bits(getattr(alone, name))
+            (value,) = alone.norms(name)
+            lone = _bits(value)
             assert set(NORMS) & vars(alone).keys() == {name}
             assert lone == _bits(cauchy_schwarz._seminorm(getattr(alone, NORM_OF[name]), alone.u))
-            assert _bits(getattr(grams[i], name)) == lone
-            assert _bits(getattr(stack, name)[i]) == lone
+            assert _bits(grams[i].norms(name)[0]) == lone
+            assert _bits(stack.norms(name)[0][i]) == lone
 
 
 def test_norms_evaluate_only_the_sums_they_read():
@@ -356,7 +355,7 @@ def test_norms_evaluate_only_the_sums_they_read():
                     record.norms("norm_sum", "norm_diff")
                 assert not {"d", "norm_diff"} & vars(record).keys()
             with pytest.raises(NonFinite):
-                record.norm_diff
+                record.norms("norm_diff")
 
 
 def test_norms_of_a_negative_weight_raise_on_every_request():
@@ -371,7 +370,7 @@ def test_norms_of_a_negative_weight_raise_on_every_request():
             assert not set(NORMS) & vars(record).keys()
         for name in NORMS:
             with pytest.raises(NotInPositiveCone):
-                getattr(record, name)
+                record.norms(name)
         assert not set(NORMS) & vars(record).keys()
 
 

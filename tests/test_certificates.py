@@ -3,10 +3,10 @@
 The two-stage grid driver (means._fold_grid) certifies a row of the
 lambda oracle only if every other coarse sample is worse than the best by
 more than 2E, where E = cauchy_schwarz._lambda_bound bounds the rounding
-error of any sample t/|lambda| of the row, and u_j*E that of
-t*u_j/|lambda|. verify's defect bits rest on that bound for most rows, so
-it is checked here against the exact value of every sample: the grid's
-lambda, x, y, u and the family's matrices are dyadic rationals, and
+error of any sample t/|lambda| of the row. verify's defect bits rest on
+that bound for most rows, so it is checked here against the exact value
+of every sample: the grid's lambda, x, y and the family's matrices are
+dyadic rationals, and
 T(lambda*x - y, lambda*x - y) of them is computed exactly with Python
 integers and compared by fractions.Fraction, the standard library alone.
 
@@ -41,10 +41,10 @@ SCALES = (-520, -300, -40, 0, 100, 300)
 DIMENSIONS = (2, 3, 5, 8, 12)
 
 
-def _pairs() -> tuple:
-    """(grams, weights): near-colinear pairs of symmetric PSD families and multiplication sips."""
+def _pairs() -> list:
+    """Near-colinear pairs of symmetric PSD families and multiplication sips, each with a weight."""
     rng = np.random.default_rng(26)
-    grams, weights = [], []
+    grams = []
     for k in SCALES:
         for T in [MultiplicationSip(6)] + [random_psd(rng, m, 3) for m in DIMENSIONS]:
             if isinstance(T, PsdFamilySip):
@@ -54,9 +54,8 @@ def _pairs() -> tuple:
             x = np.ldexp(rng.uniform(-1.0, 1.0, m), k)
             alpha = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
             y = alpha * x + np.ldexp(rng.uniform(-1.0, 1.0, m), k - 20)
-            grams.append(Gram(T, x, y))
-            weights.append(rng.uniform(0.5, 2.0, T.codomain_dim))
-    return grams, weights
+            grams.append(Gram(T, x, y, rng.uniform(0.5, 2.0, T.codomain_dim)))
+    return grams
 
 
 def _columns() -> np.ndarray:
@@ -102,13 +101,13 @@ def _exact_t(T, x, y, lam: float) -> list:
 
 
 def _worst_ratio() -> float:
-    """The largest |sample - exact| / bound over every sample.
+    """The largest |sample - exact| / E over every sample.
 
-    Asserts every sample within its bound: E for a sample of D, u_j*E
-    for one of D*u, as the driver's rows.error gives them.
+    Asserts every sample within its bound E, as the driver's rows.error
+    gives it.
     """
-    grams, weights = _pairs()
-    classes, places = _lambda_rows(grams, weights, GRID)
+    grams = _pairs()
+    classes, places = _lambda_rows(grams, GRID)
     cols = _columns()
     samples, bounds = [], []
     for rows in classes:
@@ -117,21 +116,19 @@ def _worst_ratio() -> float:
         with np.errstate(all="ignore"):
             block = rows.sample(0, R, cols, buf).copy()
             bound = rows.error(0, R, None)[::2]
-        assert block.shape == (2 * R, cols.size) and bound.shape == (2 * R,)
+        assert block.shape == (R, cols.size) and bound.shape == (R,)
         samples.append(block)
         bounds.append(bound)
     worst = 0.0
-    for g, u, (c, first) in zip(grams, weights, places):
+    for g, (c, first) in zip(grams, places):
         block, bound = samples[c], bounds[c]
-        R = len(bound) // 2
         for k, lam in enumerate(GRID.signed[cols].tolist()):
             for j, t in enumerate(_exact_t(g.T, g.x, g.y, lam)):
-                d = t / abs(Fraction(lam))
-                for r, exact in ((first + j, d), (R + first + j, Fraction(float(u[j])) * d)):
-                    E = Fraction(float(bound[r]))
-                    error = abs(Fraction(float(block[r, k])) - exact)
-                    assert error <= E, (g.T, r, lam, float(error), float(E))
-                    worst = max(worst, float(error / E))
+                r, exact = first + j, t / abs(Fraction(lam))
+                E = Fraction(float(bound[r]))
+                error = abs(Fraction(float(block[r, k])) - exact)
+                assert error <= E, (g.T, r, lam, float(error), float(E))
+                worst = max(worst, float(error / E))
     return worst
 
 

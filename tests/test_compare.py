@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -92,3 +93,29 @@ def test_diff_of_kept_outputs_sorts_value_moves_from_verdict_moves(digested, tmp
     assert both[2] == "0 outputs with value moves only, 1 with verdict moves"
     assert both[-2:] == ["verdict moves (output: field):",
                          f"  {name}: theorems/cs/worst_instance/failed"]
+
+
+def test_a_float_moved_to_or_from_nan_beside_a_zero_is_an_infinite_value_move():
+    # max(|old|, |new|) is 0.0 for a move from 0.0 to NaN: the change is
+    # inf, not a division by zero
+    old = {"theorems": {"sharp": {"max_residual": 0.0, "worst": [1.0, float("nan")]}}}
+    new = {"theorems": {"sharp": {"max_residual": float("nan"), "worst": [1.0, 0.0]}}}
+    assert list(tool.moves(old, new)) == [(("theorems", "sharp", "max_residual"), math.inf),
+                                          (("theorems", "sharp", "worst", 1), math.inf)]
+    assert tool.what_moved({"r": json.dumps(old)}, {"r": json.dumps(new)}, ["r"]) == [
+        "1 outputs with value moves only, 0 with verdict moves",
+        "value moves (field, outputs, largest relative change):",
+        "  theorems/sharp/max_residual  1  inf",
+        "  theorems/sharp/worst/*  1  inf"]
+
+
+def test_diff_of_a_missing_path_or_a_directory_beside_a_digest_is_an_error(digested, tmp_path):
+    for old, new in ((tmp_path / "none.json", digested / "first.json"),
+                     (digested / "first", tmp_path / "none"),
+                     (digested / "first", digested / "second.json"),
+                     (digested / "first.json", digested / "second")):
+        run = subprocess.run([sys.executable, str(TOOL), "diff", str(old), str(new)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert run.returncode == 2, (old, new)
+        assert "error: " in run.stderr and "Traceback" not in run.stderr, run.stderr
+        assert run.stdout == ""

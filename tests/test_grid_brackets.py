@@ -57,7 +57,7 @@ def assert_same_bits(got, ref):
     assert got[~nan].tobytes() == ref[~nan].tobytes(), (got, ref)
 
 
-def ref_lambda_minima(T, x, y, grid, u):
+def ref_lambda_minima(T, x, y, grid):
     lam, abs_lam = grid.signed, grid.signed_abs
     z = x[:, None] * lam - y[:, None]
     if isinstance(T, MultiplicationSip):
@@ -65,8 +65,7 @@ def ref_lambda_minima(T, x, y, grid, u):
     else:
         t = np.empty((T.codomain_dim, lam.size))
         _row_form(T._row_coefficients, z[:, None], t, np.empty((2, *t.shape)))
-    d = (t / abs_lam).min(axis=1)
-    return d, None if u is None else (t * u[:, None] / abs_lam).min(axis=1)
+    return (t / abs_lam).min(axis=1)
 
 
 def ref_fold(fold, a, fa, b, fb):
@@ -130,17 +129,14 @@ def families(draw, m_hi=4, n_hi=4):
 @SETTINGS
 @given(families(), st.sampled_from(COUNTS), st.booleans())
 def test_lambda_minima_has_the_full_grids_bits(case, count, bracket_all):
+    # the pass reads no weight: a pair's D is the same with or without one
     T, x, y, u = case
     grid = LogGrid.log_spaced(1e-6, 1e6, count)
     with np.errstate(all="ignore"), thresholds(bracket_all):
-        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
+        (got,) = lambda_minima([Gram(T, x, y, u)], grid)
     with np.errstate(all="ignore"):
-        ref = ref_lambda_minima(T, x, y, grid, u)
-    assert_same_bits(got[0], ref[0])
-    if u is None:
-        assert got[1] is None
-    else:
-        assert_same_bits(got[1], ref[1])
+        ref = ref_lambda_minima(T, x, y, grid)
+    assert_same_bits(got, ref)
 
 
 @settings(SETTINGS, max_examples=25)
@@ -148,23 +144,18 @@ def test_lambda_minima_has_the_full_grids_bits(case, count, bracket_all):
        st.booleans())
 def test_stacked_pairs_have_each_pairs_bits(cases, count, bracket_all):
     # one call over 1-12 pairs of both sip kinds, m <= 12 and n <= 8,
-    # with and without weights: each pair's D and D*u have the bits of
-    # that pair alone and of the full grid's reference
+    # with and without weights: each pair's D has the bits of that pair
+    # alone and of the full grid's reference
     grid = LogGrid.log_spaced(1e-6, 1e6, count)
-    grams = [Gram(T, x, y) for T, x, y, _ in cases]
-    weights = [u for *_, u in cases]
+    grams = [Gram(T, x, y, u) for T, x, y, u in cases]
     with np.errstate(all="ignore"), thresholds(bracket_all):
-        stacked = lambda_minima(grams, grid, weights)
-        alone = [lambda_minima([g], grid, [u])[0] for g, u in zip(grams, weights)]
-    for (T, x, y, u), got, single in zip(cases, stacked, alone):
+        stacked = lambda_minima(grams, grid)
+        alone = [lambda_minima([g], grid)[0] for g in grams]
+    for (T, x, y, _), got, single in zip(cases, stacked, alone):
         with np.errstate(all="ignore"):
-            ref = ref_lambda_minima(T, x, y, grid, u)
-        for value, one, r in zip(got, single, ref):
-            if u is None and value is None:
-                assert one is None and r is None
-                continue
-            assert_same_bits(value, r)
-            assert_same_bits(value, one)
+            ref = ref_lambda_minima(T, x, y, grid)
+        assert_same_bits(got, ref)
+        assert_same_bits(got, single)
 
 
 @st.composite
@@ -210,11 +201,6 @@ def counted(module, name, calls, record=None):
     return mock.patch.object(module, name, counting)
 
 
-def whole_rows(rows):
-    """The rows a call of the whole-grid pass takes: their count, and the weights of those with one."""
-    return rows.size, rows.u[:, 0].tolist()
-
-
 def mean_oracles(theta, angle):
     """(oracle, full-grid reference) of [*], [+] and [+] on the quarter circle, each of (p, q) stacks."""
     cos_t, sin_t = angle._trig
@@ -232,30 +218,26 @@ def mean_oracles(theta, angle):
 def test_the_fallback_takes_the_rows_it_must():
     # the flat row and the overflowing family send their call through the
     # whole grid, once, over every row of the pair: the flat family's
-    # coordinate 0 too; a valid pair at 10^5 points under a positive
-    # weight takes none, and under a weight with a zero entry none either,
-    # since that row of D*u is its weight wherever its row of D is
-    # certified positive
+    # coordinate 0 too; a valid pair at 10^5 points takes none, under a
+    # positive weight or one with a zero entry, which the pass never reads
     grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
     calls = []
     flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
     huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
     valid = random_psd(np.random.default_rng(3), 3, 2)
-    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
+    with counted(means, "_whole_grid", calls, lambda rows: rows.size), \
+            np.errstate(all="ignore"):
         for T, x, y, u, rows in (
-                # coordinate 1's D and D*u are flat in lambda, coordinate 0's are not
-                (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [(2, [1.0, 2.0])]),
-                (huge, [1.0, 2.0], [3.0, -1.0], [1.0], [(1, [1.0])]),
+                # coordinate 1's D is flat in lambda, coordinate 0's is not
+                (flat, [0.0, 2.0], [3.0, 0.0], [1.0, 2.0], [2]),
+                (huge, [1.0, 2.0], [3.0, -1.0], [1.0], [1]),
                 (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [1.0, 1.0], []),
-                # the D*u row of coordinate 0, all zeros: no row of T-values
                 (valid, [1.0, -2.0, 0.5], [0.3, 1.0, 2.0], [0.0, 1.0], [])):
             calls.clear()
             x, y, u = np.array(x), np.array(y), np.array(u)
-            (got,) = lambda_minima([Gram(T, x, y)], grid, [u])
+            (got,) = lambda_minima([Gram(T, x, y, u)], grid)
             assert calls == rows
-            ref = ref_lambda_minima(T, x, y, grid, u)
-            assert_same_bits(got[0], ref[0])
-            assert_same_bits(got[1], ref[1])
+            assert_same_bits(got, ref_lambda_minima(T, x, y, grid))
 
 
 def test_the_mean_oracles_fallback_takes_the_rows_it_must():
@@ -311,43 +293,6 @@ def test_generated_pairs_take_two_stages_and_never_fall_back():
                                   + ["box_times_gaps", "box_plus_gaps"] * 2 * len(ns))
 
 
-def test_a_zero_weights_row_of_d_u_is_its_weight():
-    # at 10^5 points, where every pair takes two stages: a row of D*u
-    # whose weight is +0.0 or -0.0 and whose row of D is certified
-    # positive takes no whole-grid pass and has the reference's bits, the
-    # sign of its zero included, alone and stacked; the flat row (D = 0)
-    # and the overflowing family, whose E is not finite, still send their
-    # call through the whole grid under a zero weight, over every row of
-    # the pair
-    grid = LogGrid.log_spaced(1e-6, 1e6, 10**5)
-    flat = PsdFamilySip([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]], validate=False)
-    huge = PsdFamilySip(1e300 * np.array([[[1.0, -1.0], [-1.0, 1.0]]]), validate=False)
-    valid = random_psd(np.random.default_rng(5), 4, 3)
-    cases = [
-        (valid, [1.0, -2.0, 0.5, 3.0], [0.3, 1.0, 2.0, -1.0], [0.0, -0.0, 2.0], []),
-        (valid, [1.0, -2.0, 0.5, 3.0], [0.3, 1.0, 2.0, -1.0], [-0.0, -0.0, -0.0], []),
-        (MultiplicationSip(3), [1.0, -2.0, 3.0], [0.5, 1.0, -1.0], [-0.0, 0.0, 1.0], []),
-        # coordinate 0 of the flat family is certified positive, coordinate 1 is flat
-        (flat, [0.0, 2.0], [3.0, 0.0], [0.0, -0.0], [(2, [0.0, -0.0])]),
-        (huge, [1.0, 2.0], [3.0, -1.0], [-0.0], [(1, [-0.0])]),
-    ]
-    calls = []
-    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
-        for T, x, y, u, rows in cases:
-            calls.clear()
-            (got,) = lambda_minima([Gram(T, np.array(x), np.array(y))], grid, [np.array(u)])
-            assert calls == rows
-            ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.array(u))
-            assert_same_bits(got[0], ref[0])
-            assert_same_bits(got[1], ref[1])
-        stacked = lambda_minima([Gram(T, np.array(x), np.array(y)) for T, x, y, *_ in cases],
-                                grid, [np.array(u) for *_, u, _ in cases])
-        for (T, x, y, u, _), got in zip(cases, stacked):
-            ref = ref_lambda_minima(T, np.array(x), np.array(y), grid, np.array(u))
-            assert_same_bits(got[0], ref[0])
-            assert_same_bits(got[1], ref[1])
-
-
 def test_a_fallback_takes_every_row_of_its_call_once():
     # at 10^5 points and the library's thresholds, a row that must take
     # the whole grid takes it with every other row of its call, in one
@@ -362,19 +307,18 @@ def test_a_fallback_takes_every_row_of_its_call_once():
     cases = [(random_psd(rng, 2, n), rng.uniform(-5.0, 5.0, 2), rng.uniform(-5.0, 5.0, 2),
               rng.uniform(0.5, 3.0, n)) for n in (3, 1, 4, 2)]
     cases.insert(2, (flat, np.array([0.0, 2.0]), np.array([3.0, 0.0]), np.array([1.0, 2.0])))
-    grams = [Gram(T, x, y) for T, x, y, _ in cases]
-    weights = [u for *_, u in cases]
+    grams = [Gram(T, x, y, u) for T, x, y, u in cases]
     calls = []
-    with counted(means, "_whole_grid", calls, whole_rows), np.errstate(all="ignore"):
-        stacked = lambda_minima(grams, grid, weights)
-        assert calls == [(12, np.concatenate(weights).tolist())]
-        alone = [lambda_minima([g], grid, [u])[0] for g, u in zip(grams, weights)]
-    for (T, x, y, u), got, one in zip(cases, stacked, alone):
+    with counted(means, "_whole_grid", calls, lambda rows: rows.size), \
+            np.errstate(all="ignore"):
+        stacked = lambda_minima(grams, grid)
+        assert calls == [12]
+        alone = [lambda_minima([g], grid)[0] for g in grams]
+    for (T, x, y, _), got, single in zip(cases, stacked, alone):
         with np.errstate(all="ignore"):
-            ref = ref_lambda_minima(T, x, y, grid, u)
-        for value, single, r in zip(got, one, ref):
-            assert_same_bits(value, r)
-            assert_same_bits(value, single)
+            ref = ref_lambda_minima(T, x, y, grid)
+        assert_same_bits(got, ref)
+        assert_same_bits(got, single)
 
     theta = LogGrid.log_spaced(1e-8, 1e8, 10**5)
     angle = AngleGrid.uniform(10**5)
@@ -395,8 +339,8 @@ def test_a_fallback_takes_every_row_of_its_call_once():
 
 
 def test_a_thousand_trial_run_takes_no_lambda_row_through_the_whole_grid():
-    # generic weights draw zero entries; with them settled, every lambda
-    # row of a 1,000-trial verify is certified by the two stages
+    # every lambda row of a 1,000-trial verify is certified by the two
+    # stages
     calls = []
     with counted(means, "_whole_grid", calls, lambda rows: type(rows).__name__), \
             np.errstate(all="ignore"):

@@ -136,8 +136,8 @@ def ref_quadratic(T, terms, z):
     return out
 
 
-def ref_lambda_minima(T, x, y, grid, u=None):
-    """(D, D*u) as lambda_minima gives them: D*u is None without u."""
+def ref_lambda_minima(T, x, y, grid):
+    """D as lambda_minima gives it."""
     # one column at a time: z = lambda*x - y, then T(z, z) term by term
     lam = grid.signed
     terms = None if isinstance(T, MultiplicationSip) else ref_quadratic_terms(T)
@@ -145,8 +145,7 @@ def ref_lambda_minima(T, x, y, grid, u=None):
     vals = np.array([ref_quadratic(T, terms, [l * xa - ya for xa, ya in zip(xs, ys)])
                      for l in lam.tolist()])
     abs_lam = np.abs(lam)[:, None]
-    return ((vals / abs_lam).min(axis=0),
-            None if u is None else (vals * u / abs_lam).min(axis=0))
+    return (vals / abs_lam).min(axis=0)
 
 
 def assert_same_bits(got, ref):
@@ -154,15 +153,6 @@ def assert_same_bits(got, ref):
     nan = np.isnan(ref)
     assert np.array_equal(np.isnan(got), nan), (got, ref)
     assert got[~nan].tobytes() == ref[~nan].tobytes(), (got, ref)
-
-
-def assert_same_minima(got, ref):
-    """(D, D*u) pairs with the same bits, D*u None on both sides or on neither."""
-    assert_same_bits(got[0], ref[0])
-    if ref[1] is None:
-        assert got[1] is None
-    else:
-        assert_same_bits(got[1], ref[1])
 
 
 @SETTINGS
@@ -201,14 +191,14 @@ def defect_cases(draw):
 @settings(SETTINGS, phases=NO_SHRINK)
 @given(defect_cases(), st.sampled_from(LAMBDA_GRIDS))
 def test_defect_grid_bits(case, grid):
-    # D and, with u, the weighted defect D(x,y)*u of the sharp suite, from one pass
+    # D, from a pass that reads no weight
     T, x, y, u = case
     with np.errstate(all="ignore"):
-        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
+        (got,) = lambda_minima([Gram(T, x, y, u)], grid)
         plain = defect_grid(T, x, y, grid)
-        ref = ref_lambda_minima(T, x, y, grid, u)
-    assert_same_minima(got, ref)
-    assert_same_bits(plain, ref[0])
+        ref = ref_lambda_minima(T, x, y, grid)
+    assert_same_bits(got, ref)
+    assert_same_bits(plain, ref)
 
 
 def block_sizes(rows):
@@ -313,12 +303,12 @@ def test_a_stack_gives_each_row_its_bits_alone(ab):
 def test_defect_grid_bits_at_any_block(block, case, grid):
     T, x, y, u = case
     with np.errstate(all="ignore"), mock.patch.object(means, "GRID_BLOCK", block):
-        got = lambda_minima([Gram(T, x, y)], grid, [u])[0]
+        (got,) = lambda_minima([Gram(T, x, y, u)], grid)
         plain = defect_grid(T, x, y, grid)
     with np.errstate(all="ignore"):
-        ref = ref_lambda_minima(T, x, y, grid, u)
-    assert_same_minima(got, ref)
-    assert_same_bits(plain, ref[0])
+        ref = ref_lambda_minima(T, x, y, grid)
+    assert_same_bits(got, ref)
+    assert_same_bits(plain, ref)
 
 
 @settings(FEW, max_examples=6, phases=NO_SHRINK)
@@ -330,8 +320,8 @@ def test_defect_grid_bits_at_one_block(case):
     for G in (w // 2 - 1, w // 2, w // 2 + 1):
         grid = LogGrid.log_spaced(LAMBDA_LO, LAMBDA_HI, G)
         with np.errstate(all="ignore"):
-            assert_same_minima(lambda_minima([Gram(T, x, y)], grid, [u])[0],
-                               ref_lambda_minima(T, x, y, grid, u))
+            assert_same_bits(lambda_minima([Gram(T, x, y, u)], grid)[0],
+                             ref_lambda_minima(T, x, y, grid))
 
 
 @pytest.mark.parametrize("batch", [1, 64, 4002])
@@ -361,7 +351,7 @@ def banded_rows():
 def whole_grid(fold, p, fp, q, fq):
     """The mean oracles' whole-grid pass (means._whole_grid) of fold over p*fp + q*fq, shaped like p."""
     rows = means._MeanRows(fold, p.reshape(-1, 1), fp, q.reshape(-1, 1), fq, None)
-    return means._whole_grid(rows)[0].reshape(p.shape)
+    return means._whole_grid(rows).reshape(p.shape)
 
 
 def test_banded_stacks_give_each_row_its_bits_alone():

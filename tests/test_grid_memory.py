@@ -96,7 +96,7 @@ def test_the_study_call_holds_a_band_of_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(np.all(np.isfinite(d)) for d, _ in minima)
+    assert all(np.all(np.isfinite(d)) for d in minima)
     assert peak < BOUND, f"the study's call peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -139,8 +139,8 @@ def test_the_whole_grid_pass_holds_one_block_of_elements():
     rng = np.random.default_rng(3)
     p, q = rng.uniform(0.5, 2.0, (2, 24))
     cases = [
-        _lambda_rows([Gram(MultiplicationSip(64), *rng.uniform(-1.0, 1.0, (2, 64)))],
-                     [rng.uniform(0.5, 2.0, 64)], grid)[0][0]
+        _lambda_rows([Gram(MultiplicationSip(64), *rng.uniform(-1.0, 1.0, (2, 64)),
+                           rng.uniform(0.5, 2.0, 64))], grid)[0][0]
         for grid in (small, many)
     ] + [_MeanRows(np.minimum, p, grid.points, q, grid.inverse, None) for grid in (small, many)]
     cases.append(_MeanRows(np.maximum, p, cos_t, q, sin_t, None))
@@ -157,15 +157,14 @@ def test_a_chunks_lambda_call_holds_a_few_blocks():
     config = TrialConfig(trials=256)
     trials = [Trial(inst, config) for inst in next(_chunks(config, "generic"))]
     assert len(trials) == 256
-    weights = [t.u for t in trials]
-    lambda_minima(trials, config.lambda_grid, weights)  # the cached factors and coefficients
+    lambda_minima(trials, config.lambda_grid)  # the cached factors and coefficients
     tracemalloc.start()
     try:
-        minima = lambda_minima(trials, config.lambda_grid, weights)
+        minima = lambda_minima(trials, config.lambda_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(np.all(np.isfinite(d)) for d, _ in minima)
+    assert all(np.all(np.isfinite(d)) for d in minima)
     assert peak < 4 * GRID_BLOCK * 8, f"the chunk's call peaked at {peak / 2**20:.2f} MiB"
 
 

@@ -1117,11 +1117,11 @@ def test_run_suite_evaluates_each_value_once_per_trial(monkeypatch):
     # each of its trials, one per codomain coordinate, once
     sampled_rows = Counter()
 
-    def sampled(pairs, grid, weights=None, _function=harness.lambda_minima):
+    def sampled(pairs, grid, _function=harness.lambda_minima):
         calls["lambda_minima"] += 1
         for g in pairs:
             sampled_rows[id(g)] += g.T.codomain_dim
-        return _function(pairs, grid, weights)
+        return _function(pairs, grid)
 
     monkeypatch.setattr(harness, "lambda_minima", sampled)
     rows, _, _ = _count_rows(monkeypatch)
@@ -1153,23 +1153,20 @@ def _counted_minima(monkeypatch) -> list:
     """The number of pairs of each harness.lambda_minima call, in call order."""
     calls = []
 
-    def counted(pairs, grid, weights=None, _function=harness.lambda_minima):
+    def counted(pairs, grid, _function=harness.lambda_minima):
         calls.append(len(pairs))
-        return _function(pairs, grid, weights)
+        return _function(pairs, grid)
 
     monkeypatch.setattr(harness, "lambda_minima", counted)
     return calls
 
 
-def _minima_bytes(minima: tuple) -> tuple:
-    return tuple(None if v is None else v.tobytes() for v in minima)
-
-
 def test_a_chunk_takes_its_minima_from_one_pass(monkeypatch):
     # a chunk's pass makes one lambda_minima call over every trial whose x
-    # and y validate, each under its validated weight or None, and every
-    # covered trial has the bits of its own lone pass; the shape-broken
-    # trial is left to its own call, which raises as it does alone
+    # and y validate, the negative weight's too, since the pass reads no
+    # weight, and every covered trial has the bits of its own lone pass;
+    # the shape-broken trial is left to its own call, which raises as it
+    # does alone
     config = TrialConfig(trials=1)
     chunk, broken = _broken_chunk()
     trials = [Trial(inst, config) for inst in chunk]
@@ -1185,8 +1182,7 @@ def test_a_chunk_takes_its_minima_from_one_pass(monkeypatch):
                     t.minima
                 continue
             alone = Trial(inst, config).minima
-            assert _minima_bytes(vars(t)["minima"]) == _minima_bytes(alone), i
-            assert (t.minima[1] is None) == (i == broken["negative"]), i
+            assert vars(t)["minima"].tobytes() == alone.tobytes(), i
     # one lone call each: the broken trial's, which raised, and the references
     assert calls == [len(chunk) - 1, 1] + [1] * (len(chunk) - 1)
 

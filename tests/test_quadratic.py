@@ -57,12 +57,12 @@ def quadratic(T, Zt):
 
 def lambda_samples(T, x, y, grid):
     """The T-values of the whole-grid pass (means._whole_grid) over grid.signed, block after block, as (n, 2G)."""
-    (rows,), _ = _lambda_rows([Gram(T, x, y)], [None], grid)
+    (rows,), _ = _lambda_rows([Gram(T, x, y)], grid)
     out = np.empty((rows.size, 2 * grid.count))
 
     def sample(self, lo, hi, cols, buf):
         # each block's buffer is overwritten by the next, so it is copied out first
-        t = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)[:hi - lo]
+        t = _lambda_values(self, lo, hi, self.grid.signed[cols], buf)
         out[lo:hi, cols] = t
         return t
 

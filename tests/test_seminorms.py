@@ -44,8 +44,8 @@ def norm(T, u, x):
 
 def triangle_residual(T, u, x, y):
     """Slack norm(x) + norm(y) - norm(x+y), in F+ when the axioms hold."""
-    g = Gram(T, x, y, u)
-    return g.norm_x + g.norm_y - g.norm_sum
+    sx, sy, sxy = Gram(T, x, y, u).norms("norm_x", "norm_y", "norm_sum")
+    return sx + sy - sxy
 
 
 def seminorm_sq(T, u, x):

@@ -3,10 +3,11 @@
 Every module-level public function or class of src/riesz_sip must be
 referenced in src/ outside its own definition and outside __init__.py,
 be imported in a Python block of README's "Library use" section, or be
-on ALLOWED below with its reason. Every module-level private one must be
-referenced in src/ outside its own definition. A name that only tests
-call fails here: delete it, fold it into its caller, or move it into the
-tests that call it.
+on ALLOWED below with its reason. Every module-level private one, and
+every method and property of a class (dunders aside), must be referenced
+in src/ outside its own definition. A name that only tests call fails
+here: delete it, fold it into its caller, or move it into the tests that
+call it.
 
 The package itself exports exactly what "Library use" imports, plus the
 names on EXPORTED with their reasons; everything else is imported from
@@ -85,6 +86,29 @@ def test_every_public_name_has_a_caller_in_src_or_a_stated_reason():
 def test_every_private_name_has_a_caller_in_src():
     trees = _trees()
     assert sorted(_uncalled(trees, _definitions(trees, private=True))) == []
+
+
+def _methods(trees: dict) -> dict:
+    """{name: each def of a method or property of that name} in src/riesz_sip's classes, dunders aside."""
+    found = {}
+    for tree in trees.values():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                        found.setdefault(node.name, []).append(node)
+    return found
+
+
+def test_every_method_and_property_has_a_caller_in_src():
+    # by name: a method is called where any attribute of its name is read
+    # outside its definitions (and __init__.py)
+    trees = _trees()
+    in_src = sum((_references(tree) for module, tree in trees.items()
+                  if module != "__init__.py"), Counter())
+    uncalled = [name for name, nodes in _methods(trees).items()
+                if in_src[name] == sum(_references(node)[name] for node in nodes)]
+    assert sorted(uncalled) == []
 
 
 def test_the_package_exports_what_library_use_imports():

@@ -51,7 +51,13 @@ from riesz_sip.lattice import (
     rel_residual,
 )
 from riesz_sip.means import _box_plus, _box_times
-from riesz_sip.sip import ORTHOGONAL, MultiplicationSip, PsdFamilySip, orthogonal_stack
+from riesz_sip.sip import (
+    ORTHOGONAL,
+    MultiplicationSip,
+    PsdFamilySip,
+    orthogonal_stack,
+    random_psd,
+)
 
 CONFIG = TrialConfig(trials=1, seed=9)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -325,10 +331,10 @@ CS_DEFECT_GAP = {0: "0x1.ff8ad5b68be1bp-18", 2: "0x1.6c5c0c7a481fbp-16"}
 @pytest.mark.parametrize("i", sorted(CS_DEFECT_GAP))
 @pytest.mark.parametrize("weight", ["shape", "negative"])
 def test_a_broken_weight_keeps_the_cs_row_and_fails_sharp(i, weight):
-    # the pass leaves D*u None for a weight it cannot read: cs, which
-    # never reads u, gives the row of the same pair under a valid weight,
-    # and sharp reads u first and fails the trial as invalid_instance,
-    # whichever suite reads the trial first
+    # the pass reads no weight: cs, which never reads u, gives the row of
+    # the same pair under a valid weight, and sharp reads u first and
+    # fails the trial as invalid_instance, whichever suite reads the trial
+    # first
     inst = generate_instance(TrialConfig(seed=0), i)
     n = inst.sip.codomain_dim
     u = np.ones(n + 1) if weight == "shape" else np.where(np.arange(n) == 0, -1.0, inst.u)
@@ -347,6 +353,56 @@ def test_a_broken_weight_keeps_the_cs_row_and_fails_sharp(i, weight):
     sharp = [_summary(r) for r in checked("sharp", group())]
     assert sharp[0] == _summary(harness._run_check("sharp", Trial(inst, CONFIG)))
     assert sharp[1][1] == ("invalid_instance",)
+
+
+# weights that hold +0.0, -0.0, the least subnormal and 1e300
+EDGE_WEIGHT = np.array([0.0, -0.0, 2.0**-1074, 1e300])
+
+
+def _edge_weight_trials() -> list:
+    """Trials into R^4 of a PSD family on R^3 and the multiplication sip, each under EDGE_WEIGHT."""
+    rng = np.random.default_rng(45)
+    sips = [random_psd(rng, 3, 4), MultiplicationSip(4)]
+    return [Trial(Instance(T, EDGE_WEIGHT, *rng.uniform(-5.0, 5.0, (2, T.domain_dim))), CONFIG)
+            for T in sips]
+
+
+def _weighted_gaps(t: Trial) -> dict:
+    """sharp's weighted residual bits of t with u*D as the oracle's D*u, D from defect_grid."""
+    floor = CONFIG.tolerances.abs
+    sampled = t.u * cauchy_schwarz.defect_grid(t.T, t.x, t.y, CONFIG.lambda_grid)
+    closed = t.weighted_defect
+    scale = np.maximum(np.maximum(np.abs(t.a), np.abs(t.c)) * t.u,
+                       np.maximum(np.abs(closed), np.abs(sampled))) + floor
+    gap = sampled - closed
+    return {"weighted_sandwich": _bits(lattice.cone_gap(gap, scale)),
+            "weighted_gap": _bits(lattice.excess(gap, scale))}
+
+
+def test_sharps_sampled_weighted_defect_is_u_times_d():
+    # u_j >= 0 commutes with the infimum over lambda, so sharp's sampled
+    # D*u is u*D bit for bit, in a Trial and in a TrialGroup of both sip
+    # kinds, under a weight that holds both zeros, a subnormal and 1e300
+    trials = _edge_weight_trials()
+    expected = [_weighted_gaps(t) for t in trials]
+    group = TrialGroup(_edge_weight_trials(), CONFIG)
+    for got in ([harness._run_check("sharp", t) for t in _edge_weight_trials()],
+                checked("sharp", group)):
+        for res, want in zip(got, expected):
+            assert {k: _bits(res.residuals[k]) for k in want} == want
+
+
+def test_a_zero_weight_beside_an_overflowing_sample_passes_sharp():
+    # T(lambda*x - y, lambda*x - y) = 4e300*lambda^2 overflows at the
+    # grid's large lambdas: under the zero weight a sample T*0/|lambda|
+    # would be inf*0 = NaN, but D is finite and D*0 = 0
+    inst = Instance(PsdFamilySip([[[1e300]]]), np.array([0.0]), np.array([2.0]), np.array([0.0]))
+    with np.errstate(all="ignore"):
+        for suite in ("cs", "vsn", "sharp", "additivity", "parallelogram"):
+            res = harness._run_check(suite, Trial(inst, CONFIG))
+            assert res.status == "pass", (suite, res)
+        res = harness._run_check("sharp", Trial(inst, CONFIG))
+    assert res.residuals["weighted_gap"] == res.residuals["weighted_sandwich"] == 0.0
 
 
 def test_a_lone_trial_is_checked_as_its_trial(monkeypatch):

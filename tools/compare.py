@@ -43,8 +43,8 @@ also writes each output's text, whose SHA-256 that is, to DIR/NAME.json
                 y = [0, 1, 1], the family 1e300 * [[1, -1], [-1, 1]],
                 whose rounding bound overflows, a positive definite family
                 on R^2 into R^5 (so the default lambda grid takes two
-                stages) under a weight with a zero entry, whose row of D*u
-                is all zeros, and the multiplication sip on R^3 with
+                stages) under a weight with a zero entry, which makes a
+                zero row of D*u, and the multiplication sip on R^3 with
                 x_1 = y_1 = 0, a row flat under the lambda oracle and both
                 mean oracles (--tiny: the first);
   fallback-class/...
@@ -84,11 +84,13 @@ runs a corpus of a few seconds' work, for tests.
 
 diff names every output that differs or that one file lacks, and exits 1
 if there is one, 0 otherwise. OLD and NEW are two digests, or two kept
-directories; of kept outputs that differ, diff also says what moved:
+directories (a missing path, or a digest beside a directory, is an error
+and exits 2); of kept outputs that differ, diff also says what moved:
 
   value moves   a float differs (not in an instance): each field path,
                 list indices as *, with the number of outputs it moved in
-                and its largest relative change;
+                and its largest relative change (inf where a side is NaN
+                or inf);
   verdict moves anything else differs: a status, a failed list, a tag, a
                 count, an instance's number, a key or list that one side
                 lacks, or a raised exception (an output that is not
@@ -277,7 +279,7 @@ def shrink_cases() -> list:
     A multiplication sip on R^4 under a lambda grid of 8 points, whose
     defect gaps fail cs and sharp, with a valid weight and with one entry
     too many: shrink's codomain drops take the current trial's lambda
-    minima under the valid weight, and run their own pass under the other.
+    minima under either weight, since the pass reads none.
     A PSD family with a negated member (perfbench's broken_instance)
     shrunk against axioms, which reads no x, y or u move.
     """
@@ -433,7 +435,8 @@ def moves(old, new, path=()):
             yield from moves(a, b, path + (i,))
     elif old != new and not (old != old and new != new):  # NaN equals NaN here
         if isinstance(old, float) and isinstance(new, float) and "instance" not in path:
-            change = abs(old - new) / max(abs(old), abs(new))
+            scale = max(abs(old), abs(new))  # 0.0 only beside a NaN
+            change = abs(old - new) / scale if scale else float("inf")
             yield path, change if change == change else float("inf")  # NaN or inf on a side
         else:
             yield path, None
@@ -497,7 +500,12 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    texts = args.old.is_dir() and args.new.is_dir()
+    for path in (args.old, args.new):
+        if not path.exists():
+            parser.error(f"{path} does not exist")
+    texts = args.old.is_dir()
+    if texts != args.new.is_dir():
+        parser.error("OLD and NEW must be two digests or two kept directories")
     if texts:
         old, new = kept(args.old), kept(args.new)
     else:
